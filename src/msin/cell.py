@@ -3,9 +3,9 @@
 Per series step: attention over the day's document vectors produces a mass
 vector p, p updates an exponentially-faded context v, and v enters every LSTM
 gate alongside the series input and previous hidden state.  A plain LSTM
-runner (no context injection) lives here too so the ablation variants share
-the exact gate arithmetic; with zeroed context weights the two paths produce
-bit-identical states.
+runner (no context injection) lives here too.  Both step through
+``text_encoder.lstm_step``, the one LSTM the encoder uses as well, so with
+zeroed context weights the two runners produce bit-identical states.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .text_encoder import LOGIT_CLAMP, DocRepresentation
+from .text_encoder import LOGIT_CLAMP, DocRepresentation, LSTMParams, \
+    lstm_params, lstm_step
 
 
 class EmptyDayError(ValueError):
@@ -33,42 +34,13 @@ class AttentionParams:
 
 
 @dataclass
-class GateParams:
-    """One gate's weights; ``ctx_w`` is None for plain-LSTM variants."""
-
-    x_w: T.Tensor            # [d_s, D]
-    h_w: T.Tensor            # [d_s, d_s]
-    bias: T.Tensor           # [d_s]
-    ctx_w: T.Tensor | None = None  # [d_s, 2*d_h]
-
-
-@dataclass
-class CellParams:
-    gate_in: GateParams
-    gate_forget: GateParams
-    gate_out: GateParams
-    gate_cand: GateParams
-
-    def gates(self):
-        return (self.gate_in, self.gate_forget, self.gate_out, self.gate_cand)
-
-    @property
-    def state_size(self) -> int:
-        return self.gate_in.h_w.shape[0]
-
-
-@dataclass
 class MsinParams:
     init_c_w: T.Tensor  # [d_s, 2*d_h]
     init_c_b: T.Tensor  # [d_s]
     init_h_w: T.Tensor  # [d_s, 2*d_h]
     init_h_b: T.Tensor  # [d_s]
     attn: AttentionParams
-    cell: CellParams
-
-    @property
-    def state_size(self) -> int:
-        return self.cell.state_size
+    cell: LSTMParams
 
 
 @dataclass
@@ -103,21 +75,16 @@ def init_attention(d_a: int, d_s: int, doc_dim: int, rng: np.random.Generator,
 
 
 def init_cell_gates(d_s: int, d_in: int, rng: np.random.Generator, prefix: str,
-                    ctx_dim: int | None = None) -> CellParams:
-    def gate(name: str, forget: bool) -> GateParams:
-        base = "%s.gate_%s" % (prefix, name)
-        bias = np.full(d_s, 1.0) if forget else np.zeros(d_s)
-        ctx = None
+                    ctx_dim: int | None = None) -> LSTMParams:
+    """Stacked series-cell gates, drawn gate by gate as context, input, state."""
+    ctx, inp, state = [], [], []
+    for _ in range(4):
         if ctx_dim is not None:
-            ctx = T.parameter(_uniform(rng, ctx_dim, (d_s, ctx_dim)), base + ".ctx_w")
-        return GateParams(
-            x_w=T.parameter(_uniform(rng, d_in, (d_s, d_in)), base + ".x_w"),
-            h_w=T.parameter(_uniform(rng, d_s, (d_s, d_s)), base + ".h_w"),
-            bias=T.parameter(bias, base + ".bias"),
-            ctx_w=ctx)
-
-    return CellParams(gate_in=gate("in", False), gate_forget=gate("forget", True),
-                      gate_out=gate("out", False), gate_cand=gate("cand", False))
+            ctx.append(_uniform(rng, ctx_dim, (d_s, ctx_dim)))
+        inp.append(_uniform(rng, d_in, (d_s, d_in)))
+        state.append(_uniform(rng, d_s, (d_s, d_s)))
+    return lstm_params(prefix, np.concatenate(inp), np.concatenate(state),
+                       np.concatenate(ctx) if ctx else None)
 
 
 def init_msin(d_s: int, d_a: int, d_in: int, doc_dim: int,
@@ -141,10 +108,8 @@ def init_states(tape: T.Tape | None, docs: DocRepresentation,
     if docs.n < 1:
         raise EmptyDayError("cannot initialize states from zero documents")
     s_bar = T.mean_axis(tape, docs.vectors, axis=0)
-    c0 = T.tanh(tape, T.add(tape, T.matmul(tape, params.init_c_w, s_bar),
-                            params.init_c_b))
-    h0 = T.tanh(tape, T.add(tape, T.matmul(tape, params.init_h_w, s_bar),
-                            params.init_h_b))
+    c0 = T.tanh(tape, T.linear(tape, [(params.init_c_w, s_bar)], params.init_c_b))
+    h0 = T.tanh(tape, T.linear(tape, [(params.init_h_w, s_bar)], params.init_h_b))
     v0 = T.constant(np.zeros(docs.vectors.shape[1]))
     return MsinState(c=c0, h=h0, v=v0, p=None)
 
@@ -152,9 +117,8 @@ def init_states(tape: T.Tape | None, docs: DocRepresentation,
 def attend(tape: T.Tape | None, h_prev: T.Tensor, docs: DocRepresentation,
            mask: np.ndarray, params: AttentionParams) -> T.Tensor:
     """Attention mass over documents given the previous hidden state."""
-    query = T.add(tape, T.matmul(tape, params.state_w, h_prev), params.bias)
-    proj = T.tanh(tape, T.add_bias(
-        tape, T.matmul(tape, docs.vectors, params.doc_w, transpose_b=True), query))
+    query = T.linear(tape, [(params.state_w, h_prev)], params.bias)
+    proj = T.tanh(tape, T.linear(tape, [(params.doc_w, docs.vectors)], query))
     logits = T.clip(tape, T.matmul(tape, proj, params.score),
                     -LOGIT_CLAMP, LOGIT_CLAMP)
     return T.masked_softmax(tape, logits, mask)
@@ -167,34 +131,22 @@ def update_context(tape: T.Tape | None, p: T.Tensor, docs: DocRepresentation,
     return T.scale(tape, T.add(tape, summary, v_prev), 0.5)
 
 
-def _gate_pre(tape, gate: GateParams, x, h, v):
-    pre = T.add(tape, T.matmul(tape, gate.x_w, x), T.matmul(tape, gate.h_w, h))
-    if v is not None and gate.ctx_w is not None:
-        pre = T.add(tape, pre, T.matmul(tape, gate.ctx_w, v))
-    return T.add(tape, pre, gate.bias)
-
-
-def lstm_gates(tape: T.Tape | None, cell: CellParams, x: T.Tensor,
-               h_prev: T.Tensor, c_prev: T.Tensor, v: T.Tensor | None = None):
-    """Shared gate arithmetic; returns (c, h). ``v`` augments every gate."""
-    gi, gf, go, gc = cell.gates()
-    i = T.sigmoid(tape, _gate_pre(tape, gi, x, h_prev, v))
-    f = T.sigmoid(tape, _gate_pre(tape, gf, x, h_prev, v))
-    o = T.sigmoid(tape, _gate_pre(tape, go, x, h_prev, v))
-    cand = T.tanh(tape, _gate_pre(tape, gc, x, h_prev, v))
-    c = T.add(tape, T.hadamard(tape, f, c_prev), T.hadamard(tape, i, cand))
-    h = T.hadamard(tape, o, T.tanh(tape, c))
-    return c, h
-
-
 def cell_step(tape: T.Tape | None, x: T.Tensor, state: MsinState,
               docs: DocRepresentation, mask: np.ndarray,
               params: MsinParams) -> MsinState:
     """One series step: attend, update context, then the gated state update."""
     p = attend(tape, state.h, docs, mask, params.attn)
     v = update_context(tape, p, docs, state.v)
-    c, h = lstm_gates(tape, params.cell, x, state.h, state.c, v)
+    h, c = lstm_step(tape, params.cell, x, state.h, state.c, v)
     return MsinState(c=c, h=h, v=v, p=p)
+
+
+def _window(window_values) -> np.ndarray:
+    values = np.asarray(window_values, dtype=np.float32)
+    if values.ndim != 2 or values.shape[0] < 1:
+        raise T.ContractError("window must be [m, D] with m >= 1, got %r"
+                              % (values.shape,))
+    return values
 
 
 def run_sequence(tape: T.Tape | None, window_values, docs: DocRepresentation,
@@ -204,31 +156,22 @@ def run_sequence(tape: T.Tape | None, window_values, docs: DocRepresentation,
     ``window_values`` is an [m, D] array (or anything np.asarray accepts);
     returns (hiddens [m, d_s], AttentionTrace with all m mass vectors).
     """
-    values = np.asarray(window_values, dtype=np.float32)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise T.ContractError("window must be [m, D] with m >= 1, got %r"
-                              % (values.shape,))
     state = init_states(tape, docs, params)
     rows, trace = [], []
-    for step in range(values.shape[0]):
-        x = T.constant(values[step])
-        state = cell_step(tape, x, state, docs, mask, params)
-        rows.append(T.reshape(tape, state.h, (1, params.state_size)))
+    for x in _window(window_values):
+        state = cell_step(tape, T.constant(x), state, docs, mask, params)
+        rows.append(T.reshape(tape, state.h, (1, params.cell.hidden_size)))
         trace.append(state.p)
     hiddens = T.concat(tape, rows, axis=0)
     return hiddens, AttentionTrace(per_step=trace)
 
 
-def run_plain_sequence(tape: T.Tape | None, window_values, cell: CellParams,
+def run_plain_sequence(tape: T.Tape | None, window_values, cell: LSTMParams,
                        init_c: T.Tensor, init_h: T.Tensor):
     """Context-free LSTM over the window with explicit initial states."""
-    values = np.asarray(window_values, dtype=np.float32)
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise T.ContractError("window must be [m, D] with m >= 1, got %r"
-                              % (values.shape,))
     c, h = init_c, init_h
     rows = []
-    for step in range(values.shape[0]):
-        c, h = lstm_gates(tape, cell, T.constant(values[step]), h, c, v=None)
-        rows.append(T.reshape(tape, h, (1, cell.state_size)))
+    for x in _window(window_values):
+        h, c = lstm_step(tape, cell, T.constant(x), h, c)
+        rows.append(T.reshape(tape, h, (1, cell.hidden_size)))
     return T.concat(tape, rows, axis=0)

@@ -42,8 +42,6 @@ GRADCHECK_WIDTHS = dict(d_s=4, d_h=3, d_a=4, d_w=5, vocab_size=20,
 # cancellation noise of central differences and would fail spuriously.
 GRADCHECK_SEED = 1
 
-THREADS_VAR = "MSIN_THREADS"
-
 
 class _UsageError(Exception):
     pass
@@ -157,19 +155,6 @@ def _require(merged: dict, *keys: str) -> None:
     if missing:
         raise _UsageError("missing required option(s): %s"
                           % ", ".join("--" + k.replace("_", "-") for k in missing))
-
-
-def thread_count() -> int:
-    """Worker cap from the environment; 1 keeps runs fully deterministic."""
-    raw = os.environ.get(THREADS_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise _UsageError("%s must be an integer, got %r"
-                          % (THREADS_VAR, raw)) from None
-    if n < 1:
-        raise _UsageError("%s must be at least 1" % THREADS_VAR)
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +301,10 @@ def _model_config(merged: dict) -> M.ModelConfig:
 
 
 def _train_config(merged: dict) -> TR.TrainConfig:
+    keys = [f.name for f in dataclasses.fields(TR.TrainConfig)
+            if f.name in merged]
     try:
-        return TR.TrainConfig(
-            learning_rate=merged["learning_rate"],
-            batch_size=merged["batch_size"],
-            max_steps=merged["max_steps"],
-            clip_norm=merged["clip_norm"],
-            early_stop_patience=merged["early_stop_patience"],
-            eval_every=merged["eval_every"],
-            seed=merged["seed"])
+        return TR.TrainConfig(**{k: merged[k] for k in keys})
     except ValueError as e:
         raise _UsageError(str(e)) from None
 
@@ -654,9 +634,6 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        # The engine runs batches sequentially regardless of the worker cap,
-        # so any validated value keeps runs bitwise reproducible.
-        thread_count()
         args = build_parser().parse_args(argv)
         if not hasattr(args, "func"):
             raise _UsageError("a subcommand is required (see --help)")

@@ -97,7 +97,7 @@ class ModelParams:
     embedding: enc.EmbeddingTable
     encoder: enc.TextEncoderParams
     msin: cell_mod.MsinParams | None      # msin variant only
-    cell: cell_mod.CellParams | None      # plain cell for the ablations
+    cell: enc.LSTMParams | None           # plain cell for the ablations
     align: cell_mod.AttentionParams | None  # lstm_wo post-hoc attention
     text_w: T.Tensor | None               # lstm_par text projection
     text_b: T.Tensor | None
@@ -205,7 +205,7 @@ def _head(tape, params: ModelParams, config: ModelConfig, feature: T.Tensor,
         if rng is None:
             raise T.ContractError("dropout requires a generator in train mode")
         feature = T.dropout(tape, feature, config.dropout_rate, rng)
-    return T.add(tape, T.matmul(tape, params.head_w, feature), params.head_b)
+    return T.linear(tape, [(params.head_w, feature)], params.head_b)
 
 
 def _encode(tape, sample, params: ModelParams, config: ModelConfig):
@@ -255,8 +255,7 @@ def forward_lstm_par(tape, sample, params: ModelParams, config: ModelConfig,
     h_m = T.reshape(tape, T.narrow(tape, hiddens, 0, config.m - 1, config.m),
                     (config.d_s,))
     pooled = T.mean_axis(tape, docs.vectors, axis=0)
-    text = T.tanh(tape, T.add(tape, T.matmul(tape, params.text_w, pooled),
-                              params.text_b))
+    text = T.tanh(tape, T.linear(tape, [(params.text_w, pooled)], params.text_b))
     feature = T.concat(tape, [h_m, text])
     value = _head(tape, params, config, feature, train_mode, rng)
     return Prediction(value=value, relevance=None)

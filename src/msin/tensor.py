@@ -51,7 +51,7 @@ class Tensor:
     def __init__(self, data, name: str | None = None, requires_grad: bool = False,
                  dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype.char not in "fd":  # float32, float64
             arr = arr.astype(np.float32)
         if arr.ndim == 0:
             arr = arr.reshape(1)
@@ -120,11 +120,12 @@ class Tape:
             gout = out.grad
             if gout is None:
                 continue
-            grads = fn(gout)
-            for t, g in zip(inputs, grads):
+            for t, g in zip(inputs, fn(gout)):
                 if g is None or not t.requires_grad:
                     continue
-                g = np.asarray(g, dtype=t.data.dtype).reshape(t.data.shape)
+                data = t.data
+                if g.dtype != data.dtype or g.shape != data.shape:
+                    g = np.asarray(g, dtype=data.dtype).reshape(data.shape)
                 t.grad = g if t.grad is None else t.grad + g
 
 
@@ -138,9 +139,12 @@ def _promoted(*tensors: Tensor):
 def _emit(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...],
           backward: Callable) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    if tape is not None and out.requires_grad:
-        tape.record(out, inputs, backward)
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            if tape is not None:
+                tape.record(out, inputs, backward)
+            break
     return out
 
 
@@ -197,18 +201,50 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor,
     return _emit(tape, data, (a, b), back)
 
 
-def outer(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    """Outer product of two vectors: [p] x [q] -> [p,q]."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError("outer expects two vectors, got %r and %r" % (a.shape, b.shape))
-    A = a.data.astype(np.float64)
-    B = b.data.astype(np.float64)
+def linear(tape: Tape | None, terms: Sequence[tuple[Tensor, Tensor]],
+           bias: Tensor) -> Tensor:
+    """Sum of weight-input products plus a bias, in one tape entry.
+
+    Each term is a pair (w [k,c], x): a vector x [c] contributes w.x, a
+    matrix x [r,c] contributes x.w^T (one row per input).  The arithmetic is
+    that of ``matmul`` per term, then ``add`` of the terms in order, then
+    ``add``/``add_bias`` of the [k] bias, bit for bit.
+    """
+    prods, acc = [], None
+    for w, x in terms:
+        W = w.data.astype(np.float64)
+        X = x.data.astype(np.float64)
+        if W.ndim != 2 or X.ndim not in (1, 2) or W.shape[1] != X.shape[-1]:
+            raise ShapeError("linear term shapes %r and %r do not match"
+                             % (W.shape, X.shape))
+        p = np.asarray(W @ X if X.ndim == 1 else X @ W.T, dtype=_promoted(w, x))
+        if acc is None:
+            acc = p
+        elif p.shape == acc.shape:
+            acc = acc + p
+        else:
+            raise ShapeError("linear terms differ in shape: %r vs %r"
+                             % (acc.shape, p.shape))
+        prods.append((W, X))
+    if acc is None:
+        raise ShapeError("linear needs at least one term")
+    if bias.shape != acc.shape[-1:]:
+        raise ShapeError("linear bias %r does not match output %r"
+                         % (bias.shape, acc.shape))
 
     def back(g):
         G = g.astype(np.float64)
-        return (G @ B, G.T @ A)
+        grads = []
+        for W, X in prods:
+            if X.ndim == 1:
+                grads += [np.outer(G, X), W.T @ G]
+            else:
+                grads += [(X.T @ G).T, G @ W]
+        grads.append(g if g.ndim == 1 else G.sum(axis=0))
+        return tuple(grads)
 
-    return _emit(tape, np.asarray(np.outer(A, B), dtype=_promoted(a, b)), (a, b), back)
+    inputs = tuple(t for term in terms for t in term) + (bias,)
+    return _emit(tape, acc + bias.data, inputs, back)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +290,57 @@ def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
     # 0.5*(1+tanh(x/2)) is the logistic function without overflow at either tail.
     out = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
     return _emit(tape, out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
+def lstm_gates(tape: Tape | None, pre: Tensor, c_prev: Tensor):
+    """LSTM state update from stacked pre-activations; returns (h, c).
+
+    ``pre`` holds the in/forget/out/cand blocks along its last axis and
+    ``c_prev`` the previous cell state.  c = f*c_prev + i*cand and
+    h = o*tanh(c), with sigmoid gates and a tanh candidate.  The values and
+    gradients are the elementwise float arithmetic of the same update spelled
+    out with narrow/sigmoid/tanh/hadamard/add, bit for bit, in two tape
+    entries (c, then h) instead of thirteen.
+    """
+    d = pre.shape[-1] // 4
+    if pre.shape[-1] != 4 * d or c_prev.shape != pre.shape[:-1] + (d,):
+        raise ShapeError("lstm_gates expects [..., 4d] and [..., d], got %r and %r"
+                         % (pre.shape, c_prev.shape))
+    z = pre.data
+    gates = 0.5 * (np.tanh(0.5 * z[..., :3 * d]) + 1.0)  # the sigmoid op's formula
+    i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
+    cand = np.tanh(z[..., 3 * d:])
+    c = f * c_prev.data + i * cand
+    tc = np.tanh(c)
+
+    def back_c(g):
+        gz = np.zeros(z.shape, dtype=g.dtype)
+        gz[..., :d] = g * cand * i * (1.0 - i)
+        gz[..., d:2 * d] = g * c_prev.data * f * (1.0 - f)
+        gz[..., 3 * d:] = g * i * (1.0 - cand * cand)
+        return (gz, g * f)
+
+    def back_h(g):
+        gz = np.zeros(z.shape, dtype=g.dtype)
+        gz[..., 2 * d:3 * d] = g * tc * o * (1.0 - o)
+        return (gz, g * o * (1.0 - tc * tc))
+
+    c_out = _emit(tape, c, (pre, c_prev), back_c)
+    return _emit(tape, o * tc, (pre, c_out), back_h), c_out
+
+
+def blend(tape: Tape | None, keep: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
+    """keep*a + (1-keep)*b for a 0/1 mask: ``a`` where keep is 1, ``b`` elsewhere.
+
+    The arithmetic of ``hadamard`` by two constant masks and ``add``, bit for
+    bit, in one tape entry.
+    """
+    k = np.asarray(keep, dtype=np.float32)
+    if a.shape != b.shape or k.shape != a.shape:
+        raise ShapeError("blend expects equal shapes, got mask %r and %r, %r"
+                         % (k.shape, a.shape, b.shape))
+    d = 1.0 - k
+    return _emit(tape, k * a.data + d * b.data, (a, b), lambda g: (g * k, g * d))
 
 
 def absolute(tape: Tape | None, x: Tensor) -> Tensor:
@@ -379,6 +466,34 @@ def sum_stack(tape: Tape | None, parts: Sequence[Tensor]) -> Tensor:
         total = total + p.data
     data = np.asarray(total, dtype=_promoted(*parts))
     return _emit(tape, data, tuple(parts), lambda g: (g,) * len(parts))
+
+
+def weighted_sum(tape: Tape | None, parts: Sequence[Tensor],
+                 weights: Tensor) -> Tensor:
+    """Row-wise weighted sum: out[i] = sum_j weights[i, j] * parts[j][i].
+
+    ``parts`` are K matrices [n,c] and ``weights`` is [n,K].  The arithmetic
+    is that of ``row_scale`` by each weight column followed by ``sum_stack``,
+    bit for bit, in one tape entry.
+    """
+    if not parts or parts[0].ndim != 2 or weights.ndim != 2 \
+            or weights.shape != (parts[0].shape[0], len(parts)) \
+            or any(p.shape != parts[0].shape for p in parts):
+        raise ShapeError("weighted_sum expects K [n,c] parts and [n,K] weights")
+    cols = [weights.data[:, j:j + 1] for j in range(len(parts))]
+    total = (parts[0].data * cols[0]).astype(np.float64)
+    for p, col in zip(parts[1:], cols[1:]):
+        total = total + p.data * col
+    data = np.asarray(total, dtype=_promoted(*parts, weights))
+
+    def back(g):
+        G = g.astype(np.float64)
+        gw = np.zeros(weights.shape, dtype=weights.data.dtype)
+        for j, p in enumerate(parts):
+            gw[:, j] = (G * p.data).sum(axis=1)
+        return tuple(g * col for col in cols) + (gw,)
+
+    return _emit(tape, data, tuple(parts) + (weights,), back)
 
 
 def take_rows(tape: Tape | None, x: Tensor, ids: np.ndarray) -> Tensor:

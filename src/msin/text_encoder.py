@@ -6,7 +6,8 @@ attention distribution over valid positions.  ``encode_documents`` runs a
 whole day's documents as rows of shared matrix ops; because every reduction
 in the engine accumulates in float64 and rounds once, the batched rows match
 the per-document functions and permuting documents permutes outputs
-bit-identically.
+bit-identically.  The stacked-gate LSTM defined here (``LSTMParams``,
+``lstm_step``, gated by ``tensor.lstm_gates``) is also the series cell's.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from . import tensor as T
 
 PAD_ID = 0
 UNK_ID = 1
-
-# gate blocks within the stacked [4*d_h] pre-activation, in row order
-_GATES = ("in", "forget", "out", "cand")
 
 # tanh keeps pre-softmax scores in (-1,1) scaled by a weight vector; the clamp
 # is unreachable in practice and only documents the intended numeric range.
@@ -55,12 +53,17 @@ class EmbeddingTable:
 
 
 @dataclass
-class DirectionParams:
-    """One LSTM direction with the four gates stacked row-wise (in/forget/out/cand)."""
+class LSTMParams:
+    """An LSTM with its four gates stacked row-wise (in/forget/out/cand).
 
-    input_w: T.Tensor  # [4*d_h, d_w]
-    state_w: T.Tensor  # [4*d_h, d_h]
-    bias: T.Tensor     # [4*d_h]
+    ``ctx_w`` feeds the series cell's attended document context into every
+    gate; it is None for the encoder directions and the plain series LSTM.
+    """
+
+    input_w: T.Tensor  # [4*d, d_in]
+    state_w: T.Tensor  # [4*d, d]
+    bias: T.Tensor     # [4*d]
+    ctx_w: T.Tensor | None = None  # [4*d, 2*d_h]
 
     @property
     def hidden_size(self) -> int:
@@ -69,8 +72,8 @@ class DirectionParams:
 
 @dataclass
 class TextEncoderParams:
-    fwd: DirectionParams
-    bwd: DirectionParams
+    fwd: LSTMParams
+    bwd: LSTMParams
     pool_w: T.Tensor    # [2*d_h, 2*d_h]
     pool_bias: T.Tensor  # [2*d_h]
     pool_ctx: T.Tensor   # [2*d_h]
@@ -106,14 +109,23 @@ def init_embedding(vocab_size: int, dim: int, rng: np.random.Generator,
     return EmbeddingTable(T.parameter(data, name))
 
 
+def lstm_params(prefix: str, input_w: np.ndarray, state_w: np.ndarray,
+                ctx_w: np.ndarray | None = None) -> LSTMParams:
+    """Named stacked-gate parameters around drawn weights; forget bias 1."""
+    d = state_w.shape[1]
+    bias = np.zeros(4 * d)
+    bias[d:2 * d] = 1.0  # open forget gates at the start of training
+    return LSTMParams(
+        input_w=T.parameter(input_w, prefix + ".input_w"),
+        state_w=T.parameter(state_w, prefix + ".state_w"),
+        bias=T.parameter(bias, prefix + ".bias"),
+        ctx_w=None if ctx_w is None else T.parameter(ctx_w, prefix + ".ctx_w"))
+
+
 def _init_direction(d_w: int, d_h: int, rng: np.random.Generator,
-                    prefix: str) -> DirectionParams:
-    bias = np.zeros(4 * d_h)
-    bias[d_h:2 * d_h] = 1.0  # open forget gates at the start of training
-    return DirectionParams(
-        input_w=T.parameter(_uniform(rng, d_w, (4 * d_h, d_w)), prefix + ".input_w"),
-        state_w=T.parameter(_uniform(rng, d_h, (4 * d_h, d_h)), prefix + ".state_w"),
-        bias=T.parameter(bias, prefix + ".bias"))
+                    prefix: str) -> LSTMParams:
+    return lstm_params(prefix, _uniform(rng, d_w, (4 * d_h, d_w)),
+                       _uniform(rng, d_h, (4 * d_h, d_h)))
 
 
 def init_encoder(d_w: int, d_h: int, rng: np.random.Generator,
@@ -156,6 +168,26 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
 
 
 # ---------------------------------------------------------------------------
+# the LSTM step shared by both encoder directions and the series cell
+
+
+def lstm_step(tape, params: LSTMParams, x: T.Tensor, h: T.Tensor,
+              c: T.Tensor, v: T.Tensor | None = None):
+    """One LSTM step; returns (h, c).
+
+    Vector inputs step one sequence; [n, .] row matrices step n sequences at
+    once, one per row.  The pre-activation is input_w.x + state_w.h
+    (+ ctx_w.v) + bias, added in that order, so zero context weights
+    reproduce the plain LSTM bitwise.
+    Pass the context ``v`` only with parameters that have ``ctx_w``.
+    """
+    terms = [(params.input_w, x), (params.state_w, h)]
+    if v is not None:
+        terms.append((params.ctx_w, v))
+    return T.lstm_gates(tape, T.linear(tape, terms, params.bias), c)
+
+
+# ---------------------------------------------------------------------------
 # per-document operations (the reference path; tests oracle against these)
 
 
@@ -167,27 +199,6 @@ def embed_lookup(tape: T.Tape | None, token_ids: np.ndarray,
         raise VocabularyError(
             "token id outside vocabulary of size %d" % table.vocab_size)
     return T.take_rows(tape, table.table, ids)
-
-
-def _gate_split(tape, pre: T.Tensor, d_h: int, axis: int):
-    """Slice the stacked pre-activation into (in, forget, out, cand) blocks."""
-    blocks = {}
-    for g, name in enumerate(_GATES):
-        blk = T.narrow(tape, pre, axis, g * d_h, (g + 1) * d_h)
-        blocks[name] = T.tanh(tape, blk) if name == "cand" else T.sigmoid(tape, blk)
-    return blocks
-
-
-def _direction_step(tape, x: T.Tensor, h: T.Tensor, c: T.Tensor,
-                    params: DirectionParams):
-    """One LSTM step on a single token embedding (vector-shaped)."""
-    pre = T.add(tape, T.add(tape, T.matmul(tape, params.input_w, x),
-                            T.matmul(tape, params.state_w, h)), params.bias)
-    gates = _gate_split(tape, pre, params.hidden_size, axis=0)
-    c_next = T.add(tape, T.hadamard(tape, gates["forget"], c),
-                   T.hadamard(tape, gates["in"], gates["cand"]))
-    h_next = T.hadamard(tape, gates["out"], T.tanh(tape, c_next))
-    return h_next, c_next
 
 
 def bilstm_forward(tape: T.Tape | None, embeds: T.Tensor, length: int,
@@ -202,12 +213,12 @@ def bilstm_forward(tape: T.Tape | None, embeds: T.Tensor, length: int,
     xs = [T.reshape(tape, T.narrow(tape, embeds, 0, l, l + 1), (embeds.shape[1],))
           for l in range(length)]
 
-    def sweep(direction: DirectionParams, order):
+    def sweep(direction: LSTMParams, order):
         h = T.constant(np.zeros(d_h))
         c = T.constant(np.zeros(d_h))
         out = {}
         for l in order:
-            h, c = _direction_step(tape, xs[l], h, c, direction)
+            h, c = lstm_step(tape, direction, xs[l], h, c)
             out[l] = h
         return out
 
@@ -230,9 +241,7 @@ def attention_pool(tape: T.Tape | None, hiddens: T.Tensor, length: int,
     if length < 1:
         raise EmptyDocumentError("cannot pool zero tokens")
     valid = T.narrow(tape, hiddens, 0, 0, length)
-    proj = T.tanh(tape, T.add_bias(
-        tape, T.matmul(tape, valid, params.pool_w, transpose_b=True),
-        params.pool_bias))
+    proj = T.tanh(tape, T.linear(tape, [(params.pool_w, valid)], params.pool_bias))
     logits = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
                     -LOGIT_CLAMP, LOGIT_CLAMP)
     beta = T.masked_softmax(tape, logits, np.ones(length, dtype=bool))
@@ -242,11 +251,6 @@ def attention_pool(tape: T.Tape | None, hiddens: T.Tensor, length: int,
 
 # ---------------------------------------------------------------------------
 # batched day encoding (what the models call)
-
-
-def _carry(tape, keep: T.Tensor, drop: T.Tensor, new: T.Tensor, old: T.Tensor):
-    """new where the keep mask is 1, old elsewhere."""
-    return T.add(tape, T.hadamard(tape, keep, new), T.hadamard(tape, drop, old))
 
 
 def encode_documents(tape: T.Tape | None, batch, table: EmbeddingTable,
@@ -277,30 +281,18 @@ def encode_documents(tape: T.Tape | None, batch, table: EmbeddingTable,
     xs = [T.narrow(tape, all_rows, 0, l * n, (l + 1) * n) for l in range(k_eff)]
     valid = lengths[:, None] > np.arange(k_eff)[None, :]  # [n, k_eff]
 
-    def batch_step(x, h, c, direction: DirectionParams):
-        pre = T.add_bias(tape, T.add(
-            tape, T.matmul(tape, x, direction.input_w, transpose_b=True),
-            T.matmul(tape, h, direction.state_w, transpose_b=True)),
-            direction.bias)
-        gates = _gate_split(tape, pre, d_h, axis=1)
-        c_next = T.add(tape, T.hadamard(tape, gates["forget"], c),
-                       T.hadamard(tape, gates["in"], gates["cand"]))
-        h_next = T.hadamard(tape, gates["out"], T.tanh(tape, c_next))
-        return h_next, c_next
-
-    def sweep(direction: DirectionParams, order):
+    def sweep(direction: LSTMParams, order):
         h = T.constant(np.zeros((n, d_h)))
         c = T.constant(np.zeros((n, d_h)))
         out = {}
         for l in order:
-            h_new, c_new = batch_step(xs[l], h, c, direction)
+            h_new, c_new = lstm_step(tape, direction, xs[l], h, c)
             if valid[:, l].all():
                 h, c = h_new, c_new
             else:
-                keep = T.constant(np.repeat(valid[:, l:l + 1], d_h, axis=1))
-                drop = T.constant(np.repeat(~valid[:, l:l + 1], d_h, axis=1))
-                h = _carry(tape, keep, drop, h_new, h)
-                c = _carry(tape, keep, drop, c_new, c)
+                keep = np.repeat(valid[:, l:l + 1], d_h, axis=1)
+                h = T.blend(tape, keep, h_new, h)
+                c = T.blend(tape, keep, c_new, c)
             out[l] = h
         return out
 
@@ -310,16 +302,12 @@ def encode_documents(tape: T.Tape | None, batch, table: EmbeddingTable,
 
     scores = []
     for l in range(k_eff):
-        proj = T.tanh(tape, T.add_bias(
-            tape, T.matmul(tape, hid[l], params.pool_w, transpose_b=True),
-            params.pool_bias))
+        proj = T.tanh(tape, T.linear(tape, [(params.pool_w, hid[l])],
+                                     params.pool_bias))
         scores.append(T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
                              -LOGIT_CLAMP, LOGIT_CLAMP))
     beta = T.masked_softmax(tape, T.stack_cols(tape, scores), valid)
-    weighted = [T.row_scale(tape, hid[l],
-                            T.reshape(tape, T.narrow(tape, beta, 1, l, l + 1), (n,)))
-                for l in range(k_eff)]
-    pooled = T.sum_stack(tape, weighted)
+    pooled = T.weighted_sum(tape, hid, beta)
     divisor = lengths.astype(np.float64) if pool_divisor == "actual_len" else \
         np.full(n, float(width))
     s = T.row_scale(tape, pooled, T.constant(1.0 / divisor))

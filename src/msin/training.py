@@ -1,10 +1,9 @@
-"""Training loop, random hyperparameter search, and checkpoint files.
+"""Training loop and checkpoint files.
 
 Batches are formed from a seeded shuffle each epoch. Every sample in a batch
-gets its own graph; gradients are averaged in sorted-sample order so a
-threaded fan-out could never change the result bitwise. Adam moment buffers
-are float64 and the update itself is computed in float64, then stored back to
-the float32 parameters.
+gets its own graph; gradients are averaged in sorted-sample order. Adam moment
+buffers are float64 and the update itself is computed in float64, then stored
+back to the float32 parameters.
 """
 
 from __future__ import annotations
@@ -20,14 +19,8 @@ from . import model as M
 from . import tensor as T
 from .rng import substream
 
-# appendix search grids: layer widths, penalty strengths, dropout, window
-SIZE_GRID = (16, 32, 64, 128)
-REG_GRID = (0.1, 0.05, 0.01, 0.005, 0.001)
-DROPOUT_GRID = (0.0, 0.1, 0.2, 0.4)
-WINDOW_GRID = (3, 5, 7, 10)
-
 MAGIC = b"MSN1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class TrainingError(Exception):
@@ -226,58 +219,6 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
                        best_step=best_step,
                        best_valid=float(best_valid) if best_data else np.nan,
                        steps_run=step)
-
-
-# ---------------------------------------------------------------------------
-# random search
-
-
-@dataclass(frozen=True)
-class Trial:
-    settings: dict
-    valid_loss: float
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_config: M.ModelConfig
-    best_settings: dict
-    trials: tuple[Trial, ...]  # sorted, best first
-
-
-def draw_settings(seed: int, trial: int) -> dict:
-    """One uniform draw from the search grids, in a fixed field order."""
-    rng = substream(seed, "search", trial)
-    pick = lambda grid: grid[int(rng.integers(len(grid)))]
-    return {"d_s": pick(SIZE_GRID), "d_h": pick(SIZE_GRID),
-            "l1": pick(REG_GRID), "l2": pick(REG_GRID),
-            "dropout_rate": pick(DROPOUT_GRID), "m": pick(WINDOW_GRID)}
-
-
-def random_search(corpus, series, vocab, split, base_config: M.ModelConfig,
-                  base_train: TrainConfig, budget: int, seed: int) -> SearchResult:
-    """Train one model per drawn setting and rank by validation loss.
-
-    Samples are rebuilt per trial because the window length m is part of the
-    space. Each trial reuses base_train.seed, so identical draws land on
-    identical losses.
-    """
-    from .data import make_samples  # local import keeps module layers acyclic
-
-    if budget < 1:
-        raise TrainingError("search budget must be at least 1")
-    trials = []
-    for i in range(budget):
-        settings = draw_settings(seed, i)
-        cfg = dataclasses.replace(base_config, **settings)
-        sample_set = make_samples(corpus, series, vocab, cfg, split)
-        params = M.init_model(cfg, seed=base_train.seed)
-        result = train(sample_set, params, cfg, base_train)
-        trials.append((Trial(settings=settings, valid_loss=result.best_valid), cfg))
-    trials.sort(key=lambda tc: tc[0].valid_loss)
-    return SearchResult(best_config=trials[0][1],
-                        best_settings=dict(trials[0][0].settings),
-                        trials=tuple(t for t, _ in trials))
 
 
 # ---------------------------------------------------------------------------

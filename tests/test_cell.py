@@ -6,7 +6,7 @@ import pytest
 from msin import cell as C
 from msin import tensor as T
 from msin.rng import substream
-from msin.text_encoder import DocRepresentation
+from msin.text_encoder import DocRepresentation, LSTMParams
 
 
 def _sig(x):
@@ -32,9 +32,8 @@ def zero_params(d_s=3, d_a=3, d_in=1, doc_dim=4) -> C.MsinParams:
     for t in (p.init_c_w, p.init_c_b, p.init_h_w, p.init_h_b,
               p.attn.state_w, p.attn.doc_w, p.attn.bias, p.attn.score):
         t.data[...] = 0.0
-    for g in p.cell.gates():
-        for t in (g.x_w, g.h_w, g.bias, g.ctx_w):
-            t.data[...] = 0.0
+    for t in (p.cell.input_w, p.cell.state_w, p.cell.bias, p.cell.ctx_w):
+        t.data[...] = 0.0
     return p
 
 
@@ -175,7 +174,7 @@ class TestCellStep:
     def test_saturated_input_gate_pure_decay(self):
         """Input-gate bias at -50 saturates to exactly zero: c = f*c_prev bitwise."""
         params = make_params(seed=6)
-        params.cell.gate_in.bias.data[...] = -50.0
+        params.cell.bias.data[:3] = -50.0  # the input-gate rows
         rng = np.random.default_rng(12)
         c_prev = rng.normal(size=3).astype(np.float32)
         h_prev = rng.normal(size=3).astype(np.float32)
@@ -187,8 +186,12 @@ class TestCellStep:
         # recompute f with the same ops to compare bit-for-bit
         p = C.attend(None, state.h, docs, np.ones(2, dtype=bool), params.attn)
         v = C.update_context(None, p, docs, state.v)
-        f = T.sigmoid(None, C._gate_pre(None, params.cell.gate_forget,
-                                        T.constant([0.3]), state.h, v))
+        cell = params.cell
+        pre = T.add(None, T.matmul(None, cell.input_w, T.constant([0.3])),
+                    T.matmul(None, cell.state_w, state.h))
+        pre = T.add(None, T.add(None, pre, T.matmul(None, cell.ctx_w, v)),
+                    cell.bias)
+        f = T.sigmoid(None, T.narrow(None, pre, 0, 3, 6))
         decay = T.hadamard(None, f, state.c)
         assert out.c.data.tobytes() == decay.data.tobytes()
 
@@ -212,9 +215,13 @@ class TestCellStep:
                     + (w(at.state_w) * h_prev + w(at.bias)))
         p = _softmax(w(at.score) * a)
         v = 0.5 * (float(p @ s[:, 0]) + 0.1)
+        cell = params.cell
         pre = {}
-        for name, g in zip("ifoc", params.cell.gates()):
-            pre[name] = w(g.x_w) * x + w(g.h_w) * h_prev + w(g.ctx_w) * v + w(g.bias)
+        for k, name in enumerate("ifoc"):  # stacked rows: in/forget/out/cand
+            pre[name] = (float(cell.input_w.data[k, 0]) * x
+                         + float(cell.state_w.data[k, 0]) * h_prev
+                         + float(cell.ctx_w.data[k, 0]) * v
+                         + float(cell.bias.data[k]))
         c = _sig(pre["f"]) * c_prev + _sig(pre["i"]) * np.tanh(pre["c"])
         h = _sig(pre["o"]) * np.tanh(c)
         np.testing.assert_allclose(out.p.data, p, rtol=0, atol=1e-6)
@@ -292,19 +299,16 @@ class TestRunSequence:
         w = T.constant(rng.normal(size=(2, 2)), dtype=np.float64)
         leaves = [params.init_c_w, params.init_c_b, params.init_h_w, params.init_h_b,
                   params.attn.state_w, params.attn.doc_w, params.attn.bias,
-                  params.attn.score]
-        for g in params.cell.gates():
-            leaves.extend([g.x_w, g.h_w, g.bias, g.ctx_w])
-        leaves.append(T.parameter(doc_rows, "docs"))
+                  params.attn.score, params.cell.input_w, params.cell.state_w,
+                  params.cell.bias, params.cell.ctx_w,
+                  T.parameter(doc_rows, "docs")]
 
         def loss(tape, ts):
             rebuilt = C.MsinParams(
                 init_c_w=ts[0], init_c_b=ts[1], init_h_w=ts[2], init_h_b=ts[3],
                 attn=C.AttentionParams(ts[4], ts[5], ts[6], ts[7]),
-                cell=C.CellParams(*(C.GateParams(ts[8 + 4 * k], ts[9 + 4 * k],
-                                                 ts[10 + 4 * k], ts[11 + 4 * k])
-                                    for k in range(4))))
-            docs = DocRepresentation(vectors=ts[24], word_attention=[])
+                cell=LSTMParams(ts[8], ts[9], ts[10], ts[11]))
+            docs = DocRepresentation(vectors=ts[12], word_attention=[])
             hiddens, _ = C.run_sequence(tape, window, docs, np.ones(2, dtype=bool),
                                         rebuilt)
             return T.sum_all(tape, T.hadamard(tape, hiddens, w))
@@ -318,8 +322,7 @@ class TestPlainReduction:
         rng = np.random.default_rng(21)
         for trial in range(5):
             params = make_params(seed=100 + trial)
-            for g in params.cell.gates():
-                g.ctx_w.data[...] = 0.0
+            params.cell.ctx_w.data[...] = 0.0
             docs = docs_of(rng.normal(size=(3, 4)))
             window = rng.normal(size=(4, 1))
             full, _ = C.run_sequence(None, window, docs, np.ones(3, dtype=bool),

@@ -69,15 +69,6 @@ def test_bad_flag_value_is_usage_error(capsys):
     assert "integer" in capsys.readouterr().err
 
 
-def test_threads_env_validated(monkeypatch, tmp_path):
-    monkeypatch.setenv("MSIN_THREADS", "zero")
-    assert main(["synth", "--out-dir", str(tmp_path)]) == 1
-    monkeypatch.setenv("MSIN_THREADS", "0")
-    assert main(["synth", "--out-dir", str(tmp_path)]) == 1
-    monkeypatch.setenv("MSIN_THREADS", "4")
-    assert main(["synth", "--out-dir", str(tmp_path), "--days", "3"]) == 0
-
-
 # ---------------------------------------------------------------------------
 # synth
 

@@ -187,11 +187,9 @@ class TestForwardLstmWo:
             getattr(pw.encoder.bwd, attr).data[...] = getattr(pm.encoder.bwd, attr).data
         for t in ("pool_w", "pool_bias", "pool_ctx"):
             getattr(pw.encoder, t).data[...] = getattr(pm.encoder, t).data
-        for gm, gw in zip(pm.msin.cell.gates(), pw.cell.gates()):
-            gw.x_w.data[...] = gm.x_w.data
-            gw.h_w.data[...] = gm.h_w.data
-            gw.bias.data[...] = gm.bias.data
-            gm.ctx_w.data[...] = 0.0
+        for attr in ("input_w", "state_w", "bias"):
+            getattr(pw.cell, attr).data[...] = getattr(pm.msin.cell, attr).data
+        pm.msin.cell.ctx_w.data[...] = 0.0
         pm.msin.init_c_w.data[...] = 0.0
         pm.msin.init_c_b.data[...] = 0.0
         pm.msin.init_h_w.data[...] = 0.0

@@ -330,6 +330,132 @@ class TestBackward:
         np.testing.assert_allclose(z.grad, np.ones(3))
 
 
+def _leaf_grads(build, leaves, seed):
+    """Output bytes and every leaf gradient's bytes after one backward pass."""
+    for t in leaves:
+        t.zero_grad()
+    tape = T.Tape()
+    outs = build(tape, leaves)
+    rng = np.random.default_rng(seed)
+    terms = [T.sum_all(tape, T.hadamard(tape, o, T.constant(_rand(rng, *o.shape))))
+             for o in outs]
+    tape.backward(T.sum_stack(tape, terms))
+    return [o.data.tobytes() for o in outs] + [t.grad.tobytes() for t in leaves]
+
+
+class TestFusedOps:
+    """linear, lstm_gates and weighted_sum against the ops they fuse."""
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    def test_linear_bitwise_matches_matmul_add_chain(self, rows, n_terms):
+        rng = np.random.default_rng(40 + n_terms)
+        shape = (5,) if rows is None else (rows, 5)
+        leaves = []
+        for k in range(n_terms):
+            leaves += [T.parameter(_rand(rng, 8, 4 + k), "w%d" % k),
+                       T.parameter(_rand(rng, *shape[:-1], 4 + k), "x%d" % k)]
+        leaves.append(T.parameter(_rand(rng, 8), "b"))
+
+        def fused(tape, ls):
+            pairs = [(ls[2 * k], ls[2 * k + 1]) for k in range(n_terms)]
+            return [T.linear(tape, pairs, ls[-1])]
+
+        def chain(tape, ls):
+            acc = None
+            for k in range(n_terms):
+                w, x = ls[2 * k], ls[2 * k + 1]
+                p = T.matmul(tape, w, x) if rows is None else \
+                    T.matmul(tape, x, w, transpose_b=True)
+                acc = p if acc is None else T.add(tape, acc, p)
+            if rows is None:
+                return [T.add(tape, acc, ls[-1])]
+            return [T.add_bias(tape, acc, ls[-1])]
+
+        assert _leaf_grads(fused, leaves, 1) == _leaf_grads(chain, leaves, 1)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_lstm_gates_bitwise_matches_spelled_out_update(self, rows):
+        rng = np.random.default_rng(50)
+        lead = () if rows is None else (rows,)
+        d = 4
+        leaves = [T.parameter(_rand(rng, *lead, 4 * d) * 2, "pre"),
+                  T.parameter(_rand(rng, *lead, d), "c_prev")]
+
+        def fused(tape, ls):
+            return list(T.lstm_gates(tape, ls[0], ls[1]))
+
+        def chain(tape, ls):
+            pre, c_prev = ls
+            axis = pre.ndim - 1
+            blocks = [T.narrow(tape, pre, axis, k * d, (k + 1) * d) for k in range(4)]
+            i, f, o = (T.sigmoid(tape, b) for b in blocks[:3])
+            cand = T.tanh(tape, blocks[3])
+            c = T.add(tape, T.hadamard(tape, f, c_prev), T.hadamard(tape, i, cand))
+            return [T.hadamard(tape, o, T.tanh(tape, c)), c]
+
+        assert _leaf_grads(fused, leaves, 2) == _leaf_grads(chain, leaves, 2)
+
+    def test_weighted_sum_bitwise_matches_row_scale_sum_stack(self):
+        rng = np.random.default_rng(60)
+        leaves = [T.parameter(_rand(rng, 3, 5), "h%d" % j) for j in range(4)]
+        leaves.append(T.parameter(_rand(rng, 3, 4), "beta"))
+
+        def fused(tape, ls):
+            return [T.weighted_sum(tape, ls[:-1], ls[-1])]
+
+        def chain(tape, ls):
+            beta = ls[-1]
+            return [T.sum_stack(tape, [
+                T.row_scale(tape, h, T.reshape(tape, T.narrow(tape, beta, 1, j, j + 1),
+                                               (3,)))
+                for j, h in enumerate(ls[:-1])])]
+
+        assert _leaf_grads(fused, leaves, 3) == _leaf_grads(chain, leaves, 3)
+
+    def test_blend_bitwise_matches_masked_hadamard_add(self):
+        rng = np.random.default_rng(70)
+        keep = np.repeat(np.array([[True], [False], [True]]), 5, axis=1)
+        leaves = [T.parameter(_rand(rng, 3, 5), "new"), T.parameter(_rand(rng, 3, 5), "old")]
+
+        def fused(tape, ls):
+            return [T.blend(tape, keep, ls[0], ls[1])]
+
+        def chain(tape, ls):
+            return [T.add(tape, T.hadamard(tape, T.constant(keep), ls[0]),
+                          T.hadamard(tape, T.constant(~keep), ls[1]))]
+
+        assert _leaf_grads(fused, leaves, 4) == _leaf_grads(chain, leaves, 4)
+        out = T.blend(None, keep, leaves[0], leaves[1]).data
+        np.testing.assert_array_equal(out, np.where(keep, leaves[0].data, leaves[1].data))
+
+    def test_shape_guards(self):
+        w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, [], b)
+        with pytest.raises(T.ShapeError):
+            T.linear(None, [(w, T.constant(np.ones(5)))], b)
+        with pytest.raises(T.ShapeError):
+            T.linear(None, [(w, T.constant(np.ones(4))),
+                            (w, T.constant(np.ones((2, 4))))], b)
+        with pytest.raises(T.ShapeError):
+            T.linear(None, [(w, T.constant(np.ones(4)))], T.constant(np.ones(7)))
+        with pytest.raises(T.ShapeError):
+            T.lstm_gates(None, T.constant(np.ones(10)), T.constant(np.ones(2)))
+        with pytest.raises(T.ShapeError):
+            T.lstm_gates(None, T.constant(np.ones(8)), T.constant(np.ones(3)))
+        with pytest.raises(T.ShapeError):
+            T.weighted_sum(None, [T.constant(np.ones((3, 2)))] * 2,
+                           T.constant(np.ones((3, 3))))
+        with pytest.raises(T.ShapeError):
+            T.weighted_sum(None, [T.constant(np.ones((3, 2))),
+                                  T.constant(np.ones((3, 4)))],
+                           T.constant(np.ones((3, 2))))
+        with pytest.raises(T.ShapeError):
+            T.blend(None, np.ones((3, 2)), T.constant(np.ones((3, 2))),
+                    T.constant(np.ones((3, 3))))
+
+
 class TestDropout:
     def test_zero_rate_is_identity_object(self):
         x = T.constant(np.ones(4))
@@ -410,16 +536,15 @@ class TestGradCheckPerOp:
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), q=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_outer_and_bias(self, seed, p, q):
+        """add_bias gradients flow to both a [p, q] matrix leaf and the bias."""
         rng = np.random.default_rng(seed)
         w = T.constant(_rand(rng, p, q), dtype=np.float64)
 
         def loss(tape, leaves):
-            prod = T.outer(tape, leaves[0], leaves[1])
-            prod = T.add_bias(tape, prod, leaves[2])
-            return T.sum_all(tape, T.hadamard(tape, prod, w))
+            out = T.add_bias(tape, leaves[0], leaves[1])
+            return T.sum_all(tape, T.hadamard(tape, out, w))
 
-        params = [T.parameter(_rand(rng, p), "u"), T.parameter(_rand(rng, q), "v"),
-                  T.parameter(_rand(rng, q), "b")]
+        params = [T.parameter(_rand(rng, p, q), "m"), T.parameter(_rand(rng, q), "b")]
         assert T.grad_check(loss, params) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
@@ -488,6 +613,29 @@ class TestGradCheckPerOp:
 
         assert T.grad_check(loss, [T.parameter(x0, "x")]) < 1e-6
 
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fused_ops(self, seed):
+        """linear (row and vector forms), lstm_gates and weighted_sum."""
+        rng = np.random.default_rng(700 + seed)
+        v = T.constant(_rand(rng, 2, 3), dtype=np.float64)
+        u = T.constant(_rand(rng, 12), dtype=np.float64)
+
+        def loss(tape, leaves):
+            wx, x, wh, h, b, c, beta = leaves
+            pre = T.linear(tape, [(wx, x), (wh, h)], b)          # [2, 12]
+            h1, c1 = T.lstm_gates(tape, pre, c)                  # [2, 3] each
+            mixed = T.weighted_sum(tape, [h1, c1], beta)         # [2, 3]
+            h0 = T.reshape(tape, T.narrow(tape, h, 0, 0, 1), (3,))
+            one = T.linear(tape, [(wh, h0)], b)                  # [12]
+            return T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, mixed, v)),
+                                      T.sum_all(tape, T.hadamard(tape, one, u))])
+
+        params = [T.parameter(_rand(rng, 12, 2), "wx"), T.parameter(_rand(rng, 2, 2), "x"),
+                  T.parameter(_rand(rng, 12, 3), "wh"), T.parameter(_rand(rng, 2, 3), "h"),
+                  T.parameter(_rand(rng, 12), "b"), T.parameter(_rand(rng, 2, 3), "c"),
+                  T.parameter(_rand(rng, 2, 2), "beta")]
+        assert T.grad_check(loss, params) < 1e-6
 
 class TestGradCheckHarness:
     def test_impure_function_raises_determinism_error(self):

@@ -103,8 +103,8 @@ class TestBilstmForward:
         d_w, d_h = 3, 2
         zeros = lambda *s: T.parameter(np.zeros(s), "z")
         params = TE.TextEncoderParams(
-            fwd=TE.DirectionParams(zeros(4 * d_h, d_w), zeros(4 * d_h, d_h), zeros(4 * d_h)),
-            bwd=TE.DirectionParams(zeros(4 * d_h, d_w), zeros(4 * d_h, d_h), zeros(4 * d_h)),
+            fwd=TE.LSTMParams(zeros(4 * d_h, d_w), zeros(4 * d_h, d_h), zeros(4 * d_h)),
+            bwd=TE.LSTMParams(zeros(4 * d_h, d_w), zeros(4 * d_h, d_h), zeros(4 * d_h)),
             pool_w=zeros(2 * d_h, 2 * d_h), pool_bias=zeros(2 * d_h), pool_ctx=zeros(2 * d_h))
         embeds = T.constant(np.random.default_rng(0).normal(size=(4, d_w)))
         out = TE.bilstm_forward(None, embeds, 3, params)
@@ -251,8 +251,8 @@ class TestEncodeDocuments:
         def loss(tape, ts):
             tb = TE.EmbeddingTable(ts[0])
             ps = TE.TextEncoderParams(
-                fwd=TE.DirectionParams(ts[1], ts[2], ts[3]),
-                bwd=TE.DirectionParams(ts[4], ts[5], ts[6]),
+                fwd=TE.LSTMParams(ts[1], ts[2], ts[3]),
+                bwd=TE.LSTMParams(ts[4], ts[5], ts[6]),
                 pool_w=ts[7], pool_bias=ts[8], pool_ctx=ts[9])
             rep = TE.encode_documents(tape, batch_of(ids, lengths), tb, ps)
             return T.sum_all(tape, T.hadamard(tape, rep.vectors, w))

@@ -244,53 +244,6 @@ class TestTrainConfig:
             TR.TrainConfig.from_dict({"bogus": 1})
 
 
-class TestRandomSearch:
-    def build_inputs(self):
-        spec = D.SynthSpec(n_days=30, seed=21, n_docs=(1, 2), doc_len=(2, 3),
-                           vocab_size=10)
-        corpus, series = D.synth_generate(spec)
-        vocab = D.build_vocab(corpus, max_size=24)
-        base = tiny_config(d_s=4, d_h=2)
-        tcfg = TR.TrainConfig(max_steps=4, eval_every=2, batch_size=4, seed=2)
-        return corpus, series, vocab, D.SplitSpec(fracs=(0.7, 0.15, 0.15)), base, tcfg
-
-    def test_draws_come_from_the_grids(self):
-        for i in range(25):
-            s = TR.draw_settings(99, i)
-            assert s["d_s"] in TR.SIZE_GRID and s["d_h"] in TR.SIZE_GRID
-            assert s["l1"] in TR.REG_GRID and s["l2"] in TR.REG_GRID
-            assert s["dropout_rate"] in TR.DROPOUT_GRID
-            assert s["m"] in TR.WINDOW_GRID
-
-    def test_budget_one_returns_the_single_draw(self):
-        corpus, series, vocab, split, base, tcfg = self.build_inputs()
-        got = TR.random_search(corpus, series, vocab, split, base, tcfg,
-                               budget=1, seed=42)
-        assert len(got.trials) == 1
-        assert got.best_settings == TR.draw_settings(42, 0)
-
-    def test_leaderboard_matches_retraining(self):
-        """Re-running any stored trial config reproduces its recorded loss."""
-        corpus, series, vocab, split, base, tcfg = self.build_inputs()
-        got = TR.random_search(corpus, series, vocab, split, base, tcfg,
-                               budget=3, seed=7)
-        losses = [t.valid_loss for t in got.trials]
-        assert losses == sorted(losses)
-        probe = got.trials[-1]
-        cfg = dataclasses.replace(base, **probe.settings)
-        sample_set = D.make_samples(corpus, series, vocab, cfg, split)
-        result = TR.train(sample_set, M.init_model(cfg, seed=tcfg.seed), cfg, tcfg)
-        assert result.best_valid == probe.valid_loss
-
-    def test_deterministic_given_seed(self):
-        corpus, series, vocab, split, base, tcfg = self.build_inputs()
-        a = TR.random_search(corpus, series, vocab, split, base, tcfg, 2, seed=5)
-        b = TR.random_search(corpus, series, vocab, split, base, tcfg, 2, seed=5)
-        assert a.trials == b.trials
-        with pytest.raises(TR.TrainingError):
-            TR.random_search(corpus, series, vocab, split, base, tcfg, 0, seed=5)
-
-
 class TestCheckpoint:
     def roundtrip_setup(self, tmp_path, variant="msin"):
         config = tiny_config(variant=variant, l1=0.005)
@@ -359,12 +312,14 @@ class TestCheckpoint:
 
     def test_version_guard(self, tmp_path):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
-        blob = bytearray(open(path, "rb").read())
-        blob[4:8] = (99).to_bytes(4, "little")
-        bad = tmp_path / "v99.ckpt"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(TR.CheckpointError, match="version"):
-            TR.checkpoint_load(str(bad))
+        for version in (1, 99):
+            blob = bytearray(open(path, "rb").read())
+            blob[4:8] = version.to_bytes(4, "little")
+            bad = tmp_path / ("v%d.ckpt" % version)
+            bad.write_bytes(bytes(blob))
+            with pytest.raises(TR.CheckpointError,
+                               match="unsupported format version %d" % version):
+                TR.checkpoint_load(str(bad))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
