@@ -22,6 +22,7 @@ from . import evaluation as E
 from . import model as M
 from . import tensor as T
 from . import training as TR
+from .files import write_atomically
 from .rng import substream
 from .text_encoder import load_embedding_file
 
@@ -37,9 +38,6 @@ GRADCHECK_TOL = 1e-4
 # injection) is exercised.
 GRADCHECK_WIDTHS = dict(d_s=4, d_h=3, d_a=4, d_w=5, vocab_size=20,
                         m=3, max_tokens=4, daily_doc_cap=3)
-# Default seed picked by scanning for comfortably sized gradients everywhere.
-# Near-zero gradients (often the pooling bias at unlucky seeds) sit below the
-# cancellation noise of central differences and would fail spuriously.
 GRADCHECK_SEED = 1
 
 
@@ -329,7 +327,7 @@ def _embedding_tokens(path: str) -> set[str]:
 
 def write_history(history, path: str) -> None:
     """step,train_loss,valid_loss rows; validation blank off-schedule."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_atomically(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("step,train_loss,valid_loss\n")
         for row in history:
             vl = "" if row.valid_loss is None else "%.17g" % row.valid_loss

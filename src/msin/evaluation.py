@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
+from .files import write_atomically
 
 SELECT_THRESHOLD = 0.5
 
@@ -243,14 +244,14 @@ def report_json(result: RankResult, config: M.ModelConfig) -> dict:
 
 
 def write_report(result: RankResult, config: M.ModelConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path, "w", encoding="utf-8") as fh:
         json.dump(report_json(result, config), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def write_day_dump(result: RankResult, path: str) -> None:
     """JSON line per day: {date, mass, gtn, selected}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path, "w", encoding="utf-8") as fh:
         for day in result.days:
             fh.write(json.dumps({"date": day.date.isoformat(),
                                  "mass": list(day.mass),
@@ -260,7 +261,7 @@ def write_day_dump(result: RankResult, path: str) -> None:
 
 
 def write_curve_csv(result: RankResult, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_atomically(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "precision", "recall"])
         for p in result.report.per_k:

@@ -3,9 +3,10 @@
 All three share the document encoder and the dense output head.  ``msin``
 injects an attended document context into every gate; ``lstm_wo`` runs a plain
 LSTM and aligns documents once against the final hidden state; ``lstm_par``
-keeps the modalities independent until the head.  Parameters live in one
-named-tensor tree so checkpointing and gradient checking can enumerate them
-uniformly.
+keeps the modalities independent until the head.  ``forward_batch`` builds
+one graph for a list of samples; ``forward`` is its batch of one.
+Parameters live in one named-tensor tree so checkpointing and gradient
+checking can enumerate them uniformly.
 """
 
 from __future__ import annotations
@@ -190,86 +191,81 @@ def bind_tensors(params: ModelParams, replacements: list[T.Tensor]) -> ModelPara
 
 @dataclass
 class Prediction:
+    """One sample's outputs."""
+
     value: T.Tensor                      # [1], normalized-space output
     relevance: T.Tensor | None           # mass over the day's documents
-    trace: cell_mod.AttentionTrace | None = None
 
     @property
     def value_float(self) -> float:
         return float(self.value.data[0])
 
 
-def _head(tape, params: ModelParams, config: ModelConfig, feature: T.Tensor,
-          train_mode: bool, rng):
+@dataclass
+class BatchPrediction:
+    """Outputs for a list of samples; row b belongs to sample b."""
+
+    value: T.Tensor                 # [B], normalized-space outputs
+    relevance: T.Tensor | None      # [B, N] mass over each sample's documents
+    counts: tuple[int, ...]         # documents per sample; later slots hold 0
+
+
+def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
+                  train_mode: bool = False, rngs=None) -> BatchPrediction:
+    """One graph for a list of samples.
+
+    The documents of every day are encoded as rows of one encoder pass, and
+    the series cell runs on [B, d_s] states with attention per sample (see
+    ``cell.DocSlots``).  ``msin`` injects an attended document context into
+    every gate; ``lstm_wo`` runs a plain LSTM and aligns documents once
+    against the final hidden state; ``lstm_par`` fuses the plain LSTM's state
+    with a projection of the mean document only at the head.  In train mode
+    with dropout, ``rngs`` holds one generator per sample, and row b's mask
+    is the one sample b would draw alone.
+    """
+    samples = list(samples)
+    B = len(samples)
+    docs = enc.encode_documents(tape, [s.docs for s in samples], params.embedding,
+                                params.encoder, pool_divisor=config.pool_divisor)
+    slots = cell_mod.doc_slots(tape, docs)
+    windows = np.stack([np.asarray(s.values_n, dtype=np.float32) for s in samples])
+    relevance = None
+    if config.variant == "msin":
+        hiddens, trace = cell_mod.run_sequence(tape, windows, slots, slots.mask,
+                                               params.msin)
+        relevance = trace.final
+    else:
+        zeros = T.constant(np.zeros((B, config.d_s)))
+        hiddens = cell_mod.run_plain_sequence(tape, windows, params.cell,
+                                              zeros, zeros)
+    m = hiddens.shape[1]
+    h_m = T.reshape(tape, T.narrow(tape, hiddens, 1, m - 1, m), (B, config.d_s))
+    if config.variant == "lstm_wo":
+        relevance = cell_mod.attend(tape, h_m, slots, slots.mask, params.align)
+    if relevance is not None:
+        text = T.weighted_sum(tape, slots.grid, relevance)
+    else:
+        pooled = T.weighted_sum(tape, slots.grid, slots.mean_weights)
+        text = T.tanh(tape, T.linear(tape, [(params.text_w, pooled)], params.text_b))
+    feature = T.concat(tape, [h_m, text], axis=1)
     if train_mode and config.dropout_rate > 0.0:
-        if rng is None:
-            raise T.ContractError("dropout requires a generator in train mode")
-        feature = T.dropout(tape, feature, config.dropout_rate, rng)
-    return T.linear(tape, [(params.head_w, feature)], params.head_b)
-
-
-def _encode(tape, sample, params: ModelParams, config: ModelConfig):
-    docs = enc.encode_documents(tape, sample.docs, params.embedding, params.encoder,
-                                pool_divisor=config.pool_divisor)
-    mask = np.ones(docs.n, dtype=bool)
-    return docs, mask
-
-
-def forward_msin(tape, sample, params: ModelParams, config: ModelConfig,
-                 train_mode: bool = False, rng=None):
-    """Context-injecting forward pass; returns (Prediction, AttentionTrace)."""
-    docs, mask = _encode(tape, sample, params, config)
-    hiddens, trace = cell_mod.run_sequence(tape, sample.values_n, docs, mask,
-                                           params.msin)
-    h_m = T.reshape(tape, T.narrow(tape, hiddens, 0, config.m - 1, config.m),
-                    (config.d_s,))
-    u_txt = T.matmul(tape, trace.final, docs.vectors)
-    feature = T.concat(tape, [h_m, u_txt])
-    value = _head(tape, params, config, feature, train_mode, rng)
-    return Prediction(value=value, relevance=trace.final, trace=trace), trace
-
-
-def forward_lstm_wo(tape, sample, params: ModelParams, config: ModelConfig,
-                    train_mode: bool = False, rng=None) -> Prediction:
-    """Plain LSTM over the window; documents aligned once with the last state."""
-    docs, mask = _encode(tape, sample, params, config)
-    zeros = T.constant(np.zeros(config.d_s))
-    hiddens = cell_mod.run_plain_sequence(tape, sample.values_n, params.cell,
-                                          zeros, zeros)
-    h_m = T.reshape(tape, T.narrow(tape, hiddens, 0, config.m - 1, config.m),
-                    (config.d_s,))
-    p = cell_mod.attend(tape, h_m, docs, mask, params.align)
-    u_txt = T.matmul(tape, p, docs.vectors)
-    feature = T.concat(tape, [h_m, u_txt])
-    value = _head(tape, params, config, feature, train_mode, rng)
-    return Prediction(value=value, relevance=p)
-
-
-def forward_lstm_par(tape, sample, params: ModelParams, config: ModelConfig,
-                     train_mode: bool = False, rng=None) -> Prediction:
-    """Independent series and text branches fused only at the head."""
-    docs, _ = _encode(tape, sample, params, config)
-    zeros = T.constant(np.zeros(config.d_s))
-    hiddens = cell_mod.run_plain_sequence(tape, sample.values_n, params.cell,
-                                          zeros, zeros)
-    h_m = T.reshape(tape, T.narrow(tape, hiddens, 0, config.m - 1, config.m),
-                    (config.d_s,))
-    pooled = T.mean_axis(tape, docs.vectors, axis=0)
-    text = T.tanh(tape, T.linear(tape, [(params.text_w, pooled)], params.text_b))
-    feature = T.concat(tape, [h_m, text])
-    value = _head(tape, params, config, feature, train_mode, rng)
-    return Prediction(value=value, relevance=None)
+        if rngs is None:
+            raise T.ContractError("dropout requires generators in train mode")
+        feature = T.dropout(tape, feature, config.dropout_rate, rngs)
+    head = T.linear(tape, [(params.head_w, feature)], params.head_b)
+    return BatchPrediction(value=T.reshape(tape, head, (B,)), relevance=relevance,
+                           counts=docs.day_counts)
 
 
 def forward(tape, sample, params: ModelParams, config: ModelConfig,
             train_mode: bool = False, rng=None) -> Prediction:
-    """Variant dispatch used by the trainer and evaluator."""
-    if config.variant == "msin":
-        pred, _ = forward_msin(tape, sample, params, config, train_mode, rng)
-        return pred
-    if config.variant == "lstm_wo":
-        return forward_lstm_wo(tape, sample, params, config, train_mode, rng)
-    return forward_lstm_par(tape, sample, params, config, train_mode, rng)
+    """One sample: ``forward_batch`` on a batch of one."""
+    batch = forward_batch(tape, [sample], params, config, train_mode,
+                          None if rng is None else [rng])
+    relevance = batch.relevance
+    if relevance is not None:
+        relevance = T.reshape(tape, relevance, relevance.shape[1:])
+    return Prediction(value=batch.value, relevance=relevance)
 
 
 def movement_label(target_raw: float, prev_raw: float) -> str:
@@ -285,28 +281,49 @@ def predicted_movement(pred: Prediction, sample, config: ModelConfig) -> str:
     return "up" if pred.value_float >= prev_n else "down"
 
 
-def data_loss(tape, pred: Prediction, sample, config: ModelConfig) -> T.Tensor:
-    """Prediction error alone: squared error or movement cross-entropy."""
+def sample_losses(tape, value: T.Tensor, samples, config: ModelConfig) -> T.Tensor:
+    """Each sample's prediction error [B]: squared error or movement cross-entropy."""
     if config.objective == "next_value":
-        diff = T.add(tape, pred.value, T.constant([-float(sample.target_n)]))
+        diff = T.add(tape, value, T.constant([-float(s.target_n) for s in samples]))
         return T.hadamard(tape, diff, diff)
-    label = 1.0 if movement_label(sample.window.target, sample.window.prev) == "up" \
-        else 0.0
-    return T.bce_with_logit(tape, pred.value, label)
+    labels = [1.0 if movement_label(s.window.target, s.window.prev) == "up" else 0.0
+              for s in samples]
+    return T.bce_with_logit(tape, value, labels)
+
+
+def penalties(tape, params: ModelParams, config: ModelConfig,
+              times: int = 1) -> list[T.Tensor]:
+    """``times`` the L1 and L2 penalty terms on decayed tensors, if weighted."""
+    decayed = [t for _, t, d in named_tensors(params) if d]
+    terms = []
+    if config.l1 > 0.0:
+        terms.append(T.scale(
+            tape, T.sum_stack(tape, [T.sum_all(tape, T.absolute(tape, t))
+                                     for t in decayed]), times * config.l1))
+    if config.l2 > 0.0:
+        terms.append(T.scale(
+            tape, T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, t, t))
+                                     for t in decayed]), times * config.l2))
+    return terms
+
+
+def batch_loss(tape, value: T.Tensor, samples, params: ModelParams,
+               config: ModelConfig) -> tuple[T.Tensor, T.Tensor]:
+    """The batch's summed objective and its per-sample prediction errors [B].
+
+    The objective is every sample's prediction error plus the penalties once
+    per sample, so dividing it (or its gradient) by B gives the mean
+    objective.  Differentiating the sum seeds each sample's rows with exactly
+    the gradient its one-sample objective would, and the leaf gradients add
+    the samples up in float64.
+    """
+    errors = sample_losses(tape, value, samples, config)
+    terms = [T.sum_all(tape, errors)] + penalties(tape, params, config,
+                                                 times=len(samples))
+    return (terms[0] if len(terms) == 1 else T.sum_stack(tape, terms)), errors
 
 
 def loss(tape, pred: Prediction, sample, params: ModelParams,
          config: ModelConfig) -> T.Tensor:
-    """Per-sample objective plus L1/L2 penalties on decayed tensors."""
-    terms = [data_loss(tape, pred, sample, config)]
-    if config.l1 > 0.0 or config.l2 > 0.0:
-        decayed = [t for _, t, d in named_tensors(params) if d]
-        if config.l1 > 0.0:
-            terms.append(T.scale(
-                tape, T.sum_stack(tape, [T.sum_all(tape, T.absolute(tape, t))
-                                         for t in decayed]), config.l1))
-        if config.l2 > 0.0:
-            terms.append(T.scale(
-                tape, T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, t, t))
-                                         for t in decayed]), config.l2))
-    return terms[0] if len(terms) == 1 else T.sum_stack(tape, terms)
+    """One sample's objective: its prediction error plus the penalties."""
+    return batch_loss(tape, pred.value, [sample], params, config)[0]

@@ -2,12 +2,14 @@
 
 Each document becomes one representative vector s = (1/L) sum_l beta_l h_l,
 where h_l are bidirectional hidden states over the tokens and beta is an
-attention distribution over valid positions.  ``encode_documents`` runs a
-whole day's documents as rows of shared matrix ops; because every reduction
-in the engine accumulates in float64 and rounds once, the batched rows match
-the per-document functions and permuting documents permutes outputs
-bit-identically.  The stacked-gate LSTM defined here (``LSTMParams``,
-``lstm_step``, gated by ``tensor.lstm_gates``) is also the series cell's.
+attention distribution over valid positions.  ``encode_documents`` runs the
+documents of one day, or of every day in a training batch, as rows of shared
+matrix ops with per-row validity masks.  Every reduction in the engine
+accumulates in float64 and rounds once, so each row matches encoding its
+document alone (the per-document reference lives with the tests) and
+permuting documents permutes the outputs bit-identically.  The stacked-gate
+LSTM defined here (``LSTMParams``, ``lstm_step``, gated by
+``tensor.lstm_gates``) is also the series cell's.
 """
 
 from __future__ import annotations
@@ -85,14 +87,23 @@ class TextEncoderParams:
 
 @dataclass
 class DocRepresentation:
-    """One day's documents encoded as rows, plus per-document word attention."""
+    """Documents encoded as rows, plus per-document word attention.
+
+    The rows of several days are stacked in day order, ``counts`` holding
+    each day's document count; None means the rows are one day.
+    """
 
     vectors: T.Tensor  # [n, 2*d_h]
     word_attention: list[np.ndarray]  # beta over each document's valid tokens
+    counts: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def day_counts(self) -> tuple[int, ...]:
+        return (self.n,) if self.counts is None else self.counts
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -188,12 +199,12 @@ def lstm_step(tape, params: LSTMParams, x: T.Tensor, h: T.Tensor,
 
 
 # ---------------------------------------------------------------------------
-# per-document operations (the reference path; tests oracle against these)
+# batched document encoding (what the models call)
 
 
 def embed_lookup(tape: T.Tape | None, token_ids: np.ndarray,
                  table: EmbeddingTable) -> T.Tensor:
-    """Rows of the embedding table for one document's token ids."""
+    """Rows of the embedding table for a vector of token ids."""
     ids = np.asarray(token_ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
         raise VocabularyError(
@@ -201,81 +212,40 @@ def embed_lookup(tape: T.Tape | None, token_ids: np.ndarray,
     return T.take_rows(tape, table.table, ids)
 
 
-def bilstm_forward(tape: T.Tape | None, embeds: T.Tensor, length: int,
-                   params: TextEncoderParams) -> T.Tensor:
-    """Bidirectional hidden states for one document; rows >= length are zero."""
-    if length < 1:
-        raise EmptyDocumentError("document has no tokens")
-    K = embeds.shape[0]
-    if length > K:
-        raise T.ShapeError("length %d exceeds %d embedded rows" % (length, K))
-    d_h = params.hidden_size
-    xs = [T.reshape(tape, T.narrow(tape, embeds, 0, l, l + 1), (embeds.shape[1],))
-          for l in range(length)]
-
-    def sweep(direction: LSTMParams, order):
-        h = T.constant(np.zeros(d_h))
-        c = T.constant(np.zeros(d_h))
-        out = {}
-        for l in order:
-            h, c = lstm_step(tape, direction, xs[l], h, c)
-            out[l] = h
-        return out
-
-    fwd = sweep(params.fwd, range(length))
-    bwd = sweep(params.bwd, range(length - 1, -1, -1))
-    zero_row = T.constant(np.zeros((1, 2 * d_h)))
-    rows = [T.reshape(tape, T.concat(tape, [fwd[l], bwd[l]]), (1, 2 * d_h))
-            for l in range(length)]
-    rows.extend(zero_row for _ in range(K - length))
-    return T.concat(tape, rows, axis=0)
-
-
-def attention_pool(tape: T.Tape | None, hiddens: T.Tensor, length: int,
-                   params: TextEncoderParams, divisor: int | None = None):
-    """Pool one document's hidden states into (s, beta).
-
-    ``divisor`` defaults to the valid token count; passing the padded width
-    reproduces the fixed-denominator pooling variant.
-    """
-    if length < 1:
-        raise EmptyDocumentError("cannot pool zero tokens")
-    valid = T.narrow(tape, hiddens, 0, 0, length)
-    proj = T.tanh(tape, T.linear(tape, [(params.pool_w, valid)], params.pool_bias))
-    logits = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
-                    -LOGIT_CLAMP, LOGIT_CLAMP)
-    beta = T.masked_softmax(tape, logits, np.ones(length, dtype=bool))
-    s = T.scale(tape, T.matmul(tape, beta, valid), 1.0 / (divisor or length))
-    return s, beta
-
-
-# ---------------------------------------------------------------------------
-# batched day encoding (what the models call)
-
-
-def encode_documents(tape: T.Tape | None, batch, table: EmbeddingTable,
+def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
                      params: TextEncoderParams,
                      pool_divisor: str = "actual_len") -> DocRepresentation:
-    """Encode one day's documents (rows of ``batch.token_ids``) to s vectors.
+    """Encode documents to s vectors, one row per document.
 
-    ``batch`` needs ``token_ids`` int[n, K] (0-padded) and ``lengths`` int[n]
-    with every length >= 1.  Positions are processed batch-wide with validity
-    masks, so each row equals the per-document pipeline on that document.
+    ``days`` is one day's batch or a sequence of them; a batch needs
+    ``token_ids`` int[n, K] (0-padded) and ``lengths`` int[n] with n >= 1 and
+    every length >= 1.  The days' rows are stacked in order, each padded to
+    the widest K; positions are processed batch-wide with validity masks, so
+    each row equals encoding its document alone.  The "max_len" pooling
+    divisor is the width K of the document's own day.
     """
-    token_ids = np.asarray(batch.token_ids)
-    lengths = np.asarray(batch.lengths)
-    n, width = token_ids.shape
-    if n < 1:
+    if hasattr(days, "token_ids"):
+        days = (days,)
+    counts = tuple(int(np.shape(d.token_ids)[0]) for d in days)
+    if not counts or min(counts) < 1:
         raise EmptyDocumentError("day has no documents")
+    widths = [int(np.shape(d.token_ids)[1]) for d in days]
+    token_ids = np.zeros((sum(counts), max(widths)), dtype=np.int64)
+    lo = 0
+    for d, n_d, w in zip(days, counts, widths):
+        token_ids[lo:lo + n_d, :w] = d.token_ids
+        lo += n_d
+    lengths = np.concatenate([np.asarray(d.lengths) for d in days])
     if lengths.min() < 1:
         raise EmptyDocumentError(
             "document %d has no tokens" % int(np.flatnonzero(lengths < 1)[0]))
     if pool_divisor not in ("actual_len", "max_len"):
         raise T.ContractError("unknown pool_divisor %r" % pool_divisor)
+    n = token_ids.shape[0]
     d_h = params.hidden_size
     k_eff = int(lengths.max())
 
-    # one gather for the whole day, grouped position-major
+    # one gather for every document, grouped position-major
     flat_ids = token_ids[:, :k_eff].T.reshape(-1)
     all_rows = embed_lookup(tape, flat_ids, table)
     xs = [T.narrow(tape, all_rows, 0, l * n, (l + 1) * n) for l in range(k_eff)]
@@ -298,18 +268,19 @@ def encode_documents(tape: T.Tape | None, batch, table: EmbeddingTable,
 
     fwd = sweep(params.fwd, range(k_eff))
     bwd = sweep(params.bwd, range(k_eff - 1, -1, -1))
-    hid = [T.concat(tape, [fwd[l], bwd[l]], axis=1) for l in range(k_eff)]
 
-    scores = []
-    for l in range(k_eff):
-        proj = T.tanh(tape, T.linear(tape, [(params.pool_w, hid[l])],
-                                     params.pool_bias))
-        scores.append(T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
-                             -LOGIT_CLAMP, LOGIT_CLAMP))
-    beta = T.masked_softmax(tape, T.stack_cols(tape, scores), valid)
+    def by_document(states):  # [n, k_eff, d_h]: document j's states in row j
+        row = T.concat(tape, [states[l] for l in range(k_eff)], axis=1)
+        return T.reshape(tape, row, (n, k_eff, d_h))
+
+    hid = T.concat(tape, [by_document(fwd), by_document(bwd)], axis=2)
+    flat = T.reshape(tape, hid, (n * k_eff, 2 * d_h))
+    proj = T.tanh(tape, T.linear(tape, [(params.pool_w, flat)], params.pool_bias))
+    scores = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
+                    -LOGIT_CLAMP, LOGIT_CLAMP)
+    beta = T.masked_softmax(tape, T.reshape(tape, scores, (n, k_eff)), valid)
     pooled = T.weighted_sum(tape, hid, beta)
-    divisor = lengths.astype(np.float64) if pool_divisor == "actual_len" else \
-        np.full(n, float(width))
-    s = T.row_scale(tape, pooled, T.constant(1.0 / divisor))
+    divisor = lengths if pool_divisor == "actual_len" else np.repeat(widths, counts)
+    s = T.row_scale(tape, pooled, T.constant(1.0 / divisor.astype(np.float64)))
     attention = [beta.data[j, :lengths[j]].copy() for j in range(n)]
-    return DocRepresentation(vectors=s, word_attention=attention)
+    return DocRepresentation(vectors=s, word_attention=attention, counts=counts)

@@ -1,9 +1,14 @@
 """Training loop and checkpoint files.
 
-Batches are formed from a seeded shuffle each epoch. Every sample in a batch
-gets its own graph; gradients are averaged in sorted-sample order. Adam moment
-buffers are float64 and the update itself is computed in float64, then stored
-back to the float32 parameters.
+Batches are formed from a seeded shuffle each epoch. A training step runs the
+whole batch as rows of one graph (``model.forward_batch``): one forward, one
+loss and one backward on one tape. The objective is the mean of the
+per-sample prediction errors plus the penalties; the tape differentiates its
+sum over the batch and the float64 leaf gradients are divided by the batch
+size. Sample b's dropout mask comes from its own stream, keyed by step and
+sample index. Adam moment buffers are float64 and the update itself is
+computed in float64, then stored back to the float32 parameters. Checkpoints
+are written to a temporary file that replaces the target only once complete.
 """
 
 from __future__ import annotations
@@ -17,10 +22,14 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .files import write_atomically
 from .rng import substream
 
 MAGIC = b"MSN1"
 FORMAT_VERSION = 2
+# Samples per forward pass of eval_loss. Larger chunks save little time and
+# raise the peak memory of a training run above that of its training steps.
+EVAL_CHUNK = 16
 
 
 class TrainingError(Exception):
@@ -99,13 +108,19 @@ class TrainResult:
 
 
 def eval_loss(samples, params: M.ModelParams, config: M.ModelConfig) -> float:
-    """Mean prediction loss (no penalties, no dropout) over a sample list."""
+    """Mean prediction loss (no penalties, no dropout) over a sample list.
+
+    Forward-only batches of EVAL_CHUNK samples keep memory flat in the split
+    size.
+    """
     if not samples:
         raise TrainingError("cannot evaluate on an empty sample list")
     total = 0.0
-    for s in samples:
-        pred = M.forward(None, s, params, config)
-        total += float(M.data_loss(None, pred, s, config).data[0])
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[lo:lo + EVAL_CHUNK]
+        pred = M.forward_batch(None, chunk, params, config)
+        errors = M.sample_losses(None, pred.value, chunk, config).data
+        total += float(errors.sum(dtype=np.float64))
     return total / len(samples)
 
 
@@ -158,31 +173,22 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
         cursor += tcfg.batch_size
         step += 1
 
-        grads = {n: np.zeros(t.shape, dtype=np.float64) for n, t, _ in rows}
-        losses = []
-        for pos, idx in enumerate(batch_ids):
-            tape = T.Tape()
-            rng = substream(tcfg.seed, "dropout", step, idx)
-            pred = M.forward(tape, train_set[idx], params, config,
-                             train_mode=True, rng=rng)
-            sample_loss = M.loss(tape, pred, train_set[idx], params, config)
-            losses.append(float(sample_loss.data[0]))
-            if not np.isfinite(losses[-1]):
-                # gather the rest of the batch for the report, then bail
-                for idx2 in batch_ids[pos + 1:]:
-                    p2 = M.forward(None, train_set[idx2], params, config)
-                    losses.append(float(
-                        M.loss(None, p2, train_set[idx2], params, config).data[0]))
-                raise TrainingAbort(step, batch_ids, losses)
-            tape.backward(sample_loss)
-            for n, t, _ in rows:
-                if t.grad is not None:
-                    grads[n] += t.grad
-                    t.grad = None
-        inv_b = 1.0 / len(batch_ids)
-        for g in grads.values():
-            g *= inv_b
-        train_loss = float(np.sum(losses, dtype=np.float64) * inv_b)
+        batch = [train_set[i] for i in batch_ids]
+        tape = T.Tape()
+        pred = M.forward_batch(
+            tape, batch, params, config, train_mode=True,
+            rngs=[substream(tcfg.seed, "dropout", step, i) for i in batch_ids])
+        total, errors = M.batch_loss(tape, pred.value, batch, params, config)
+        train_loss = float(total.data[0]) / len(batch)
+        if not np.isfinite(train_loss):
+            penalty = sum(float(t.data[0]) for t in M.penalties(None, params, config))
+            raise TrainingAbort(step, batch_ids,
+                                errors.data.astype(np.float64) + penalty)
+        tape.backward(total)
+        grads = {}
+        for n, t, _ in rows:
+            grads[n] = np.zeros(t.shape) if t.grad is None else t.grad / len(batch)
+            t.grad = None
 
         norm = _global_norm(grads)
         if norm > tcfg.clip_norm:
@@ -227,7 +233,10 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
 
 def checkpoint_save(params: M.ModelParams, config: M.ModelConfig,
                     tcfg: TrainConfig, metadata: dict, path: str) -> None:
-    """Write magic, version, config JSON, then raw named tensors."""
+    """Write magic, version, config JSON, then raw named tensors.
+
+    The file is replaced whole: a failed write leaves the previous one.
+    """
     rows = M.named_tensors(params)
     blob = json.dumps({"model": config.to_dict(), "train": tcfg.to_dict(),
                        "metadata": metadata},
@@ -242,7 +251,7 @@ def checkpoint_save(params: M.ModelParams, config: M.ModelConfig,
         out.append(struct.pack("<B", t.ndim))
         out.append(struct.pack("<%dI" % t.ndim, *t.shape))
         out.append(t.data.astype("<f4", copy=False).tobytes())
-    with open(path, "wb") as fh:
+    with write_atomically(path, "wb") as fh:
         fh.write(b"".join(out))
 
 

@@ -1,0 +1,57 @@
+"""Per-document encoder: the reference the batched day encoder is tested against.
+
+``bilstm_forward`` and ``attention_pool`` run one document at a time with
+vector states, through the package's own ``lstm_step`` and engine ops.
+``text_encoder.encode_documents`` must reproduce them row by row.
+"""
+
+import numpy as np
+
+from msin import tensor as T
+from msin import text_encoder as TE
+
+
+def bilstm_forward(tape, embeds, length, params):
+    """Bidirectional hidden states for one document; rows >= length are zero."""
+    if length < 1:
+        raise TE.EmptyDocumentError("document has no tokens")
+    K = embeds.shape[0]
+    if length > K:
+        raise T.ShapeError("length %d exceeds %d embedded rows" % (length, K))
+    d_h = params.hidden_size
+    xs = [T.reshape(tape, T.narrow(tape, embeds, 0, l, l + 1), (embeds.shape[1],))
+          for l in range(length)]
+
+    def sweep(direction, order):
+        h = T.constant(np.zeros(d_h))
+        c = T.constant(np.zeros(d_h))
+        out = {}
+        for l in order:
+            h, c = TE.lstm_step(tape, direction, xs[l], h, c)
+            out[l] = h
+        return out
+
+    fwd = sweep(params.fwd, range(length))
+    bwd = sweep(params.bwd, range(length - 1, -1, -1))
+    zero_row = T.constant(np.zeros((1, 2 * d_h)))
+    rows = [T.reshape(tape, T.concat(tape, [fwd[l], bwd[l]]), (1, 2 * d_h))
+            for l in range(length)]
+    rows.extend(zero_row for _ in range(K - length))
+    return T.concat(tape, rows, axis=0)
+
+
+def attention_pool(tape, hiddens, length, params, divisor=None):
+    """Pool one document's hidden states into (s, beta).
+
+    ``divisor`` defaults to the valid token count; passing the padded width
+    reproduces the fixed-denominator pooling variant.
+    """
+    if length < 1:
+        raise TE.EmptyDocumentError("cannot pool zero tokens")
+    valid = T.narrow(tape, hiddens, 0, 0, length)
+    proj = T.tanh(tape, T.linear(tape, [(params.pool_w, valid)], params.pool_bias))
+    logits = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
+                    -TE.LOGIT_CLAMP, TE.LOGIT_CLAMP)
+    beta = T.masked_softmax(tape, logits, np.ones(length, dtype=bool))
+    s = T.scale(tape, T.matmul(tape, beta, valid), 1.0 / (divisor or length))
+    return s, beta

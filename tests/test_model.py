@@ -91,7 +91,7 @@ class TestForwardMsin:
         params = M.init_model(config, seed=2)
         params.head_w.data[...] = 0.0
         params.head_b.data[...] = 0.625
-        pred, _ = M.forward_msin(None, make_sample(1), params, config)
+        pred = M.forward(None, make_sample(1), params, config)
         np.testing.assert_allclose(pred.value.data, [0.625], rtol=0, atol=0)
 
     def test_single_doc_summary_is_that_doc(self):
@@ -100,9 +100,9 @@ class TestForwardMsin:
         sample = make_sample(2, n=1)
         docs = TE.encode_documents(None, sample.docs, params.embedding,
                                    params.encoder)
-        pred, trace = M.forward_msin(None, sample, params, config)
-        np.testing.assert_allclose(trace.final.data, [1.0], rtol=0, atol=0)
-        u_txt = T.matmul(None, trace.final, docs.vectors)
+        pred = M.forward(None, sample, params, config)
+        np.testing.assert_allclose(pred.relevance.data, [1.0], rtol=0, atol=0)
+        u_txt = T.matmul(None, pred.relevance, docs.vectors)
         np.testing.assert_allclose(u_txt.data, docs.vectors.data[0], rtol=0, atol=0)
 
     def test_matches_module_composition(self):
@@ -110,7 +110,7 @@ class TestForwardMsin:
         config = tiny_config()
         params = M.init_model(config, seed=4)
         sample = make_sample(3, n=3)
-        pred, trace = M.forward_msin(None, sample, params, config)
+        pred = M.forward(None, sample, params, config)
 
         docs = TE.encode_documents(None, sample.docs, params.embedding,
                                    params.encoder)
@@ -128,8 +128,8 @@ class TestForwardMsin:
         config = tiny_config(dropout_rate=0.4)
         params = M.init_model(config, seed=5)
         sample = make_sample(4)
-        a, _ = M.forward_msin(None, sample, params, config, train_mode=False)
-        b, _ = M.forward_msin(None, sample, params, config, train_mode=False)
+        a = M.forward(None, sample, params, config, train_mode=False)
+        b = M.forward(None, sample, params, config, train_mode=False)
         assert a.value.data.tobytes() == b.value.data.tobytes()
 
     def test_train_mode_dropout_uses_generator(self):
@@ -137,11 +137,11 @@ class TestForwardMsin:
         params = M.init_model(config, seed=6)
         sample = make_sample(5)
         with pytest.raises(T.ContractError):
-            M.forward_msin(None, sample, params, config, train_mode=True)
-        a, _ = M.forward_msin(None, sample, params, config, train_mode=True,
-                              rng=np.random.default_rng(0))
-        b, _ = M.forward_msin(None, sample, params, config, train_mode=True,
-                              rng=np.random.default_rng(0))
+            M.forward(None, sample, params, config, train_mode=True)
+        a = M.forward(None, sample, params, config, train_mode=True,
+                      rng=np.random.default_rng(0))
+        b = M.forward(None, sample, params, config, train_mode=True,
+                      rng=np.random.default_rng(0))
         assert a.value.data.tobytes() == b.value.data.tobytes()
 
 
@@ -152,7 +152,7 @@ class TestForwardLstmWo:
         ids = np.tile(np.array([[2, 5, 3, 0]]), (3, 1))
         sample = make_sample(6)
         sample.docs = SimpleNamespace(token_ids=ids, lengths=np.array([3, 3, 3]))
-        pred = M.forward_lstm_wo(None, sample, params, config)
+        pred = M.forward(None, sample, params, config)
         np.testing.assert_allclose(pred.relevance.data, np.full(3, 1 / 3),
                                    rtol=0, atol=1e-7)
 
@@ -160,7 +160,7 @@ class TestForwardLstmWo:
         config = tiny_config("lstm_wo")
         params = M.init_model(config, seed=8)
         sample = make_sample(7, n=3)
-        pred = M.forward_lstm_wo(None, sample, params, config)
+        pred = M.forward(None, sample, params, config)
 
         docs = TE.encode_documents(None, sample.docs, params.embedding,
                                    params.encoder)
@@ -201,8 +201,8 @@ class TestForwardLstmWo:
         pm.head_w.data[0, :3] = p_series
         pw.head_w.data[0, :3] = p_series
         sample = make_sample(8)
-        a, _ = M.forward_msin(None, sample, pm, cfg_m)
-        b = M.forward_lstm_wo(None, sample, pw, cfg_w)
+        a = M.forward(None, sample, pm, cfg_m)
+        b = M.forward(None, sample, pw, cfg_w)
         assert a.value.data.tobytes() == b.value.data.tobytes()
 
 
@@ -210,7 +210,7 @@ class TestForwardLstmPar:
     def test_no_relevance(self):
         config = tiny_config("lstm_par")
         params = M.init_model(config, seed=11)
-        pred = M.forward_lstm_par(None, make_sample(9), params, config)
+        pred = M.forward(None, make_sample(9), params, config)
         assert pred.relevance is None
 
     def test_zero_text_branch_ignores_documents(self):
@@ -220,15 +220,15 @@ class TestForwardLstmPar:
         params.text_b.data[...] = 0.0
         s1, s2 = make_sample(10, n=2), make_sample(10, n=2)
         s2.docs = make_sample(99, n=4).docs  # different documents, same window
-        a = M.forward_lstm_par(None, s1, params, config)
-        b = M.forward_lstm_par(None, s2, params, config)
+        a = M.forward(None, s1, params, config)
+        b = M.forward(None, s2, params, config)
         assert a.value.data.tobytes() == b.value.data.tobytes()
 
     def test_document_order_invariance(self):
         config = tiny_config("lstm_par")
         params = M.init_model(config, seed=13)
         sample = make_sample(11, n=4)
-        base = M.forward_lstm_par(None, sample, params, config)
+        base = M.forward(None, sample, params, config)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(4)
             shuffled = SimpleNamespace(
@@ -236,14 +236,14 @@ class TestForwardLstmPar:
                                      lengths=sample.docs.lengths[perm]),
                 values_n=sample.values_n, target_n=sample.target_n,
                 window=sample.window)
-            got = M.forward_lstm_par(None, shuffled, params, config)
+            got = M.forward(None, shuffled, params, config)
             assert got.value.data.tobytes() == base.value.data.tobytes()
 
     def test_matches_module_composition(self):
         config = tiny_config("lstm_par")
         params = M.init_model(config, seed=14)
         sample = make_sample(12, n=3)
-        pred = M.forward_lstm_par(None, sample, params, config)
+        pred = M.forward(None, sample, params, config)
         docs = TE.encode_documents(None, sample.docs, params.embedding,
                                    params.encoder)
         zeros = T.constant(np.zeros(config.d_s))
@@ -262,7 +262,7 @@ class TestLoss:
         config = tiny_config()
         params = M.init_model(config, seed=15)
         sample = make_sample(13)
-        pred, _ = M.forward_msin(None, sample, params, config)
+        pred = M.forward(None, sample, params, config)
         sample.target_n = pred.value_float
         got = M.loss(None, pred, sample, params, config)
         np.testing.assert_allclose(got.data, [0.0], rtol=0, atol=1e-14)
@@ -280,7 +280,7 @@ class TestLoss:
         config = tiny_config(l1=0.01, l2=0.05)
         params = M.init_model(config, seed=17)
         sample = make_sample(15)
-        pred, _ = M.forward_msin(None, sample, params, config)
+        pred = M.forward(None, sample, params, config)
         got = float(M.loss(None, pred, sample, params, config).data[0])
         want = (pred.value_float - sample.target_n) ** 2
         for name, t, decayed in M.named_tensors(params):
@@ -312,12 +312,12 @@ class TestMovementRules:
         samples = [make_sample(s) for s in range(6)]
         before = []
         for s in samples:
-            pred, _ = M.forward_msin(None, s, params, config)
+            pred = M.forward(None, s, params, config)
             before.append(M.predicted_movement(pred, s, config))
         params.head_w.data[...] *= 3.0
         params.head_b.data[...] *= 3.0
         for s, want in zip(samples, before):
-            pred, _ = M.forward_msin(None, s, params, config)
+            pred = M.forward(None, s, params, config)
             assert M.predicted_movement(pred, s, config) == want
 
 
@@ -340,3 +340,108 @@ class TestFullModelGradients:
             return M.loss(tape, pred, sample, bound, config)
 
         assert T.grad_check(build_loss, [t for _, t, _ in rows]) < 1e-4
+
+
+def ragged_batch(seed, count=6, cap=4, K=4, m=2):
+    """Days of 1..cap documents of mixed lengths, every count present."""
+    rng = np.random.default_rng(seed)
+    sizes = [1 + (b % cap) for b in range(count)]
+    rng.shuffle(sizes)
+    return [make_sample(seed * 100 + b, n=n, K=K, m=m) for b, n in enumerate(sizes)]
+
+
+def fresh_rngs(count, seed=0):
+    return [np.random.default_rng([seed, b]) for b in range(count)]
+
+
+def leaf_grads(params):
+    out = {}
+    for n, t, _ in M.named_tensors(params):
+        out[n] = np.zeros(t.shape) if t.grad is None else t.grad.copy()
+        t.grad = None
+    return out
+
+
+class TestBatchedForward:
+    """A batch of samples as rows of one graph against one-sample forwards."""
+
+    F32 = dict(rtol=1e-6, atol=1e-7)  # float32 rounding, not bitwise
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_outputs_match_one_sample_forwards(self, variant):
+        config = tiny_config(variant, daily_doc_cap=4, dropout_rate=0.3)
+        params = M.init_model(config, seed=21)
+        samples = ragged_batch(1)
+        batch = M.forward_batch(None, samples, params, config, train_mode=True,
+                                rngs=fresh_rngs(len(samples)))
+        total, errors = M.batch_loss(None, batch.value, samples, params, config)
+        assert batch.counts == tuple(len(s.docs.lengths) for s in samples)
+        losses = []
+        for b, (s, rng) in enumerate(zip(samples, fresh_rngs(len(samples)))):
+            one = M.forward(None, s, params, config, train_mode=True, rng=rng)
+            np.testing.assert_allclose(batch.value.data[b], one.value_float, **self.F32)
+            losses.append(float(M.loss(None, one, s, params, config).data[0]))
+            np.testing.assert_allclose(errors.data[b], losses[-1], **self.F32)
+            if variant == "lstm_par":
+                assert batch.relevance is None and one.relevance is None
+                continue
+            n = batch.counts[b]
+            np.testing.assert_allclose(batch.relevance.data[b, :n], one.relevance.data,
+                                       **self.F32)
+            assert np.all(batch.relevance.data[b, n:] == 0.0)
+        np.testing.assert_allclose(total.data[0] / len(samples), np.mean(losses),
+                                   **self.F32)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    @pytest.mark.parametrize("penalty", [0.0, 0.01])
+    def test_gradient_is_the_mean_of_one_sample_gradients(self, variant, penalty):
+        config = tiny_config(variant, daily_doc_cap=4, dropout_rate=0.3,
+                             l1=penalty, l2=penalty)
+        params = M.init_model(config, seed=22)
+        samples = ragged_batch(2)
+        want = {n: np.zeros(t.shape) for n, t, _ in M.named_tensors(params)}
+        for s, rng in zip(samples, fresh_rngs(len(samples))):
+            tape = T.Tape()
+            one = M.forward(tape, s, params, config, train_mode=True, rng=rng)
+            tape.backward(M.loss(tape, one, s, params, config))
+            for n, g in leaf_grads(params).items():
+                want[n] += g / len(samples)
+        tape = T.Tape()
+        batch = M.forward_batch(tape, samples, params, config, train_mode=True,
+                                rngs=fresh_rngs(len(samples)))
+        tape.backward(M.batch_loss(tape, batch.value, samples, params, config)[0])
+        got = leaf_grads(params)
+        for n in want:
+            # the penalties' float32 scale by B is the one rounding apart
+            atol = 1e-7 * np.abs(want[n]).max() if penalty else 0.0
+            np.testing.assert_allclose(got[n] / len(samples), want[n], rtol=1e-5,
+                                       atol=atol, err_msg=n)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_permuting_the_batch_permutes_the_outputs(self, variant):
+        config = tiny_config(variant, daily_doc_cap=4, dropout_rate=0.3)
+        params = M.init_model(config, seed=23)
+        samples = ragged_batch(3)
+        base = M.forward_batch(None, samples, params, config, train_mode=True,
+                               rngs=fresh_rngs(len(samples)))
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(len(samples))
+            rngs = fresh_rngs(len(samples))
+            got = M.forward_batch(None, [samples[i] for i in perm], params, config,
+                                  train_mode=True, rngs=[rngs[i] for i in perm])
+            np.testing.assert_allclose(got.value.data, base.value.data[perm],
+                                       **self.F32)
+            if base.relevance is not None:
+                np.testing.assert_allclose(got.relevance.data,
+                                           base.relevance.data[perm], **self.F32)
+
+    @pytest.mark.parametrize("variant", ["msin", "lstm_wo"])
+    def test_masses_do_not_depend_on_the_rest_of_the_batch(self, variant):
+        config = tiny_config(variant, daily_doc_cap=4)
+        params = M.init_model(config, seed=24)
+        first = make_sample(77, n=2)
+        alone = M.forward(None, first, params, config).relevance.data
+        for seed in range(4):
+            others = ragged_batch(10 + seed, count=1 + seed)
+            batch = M.forward_batch(None, [first] + others, params, config)
+            np.testing.assert_allclose(batch.relevance.data[0, :2], alone, **self.F32)

@@ -155,13 +155,6 @@ class TestReductionsAndRearrangement:
         x = T.constant(np.array([1e8, 1.0, -1e8], dtype=np.float32))
         np.testing.assert_allclose(T.sum_all(None, x).data, [1.0], rtol=0, atol=0)
 
-    def test_mean_axis_both_axes(self):
-        m = np.arange(6, dtype=np.float32).reshape(2, 3)
-        np.testing.assert_allclose(T.mean_axis(None, T.constant(m), 0).data,
-                                   m.mean(axis=0), rtol=0, atol=1e-7)
-        np.testing.assert_allclose(T.mean_axis(None, T.constant(m), 1).data,
-                                   m.mean(axis=1), rtol=0, atol=1e-7)
-
     def test_concat_narrow_roundtrip(self):
         rng = np.random.default_rng(4)
         a = T.constant(_rand(rng, 2, 3))
@@ -181,11 +174,6 @@ class TestReductionsAndRearrangement:
     def test_reshape_count_guard(self):
         with pytest.raises(T.ShapeError):
             T.reshape(None, T.constant(np.ones(6)), (4, 2))
-
-    def test_stack_cols(self):
-        cols = [T.constant([1.0, 2.0]), T.constant([3.0, 4.0]), T.constant([5.0, 6.0])]
-        got = T.stack_cols(None, cols)
-        np.testing.assert_allclose(got.data, [[1, 3, 5], [2, 4, 6]])
 
     def test_take_rows_gather_and_scatter(self):
         table = T.parameter(np.arange(8, dtype=np.float32).reshape(4, 2), "emb")
@@ -344,7 +332,8 @@ def _leaf_grads(build, leaves, seed):
 
 
 class TestFusedOps:
-    """linear, lstm_gates and weighted_sum against the ops they fuse."""
+    """linear, lstm_gates, weighted_sum, blend and add_bias by rows against the
+    ops they fuse."""
 
     @pytest.mark.parametrize("rows", [None, 3])
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
@@ -413,6 +402,22 @@ class TestFusedOps:
 
         assert _leaf_grads(fused, leaves, 3) == _leaf_grads(chain, leaves, 3)
 
+    def test_weighted_sum_of_one_stacked_tensor_matches_parts(self):
+        rng = np.random.default_rng(61)
+        parts = [_rand(rng, 3, 5) for _ in range(4)]
+        leaves = [T.parameter(np.stack(parts, axis=1), "grid"),
+                  T.parameter(_rand(rng, 3, 4), "beta")]
+
+        def stacked(tape, ls):
+            return [T.weighted_sum(tape, ls[0], ls[1])]
+
+        def split(tape, ls):
+            rows = [T.reshape(tape, T.narrow(tape, ls[0], 1, j, j + 1), (3, 5))
+                    for j in range(4)]
+            return [T.weighted_sum(tape, rows, ls[1])]
+
+        assert _leaf_grads(stacked, leaves, 3) == _leaf_grads(split, leaves, 3)
+
     def test_blend_bitwise_matches_masked_hadamard_add(self):
         rng = np.random.default_rng(70)
         keep = np.repeat(np.array([[True], [False], [True]]), 5, axis=1)
@@ -429,8 +434,26 @@ class TestFusedOps:
         out = T.blend(None, keep, leaves[0], leaves[1]).data
         np.testing.assert_array_equal(out, np.where(keep, leaves[0].data, leaves[1].data))
 
+    def test_add_bias_rows_bitwise_matches_take_rows_add(self):
+        rng = np.random.default_rng(80)
+        rows = np.array([1, 1, 0, 2, 1])
+        leaves = [T.parameter(_rand(rng, 5, 4), "m"),
+                  T.parameter(_rand(rng, 3, 4), "v")]
+
+        def fused(tape, ls):
+            return [T.add_bias(tape, ls[0], ls[1], rows)]
+
+        def chain(tape, ls):
+            return [T.add(tape, ls[0], T.take_rows(tape, ls[1], rows))]
+
+        assert _leaf_grads(fused, leaves, 5) == _leaf_grads(chain, leaves, 5)
+
     def test_shape_guards(self):
         w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
+        m, v = T.constant(np.ones((3, 2))), T.constant(np.ones((2, 2)))
+        for rows in ([0, 1], [0, 1, 2], [0.0, 1.0, 1.0]):
+            with pytest.raises(T.ShapeError):
+                T.add_bias(None, m, v, np.array(rows))
         with pytest.raises(T.ShapeError):
             T.linear(None, [], b)
         with pytest.raises(T.ShapeError):
@@ -481,6 +504,17 @@ class TestDropout:
         np.testing.assert_allclose(x.grad, out.data, rtol=0, atol=0)
 
 
+    def test_one_generator_per_row(self):
+        x = T.constant(_rand(np.random.default_rng(3), 3, 5))
+        rows = T.dropout(None, x, 0.4, [np.random.default_rng(b) for b in range(3)])
+        for b in range(3):
+            alone = T.dropout(None, T.constant(x.data[b]), 0.4,
+                              np.random.default_rng(b))
+            assert rows.data[b].tobytes() == alone.data.tobytes()
+        with pytest.raises(T.ShapeError):
+            T.dropout(None, x, 0.4, [np.random.default_rng(0)] * 2)
+
+
 class TestBceWithLogit:
     def test_matches_naive_formula(self):
         for z, y in [(0.3, 1.0), (-1.2, 0.0), (2.0, 1.0)]:
@@ -503,6 +537,15 @@ class TestBceWithLogit:
     def test_target_range_guard(self):
         with pytest.raises(T.ContractError):
             T.bce_with_logit(None, T.constant([0.0]), 1.5)
+
+    def test_vector_of_logits_is_elementwise(self):
+        z, y = [0.3, -2.0, 5.0], [1.0, 0.0, 0.0]
+        got = T.bce_with_logit(None, T.constant(z), y).data
+        for k in range(3):
+            one = T.bce_with_logit(None, T.constant([z[k]]), y[k]).data[0]
+            assert got[k] == one
+        with pytest.raises(T.ContractError):
+            T.bce_with_logit(None, T.constant(z), [1.0, 0.5, 2.0])
 
 
 class TestGradCheckPerOp:
@@ -616,16 +659,18 @@ class TestGradCheckPerOp:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fused_ops(self, seed):
-        """linear (row and vector forms), lstm_gates and weighted_sum."""
+        """linear (row and vector forms), lstm_gates, blend and weighted_sum."""
         rng = np.random.default_rng(700 + seed)
         v = T.constant(_rand(rng, 2, 3), dtype=np.float64)
         u = T.constant(_rand(rng, 12), dtype=np.float64)
+        keep = np.array([[1, 0, 1], [0, 1, 1]])
 
         def loss(tape, leaves):
             wx, x, wh, h, b, c, beta = leaves
             pre = T.linear(tape, [(wx, x), (wh, h)], b)          # [2, 12]
             h1, c1 = T.lstm_gates(tape, pre, c)                  # [2, 3] each
-            mixed = T.weighted_sum(tape, [h1, c1], beta)         # [2, 3]
+            carried = T.blend(tape, keep, h1, c)                 # [2, 3]
+            mixed = T.weighted_sum(tape, [carried, c1], beta)    # [2, 3]
             h0 = T.reshape(tape, T.narrow(tape, h, 0, 0, 1), (3,))
             one = T.linear(tape, [(wh, h0)], b)                  # [12]
             return T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, mixed, v)),
@@ -636,6 +681,93 @@ class TestGradCheckPerOp:
                   T.parameter(_rand(rng, 12), "b"), T.parameter(_rand(rng, 2, 3), "c"),
                   T.parameter(_rand(rng, 2, 2), "beta")]
         assert T.grad_check(loss, params) < 1e-6
+
+def _skewed(tape, op, *args):
+    """Call ``op`` with every gradient its backward returns scaled by 1 + 1e-3."""
+    if tape is None:
+        return op(None, *args)
+    record = tape.record
+
+    def skew(out, inputs, backward):
+        record(out, inputs, lambda g: tuple(
+            None if x is None else x * (1.0 + 1e-3) for x in backward(g)))
+
+    tape.record = skew
+    try:
+        return op(tape, *args)
+    finally:
+        del tape.record
+
+
+def _mutation_cases():
+    """op name -> (leaf arrays, fn(call, leaves) returning the op output)."""
+    rng = np.random.default_rng(900)
+
+    def r(*shape):
+        return _rand(rng, *shape)
+
+    mask = np.array([[True, True, False, True], [False, True, True, True]])
+    keep = np.array([[1, 0, 1], [1, 1, 0]])
+    return {
+        "matmul": ([r(3, 4), r(4, 2)], lambda c, L: c(T.matmul, L[0], L[1])),
+        "linear": ([r(6, 4), r(3, 4), r(6)],
+                   lambda c, L: c(T.linear, [(L[0], L[1])], L[2])),
+        "add": ([r(2, 3), r(2, 3)], lambda c, L: c(T.add, L[0], L[1])),
+        "add_bias": ([r(2, 3), r(3)], lambda c, L: c(T.add_bias, L[0], L[1])),
+        "add_bias_rows": ([r(3, 2), r(2, 2)], lambda c, L: c(
+            T.add_bias, L[0], L[1], np.array([1, 0, 1]))),
+        "hadamard": ([r(2, 3), r(2, 3)], lambda c, L: c(T.hadamard, L[0], L[1])),
+        "scale": ([r(2, 3)], lambda c, L: c(T.scale, L[0], 1.7)),
+        "tanh": ([r(2, 3)], lambda c, L: c(T.tanh, L[0])),
+        "sigmoid": ([r(2, 3)], lambda c, L: c(T.sigmoid, L[0])),
+        "lstm_gates": ([r(2, 8), r(2, 2)],
+                       lambda c, L: c(T.lstm_gates, L[0], L[1])[0]),
+        "blend": ([r(2, 3), r(2, 3)], lambda c, L: c(T.blend, keep, L[0], L[1])),
+        "absolute": ([_rand_away(rng, 2, 3)], lambda c, L: c(T.absolute, L[0])),
+        "clip": ([r(2, 3)], lambda c, L: c(T.clip, L[0], -2.0, 2.0)),
+        "sum_all": ([r(2, 3)], lambda c, L: c(T.sum_all, L[0])),
+        "concat": ([r(2, 3), r(2, 2)], lambda c, L: c(T.concat, L, 1)),
+        "narrow": ([r(2, 5)], lambda c, L: c(T.narrow, L[0], 1, 1, 4)),
+        "reshape": ([r(2, 3)], lambda c, L: c(T.reshape, L[0], (3, 2))),
+        "row_scale": ([r(2, 3), r(2)], lambda c, L: c(T.row_scale, L[0], L[1])),
+        "sum_stack": ([r(2, 3), r(2, 3)], lambda c, L: c(T.sum_stack, L)),
+        "weighted_sum": ([r(2, 3), r(2, 3), r(2, 2)],
+                         lambda c, L: c(T.weighted_sum, L[:2], L[2])),
+        "take_rows": ([r(3, 2)], lambda c, L: c(
+            T.take_rows, L[0], np.array([2, 0, 2]))),
+        "masked_softmax": ([r(2, 4) * 3], lambda c, L: c(
+            T.masked_softmax, L[0], mask)),
+        "dropout": ([r(2, 3)], lambda c, L: c(
+            T.dropout, L[0], 0.4, np.random.default_rng(123))),
+        "bce_with_logit": ([r(3) * 2], lambda c, L: c(
+            T.bce_with_logit, L[0], [1.0, 0.0, 1.0])),
+    }
+
+
+class TestGradCheckMutation:
+    """A 1e-3 relative error in any single op's backward fails the check."""
+
+    @pytest.mark.parametrize("name", sorted(_mutation_cases()))
+    def test_skewed_backward_fails(self, name):
+        arrays, apply = _mutation_cases()[name]
+
+        def build(skew):
+            def loss(tape, leaves):
+                def call(op, *args):
+                    return _skewed(tape, op, *args) if skew else op(tape, *args)
+
+                out = apply(call, leaves)
+                w = np.random.default_rng(901).uniform(0.5, 1.5, out.shape)
+                w = T.constant(w, dtype=np.float64)
+                return T.sum_all(tape, T.hadamard(tape, out, w))
+            return loss
+
+        def leaves():
+            return [T.parameter(a, "x%d" % i) for i, a in enumerate(arrays)]
+
+        assert T.grad_check(build(False), leaves()) < 1e-6
+        assert T.grad_check(build(True), leaves()) > 1e-4
+
 
 class TestGradCheckHarness:
     def test_impure_function_raises_determinism_error(self):

@@ -11,6 +11,8 @@ from msin import tensor as T
 from msin import text_encoder as TE
 from msin.rng import substream
 
+import encoder_oracle as oracle
+
 
 def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -107,13 +109,13 @@ class TestBilstmForward:
             bwd=TE.LSTMParams(zeros(4 * d_h, d_w), zeros(4 * d_h, d_h), zeros(4 * d_h)),
             pool_w=zeros(2 * d_h, 2 * d_h), pool_bias=zeros(2 * d_h), pool_ctx=zeros(2 * d_h))
         embeds = T.constant(np.random.default_rng(0).normal(size=(4, d_w)))
-        out = TE.bilstm_forward(None, embeds, 3, params)
+        out = oracle.bilstm_forward(None, embeds, 3, params)
         np.testing.assert_allclose(out.data, np.zeros((4, 4)), rtol=0, atol=0)
 
     def test_length_one_single_step_each_direction(self):
         table, params = make_params(seed=1)
         x = np.random.default_rng(1).normal(size=(1, 3)).astype(np.float32)
-        out = TE.bilstm_forward(None, T.constant(x), 1, params)
+        out = oracle.bilstm_forward(None, T.constant(x), 1, params)
         want = np_bilstm(x.astype(np.float64), params)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-6)
 
@@ -121,28 +123,28 @@ class TestBilstmForward:
         """d_h=1 on two steps matches the unrolled gate equations within 1e-6."""
         _, params = make_params(d_w=2, d_h=1, seed=2)
         x = np.random.default_rng(2).normal(size=(2, 2)).astype(np.float32)
-        out = TE.bilstm_forward(None, T.constant(x), 2, params)
+        out = oracle.bilstm_forward(None, T.constant(x), 2, params)
         want = np_bilstm(x.astype(np.float64), params)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-6)
 
     def test_rows_beyond_length_zero(self):
         _, params = make_params(seed=4)
         x = np.random.default_rng(3).normal(size=(5, 3)).astype(np.float32)
-        out = TE.bilstm_forward(None, T.constant(x), 2, params).data
+        out = oracle.bilstm_forward(None, T.constant(x), 2, params).data
         assert np.all(out[2:] == 0.0)
         assert np.any(out[:2] != 0.0)
 
     def test_empty_document_rejected(self):
         _, params = make_params()
         with pytest.raises(TE.EmptyDocumentError):
-            TE.bilstm_forward(None, T.constant(np.ones((3, 3))), 0, params)
+            oracle.bilstm_forward(None, T.constant(np.ones((3, 3))), 0, params)
 
 
 class TestAttentionPool:
     def test_single_token(self):
         _, params = make_params(seed=5)
         H = np.random.default_rng(4).normal(size=(3, 4)).astype(np.float32)
-        s, beta = TE.attention_pool(None, T.constant(H), 1, params)
+        s, beta = oracle.attention_pool(None, T.constant(H), 1, params)
         np.testing.assert_allclose(beta.data, [1.0], rtol=0, atol=0)
         np.testing.assert_allclose(s.data, H[0], rtol=0, atol=1e-7)
 
@@ -150,14 +152,14 @@ class TestAttentionPool:
         _, params = make_params(seed=6)
         row = np.random.default_rng(5).normal(size=4).astype(np.float32)
         H = np.tile(row, (4, 1))
-        s, beta = TE.attention_pool(None, T.constant(H), 4, params)
+        s, beta = oracle.attention_pool(None, T.constant(H), 4, params)
         np.testing.assert_allclose(beta.data, np.full(4, 0.25), rtol=0, atol=1e-7)
         np.testing.assert_allclose(s.data, row / 4.0, rtol=0, atol=1e-6)
 
     def test_three_token_formula_oracle(self):
         _, params = make_params(seed=7)
         H = np.random.default_rng(6).normal(size=(5, 4)).astype(np.float32)
-        s, beta = TE.attention_pool(None, T.constant(H), 3, params)
+        s, beta = oracle.attention_pool(None, T.constant(H), 3, params)
         want_s, want_beta = np_pool(H[:3].astype(np.float64), params, 3)
         np.testing.assert_allclose(beta.data, want_beta, rtol=0, atol=1e-6)
         np.testing.assert_allclose(s.data, want_s, rtol=0, atol=1e-6)
@@ -165,8 +167,8 @@ class TestAttentionPool:
     def test_fixed_divisor_variant(self):
         _, params = make_params(seed=8)
         H = np.random.default_rng(7).normal(size=(5, 4)).astype(np.float32)
-        s_len, _ = TE.attention_pool(None, T.constant(H), 2, params)
-        s_max, _ = TE.attention_pool(None, T.constant(H), 2, params, divisor=5)
+        s_len, _ = oracle.attention_pool(None, T.constant(H), 2, params)
+        s_max, _ = oracle.attention_pool(None, T.constant(H), 2, params, divisor=5)
         np.testing.assert_allclose(s_max.data, s_len.data * (2.0 / 5.0),
                                    rtol=1e-6, atol=1e-7)
 
@@ -181,8 +183,8 @@ class TestEncodeDocuments:
         assert got.vectors.shape == (3, 4)
         for j in range(3):
             embeds = TE.embed_lookup(None, ids[j], table)
-            hid = TE.bilstm_forward(None, embeds, int(lengths[j]), params)
-            s, beta = TE.attention_pool(None, hid, int(lengths[j]), params)
+            hid = oracle.bilstm_forward(None, embeds, int(lengths[j]), params)
+            s, beta = oracle.attention_pool(None, hid, int(lengths[j]), params)
             np.testing.assert_allclose(got.vectors.data[j], s.data, rtol=0, atol=1e-6)
             np.testing.assert_allclose(got.word_attention[j], beta.data,
                                        rtol=0, atol=1e-6)
@@ -230,6 +232,27 @@ class TestEncodeDocuments:
             assert beta.shape == (lengths[j],)
             assert np.all(beta >= 0)
             np.testing.assert_allclose(beta.sum(), 1.0, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("divisor", ["actual_len", "max_len"])
+    def test_days_stack_as_rows_of_one_pass(self, divisor):
+        """A list of days of different widths encodes each day as if alone."""
+        table, params = make_params(seed=15)
+        days = [batch_of([[2, 3, 0], [4, 0, 0]], [2, 1]),
+                batch_of([[5, 6, 2, 3, 4]], [5]),
+                batch_of([[3, 3, 0, 0], [6, 5, 4, 0], [2, 0, 0, 0]], [2, 3, 1])]
+        got = TE.encode_documents(None, days, table, params, pool_divisor=divisor)
+        assert got.counts == (2, 1, 3)
+        lo = 0
+        for day in days:
+            alone = TE.encode_documents(None, day, table, params, pool_divisor=divisor)
+            rows = got.vectors.data[lo:lo + alone.n]
+            np.testing.assert_allclose(rows, alone.vectors.data, rtol=1e-6, atol=1e-7)
+            for a, b in zip(got.word_attention[lo:lo + alone.n], alone.word_attention):
+                np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
+            lo += alone.n
+        no_docs = batch_of(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(TE.EmptyDocumentError):
+            TE.encode_documents(None, [days[0], no_docs], table, params)
 
     def test_empty_day_and_empty_document_rejected(self):
         table, params = make_params()

@@ -1,4 +1,4 @@
-"""Tests for the training loop, search, and checkpoint files."""
+"""Tests for the training loop and checkpoint files."""
 
 import dataclasses
 
@@ -158,6 +158,17 @@ class TestTrainLoop:
         assert result.best_valid == min(recorded)
         assert TR.eval_loss(samples.valid, result.params, config) == \
             pytest.approx(result.best_valid, rel=1e-12)
+
+    def test_eval_loss_chunks_match_one_sample_losses(self, monkeypatch):
+        config = tiny_config(variant="lstm_wo")
+        samples = tiny_samples(config, n_days=30)
+        params = M.init_model(config, seed=15)
+        individual = [float(M.loss(None, M.forward(None, s, params, config), s,
+                                   params, config).data[0]) for s in samples.train]
+        monkeypatch.setattr(TR, "EVAL_CHUNK", 4)
+        assert len(samples.train) % 4 != 0
+        assert TR.eval_loss(samples.train, params, config) == \
+            pytest.approx(np.mean(individual), rel=1e-6)
 
     def test_patience_stops_early(self):
         config = tiny_config()
