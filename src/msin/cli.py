@@ -181,46 +181,25 @@ def _synth_table() -> dict:
     }
 
 
-def _model_entries() -> dict:
-    c = M.ModelConfig()
-    return {
-        "variant": (_c_str, c.variant, "msin, lstm_wo, or lstm_par"),
-        "d_s": (_c_int, c.d_s, "series cell width"),
-        "d_h": (_c_int, c.d_h, "encoder width per direction"),
-        "d_a": (_c_int, c.d_a, "attention width, 0 means d_s"),
-        "d_w": (_c_int, c.d_w, "word embedding width"),
-        "vocab_size": (_c_int, c.vocab_size, "vocabulary cap"),
-        "m": (_c_int, c.m, "look-back window length"),
-        "series_dim": (_c_int, c.series_dim, "series columns"),
-        "max_tokens": (_c_int, c.max_tokens, "tokens kept per document"),
-        "daily_doc_cap": (_c_int, c.daily_doc_cap, "documents kept per day"),
-        "dropout_rate": (_c_float, c.dropout_rate, "feature dropout rate"),
-        "l1": (_c_float, c.l1, "L1 penalty weight"),
-        "l2": (_c_float, c.l2, "L2 penalty weight"),
-        "objective": (_c_str, c.objective, "next_value or movement"),
-        "pool_divisor": (_c_str, c.pool_divisor,
-                         "document pooling divisor: actual_len or max_len"),
-    }
+_FIELD_CONVERTERS = {"int": _c_int, "float": _c_float, "str": _c_str}
+
+
+def _config_entries(cls) -> dict:
+    """An option for each field of a config dataclass that carries help text."""
+    return {f.name: (_FIELD_CONVERTERS[f.type], f.default, f.metadata["help"])
+            for f in dataclasses.fields(cls) if "help" in f.metadata}
 
 
 def _train_table() -> dict:
-    t = TR.TrainConfig()
     table = {
         "corpus": (_c_str, None, "corpus JSONL path"),
         "series": (_c_str, None, "series CSV path"),
         "embeddings": (_c_str, None, "optional pretrained embedding file"),
         "out_dir": (_c_str, ".", "directory for checkpoint and history"),
     }
-    table.update(_model_entries())
+    table.update(_config_entries(M.ModelConfig))
+    table.update(_config_entries(TR.TrainConfig))
     table.update({
-        "learning_rate": (_c_float, t.learning_rate, "Adam step size"),
-        "batch_size": (_c_int, t.batch_size, "samples per update"),
-        "max_steps": (_c_int, t.max_steps, "update budget"),
-        "clip_norm": (_c_float, t.clip_norm, "global gradient norm cap"),
-        "early_stop_patience": (_c_int, t.early_stop_patience,
-                                "evaluations without improvement before stopping"),
-        "eval_every": (_c_int, t.eval_every, "steps between validations"),
-        "seed": (_c_int, t.seed, "run seed: init, shuffling, and dropout"),
         "train_until": (_c_date, None, "last training date (inclusive)"),
         "valid_until": (_c_date, None, "last validation date (inclusive)"),
         "split_fracs": (_c_fracs, None,
@@ -261,7 +240,6 @@ def _gradcheck_table() -> dict:
     return {
         "variant": (_c_str, "all", "msin, lstm_wo, lstm_par, or all"),
         "seed": (_c_int, GRADCHECK_SEED, "seed for the probe model and sample"),
-        "dropout_rate": (_c_float, 0.0, "must stay 0; checks need determinism"),
     }
 
 
@@ -290,19 +268,10 @@ def _split_spec(merged: dict, stored: dict | None = None) -> D.SplitSpec:
     return D.SplitSpec(fracs=(0.8, 0.1, 0.1))
 
 
-def _model_config(merged: dict) -> M.ModelConfig:
-    keys = _model_entries().keys()
+def _build_config(cls, merged: dict):
+    """A config dataclass from the merged values of its exposed fields."""
     try:
-        return M.ModelConfig(**{k: merged[k] for k in keys})
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
-
-
-def _train_config(merged: dict) -> TR.TrainConfig:
-    keys = [f.name for f in dataclasses.fields(TR.TrainConfig)
-            if f.name in merged]
-    try:
-        return TR.TrainConfig(**{k: merged[k] for k in keys})
+        return cls(**{k: merged[k] for k in _config_entries(cls)})
     except ValueError as e:
         raise _UsageError(str(e)) from None
 
@@ -384,8 +353,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     merged = _merge(args, _train_table())
     _require(merged, "corpus", "series")
-    config = _model_config(merged)
-    tcfg = _train_config(merged)
+    config = _build_config(M.ModelConfig, merged)
+    tcfg = _build_config(TR.TrainConfig, merged)
     split = _split_spec(merged)
 
     corpus = D.load_corpus(merged["corpus"])
@@ -566,10 +535,6 @@ def _gradcheck_sample(config: M.ModelConfig, rng) -> D.Sample:
 
 def cmd_gradcheck(args) -> int:
     merged = _merge(args, _gradcheck_table())
-    if merged["dropout_rate"] != 0.0:
-        raise T.DeterminismError(
-            "gradient checks need a deterministic forward pass; "
-            "dropout_rate must be 0")
     variants = M.VARIANTS if merged["variant"] == "all" else (merged["variant"],)
     for v in variants:
         if v not in M.VARIANTS:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,23 +27,29 @@ VARIANTS = ("msin", "lstm_wo", "lstm_par")
 OBJECTIVES = ("next_value", "movement")
 
 
+def option(default, help_text: str):
+    """A config field that ``msin train`` exposes as a flag with this help."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class ModelConfig:
-    variant: str = "msin"
-    d_s: int = 64            # series-cell state width
-    d_h: int = 32            # encoder LSTM width per direction
-    d_w: int = 50            # word embedding width
-    vocab_size: int = 5000
-    m: int = 5               # look-back window length
-    series_dim: int = 1
-    max_tokens: int = 16     # tokens kept per document
-    daily_doc_cap: int = 25
-    d_a: int = 0             # attention width; 0 means "use d_s"
-    dropout_rate: float = 0.0
-    l1: float = 0.0
-    l2: float = 0.0
-    objective: str = "next_value"
-    pool_divisor: str = "actual_len"
+    variant: str = option("msin", "msin, lstm_wo, or lstm_par")
+    d_s: int = option(64, "series cell width")
+    d_h: int = option(32, "encoder width per direction")
+    d_w: int = option(50, "word embedding width")
+    vocab_size: int = option(5000, "vocabulary cap")
+    m: int = option(5, "look-back window length")
+    series_dim: int = option(1, "series columns")
+    max_tokens: int = option(16, "tokens kept per document")
+    daily_doc_cap: int = option(25, "documents kept per day")
+    d_a: int = option(0, "attention width, 0 means d_s")
+    dropout_rate: float = option(0.0, "feature dropout rate")
+    l1: float = option(0.0, "L1 penalty weight")
+    l2: float = option(0.0, "L2 penalty weight")
+    objective: str = option("next_value", "next_value or movement")
+    pool_divisor: str = option("actual_len",
+                               "document pooling divisor: actual_len or max_len")
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -231,9 +237,8 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     windows = np.stack([np.asarray(s.values_n, dtype=np.float32) for s in samples])
     relevance = None
     if config.variant == "msin":
-        hiddens, trace = cell_mod.run_sequence(tape, windows, slots, slots.mask,
-                                               params.msin)
-        relevance = trace.final
+        hiddens, masses = cell_mod.run_sequence(tape, windows, slots, params.msin)
+        relevance = masses[-1]
     else:
         zeros = T.constant(np.zeros((B, config.d_s)))
         hiddens = cell_mod.run_plain_sequence(tape, windows, params.cell,
@@ -241,7 +246,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     m = hiddens.shape[1]
     h_m = T.reshape(tape, T.narrow(tape, hiddens, 1, m - 1, m), (B, config.d_s))
     if config.variant == "lstm_wo":
-        relevance = cell_mod.attend(tape, h_m, slots, slots.mask, params.align)
+        relevance = cell_mod.attend(tape, h_m, slots, params.align)
     if relevance is not None:
         text = T.weighted_sum(tape, slots.grid, relevance)
     else:
@@ -254,7 +259,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
         feature = T.dropout(tape, feature, config.dropout_rate, rngs)
     head = T.linear(tape, [(params.head_w, feature)], params.head_b)
     return BatchPrediction(value=T.reshape(tape, head, (B,)), relevance=relevance,
-                           counts=docs.day_counts)
+                           counts=docs.counts)
 
 
 def forward(tape, sample, params: ModelParams, config: ModelConfig,

@@ -10,6 +10,9 @@ permutation-equivariant and skipping the round trip keeps them cheap.
 
 Ops are free functions taking the tape as their first argument.  Passing
 ``tape=None`` runs forward-only, which is how finite differences are taken.
+Each op has one input form.  The batched ones (``linear``,
+``masked_softmax``, ``weighted_sum``, ``dropout``) take rows, one per
+document, sample or token position; a single item is a batch of one.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = self.name or "tensor"
@@ -222,19 +222,18 @@ def linear(tape: Tape | None, terms: Sequence[tuple[Tensor, Tensor]],
            bias: Tensor) -> Tensor:
     """Sum of weight-input products plus a bias, in one tape entry.
 
-    Each term is a pair (w [k,c], x): a vector x [c] contributes w.x, a
-    matrix x [r,c] contributes x.w^T (one row per input).  The arithmetic is
-    that of ``matmul`` per term, then ``add`` of the terms in order, then
-    ``add``/``add_bias`` of the [k] bias, bit for bit.
+    Each term is a pair (w [k,c], x [r,c]) contributing x.w^T, one row per
+    input row.  The arithmetic is that of ``matmul`` per term, then ``add``
+    of the terms in order, then ``add_bias`` of the [k] bias, bit for bit.
     """
     prods, acc = [], None
     for w, x in terms:
         W = w.data.astype(np.float64)
         X = x.data.astype(np.float64)
-        if W.ndim != 2 or X.ndim not in (1, 2) or W.shape[1] != X.shape[-1]:
+        if W.ndim != 2 or X.ndim != 2 or W.shape[1] != X.shape[1]:
             raise ShapeError("linear term shapes %r and %r do not match"
                              % (W.shape, X.shape))
-        p = np.asarray(W @ X if X.ndim == 1 else X @ W.T, dtype=_promoted(w, x))
+        p = np.asarray(X @ W.T, dtype=_promoted(w, x))
         if acc is None:
             acc = p
         elif p.shape == acc.shape:
@@ -245,7 +244,7 @@ def linear(tape: Tape | None, terms: Sequence[tuple[Tensor, Tensor]],
         prods.append((w.data, x.data))  # widened again in back(), not kept
     if acc is None:
         raise ShapeError("linear needs at least one term")
-    if bias.shape != acc.shape[-1:]:
+    if bias.shape != acc.shape[1:]:
         raise ShapeError("linear bias %r does not match output %r"
                          % (bias.shape, acc.shape))
 
@@ -254,11 +253,8 @@ def linear(tape: Tape | None, terms: Sequence[tuple[Tensor, Tensor]],
         grads = []
         for w32, x32 in prods:
             W, X = w32.astype(np.float64), x32.astype(np.float64)
-            if X.ndim == 1:
-                grads += [np.outer(G, X), W.T @ G]
-            else:
-                grads += [(X.T @ G).T, G @ W]
-        grads.append(g if g.ndim == 1 else G.sum(axis=0))
+            grads += [(X.T @ G).T, G @ W]
+        grads.append(G.sum(axis=0))
         return tuple(grads)
 
     inputs = tuple(t for term in terms for t in term) + (bias,)
@@ -486,39 +482,28 @@ def sum_stack(tape: Tape | None, parts: Sequence[Tensor]) -> Tensor:
     return _emit(tape, data, tuple(parts), lambda g: (g,) * len(parts))
 
 
-def weighted_sum(tape: Tape | None, parts, weights: Tensor) -> Tensor:
-    """Row-wise weighted sum: out[i] = sum_j weights[i, j] * parts[j][i].
+def weighted_sum(tape: Tape | None, parts: Tensor, weights: Tensor) -> Tensor:
+    """Row-wise weighted sum: out[i] = sum_j weights[i, j] * parts[i, j].
 
-    ``parts`` is a sequence of K matrices [n,c], or one [n,K,c] tensor whose
-    [i, j] row is parts[j][i]; ``weights`` is [n,K].  The arithmetic is that
-    of ``row_scale`` by each weight column followed by ``sum_stack``, bit for
-    bit, in one tape entry: the products are rounded to the storage dtype and
-    added in float64 in part order.
+    ``parts`` is [n,K,c] and ``weights`` [n,K].  The arithmetic is that of
+    ``row_scale`` of each [n,c] slice parts[:, j] by weight column j followed
+    by ``sum_stack``, bit for bit, in one tape entry: the products are
+    rounded to the storage dtype and added in float64 in slice order.
     """
-    stacked = isinstance(parts, Tensor)
-    if stacked:
-        grid, inputs = parts.data, (parts, weights)
-    elif parts and all(p.ndim == 2 and p.shape == parts[0].shape for p in parts):
-        grid = np.stack([p.data for p in parts], axis=1)
-        inputs = tuple(parts) + (weights,)
-    else:
-        grid = inputs = None
-    if grid is None or grid.ndim != 3 or weights.shape != grid.shape[:2]:
-        raise ShapeError("weighted_sum expects K [n,c] parts and [n,K] weights")
+    grid = parts.data
+    if grid.ndim != 3 or weights.shape != grid.shape[:2]:
+        raise ShapeError("weighted_sum expects [n,K,c] parts and [n,K] weights, "
+                         "got %r and %r" % (grid.shape, weights.shape))
     cols = weights.data[:, :, None]  # [n, K, 1]
     # a reduction over a middle axis adds the K slices one after another
     total = (grid * cols).astype(np.float64).sum(axis=1)
-    data = np.asarray(total, dtype=_promoted(*inputs))
+    data = np.asarray(total, dtype=_promoted(parts, weights))
 
     def back(g):
-        gparts = g[:, None, :] * cols
         gw = (g.astype(np.float64)[:, None, :] * grid).sum(axis=2)
-        gw = gw.astype(weights.data.dtype)
-        if stacked:
-            return (gparts, gw)
-        return tuple(gparts[:, j] for j in range(grid.shape[1])) + (gw,)
+        return (g[:, None, :] * cols, gw.astype(weights.data.dtype))
 
-    return _emit(tape, data, inputs, back)
+    return _emit(tape, data, (parts, weights), back)
 
 
 def take_rows(tape: Tape | None, x: Tensor, ids: np.ndarray) -> Tensor:
@@ -543,60 +528,48 @@ def take_rows(tape: Tape | None, x: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def masked_softmax(tape: Tape | None, logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over valid entries only; invalid entries come out exactly zero.
+    """Softmax over the valid entries of each row of [r,c] logits.
 
-    Rank-1 input normalizes the whole vector, rank-2 normalizes each row.
-    A row with no valid entry raises DegenerateMaskError.
+    Invalid entries come out exactly zero.  A row with no valid entry raises
+    DegenerateMaskError.
     """
     mask = np.asarray(mask, dtype=bool)
-    if logits.ndim not in (1, 2):
-        raise ShapeError("masked_softmax expects rank 1 or 2, got %r" % (logits.shape,))
+    if logits.ndim != 2:
+        raise ShapeError("masked_softmax expects [r,c] logits, got %r" % (logits.shape,))
     if mask.shape != logits.shape:
         raise ShapeError("mask shape %r does not match logits %r"
                          % (mask.shape, logits.shape))
-    rank1 = logits.ndim == 1
-    z = logits.data.astype(np.float64)
-    z2 = z[None, :] if rank1 else z
-    m2 = mask[None, :] if rank1 else mask
-    rows_ok = m2.any(axis=1)
+    rows_ok = mask.any(axis=1)
     if not rows_ok.all():
         raise DegenerateMaskError(
             "softmax row %d has no valid entries" % int(np.flatnonzero(~rows_ok)[0]))
-    shifted = np.where(m2, z2, -np.inf)
+    shifted = np.where(mask, logits.data.astype(np.float64), -np.inf)
     shifted = shifted - shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p2 = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=1, keepdims=True)
 
     def back(g):
         G = g.astype(np.float64)
-        G2 = G[None, :] if rank1 else G
-        inner = (G2 * p2).sum(axis=1, keepdims=True)
-        gz = p2 * (G2 - inner)
-        return (gz[0] if rank1 else gz,)
+        return (p * (G - (G * p).sum(axis=1, keepdims=True)),)
 
-    data = np.asarray(p2[0] if rank1 else p2, dtype=_promoted(logits))
-    return _emit(tape, data, (logits,), back)
+    return _emit(tape, np.asarray(p, dtype=_promoted(logits)), (logits,), back)
 
 
-def dropout(tape: Tape | None, x: Tensor, rate: float, rng) -> Tensor:
+def dropout(tape: Tape | None, x: Tensor, rate: float,
+            rngs: Sequence[np.random.Generator]) -> Tensor:
     """Inverted dropout; identity (and no tape entry) when rate is zero.
 
-    ``rng`` is one generator drawing the whole mask, or a sequence of
-    generators, one per row of ``x``, each drawing its row's mask as it would
-    for that row alone.
+    ``rngs`` holds one generator per row of ``x``; each draws its row's mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ContractError("dropout rate must lie in [0,1), got %r" % rate)
     if rate == 0.0:
         return x
-    if isinstance(rng, np.random.Generator):
-        draw = rng.random(x.shape)
-    else:
-        rngs = list(rng)
-        if len(rngs) != x.shape[0]:
-            raise ShapeError("dropout needs one generator per row: %d for %r"
-                             % (len(rngs), x.shape))
-        draw = np.stack([g.random(x.shape[1:]) for g in rngs])
+    rngs = list(rngs)
+    if len(rngs) != x.shape[0]:
+        raise ShapeError("dropout needs one generator per row: %d for %r"
+                         % (len(rngs), x.shape))
+    draw = np.stack([g.random(x.shape[1:]) for g in rngs])
     keep = (draw >= rate).astype(x.data.dtype) / (1.0 - rate)
     return _emit(tape, x.data * keep, (x,), lambda g: (g * keep,))
 
@@ -695,10 +668,3 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
             err = max(err, excess / max(abs(gt), abs(fd), 1e-8))
         worst[name] = err
     return worst
-
-
-def grad_check(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
-               params: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Maximum relative error across all checked leaves (see grad_check_table)."""
-    table = grad_check_table(build_loss, params, h=h)
-    return max(table.values()) if table else 0.0

@@ -3,8 +3,8 @@
 Each document becomes one representative vector s = (1/L) sum_l beta_l h_l,
 where h_l are bidirectional hidden states over the tokens and beta is an
 attention distribution over valid positions.  ``encode_documents`` runs the
-documents of one day, or of every day in a training batch, as rows of shared
-matrix ops with per-row validity masks.  Every reduction in the engine
+documents of a list of days (every day of a batch, or one day) as rows of
+shared matrix ops with per-row validity masks.  Every reduction in the engine
 accumulates in float64 and rounds once, so each row matches encoding its
 document alone (the per-document reference lives with the tests) and
 permuting documents permutes the outputs bit-identically.  The stacked-gate
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-
-PAD_ID = 0
-UNK_ID = 1
+from .data import PAD_ID
 
 # tanh keeps pre-softmax scores in (-1,1) scaled by a weight vector; the clamp
 # is unreachable in practice and only documents the intended numeric range.
@@ -89,21 +87,17 @@ class TextEncoderParams:
 class DocRepresentation:
     """Documents encoded as rows, plus per-document word attention.
 
-    The rows of several days are stacked in day order, ``counts`` holding
-    each day's document count; None means the rows are one day.
+    The rows of the days are stacked in day order; ``counts`` holds each
+    day's document count.
     """
 
     vectors: T.Tensor  # [n, 2*d_h]
     word_attention: list[np.ndarray]  # beta over each document's valid tokens
-    counts: tuple[int, ...] | None = None
+    counts: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def day_counts(self) -> tuple[int, ...]:
-        return (self.n,) if self.counts is None else self.counts
 
 
 def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -184,12 +178,10 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
 
 def lstm_step(tape, params: LSTMParams, x: T.Tensor, h: T.Tensor,
               c: T.Tensor, v: T.Tensor | None = None):
-    """One LSTM step; returns (h, c).
+    """One LSTM step of n sequences, one per row of [n, .] inputs; returns (h, c).
 
-    Vector inputs step one sequence; [n, .] row matrices step n sequences at
-    once, one per row.  The pre-activation is input_w.x + state_w.h
-    (+ ctx_w.v) + bias, added in that order, so zero context weights
-    reproduce the plain LSTM bitwise.
+    The pre-activation is input_w.x + state_w.h (+ ctx_w.v) + bias, added in
+    that order, so zero context weights reproduce the plain LSTM bitwise.
     Pass the context ``v`` only with parameters that have ``ctx_w``.
     """
     terms = [(params.input_w, x), (params.state_w, h)]
@@ -215,17 +207,14 @@ def embed_lookup(tape: T.Tape | None, token_ids: np.ndarray,
 def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
                      params: TextEncoderParams,
                      pool_divisor: str = "actual_len") -> DocRepresentation:
-    """Encode documents to s vectors, one row per document.
+    """Encode the documents of a sequence of days to s vectors, one row each.
 
-    ``days`` is one day's batch or a sequence of them; a batch needs
-    ``token_ids`` int[n, K] (0-padded) and ``lengths`` int[n] with n >= 1 and
-    every length >= 1.  The days' rows are stacked in order, each padded to
-    the widest K; positions are processed batch-wide with validity masks, so
-    each row equals encoding its document alone.  The "max_len" pooling
-    divisor is the width K of the document's own day.
+    Each day needs ``token_ids`` int[n, K] (0-padded) and ``lengths`` int[n]
+    with n >= 1 and every length >= 1.  The days' rows are stacked in order,
+    each padded to the widest K; positions are processed batch-wide with
+    validity masks, so each row equals encoding its document alone.  The
+    "max_len" pooling divisor is the width K of the document's own day.
     """
-    if hasattr(days, "token_ids"):
-        days = (days,)
     counts = tuple(int(np.shape(d.token_ids)[0]) for d in days)
     if not counts or min(counts) < 1:
         raise EmptyDocumentError("day has no documents")

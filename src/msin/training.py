@@ -54,16 +54,17 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
+    learning_rate: float = M.option(1e-3, "Adam step size")
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    batch_size: int = 8
-    max_steps: int = 200
-    clip_norm: float = 5.0
-    early_stop_patience: int = 10
-    eval_every: int = 10
-    seed: int = 0
+    batch_size: int = M.option(8, "samples per update")
+    max_steps: int = M.option(200, "update budget")
+    clip_norm: float = M.option(5.0, "global gradient norm cap")
+    early_stop_patience: int = M.option(
+        10, "evaluations without improvement before stopping")
+    eval_every: int = M.option(10, "steps between validations")
+    seed: int = M.option(0, "run seed: init, shuffling, and dropout")
 
     def __post_init__(self):
         if self.learning_rate < 0:

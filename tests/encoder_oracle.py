@@ -1,7 +1,7 @@
 """Per-document encoder: the reference the batched day encoder is tested against.
 
-``bilstm_forward`` and ``attention_pool`` run one document at a time with
-vector states, through the package's own ``lstm_step`` and engine ops.
+``bilstm_forward`` and ``attention_pool`` run one document at a time, as a
+batch of one row, through the package's own ``lstm_step`` and engine ops.
 ``text_encoder.encode_documents`` must reproduce them row by row.
 """
 
@@ -19,12 +19,11 @@ def bilstm_forward(tape, embeds, length, params):
     if length > K:
         raise T.ShapeError("length %d exceeds %d embedded rows" % (length, K))
     d_h = params.hidden_size
-    xs = [T.reshape(tape, T.narrow(tape, embeds, 0, l, l + 1), (embeds.shape[1],))
-          for l in range(length)]
+    xs = [T.narrow(tape, embeds, 0, l, l + 1) for l in range(length)]  # [1, d_w]
 
     def sweep(direction, order):
-        h = T.constant(np.zeros(d_h))
-        c = T.constant(np.zeros(d_h))
+        h = T.constant(np.zeros((1, d_h)))
+        c = T.constant(np.zeros((1, d_h)))
         out = {}
         for l in order:
             h, c = TE.lstm_step(tape, direction, xs[l], h, c)
@@ -34,8 +33,7 @@ def bilstm_forward(tape, embeds, length, params):
     fwd = sweep(params.fwd, range(length))
     bwd = sweep(params.bwd, range(length - 1, -1, -1))
     zero_row = T.constant(np.zeros((1, 2 * d_h)))
-    rows = [T.reshape(tape, T.concat(tape, [fwd[l], bwd[l]]), (1, 2 * d_h))
-            for l in range(length)]
+    rows = [T.concat(tape, [fwd[l], bwd[l]], axis=1) for l in range(length)]
     rows.extend(zero_row for _ in range(K - length))
     return T.concat(tape, rows, axis=0)
 
@@ -52,6 +50,8 @@ def attention_pool(tape, hiddens, length, params, divisor=None):
     proj = T.tanh(tape, T.linear(tape, [(params.pool_w, valid)], params.pool_bias))
     logits = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
                     -TE.LOGIT_CLAMP, TE.LOGIT_CLAMP)
-    beta = T.masked_softmax(tape, logits, np.ones(length, dtype=bool))
+    beta = T.masked_softmax(tape, T.reshape(tape, logits, (1, length)),
+                            np.ones((1, length), dtype=bool))
+    beta = T.reshape(tape, beta, (length,))
     s = T.scale(tape, T.matmul(tape, beta, valid), 1.0 / (divisor or length))
     return s, beta

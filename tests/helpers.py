@@ -1,0 +1,82 @@
+"""Test-side helpers: the one-number gradient check, and one day as a batch of one.
+
+The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
+form the program runs.  The wrappers below hand them one day's document rows,
+an [n] mask and vector states as a batch of one and return vectors, so the
+cell tests can state their per-sample oracles directly.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from msin import cell as C
+from msin import tensor as T
+from msin.text_encoder import DocRepresentation
+
+
+def grad_check(build_loss, params, h: float = 1e-5) -> float:
+    """Worst relative error across all checked leaves (see grad_check_table)."""
+    table = T.grad_check_table(build_loss, params, h=h)
+    return max(table.values()) if table else 0.0
+
+
+def docs_of(rows) -> DocRepresentation:
+    """One day's documents from their vectors (a tensor or an array)."""
+    if not isinstance(rows, T.Tensor):
+        rows = T.constant(np.asarray(rows, dtype=np.float32))
+    return DocRepresentation(vectors=rows, word_attention=[], counts=(rows.shape[0],))
+
+
+def one_day(tape, docs: DocRepresentation, mask=None) -> C.DocSlots:
+    """One day's documents as a batch of one; an [n] ``mask`` replaces the slots'."""
+    slots = C.doc_slots(tape, dataclasses.replace(docs, counts=(docs.n,)))
+    if mask is None:
+        return slots
+    return dataclasses.replace(slots, mask=np.asarray(mask, dtype=bool)[None, :])
+
+
+def row(tape, t: T.Tensor) -> T.Tensor:
+    return T.reshape(tape, t, (1,) + t.shape)
+
+
+def unrow(tape, t: T.Tensor) -> T.Tensor:
+    return T.reshape(tape, t, t.shape[1:])
+
+
+def init_states(tape, docs, params) -> C.MsinState:
+    state = C.init_states(tape, one_day(tape, docs), params)
+    return C.MsinState(c=unrow(tape, state.c), h=unrow(tape, state.h),
+                       v=unrow(tape, state.v), p=None)
+
+
+def attend(tape, h_prev, docs, mask, params) -> T.Tensor:
+    """The [n] mass over one day's documents."""
+    return unrow(tape, C.attend(tape, row(tape, h_prev), one_day(tape, docs, mask),
+                                params))
+
+
+def update_context(tape, p, docs, v_prev) -> T.Tensor:
+    return unrow(tape, C.update_context(tape, row(tape, p), one_day(tape, docs),
+                                        row(tape, v_prev)))
+
+
+def cell_step(tape, x, state, docs, mask, params) -> C.MsinState:
+    rows = C.MsinState(c=row(tape, state.c), h=row(tape, state.h),
+                       v=row(tape, state.v), p=None)
+    out = C.cell_step(tape, row(tape, x), rows, one_day(tape, docs, mask), params)
+    return C.MsinState(c=unrow(tape, out.c), h=unrow(tape, out.h),
+                       v=unrow(tape, out.v), p=unrow(tape, out.p))
+
+
+def run_sequence(tape, window, docs, mask, params):
+    """One [m, D] window: hiddens [m, d_s] and the m per-step masses [n]."""
+    hiddens, masses = C.run_sequence(tape, np.asarray(window)[None],
+                                     one_day(tape, docs, mask), params)
+    return unrow(tape, hiddens), [unrow(tape, p) for p in masses]
+
+
+def run_plain_sequence(tape, window, cell, init_c, init_h) -> T.Tensor:
+    """One [m, D] window from [d_s] states: hiddens [m, d_s]."""
+    return unrow(tape, C.run_plain_sequence(tape, np.asarray(window)[None], cell,
+                                            row(tape, init_c), row(tape, init_h)))

@@ -28,7 +28,8 @@ import msin.model as M
 import msin.tensor as T
 import msin.training as TR
 from msin.rng import substream
-from msin.text_encoder import DocRepresentation
+
+import helpers as H
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,14 +169,12 @@ def test_criterion_06_structural_reduction():
                              substream(500 + trial, "init"))
         params.cell.ctx_w.data[...] = 0.0
         n = int(rng.integers(2, 6))
-        docs = DocRepresentation(
-            vectors=T.constant(rng.normal(size=(n, doc_dim)).astype(np.float32)),
-            word_attention=[])
+        docs = H.docs_of(rng.normal(size=(n, doc_dim)).astype(np.float32))
         window = rng.normal(size=(int(rng.integers(2, 7)), d_in))
-        full, _ = C.run_sequence(None, window, docs, np.ones(n, dtype=bool),
+        full, _ = H.run_sequence(None, window, docs, np.ones(n, dtype=bool),
                                  params)
-        state0 = C.init_states(None, docs, params)
-        plain = C.run_plain_sequence(None, window, params.cell,
+        state0 = H.init_states(None, docs, params)
+        plain = H.run_plain_sequence(None, window, params.cell,
                                      state0.c, state0.h)
         ok = ok and full.data.tobytes() == plain.data.tobytes()
     verdict(6, "structural reduction", ok, "20 random inputs, bit-identical")
@@ -185,14 +184,13 @@ def test_criterion_07_closed_form_context():
     """Identical documents and fixed attention give v_l = s * (1 - 2^-l)."""
     rng = np.random.default_rng(7)
     s = rng.normal(size=6).astype(np.float32)
-    docs = DocRepresentation(vectors=T.constant(np.tile(s, (4, 1))),
-                             word_attention=[])
+    docs = H.docs_of(np.tile(s, (4, 1)))
     raw = rng.random(4)
     p = T.constant((raw / raw.sum()).astype(np.float32))
     v = T.constant(np.zeros(6))
     worst = 0.0
     for ell in range(1, 11):
-        v = C.update_context(None, p, docs, v)
+        v = H.update_context(None, p, docs, v)
         expect = s.astype(np.float64) * (1.0 - 0.5 ** ell)
         worst = max(worst, float(np.abs(v.data - expect).max()))
     ok = worst <= 1e-6

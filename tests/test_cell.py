@@ -8,6 +8,9 @@ from msin import tensor as T
 from msin.rng import substream
 from msin.text_encoder import DocRepresentation, LSTMParams
 
+import helpers as H
+from helpers import docs_of
+
 
 def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
@@ -16,11 +19,6 @@ def _sig(x):
 def _softmax(z):
     e = np.exp(z - z.max())
     return e / e.sum()
-
-
-def docs_of(rows) -> DocRepresentation:
-    arr = np.asarray(rows, dtype=np.float32)
-    return DocRepresentation(vectors=T.constant(arr), word_attention=[])
 
 
 def make_params(d_s=3, d_a=3, d_in=1, doc_dim=4, seed=0) -> C.MsinParams:
@@ -40,7 +38,7 @@ def zero_params(d_s=3, d_a=3, d_in=1, doc_dim=4) -> C.MsinParams:
 class TestInitStates:
     def test_zero_params_zero_states(self):
         params = zero_params()
-        state = C.init_states(None, docs_of(np.random.default_rng(0).normal(size=(3, 4))),
+        state = H.init_states(None, docs_of(np.random.default_rng(0).normal(size=(3, 4))),
                               params)
         np.testing.assert_allclose(state.c.data, np.zeros(3), rtol=0, atol=0)
         np.testing.assert_allclose(state.h.data, np.zeros(3), rtol=0, atol=0)
@@ -50,7 +48,7 @@ class TestInitStates:
     def test_single_doc_mean_is_the_doc(self):
         params = make_params(seed=1)
         row = np.random.default_rng(1).normal(size=4).astype(np.float32)
-        state = C.init_states(None, docs_of(row[None, :]), params)
+        state = H.init_states(None, docs_of(row[None, :]), params)
         want_c = np.tanh(params.init_c_w.data.astype(np.float64) @ row
                          + params.init_c_b.data)
         np.testing.assert_allclose(state.c.data, want_c, rtol=0, atol=1e-6)
@@ -58,7 +56,7 @@ class TestInitStates:
     def test_two_doc_formula_oracle(self):
         params = make_params(seed=2)
         rows = np.random.default_rng(2).normal(size=(2, 4)).astype(np.float32)
-        state = C.init_states(None, docs_of(rows), params)
+        state = H.init_states(None, docs_of(rows), params)
         s_bar = rows.astype(np.float64).mean(axis=0)
         np.testing.assert_allclose(
             state.c.data,
@@ -72,17 +70,17 @@ class TestInitStates:
     def test_empty_day_rejected(self):
         params = make_params()
         empty = DocRepresentation(vectors=T.constant(np.zeros((1, 4))),
-                                  word_attention=[])
+                                  word_attention=[], counts=(1,))
         empty.vectors.data = np.zeros((0, 4), dtype=np.float32)  # forced illegal state
         with pytest.raises(C.EmptyDayError):
-            C.init_states(None, empty, params)
+            H.init_states(None, empty, params)
 
 
 class TestAttend:
     def test_single_document_gets_all_mass(self):
         params = make_params(seed=3)
         h = T.constant(np.random.default_rng(3).normal(size=3))
-        p = C.attend(None, h, docs_of(np.random.default_rng(4).normal(size=(1, 4))),
+        p = H.attend(None, h, docs_of(np.random.default_rng(4).normal(size=(1, 4))),
                      np.array([True]), params.attn)
         np.testing.assert_allclose(p.data, [1.0], rtol=0, atol=0)
 
@@ -90,7 +88,7 @@ class TestAttend:
         params = make_params(seed=4)
         h = T.constant(np.random.default_rng(5).normal(size=3))
         row = np.random.default_rng(6).normal(size=4)
-        p = C.attend(None, h, docs_of(np.tile(row, (4, 1))), np.ones(4, dtype=bool),
+        p = H.attend(None, h, docs_of(np.tile(row, (4, 1))), np.ones(4, dtype=bool),
                      params.attn)
         np.testing.assert_allclose(p.data, np.full(4, 0.25), rtol=0, atol=1e-7)
 
@@ -101,7 +99,7 @@ class TestAttend:
             doc_w=T.parameter(np.ones((1, 1)), "a.doc_w"),
             bias=T.parameter(np.zeros(1), "a.bias"),
             score=T.parameter(np.ones(1), "a.score"))
-        p = C.attend(None, T.constant(np.zeros(1)), docs_of([[0.0], [10.0]]),
+        p = H.attend(None, T.constant(np.zeros(1)), docs_of([[0.0], [10.0]]),
                      np.array([True, True]), attn)
         want = _softmax(np.array([0.0, np.tanh(10.0)]))
         np.testing.assert_allclose(p.data, want, rtol=0, atol=1e-6)
@@ -110,14 +108,14 @@ class TestAttend:
     def test_all_masked_rejected(self):
         params = make_params(seed=5)
         with pytest.raises(T.DegenerateMaskError):
-            C.attend(None, T.constant(np.zeros(3)),
+            H.attend(None, T.constant(np.zeros(3)),
                      docs_of(np.ones((2, 4))), np.array([False, False]), params.attn)
 
 
 class TestUpdateContext:
     def test_base_case_half_s(self):
         s = np.random.default_rng(7).normal(size=4).astype(np.float32)
-        v = C.update_context(None, T.constant([1.0]), docs_of(s[None, :]),
+        v = H.update_context(None, T.constant([1.0]), docs_of(s[None, :]),
                              T.constant(np.zeros(4)))
         np.testing.assert_allclose(v.data, s / 2.0, rtol=0, atol=1e-7)
 
@@ -128,7 +126,7 @@ class TestUpdateContext:
         p = T.constant([1.0])
         v = T.constant(np.zeros(4))
         for step in range(1, 11):
-            v = C.update_context(None, p, docs, v)
+            v = H.update_context(None, p, docs, v)
             want = s.astype(np.float64) * (1.0 - 2.0 ** (-step))
             np.testing.assert_allclose(v.data, want, rtol=0, atol=1e-6)
 
@@ -137,7 +135,7 @@ class TestUpdateContext:
         S = rng.normal(size=(3, 4)).astype(np.float32)
         p = _softmax(rng.normal(size=3)).astype(np.float32)
         v_prev = rng.normal(size=4).astype(np.float32)
-        got = C.update_context(None, T.constant(p), docs_of(S), T.constant(v_prev))
+        got = H.update_context(None, T.constant(p), docs_of(S), T.constant(v_prev))
         want = 0.5 * (S.astype(np.float64).T @ p + v_prev)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-6)
 
@@ -151,7 +149,7 @@ class TestUpdateContext:
         for _ in range(6):
             p = _softmax(rng.normal(size=3)).astype(np.float32)
             summaries.append(S.astype(np.float64).T @ p)
-            v = C.update_context(None, T.constant(p), docs, v)
+            v = H.update_context(None, T.constant(p), docs, v)
         l = len(summaries)
         want = sum(2.0 ** (-(l - r + 1)) * u for r, u in enumerate(summaries, start=1))
         np.testing.assert_allclose(v.data, want, rtol=0, atol=1e-5)
@@ -164,7 +162,7 @@ class TestCellStep:
         c_prev = rng.normal(size=3).astype(np.float32)
         state = C.MsinState(c=T.constant(c_prev), h=T.constant(np.zeros(3)),
                             v=T.constant(np.zeros(4)), p=None)
-        out = C.cell_step(None, T.constant([0.5]), state,
+        out = H.cell_step(None, T.constant([0.5]), state,
                           docs_of(rng.normal(size=(2, 4))), np.ones(2, dtype=bool),
                           params)
         np.testing.assert_allclose(out.c.data, 0.5 * c_prev, rtol=0, atol=1e-7)
@@ -181,11 +179,11 @@ class TestCellStep:
         docs = docs_of(rng.normal(size=(2, 4)))
         state = C.MsinState(c=T.constant(c_prev), h=T.constant(h_prev),
                             v=T.constant(np.zeros(4)), p=None)
-        out = C.cell_step(None, T.constant([0.3]), state, docs,
+        out = H.cell_step(None, T.constant([0.3]), state, docs,
                           np.ones(2, dtype=bool), params)
         # recompute f with the same ops to compare bit-for-bit
-        p = C.attend(None, state.h, docs, np.ones(2, dtype=bool), params.attn)
-        v = C.update_context(None, p, docs, state.v)
+        p = H.attend(None, state.h, docs, np.ones(2, dtype=bool), params.attn)
+        v = H.update_context(None, p, docs, state.v)
         cell = params.cell
         pre = T.add(None, T.matmul(None, cell.input_w, T.constant([0.3])),
                     T.matmul(None, cell.state_w, state.h))
@@ -204,7 +202,7 @@ class TestCellStep:
         x = 0.7
         state = C.MsinState(c=T.constant([c_prev]), h=T.constant([h_prev]),
                             v=T.constant([0.1]), p=None)
-        out = C.cell_step(None, T.constant([x]), state, docs_of(s),
+        out = H.cell_step(None, T.constant([x]), state, docs_of(s),
                           np.ones(2, dtype=bool), params)
 
         def w(t):
@@ -234,31 +232,31 @@ class TestRunSequence:
     def test_single_step_window(self):
         params = make_params(seed=8)
         docs = docs_of(np.random.default_rng(14).normal(size=(3, 4)))
-        hiddens, trace = C.run_sequence(None, np.ones((1, 1)), docs,
-                                        np.ones(3, dtype=bool), params)
+        hiddens, masses = H.run_sequence(None, np.ones((1, 1)), docs,
+                                         np.ones(3, dtype=bool), params)
         assert hiddens.shape == (1, 3)
-        assert len(trace.per_step) == 1
-        assert trace.final is trace.per_step[0]
+        assert len(masses) == 1
+        assert masses[-1] is masses[0]
 
     def test_shape_contract_across_doc_counts(self):
         params = make_params(seed=9)
         rng = np.random.default_rng(15)
         for n in (1, 2, 7, 25):
             docs = docs_of(rng.normal(size=(n, 4)))
-            hiddens, trace = C.run_sequence(None, rng.normal(size=(5, 1)), docs,
-                                            np.ones(n, dtype=bool), params)
+            hiddens, masses = H.run_sequence(None, rng.normal(size=(5, 1)), docs,
+                                             np.ones(n, dtype=bool), params)
             assert hiddens.shape == (5, 3)
-            assert len(trace.per_step) == 5
-            assert all(p.shape == (n,) for p in trace.per_step)
+            assert len(masses) == 5
+            assert all(p.shape == (n,) for p in masses)
 
     def test_constant_inputs_closed_form(self):
         """Identical docs: every p is uniform and v follows s*(1 - 2^-l)."""
         params = make_params(seed=10)
         row = np.random.default_rng(16).normal(size=4).astype(np.float32)
         docs = docs_of(np.tile(row, (3, 1)))
-        state = C.init_states(None, docs, params)
+        state = H.init_states(None, docs, params)
         for step in range(1, 9):
-            state = C.cell_step(None, T.constant([0.2]), state, docs,
+            state = H.cell_step(None, T.constant([0.2]), state, docs,
                                 np.ones(3, dtype=bool), params)
             np.testing.assert_allclose(state.p.data, np.full(3, 1 / 3),
                                        rtol=0, atol=1e-6)
@@ -269,9 +267,9 @@ class TestRunSequence:
     def test_single_document_collapse(self):
         params = make_params(seed=11)
         docs = docs_of(np.random.default_rng(17).normal(size=(1, 4)))
-        _, trace = C.run_sequence(None, np.random.default_rng(18).normal(size=(4, 1)),
-                                  docs, np.array([True]), params)
-        for p in trace.per_step:
+        _, masses = H.run_sequence(None, np.random.default_rng(18).normal(size=(4, 1)),
+                                   docs, np.array([True]), params)
+        for p in masses:
             np.testing.assert_allclose(p.data, [1.0], rtol=0, atol=0)
 
     def test_document_permutation_equivariance(self):
@@ -280,14 +278,14 @@ class TestRunSequence:
         rng = np.random.default_rng(19)
         S = rng.normal(size=(6, 4)).astype(np.float32)
         window = rng.normal(size=(4, 1))
-        base_h, base_tr = C.run_sequence(None, window, docs_of(S),
-                                         np.ones(6, dtype=bool), params)
+        base_h, base_masses = H.run_sequence(None, window, docs_of(S),
+                                             np.ones(6, dtype=bool), params)
         for seed in range(8):
             perm = np.random.default_rng(seed).permutation(6)
-            h, tr = C.run_sequence(None, window, docs_of(S[perm]),
-                                   np.ones(6, dtype=bool), params)
+            h, masses = H.run_sequence(None, window, docs_of(S[perm]),
+                                       np.ones(6, dtype=bool), params)
             assert h.data.tobytes() == base_h.data.tobytes()
-            for pa, pb in zip(tr.per_step, base_tr.per_step):
+            for pa, pb in zip(masses, base_masses):
                 assert pa.data.tobytes() == pb.data[perm].tobytes()
 
     def test_full_cell_gradients(self):
@@ -308,12 +306,12 @@ class TestRunSequence:
                 init_c_w=ts[0], init_c_b=ts[1], init_h_w=ts[2], init_h_b=ts[3],
                 attn=C.AttentionParams(ts[4], ts[5], ts[6], ts[7]),
                 cell=LSTMParams(ts[8], ts[9], ts[10], ts[11]))
-            docs = DocRepresentation(vectors=ts[12], word_attention=[])
-            hiddens, _ = C.run_sequence(tape, window, docs, np.ones(2, dtype=bool),
+            docs = H.docs_of(ts[12])
+            hiddens, _ = H.run_sequence(tape, window, docs, np.ones(2, dtype=bool),
                                         rebuilt)
             return T.sum_all(tape, T.hadamard(tape, hiddens, w))
 
-        assert T.grad_check(loss, leaves) < 1e-4
+        assert H.grad_check(loss, leaves) < 1e-4
 
 
 class TestPlainReduction:
@@ -325,9 +323,9 @@ class TestPlainReduction:
             params.cell.ctx_w.data[...] = 0.0
             docs = docs_of(rng.normal(size=(3, 4)))
             window = rng.normal(size=(4, 1))
-            full, _ = C.run_sequence(None, window, docs, np.ones(3, dtype=bool),
+            full, _ = H.run_sequence(None, window, docs, np.ones(3, dtype=bool),
                                      params)
-            state0 = C.init_states(None, docs, params)
-            plain = C.run_plain_sequence(None, window, params.cell,
+            state0 = H.init_states(None, docs, params)
+            plain = H.run_plain_sequence(None, window, params.cell,
                                          state0.c, state0.h)
             assert full.data.tobytes() == plain.data.tobytes()

@@ -5,12 +5,14 @@ and the files left behind. Fixture mass vectors mirror the published ranking
 tables the selection rule was calibrated against.
 """
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+import msin.cli as cli
 import msin.data as D
 import msin.model as M
 import msin.training as TR
@@ -214,6 +216,26 @@ def test_train_requires_paths(capsys):
     assert "--corpus" in err and "--series" in err
 
 
+def test_train_flags_are_the_config_fields():
+    """Every ModelConfig field and every TrainConfig field but the Adam
+    constants is a train flag, defaulting to the dataclass default."""
+    parser = cli.build_parser()
+    table = cli._train_table()
+    merged = cli._merge(parser.parse_args(["train"]), table)
+    hidden = {"beta1", "beta2", "eps"}
+    for cls in (M.ModelConfig, TR.TrainConfig):
+        for f in dataclasses.fields(cls):
+            if f.name in hidden:
+                assert f.name not in merged
+                continue
+            assert merged[f.name] == f.default, f.name
+            flag = "--" + f.name.replace("_", "-")
+            args = parser.parse_args(["train", flag, str(f.default)])
+            assert cli._merge(args, table)[f.name] == f.default, f.name
+    assert cli._build_config(M.ModelConfig, merged) == M.ModelConfig()
+    assert cli._build_config(TR.TrainConfig, merged) == TR.TrainConfig()
+
+
 def test_train_rejects_mixed_split_options(tmp_path):
     corpus, series = make_dataset(tmp_path / "data", days=20)
     rc = main(["train", "--corpus", corpus, "--series", series,
@@ -370,12 +392,6 @@ def test_gradcheck_single_variant_passes(capsys):
     assert "variant msin" in out
     assert "head.bias" in out
     assert "gradcheck pass" in out
-
-
-def test_gradcheck_rejects_dropout(capsys):
-    rc = main(["gradcheck", "--dropout-rate", "0.2"])
-    assert rc == 3
-    assert "deterministic" in capsys.readouterr().err
 
 
 def test_gradcheck_unknown_variant_is_usage_error():

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from msin import cell as C
 from msin import model as M
 from msin import tensor as T
 from msin import text_encoder as TE
+
+import helpers as H
 
 
 def tiny_config(variant="msin", **kw) -> M.ModelConfig:
@@ -98,7 +99,7 @@ class TestForwardMsin:
         config = tiny_config()
         params = M.init_model(config, seed=3)
         sample = make_sample(2, n=1)
-        docs = TE.encode_documents(None, sample.docs, params.embedding,
+        docs = TE.encode_documents(None, [sample.docs], params.embedding,
                                    params.encoder)
         pred = M.forward(None, sample, params, config)
         np.testing.assert_allclose(pred.relevance.data, [1.0], rtol=0, atol=0)
@@ -112,16 +113,16 @@ class TestForwardMsin:
         sample = make_sample(3, n=3)
         pred = M.forward(None, sample, params, config)
 
-        docs = TE.encode_documents(None, sample.docs, params.embedding,
+        docs = TE.encode_documents(None, [sample.docs], params.embedding,
                                    params.encoder)
         mask = np.ones(docs.n, dtype=bool)
-        hiddens, trace2 = C.run_sequence(None, sample.values_n, docs, mask,
+        hiddens, masses = H.run_sequence(None, sample.values_n, docs, mask,
                                          params.msin)
-        u_txt = docs.vectors.data.astype(np.float64).T @ trace2.final.data
+        u_txt = docs.vectors.data.astype(np.float64).T @ masses[-1].data
         feat = np.concatenate([hiddens.data[-1].astype(np.float64), u_txt])
         want = params.head_w.data.astype(np.float64) @ feat + params.head_b.data
         np.testing.assert_allclose(pred.value.data, want, rtol=0, atol=1e-6)
-        np.testing.assert_allclose(pred.relevance.data, trace2.final.data,
+        np.testing.assert_allclose(pred.relevance.data, masses[-1].data,
                                    rtol=0, atol=0)
 
     def test_eval_mode_is_bitwise_deterministic(self):
@@ -162,13 +163,13 @@ class TestForwardLstmWo:
         sample = make_sample(7, n=3)
         pred = M.forward(None, sample, params, config)
 
-        docs = TE.encode_documents(None, sample.docs, params.embedding,
+        docs = TE.encode_documents(None, [sample.docs], params.embedding,
                                    params.encoder)
         zeros = T.constant(np.zeros(config.d_s))
-        hiddens = C.run_plain_sequence(None, sample.values_n, params.cell,
+        hiddens = H.run_plain_sequence(None, sample.values_n, params.cell,
                                        zeros, zeros)
         h_m = T.constant(hiddens.data[-1])
-        p = C.attend(None, h_m, docs, np.ones(3, dtype=bool), params.align)
+        p = H.attend(None, h_m, docs, np.ones(3, dtype=bool), params.align)
         u_txt = docs.vectors.data.astype(np.float64).T @ p.data
         feat = np.concatenate([hiddens.data[-1].astype(np.float64), u_txt])
         want = params.head_w.data.astype(np.float64) @ feat + params.head_b.data
@@ -244,10 +245,10 @@ class TestForwardLstmPar:
         params = M.init_model(config, seed=14)
         sample = make_sample(12, n=3)
         pred = M.forward(None, sample, params, config)
-        docs = TE.encode_documents(None, sample.docs, params.embedding,
+        docs = TE.encode_documents(None, [sample.docs], params.embedding,
                                    params.encoder)
         zeros = T.constant(np.zeros(config.d_s))
-        hiddens = C.run_plain_sequence(None, sample.values_n, params.cell,
+        hiddens = H.run_plain_sequence(None, sample.values_n, params.cell,
                                        zeros, zeros)
         pooled = docs.vectors.data.astype(np.float64).mean(axis=0)
         text = np.tanh(params.text_w.data.astype(np.float64) @ pooled
@@ -339,7 +340,7 @@ class TestFullModelGradients:
             pred = M.forward(tape, sample, bound, config)
             return M.loss(tape, pred, sample, bound, config)
 
-        assert T.grad_check(build_loss, [t for _, t, _ in rows]) < 1e-4
+        assert H.grad_check(build_loss, [t for _, t, _ in rows]) < 1e-4
 
 
 def ragged_batch(seed, count=6, cap=4, K=4, m=2):
@@ -445,3 +446,39 @@ class TestBatchedForward:
             others = ragged_batch(10 + seed, count=1 + seed)
             batch = M.forward_batch(None, [first] + others, params, config)
             np.testing.assert_allclose(batch.relevance.data[0, :2], alone, **self.F32)
+
+
+# The benchmark's recovery and long-window configs, forward-only as in eval
+# and rank: (config fields, documents per day, longest document).
+INVARIANCE_CONFIGS = {
+    "recovery": (dict(d_s=16, d_h=8, d_w=16, vocab_size=64, m=5, max_tokens=8,
+                      daily_doc_cap=10), (10, 3, 1, 7, 10, 5, 2, 8), 8),
+    "long_window": (dict(d_s=64, d_h=8, d_w=16, vocab_size=64, m=30, max_tokens=8,
+                         daily_doc_cap=10), (3, 2, 1, 3, 2, 3), 5),
+}
+
+
+class TestBatchInvariance:
+    """A sample's value and final masses are bit-identical alone and inside a
+    ragged batch: ``msin rank`` runs one day, ``msin eval`` batches of days,
+    and the two must rank alike."""
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_CONFIGS))
+    def test_alone_equals_inside_a_ragged_batch(self, name, variant):
+        fields, doc_counts, K = INVARIANCE_CONFIGS[name]
+        config = M.ModelConfig(variant=variant, **fields)
+        params = M.init_model(config, seed=31)
+        samples = [make_sample(300 + b, n=n, K=K, m=config.m, vocab=64)
+                   for b, n in enumerate(doc_counts)]
+        batch = M.forward_batch(None, samples, params, config)
+        for b, s in enumerate(samples):
+            alone = M.forward(None, s, params, config)
+            assert batch.value.data[b].tobytes() == alone.value.data.tobytes()
+            if variant == "lstm_par":
+                assert batch.relevance is None and alone.relevance is None
+                continue
+            n = doc_counts[b]
+            assert batch.relevance.data[b, :n].tobytes() == \
+                alone.relevance.data.tobytes()
+            assert np.all(batch.relevance.data[b, n:] == 0.0)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from msin import tensor as T
 
+import helpers as H
+
 
 def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop float64 matrix product, the oracle for the matmul op."""
@@ -45,12 +47,6 @@ class TestTensorBasics:
     def test_integer_input_stored_as_float32(self):
         t = T.constant([1, 2, 3])
         assert t.data.dtype == np.float32
-
-    def test_zero_grad_clears(self):
-        t = T.parameter(np.ones(3), "w")
-        t.grad = np.ones(3, dtype=np.float32)
-        t.zero_grad()
-        assert t.grad is None
 
 
 class TestMatmul:
@@ -209,20 +205,25 @@ class TestReductionsAndRearrangement:
 class TestMaskedSoftmax:
     def test_known_values(self):
         """exp(ln 2) = 2 against two exp(0) = 1 gives probabilities 1/2, 1/4, 1/4."""
-        logits = T.constant([np.log(2.0), 0.0, 0.0])
-        p = T.masked_softmax(None, logits, np.array([True, True, True]))
-        np.testing.assert_allclose(p.data, [0.5, 0.25, 0.25], rtol=0, atol=1e-7)
+        logits = T.constant([[np.log(2.0), 0.0, 0.0]])
+        p = T.masked_softmax(None, logits, np.array([[True, True, True]]))
+        np.testing.assert_allclose(p.data, [[0.5, 0.25, 0.25]], rtol=0, atol=1e-7)
 
     def test_masked_entries_exactly_zero(self):
-        logits = T.constant([5.0, 1.0, -2.0, 0.3])
-        mask = np.array([True, False, True, False])
-        p = T.masked_softmax(None, logits, mask).data
+        logits = T.constant([[5.0, 1.0, -2.0, 0.3]])
+        mask = np.array([[True, False, True, False]])
+        p = T.masked_softmax(None, logits, mask).data[0]
         assert p[1] == 0.0 and p[3] == 0.0
         np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
 
     def test_degenerate_mask_raises(self):
         with pytest.raises(T.DegenerateMaskError):
-            T.masked_softmax(None, T.constant([1.0, 2.0]), np.array([False, False]))
+            T.masked_softmax(None, T.constant([[1.0, 2.0]]), np.array([[False, False]]))
+
+    def test_rank_one_logits_rejected(self):
+        """Rows are the one input form; a single row is a batch of one."""
+        with pytest.raises(T.ShapeError):
+            T.masked_softmax(None, T.constant([1.0, 2.0]), np.array([True, True]))
 
     def test_rowwise_normalization(self):
         logits = T.constant(np.zeros((2, 3), dtype=np.float32))
@@ -235,8 +236,8 @@ class TestMaskedSoftmax:
             T.masked_softmax(None, logits, mask)
 
     def test_large_logits_do_not_overflow(self):
-        p = T.masked_softmax(None, T.constant([800.0, 799.0, -800.0]),
-                             np.ones(3, dtype=bool)).data
+        p = T.masked_softmax(None, T.constant([[800.0, 799.0, -800.0]]),
+                             np.ones((1, 3), dtype=bool)).data
         assert np.all(np.isfinite(p))
         np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
 
@@ -248,7 +249,7 @@ class TestMaskedSoftmax:
         logits = T.constant(_rand(rng, n) * 10)
         mask = rng.random(n) < 0.6
         mask[rng.integers(n)] = True
-        p = T.masked_softmax(None, logits, mask).data
+        p = T.masked_softmax(None, T.reshape(None, logits, (1, n)), mask[None]).data[0]
         assert np.all(p[~mask] == 0.0)
         assert np.all(p >= 0.0)
         np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
@@ -258,10 +259,11 @@ class TestMaskedSoftmax:
         logits = _rand(rng, 9).astype(np.float32)
         mask = np.ones(9, dtype=bool)
         mask[3] = False
-        base = T.masked_softmax(None, T.constant(logits), mask).data
+        base = T.masked_softmax(None, T.constant(logits[None]), mask[None]).data[0]
         for seed in range(10):
             perm = np.random.default_rng(seed).permutation(9)
-            permed = T.masked_softmax(None, T.constant(logits[perm]), mask[perm]).data
+            permed = T.masked_softmax(None, T.constant(logits[None, perm]),
+                                      mask[None, perm]).data[0]
             assert permed.tobytes() == base[perm].tobytes()
 
 
@@ -289,7 +291,7 @@ class TestBackward:
         def loss(tape, leaves):
             return T.sum_all(tape, T.tanh(tape, T.matmul(tape, leaves[0], x)))
 
-        assert T.grad_check(loss, [T.parameter(w0, "w")]) < 1e-7
+        assert H.grad_check(loss, [T.parameter(w0, "w")]) < 1e-7
 
     def test_reused_tensor_accumulates_exactly(self):
         x = T.parameter(np.array([1.5, -2.0], dtype=np.float32), "x")
@@ -321,7 +323,7 @@ class TestBackward:
 def _leaf_grads(build, leaves, seed):
     """Output bytes and every leaf gradient's bytes after one backward pass."""
     for t in leaves:
-        t.zero_grad()
+        t.grad = None
     tape = T.Tape()
     outs = build(tape, leaves)
     rng = np.random.default_rng(seed)
@@ -335,15 +337,14 @@ class TestFusedOps:
     """linear, lstm_gates, weighted_sum, blend and add_bias by rows against the
     ops they fuse."""
 
-    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
     def test_linear_bitwise_matches_matmul_add_chain(self, rows, n_terms):
         rng = np.random.default_rng(40 + n_terms)
-        shape = (5,) if rows is None else (rows, 5)
         leaves = []
         for k in range(n_terms):
             leaves += [T.parameter(_rand(rng, 8, 4 + k), "w%d" % k),
-                       T.parameter(_rand(rng, *shape[:-1], 4 + k), "x%d" % k)]
+                       T.parameter(_rand(rng, rows, 4 + k), "x%d" % k)]
         leaves.append(T.parameter(_rand(rng, 8), "b"))
 
         def fused(tape, ls):
@@ -354,11 +355,8 @@ class TestFusedOps:
             acc = None
             for k in range(n_terms):
                 w, x = ls[2 * k], ls[2 * k + 1]
-                p = T.matmul(tape, w, x) if rows is None else \
-                    T.matmul(tape, x, w, transpose_b=True)
+                p = T.matmul(tape, x, w, transpose_b=True)
                 acc = p if acc is None else T.add(tape, acc, p)
-            if rows is None:
-                return [T.add(tape, acc, ls[-1])]
             return [T.add_bias(tape, acc, ls[-1])]
 
         assert _leaf_grads(fused, leaves, 1) == _leaf_grads(chain, leaves, 1)
@@ -391,7 +389,8 @@ class TestFusedOps:
         leaves.append(T.parameter(_rand(rng, 3, 4), "beta"))
 
         def fused(tape, ls):
-            return [T.weighted_sum(tape, ls[:-1], ls[-1])]
+            grid = T.reshape(tape, T.concat(tape, ls[:-1], axis=1), (3, 4, 5))
+            return [T.weighted_sum(tape, grid, ls[-1])]
 
         def chain(tape, ls):
             beta = ls[-1]
@@ -412,9 +411,12 @@ class TestFusedOps:
             return [T.weighted_sum(tape, ls[0], ls[1])]
 
         def split(tape, ls):
-            rows = [T.reshape(tape, T.narrow(tape, ls[0], 1, j, j + 1), (3, 5))
-                    for j in range(4)]
-            return [T.weighted_sum(tape, rows, ls[1])]
+            beta = ls[1]
+            return [T.sum_stack(tape, [
+                T.row_scale(tape,
+                            T.reshape(tape, T.narrow(tape, ls[0], 1, j, j + 1), (3, 5)),
+                            T.reshape(tape, T.narrow(tape, beta, 1, j, j + 1), (3,)))
+                for j in range(4)])]
 
         assert _leaf_grads(stacked, leaves, 3) == _leaf_grads(split, leaves, 3)
 
@@ -457,49 +459,54 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError):
             T.linear(None, [], b)
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones(5)))], b)
+            T.linear(None, [(w, T.constant(np.ones((1, 5))))], b)
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones(4))),
+            T.linear(None, [(w, T.constant(np.ones((1, 4)))),
                             (w, T.constant(np.ones((2, 4))))], b)
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones(4)))], T.constant(np.ones(7)))
+            T.linear(None, [(w, T.constant(np.ones((1, 4))))], T.constant(np.ones(7)))
         with pytest.raises(T.ShapeError):
             T.lstm_gates(None, T.constant(np.ones(10)), T.constant(np.ones(2)))
         with pytest.raises(T.ShapeError):
             T.lstm_gates(None, T.constant(np.ones(8)), T.constant(np.ones(3)))
         with pytest.raises(T.ShapeError):
-            T.weighted_sum(None, [T.constant(np.ones((3, 2)))] * 2,
+            T.weighted_sum(None, T.constant(np.ones((3, 2, 2))),
                            T.constant(np.ones((3, 3))))
         with pytest.raises(T.ShapeError):
-            T.weighted_sum(None, [T.constant(np.ones((3, 2))),
-                                  T.constant(np.ones((3, 4)))],
+            T.weighted_sum(None, T.constant(np.ones((3, 2))),
                            T.constant(np.ones((3, 2))))
         with pytest.raises(T.ShapeError):
             T.blend(None, np.ones((3, 2)), T.constant(np.ones((3, 2))),
                     T.constant(np.ones((3, 3))))
 
+    def test_linear_rejects_a_vector_input(self):
+        """Rows are the one input form; a single input is a batch of one."""
+        w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, [(w, T.constant(np.ones(4)))], b)
+
 
 class TestDropout:
     def test_zero_rate_is_identity_object(self):
-        x = T.constant(np.ones(4))
-        assert T.dropout(None, x, 0.0, np.random.default_rng(0)) is x
+        x = T.constant(np.ones((1, 4)))
+        assert T.dropout(None, x, 0.0, [np.random.default_rng(0)]) is x
 
     def test_kept_entries_rescaled(self):
-        x = T.constant(np.ones(1000))
-        out = T.dropout(None, x, 0.25, np.random.default_rng(1)).data
+        x = T.constant(np.ones((1, 1000)))
+        out = T.dropout(None, x, 0.25, [np.random.default_rng(1)]).data
         kept = out[out != 0]
         np.testing.assert_allclose(kept, 4.0 / 3.0, rtol=1e-6, atol=0)
         assert abs(out.mean() - 1.0) < 0.1
 
     def test_rate_bounds(self):
-        x = T.constant(np.ones(4))
+        x = T.constant(np.ones((1, 4)))
         with pytest.raises(T.ContractError):
-            T.dropout(None, x, 1.0, np.random.default_rng(0))
+            T.dropout(None, x, 1.0, [np.random.default_rng(0)])
 
     def test_gradient_uses_same_mask(self):
-        x = T.parameter(np.ones(64), "x")
+        x = T.parameter(np.ones((1, 64)), "x")
         tape = T.Tape()
-        out = T.dropout(tape, x, 0.5, np.random.default_rng(2))
+        out = T.dropout(tape, x, 0.5, [np.random.default_rng(2)])
         tape.backward(T.sum_all(tape, out))
         np.testing.assert_allclose(x.grad, out.data, rtol=0, atol=0)
 
@@ -508,8 +515,8 @@ class TestDropout:
         x = T.constant(_rand(np.random.default_rng(3), 3, 5))
         rows = T.dropout(None, x, 0.4, [np.random.default_rng(b) for b in range(3)])
         for b in range(3):
-            alone = T.dropout(None, T.constant(x.data[b]), 0.4,
-                              np.random.default_rng(b))
+            alone = T.dropout(None, T.constant(x.data[b:b + 1]), 0.4,
+                              [np.random.default_rng(b)])
             assert rows.data[b].tobytes() == alone.data.tobytes()
         with pytest.raises(T.ShapeError):
             T.dropout(None, x, 0.4, [np.random.default_rng(0)] * 2)
@@ -563,7 +570,7 @@ class TestGradCheckPerOp:
             return T.sum_all(tape, T.hadamard(tape, prod, w))
 
         params = [T.parameter(_rand(rng, r, c), "a"), T.parameter(_rand(rng, c, k), "b")]
-        assert T.grad_check(loss, params) < 1e-6
+        assert H.grad_check(loss, params) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
@@ -574,7 +581,7 @@ class TestGradCheckPerOp:
         for op in (T.tanh, T.sigmoid, T.absolute):
             def loss(tape, leaves, op=op):
                 return T.sum_all(tape, T.hadamard(tape, op(tape, leaves[0]), w))
-            assert T.grad_check(loss, [T.parameter(x0, "x")]) < 1e-6
+            assert H.grad_check(loss, [T.parameter(x0, "x")]) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4), q=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
@@ -588,7 +595,7 @@ class TestGradCheckPerOp:
             return T.sum_all(tape, T.hadamard(tape, out, w))
 
         params = [T.parameter(_rand(rng, p, q), "m"), T.parameter(_rand(rng, q), "b")]
-        assert T.grad_check(loss, params) < 1e-6
+        assert H.grad_check(loss, params) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
     @settings(max_examples=25, deadline=None)
@@ -599,10 +606,10 @@ class TestGradCheckPerOp:
         w = T.constant(_rand(rng, n), dtype=np.float64)
 
         def loss(tape, leaves):
-            p = T.masked_softmax(tape, leaves[0], mask)
-            return T.sum_all(tape, T.hadamard(tape, p, w))
+            p = T.masked_softmax(tape, T.reshape(tape, leaves[0], (1, n)), mask[None])
+            return T.sum_all(tape, T.hadamard(tape, T.reshape(tape, p, (n,)), w))
 
-        assert T.grad_check(loss, [T.parameter(_rand(rng, n) * 3, "z")]) < 1e-6
+        assert H.grad_check(loss, [T.parameter(_rand(rng, n) * 3, "z")]) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -619,7 +626,7 @@ class TestGradCheckPerOp:
             return T.sum_all(tape, T.hadamard(tape, back, w))
 
         params = [T.parameter(_rand(rng, 3, 2), "a"), T.parameter(_rand(rng, 3, 2), "b")]
-        assert T.grad_check(loss, params) < 1e-6
+        assert H.grad_check(loss, params) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), c=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
@@ -634,7 +641,7 @@ class TestGradCheckPerOp:
 
         params = [T.parameter(_rand(rng, r, c), "a"), T.parameter(_rand(rng, r, c), "b"),
                   T.parameter(_rand(rng, r), "v")]
-        assert T.grad_check(loss, params) < 1e-6
+        assert H.grad_check(loss, params) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), y=st.sampled_from([0.0, 1.0]))
     @settings(max_examples=25, deadline=None)
@@ -644,25 +651,25 @@ class TestGradCheckPerOp:
         def loss(tape, leaves):
             return T.bce_with_logit(tape, leaves[0], y)
 
-        assert T.grad_check(loss, [T.parameter(_rand(rng, 1) * 2, "z")]) < 1e-6
+        assert H.grad_check(loss, [T.parameter(_rand(rng, 1) * 2, "z")]) < 1e-6
 
     def test_dropout_with_replayed_mask(self):
         rng = np.random.default_rng(11)
-        x0 = _rand(rng, 8)
+        x0 = _rand(rng, 1, 8)
 
         def loss(tape, leaves):
-            out = T.dropout(tape, leaves[0], 0.4, np.random.default_rng(123))
+            out = T.dropout(tape, leaves[0], 0.4, [np.random.default_rng(123)])
             return T.sum_all(tape, out)
 
-        assert T.grad_check(loss, [T.parameter(x0, "x")]) < 1e-6
+        assert H.grad_check(loss, [T.parameter(x0, "x")]) < 1e-6
 
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fused_ops(self, seed):
-        """linear (row and vector forms), lstm_gates, blend and weighted_sum."""
+        """linear (many rows and one), lstm_gates, blend and weighted_sum."""
         rng = np.random.default_rng(700 + seed)
         v = T.constant(_rand(rng, 2, 3), dtype=np.float64)
-        u = T.constant(_rand(rng, 12), dtype=np.float64)
+        u = T.constant(_rand(rng, 1, 12), dtype=np.float64)
         keep = np.array([[1, 0, 1], [0, 1, 1]])
 
         def loss(tape, leaves):
@@ -670,9 +677,9 @@ class TestGradCheckPerOp:
             pre = T.linear(tape, [(wx, x), (wh, h)], b)          # [2, 12]
             h1, c1 = T.lstm_gates(tape, pre, c)                  # [2, 3] each
             carried = T.blend(tape, keep, h1, c)                 # [2, 3]
-            mixed = T.weighted_sum(tape, [carried, c1], beta)    # [2, 3]
-            h0 = T.reshape(tape, T.narrow(tape, h, 0, 0, 1), (3,))
-            one = T.linear(tape, [(wh, h0)], b)                  # [12]
+            grid = T.reshape(tape, T.concat(tape, [carried, c1], axis=1), (2, 2, 3))
+            mixed = T.weighted_sum(tape, grid, beta)             # [2, 3]
+            one = T.linear(tape, [(wh, T.narrow(tape, h, 0, 0, 1))], b)  # [1, 12]
             return T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, mixed, v)),
                                       T.sum_all(tape, T.hadamard(tape, one, u))])
 
@@ -680,7 +687,7 @@ class TestGradCheckPerOp:
                   T.parameter(_rand(rng, 12, 3), "wh"), T.parameter(_rand(rng, 2, 3), "h"),
                   T.parameter(_rand(rng, 12), "b"), T.parameter(_rand(rng, 2, 3), "c"),
                   T.parameter(_rand(rng, 2, 2), "beta")]
-        assert T.grad_check(loss, params) < 1e-6
+        assert H.grad_check(loss, params) < 1e-6
 
 def _skewed(tape, op, *args):
     """Call ``op`` with every gradient its backward returns scaled by 1 + 1e-3."""
@@ -731,14 +738,14 @@ def _mutation_cases():
         "reshape": ([r(2, 3)], lambda c, L: c(T.reshape, L[0], (3, 2))),
         "row_scale": ([r(2, 3), r(2)], lambda c, L: c(T.row_scale, L[0], L[1])),
         "sum_stack": ([r(2, 3), r(2, 3)], lambda c, L: c(T.sum_stack, L)),
-        "weighted_sum": ([r(2, 3), r(2, 3), r(2, 2)],
-                         lambda c, L: c(T.weighted_sum, L[:2], L[2])),
+        "weighted_sum": ([r(2, 2, 3), r(2, 2)],
+                         lambda c, L: c(T.weighted_sum, L[0], L[1])),
         "take_rows": ([r(3, 2)], lambda c, L: c(
             T.take_rows, L[0], np.array([2, 0, 2]))),
         "masked_softmax": ([r(2, 4) * 3], lambda c, L: c(
             T.masked_softmax, L[0], mask)),
         "dropout": ([r(2, 3)], lambda c, L: c(
-            T.dropout, L[0], 0.4, np.random.default_rng(123))),
+            T.dropout, L[0], 0.4, [np.random.default_rng(s) for s in (123, 124)])),
         "bce_with_logit": ([r(3) * 2], lambda c, L: c(
             T.bce_with_logit, L[0], [1.0, 0.0, 1.0])),
     }
@@ -765,8 +772,8 @@ class TestGradCheckMutation:
         def leaves():
             return [T.parameter(a, "x%d" % i) for i, a in enumerate(arrays)]
 
-        assert T.grad_check(build(False), leaves()) < 1e-6
-        assert T.grad_check(build(True), leaves()) > 1e-4
+        assert H.grad_check(build(False), leaves()) < 1e-6
+        assert H.grad_check(build(True), leaves()) > 1e-4
 
 
 class TestGradCheckHarness:
@@ -778,7 +785,7 @@ class TestGradCheckHarness:
             return T.scale(tape, T.sum_all(tape, leaves[0]), float(calls["n"]))
 
         with pytest.raises(T.DeterminismError):
-            T.grad_check(loss, [T.parameter(np.ones(2), "x")])
+            H.grad_check(loss, [T.parameter(np.ones(2), "x")])
 
     def test_reports_per_tensor_errors(self):
         def loss(tape, leaves):

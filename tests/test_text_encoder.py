@@ -12,6 +12,7 @@ from msin import text_encoder as TE
 from msin.rng import substream
 
 import encoder_oracle as oracle
+import helpers as H
 
 
 def _sig(x):
@@ -179,7 +180,7 @@ class TestEncodeDocuments:
         table, params = make_params(seed=9)
         ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0], [4, 4, 4, 4]])
         lengths = np.array([3, 2, 4])
-        got = TE.encode_documents(None, batch_of(ids, lengths), table, params)
+        got = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         assert got.vectors.shape == (3, 4)
         for j in range(3):
             embeds = TE.embed_lookup(None, ids[j], table)
@@ -192,7 +193,7 @@ class TestEncodeDocuments:
     def test_duplicated_document_identical_rows(self):
         table, params = make_params(seed=10)
         ids = np.array([[2, 5, 3], [2, 5, 3]])
-        got = TE.encode_documents(None, batch_of(ids, [3, 3]), table, params)
+        got = TE.encode_documents(None, [batch_of(ids, [3, 3])], table, params)
         assert got.vectors.data[0].tobytes() == got.vectors.data[1].tobytes()
 
     def test_padding_invariance_bitwise(self):
@@ -200,9 +201,9 @@ class TestEncodeDocuments:
         table, params = make_params(seed=11)
         ids = np.array([[2, 3, 0, 0], [4, 5, 6, 0]])
         lengths = [2, 3]
-        narrow = TE.encode_documents(None, batch_of(ids, lengths), table, params)
+        narrow = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         wide_ids = np.concatenate([ids, np.zeros((2, 3), dtype=ids.dtype)], axis=1)
-        wide = TE.encode_documents(None, batch_of(wide_ids, lengths), table, params)
+        wide = TE.encode_documents(None, [batch_of(wide_ids, lengths)], table, params)
         assert narrow.vectors.data.tobytes() == wide.vectors.data.tobytes()
 
     def test_document_permutation_equivariance_bitwise(self):
@@ -211,11 +212,11 @@ class TestEncodeDocuments:
         ids = rng.integers(2, 7, size=(5, 4))
         lengths = rng.integers(1, 5, size=5)
         ids[np.arange(4)[None, :] >= lengths[:, None]] = TE.PAD_ID
-        base = TE.encode_documents(None, batch_of(ids, lengths), table, params)
+        base = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(5)
             permed = TE.encode_documents(
-                None, batch_of(ids[perm], lengths[perm]), table, params)
+                None, [batch_of(ids[perm], lengths[perm])], table, params)
             assert permed.vectors.data.tobytes() == base.vectors.data[perm].tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
@@ -226,7 +227,7 @@ class TestEncodeDocuments:
         lengths = rng.integers(1, 5, size=n)
         ids = rng.integers(2, 7, size=(n, 4))
         ids[np.arange(4)[None, :] >= lengths[:, None]] = TE.PAD_ID
-        got = TE.encode_documents(None, batch_of(ids, lengths), table, params)
+        got = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         for j in range(n):
             beta = got.word_attention[j]
             assert beta.shape == (lengths[j],)
@@ -244,7 +245,7 @@ class TestEncodeDocuments:
         assert got.counts == (2, 1, 3)
         lo = 0
         for day in days:
-            alone = TE.encode_documents(None, day, table, params, pool_divisor=divisor)
+            alone = TE.encode_documents(None, [day], table, params, pool_divisor=divisor)
             rows = got.vectors.data[lo:lo + alone.n]
             np.testing.assert_allclose(rows, alone.vectors.data, rtol=1e-6, atol=1e-7)
             for a, b in zip(got.word_attention[lo:lo + alone.n], alone.word_attention):
@@ -257,8 +258,8 @@ class TestEncodeDocuments:
     def test_empty_day_and_empty_document_rejected(self):
         table, params = make_params()
         with pytest.raises(TE.EmptyDocumentError):
-            TE.encode_documents(None, batch_of(np.zeros((1, 3), dtype=np.int64), [0]),
-                                table, params)
+            TE.encode_documents(
+                None, [batch_of(np.zeros((1, 3), dtype=np.int64), [0])], table, params)
 
     def test_full_encoder_gradients(self):
         """grad_check over every encoder tensor and the embedding table."""
@@ -277,10 +278,10 @@ class TestEncodeDocuments:
                 fwd=TE.LSTMParams(ts[1], ts[2], ts[3]),
                 bwd=TE.LSTMParams(ts[4], ts[5], ts[6]),
                 pool_w=ts[7], pool_bias=ts[8], pool_ctx=ts[9])
-            rep = TE.encode_documents(tape, batch_of(ids, lengths), tb, ps)
+            rep = TE.encode_documents(tape, [batch_of(ids, lengths)], tb, ps)
             return T.sum_all(tape, T.hadamard(tape, rep.vectors, w))
 
-        assert T.grad_check(loss, leaves) < 1e-4
+        assert H.grad_check(loss, leaves) < 1e-4
 
 
 class TestEmbeddingTableInit:
