@@ -124,13 +124,19 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
+REQUIRED = object()  # the default of an option its command cannot run without
+
+
 def _add_table(parser: argparse.ArgumentParser, table: dict) -> None:
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="key=value config file")
     for key, (_conv, default, help_text) in table.items():
+        if default is REQUIRED:
+            help_text += " (required)"
+        elif default is not None:
+            help_text += " (default %s)" % (default,)
         parser.add_argument("--" + key.replace("_", "-"), dest=key,
-                            default=None, metavar="V",
-                            help="%s (default %s)" % (help_text, default))
+                            default=None, metavar="V", help=help_text)
 
 
 def _merge(args, table: dict) -> dict:
@@ -148,8 +154,8 @@ def _merge(args, table: dict) -> dict:
     return merged
 
 
-def _require(merged: dict, *keys: str) -> None:
-    missing = [k for k in keys if merged[k] is None]
+def _require(merged: dict) -> None:
+    missing = [k for k, v in merged.items() if v is REQUIRED]
     if missing:
         raise _UsageError("missing required option(s): %s"
                           % ", ".join("--" + k.replace("_", "-") for k in missing))
@@ -192,8 +198,8 @@ def _config_entries(cls) -> dict:
 
 def _train_table() -> dict:
     table = {
-        "corpus": (_c_str, None, "corpus JSONL path"),
-        "series": (_c_str, None, "series CSV path"),
+        "corpus": (_c_str, REQUIRED, "corpus JSONL path"),
+        "series": (_c_str, REQUIRED, "series CSV path"),
         "embeddings": (_c_str, None, "optional pretrained embedding file"),
         "out_dir": (_c_str, ".", "directory for checkpoint and history"),
     }
@@ -210,9 +216,9 @@ def _train_table() -> dict:
 
 def _eval_table() -> dict:
     return {
-        "checkpoint": (_c_str, None, "trained checkpoint path"),
-        "corpus": (_c_str, None, "corpus JSONL path"),
-        "series": (_c_str, None, "series CSV path"),
+        "checkpoint": (_c_str, REQUIRED, "trained checkpoint path"),
+        "corpus": (_c_str, REQUIRED, "corpus JSONL path"),
+        "series": (_c_str, REQUIRED, "series CSV path"),
         "out_dir": (_c_str, ".", "directory for report files"),
         "split": (_c_str, "test", "train, valid, test, or all"),
         "k_max": (_c_int, 5, "largest ranking depth reported"),
@@ -224,15 +230,12 @@ def _eval_table() -> dict:
 
 def _rank_table() -> dict:
     return {
-        "checkpoint": (_c_str, None, "trained checkpoint path"),
-        "corpus": (_c_str, None, "corpus JSONL path"),
-        "series": (_c_str, None, "series CSV path"),
+        "checkpoint": (_c_str, REQUIRED, "trained checkpoint path"),
+        "corpus": (_c_str, REQUIRED, "corpus JSONL path"),
+        "series": (_c_str, REQUIRED, "series CSV path"),
         "date": (_c_date, None, "day to rank; default latest eligible"),
-        "debug_masses": (_c_str, None,
-                         "comma-separated masses to rank instead of a model"),
-        "train_until": (_c_date, None, "override stored split: last train date"),
-        "valid_until": (_c_date, None, "override stored split: last valid date"),
-        "split_fracs": (_c_fracs, None, "override stored split fractions"),
+        "debug_masses": (_c_str, None, "comma-separated masses to rank "
+                         "instead of a model; no other option is then needed"),
     }
 
 
@@ -303,16 +306,14 @@ def write_history(history, path: str) -> None:
             fh.write("%d,%.17g,%s\n" % (row.step, row.train_loss, vl))
 
 
-def _load_samples_for_checkpoint(merged: dict):
-    """Rebuild samples the way the checkpointed run saw them."""
-    params, config, tcfg, meta = TR.checkpoint_load(merged["checkpoint"])
+def _load_inputs(merged: dict):
+    """Checkpoint, corpus, series, and the checkpoint's vocabulary and stats."""
+    params, config, _tcfg, meta = TR.checkpoint_load(merged["checkpoint"])
     corpus = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
     vocab = D.Vocabulary(tokens=tuple(meta["vocab"]))
     stats = D.SeriesStats(mean=meta["series_mean"], std=meta["series_std"])
-    split = _split_spec(merged, stored=meta.get("split"))
-    sset = D.make_samples(corpus, series, vocab, config, split, stats=stats)
-    return params, config, tcfg, meta, corpus, sset
+    return params, config, meta, corpus, series, vocab, stats
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     merged = _merge(args, _train_table())
-    _require(merged, "corpus", "series")
+    _require(merged)
     config = _build_config(M.ModelConfig, merged)
     tcfg = _build_config(TR.TrainConfig, merged)
     split = _split_spec(merged)
@@ -416,11 +417,12 @@ def _pick_split(sset: D.SampleSet, which: str):
 
 def cmd_eval(args) -> int:
     merged = _merge(args, _eval_table())
-    _require(merged, "checkpoint", "corpus", "series")
+    _require(merged)
     if merged["k_max"] < 1:
         raise _UsageError("k_max must be at least 1")
-    params, config, _tcfg, _meta, _corpus, sset = \
-        _load_samples_for_checkpoint(merged)
+    params, config, meta, corpus, series, vocab, stats = _load_inputs(merged)
+    split = _split_spec(merged, stored=meta.get("split"))
+    sset = D.make_samples(corpus, series, vocab, config, split, stats=stats)
     samples = _pick_split(sset, merged["split"])
     if not samples:
         raise D.DatasetError("split %r holds no samples" % merged["split"])
@@ -490,25 +492,26 @@ def cmd_rank(args) -> int:
         _print_ranking("debug input", mass, texts=None)
         return EXIT_OK
 
-    _require(merged, "checkpoint", "corpus", "series")
-    params, config, _tcfg, _meta, corpus, sset = \
-        _load_samples_for_checkpoint(merged)
-    samples = sset.train + sset.valid + sset.test
-    if merged["date"] is not None:
-        samples = [s for s in samples if s.window.date == merged["date"]]
-        if not samples:
-            raise D.DatasetError("no eligible sample on %s"
-                                 % merged["date"].isoformat())
-    sample = max(samples, key=lambda s: s.window.date)
+    _require(merged)
+    params, config, _meta, corpus, series, vocab, stats = _load_inputs(merged)
+    rows = D.series_rows(series, config)
+    date = merged["date"]
+    days = [d for d in corpus.days if d.date == date] if date else corpus.days[::-1]
+    for day in days:
+        got = D.window_day(day, series, rows, vocab, config)
+        if not isinstance(got, str):
+            break
+    else:
+        raise D.DatasetError("no eligible sample on %s" % (date or "any day"))
+    sample = D.to_sample(*got, stats)
     pred = M.forward(None, sample, params, config)
     if pred.relevance is None:
         raise D.DatasetError("variant %r assigns no relevance mass"
                              % config.variant)
 
-    day_docs = {day.date: day.docs for day in corpus.days}[sample.window.date]
-    capped = D.cap_daily_docs(day_docs, config.daily_doc_cap)
+    capped = D.cap_daily_docs(day.docs, config.daily_doc_cap)
     texts = [capped[i].text for i in sample.docs.source_idx]
-    _print_ranking(sample.window.date.isoformat(),
+    _print_ranking(day.date.isoformat(),
                    pred.relevance.data.astype(np.float64), texts)
     return EXIT_OK
 

@@ -243,48 +243,68 @@ def encode_day(docs: tuple[Document, ...], vocab: Vocabulary,
 # sample construction
 
 
+def series_rows(series: Series, config) -> dict[dt.date, int]:
+    """Each series date's row, once the column count matches the config."""
+    if series.values.shape[1] != config.series_dim:
+        raise DatasetError("series has %d columns, config expects %d"
+                           % (series.values.shape[1], config.series_dim))
+    return {d: i for i, d in enumerate(series.dates)}
+
+
+def window_day(day: Day, series: Series, rows: dict[dt.date, int],
+               vocab: Vocabulary, config) -> tuple[SeriesWindow, DocumentBatch] | str:
+    """A day's m-day window and documents, or why it yields no sample:
+    "no-docs" (none survives tokenization), "no-series" (no series row) or
+    "short-history" (fewer than m rows before it), checked in that order."""
+    batch = encode_day(cap_daily_docs(day.docs, config.daily_doc_cap),
+                       vocab, config.max_tokens)
+    if batch.n == 0:
+        return "no-docs"
+    i = rows.get(day.date)
+    if i is None:
+        return "no-series"
+    if i < config.m:
+        return "short-history"
+    return SeriesWindow(values=series.values[i - config.m:i].copy(),
+                        target=float(series.values[i, 0]),
+                        prev=float(series.values[i - 1, 0]), date=day.date), batch
+
+
+def to_sample(window: SeriesWindow, batch: DocumentBatch,
+              stats: SeriesStats) -> Sample:
+    """A window and its documents, normalized by a training run's stats."""
+    target_n = float(stats.normalize(np.asarray([[window.target]]))[0, 0])
+    return Sample(window=window, docs=batch,
+                  values_n=stats.normalize(window.values), target_n=target_n)
+
+
 def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
                  config, split: SplitSpec,
                  stats: SeriesStats | None = None) -> SampleSet:
     """Pair each documented day with its m-day window and assign splits.
 
-    A day yields a sample when the series holds m observations before it and
-    at least one of its documents survives tokenization. Everything else is
-    skipped and counted. Normalization stats come from the train split alone,
-    unless ``stats`` carries the values a trained model was fitted with, in
-    which case those are reused and the train split may be empty.
+    Days that ``window_day`` refuses are skipped and counted by reason.
+    Normalization stats come from the train split alone, unless ``stats``
+    carries the values a trained model was fitted with, in which case those
+    are reused and the train split may be empty.
     """
     if config.m < 1:
         raise DatasetError("window length m must be >= 1")
-    if series.values.shape[1] != config.series_dim:
-        raise DatasetError("series has %d columns, config expects %d"
-                           % (series.values.shape[1], config.series_dim))
-    row_of = {d: i for i, d in enumerate(series.dates)}
+    rows = series_rows(series, config)
 
     raw = []
-    skipped_no_docs = skipped_no_series = skipped_short = 0
+    skipped = Counter()
     for day in corpus.days:
-        batch = encode_day(cap_daily_docs(day.docs, config.daily_doc_cap),
-                           vocab, config.max_tokens)
-        if batch.n == 0:
-            skipped_no_docs += 1
-            continue
-        i = row_of.get(day.date)
-        if i is None:
-            skipped_no_series += 1
-            continue
-        if i < config.m:
-            skipped_short += 1
-            continue
-        window = SeriesWindow(values=series.values[i - config.m:i].copy(),
-                              target=float(series.values[i, 0]),
-                              prev=float(series.values[i - 1, 0]),
-                              date=day.date)
-        raw.append((window, batch))
+        got = window_day(day, series, rows, vocab, config)
+        if isinstance(got, str):
+            skipped[got] += 1
+        else:
+            raw.append(got)
     if not raw:
-        raise DatasetError("no eligible samples (skipped: %d no-docs, "
-                           "%d no-series, %d short-history)"
-                           % (skipped_no_docs, skipped_no_series, skipped_short))
+        raise DatasetError("no eligible samples (skipped: %d no-docs, %d no-series, "
+                           "%d short-history)" % (skipped["no-docs"],
+                                                  skipped["no-series"],
+                                                  skipped["short-history"]))
 
     if split.fracs is not None:
         n = len(raw)
@@ -313,16 +333,12 @@ def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
         std = float(pool.std())
         stats = SeriesStats(mean=float(pool.mean()), std=std if std > 0 else 1.0)
 
-    out = {}
-    for name, items in bounds:
-        out[name] = tuple(
-            Sample(window=w, docs=b, values_n=stats.normalize(w.values),
-                   target_n=float(stats.normalize(np.asarray([[w.target]]))[0, 0]))
-            for w, b in items)
+    out = {name: tuple(to_sample(w, b, stats) for w, b in items)
+           for name, items in bounds}
     return SampleSet(train=out["train"], valid=out["valid"], test=out["test"],
-                     stats=stats, skipped_no_docs=skipped_no_docs,
-                     skipped_no_series=skipped_no_series,
-                     skipped_short_history=skipped_short)
+                     stats=stats, skipped_no_docs=skipped["no-docs"],
+                     skipped_no_series=skipped["no-series"],
+                     skipped_short_history=skipped["short-history"])
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
+from . import training as TR
 from .files import write_atomically
 
 SELECT_THRESHOLD = 0.5
@@ -179,24 +180,26 @@ def gtn_of(sample) -> frozenset[int]:
 
 def rank_report(params, config: M.ModelConfig, samples,
                 k_max: int = 5) -> RankResult:
-    """Forward every sample, rank its documents, and aggregate metrics."""
+    """Forward every sample, rank its documents, and aggregate metrics.
+
+    Samples run in batches of ``training.EVAL_CHUNK``; by batch invariance
+    the result equals that of one forward per day, bit for bit.
+    """
     if not samples:
         raise UndefinedMetricError("no samples to evaluate")
     rankings, records, preds, targets = [], [], [], []
-    for s in samples:
-        pred = M.forward(None, s, params, config)
-        preds.append(M.predicted_movement(pred, s, config))
-        targets.append(M.movement_label(s.window.target, s.window.prev))
-        if pred.relevance is None:
-            continue
-        day = DayRanking(date=s.window.date,
-                         mass=pred.relevance.data.astype(np.float64),
-                         gtn=gtn_of(s))
-        rankings.append(day)
-        records.append(DayRecord(date=day.date,
-                                 mass=tuple(float(v) for v in day.mass),
-                                 gtn=tuple(sorted(day.gtn)),
-                                 selected=select_relevant(day.mass)))
+    for chunk, pred in TR.forward_chunks(samples, params, config):
+        for b, s in enumerate(chunk):
+            preds.append(M.predicted_movement(float(pred.value.data[b]), s, config))
+            targets.append(M.movement_label(s.window.target, s.window.prev))
+            if pred.relevance is None:
+                continue
+            day = DayRanking(date=s.window.date, mass=pred.mass(b), gtn=gtn_of(s))
+            rankings.append(day)
+            records.append(DayRecord(date=day.date,
+                                     mass=tuple(float(v) for v in day.mass),
+                                     gtn=tuple(sorted(day.gtn)),
+                                     selected=select_relevant(day.mass)))
     movement = movement_metrics(preds, targets)
     gtd = sum(1 for s in samples if gtn_of(s))
     available = bool(rankings)
@@ -213,18 +216,20 @@ def attention_entropy(params, config: M.ModelConfig, samples) -> float:
 
     Low entropy means mass concentrated on few documents, high entropy
     means near-uniform spread. The statistic needs no relevance flags,
-    which makes it usable for model selection on unlabeled data.
+    which makes it usable for model selection on unlabeled data. Samples
+    run in batches of ``training.EVAL_CHUNK``, with the same result as one
+    forward per day, bit for bit.
     """
     if not samples:
         raise UndefinedMetricError("no samples to evaluate")
     total = 0.0
-    for s in samples:
-        pred = M.forward(None, s, params, config)
+    for chunk, pred in TR.forward_chunks(samples, params, config):
         if pred.relevance is None:
             raise UndefinedMetricError("model assigns no relevance mass")
-        p = pred.relevance.data.astype(np.float64)
-        p = p[p > 0.0]
-        total += float(-(p * np.log(p)).sum())
+        for b in range(len(chunk)):
+            p = pred.mass(b)
+            p = p[p > 0.0]
+            total += float(-(p * np.log(p)).sum())
     return total / len(samples)
 
 

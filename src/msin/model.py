@@ -202,10 +202,6 @@ class Prediction:
     value: T.Tensor                      # [1], normalized-space output
     relevance: T.Tensor | None           # mass over the day's documents
 
-    @property
-    def value_float(self) -> float:
-        return float(self.value.data[0])
-
 
 @dataclass
 class BatchPrediction:
@@ -214,6 +210,10 @@ class BatchPrediction:
     value: T.Tensor                 # [B], normalized-space outputs
     relevance: T.Tensor | None      # [B, N] mass over each sample's documents
     counts: tuple[int, ...]         # documents per sample; later slots hold 0
+
+    def mass(self, b: int) -> np.ndarray:
+        """Sample b's attention mass over its own documents, as float64."""
+        return self.relevance.data[b, :self.counts[b]].astype(np.float64)
 
 
 def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
@@ -278,12 +278,12 @@ def movement_label(target_raw: float, prev_raw: float) -> str:
     return "up" if target_raw >= prev_raw else "down"
 
 
-def predicted_movement(pred: Prediction, sample, config: ModelConfig) -> str:
-    """Direction implied by the prediction under the configured objective."""
+def predicted_movement(value: float, sample, config: ModelConfig) -> str:
+    """Direction implied by a predicted value under the configured objective."""
     if config.objective == "movement":
-        return "up" if pred.value_float >= 0.0 else "down"
+        return "up" if value >= 0.0 else "down"
     prev_n = float(np.asarray(sample.values_n)[-1, 0])
-    return "up" if pred.value_float >= prev_n else "down"
+    return "up" if value >= prev_n else "down"
 
 
 def sample_losses(tape, value: T.Tensor, samples, config: ModelConfig) -> T.Tensor:

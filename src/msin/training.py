@@ -27,8 +27,9 @@ from .rng import substream
 
 MAGIC = b"MSN1"
 FORMAT_VERSION = 2
-# Samples per forward pass of eval_loss. Larger chunks save little time and
-# raise the peak memory of a training run above that of its training steps.
+# Samples per forward pass of eval_loss, rank_report and attention_entropy.
+# Larger chunks save little time and raise the peak memory of a training run
+# above that of its training steps.
 EVAL_CHUNK = 16
 
 
@@ -108,18 +109,20 @@ class TrainResult:
     steps_run: int
 
 
-def eval_loss(samples, params: M.ModelParams, config: M.ModelConfig) -> float:
-    """Mean prediction loss (no penalties, no dropout) over a sample list.
+def forward_chunks(samples, params: M.ModelParams, config: M.ModelConfig):
+    """(chunk, BatchPrediction) for each forward-only batch of EVAL_CHUNK
+    samples; memory stays flat in the number of samples."""
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[lo:lo + EVAL_CHUNK]
+        yield chunk, M.forward_batch(None, chunk, params, config)
 
-    Forward-only batches of EVAL_CHUNK samples keep memory flat in the split
-    size.
-    """
+
+def eval_loss(samples, params: M.ModelParams, config: M.ModelConfig) -> float:
+    """Mean prediction loss (no penalties, no dropout) over a sample list."""
     if not samples:
         raise TrainingError("cannot evaluate on an empty sample list")
     total = 0.0
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[lo:lo + EVAL_CHUNK]
-        pred = M.forward_batch(None, chunk, params, config)
+    for chunk, pred in forward_chunks(samples, params, config):
         errors = M.sample_losses(None, pred.value, chunk, config).data
         total += float(errors.sum(dtype=np.float64))
     return total / len(samples)

@@ -14,6 +14,7 @@ import pytest
 
 import msin.cli as cli
 import msin.data as D
+import msin.evaluation as E
 import msin.model as M
 import msin.training as TR
 from msin.cli import main
@@ -69,6 +70,16 @@ def test_unknown_flag_is_usage_error():
 def test_bad_flag_value_is_usage_error(capsys):
     assert main(["synth", "--days", "many"]) == 1
     assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "rank",
+                                     "gradcheck"])
+def test_help_names_real_defaults_only(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default None)" not in text
+    if command in ("train", "eval", "rank"):
+        assert "--corpus V corpus JSONL path (required)" in text
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +407,126 @@ def test_gradcheck_single_variant_passes(capsys):
 
 def test_gradcheck_unknown_variant_is_usage_error():
     assert main(["gradcheck", "--variant", "gru"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# rank builds only the day it ranks
+
+
+@pytest.fixture(scope="module")
+def ranked_run(tmp_path_factory):
+    """A 40-day corpus, its series and a briefly trained checkpoint."""
+    root = tmp_path_factory.mktemp("ranked")
+    corpus, series = make_dataset(root / "data", days=40)
+    ckpt, _ = train_small(root, corpus, series, extra=("--max-steps", "3"))
+    return root, ckpt, corpus, series
+
+
+def full_build_ranking(ckpt, corpus_path, series_path, sample, capsys):
+    """What rank prints for a sample taken from a whole-corpus build."""
+    params, config, _tcfg, _meta = TR.checkpoint_load(ckpt)
+    day = {d.date: d for d in D.load_corpus(corpus_path).days}[sample.window.date]
+    capped = D.cap_daily_docs(day.docs, config.daily_doc_cap)
+    pred = M.forward(None, sample, params, config)
+    capsys.readouterr()
+    cli._print_ranking(sample.window.date.isoformat(),
+                       pred.relevance.data.astype(np.float64),
+                       [capped[i].text for i in sample.docs.source_idx])
+    return capsys.readouterr().out
+
+
+def full_build(ckpt, corpus_path, series_path):
+    _params, config, _tcfg, meta = TR.checkpoint_load(ckpt)
+    return D.make_samples(
+        D.load_corpus(corpus_path), D.load_series(series_path),
+        D.Vocabulary(tokens=tuple(meta["vocab"])), config,
+        D.SplitSpec(fracs=tuple(meta["split"]["fracs"])),
+        stats=D.SeriesStats(mean=meta["series_mean"], std=meta["series_std"]))
+
+
+def rank_argv(ckpt, corpus, series, *extra):
+    return ["rank", "--checkpoint", ckpt, "--corpus", corpus,
+            "--series", series, *extra]
+
+
+def test_rank_encodes_one_day_and_matches_full_build(ranked_run, capsys,
+                                                     monkeypatch):
+    _root, ckpt, corpus, series = ranked_run
+    sset = full_build(ckpt, corpus, series)
+    encoded = []
+    real_encode = D.encode_day
+    monkeypatch.setattr(D, "make_samples", None)
+    monkeypatch.setattr(D, "encode_day",
+                        lambda *a: encoded.append(a) or real_encode(*a))
+    for sample in (sset.train[3], sset.valid[1], sset.test[-1]):
+        want = full_build_ranking(ckpt, corpus, series, sample, capsys)
+        encoded.clear()
+        rc = main(rank_argv(ckpt, corpus, series,
+                            "--date", sample.window.date.isoformat()))
+        assert rc == 0
+        assert capsys.readouterr().out == want
+        assert len(encoded) == 1
+
+
+def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys):
+    root, ckpt, corpus_path, series = ranked_run
+    corpus = D.load_corpus(corpus_path)
+    last = corpus.days[-1]
+    blank = D.Day(date=last.date, docs=(D.Document("!!! ..."), D.Document("--")))
+    edited = str(root / "blank_last.jsonl")
+    D.save_corpus(D.Corpus(days=corpus.days[:-1] + (blank,)), edited)
+    sset = full_build(ckpt, edited, series)
+    latest = max(sset.train + sset.valid + sset.test, key=lambda s: s.window.date)
+    assert latest.window.date == corpus.days[-2].date
+    want = full_build_ranking(ckpt, edited, series, latest, capsys)
+    assert main(rank_argv(ckpt, edited, series)) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_rank_ineligible_dates_are_data_errors(ranked_run, capsys):
+    root, ckpt, corpus, series_path = ranked_run
+    series = D.load_series(series_path)
+    # day 0 has no m=3 days of history before it
+    first = series.dates[0].isoformat()
+    assert main(rank_argv(ckpt, corpus, series_path, "--date", first)) == 2
+    assert "no eligible sample on %s" % first in capsys.readouterr().err
+    gap = str(root / "gap.csv")
+    D.save_series(D.Series(dates=series.dates[:20] + series.dates[21:],
+                           values=np.delete(series.values, 20, axis=0)), gap)
+    missing = series.dates[20].isoformat()
+    assert main(rank_argv(ckpt, corpus, gap, "--date", missing)) == 2
+    assert "no eligible sample on %s" % missing in capsys.readouterr().err
+
+
+def test_rank_series_column_mismatch_is_data_error(ranked_run, capsys):
+    root, ckpt, corpus, series_path = ranked_run
+    series = D.load_series(series_path)
+    wide = str(root / "wide.csv")
+    D.save_series(D.Series(dates=series.dates,
+                           values=np.hstack([series.values, series.values])), wide)
+    assert main(rank_argv(ckpt, corpus, wide)) == 2
+    assert "series has 2 columns, config expects 1" in capsys.readouterr().err
+
+
+def test_rank_agrees_with_eval_on_every_day(ranked_run, capsys):
+    """rank prints each day's order, %.4f masses and selection as eval's
+    days.jsonl holds them."""
+    root, ckpt, corpus, series = ranked_run
+    out_dir = root / "eval_all"
+    assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus,
+                 "--series", series, "--out-dir", str(out_dir),
+                 "--split", "all"]) == 0
+    days = [json.loads(line) for line in open(out_dir / "days.jsonl")]
+    assert len(days) == 37
+    for day in days:
+        capsys.readouterr()
+        assert main(rank_argv(ckpt, corpus, series, "--date", day["date"])) == 0
+        text = capsys.readouterr().out
+        mass = np.asarray(day["mass"])
+        rows = [line.split() for line in text.splitlines()
+                if line.startswith("rank ")]
+        assert [int(r[3]) - 1 for r in rows] == list(E.rank_order(mass))
+        assert [r[5] for r in rows] == ["%.4f" % mass[int(r[3]) - 1]
+                                        for r in rows]
+        chosen = sorted(d - 1 for d in selected_docs(text))
+        assert chosen == sorted(day["selected"])

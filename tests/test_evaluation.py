@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from msin import data as D
 from msin import evaluation as E
 from msin import model as M
+from msin import training as TR
 
 DATE = dt.date(2013, 1, 22)
 
@@ -282,6 +283,75 @@ class TestRankReport:
         config, params, _ = build_eval_samples()
         with pytest.raises(E.UndefinedMetricError):
             E.rank_report(params, config, [])
+
+
+def ragged_eval_samples(variant):
+    """Days of 1-10 documents of 1-5 tokens, every split joined."""
+    config = M.ModelConfig(variant=variant, d_s=4, d_h=3, d_w=4, vocab_size=30,
+                           m=3, series_dim=1, max_tokens=4, daily_doc_cap=10)
+    spec = D.SynthSpec(n_days=40, seed=5, n_docs=(1, 10), doc_len=(1, 5),
+                       vocab_size=12, plant_prob=0.3)
+    corpus, series = D.synth_generate(spec)
+    vocab = D.build_vocab(corpus, max_size=config.vocab_size)
+    sset = D.make_samples(corpus, series, vocab, config,
+                          D.SplitSpec(fracs=(0.6, 0.2, 0.2)))
+    samples = sset.train + sset.valid + sset.test
+    assert {s.docs.n for s in samples} >= {1, 10}
+    return config, M.init_model(config, seed=2), samples
+
+
+def one_day_rank_report(params, config, samples, k_max):
+    """rank_report's result, computed with one forward per day."""
+    rankings, records, preds, targets = [], [], [], []
+    for s in samples:
+        pred = M.forward(None, s, params, config)
+        preds.append(M.predicted_movement(float(pred.value.data[0]), s, config))
+        targets.append(M.movement_label(s.window.target, s.window.prev))
+        if pred.relevance is None:
+            continue
+        mass = pred.relevance.data.astype(np.float64)
+        rankings.append(E.DayRanking(date=s.window.date, mass=mass,
+                                     gtn=E.gtn_of(s)))
+        records.append(E.DayRecord(date=s.window.date,
+                                   mass=tuple(float(v) for v in mass),
+                                   gtn=tuple(sorted(E.gtn_of(s))),
+                                   selected=E.select_relevant(mass)))
+    per_k = tuple(E.KPoint(k, *E.precision_recall_at_k(rankings, k))
+                  for k in range(1, k_max + 1)) if rankings else ()
+    return records, per_k, E.movement_metrics(preds, targets)
+
+
+def one_day_entropy(params, config, samples):
+    total = 0.0
+    for s in samples:
+        p = M.forward(None, s, params, config).relevance.data.astype(np.float64)
+        p = p[p > 0.0]
+        total += float(-(p * np.log(p)).sum())
+    return total / len(samples)
+
+
+class TestBatchedEvaluation:
+    """Chunked evaluation equals one forward per day, bit for bit."""
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_rank_report_matches_one_day_forwards(self, variant, monkeypatch):
+        monkeypatch.setattr(TR, "EVAL_CHUNK", 3)
+        config, params, samples = ragged_eval_samples(variant)
+        assert len(samples) % 3 != 0
+        records, per_k, movement = one_day_rank_report(params, config, samples, 5)
+        got = E.rank_report(params, config, samples, k_max=5)
+        assert got.days == tuple(records)
+        assert got.report.per_k == per_k
+        assert got.report.movement == movement
+        assert got.report.relevance_available == (variant != "lstm_par")
+        assert len(got.days) == (0 if variant == "lstm_par" else len(samples))
+
+    @pytest.mark.parametrize("variant", ["msin", "lstm_wo"])
+    def test_entropy_matches_one_day_forwards(self, variant, monkeypatch):
+        monkeypatch.setattr(TR, "EVAL_CHUNK", 3)
+        config, params, samples = ragged_eval_samples(variant)
+        assert E.attention_entropy(params, config, samples) == \
+            one_day_entropy(params, config, samples)
 
 
 class TestAttentionEntropy:

@@ -264,7 +264,7 @@ class TestLoss:
         params = M.init_model(config, seed=15)
         sample = make_sample(13)
         pred = M.forward(None, sample, params, config)
-        sample.target_n = pred.value_float
+        sample.target_n = float(pred.value.data[0])
         got = M.loss(None, pred, sample, params, config)
         np.testing.assert_allclose(got.data, [0.0], rtol=0, atol=1e-14)
 
@@ -283,7 +283,7 @@ class TestLoss:
         sample = make_sample(15)
         pred = M.forward(None, sample, params, config)
         got = float(M.loss(None, pred, sample, params, config).data[0])
-        want = (pred.value_float - sample.target_n) ** 2
+        want = (float(pred.value.data[0]) - sample.target_n) ** 2
         for name, t, decayed in M.named_tensors(params):
             if decayed:
                 w = t.data.astype(np.float64)
@@ -314,12 +314,14 @@ class TestMovementRules:
         before = []
         for s in samples:
             pred = M.forward(None, s, params, config)
-            before.append(M.predicted_movement(pred, s, config))
+            value = float(pred.value.data[0])
+            before.append(M.predicted_movement(value, s, config))
         params.head_w.data[...] *= 3.0
         params.head_b.data[...] *= 3.0
         for s, want in zip(samples, before):
             pred = M.forward(None, s, params, config)
-            assert M.predicted_movement(pred, s, config) == want
+            value = float(pred.value.data[0])
+            assert M.predicted_movement(value, s, config) == want
 
 
 class TestFullModelGradients:
@@ -380,7 +382,7 @@ class TestBatchedForward:
         losses = []
         for b, (s, rng) in enumerate(zip(samples, fresh_rngs(len(samples)))):
             one = M.forward(None, s, params, config, train_mode=True, rng=rng)
-            np.testing.assert_allclose(batch.value.data[b], one.value_float, **self.F32)
+            np.testing.assert_allclose(batch.value.data[b], one.value.data[0], **self.F32)
             losses.append(float(M.loss(None, one, s, params, config).data[0]))
             np.testing.assert_allclose(errors.data[b], losses[-1], **self.F32)
             if variant == "lstm_par":

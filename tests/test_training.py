@@ -214,7 +214,7 @@ class TestTrainLoop:
         frozen = dataclasses.replace(
             samples,
             train=(dataclasses.replace(
-                samples.train[0], target_n=pred.value_float),),
+                samples.train[0], target_n=float(pred.value.data[0])),),
             valid=samples.valid)
         before = sum((t.data.astype(np.float64) ** 2).sum()
                      for _, t, d in M.named_tensors(params) if d)
