@@ -5,7 +5,8 @@ vector p, p updates an exponentially-faded context v, and v enters every LSTM
 gate alongside the series input and previous hidden state.  A plain LSTM
 runner (no context injection) lives here too.  Both step through
 ``text_encoder.lstm_step``, the one LSTM the encoder uses as well, so with
-zeroed context weights the two runners produce bit-identical states.
+zeroed context weights the two runners produce bit-identical states.  Each
+runner returns only the state after its last step, the one the model reads.
 
 Every function runs a batch of samples as rows: states are [B, .] matrices
 and the documents a ``DocSlots`` layout, sample b's documents in slots
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .text_encoder import LOGIT_CLAMP, DocRepresentation, LSTMParams, \
-    lstm_params, lstm_step
+from .text_encoder import DocRepresentation, LSTMParams, lstm_params, \
+    lstm_step, uniform
 
 
 class EmptyDayError(ValueError):
@@ -78,18 +79,13 @@ class MsinState:
     p: T.Tensor | None     # [B, N]; unset before the first step
 
 
-def _uniform(rng, fan_in, shape):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 def init_attention(d_a: int, d_s: int, doc_dim: int, rng: np.random.Generator,
                    prefix: str) -> AttentionParams:
     return AttentionParams(
-        state_w=T.parameter(_uniform(rng, d_s, (d_a, d_s)), prefix + ".state_w"),
-        doc_w=T.parameter(_uniform(rng, doc_dim, (d_a, doc_dim)), prefix + ".doc_w"),
+        state_w=T.parameter(uniform(rng, d_s, (d_a, d_s)), prefix + ".state_w"),
+        doc_w=T.parameter(uniform(rng, doc_dim, (d_a, doc_dim)), prefix + ".doc_w"),
         bias=T.parameter(np.zeros(d_a), prefix + ".bias"),
-        score=T.parameter(_uniform(rng, d_a, d_a), prefix + ".score"))
+        score=T.parameter(uniform(rng, d_a, d_a), prefix + ".score"))
 
 
 def init_cell_gates(d_s: int, d_in: int, rng: np.random.Generator, prefix: str,
@@ -98,9 +94,9 @@ def init_cell_gates(d_s: int, d_in: int, rng: np.random.Generator, prefix: str,
     ctx, inp, state = [], [], []
     for _ in range(4):
         if ctx_dim is not None:
-            ctx.append(_uniform(rng, ctx_dim, (d_s, ctx_dim)))
-        inp.append(_uniform(rng, d_in, (d_s, d_in)))
-        state.append(_uniform(rng, d_s, (d_s, d_s)))
+            ctx.append(uniform(rng, ctx_dim, (d_s, ctx_dim)))
+        inp.append(uniform(rng, d_in, (d_s, d_in)))
+        state.append(uniform(rng, d_s, (d_s, d_s)))
     return lstm_params(prefix, np.concatenate(inp), np.concatenate(state),
                        np.concatenate(ctx) if ctx else None)
 
@@ -108,9 +104,9 @@ def init_cell_gates(d_s: int, d_in: int, rng: np.random.Generator, prefix: str,
 def init_msin(d_s: int, d_a: int, d_in: int, doc_dim: int,
               rng: np.random.Generator, prefix: str = "cell") -> MsinParams:
     return MsinParams(
-        init_c_w=T.parameter(_uniform(rng, doc_dim, (d_s, doc_dim)), prefix + ".init_c.weight"),
+        init_c_w=T.parameter(uniform(rng, doc_dim, (d_s, doc_dim)), prefix + ".init_c.weight"),
         init_c_b=T.parameter(np.zeros(d_s), prefix + ".init_c.bias"),
-        init_h_w=T.parameter(_uniform(rng, doc_dim, (d_s, doc_dim)), prefix + ".init_h.weight"),
+        init_h_w=T.parameter(uniform(rng, doc_dim, (d_s, doc_dim)), prefix + ".init_h.weight"),
         init_h_b=T.parameter(np.zeros(d_s), prefix + ".init_h.bias"),
         attn=init_attention(d_a, d_s, doc_dim, rng, prefix + ".attn"),
         cell=init_cell_gates(d_s, d_in, rng, prefix, ctx_dim=doc_dim))
@@ -143,12 +139,6 @@ def _windows(window_values) -> np.ndarray:
     return values
 
 
-def _stack_steps(tape, hs: list[T.Tensor]) -> T.Tensor:
-    """Per-step [B, d] states as one [B, m, d] tensor."""
-    B, d = hs[0].shape
-    return T.reshape(tape, T.concat(tape, hs, axis=1), (B, len(hs), d))
-
-
 # ---------------------------------------------------------------------------
 # cell operations
 
@@ -179,8 +169,7 @@ def attend(tape: T.Tape | None, h_prev: T.Tensor, slots: DocSlots,
         doc_proj = _doc_proj(tape, slots, params)
     query = T.linear(tape, [(params.state_w, h_prev)], params.bias)
     proj = T.tanh(tape, T.add_bias(tape, doc_proj, query, slots.owner))
-    logits = T.clip(tape, T.matmul(tape, proj, params.score),
-                    -LOGIT_CLAMP, LOGIT_CLAMP)
+    logits = T.matmul(tape, proj, params.score)
     return T.masked_softmax(tape, T.reshape(tape, logits, slots.mask.shape),
                             slots.mask)
 
@@ -203,34 +192,30 @@ def cell_step(tape: T.Tape | None, x: T.Tensor, state: MsinState,
 
 
 def run_sequence(tape: T.Tape | None, window_values, slots: DocSlots,
-                 params: MsinParams) -> tuple[T.Tensor, list[T.Tensor]]:
+                 params: MsinParams) -> MsinState:
     """Run the cell over each sample's window of series steps.
 
     ``window_values`` is [B, m, D] (anything np.asarray accepts); returns
-    the hiddens [B, m, d_s] and the m per-step masses [B, N].
+    the state after step m, whose ``h`` is [B, d_s] and ``p`` the last
+    step's masses [B, N].
     """
     windows = _windows(window_values)
     state = init_states(tape, slots, params)
     doc_proj = _doc_proj(tape, slots, params.attn)
-    hs, masses = [], []
     for t in range(windows.shape[1]):
         state = cell_step(tape, T.constant(windows[:, t]), state, slots, params,
                           doc_proj)
-        hs.append(state.h)
-        masses.append(state.p)
-    return _stack_steps(tape, hs), masses
+    return state
 
 
 def run_plain_sequence(tape: T.Tape | None, window_values, cell: LSTMParams,
                        init_c: T.Tensor, init_h: T.Tensor) -> T.Tensor:
     """Context-free LSTM over [B, m, D] windows from [B, d_s] initial states.
 
-    Returns the hiddens [B, m, d_s].
+    Returns the hidden state after step m, [B, d_s].
     """
     windows = _windows(window_values)
     c, h = init_c, init_h
-    hs = []
     for t in range(windows.shape[1]):
         h, c = lstm_step(tape, cell, T.constant(windows[:, t]), h, c)
-        hs.append(h)
-    return _stack_steps(tape, hs)
+    return h

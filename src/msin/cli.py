@@ -263,11 +263,14 @@ def _split_spec(merged: dict, stored: dict | None = None) -> D.SplitSpec:
     if fracs is not None:
         return D.SplitSpec(fracs=fracs)
     if stored is not None:
-        if stored.get("fracs") is not None:
-            return D.SplitSpec(fracs=tuple(stored["fracs"]))
-        return D.SplitSpec(
-            train_until=dt.date.fromisoformat(stored["train_until"]),
-            valid_until=dt.date.fromisoformat(stored["valid_until"]))
+        try:
+            if stored.get("fracs") is not None:
+                return D.SplitSpec(fracs=tuple(stored["fracs"]))
+            return D.SplitSpec(
+                train_until=dt.date.fromisoformat(stored["train_until"]),
+                valid_until=dt.date.fromisoformat(stored["valid_until"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TR.CheckpointError("checkpoint metadata 'split': %r" % exc) from exc
     return D.SplitSpec(fracs=(0.8, 0.1, 0.1))
 
 
@@ -309,6 +312,18 @@ def write_history(history, path: str) -> None:
 def _load_inputs(merged: dict):
     """Checkpoint, corpus, series, and the checkpoint's vocabulary and stats."""
     params, config, _tcfg, meta = TR.checkpoint_load(merged["checkpoint"])
+    if not isinstance(meta, dict) or "vocab" not in meta:
+        raise TR.CheckpointError("checkpoint metadata lacks 'vocab'")
+    if not isinstance(meta["vocab"], list) or len(meta["vocab"]) > config.vocab_size:
+        raise TR.CheckpointError("checkpoint metadata 'vocab' must list at most "
+                                 "%d tokens" % config.vocab_size)
+    for key in ("series_mean", "series_std"):
+        x = meta.get(key)
+        if not isinstance(x, (int, float)) or not np.isfinite(x) or \
+                (key == "series_std" and x <= 0):
+            raise TR.CheckpointError("checkpoint metadata '%s' is %r" % (key, x))
+    if not isinstance(meta.get("split", {}), dict):
+        raise TR.CheckpointError("checkpoint metadata 'split' must be an object")
     corpus = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
     vocab = D.Vocabulary(tokens=tuple(meta["vocab"]))

@@ -14,9 +14,11 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .files import write_atomically
 from .rng import substream
 
 PAD_ID = 0
@@ -35,8 +37,9 @@ class DatasetError(Exception):
 # domain types
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
+    """One headline; a tuple, so a corpus of them loads quickly."""
+
     text: str
     relevant: bool | None = None
 
@@ -56,10 +59,6 @@ class Corpus:
             if cur.date <= prev.date:
                 raise DatasetError("corpus dates not strictly increasing at %s"
                                    % cur.date)
-
-    @property
-    def n_days(self) -> int:
-        return len(self.days)
 
 
 @dataclass(frozen=True)
@@ -171,11 +170,6 @@ class SampleSet:
     skipped_no_docs: int
     skipped_no_series: int
     skipped_short_history: int
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return {"train": len(self.train), "valid": len(self.valid),
-                "test": len(self.test)}
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, Series]:
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """One JSON line per day: {"date": ..., "headlines": [{text, relevant}]}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path, "w", encoding="utf-8") as fh:
         for day in corpus.days:
             rec = {"date": day.date.isoformat(),
                    "headlines": [{"text": d.text, "relevant": d.relevant}
@@ -459,7 +453,7 @@ def save_series(series: Series, path: str) -> None:
     d = series.values.shape[1]
     header = ["date", "value"] if d == 1 else \
         ["date"] + ["v%d" % (i + 1) for i in range(d)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_atomically(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for date, row in zip(series.dates, series.values):

@@ -130,14 +130,12 @@ def init_model(config: ModelConfig, seed: int) -> ModelParams:
             align = cell_mod.init_attention(config.attention_width, config.d_s,
                                             config.doc_dim, rng, "align")
         else:
-            bound = 1.0 / np.sqrt(config.doc_dim)
-            text_w = T.parameter(rng.uniform(-bound, bound,
+            text_w = T.parameter(enc.uniform(rng, config.doc_dim,
                                              (config.d_s, config.doc_dim)),
                                  "text.weight")
             text_b = T.parameter(np.zeros(config.d_s), "text.bias")
     fan = config.feature_dim
-    head_w = T.parameter(rng.uniform(-1.0 / np.sqrt(fan), 1.0 / np.sqrt(fan),
-                                     (1, fan)), "head.weight")
+    head_w = T.parameter(enc.uniform(rng, fan, (1, fan)), "head.weight")
     head_b = T.parameter(np.zeros(1), "head.bias")
     return ModelParams(embedding=embedding, encoder=encoder, msin=msin, cell=plain,
                        align=align, text_w=text_w, text_b=text_b,
@@ -237,14 +235,12 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     windows = np.stack([np.asarray(s.values_n, dtype=np.float32) for s in samples])
     relevance = None
     if config.variant == "msin":
-        hiddens, masses = cell_mod.run_sequence(tape, windows, slots, params.msin)
-        relevance = masses[-1]
+        final = cell_mod.run_sequence(tape, windows, slots, params.msin)
+        h_m, relevance = final.h, final.p
     else:
         zeros = T.constant(np.zeros((B, config.d_s)))
-        hiddens = cell_mod.run_plain_sequence(tape, windows, params.cell,
-                                              zeros, zeros)
-    m = hiddens.shape[1]
-    h_m = T.reshape(tape, T.narrow(tape, hiddens, 1, m - 1, m), (B, config.d_s))
+        h_m = cell_mod.run_plain_sequence(tape, windows, params.cell,
+                                          zeros, zeros)
     if config.variant == "lstm_wo":
         relevance = cell_mod.attend(tape, h_m, slots, params.align)
     if relevance is not None:

@@ -170,18 +170,17 @@ def _emit(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...],
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor,
-           transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    """Matrix product with optional operand transposes.
+           transpose_b: bool = False) -> Tensor:
+    """Matrix product, optionally against the transpose of ``b``.
 
-    Supports [r,c]x[c,k] -> [r,k], [r,c]x[c] -> [r] and [c]x[c,k] -> [k].
-    Rank-1 operands cannot be transposed.
+    Supports [r,c]x[c,k] -> [r,k], [r,c]x[c] -> [r] and [c]x[c,k] -> [k];
+    with ``transpose_b``, [r,c]x[k,c]^T -> [r,k].  A rank-1 ``b`` cannot be
+    transposed.
     """
-    if (transpose_a and a.ndim != 2) or (transpose_b and b.ndim != 2):
+    if transpose_b and b.ndim != 2:
         raise ShapeError("matmul cannot transpose a rank-1 operand")
     A = a.data.astype(np.float64)
     B = b.data.astype(np.float64)
-    if transpose_a:
-        A = A.T
     if transpose_b:
         B = B.T
     if a.ndim == 2 and b.ndim == 2:
@@ -190,9 +189,8 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor,
 
         def back(g):
             G = g.astype(np.float64)
-            gA = G @ B.T
             gB = A.T @ G
-            return (gA.T if transpose_a else gA, gB.T if transpose_b else gB)
+            return (G @ B.T, gB.T if transpose_b else gB)
 
     elif a.ndim == 2 and b.ndim == 1:
         if A.shape[1] != B.shape[0]:
@@ -200,8 +198,7 @@ def matmul(tape: Tape | None, a: Tensor, b: Tensor,
 
         def back(g):
             G = g.astype(np.float64)
-            gA = np.outer(G, B)
-            return (gA.T if transpose_a else gA, A.T @ G)
+            return (np.outer(G, B), A.T @ G)
 
     elif a.ndim == 1 and b.ndim == 2:
         if A.shape[0] != B.shape[0]:
@@ -382,17 +379,6 @@ def blend(tape: Tape | None, keep: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
 def absolute(tape: Tape | None, x: Tensor) -> Tensor:
     return _emit(tape, np.abs(x.data), (x,), lambda g: (g * np.sign(x.data),))
-
-
-def clip(tape: Tape | None, x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only through unclamped entries."""
-    if not lo < hi:
-        raise ContractError("clip needs lo < hi, got %r >= %r" % (lo, hi))
-
-    def back(g):
-        return (g * ((x.data >= lo) & (x.data <= hi)),)
-
-    return _emit(tape, np.clip(x.data, lo, hi), (x,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Document encoder: embeddings, a bidirectional LSTM, attention pooling.
 
 Each document becomes one representative vector s = (1/L) sum_l beta_l h_l,
-where h_l are bidirectional hidden states over the tokens and beta is an
-attention distribution over valid positions.  ``encode_documents`` runs the
-documents of a list of days (every day of a batch, or one day) as rows of
-shared matrix ops with per-row validity masks.  Every reduction in the engine
-accumulates in float64 and rounds once, so each row matches encoding its
-document alone (the per-document reference lives with the tests) and
-permuting documents permutes the outputs bit-identically.  The stacked-gate
-LSTM defined here (``LSTMParams``, ``lstm_step``, gated by
-``tensor.lstm_gates``) is also the series cell's.
+where h_l are bidirectional hidden states over the tokens and beta is a
+softmax of unclamped scores over valid positions (``tensor.masked_softmax``
+subtracts each row's maximum, so any score is safe).  ``encode_documents``
+runs the documents of a list of days (every day of a batch, or one day) as
+rows of shared matrix ops with per-row validity masks.  Every reduction in
+the engine accumulates in float64 and rounds once, so each row matches
+encoding its document alone (the per-document reference lives with the
+tests) and permuting documents permutes the outputs bit-identically.  The
+stacked-gate LSTM defined here (``LSTMParams``, ``lstm_step``, gated by
+``tensor.lstm_gates``) is also the series cell's, and ``uniform`` draws the
+initial weights of every layer.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ import numpy as np
 
 from . import tensor as T
 from .data import PAD_ID
-
-# tanh keeps pre-softmax scores in (-1,1) scaled by a weight vector; the clamp
-# is unreachable in practice and only documents the intended numeric range.
-LOGIT_CLAMP = 50.0
 
 
 class VocabularyError(ValueError):
@@ -95,12 +93,9 @@ class DocRepresentation:
     word_attention: list[np.ndarray]  # beta over each document's valid tokens
     counts: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
 
-
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+def uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+    """Weights drawn uniformly from +-1/sqrt(fan_in), for every weight tensor."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -109,7 +104,7 @@ def init_embedding(vocab_size: int, dim: int, rng: np.random.Generator,
                    name: str = "embedding.table") -> EmbeddingTable:
     if vocab_size < 2:
         raise VocabularyError("vocabulary needs at least pad and unk rows")
-    data = _uniform(rng, dim, (vocab_size, dim))
+    data = uniform(rng, dim, (vocab_size, dim))
     data[PAD_ID] = 0.0
     return EmbeddingTable(T.parameter(data, name))
 
@@ -129,8 +124,8 @@ def lstm_params(prefix: str, input_w: np.ndarray, state_w: np.ndarray,
 
 def _init_direction(d_w: int, d_h: int, rng: np.random.Generator,
                     prefix: str) -> LSTMParams:
-    return lstm_params(prefix, _uniform(rng, d_w, (4 * d_h, d_w)),
-                       _uniform(rng, d_h, (4 * d_h, d_h)))
+    return lstm_params(prefix, uniform(rng, d_w, (4 * d_h, d_w)),
+                       uniform(rng, d_h, (4 * d_h, d_h)))
 
 
 def init_encoder(d_w: int, d_h: int, rng: np.random.Generator,
@@ -139,9 +134,9 @@ def init_encoder(d_w: int, d_h: int, rng: np.random.Generator,
     return TextEncoderParams(
         fwd=_init_direction(d_w, d_h, rng, prefix + ".fwd"),
         bwd=_init_direction(d_w, d_h, rng, prefix + ".bwd"),
-        pool_w=T.parameter(_uniform(rng, two, (two, two)), prefix + ".pool.weight"),
+        pool_w=T.parameter(uniform(rng, two, (two, two)), prefix + ".pool.weight"),
         pool_bias=T.parameter(np.zeros(two), prefix + ".pool.bias"),
-        pool_ctx=T.parameter(_uniform(rng, two, two), prefix + ".pool.context"))
+        pool_ctx=T.parameter(uniform(rng, two, two), prefix + ".pool.context"))
 
 
 def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> int:
@@ -265,8 +260,7 @@ def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
     hid = T.concat(tape, [by_document(fwd), by_document(bwd)], axis=2)
     flat = T.reshape(tape, hid, (n * k_eff, 2 * d_h))
     proj = T.tanh(tape, T.linear(tape, [(params.pool_w, flat)], params.pool_bias))
-    scores = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
-                    -LOGIT_CLAMP, LOGIT_CLAMP)
+    scores = T.matmul(tape, proj, params.pool_ctx)
     beta = T.masked_softmax(tape, T.reshape(tape, scores, (n, k_eff)), valid)
     pooled = T.weighted_sum(tape, hid, beta)
     divisor = lengths if pool_divisor == "actual_len" else np.repeat(widths, counts)

@@ -48,8 +48,7 @@ def attention_pool(tape, hiddens, length, params, divisor=None):
         raise TE.EmptyDocumentError("cannot pool zero tokens")
     valid = T.narrow(tape, hiddens, 0, 0, length)
     proj = T.tanh(tape, T.linear(tape, [(params.pool_w, valid)], params.pool_bias))
-    logits = T.clip(tape, T.matmul(tape, proj, params.pool_ctx),
-                    -TE.LOGIT_CLAMP, TE.LOGIT_CLAMP)
+    logits = T.matmul(tape, proj, params.pool_ctx)
     beta = T.masked_softmax(tape, T.reshape(tape, logits, (1, length)),
                             np.ones((1, length), dtype=bool))
     beta = T.reshape(tape, beta, (length,))

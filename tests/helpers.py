@@ -30,7 +30,8 @@ def docs_of(rows) -> DocRepresentation:
 
 def one_day(tape, docs: DocRepresentation, mask=None) -> C.DocSlots:
     """One day's documents as a batch of one; an [n] ``mask`` replaces the slots'."""
-    slots = C.doc_slots(tape, dataclasses.replace(docs, counts=(docs.n,)))
+    n = docs.vectors.shape[0]
+    slots = C.doc_slots(tape, dataclasses.replace(docs, counts=(n,)))
     if mask is None:
         return slots
     return dataclasses.replace(slots, mask=np.asarray(mask, dtype=bool)[None, :])
@@ -70,13 +71,25 @@ def cell_step(tape, x, state, docs, mask, params) -> C.MsinState:
 
 
 def run_sequence(tape, window, docs, mask, params):
-    """One [m, D] window: hiddens [m, d_s] and the m per-step masses [n]."""
-    hiddens, masses = C.run_sequence(tape, np.asarray(window)[None],
-                                     one_day(tape, docs, mask), params)
-    return unrow(tape, hiddens), [unrow(tape, p) for p in masses]
+    """One [m, D] window: hiddens [m, d_s] and the m per-step masses [n].
+
+    The runner returns only its final state, so step t's comes from running
+    it on the prefix window[:t+1].
+    """
+    window = np.asarray(window)
+    slots = one_day(tape, docs, mask)
+    finals = [C.run_sequence(tape, window[None, :t], slots, params)
+              for t in range(1, window.shape[0] + 1)]
+    return (T.concat(tape, [s.h for s in finals], axis=0),
+            [unrow(tape, s.p) for s in finals])
 
 
 def run_plain_sequence(tape, window, cell, init_c, init_h) -> T.Tensor:
-    """One [m, D] window from [d_s] states: hiddens [m, d_s]."""
-    return unrow(tape, C.run_plain_sequence(tape, np.asarray(window)[None], cell,
-                                            row(tape, init_c), row(tape, init_h)))
+    """One [m, D] window from [d_s] states: hiddens [m, d_s].
+
+    Step t's hidden comes from running the plain runner on window[:t+1].
+    """
+    window = np.asarray(window)
+    c, h = row(tape, init_c), row(tape, init_h)
+    return T.concat(tape, [C.run_plain_sequence(tape, window[None, :t], cell, c, h)
+                           for t in range(1, window.shape[0] + 1)], axis=0)

@@ -105,6 +105,34 @@ class TestAttend:
         np.testing.assert_allclose(p.data, want, rtol=0, atol=1e-6)
         np.testing.assert_allclose(p.data, [0.2690, 0.7310], rtol=0, atol=2e-4)
 
+    def test_logits_beyond_fifty_stay_a_distribution(self):
+        """Unclamped logits far past +-50 give a finite mass that sums to 1,
+        and gradients that match finite differences."""
+        params = make_params(seed=6)
+        params.attn.score.data[...] *= 400.0
+        rng = np.random.default_rng(8)
+        h = rng.normal(size=3)
+        rows = rng.normal(size=(4, 4))
+        mask = np.array([True, True, False, True])
+        a = params.attn
+        proj = np.tanh(rows @ a.doc_w.data.astype(np.float64).T
+                       + a.state_w.data.astype(np.float64) @ h + a.bias.data)
+        assert np.abs(proj @ a.score.data)[mask].max() > 50.0
+        p = H.attend(None, T.constant(h), docs_of(rows), mask, a).data
+        assert np.all(np.isfinite(p)) and np.all(p >= 0) and p[2] == 0.0
+        np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
+
+        w = T.constant(rng.normal(size=4), dtype=np.float64)
+
+        def loss(tape, ts):
+            attn = C.AttentionParams(ts[0], ts[1], ts[2], ts[3])
+            mass = H.attend(tape, ts[4], docs_of(ts[5]), mask, attn)
+            return T.sum_all(tape, T.hadamard(tape, mass, w))
+
+        leaves = [a.state_w, a.doc_w, a.bias, a.score, T.parameter(h, "h"),
+                  T.parameter(rows, "docs")]
+        assert H.grad_check(loss, leaves) < 1e-4
+
     def test_all_masked_rejected(self):
         params = make_params(seed=5)
         with pytest.raises(T.DegenerateMaskError):

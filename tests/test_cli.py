@@ -93,7 +93,7 @@ def test_synth_writes_parseable_dataset(tmp_path, capsys):
     assert out.count("sha256=") == 2
     corpus = D.load_corpus(corpus_path)
     series = D.load_series(series_path)
-    assert corpus.n_days == 12
+    assert len(corpus.days) == 12
     assert series.values.shape == (12, 1)
 
 
@@ -129,7 +129,7 @@ def test_config_file_supplies_values(tmp_path, capsys):
     rc = main(["synth", "--out-dir", str(tmp_path), "--config", str(cfg)])
     assert rc == 0
     assert "days=7" in capsys.readouterr().out
-    assert D.load_corpus(str(tmp_path / "corpus.jsonl")).n_days == 7
+    assert len(D.load_corpus(str(tmp_path / "corpus.jsonl")).days) == 7
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):
@@ -321,6 +321,48 @@ def test_eval_corrupt_checkpoint_is_data_error(tmp_path, capsys):
                "--series", series])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+def _assert_metadata_rejected(tmp_path, capsys, edit, key,
+                              commands=("eval", "rank")):
+    """``commands`` exit 2 naming ``key`` on a checkpoint whose metadata
+    ``edit`` has changed."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    ckpt, _ = train_small(tmp_path, corpus, series, extra=("--max-steps", "0"))
+    params, config, tcfg, meta = TR.checkpoint_load(ckpt)
+    edit(meta, config)
+    bad = str(tmp_path / "bad.msn")
+    TR.checkpoint_save(params, config, tcfg, meta, bad)
+    capsys.readouterr()
+    inputs = ["--checkpoint", bad, "--corpus", corpus, "--series", series]
+    for command in commands:
+        extra = ["--out-dir", str(tmp_path / "rep")] if command == "eval" else []
+        rc = main([command, *inputs, *extra])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert "data error" in err and key in err, command
+
+
+def test_checkpoint_without_vocab_is_data_error(tmp_path, capsys):
+    _assert_metadata_rejected(tmp_path, capsys,
+                              lambda meta, config: meta.clear(), "'vocab'")
+
+
+def test_checkpoint_vocab_beyond_config_is_data_error(tmp_path, capsys):
+    def grow(meta, config):
+        meta["vocab"] += ["extra%d" % i
+                          for i in range(config.vocab_size + 1 - len(meta["vocab"]))]
+    _assert_metadata_rejected(tmp_path, capsys, grow, "'vocab'")
+
+
+def test_checkpoint_malformed_split_is_data_error(tmp_path, capsys):
+    def as_list(meta, config):
+        meta["split"] = [meta["split"]]
+    _assert_metadata_rejected(tmp_path / "a", capsys, as_list, "'split'")
+    # only eval reads the stored split's dates
+    _assert_metadata_rejected(tmp_path / "b", capsys,
+                              lambda meta, config: meta["split"].clear(),
+                              "'split'", commands=("eval",))
 
 
 # ---------------------------------------------------------------------------

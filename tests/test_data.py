@@ -122,7 +122,7 @@ class TestMakeSamples:
         series = D.Series(dates=dates, values=np.array([[1.], [2.], [3.]]))
         got = D.make_samples(corpus, series, vocab, config,
                              D.SplitSpec(fracs=(1.0, 0.0, 0.0)))
-        assert got.counts == {"train": 1, "valid": 0, "test": 0}
+        assert (len(got.train), len(got.valid), len(got.test)) == (1, 0, 0)
         assert got.skipped_no_docs == 2
         s = got.train[0]
         np.testing.assert_array_equal(s.window.values, [[1.0], [2.0]])
@@ -140,7 +140,7 @@ class TestMakeSamples:
         assert got.skipped_short_history == 1
         assert got.skipped_no_docs == 1
         assert got.skipped_no_series == 1
-        assert got.counts["train"] == 1
+        assert len(got.train) == 1
 
     def test_count_matches_enumeration(self):
         """Sample count equals a brute-force scan over eligible days."""
@@ -156,7 +156,7 @@ class TestMakeSamples:
             usable = sum(1 for d in docs if D.tokenize(d.text, config.max_tokens))
             if usable and day.date in row and row[day.date] >= config.m:
                 want += 1
-        assert sum(got.counts.values()) == want
+        assert len(got.train) + len(got.valid) + len(got.test) == want
 
     def test_fraction_split_sizes(self):
         spec = D.SynthSpec(n_days=60, seed=1, n_docs=(1, 2), plant_prob=0.0)
@@ -164,9 +164,9 @@ class TestMakeSamples:
         config = cfg(m=3)
         got = D.make_samples(corpus, series, vocab=D.build_vocab(corpus),
                              config=config, split=self.frac_split())
-        n = sum(got.counts.values())
-        assert got.counts["train"] == int(n * 0.7)
-        assert got.counts["train"] + got.counts["valid"] == int(n * 0.85)
+        n = len(got.train) + len(got.valid) + len(got.test)
+        assert len(got.train) == int(n * 0.7)
+        assert len(got.train) + len(got.valid) == int(n * 0.85)
         dates = [s.window.date for s in got.train + got.valid + got.test]
         assert dates == sorted(dates)
 
@@ -290,7 +290,7 @@ class TestSynthGenerate:
     def test_ranges_and_dates(self):
         spec = D.SynthSpec(n_days=20, seed=6, n_docs=(2, 4), doc_len=(3, 5))
         corpus, series = D.synth_generate(spec)
-        assert corpus.n_days == 20
+        assert len(corpus.days) == 20
         assert corpus.days[0].date == dt.date(2000, 1, 1)
         for a, b in zip(corpus.days, corpus.days[1:]):
             assert (b.date - a.date).days == 1

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from msin import cli
+from msin import data as D
 from msin import evaluation as E
 from msin import files
 from msin import model as M
@@ -30,6 +31,7 @@ def _writers():
     tcfg = TR.TrainConfig()
     history = [TR.HistoryRow(1, 0.5, None), TR.HistoryRow(2, 0.25, 0.125)]
     result = _rank_result()
+    corpus, series = D.synth_generate(D.SynthSpec(n_days=3, seed=0))
     return {
         "checkpoint": lambda path: TR.checkpoint_save(params, config, tcfg,
                                                       {"step": 2}, path),
@@ -37,6 +39,8 @@ def _writers():
         "report": lambda path: E.write_report(result, config, path),
         "days": lambda path: E.write_day_dump(result, path),
         "curve": lambda path: E.write_curve_csv(result, path),
+        "corpus": lambda path: D.save_corpus(corpus, path),
+        "series": lambda path: D.save_series(series, path),
     }
 
 

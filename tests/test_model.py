@@ -115,7 +115,7 @@ class TestForwardMsin:
 
         docs = TE.encode_documents(None, [sample.docs], params.embedding,
                                    params.encoder)
-        mask = np.ones(docs.n, dtype=bool)
+        mask = np.ones(docs.vectors.shape[0], dtype=bool)
         hiddens, masses = H.run_sequence(None, sample.values_n, docs, mask,
                                          params.msin)
         u_txt = docs.vectors.data.astype(np.float64).T @ masses[-1].data

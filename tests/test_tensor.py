@@ -60,11 +60,10 @@ class TestMatmul:
 
     def test_transpose_flags(self):
         rng = np.random.default_rng(1)
-        a = _rand(rng, 3, 4).astype(np.float32)
+        a = _rand(rng, 4, 3).astype(np.float32)
         b = _rand(rng, 5, 3).astype(np.float32)
-        got = T.matmul(None, T.constant(a), T.constant(b),
-                       transpose_a=True, transpose_b=True)
-        want = matmul_loops(a.T.astype(np.float64), b.T.astype(np.float64))
+        got = T.matmul(None, T.constant(a), T.constant(b), transpose_b=True)
+        want = matmul_loops(a.astype(np.float64), b.T.astype(np.float64))
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-6)
 
     def test_matrix_vector_and_vector_matrix(self):
@@ -85,8 +84,8 @@ class TestMatmul:
 
     def test_cannot_transpose_vector(self):
         with pytest.raises(T.ShapeError):
-            T.matmul(None, T.constant(np.ones(3)), T.constant(np.ones((3, 2))),
-                     transpose_a=True)
+            T.matmul(None, T.constant(np.ones((2, 3))), T.constant(np.ones(3)),
+                     transpose_b=True)
 
     def test_vector_vector_rejected(self):
         with pytest.raises(T.ShapeError):
@@ -124,12 +123,11 @@ class TestElementwise:
         got = T.add_bias(None, m, v)
         np.testing.assert_allclose(got.data, [[1, 2, 3], [1, 2, 3]])
 
-    def test_hadamard_scale_abs_clip(self):
+    def test_hadamard_scale_abs(self):
         x = T.constant([-2.0, 0.5, 3.0])
         np.testing.assert_allclose(T.hadamard(None, x, x).data, [4.0, 0.25, 9.0])
         np.testing.assert_allclose(T.scale(None, x, -2.0).data, [4.0, -1.0, -6.0])
         np.testing.assert_allclose(T.absolute(None, x).data, [2.0, 0.5, 3.0])
-        np.testing.assert_allclose(T.clip(None, x, -1.0, 1.0).data, [-1.0, 0.5, 1.0])
 
     def test_tanh_sigmoid_values(self):
         x = np.array([-3.0, 0.0, 0.7], dtype=np.float32)
@@ -731,7 +729,6 @@ def _mutation_cases():
                        lambda c, L: c(T.lstm_gates, L[0], L[1])[0]),
         "blend": ([r(2, 3), r(2, 3)], lambda c, L: c(T.blend, keep, L[0], L[1])),
         "absolute": ([_rand_away(rng, 2, 3)], lambda c, L: c(T.absolute, L[0])),
-        "clip": ([r(2, 3)], lambda c, L: c(T.clip, L[0], -2.0, 2.0)),
         "sum_all": ([r(2, 3)], lambda c, L: c(T.sum_all, L[0])),
         "concat": ([r(2, 3), r(2, 2)], lambda c, L: c(T.concat, L, 1)),
         "narrow": ([r(2, 5)], lambda c, L: c(T.narrow, L[0], 1, 1, 4)),

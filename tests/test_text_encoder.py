@@ -246,11 +246,12 @@ class TestEncodeDocuments:
         lo = 0
         for day in days:
             alone = TE.encode_documents(None, [day], table, params, pool_divisor=divisor)
-            rows = got.vectors.data[lo:lo + alone.n]
+            n = alone.vectors.shape[0]
+            rows = got.vectors.data[lo:lo + n]
             np.testing.assert_allclose(rows, alone.vectors.data, rtol=1e-6, atol=1e-7)
-            for a, b in zip(got.word_attention[lo:lo + alone.n], alone.word_attention):
+            for a, b in zip(got.word_attention[lo:lo + n], alone.word_attention):
                 np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
-            lo += alone.n
+            lo += n
         no_docs = batch_of(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
         with pytest.raises(TE.EmptyDocumentError):
             TE.encode_documents(None, [days[0], no_docs], table, params)
@@ -279,6 +280,41 @@ class TestEncodeDocuments:
                 bwd=TE.LSTMParams(ts[4], ts[5], ts[6]),
                 pool_w=ts[7], pool_bias=ts[8], pool_ctx=ts[9])
             rep = TE.encode_documents(tape, [batch_of(ids, lengths)], tb, ps)
+            return T.sum_all(tape, T.hadamard(tape, rep.vectors, w))
+
+        assert H.grad_check(loss, leaves) < 1e-4
+
+
+    def test_scores_beyond_fifty_stay_a_distribution(self):
+        """Unclamped pooling scores far past +-50 give finite word attention
+        that sums to 1, and gradients that match finite differences."""
+        table, params = make_params(d_w=3, d_h=2, seed=14)
+        params.pool_ctx.data[...] *= 4000.0
+        ids = np.array([[2, 3, 4], [5, 6, 0]])
+        lengths = np.array([3, 2])
+        got = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
+        widest = 0.0
+        for j, n in enumerate(lengths):
+            hid = np_bilstm(table.table.data[ids[j, :n]].astype(np.float64), params)
+            scores = np.tanh(hid @ params.pool_w.data.astype(np.float64).T
+                             + params.pool_bias.data) @ params.pool_ctx.data
+            widest = max(widest, float(np.abs(scores).max()))
+            beta = got.word_attention[j]
+            assert np.all(np.isfinite(beta)) and np.all(beta >= 0)
+            np.testing.assert_allclose(beta.sum(), 1.0, rtol=0, atol=1e-6)
+        assert widest > 50.0
+        assert np.all(np.isfinite(got.vectors.data))
+
+        leaves = [table.table, params.fwd.input_w, params.fwd.state_w,
+                  params.fwd.bias, params.pool_w, params.pool_bias, params.pool_ctx]
+        w = T.constant(np.random.default_rng(10).normal(size=(2, 4)), dtype=np.float64)
+
+        def loss(tape, ts):
+            ps = TE.TextEncoderParams(fwd=TE.LSTMParams(ts[1], ts[2], ts[3]),
+                                      bwd=params.bwd, pool_w=ts[4],
+                                      pool_bias=ts[5], pool_ctx=ts[6])
+            rep = TE.encode_documents(tape, [batch_of(ids, lengths)],
+                                      TE.EmbeddingTable(ts[0]), ps)
             return T.sum_all(tape, T.hadamard(tape, rep.vectors, w))
 
         assert H.grad_check(loss, leaves) < 1e-4
