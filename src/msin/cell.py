@@ -3,10 +3,12 @@
 Per series step: attention over the day's document vectors produces a mass
 vector p, p updates an exponentially-faded context v, and v enters every LSTM
 gate alongside the series input and previous hidden state.  A plain LSTM
-runner (no context injection) lives here too.  Both step through
-``text_encoder.lstm_step``, the one LSTM the encoder uses as well, so with
-zeroed context weights the two runners produce bit-identical states.  Each
-runner returns only the state after its last step, the one the model reads.
+runner (no context injection) lives here too.  The cell runs a whole window
+as one ``tensor.msin_sequence`` entry and the plain runner as one
+``tensor.lstm_sweep``, the op the encoder's directions use as well.  Both
+share one gate arithmetic, so with zeroed context weights the two runners
+produce bit-identical states.  Each runner returns only what the model reads
+after the last step.
 
 Every function runs a batch of samples as rows: states are [B, .] matrices
 and the documents a ``DocSlots`` layout, sample b's documents in slots
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .text_encoder import DocRepresentation, LSTMParams, lstm_params, \
-    lstm_step, uniform
+from .text_encoder import DocRepresentation, LSTMParams, lstm_params, uniform
 
 
 class EmptyDayError(ValueError):
@@ -67,16 +68,6 @@ class MsinParams:
     init_h_b: T.Tensor  # [d_s]
     attn: AttentionParams
     cell: LSTMParams
-
-
-@dataclass
-class MsinState:
-    """Per-sample rows [B, .]."""
-
-    c: T.Tensor            # [B, d_s]
-    h: T.Tensor            # [B, d_s]
-    v: T.Tensor            # [B, 2*d_h]
-    p: T.Tensor | None     # [B, N]; unset before the first step
 
 
 def init_attention(d_a: int, d_s: int, doc_dim: int, rng: np.random.Generator,
@@ -144,29 +135,23 @@ def _windows(window_values) -> np.ndarray:
 
 
 def init_states(tape: T.Tape | None, slots: DocSlots,
-                params: MsinParams) -> MsinState:
-    """Warm-start cell and hidden states from each sample's mean document."""
+                params: MsinParams) -> tuple[T.Tensor, T.Tensor]:
+    """Warm-start (c, h) [B, d_s] from each sample's mean document."""
     s_bar = T.weighted_sum(tape, slots.grid, slots.mean_weights)
     c0 = T.tanh(tape, T.linear(tape, [(params.init_c_w, s_bar)], params.init_c_b))
     h0 = T.tanh(tape, T.linear(tape, [(params.init_h_w, s_bar)], params.init_h_b))
-    v0 = T.constant(np.zeros(s_bar.shape))
-    return MsinState(c=c0, h=h0, v=v0, p=None)
+    return c0, h0
 
 
 def _doc_proj(tape, slots: DocSlots, params: AttentionParams) -> T.Tensor:
-    """doc_w . s for every slot; documents do not change across steps."""
+    """doc_w . s for every slot."""
     return T.matmul(tape, slots.rows, params.doc_w, transpose_b=True)
 
 
 def attend(tape: T.Tape | None, h_prev: T.Tensor, slots: DocSlots,
-           params: AttentionParams, doc_proj: T.Tensor | None = None) -> T.Tensor:
-    """Attention mass [B, N] over each sample's documents given its hidden state.
-
-    ``doc_proj`` is doc_w . s for every slot, hoisted by callers that attend
-    over the same documents at every step.
-    """
-    if doc_proj is None:
-        doc_proj = _doc_proj(tape, slots, params)
+           params: AttentionParams) -> T.Tensor:
+    """Attention mass [B, N] over each sample's documents given its hidden state."""
+    doc_proj = _doc_proj(tape, slots, params)
     query = T.linear(tape, [(params.state_w, h_prev)], params.bias)
     proj = T.tanh(tape, T.add_bias(tape, doc_proj, query, slots.owner))
     logits = T.matmul(tape, proj, params.score)
@@ -174,38 +159,28 @@ def attend(tape: T.Tape | None, h_prev: T.Tensor, slots: DocSlots,
                             slots.mask)
 
 
-def update_context(tape: T.Tape | None, p: T.Tensor, slots: DocSlots,
-                   v_prev: T.Tensor) -> T.Tensor:
-    """Fold the attention-weighted document summary into the running context."""
-    summary = T.weighted_sum(tape, slots.grid, p)
-    return T.scale(tape, T.add(tape, summary, v_prev), 0.5)
-
-
-def cell_step(tape: T.Tape | None, x: T.Tensor, state: MsinState,
-              slots: DocSlots, params: MsinParams,
-              doc_proj: T.Tensor | None = None) -> MsinState:
-    """One series step: attend, update context, then the gated state update."""
-    p = attend(tape, state.h, slots, params.attn, doc_proj)
-    v = update_context(tape, p, slots, state.v)
-    h, c = lstm_step(tape, params.cell, x, state.h, state.c, v)
-    return MsinState(c=c, h=h, v=v, p=p)
+def _steps(windows: np.ndarray) -> T.Tensor:
+    """[B, m, D] windows as step-major rows [m*B, D]."""
+    B, m, D = windows.shape
+    return T.constant(windows.transpose(1, 0, 2).reshape(m * B, D))
 
 
 def run_sequence(tape: T.Tape | None, window_values, slots: DocSlots,
-                 params: MsinParams) -> MsinState:
+                 params: MsinParams) -> tuple[T.Tensor, T.Tensor]:
     """Run the cell over each sample's window of series steps.
 
     ``window_values`` is [B, m, D] (anything np.asarray accepts); returns
-    the state after step m, whose ``h`` is [B, d_s] and ``p`` the last
-    step's masses [B, N].
+    the hidden state after step m, [B, d_s], and that step's masses [B, N].
+    Attention's doc_w.s is taken once for every step.
     """
     windows = _windows(window_values)
-    state = init_states(tape, slots, params)
-    doc_proj = _doc_proj(tape, slots, params.attn)
-    for t in range(windows.shape[1]):
-        state = cell_step(tape, T.constant(windows[:, t]), state, slots, params,
-                          doc_proj)
-    return state
+    c0, h0 = init_states(tape, slots, params)
+    out = T.msin_sequence(tape, _steps(windows), h0, c0,
+                          _doc_proj(tape, slots, params.attn), slots.grid,
+                          slots.mask, params.attn, params.cell)
+    d_s = h0.shape[1]
+    return (T.narrow(tape, out, 1, 0, d_s),
+            T.narrow(tape, out, 1, d_s, out.shape[1]))
 
 
 def run_plain_sequence(tape: T.Tape | None, window_values, cell: LSTMParams,
@@ -215,7 +190,6 @@ def run_plain_sequence(tape: T.Tape | None, window_values, cell: LSTMParams,
     Returns the hidden state after step m, [B, d_s].
     """
     windows = _windows(window_values)
-    c, h = init_c, init_h
-    for t in range(windows.shape[1]):
-        h, c = lstm_step(tape, cell, T.constant(windows[:, t]), h, c)
-    return h
+    m, d_s = windows.shape[1], init_h.shape[1]
+    hs = T.lstm_sweep(tape, _steps(windows), init_h, init_c, cell)
+    return T.narrow(tape, hs, 1, (m - 1) * d_s, m * d_s)

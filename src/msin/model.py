@@ -235,8 +235,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     windows = np.stack([np.asarray(s.values_n, dtype=np.float32) for s in samples])
     relevance = None
     if config.variant == "msin":
-        final = cell_mod.run_sequence(tape, windows, slots, params.msin)
-        h_m, relevance = final.h, final.p
+        h_m, relevance = cell_mod.run_sequence(tape, windows, slots, params.msin)
     else:
         zeros = T.constant(np.zeros((B, config.d_s)))
         h_m = cell_mod.run_plain_sequence(tape, windows, params.cell,

@@ -13,6 +13,13 @@ Ops are free functions taking the tape as their first argument.  Passing
 Each op has one input form.  The batched ones (``linear``,
 ``masked_softmax``, ``weighted_sum``, ``dropout``) take rows, one per
 document, sample or token position; a single item is a batch of one.
+
+Two ops run a whole recurrence as one tape entry with a hand-written
+backward: ``lstm_sweep`` (a masked LSTM over token positions or series
+steps) and ``msin_sequence`` (the MSIN cell over a window).  Their values and
+gradients are those of the per-step chain of ``linear``, ``lstm_gates``,
+``blend`` and the attention ops, bit for bit; ``lstm_gates`` and ``blend``
+stay as the single-step form of that arithmetic.
 """
 
 from __future__ import annotations
@@ -297,7 +304,7 @@ def add_bias(tape: Tape | None, m: Tensor, v: Tensor,
 
         def back(g):
             gv = np.zeros(v.shape, dtype=np.float64)
-            np.add.at(gv, rows, g)
+            np.add.at(gv, rows, g.astype(np.float64))  # same dtypes: numpy's fast path
             return (g, gv)
 
     return _emit(tape, m.data + bias, (m, v), back)
@@ -326,6 +333,49 @@ def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
     return _emit(tape, out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
+def _gate_forward(z: np.ndarray, c_prev: np.ndarray):
+    """The LSTM update from stacked pre-activations: (h, c, saved for the backward)."""
+    d = z.shape[-1] // 4
+    gates = 0.5 * (np.tanh(0.5 * z[..., :3 * d]) + 1.0)  # the sigmoid op's formula
+    i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
+    cand = np.tanh(z[..., 3 * d:])
+    c = f * c_prev + i * cand
+    tc = np.tanh(c)
+    return o * tc, c, (z.shape, i, f, o, cand, tc, c_prev)
+
+
+def _gate_back_c(saved, g):
+    """Gradients of c = f*c_prev + i*cand: (pre-activations, c_prev)."""
+    shape, i, f, _, cand, _, c_prev = saved
+    d = i.shape[-1]
+    gz = np.zeros(shape, dtype=g.dtype)
+    gz[..., :d] = g * cand * i * (1.0 - i)
+    gz[..., d:2 * d] = g * c_prev * f * (1.0 - f)
+    gz[..., 3 * d:] = g * i * (1.0 - cand * cand)
+    return gz, g * f
+
+
+def _gate_back_h(saved, g):
+    """Gradients of h = o*tanh(c): (pre-activations, c)."""
+    shape, _, _, o, _, tc, _ = saved
+    d = o.shape[-1]
+    gz = np.zeros(shape, dtype=g.dtype)
+    gz[..., 2 * d:3 * d] = g * tc * o * (1.0 - o)
+    return gz, g * o * (1.0 - tc * tc)
+
+
+def _gate_backward(saved, gh: np.ndarray, gc: np.ndarray | None):
+    """What ``lstm_gates``' two tape entries pass back, in the tape's order.
+
+    ``gh`` is the gradient of h and ``gc`` what c received from later ops
+    (None for nothing).  Returns the gradients of the pre-activations and of
+    c_prev.
+    """
+    gz, gc_h = _gate_back_h(saved, gh)
+    gz_c, g_prev = _gate_back_c(saved, gc_h if gc is None else gc + gc_h)
+    return gz + gz_c, g_prev
+
+
 def lstm_gates(tape: Tape | None, pre: Tensor, c_prev: Tensor):
     """LSTM state update from stacked pre-activations; returns (h, c).
 
@@ -334,33 +384,16 @@ def lstm_gates(tape: Tape | None, pre: Tensor, c_prev: Tensor):
     h = o*tanh(c), with sigmoid gates and a tanh candidate.  The values and
     gradients are the elementwise float arithmetic of the same update spelled
     out with narrow/sigmoid/tanh/hadamard/add, bit for bit, in two tape
-    entries (c, then h) instead of thirteen.
+    entries (c, then h) instead of thirteen.  The recurrences run this
+    arithmetic inside ``lstm_sweep`` and ``msin_sequence``.
     """
     d = pre.shape[-1] // 4
     if pre.shape[-1] != 4 * d or c_prev.shape != pre.shape[:-1] + (d,):
         raise ShapeError("lstm_gates expects [..., 4d] and [..., d], got %r and %r"
                          % (pre.shape, c_prev.shape))
-    z = pre.data
-    gates = 0.5 * (np.tanh(0.5 * z[..., :3 * d]) + 1.0)  # the sigmoid op's formula
-    i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
-    cand = np.tanh(z[..., 3 * d:])
-    c = f * c_prev.data + i * cand
-    tc = np.tanh(c)
-
-    def back_c(g):
-        gz = np.zeros(z.shape, dtype=g.dtype)
-        gz[..., :d] = g * cand * i * (1.0 - i)
-        gz[..., d:2 * d] = g * c_prev.data * f * (1.0 - f)
-        gz[..., 3 * d:] = g * i * (1.0 - cand * cand)
-        return (gz, g * f)
-
-    def back_h(g):
-        gz = np.zeros(z.shape, dtype=g.dtype)
-        gz[..., 2 * d:3 * d] = g * tc * o * (1.0 - o)
-        return (gz, g * o * (1.0 - tc * tc))
-
-    c_out = _emit(tape, c, (pre, c_prev), back_c)
-    return _emit(tape, o * tc, (pre, c_out), back_h), c_out
+    h, c, saved = _gate_forward(pre.data, c_prev.data)
+    c_out = _emit(tape, c, (pre, c_prev), lambda g: _gate_back_c(saved, g))
+    return _emit(tape, h, (pre, c_out), lambda g: _gate_back_h(saved, g)), c_out
 
 
 def blend(tape: Tape | None, keep: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -503,7 +536,7 @@ def take_rows(tape: Tape | None, x: Tensor, ids: np.ndarray) -> Tensor:
 
     def back(g):
         gx = np.zeros(x.shape, dtype=np.float64)
-        np.add.at(gx, ids, g)
+        np.add.at(gx, ids, g.astype(np.float64))  # same dtypes: numpy's fast path
         return (gx,)
 
     return _emit(tape, x.data[ids].copy(), (x,), back)
@@ -580,6 +613,253 @@ def bce_with_logit(tape: Tape | None, logit: Tensor, target) -> Tensor:
         return (g.astype(np.float64) * (sig - y),)
 
     return _emit(tape, np.asarray(loss, dtype=_promoted(logit)), (logit,), back)
+
+
+# ---------------------------------------------------------------------------
+# recurrences
+#
+# Each op below runs every step of a recurrence in one tape entry.  The
+# forward is the arithmetic of the per-step chain of ops it replaces
+# (``linear``, ``lstm_gates``, ``blend``, the attention ops), bit for bit:
+# every product is taken in float64 and rounded once, and sums keep the
+# chain's order.  The backward is hand-written BPTT that adds every
+# gradient in the order the tape would, so float64 and float32 gradients
+# match the chain's too.  Weights are widened to float64 once per call, and
+# per-step values are kept only while a tape records the op.
+
+
+def _rounded(product: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A float64 product of ``a`` and ``b`` rounded to their storage dtype."""
+    wide = a.dtype == np.float64 or b.dtype == np.float64
+    return np.asarray(product, dtype=np.float64 if wide else np.float32)
+
+
+def _plus(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
+    """``total + g``, the way the tape adds a gradient to what a tensor has."""
+    return g if total is None else total + g
+
+
+def _check_gates(gates, d: int, d_in: int, name: str) -> None:
+    if (gates.input_w.shape != (4 * d, d_in) or gates.state_w.shape != (4 * d, d)
+            or gates.bias.shape != (4 * d,)):
+        raise ShapeError("%s gates %r, %r, %r do not fit width %d and input %d"
+                         % (name, gates.input_w.shape, gates.state_w.shape,
+                            gates.bias.shape, d, d_in))
+
+
+def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor, gates,
+               valid: np.ndarray | None = None, reverse: bool = False) -> Tensor:
+    """A masked LSTM over position-major rows, in one tape entry.
+
+    ``x`` [L*n, d_in] holds position l of n sequences in rows l*n..l*n+n-1,
+    and ``h0``, ``c0`` [n, d] are the initial states.  ``gates`` holds the
+    stacked weights ``input_w`` [4d, d_in], ``state_w`` [4d, d] and ``bias``
+    [4d], as ``text_encoder.LSTMParams`` does.  Positions run from 0 to L-1,
+    or from L-1 down to 0 with ``reverse``.  Where ``valid`` [n, L] is False
+    a sequence carries its states through the position, by ``blend``'s
+    arithmetic.  Returns every position's hidden state, [n, L*d] with
+    position l in columns l*d..(l+1)*d-1.
+
+    Per position this is ``linear`` of (input_w, x), (state_w, h) and the
+    bias, ``lstm_gates`` and, at a position some sequence skips, ``blend``.
+    input_w.x for every position is one batched matmul before the loop:
+    numpy makes the BLAS call ``linear`` would make for each position, so
+    the rows are the same bits.
+    """
+    n, d = h0.shape if h0.ndim == 2 else (0, 0)
+    if n == 0 or c0.shape != (n, d) or x.ndim != 2 or x.shape[0] % n:
+        raise ShapeError("lstm_sweep expects [L*n, d_in] rows and [n, d] states, "
+                         "got %r, %r and %r" % (x.shape, h0.shape, c0.shape))
+    L = x.shape[0] // n
+    _check_gates(gates, d, x.shape[1], "lstm_sweep")
+    carry = np.zeros(L, dtype=bool)
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != (n, L):
+            raise ShapeError("lstm_sweep mask %r does not match %d rows of %d "
+                             "positions" % (valid.shape, n, L))
+        keep = valid.astype(np.float32)
+        carry = ~valid.all(axis=0)
+    inputs = (x, h0, c0, gates.input_w, gates.state_w, gates.bias)
+    record = tape is not None and any(t.requires_grad for t in inputs)
+    Wx = gates.input_w.data.astype(np.float64)
+    Wh = gates.state_w.data.astype(np.float64)
+    X = x.data.astype(np.float64).reshape(L, n, -1)
+    xw = _rounded(X @ Wx.T, gates.input_w.data, x.data)
+    hs, steps = [None] * L, []
+    h, c = h0.data, c0.data
+    for l in (range(L - 1, -1, -1) if reverse else range(L)):
+        H = h.astype(np.float64)
+        z = xw[l] + _rounded(H @ Wh.T, gates.state_w.data, h) + gates.bias.data
+        h_new, c_new, saved = _gate_forward(z, c)
+        k = keep[:, l:l + 1] if carry[l] else None
+        if record:
+            steps.append((l, H, saved, k, h.dtype))
+        if k is None:
+            h, c = h_new, c_new
+        else:
+            h, c = k * h_new + (1.0 - k) * h, k * c_new + (1.0 - k) * c
+        hs[l] = h
+
+    def back(g):
+        g = g.reshape(n, L, d)
+        G = np.empty((L, n, 4 * d))  # each position's pre-activation gradient
+        gWx = gWh = gb = None
+        into_h, into_c = [], []      # what the states before a step receive
+        for l, H, saved, k, h_dtype in reversed(steps):
+            gh, gc = g[:, l], None
+            for part in into_h:
+                gh = gh + part
+            for part in into_c:
+                gc = _plus(gc, part)
+            into_h, into_c = [], []
+            if k is not None:  # blend's backward, c's entry first
+                if gc is not None:
+                    into_c.append(gc * (1.0 - k))
+                    gc = gc * k
+                into_h.append(gh * (1.0 - k))
+                gh = gh * k
+            gz, gc_prev = _gate_backward(saved, gh, gc)
+            into_c.append(gc_prev)
+            G[l] = gz
+            gWx = _plus(gWx, X[l].T @ G[l])
+            gWh = _plus(gWh, H.T @ G[l])
+            gb = _plus(gb, G[l].sum(axis=0))
+            into_h.append(np.asarray(G[l] @ Wh, dtype=h_dtype))
+        gh0 = gc0 = None
+        for part in into_h:
+            gh0 = _plus(gh0, part)
+        for part in into_c:
+            gc0 = _plus(gc0, part)
+        gx = (G @ Wx).reshape(x.shape) if x.requires_grad else None
+        return (gx, gh0, gc0, gWx.T, gWh.T, gb)
+
+    out = np.concatenate(hs, axis=1)
+    return _emit(tape if record else None, out, inputs, back)
+
+
+def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
+                  doc_proj: Tensor, grid: Tensor, mask: np.ndarray, attn,
+                  gates) -> Tensor:
+    """The MSIN cell over every step of a window, in one tape entry.
+
+    ``x`` [m*B, D] holds step t of B windows in rows t*B..t*B+B-1, and
+    ``h0``, ``c0`` [B, d] are the initial states.  ``grid`` [B, N, c] holds
+    each sample's document slots, ``mask`` [B, N] marks the real ones and
+    ``doc_proj`` [B*N, a] is doc_w.s for every slot.  ``attn`` holds the
+    attention's ``state_w`` [a, d], ``bias`` [a] and ``score`` [a];
+    ``gates`` the stacked LSTM weights with ``ctx_w`` [4d, c].  Returns
+    [B, d + N]: the last hidden state next to the last step's masses.
+
+    A step is the query ``linear`` of h, ``tanh`` of doc_proj plus each
+    slot's query (``add_bias`` by rows), the score ``matmul``,
+    ``masked_softmax`` over the slots, the context fade
+    v = 0.5 * (``weighted_sum`` + v) from v = 0, and the gated update whose
+    ``linear`` adds ctx_w.v after input_w.x and state_w.h.  ``grid`` is
+    listed among the inputs once per step, so its step gradients add up in
+    the chain's order after whatever later ops gave it.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or grid.ndim != 3 or grid.shape[:2] != mask.shape:
+        raise ShapeError("msin_sequence expects a [B, N, c] grid and [B, N] mask, "
+                         "got %r and %r" % (grid.shape, mask.shape))
+    B, N = mask.shape
+    c = grid.shape[2]
+    d = h0.shape[1] if h0.ndim == 2 else 0
+    a = attn.state_w.shape[0]
+    if (d == 0 or h0.shape != (B, d) or c0.shape != (B, d) or x.ndim != 2
+            or x.shape[0] % B):
+        raise ShapeError("msin_sequence expects [m*B, D] rows and [B, d] states, "
+                         "got %r, %r and %r" % (x.shape, h0.shape, c0.shape))
+    if (attn.state_w.shape != (a, d) or attn.bias.shape != (a,)
+            or attn.score.shape != (a,) or doc_proj.shape != (B * N, a)
+            or gates.ctx_w.shape != (4 * d, c)):
+        raise ShapeError("msin_sequence attention or context weights do not fit "
+                         "width %d and %d slots of %d" % (d, B * N, c))
+    _check_gates(gates, d, x.shape[1], "msin_sequence")
+    rows_ok = mask.any(axis=1)
+    if not rows_ok.all():
+        raise DegenerateMaskError(
+            "softmax row %d has no valid entries" % int(np.flatnonzero(~rows_ok)[0]))
+    m = x.shape[0] // B
+    inputs = (x, h0, c0, doc_proj) + (grid,) * m + (
+        attn.state_w, attn.bias, attn.score,
+        gates.input_w, gates.state_w, gates.ctx_w, gates.bias)
+    record = tape is not None and any(t.requires_grad for t in inputs)
+    Wq = attn.state_w.data.astype(np.float64)
+    S = attn.score.data.astype(np.float64)
+    Wx = gates.input_w.data.astype(np.float64)
+    Wh = gates.state_w.data.astype(np.float64)
+    Wc = gates.ctx_w.data.astype(np.float64)
+    X = x.data.astype(np.float64).reshape(m, B, -1)
+    owner = np.repeat(np.arange(B), N)
+    docs = grid.data
+    steps = []
+    h, cell, v = h0.data, c0.data, np.zeros((B, c), dtype=np.float32)
+    for t in range(m):
+        H = h.astype(np.float64)
+        q = _rounded(H @ Wq.T, attn.state_w.data, h) + attn.bias.data
+        A = np.tanh(doc_proj.data + q[owner])
+        A64 = A.astype(np.float64)
+        logits = _rounded(A64 @ S, A, attn.score.data)
+        shifted = np.where(mask, logits.reshape(B, N).astype(np.float64), -np.inf)
+        e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+        P64 = e / e.sum(axis=1, keepdims=True)
+        p = np.asarray(P64, dtype=logits.dtype)
+        summary = _rounded((docs * p[:, :, None]).astype(np.float64).sum(axis=1),
+                           docs, p)
+        v = (summary + v) * 0.5
+        V = v.astype(np.float64)
+        # x.input_w stays in the loop: hoisted, it would be an [m, B, 4d]
+        # float64 temporary, which raised peak memory and saved no time
+        z = (_rounded(X[t] @ Wx.T, gates.input_w.data, x.data)
+             + _rounded(H @ Wh.T, gates.state_w.data, h)
+             + _rounded(V @ Wc.T, gates.ctx_w.data, v)) + gates.bias.data
+        if record:
+            dtypes = (h.dtype, v.dtype, q.dtype, logits.dtype)
+        h, cell, saved = _gate_forward(z, cell)
+        if record:
+            steps.append((H, A, A64, V, p, P64, saved, dtypes))
+
+    def back(g):
+        gh, gc, gv, gp = g[:, :d], None, None, g[:, d:]
+        gWq = gbq = g_score = gWx = gWh = gWc = gb = g_proj = None
+        g_docs, gx = [], []
+        for t in range(m - 1, -1, -1):
+            H, A, A64, V, p, P64, saved, (h_dt, v_dt, q_dt, s_dt) = steps[t]
+            gz, gc = _gate_backward(saved, gh, gc)
+            G = gz.astype(np.float64)  # the gated update's linear
+            gWx = _plus(gWx, X[t].T @ G)
+            gWh = _plus(gWh, H.T @ G)
+            gWc = _plus(gWc, V.T @ G)
+            gb = _plus(gb, G.sum(axis=0))
+            if x.requires_grad:
+                gx.append(G @ Wx)
+            gh = np.asarray(G @ Wh, dtype=h_dt)
+            gv = _plus(gv, np.asarray(G @ Wc, dtype=v_dt)) * 0.5  # the fade
+            if grid.requires_grad:  # the weighted summary
+                g_docs.append(gv[:, None, :] * p[:, :, None])
+            gw = np.asarray((gv.astype(np.float64)[:, None, :] * docs).sum(axis=2),
+                            dtype=p.dtype)
+            gp = gp + gw if t == m - 1 else gw
+            Gp = gp.astype(np.float64)  # the softmax, then the score
+            Gs = np.asarray(P64 * (Gp - (Gp * P64).sum(axis=1, keepdims=True)),
+                            dtype=s_dt).reshape(-1).astype(np.float64)
+            g_score = _plus(g_score, A64.T @ Gs)
+            gZ = np.asarray(Gs[:, None] * S, dtype=A.dtype) * (1.0 - A * A)  # outer
+            g_proj = _plus(g_proj, gZ)
+            Gq = np.asarray(  # each sample's slots, as add_bias scatters them
+                gZ.reshape(B, N, a).astype(np.float64).sum(axis=1, initial=0.0),
+                dtype=q_dt).astype(np.float64)
+            gWq = _plus(gWq, H.T @ Gq)
+            gbq = _plus(gbq, Gq.sum(axis=0))
+            gh = gh + np.asarray(Gq @ Wq, dtype=h_dt)
+        gx = np.concatenate(gx[::-1]) if gx else None
+        return (gx, gh, gc, g_proj, *(g_docs or [None] * m), gWq.T, gbq, g_score,
+                gWx.T, gWh.T, gWc.T, gb)
+
+    out = np.concatenate([h, p], axis=1)
+    return _emit(tape if record else None, out, inputs, back)
 
 
 # ---------------------------------------------------------------------------

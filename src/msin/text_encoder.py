@@ -8,10 +8,10 @@ runs the documents of a list of days (every day of a batch, or one day) as
 rows of shared matrix ops with per-row validity masks.  Every reduction in
 the engine accumulates in float64 and rounds once, so each row matches
 encoding its document alone (the per-document reference lives with the
-tests) and permuting documents permutes the outputs bit-identically.  The
-stacked-gate LSTM defined here (``LSTMParams``, ``lstm_step``, gated by
-``tensor.lstm_gates``) is also the series cell's, and ``uniform`` draws the
-initial weights of every layer.
+tests) and permuting documents permutes the outputs bit-identically.  Each
+direction is one ``tensor.lstm_sweep`` over the stacked-gate weights defined
+here (``LSTMParams``), which the series cells use as well, and ``uniform``
+draws the initial weights of every layer.
 """
 
 from __future__ import annotations
@@ -168,24 +168,6 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
 
 
 # ---------------------------------------------------------------------------
-# the LSTM step shared by both encoder directions and the series cell
-
-
-def lstm_step(tape, params: LSTMParams, x: T.Tensor, h: T.Tensor,
-              c: T.Tensor, v: T.Tensor | None = None):
-    """One LSTM step of n sequences, one per row of [n, .] inputs; returns (h, c).
-
-    The pre-activation is input_w.x + state_w.h (+ ctx_w.v) + bias, added in
-    that order, so zero context weights reproduce the plain LSTM bitwise.
-    Pass the context ``v`` only with parameters that have ``ctx_w``.
-    """
-    terms = [(params.input_w, x), (params.state_w, h)]
-    if v is not None:
-        terms.append((params.ctx_w, v))
-    return T.lstm_gates(tape, T.linear(tape, terms, params.bias), c)
-
-
-# ---------------------------------------------------------------------------
 # batched document encoding (what the models call)
 
 
@@ -232,32 +214,17 @@ def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
     # one gather for every document, grouped position-major
     flat_ids = token_ids[:, :k_eff].T.reshape(-1)
     all_rows = embed_lookup(tape, flat_ids, table)
-    xs = [T.narrow(tape, all_rows, 0, l * n, (l + 1) * n) for l in range(k_eff)]
     valid = lengths[:, None] > np.arange(k_eff)[None, :]  # [n, k_eff]
+    zeros = T.constant(np.zeros((n, d_h)))
 
-    def sweep(direction: LSTMParams, order):
-        h = T.constant(np.zeros((n, d_h)))
-        c = T.constant(np.zeros((n, d_h)))
-        out = {}
-        for l in order:
-            h_new, c_new = lstm_step(tape, direction, xs[l], h, c)
-            if valid[:, l].all():
-                h, c = h_new, c_new
-            else:
-                keep = np.repeat(valid[:, l:l + 1], d_h, axis=1)
-                h = T.blend(tape, keep, h_new, h)
-                c = T.blend(tape, keep, c_new, c)
-            out[l] = h
-        return out
+    def by_document(direction: LSTMParams, reverse: bool):
+        """[n, k_eff, d_h]: document j's states in row j; padding carries them."""
+        states = T.lstm_sweep(tape, all_rows, zeros, zeros, direction, valid,
+                              reverse)
+        return T.reshape(tape, states, (n, k_eff, d_h))
 
-    fwd = sweep(params.fwd, range(k_eff))
-    bwd = sweep(params.bwd, range(k_eff - 1, -1, -1))
-
-    def by_document(states):  # [n, k_eff, d_h]: document j's states in row j
-        row = T.concat(tape, [states[l] for l in range(k_eff)], axis=1)
-        return T.reshape(tape, row, (n, k_eff, d_h))
-
-    hid = T.concat(tape, [by_document(fwd), by_document(bwd)], axis=2)
+    hid = T.concat(tape, [by_document(params.fwd, False),
+                          by_document(params.bwd, True)], axis=2)
     flat = T.reshape(tape, hid, (n * k_eff, 2 * d_h))
     proj = T.tanh(tape, T.linear(tape, [(params.pool_w, flat)], params.pool_bias))
     scores = T.matmul(tape, proj, params.pool_ctx)

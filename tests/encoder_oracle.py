@@ -1,14 +1,17 @@
 """Per-document encoder: the reference the batched day encoder is tested against.
 
 ``bilstm_forward`` and ``attention_pool`` run one document at a time, as a
-batch of one row, through the package's own ``lstm_step`` and engine ops.
-``text_encoder.encode_documents`` must reproduce them row by row.
+batch of one row, through the per-step ``chain_oracle.lstm_step`` and the
+package's engine ops.  ``text_encoder.encode_documents`` must reproduce them
+row by row.
 """
 
 import numpy as np
 
 from msin import tensor as T
 from msin import text_encoder as TE
+
+from chain_oracle import lstm_step
 
 
 def bilstm_forward(tape, embeds, length, params):
@@ -26,7 +29,7 @@ def bilstm_forward(tape, embeds, length, params):
         c = T.constant(np.zeros((1, d_h)))
         out = {}
         for l in order:
-            h, c = TE.lstm_step(tape, direction, xs[l], h, c)
+            h, c = lstm_step(tape, direction, xs[l], h, c)
             out[l] = h
         return out
 

@@ -3,7 +3,8 @@
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
 an [n] mask and vector states as a batch of one and return vectors, so the
-cell tests can state their per-sample oracles directly.
+cell tests can state their per-sample oracles directly.  Single steps run
+through the per-step chain in ``chain_oracle``.
 """
 
 import dataclasses
@@ -13,6 +14,9 @@ import numpy as np
 from msin import cell as C
 from msin import tensor as T
 from msin.text_encoder import DocRepresentation
+
+import chain_oracle as chain
+from chain_oracle import MsinState
 
 
 def grad_check(build_loss, params, h: float = 1e-5) -> float:
@@ -45,10 +49,11 @@ def unrow(tape, t: T.Tensor) -> T.Tensor:
     return T.reshape(tape, t, t.shape[1:])
 
 
-def init_states(tape, docs, params) -> C.MsinState:
-    state = C.init_states(tape, one_day(tape, docs), params)
-    return C.MsinState(c=unrow(tape, state.c), h=unrow(tape, state.h),
-                       v=unrow(tape, state.v), p=None)
+def init_states(tape, docs, params) -> MsinState:
+    """The warm-started states and the zero context of the first step."""
+    c0, h0 = C.init_states(tape, one_day(tape, docs), params)
+    return MsinState(c=unrow(tape, c0), h=unrow(tape, h0),
+                     v=T.constant(np.zeros(docs.vectors.shape[1])), p=None)
 
 
 def attend(tape, h_prev, docs, mask, params) -> T.Tensor:
@@ -58,16 +63,16 @@ def attend(tape, h_prev, docs, mask, params) -> T.Tensor:
 
 
 def update_context(tape, p, docs, v_prev) -> T.Tensor:
-    return unrow(tape, C.update_context(tape, row(tape, p), one_day(tape, docs),
-                                        row(tape, v_prev)))
+    return unrow(tape, chain.update_context(tape, row(tape, p), one_day(tape, docs),
+                                            row(tape, v_prev)))
 
 
-def cell_step(tape, x, state, docs, mask, params) -> C.MsinState:
-    rows = C.MsinState(c=row(tape, state.c), h=row(tape, state.h),
-                       v=row(tape, state.v), p=None)
-    out = C.cell_step(tape, row(tape, x), rows, one_day(tape, docs, mask), params)
-    return C.MsinState(c=unrow(tape, out.c), h=unrow(tape, out.h),
-                       v=unrow(tape, out.v), p=unrow(tape, out.p))
+def cell_step(tape, x, state, docs, mask, params) -> MsinState:
+    rows = MsinState(c=row(tape, state.c), h=row(tape, state.h),
+                     v=row(tape, state.v), p=None)
+    out = chain.cell_step(tape, row(tape, x), rows, one_day(tape, docs, mask), params)
+    return MsinState(c=unrow(tape, out.c), h=unrow(tape, out.h),
+                     v=unrow(tape, out.v), p=unrow(tape, out.p))
 
 
 def run_sequence(tape, window, docs, mask, params):
@@ -80,8 +85,8 @@ def run_sequence(tape, window, docs, mask, params):
     slots = one_day(tape, docs, mask)
     finals = [C.run_sequence(tape, window[None, :t], slots, params)
               for t in range(1, window.shape[0] + 1)]
-    return (T.concat(tape, [s.h for s in finals], axis=0),
-            [unrow(tape, s.p) for s in finals])
+    return (T.concat(tape, [h for h, _ in finals], axis=0),
+            [unrow(tape, p) for _, p in finals])
 
 
 def run_plain_sequence(tape, window, cell, init_c, init_h) -> T.Tensor:

@@ -9,7 +9,7 @@ from msin.rng import substream
 from msin.text_encoder import DocRepresentation, LSTMParams
 
 import helpers as H
-from helpers import docs_of
+from helpers import MsinState, docs_of
 
 
 def _sig(x):
@@ -188,8 +188,8 @@ class TestCellStep:
         params = zero_params()
         rng = np.random.default_rng(11)
         c_prev = rng.normal(size=3).astype(np.float32)
-        state = C.MsinState(c=T.constant(c_prev), h=T.constant(np.zeros(3)),
-                            v=T.constant(np.zeros(4)), p=None)
+        state = MsinState(c=T.constant(c_prev), h=T.constant(np.zeros(3)),
+                          v=T.constant(np.zeros(4)), p=None)
         out = H.cell_step(None, T.constant([0.5]), state,
                           docs_of(rng.normal(size=(2, 4))), np.ones(2, dtype=bool),
                           params)
@@ -205,8 +205,8 @@ class TestCellStep:
         c_prev = rng.normal(size=3).astype(np.float32)
         h_prev = rng.normal(size=3).astype(np.float32)
         docs = docs_of(rng.normal(size=(2, 4)))
-        state = C.MsinState(c=T.constant(c_prev), h=T.constant(h_prev),
-                            v=T.constant(np.zeros(4)), p=None)
+        state = MsinState(c=T.constant(c_prev), h=T.constant(h_prev),
+                          v=T.constant(np.zeros(4)), p=None)
         out = H.cell_step(None, T.constant([0.3]), state, docs,
                           np.ones(2, dtype=bool), params)
         # recompute f with the same ops to compare bit-for-bit
@@ -228,8 +228,8 @@ class TestCellStep:
         s = rng.normal(size=(2, 1)).astype(np.float32)
         c_prev, h_prev = 0.3, -0.2
         x = 0.7
-        state = C.MsinState(c=T.constant([c_prev]), h=T.constant([h_prev]),
-                            v=T.constant([0.1]), p=None)
+        state = MsinState(c=T.constant([c_prev]), h=T.constant([h_prev]),
+                          v=T.constant([0.1]), p=None)
         out = H.cell_step(None, T.constant([x]), state, docs_of(s),
                           np.ones(2, dtype=bool), params)
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from msin import tensor as T
 
+import chain_oracle as chain
 import helpers as H
 
 
@@ -184,6 +187,31 @@ class TestReductionsAndRearrangement:
         with pytest.raises(T.ShapeError):
             T.take_rows(None, T.constant(np.ones((3, 2))), np.array([3]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_adds_match_a_sequential_loop(self, dtype):
+        """take_rows' and add_bias(rows=)'s backwards add each row's gradient
+        in float64, one after another in row order, bit for bit."""
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            k, c = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            ids = rng.integers(0, k, size=int(rng.integers(1, 30)))
+            g = rng.normal(size=(ids.size, c)) * 10.0 ** rng.integers(-8, 9, (ids.size, 1))
+            g[rng.random(g.shape) < 0.2] = -0.0
+            g = g.astype(dtype)
+            want = np.zeros((k, c))
+            for i, r in enumerate(ids):
+                want[r] += g[i].astype(np.float64)
+            for op in (lambda tape, t: T.take_rows(tape, t, ids),
+                       lambda tape, t: T.add_bias(tape, T.constant(np.zeros(g.shape),
+                                                                   dtype=dtype),
+                                                  t, ids)):
+                table = T.parameter(np.zeros((k, c)), "table", dtype)
+                tape = T.Tape()
+                out = op(tape, table)
+                tape.backward(T.sum_all(tape, T.hadamard(tape, out,
+                                                         T.constant(g, dtype=dtype))))
+                assert table.grad.tobytes() == want.tobytes()
+
     def test_row_scale(self):
         m = T.constant(np.ones((3, 2)))
         v = T.constant([1.0, 2.0, 3.0])
@@ -331,9 +359,76 @@ def _leaf_grads(build, leaves, seed):
     return [o.data.tobytes() for o in outs] + [t.grad.tobytes() for t in leaves]
 
 
+def _gates(rng, d, d_in, dtype, ctx=None):
+    """Stacked LSTM weights as leaves, in the order the fused ops list them."""
+    leaves = [T.parameter(_rand(rng, 4 * d, d_in), "input_w", dtype),
+              T.parameter(_rand(rng, 4 * d, d), "state_w", dtype)]
+    if ctx is not None:
+        leaves.append(T.parameter(_rand(rng, 4 * d, ctx), "ctx_w", dtype))
+    return leaves + [T.parameter(_rand(rng, 4 * d) * 0.5, "bias", dtype)]
+
+
+def _sweep_case(seed, n, L, dtype=np.float64, reverse=False):
+    """Leaves of an lstm_sweep over ragged sequences, and fused and chain builds.
+
+    A sequence of length 0 carries its initial states through every position.
+    """
+    rng = np.random.default_rng(seed)
+    d_in, d = 3, 2
+    lengths = rng.integers(0, L + 1, size=n)
+    valid = lengths[:, None] > np.arange(L)[None, :]
+    leaves = [T.parameter(_rand(rng, L * n, d_in), "x", dtype),
+              T.parameter(_rand(rng, n, d), "h0", dtype),
+              T.parameter(_rand(rng, n, d), "c0", dtype)] + _gates(rng, d, d_in, dtype)
+
+    def args(ls):
+        x, h0, c0, wx, wh, b = ls
+        return x, h0, c0, SimpleNamespace(input_w=wx, state_w=wh, bias=b)
+
+    def fused(tape, ls):
+        return [T.lstm_sweep(tape, *args(ls), valid, reverse)]
+
+    def oracle(tape, ls):
+        return [chain.sweep(tape, *args(ls), valid, reverse)]
+
+    return leaves, fused, oracle
+
+
+def _msin_case(seed, B, m, dtype=np.float64):
+    """Leaves of an msin_sequence over 1-5 documents a sample, padded to N slots."""
+    rng = np.random.default_rng(seed)
+    d, a, c, D = 3, 2, 4, 2
+    counts = rng.integers(1, 6, size=B)
+    N = int(counts.max())
+    mask = np.arange(N)[None, :] < counts[:, None]
+    x = T.constant(_rand(rng, m * B, D))
+    leaves = [T.parameter(_rand(rng, B, d), "h0", dtype),
+              T.parameter(_rand(rng, B, d), "c0", dtype),
+              T.parameter(_rand(rng, B * N, a), "doc_proj", dtype),
+              T.parameter(_rand(rng, B, N, c), "grid", dtype),
+              T.parameter(_rand(rng, a, d), "attn.state_w", dtype),
+              T.parameter(_rand(rng, a) * 0.5, "attn.bias", dtype),
+              T.parameter(_rand(rng, a) * 2, "attn.score", dtype)] + _gates(
+                  rng, d, D, dtype, ctx=c)
+
+    def args(ls):
+        h0, c0, proj, grid, qw, qb, score, wx, wh, wc, b = ls
+        return (x, h0, c0, proj, grid, mask,
+                SimpleNamespace(state_w=qw, bias=qb, score=score),
+                SimpleNamespace(input_w=wx, state_w=wh, ctx_w=wc, bias=b))
+
+    def fused(tape, ls):
+        return [T.msin_sequence(tape, *args(ls))]
+
+    def oracle(tape, ls):
+        return [chain.msin_steps(tape, *args(ls))]
+
+    return leaves, fused, oracle, mask
+
+
 class TestFusedOps:
-    """linear, lstm_gates, weighted_sum, blend and add_bias by rows against the
-    ops they fuse."""
+    """linear, lstm_gates, weighted_sum, blend and add_bias by rows, and the
+    recurrences lstm_sweep and msin_sequence, against the ops they fuse."""
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
@@ -482,6 +577,79 @@ class TestFusedOps:
         w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
         with pytest.raises(T.ShapeError):
             T.linear(None, [(w, T.constant(np.ones(4)))], b)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sweep_bitwise_matches_the_chain(self, n, L, reverse):
+        """Ragged lengths; values in float32 and float64, gradients in float64."""
+        for dtype in (np.float32, np.float64):
+            leaves, fused, oracle = _sweep_case(10 * n + L, n, L, dtype, reverse)
+            got, want = fused(None, leaves)[0], oracle(None, leaves)[0]
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+        assert _leaf_grads(fused, leaves, 7) == _leaf_grads(oracle, leaves, 7)
+
+    @pytest.mark.parametrize("B", [1, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_msin_sequence_bitwise_matches_the_chain(self, B, m):
+        """1-5 documents a sample with padding slots; values in float32 and
+        float64, gradients in float64."""
+        for dtype in (np.float32, np.float64):
+            leaves, fused, oracle, _ = _msin_case(100 * B + m, B, m, dtype)
+            got, want = fused(None, leaves)[0], oracle(None, leaves)[0]
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+        assert _leaf_grads(fused, leaves, 8) == _leaf_grads(oracle, leaves, 8)
+
+    def test_msin_sequence_padding_slots_get_no_mass_and_no_gradient(self):
+        leaves, fused, _, mask = _msin_case(5, 6, 4)
+        assert not mask.all()
+        tape = T.Tape()
+        out = fused(tape, leaves)[0]
+        w = T.constant(_rand(np.random.default_rng(6), *out.shape), dtype=np.float64)
+        tape.backward(T.sum_all(tape, T.hadamard(tape, out, w)))
+        assert np.all(out.data[:, 3:][~mask] == 0.0)
+        grid, proj = leaves[3], leaves[2]
+        assert np.all(grid.grad[~mask] == 0.0) and np.any(grid.grad[mask] != 0.0)
+        assert np.all(proj.grad[~mask.reshape(-1)] == 0.0)
+
+    @pytest.mark.parametrize("op", ["lstm_sweep", "msin_sequence"])
+    def test_forward_only_records_nothing_and_gives_the_same_values(self, op):
+        leaves, fused = (_sweep_case(3, 4, 3) if op == "lstm_sweep"
+                         else _msin_case(3, 4, 3))[:2]
+        tape = T.Tape()
+        taped = fused(tape, leaves)[0]
+        assert len(tape) == 1
+        assert fused(None, leaves)[0].data.tobytes() == taped.data.tobytes()
+        frozen = [T.constant(t.data, dtype=t.data.dtype) for t in leaves]
+        quiet = T.Tape()
+        assert fused(quiet, frozen)[0].data.tobytes() == taped.data.tobytes()
+        assert len(quiet) == 0
+
+    def test_recurrence_shape_guards(self):
+        x, h0, c0, wx, wh, b = _sweep_case(4, 3, 2)[0]
+        gates = SimpleNamespace(input_w=wx, state_w=wh, bias=b)
+        with pytest.raises(T.ShapeError):
+            T.lstm_sweep(None, T.narrow(None, x, 0, 0, 5), h0, c0, gates)
+        with pytest.raises(T.ShapeError):
+            T.lstm_sweep(None, x, h0, c0, gates, np.ones((3, 3), dtype=bool))
+        with pytest.raises(T.ShapeError):
+            T.lstm_sweep(None, x, h0, c0,
+                         SimpleNamespace(input_w=wh, state_w=wh, bias=b))
+        h0, c0, proj, grid, qw, qb, score, wx, wh, wc, b = _msin_case(4, 3, 2)[0]
+        attn = SimpleNamespace(state_w=qw, bias=qb, score=score)
+        cell = SimpleNamespace(input_w=wx, state_w=wh, ctx_w=wc, bias=b)
+        x = T.constant(np.ones((6, 2)))
+        mask = np.ones(grid.shape[:2], dtype=bool)
+        with pytest.raises(T.DegenerateMaskError):
+            T.msin_sequence(None, x, h0, c0, proj, grid, ~mask, attn, cell)
+        with pytest.raises(T.ShapeError):
+            T.msin_sequence(None, T.constant(np.ones((5, 2))), h0, c0, proj, grid,
+                            mask, attn, cell)
+        with pytest.raises(T.ShapeError):
+            T.msin_sequence(None, x, h0, c0, proj, grid, mask, attn,
+                            SimpleNamespace(input_w=wx, state_w=wh, ctx_w=wh, bias=b))
 
 
 class TestDropout:
@@ -687,15 +855,39 @@ class TestGradCheckPerOp:
                   T.parameter(_rand(rng, 2, 2), "beta")]
         assert H.grad_check(loss, params) < 1e-6
 
-def _skewed(tape, op, *args):
-    """Call ``op`` with every gradient its backward returns scaled by 1 + 1e-3."""
+    @staticmethod
+    def _check_recurrence(leaves, fused, seed):
+        out_shape = fused(None, leaves)[0].shape
+        w = T.constant(_rand(np.random.default_rng(seed), *out_shape), dtype=np.float64)
+
+        def loss(tape, ls):
+            return T.sum_all(tape, T.hadamard(tape, fused(tape, ls)[0], w))
+
+        assert H.grad_check(loss, leaves) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lstm_sweep(self, seed):
+        """Ragged sequences, run forwards and in reverse."""
+        for reverse in (False, True):
+            leaves, fused = _sweep_case(720 + seed, 3, 4, reverse=reverse)[:2]
+            self._check_recurrence(leaves, fused, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_msin_sequence(self, seed):
+        leaves, fused = _msin_case(730 + seed, 3, 3)[:2]
+        self._check_recurrence(leaves, fused, seed)
+
+def _skewed(tape, op, *args, block=None):
+    """Call ``op`` with the gradients its backward returns scaled by 1 + 1e-3:
+    every one, or only the one at index ``block``."""
     if tape is None:
         return op(None, *args)
     record = tape.record
 
     def skew(out, inputs, backward):
         record(out, inputs, lambda g: tuple(
-            None if x is None else x * (1.0 + 1e-3) for x in backward(g)))
+            x if x is None or block not in (None, i) else x * (1.0 + 1e-3)
+            for i, x in enumerate(backward(g))))
 
     tape.record = skew
     try:
@@ -713,6 +905,13 @@ def _mutation_cases():
 
     mask = np.array([[True, True, False, True], [False, True, True, True]])
     keep = np.array([[1, 0, 1], [1, 1, 0]])
+    valid = np.array([[True, True, False], [True, True, True]])
+
+    def gates(L, ctx=False):
+        *w, b = L
+        return SimpleNamespace(input_w=w[0], state_w=w[1], bias=b,
+                               ctx_w=w[2] if ctx else None)
+
     return {
         "matmul": ([r(3, 4), r(4, 2)], lambda c, L: c(T.matmul, L[0], L[1])),
         "linear": ([r(6, 4), r(3, 4), r(6)],
@@ -745,32 +944,53 @@ def _mutation_cases():
             T.dropout, L[0], 0.4, [np.random.default_rng(s) for s in (123, 124)])),
         "bce_with_logit": ([r(3) * 2], lambda c, L: c(
             T.bce_with_logit, L[0], [1.0, 0.0, 1.0])),
+        # x [3*2, 2], h0, c0 [2, 2], input_w, state_w, bias
+        "lstm_sweep": ([r(6, 2), r(2, 2), r(2, 2), r(8, 2), r(8, 2), r(8)],
+                       lambda c, L: c(T.lstm_sweep, *L[:3], gates(L[3:]), valid,
+                                      True)),
+        # h0, c0 [2, 2], doc_proj [2*3, 2], grid [2, 3, 3], query weight,
+        # bias and score, input_w, state_w, ctx_w, bias; two steps
+        "msin_sequence": ([r(2, 2), r(2, 2), r(6, 2), r(2, 3, 3), r(2, 2), r(2),
+                           r(2) * 2, r(8, 1), r(8, 2), r(8, 3), r(8)],
+                          lambda c, L: c(
+                              T.msin_sequence, T.constant(np.arange(4.0)[:, None]),
+                              *L[:4], mask[:, 1:],
+                              SimpleNamespace(state_w=L[4], bias=L[5], score=L[6]),
+                              gates(L[7:], ctx=True))),
     }
 
 
 class TestGradCheckMutation:
     """A 1e-3 relative error in any single op's backward fails the check."""
 
-    @pytest.mark.parametrize("name", sorted(_mutation_cases()))
-    def test_skewed_backward_fails(self, name):
+    @staticmethod
+    def _check(name, skew, block=None):
         arrays, apply = _mutation_cases()[name]
 
-        def build(skew):
-            def loss(tape, leaves):
-                def call(op, *args):
-                    return _skewed(tape, op, *args) if skew else op(tape, *args)
+        def loss(tape, leaves):
+            def call(op, *args):
+                return _skewed(tape, op, *args, block=block) if skew else op(tape, *args)
 
-                out = apply(call, leaves)
-                w = np.random.default_rng(901).uniform(0.5, 1.5, out.shape)
-                w = T.constant(w, dtype=np.float64)
-                return T.sum_all(tape, T.hadamard(tape, out, w))
-            return loss
+            out = apply(call, leaves)
+            w = np.random.default_rng(901).uniform(0.5, 1.5, out.shape)
+            w = T.constant(w, dtype=np.float64)
+            return T.sum_all(tape, T.hadamard(tape, out, w))
 
-        def leaves():
-            return [T.parameter(a, "x%d" % i) for i, a in enumerate(arrays)]
+        return H.grad_check(loss, [T.parameter(a, "x%d" % i)
+                                   for i, a in enumerate(arrays)])
 
-        assert H.grad_check(build(False), leaves()) < 1e-6
-        assert H.grad_check(build(True), leaves()) > 1e-4
+    @pytest.mark.parametrize("name", sorted(_mutation_cases()))
+    def test_skewed_backward_fails(self, name):
+        assert self._check(name, skew=False) < 1e-6
+        assert self._check(name, skew=True) > 1e-4
+
+    # lstm_sweep's inputs are x, h0, c0 and three weights; msin_sequence's
+    # start with the constant x, and list the grid once for each of 2 steps
+    @pytest.mark.parametrize("name,blocks", [("lstm_sweep", range(6)),
+                                             ("msin_sequence", range(1, 13))])
+    def test_each_skewed_block_of_a_recurrence_fails(self, name, blocks):
+        for block in blocks:
+            assert self._check(name, skew=True, block=block) > 1e-4, block
 
 
 class TestGradCheckHarness:
