@@ -309,9 +309,9 @@ def write_history(history, path: str) -> None:
             fh.write("%d,%.17g,%s\n" % (row.step, row.train_loss, vl))
 
 
-def _load_inputs(merged: dict):
-    """Checkpoint, corpus, series, and the checkpoint's vocabulary and stats."""
-    params, config, _tcfg, meta = TR.checkpoint_load(merged["checkpoint"])
+def _load_checkpoint(path: str):
+    """A checkpoint and the vocabulary and stats its metadata records."""
+    params, config, _tcfg, meta = TR.checkpoint_load(path)
     if not isinstance(meta, dict) or "vocab" not in meta:
         raise TR.CheckpointError("checkpoint metadata lacks 'vocab'")
     if not isinstance(meta["vocab"], list) or len(meta["vocab"]) > config.vocab_size:
@@ -324,11 +324,9 @@ def _load_inputs(merged: dict):
             raise TR.CheckpointError("checkpoint metadata '%s' is %r" % (key, x))
     if not isinstance(meta.get("split", {}), dict):
         raise TR.CheckpointError("checkpoint metadata 'split' must be an object")
-    corpus = D.load_corpus(merged["corpus"])
-    series = D.load_series(merged["series"])
     vocab = D.Vocabulary(tokens=tuple(meta["vocab"]))
     stats = D.SeriesStats(mean=meta["series_mean"], std=meta["series_std"])
-    return params, config, meta, corpus, series, vocab, stats
+    return params, config, meta, vocab, stats
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +433,9 @@ def cmd_eval(args) -> int:
     _require(merged)
     if merged["k_max"] < 1:
         raise _UsageError("k_max must be at least 1")
-    params, config, meta, corpus, series, vocab, stats = _load_inputs(merged)
+    params, config, meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
+    corpus = D.load_corpus(merged["corpus"])
+    series = D.load_series(merged["series"])
     split = _split_spec(merged, stored=meta.get("split"))
     sset = D.make_samples(corpus, series, vocab, config, split, stats=stats)
     samples = _pick_split(sset, merged["split"])
@@ -508,11 +508,14 @@ def cmd_rank(args) -> int:
         return EXIT_OK
 
     _require(merged)
-    params, config, _meta, corpus, series, vocab, stats = _load_inputs(merged)
-    rows = D.series_rows(series, config)
+    params, config, _meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
     date = merged["date"]
-    days = [d for d in corpus.days if d.date == date] if date else corpus.days[::-1]
-    for day in days:
+    lines = [(d, line) for d, _heads, line in D.read_corpus(merged["corpus"])
+             if date is None or d == date]
+    series = D.load_series(merged["series"])
+    rows = D.series_rows(series, config)
+    for d, line in reversed(lines):
+        day = D.line_day(d, line)
         got = D.window_day(day, series, rows, vocab, config)
         if not isinstance(got, str):
             break

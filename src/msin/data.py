@@ -27,6 +27,7 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
+_FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 
 
 class DatasetError(Exception):
@@ -52,13 +53,7 @@ class Day:
 
 @dataclass(frozen=True)
 class Corpus:
-    days: tuple[Day, ...]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.days, self.days[1:]):
-            if cur.date <= prev.date:
-                raise DatasetError("corpus dates not strictly increasing at %s"
-                                   % cur.date)
+    days: tuple[Day, ...]  # dates strictly increasing
 
 
 @dataclass(frozen=True)
@@ -428,8 +423,12 @@ def save_corpus(corpus: Corpus, path: str) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def load_corpus(path: str) -> Corpus:
-    days = []
+def read_corpus(path: str):
+    """Each non-blank corpus line as (date, headline objects, line). The one
+    place corpus lines are checked: JSON with a date and a list of headlines,
+    each an object with a string text and a relevant of true, false, null or
+    absent; dates strictly increasing; at least one day."""
+    prev = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -437,15 +436,38 @@ def load_corpus(path: str) -> Corpus:
             try:
                 rec = json.loads(line)
                 date = dt.date.fromisoformat(rec["date"])
-                docs = tuple(Document(text=h["text"],
-                                      relevant=h.get("relevant"))
-                             for h in rec["headlines"])
+                heads = rec["headlines"]
+                if type(heads) is not list:
+                    raise TypeError("headlines must be a list")
+                for h in heads:
+                    if type(h["text"]) is not str or \
+                            type(h.get("relevant")) not in _FLAG_TYPES:
+                        raise TypeError("headline %r needs a string text and a "
+                                        "relevant of true, false or null" % (h,))
+                if prev is not None and date <= prev:
+                    raise ValueError("dates not strictly increasing at %s" % date)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
-            days.append(Day(date=date, docs=docs))
-    if not days:
+            prev = date
+            yield date, heads, line
+    if prev is None:
         raise DatasetError("%s holds no days" % path)
-    return Corpus(days=tuple(days))
+
+
+def corpus_day(date: dt.date, headlines: list) -> Day:
+    """A day from headline objects that ``read_corpus`` has checked."""
+    return Day(date=date, docs=tuple([Document(h["text"], h.get("relevant"))
+                                      for h in headlines]))
+
+
+def line_day(date: dt.date, line: str) -> Day:
+    """The day of a corpus line that ``read_corpus`` has passed."""
+    return corpus_day(date, json.loads(line)["headlines"])
+
+
+def load_corpus(path: str) -> Corpus:
+    return Corpus(days=tuple([corpus_day(date, heads)
+                              for date, heads, _line in read_corpus(path)]))
 
 
 def save_series(series: Series, path: str) -> None:

@@ -491,26 +491,42 @@ def rank_argv(ckpt, corpus, series, *extra):
             "--series", series, *extra]
 
 
+def count_days_built(monkeypatch) -> list:
+    """Patch ``D.Day`` to record the date of every day built from here on."""
+    built = []
+    real_day = D.Day
+    monkeypatch.setattr(D, "Day",
+                        lambda **kw: built.append(kw["date"]) or real_day(**kw))
+    return built
+
+
 def test_rank_encodes_one_day_and_matches_full_build(ranked_run, capsys,
                                                      monkeypatch):
     _root, ckpt, corpus, series = ranked_run
     sset = full_build(ckpt, corpus, series)
+    samples = (sset.train[3], sset.valid[1], sset.test[-1])
+    wants = [full_build_ranking(ckpt, corpus, series, s, capsys)
+             for s in samples]
     encoded = []
     real_encode = D.encode_day
+    monkeypatch.setattr(D, "load_corpus", None)
     monkeypatch.setattr(D, "make_samples", None)
     monkeypatch.setattr(D, "encode_day",
                         lambda *a: encoded.append(a) or real_encode(*a))
-    for sample in (sset.train[3], sset.valid[1], sset.test[-1]):
-        want = full_build_ranking(ckpt, corpus, series, sample, capsys)
+    built = count_days_built(monkeypatch)
+    for sample, want in zip(samples, wants):
         encoded.clear()
+        built.clear()
         rc = main(rank_argv(ckpt, corpus, series,
                             "--date", sample.window.date.isoformat()))
         assert rc == 0
         assert capsys.readouterr().out == want
         assert len(encoded) == 1
+        assert built == [sample.window.date]
 
 
-def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys):
+def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys,
+                                                          monkeypatch):
     root, ckpt, corpus_path, series = ranked_run
     corpus = D.load_corpus(corpus_path)
     last = corpus.days[-1]
@@ -521,8 +537,70 @@ def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys):
     latest = max(sset.train + sset.valid + sset.test, key=lambda s: s.window.date)
     assert latest.window.date == corpus.days[-2].date
     want = full_build_ranking(ckpt, edited, series, latest, capsys)
+    built = count_days_built(monkeypatch)
     assert main(rank_argv(ckpt, edited, series)) == 0
     assert capsys.readouterr().out == want
+    assert built == [last.date, corpus.days[-2].date]
+
+
+def edited_corpus(src, dst, lineno, edit) -> str:
+    """A copy of corpus file src with its 1-based line lineno replaced by
+    edit(record, lines), a JSON-able object or a raw line."""
+    with open(src, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    new = edit(json.loads(lines[lineno - 1]), lines)
+    lines[lineno - 1] = (new if isinstance(new, str)
+                         else json.dumps(new)) + "\n"
+    with open(dst, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return str(dst)
+
+
+def with_headlines(heads):
+    return lambda rec, _lines: dict(rec, headlines=heads)
+
+
+CORPUS_DEFECTS = {
+    "not-json": lambda rec, _lines: "not json",
+    "no-date": lambda rec, _lines: {"headlines": rec["headlines"]},
+    "headlines-not-list": with_headlines({"text": "a"}),
+    "headline-not-object": with_headlines(["a rally"]),
+    "headline-without-text": with_headlines([{"relevant": True}]),
+    "text-not-string": with_headlines([{"text": 5}]),
+    "relevant-not-flag": with_headlines([{"text": "a", "relevant": 1}]),
+    "date-out-of-order": lambda rec, lines: dict(
+        rec, date=json.loads(lines[4])["date"]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CORPUS_DEFECTS))
+def test_rank_reports_a_defect_on_another_day(ranked_run, capsys, defect):
+    """rank --date D checks every line: a defect on line 30 stops it with
+    load_corpus's message although D is day 11."""
+    root, ckpt, corpus, series = ranked_run
+    bad = edited_corpus(corpus, root / ("%s.jsonl" % defect), 30,
+                        CORPUS_DEFECTS[defect])
+    with pytest.raises(D.DatasetError) as exc:
+        D.load_corpus(bad)
+    assert "line 30: " in str(exc.value)
+    capsys.readouterr()
+    assert main(rank_argv(ckpt, bad, series, "--date", "2000-01-11")) == 2
+    assert capsys.readouterr().err == "data error: %s\n" % exc.value
+
+
+@pytest.mark.parametrize("defect", ["text-not-string", "relevant-not-flag"])
+def test_bad_headline_value_is_data_error(ranked_run, capsys, defect):
+    root, ckpt, corpus, series = ranked_run
+    bad = edited_corpus(corpus, root / ("%s-20.jsonl" % defect), 20,
+                        CORPUS_DEFECTS[defect])
+    for argv in (["eval", "--checkpoint", ckpt, "--corpus", bad,
+                  "--series", series, "--out-dir", str(root / "bad_eval"),
+                  "--split", "all"],
+                 rank_argv(ckpt, bad, series, "--date", "2000-01-20"),
+                 rank_argv(ckpt, bad, series)):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "line 20: " in capsys.readouterr().err
 
 
 def test_rank_ineligible_dates_are_data_errors(ranked_run, capsys):

@@ -344,6 +344,28 @@ class TestFileFormats:
         with pytest.raises(D.DatasetError, match="increasing"):
             D.load_corpus(str(path))
 
+    @pytest.mark.parametrize("headline", [
+        '{"text": 5}', '{"text": null}', '{"text": ["a"]}',
+        '{"text": "x", "relevant": 1}', '{"text": "x", "relevant": 0.0}',
+        '{"text": "x", "relevant": "yes"}',
+    ])
+    def test_corpus_headline_values_checked(self, tmp_path, headline):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"date":"2020-01-01","headlines":[{"text":"ok"}]}\n'
+                        '{"date":"2020-01-02","headlines":[%s]}\n' % headline)
+        with pytest.raises(D.DatasetError,
+                           match="c.jsonl line 2: headline .* needs a string"):
+            D.load_corpus(str(path))
+
+    def test_corpus_flags_read_as_given(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"date":"2020-01-01","headlines":[{"text":"a",'
+                        '"relevant":true},{"text":"b","relevant":false},'
+                        '{"text":"c"}]}\n')
+        docs = D.load_corpus(str(path)).days[0].docs
+        assert docs == (D.Document("a", True), D.Document("b", False),
+                        D.Document("c", None))
+
     def test_series_round_trip_bitwise(self, tmp_path):
         _, series = D.synth_generate(D.SynthSpec(n_days=9, seed=9))
         path = str(tmp_path / "series.csv")
