@@ -4,8 +4,9 @@ Per series step: attention over the day's document vectors produces a mass
 vector p, p updates an exponentially-faded context v, and v enters every LSTM
 gate alongside the series input and previous hidden state.  A plain LSTM
 runner (no context injection) lives here too.  The cell runs a whole window
-as one ``tensor.msin_sequence`` entry and the plain runner as one
-``tensor.lstm_sweep``, the op the encoder's directions use as well.  Both
+as one ``tensor.msin_sequence`` entry and the plain runner as a
+one-direction ``tensor.lstm_sweep``, the op that runs the encoder's two
+directions as well.  Both
 share one gate arithmetic, so with zeroed context weights the two runners
 produce bit-identical states.  Each runner returns only what the model reads
 after the last step.
@@ -190,6 +191,6 @@ def run_plain_sequence(tape: T.Tape | None, window_values, cell: LSTMParams,
     Returns the hidden state after step m, [B, d_s].
     """
     windows = _windows(window_values)
-    m, d_s = windows.shape[1], init_h.shape[1]
-    hs = T.lstm_sweep(tape, _steps(windows), init_h, init_c, cell)
-    return T.narrow(tape, hs, 1, (m - 1) * d_s, m * d_s)
+    m = windows.shape[1]
+    hs = T.lstm_sweep(tape, _steps(windows), init_h, init_c, cell)  # [B, m, d_s]
+    return T.reshape(tape, T.narrow(tape, hs, 1, m - 1, m), init_h.shape)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -365,6 +366,8 @@ class SynthSpec:
             raise DatasetError("signal lexicons must be non-empty")
         if not 0.0 <= self.phi < 1.0:
             raise DatasetError("phi must lie in [0, 1)")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.sigma)):
+            raise DatasetError("alpha and sigma must be finite")
         if self.sigma < 0:
             raise DatasetError("sigma must be non-negative")
         if not 0.0 <= self.plant_prob <= 1.0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,8 @@ class ModelConfig:
             raise ValueError("vocab_size must be >= 2")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0,1)")
+        if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
+            raise ValueError("l1/l2 must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("l1/l2 must be nonnegative")
         if min(self.d_s, self.d_h, self.d_w, self.series_dim, self.max_tokens) < 1:
@@ -294,8 +297,10 @@ def sample_losses(tape, value: T.Tensor, samples, config: ModelConfig) -> T.Tens
 def penalties(tape, params: ModelParams, config: ModelConfig,
               times: int = 1) -> list[T.Tensor]:
     """``times`` the L1 and L2 penalty terms on decayed tensors, if weighted."""
-    decayed = [t for _, t, d in named_tensors(params) if d]
     terms = []
+    if config.l1 <= 0.0 and config.l2 <= 0.0:
+        return terms
+    decayed = [t for _, t, d in named_tensors(params) if d]
     if config.l1 > 0.0:
         terms.append(T.scale(
             tape, T.sum_stack(tape, [T.sum_all(tape, T.absolute(tape, t))

@@ -15,11 +15,11 @@ Each op has one input form.  The batched ones (``linear``,
 document, sample or token position; a single item is a batch of one.
 
 Two ops run a whole recurrence as one tape entry with a hand-written
-backward: ``lstm_sweep`` (a masked LSTM over token positions or series
-steps) and ``msin_sequence`` (the MSIN cell over a window).  Their values and
-gradients are those of the per-step chain of ``linear``, ``lstm_gates``,
-``blend`` and the attention ops, bit for bit; ``lstm_gates`` and ``blend``
-stay as the single-step form of that arithmetic.
+backward: ``lstm_sweep`` (masked LSTMs over token positions or series steps,
+one or both directions in one loop) and ``msin_sequence`` (the MSIN cell
+over a window).  Their values and gradients are those of the per-step chain
+of ``linear``, the single-step gated update and the attention ops, bit for
+bit; the tests keep that chain (``tests/chain_oracle.py``).
 """
 
 from __future__ import annotations
@@ -327,16 +327,10 @@ def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     return _emit(tape, out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
-def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
-    # 0.5*(1+tanh(x/2)) is the logistic function without overflow at either tail.
-    out = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    return _emit(tape, out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
 def _gate_forward(z: np.ndarray, c_prev: np.ndarray):
     """The LSTM update from stacked pre-activations: (h, c, saved for the backward)."""
     d = z.shape[-1] // 4
-    gates = 0.5 * (np.tanh(0.5 * z[..., :3 * d]) + 1.0)  # the sigmoid op's formula
+    gates = 0.5 * (np.tanh(0.5 * z[..., :3 * d]) + 1.0)  # the logistic function
     i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
     cand = np.tanh(z[..., 3 * d:])
     c = f * c_prev + i * cand
@@ -344,70 +338,24 @@ def _gate_forward(z: np.ndarray, c_prev: np.ndarray):
     return o * tc, c, (z.shape, i, f, o, cand, tc, c_prev)
 
 
-def _gate_back_c(saved, g):
-    """Gradients of c = f*c_prev + i*cand: (pre-activations, c_prev)."""
-    shape, i, f, _, cand, _, c_prev = saved
+def _gate_backward(saved, gh: np.ndarray, gc: np.ndarray | None,
+                   gz: np.ndarray) -> np.ndarray:
+    """Backward of the LSTM update: writes each block of the pre-activation
+    gradient into ``gz`` once and returns the gradient of c_prev.
+
+    ``gh`` is the gradient of h and ``gc`` what c received from later steps
+    (None for nothing).  c's total gradient is gc plus h's share, added in
+    that order.
+    """
+    _, i, f, o, cand, tc, c_prev = saved
     d = i.shape[-1]
-    gz = np.zeros(shape, dtype=g.dtype)
-    gz[..., :d] = g * cand * i * (1.0 - i)
-    gz[..., d:2 * d] = g * c_prev * f * (1.0 - f)
-    gz[..., 3 * d:] = g * i * (1.0 - cand * cand)
-    return gz, g * f
-
-
-def _gate_back_h(saved, g):
-    """Gradients of h = o*tanh(c): (pre-activations, c)."""
-    shape, _, _, o, _, tc, _ = saved
-    d = o.shape[-1]
-    gz = np.zeros(shape, dtype=g.dtype)
-    gz[..., 2 * d:3 * d] = g * tc * o * (1.0 - o)
-    return gz, g * o * (1.0 - tc * tc)
-
-
-def _gate_backward(saved, gh: np.ndarray, gc: np.ndarray | None):
-    """What ``lstm_gates``' two tape entries pass back, in the tape's order.
-
-    ``gh`` is the gradient of h and ``gc`` what c received from later ops
-    (None for nothing).  Returns the gradients of the pre-activations and of
-    c_prev.
-    """
-    gz, gc_h = _gate_back_h(saved, gh)
-    gz_c, g_prev = _gate_back_c(saved, gc_h if gc is None else gc + gc_h)
-    return gz + gz_c, g_prev
-
-
-def lstm_gates(tape: Tape | None, pre: Tensor, c_prev: Tensor):
-    """LSTM state update from stacked pre-activations; returns (h, c).
-
-    ``pre`` holds the in/forget/out/cand blocks along its last axis and
-    ``c_prev`` the previous cell state.  c = f*c_prev + i*cand and
-    h = o*tanh(c), with sigmoid gates and a tanh candidate.  The values and
-    gradients are the elementwise float arithmetic of the same update spelled
-    out with narrow/sigmoid/tanh/hadamard/add, bit for bit, in two tape
-    entries (c, then h) instead of thirteen.  The recurrences run this
-    arithmetic inside ``lstm_sweep`` and ``msin_sequence``.
-    """
-    d = pre.shape[-1] // 4
-    if pre.shape[-1] != 4 * d or c_prev.shape != pre.shape[:-1] + (d,):
-        raise ShapeError("lstm_gates expects [..., 4d] and [..., d], got %r and %r"
-                         % (pre.shape, c_prev.shape))
-    h, c, saved = _gate_forward(pre.data, c_prev.data)
-    c_out = _emit(tape, c, (pre, c_prev), lambda g: _gate_back_c(saved, g))
-    return _emit(tape, h, (pre, c_out), lambda g: _gate_back_h(saved, g)), c_out
-
-
-def blend(tape: Tape | None, keep: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """keep*a + (1-keep)*b for a 0/1 mask: ``a`` where keep is 1, ``b`` elsewhere.
-
-    The arithmetic of ``hadamard`` by two constant masks and ``add``, bit for
-    bit, in one tape entry.
-    """
-    k = np.asarray(keep, dtype=np.float32)
-    if a.shape != b.shape or k.shape != a.shape:
-        raise ShapeError("blend expects equal shapes, got mask %r and %r, %r"
-                         % (k.shape, a.shape, b.shape))
-    d = 1.0 - k
-    return _emit(tape, k * a.data + d * b.data, (a, b), lambda g: (g * k, g * d))
+    gc_h = gh * o * (1.0 - tc * tc)
+    gc = gc_h if gc is None else gc + gc_h
+    gz[..., :d] = gc * cand * i * (1.0 - i)
+    gz[..., d:2 * d] = gc * c_prev * f * (1.0 - f)
+    gz[..., 2 * d:3 * d] = gh * tc * o * (1.0 - o)
+    gz[..., 3 * d:] = gc * i * (1.0 - cand * cand)
+    return gc * f
 
 
 def absolute(tape: Tape | None, x: Tensor) -> Tensor:
@@ -620,7 +568,7 @@ def bce_with_logit(tape: Tape | None, logit: Tensor, target) -> Tensor:
 #
 # Each op below runs every step of a recurrence in one tape entry.  The
 # forward is the arithmetic of the per-step chain of ops it replaces
-# (``linear``, ``lstm_gates``, ``blend``, the attention ops), bit for bit:
+# (``linear``, the gated update, the attention ops), bit for bit:
 # every product is taken in float64 and rounded once, and sums keep the
 # chain's order.  The backward is hand-written BPTT that adds every
 # gradient in the order the tape would, so float64 and float32 gradients
@@ -647,94 +595,135 @@ def _check_gates(gates, d: int, d_in: int, name: str) -> None:
                             gates.bias.shape, d, d_in))
 
 
-def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor, gates,
-               valid: np.ndarray | None = None, reverse: bool = False) -> Tensor:
-    """A masked LSTM over position-major rows, in one tape entry.
+def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
+               forward=None, backward=None,
+               valid: np.ndarray | None = None) -> Tensor:
+    """Masked LSTMs over position-major rows, both directions in one loop.
 
-    ``x`` [L*n, d_in] holds position l of n sequences in rows l*n..l*n+n-1,
-    and ``h0``, ``c0`` [n, d] are the initial states.  ``gates`` holds the
-    stacked weights ``input_w`` [4d, d_in], ``state_w`` [4d, d] and ``bias``
-    [4d], as ``text_encoder.LSTMParams`` does.  Positions run from 0 to L-1,
-    or from L-1 down to 0 with ``reverse``.  Where ``valid`` [n, L] is False
-    a sequence carries its states through the position, by ``blend``'s
-    arithmetic.  Returns every position's hidden state, [n, L*d] with
-    position l in columns l*d..(l+1)*d-1.
+    ``x`` [L*n, d_in] holds position l of n sequences in rows l*n..l*n+n-1.
+    ``forward`` and ``backward`` each hold one direction's stacked weights
+    ``input_w`` [4d, d_in], ``state_w`` [4d, d] and ``bias`` [4d], as
+    ``text_encoder.LSTMParams`` does, or None; at least one is given.  Step i
+    runs the forward direction at position i and the backward direction at
+    position L-1-i.  ``h0``, ``c0`` [n, D*d] hold the initial states of the D
+    given directions side by side, forward first.  Where ``valid`` [n, L] is
+    False a sequence carries its states through the position.  Returns every
+    position's hidden states in one tape entry, [n, L, D*d], the directions
+    side by side as in ``h0``.
 
-    Per position this is ``linear`` of (input_w, x), (state_w, h) and the
-    bias, ``lstm_gates`` and, at a position some sequence skips, ``blend``.
-    input_w.x for every position is one batched matmul before the loop:
-    numpy makes the BLAS call ``linear`` would make for each position, so
-    the rows are the same bits.
+    Per position and direction this is a ``linear`` of (input_w, x),
+    (state_w, h) and the bias, the gated update and, where a sequence skips
+    the position, a blend that keeps its old states: the per-step chain in
+    the tests' ``chain_oracle``, bit for bit.  Each product is one
+    ``np.matmul`` over operands stacked by direction, which makes the BLAS
+    call of each direction's 2-D product; input_w.x for every position is one
+    such product before the loop.
     """
-    n, d = h0.shape if h0.ndim == 2 else (0, 0)
-    if n == 0 or c0.shape != (n, d) or x.ndim != 2 or x.shape[0] % n:
-        raise ShapeError("lstm_sweep expects [L*n, d_in] rows and [n, d] states, "
-                         "got %r, %r and %r" % (x.shape, h0.shape, c0.shape))
+    dirs = [(g, flip) for g, flip in ((forward, False), (backward, True))
+            if g is not None]
+    D = len(dirs)
+    n, width = h0.shape if h0.ndim == 2 else (0, 0)
+    d = width // max(D, 1)
+    if (D == 0 or n == 0 or d == 0 or d * D != width or c0.shape != (n, width)
+            or x.ndim != 2 or x.shape[0] % n):
+        raise ShapeError("lstm_sweep expects [L*n, d_in] rows, [n, D*d] states "
+                         "and D >= 1 directions, got %r, %r, %r and %d"
+                         % (x.shape, h0.shape, c0.shape, D))
     L = x.shape[0] // n
-    _check_gates(gates, d, x.shape[1], "lstm_sweep")
-    carry = np.zeros(L, dtype=bool)
+    for g, _ in dirs:
+        _check_gates(g, d, x.shape[1], "lstm_sweep")
+    # pos[k, i]: the position direction k runs at step i
+    pos = np.array([np.arange(L)[::-1] if flip else np.arange(L) for _, flip in dirs])
+    carries = [()] * L  # the directions some sequence skips at each step
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != (n, L):
             raise ShapeError("lstm_sweep mask %r does not match %d rows of %d "
                              "positions" % (valid.shape, n, L))
         keep = valid.astype(np.float32)
-        carry = ~valid.all(axis=0)
-    inputs = (x, h0, c0, gates.input_w, gates.state_w, gates.bias)
+        skips = ~valid.all(axis=0)
+        carries = [tuple(k for k in range(D) if skips[pos[k, i]]) for i in range(L)]
+    inputs = (x, h0, c0) + tuple(
+        t for g, _ in dirs for t in (g.input_w, g.state_w, g.bias))
     record = tape is not None and any(t.requires_grad for t in inputs)
-    Wx = gates.input_w.data.astype(np.float64)
-    Wh = gates.state_w.data.astype(np.float64)
-    X = x.data.astype(np.float64).reshape(L, n, -1)
-    xw = _rounded(X @ Wx.T, gates.input_w.data, x.data)
-    hs, steps = [None] * L, []
-    h, c = h0.data, c0.data
-    for l in (range(L - 1, -1, -1) if reverse else range(L)):
+    w_in = np.stack([g.input_w.data for g, _ in dirs])    # [D, 4d, d_in]
+    w_state = np.stack([g.state_w.data for g, _ in dirs])  # [D, 4d, d]
+    bias = np.stack([g.bias.data for g, _ in dirs])[:, None, :]
+    Wx, Wh = w_in.astype(np.float64), w_state.astype(np.float64)
+    X = x.data.astype(np.float64).reshape(L, n, -1)[pos]  # [D, L, n, d_in] by step
+    xw = _rounded(np.matmul(X, Wx.transpose(0, 2, 1)[:, None]), w_in, x.data)
+    WhT = Wh.transpose(0, 2, 1)
+    h = h0.data.reshape(n, D, d).transpose(1, 0, 2)  # [D, n, d]
+    c = c0.data.reshape(n, D, d).transpose(1, 0, 2)
+    hs, steps = [], []
+    for i in range(L):
         H = h.astype(np.float64)
-        z = xw[l] + _rounded(H @ Wh.T, gates.state_w.data, h) + gates.bias.data
+        z = xw[:, i] + _rounded(np.matmul(H, WhT), w_state, h) + bias
         h_new, c_new, saved = _gate_forward(z, c)
-        k = keep[:, l:l + 1] if carry[l] else None
+        for k in carries[i]:
+            kk = keep[:, pos[k, i], None]
+            h_new[k] = kk * h_new[k] + (1.0 - kk) * h[k]
+            c_new[k] = kk * c_new[k] + (1.0 - kk) * c[k]
         if record:
-            steps.append((l, H, saved, k, h.dtype))
-        if k is None:
-            h, c = h_new, c_new
-        else:
-            h, c = k * h_new + (1.0 - k) * h, k * c_new + (1.0 - k) * c
-        hs[l] = h
+            steps.append((H, saved, h.dtype))
+        h, c = h_new, c_new
+        hs.append(h)
+
+    def by_position(a):
+        """[D, L, ...] by step -> [D, L, ...] by position (pos is an involution)."""
+        return a[np.arange(D)[:, None], pos]
+
+    def side_by_side(a):
+        """[D, n, d] per direction -> [n, D*d]."""
+        return a.transpose(1, 0, 2).reshape(n, width)
 
     def back(g):
-        g = g.reshape(n, L, d)
-        G = np.empty((L, n, 4 * d))  # each position's pre-activation gradient
+        gs = by_position(g.reshape(n, L, D, d).transpose(2, 1, 0, 3))  # by step
+        G = np.empty((D, L, n, 4 * d))  # each step's pre-activation gradient
         gWx = gWh = gb = None
-        into_h, into_c = [], []      # what the states before a step receive
-        for l, H, saved, k, h_dtype in reversed(steps):
-            gh, gc = g[:, l], None
-            for part in into_h:
-                gh = gh + part
-            for part in into_c:
-                gc = _plus(gc, part)
-            into_h, into_c = [], []
-            if k is not None:  # blend's backward, c's entry first
+        # what the states before a step receive: the blend's share per
+        # carrying direction, added before the linear's share, as the tape does
+        into_h = into_c = None
+        blend_h, blend_c = {}, {}
+        for i in range(L - 1, -1, -1):
+            H, saved, h_dtype = steps[i]
+            gh, gc = gs[:, i], into_c
+            if into_h is not None:
+                for k, part in blend_h.items():
+                    gh[k] = gh[k] + part
+                gh = gh + into_h
+                for k, part in blend_c.items():
+                    gc[k] = part + gc[k]
+            blend_h, blend_c = {}, {}
+            for k in carries[i]:  # the blend's backward, c's entry first
+                kk = keep[:, pos[k, i], None]
                 if gc is not None:
-                    into_c.append(gc * (1.0 - k))
-                    gc = gc * k
-                into_h.append(gh * (1.0 - k))
-                gh = gh * k
-            gz, gc_prev = _gate_backward(saved, gh, gc)
-            into_c.append(gc_prev)
-            G[l] = gz
-            gWx = _plus(gWx, X[l].T @ G[l])
-            gWh = _plus(gWh, H.T @ G[l])
-            gb = _plus(gb, G[l].sum(axis=0))
-            into_h.append(np.asarray(G[l] @ Wh, dtype=h_dtype))
-        gh0 = gc0 = None
-        for part in into_h:
-            gh0 = _plus(gh0, part)
-        for part in into_c:
-            gc0 = _plus(gc0, part)
-        gx = (G @ Wx).reshape(x.shape) if x.requires_grad else None
-        return (gx, gh0, gc0, gWx.T, gWh.T, gb)
+                    blend_c[k] = gc[k] * (1.0 - kk)
+                    gc[k] = gc[k] * kk
+                blend_h[k] = gh[k] * (1.0 - kk)
+                gh[k] = gh[k] * kk
+            Gi = G[:, i]
+            into_c = _gate_backward(saved, gh, gc, Gi)
+            gWx = _plus(gWx, np.matmul(X[:, i].transpose(0, 2, 1), Gi))
+            gWh = _plus(gWh, np.matmul(H.transpose(0, 2, 1), Gi))
+            gb = _plus(gb, Gi.sum(axis=1))
+            into_h = np.asarray(np.matmul(Gi, Wh), dtype=h_dtype)
+        for k, part in blend_h.items():
+            into_h[k] = part + into_h[k]
+        for k, part in blend_c.items():
+            into_c[k] = part + into_c[k]
+        gx = None
+        if x.requires_grad:  # each direction's share in x's dtype, then added
+            for part in by_position(np.matmul(G, Wx[:, None])):
+                part = part.reshape(x.shape)
+                gx = part if gx is None else (np.asarray(gx, dtype=x.data.dtype)
+                                              + np.asarray(part, dtype=x.data.dtype))
+        grads = [gx, side_by_side(into_h), side_by_side(into_c)]
+        for k in range(D):
+            grads += [gWx[k].T, gWh[k].T, gb[k]]
+        return tuple(grads)
 
-    out = np.concatenate(hs, axis=1)
+    out = by_position(np.stack(hs, axis=1)).transpose(2, 1, 0, 3).reshape(n, L, width)
     return _emit(tape if record else None, out, inputs, back)
 
 
@@ -827,8 +816,8 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
         g_docs, gx = [], []
         for t in range(m - 1, -1, -1):
             H, A, A64, V, p, P64, saved, (h_dt, v_dt, q_dt, s_dt) = steps[t]
-            gz, gc = _gate_backward(saved, gh, gc)
-            G = gz.astype(np.float64)  # the gated update's linear
+            G = np.empty(saved[0])  # the gated update's pre-activation gradient
+            gc = _gate_backward(saved, gh, gc, G)
             gWx = _plus(gWx, X[t].T @ G)
             gWh = _plus(gWh, H.T @ G)
             gWc = _plus(gWc, V.T @ G)

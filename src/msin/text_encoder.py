@@ -8,10 +8,13 @@ runs the documents of a list of days (every day of a batch, or one day) as
 rows of shared matrix ops with per-row validity masks.  Every reduction in
 the engine accumulates in float64 and rounds once, so each row matches
 encoding its document alone (the per-document reference lives with the
-tests) and permuting documents permutes the outputs bit-identically.  Each
-direction is one ``tensor.lstm_sweep`` over the stacked-gate weights defined
-here (``LSTMParams``), which the series cells use as well, and ``uniform``
-draws the initial weights of every layer.
+tests) and permuting documents permutes the outputs bit-identically.  Both
+directions run in one ``tensor.lstm_sweep``, one loop over token positions
+whose step i takes the forward direction at position i and the backward one
+at position L-1-i; it returns the [n, L, 2*d_h] hidden states that the
+pooling reads.  The stacked-gate weights are defined here (``LSTMParams``),
+and the series cells use them as well; ``uniform`` draws the initial weights
+of every layer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import PAD_ID
+from .data import PAD_ID, DatasetError
 
 
 class VocabularyError(ValueError):
@@ -146,12 +149,14 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
     floats, whitespace-separated.  Tokens absent from ``vocab`` are skipped;
     vocabulary words absent from the file keep their random initialization.
     Lines with the wrong column count are ignored rather than fatal, since
-    published embedding dumps contain a handful of tokens with spaces.
+    published embedding dumps contain a handful of tokens with spaces.  A row
+    that would be loaded but holds nan or inf raises DatasetError naming its
+    line.
     """
     dim = table.dim
     hits = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 continue
@@ -162,6 +167,9 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
                 vec = np.asarray([float(p) for p in parts[1:]], dtype=np.float32)
             except ValueError:
                 continue
+            if not np.isfinite(vec).all():
+                raise DatasetError("%s:%d: embedding of %r is not finite"
+                                   % (path, lineno, parts[0]))
             table.table.data[row] = vec
             hits += 1
     return hits
@@ -215,16 +223,9 @@ def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
     flat_ids = token_ids[:, :k_eff].T.reshape(-1)
     all_rows = embed_lookup(tape, flat_ids, table)
     valid = lengths[:, None] > np.arange(k_eff)[None, :]  # [n, k_eff]
-    zeros = T.constant(np.zeros((n, d_h)))
-
-    def by_document(direction: LSTMParams, reverse: bool):
-        """[n, k_eff, d_h]: document j's states in row j; padding carries them."""
-        states = T.lstm_sweep(tape, all_rows, zeros, zeros, direction, valid,
-                              reverse)
-        return T.reshape(tape, states, (n, k_eff, d_h))
-
-    hid = T.concat(tape, [by_document(params.fwd, False),
-                          by_document(params.bwd, True)], axis=2)
+    # [n, k_eff, 2*d_h]: document j's states in row j; padding carries them
+    zeros = T.constant(np.zeros((n, 2 * d_h)))
+    hid = T.lstm_sweep(tape, all_rows, zeros, zeros, params.fwd, params.bwd, valid)
     flat = T.reshape(tape, hid, (n * k_eff, 2 * d_h))
     proj = T.tanh(tape, T.linear(tape, [(params.pool_w, flat)], params.pool_bias))
     scores = T.matmul(tape, proj, params.pool_ctx)

@@ -6,15 +6,24 @@ loss and one backward on one tape. The objective is the mean of the
 per-sample prediction errors plus the penalties; the tape differentiates its
 sum over the batch and the float64 leaf gradients are divided by the batch
 size. Sample b's dropout mask comes from its own stream, keyed by step and
-sample index. Adam moment buffers are float64 and the update itself is
-computed in float64, then stored back to the float32 parameters. Checkpoints
-are written to a temporary file that replaces the target only once complete.
+sample index.
+
+``train`` pays the optimizer's fixed costs once per step, not once per
+tensor: at its start every parameter's ``data`` becomes a view into one
+float32 buffer, and the leaf gradients are copied into one float64 buffer.
+The global norm is taken per tensor, in the order ``model.named_tensors``
+lists them; clipping, the float64 Adam moments and the update are single
+array operations over the buffers, and the best-validation snapshot is one
+copy. The update is computed in float64 and stored back to float32, with
+the arithmetic of a per-tensor loop bit for bit. Checkpoints are written to
+a temporary file that replaces the target only once complete.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -68,6 +77,9 @@ class TrainConfig:
     seed: int = M.option(0, "run seed: init, shuffling, and dropout")
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -137,19 +149,31 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
     """Run Adam with clipping and early stopping; return best-validation params.
 
     `samples` needs .train and .valid sequences. The returned params object is
-    the one passed in, with the best-validation snapshot written back into it.
+    the one passed in, with the best-validation snapshot written back into it;
+    its tensors' data are views into one float32 buffer from here on.
     """
     train_set, valid_set = tuple(samples.train), tuple(samples.valid)
     if not train_set or not valid_set:
         raise TrainingError("need non-empty train and validation splits")
 
     rows = M.named_tensors(params)
-    adam_m = {n: np.zeros(t.shape, dtype=np.float64) for n, t, _ in rows}
-    adam_v = {n: np.zeros(t.shape, dtype=np.float64) for n, t, _ in rows}
+    # every parameter and its gradient as views into one flat buffer each
+    sizes = [t.size for _, t, _ in rows]
+    flat = np.empty(sum(sizes), dtype=np.float32)
+    grad = np.empty(flat.size)
+    grads = {}
+    lo = 0
+    for (n, t, _), size in zip(rows, sizes):
+        flat[lo:lo + size] = t.data.reshape(-1)
+        t.data = flat[lo:lo + size].reshape(t.shape)
+        grads[n] = grad[lo:lo + size].reshape(t.shape)
+        lo += size
+    adam_m = np.zeros(flat.size)
+    adam_v = np.zeros(flat.size)
     history: list[HistoryRow] = []
     best_valid = np.inf
     best_step = 0
-    best_data: dict[str, np.ndarray] = {}
+    best_data = None
     evals_since_best = 0
 
     def evaluate(step: int) -> float:
@@ -157,7 +181,7 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
         vl = eval_loss(valid_set, params, config)
         if vl < best_valid:
             best_valid, best_step = vl, step
-            best_data = {n: t.data.copy() for n, t, _ in rows}
+            best_data = flat.copy()
             evals_since_best = 0
         else:
             evals_since_best += 1
@@ -189,26 +213,22 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
             raise TrainingAbort(step, batch_ids,
                                 errors.data.astype(np.float64) + penalty)
         tape.backward(total)
-        grads = {}
         for n, t, _ in rows:
-            grads[n] = np.zeros(t.shape) if t.grad is None else t.grad / len(batch)
+            grads[n][...] = 0.0 if t.grad is None else t.grad
             t.grad = None
+        grad /= len(batch)
 
         norm = _global_norm(grads)
         if norm > tcfg.clip_norm:
-            shrink = tcfg.clip_norm / norm
-            for g in grads.values():
-                g *= shrink
+            grad *= tcfg.clip_norm / norm
 
-        bc1 = 1.0 - tcfg.beta1 ** step
-        bc2 = 1.0 - tcfg.beta2 ** step
-        for n, t, _ in rows:
-            g = grads[n]
-            adam_m[n] = tcfg.beta1 * adam_m[n] + (1.0 - tcfg.beta1) * g
-            adam_v[n] = tcfg.beta2 * adam_v[n] + (1.0 - tcfg.beta2) * g * g
-            update = (tcfg.learning_rate * (adam_m[n] / bc1)
-                      / (np.sqrt(adam_v[n] / bc2) + tcfg.eps))
-            t.data[...] = (t.data.astype(np.float64) - update).astype(np.float32)
+        adam_m *= tcfg.beta1
+        adam_m += (1.0 - tcfg.beta1) * grad
+        adam_v *= tcfg.beta2
+        adam_v += (1.0 - tcfg.beta2) * grad * grad
+        update = (tcfg.learning_rate * (adam_m / (1.0 - tcfg.beta1 ** step))
+                  / (np.sqrt(adam_v / (1.0 - tcfg.beta2 ** step)) + tcfg.eps))
+        flat[...] = flat.astype(np.float64) - update
 
         valid_loss = None
         if step % tcfg.eval_every == 0:
@@ -222,12 +242,12 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
         vl = evaluate(step)
         history[-1] = HistoryRow(step, history[-1].train_loss, vl)
 
-    if best_data:
-        for n, t, _ in rows:
-            t.data[...] = best_data[n]
+    if best_data is not None:
+        flat[...] = best_data
     return TrainResult(params=params, history=tuple(history),
                        best_step=best_step,
-                       best_valid=float(best_valid) if best_data else np.nan,
+                       best_valid=float(best_valid) if best_data is not None
+                       else np.nan,
                        steps_run=step)
 
 

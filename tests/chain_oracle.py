@@ -7,6 +7,11 @@ attention, the context fade and the gated update.  ``sweep`` and
 ``msin_steps`` drive them with the arguments of ``tensor.lstm_sweep`` and
 ``tensor.msin_sequence`` and return what those return, so a test can compare
 values and gradients bit for bit.
+
+``sigmoid``, ``lstm_gates`` and ``blend`` are single-step ops that only this
+reference uses.  They record tape entries as the package's ops do; the gated
+update keeps its own backward, split into the c and h entries, apart from the
+fused one in ``msin.tensor``.
 """
 
 from dataclasses import dataclass
@@ -15,6 +20,71 @@ import numpy as np
 
 from msin import cell as C
 from msin import tensor as T
+
+
+def sigmoid(tape, x):
+    # 0.5*(1+tanh(x/2)) is the logistic function without overflow at either tail.
+    out = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
+    return T._emit(tape, out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
+def _gate_back_c(saved, g):
+    """Gradients of c = f*c_prev + i*cand: (pre-activations, c_prev)."""
+    shape, i, f, _, cand, _, c_prev = saved
+    d = i.shape[-1]
+    gz = np.zeros(shape, dtype=g.dtype)
+    gz[..., :d] = g * cand * i * (1.0 - i)
+    gz[..., d:2 * d] = g * c_prev * f * (1.0 - f)
+    gz[..., 3 * d:] = g * i * (1.0 - cand * cand)
+    return gz, g * f
+
+
+def _gate_back_h(saved, g):
+    """Gradients of h = o*tanh(c): (pre-activations, c)."""
+    shape, _, _, o, _, tc, _ = saved
+    d = o.shape[-1]
+    gz = np.zeros(shape, dtype=g.dtype)
+    gz[..., 2 * d:3 * d] = g * tc * o * (1.0 - o)
+    return gz, g * o * (1.0 - tc * tc)
+
+
+def lstm_gates(tape, pre, c_prev):
+    """LSTM state update from stacked pre-activations; returns (h, c).
+
+    ``pre`` holds the in/forget/out/cand blocks along its last axis and
+    ``c_prev`` the previous cell state.  c = f*c_prev + i*cand and
+    h = o*tanh(c), with sigmoid gates and a tanh candidate: the elementwise
+    float arithmetic of the same update spelled out with
+    narrow/sigmoid/tanh/hadamard/add, bit for bit, in two tape entries (c,
+    then h) instead of thirteen.
+    """
+    d = pre.shape[-1] // 4
+    if pre.shape[-1] != 4 * d or c_prev.shape != pre.shape[:-1] + (d,):
+        raise T.ShapeError("lstm_gates expects [..., 4d] and [..., d], got %r and %r"
+                           % (pre.shape, c_prev.shape))
+    z = pre.data
+    gates = 0.5 * (np.tanh(0.5 * z[..., :3 * d]) + 1.0)  # sigmoid's formula
+    i, f, o = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:]
+    cand = np.tanh(z[..., 3 * d:])
+    c = f * c_prev.data + i * cand
+    tc = np.tanh(c)
+    saved = (z.shape, i, f, o, cand, tc, c_prev.data)
+    c_out = T._emit(tape, c, (pre, c_prev), lambda g: _gate_back_c(saved, g))
+    return T._emit(tape, o * tc, (pre, c_out), lambda g: _gate_back_h(saved, g)), c_out
+
+
+def blend(tape, keep, a, b):
+    """keep*a + (1-keep)*b for a 0/1 mask: ``a`` where keep is 1, ``b`` elsewhere.
+
+    The arithmetic of ``hadamard`` by two constant masks and ``add``, bit for
+    bit, in one tape entry.
+    """
+    k = np.asarray(keep, dtype=np.float32)
+    if a.shape != b.shape or k.shape != a.shape:
+        raise T.ShapeError("blend expects equal shapes, got mask %r and %r, %r"
+                           % (k.shape, a.shape, b.shape))
+    d = 1.0 - k
+    return T._emit(tape, k * a.data + d * b.data, (a, b), lambda g: (g * k, g * d))
 
 
 @dataclass
@@ -37,7 +107,7 @@ def lstm_step(tape, params, x, h, c, v=None):
     terms = [(params.input_w, x), (params.state_w, h)]
     if v is not None:
         terms.append((params.ctx_w, v))
-    return T.lstm_gates(tape, T.linear(tape, terms, params.bias), c)
+    return lstm_gates(tape, T.linear(tape, terms, params.bias), c)
 
 
 def update_context(tape, p, slots, v_prev):
@@ -65,22 +135,47 @@ def cell_step(tape, x, state, slots, params, doc_proj=None):
     return MsinState(c=c, h=h, v=v, p=p)
 
 
-def sweep(tape, x, h0, c0, gates, valid=None, reverse=False):
-    """``tensor.lstm_sweep``, one ``lstm_step`` (and ``blend``) per position."""
-    n, d = h0.shape
+def columns(tape, x, lo, hi):
+    """Columns lo..hi-1 of a matrix; its backward pads with -0.0, the exact
+    additive identity, so adding the shares of several column ranges gives
+    each range's gradient unchanged, signed zeros included."""
+    def back(g):
+        gx = np.full(x.shape, -0.0, dtype=g.dtype)
+        gx[:, lo:hi] = g
+        return (gx,)
+
+    return T._emit(tape, x.data[:, lo:hi].copy(), (x,), back)
+
+
+def sweep(tape, x, h0, c0, forward=None, backward=None, valid=None):
+    """``tensor.lstm_sweep``: one direction after the other, each one
+    ``lstm_step`` (and ``blend``) per position."""
+    dirs = [(g, flip) for g, flip in ((forward, False), (backward, True))
+            if g is not None]
+    n, width = h0.shape
+    d = width // len(dirs)
     L = x.shape[0] // n
-    h, c, out = h0, c0, [None] * L
-    for l in (range(L - 1, -1, -1) if reverse else range(L)):
-        h_new, c_new = lstm_step(tape, gates, T.narrow(tape, x, 0, l * n, (l + 1) * n),
-                                 h, c)
-        if valid is None or valid[:, l].all():
-            h, c = h_new, c_new
-        else:
-            keep = np.repeat(valid[:, l:l + 1], d, axis=1)
-            h = T.blend(tape, keep, h_new, h)
-            c = T.blend(tape, keep, c_new, c)
-        out[l] = h
-    return T.concat(tape, out, axis=1)
+    outs = []
+    for k, (gates, flip) in enumerate(dirs):
+        h, c = h0, c0
+        if len(dirs) > 1:
+            h = columns(tape, h0, k * d, (k + 1) * d)
+            c = columns(tape, c0, k * d, (k + 1) * d)
+        out = [None] * L
+        for l in (range(L - 1, -1, -1) if flip else range(L)):
+            h_new, c_new = lstm_step(tape, gates,
+                                     T.narrow(tape, x, 0, l * n, (l + 1) * n), h, c)
+            if valid is None or valid[:, l].all():
+                h, c = h_new, c_new
+            else:
+                keep = np.repeat(valid[:, l:l + 1], d, axis=1)
+                h = blend(tape, keep, h_new, h)
+                c = blend(tape, keep, c_new, c)
+            out[l] = h
+        outs.append(out)
+    rows = [T.concat(tape, [out[l] for out in outs], axis=1) if len(outs) > 1
+            else outs[0][l] for l in range(L)]
+    return T.reshape(tape, T.concat(tape, rows, axis=1), (n, L, width))
 
 
 def msin_steps(tape, x, h0, c0, doc_proj, grid, mask, attn, gates):

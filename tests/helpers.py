@@ -1,10 +1,13 @@
-"""Test-side helpers: the one-number gradient check, and one day as a batch of one.
+"""Test-side helpers: the one-number gradient check, one day as a batch of
+one, and a per-tensor Adam loop.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
 an [n] mask and vector states as a batch of one and return vectors, so the
 cell tests can state their per-sample oracles directly.  Single steps run
-through the per-step chain in ``chain_oracle``.
+through the per-step chain in ``chain_oracle``.  ``reference_train`` is
+``training.train`` with a dictionary of moments per parameter tensor, the
+reference for its flat-buffer update.
 """
 
 import dataclasses
@@ -12,7 +15,10 @@ import dataclasses
 import numpy as np
 
 from msin import cell as C
+from msin import model as M
 from msin import tensor as T
+from msin import training as TR
+from msin.rng import substream
 from msin.text_encoder import DocRepresentation
 
 import chain_oracle as chain
@@ -98,3 +104,78 @@ def run_plain_sequence(tape, window, cell, init_c, init_h) -> T.Tensor:
     c, h = row(tape, init_c), row(tape, init_h)
     return T.concat(tape, [C.run_plain_sequence(tape, window[None, :t], cell, c, h)
                            for t in range(1, window.shape[0] + 1)], axis=0)
+
+
+def reference_train(samples, params, config, tcfg):
+    """``training.train`` one parameter tensor at a time.
+
+    Same batches, dropout streams, clipping, Adam arithmetic, validation and
+    early stopping, with per-tensor gradients and moments in dictionaries.
+    Returns the history as (step, train_loss, valid_loss) tuples, the best
+    step and the number of steps whose gradient was clipped; ``params`` ends
+    at the best-validation snapshot.
+    """
+    train_set, valid_set = tuple(samples.train), tuple(samples.valid)
+    rows = M.named_tensors(params)
+    adam_m = {n: np.zeros(t.shape) for n, t, _ in rows}
+    adam_v = {n: np.zeros(t.shape) for n, t, _ in rows}
+    history, clipped = [], 0
+    best = {"valid": np.inf, "step": 0, "data": None, "since": 0}
+
+    def evaluate(step):
+        vl = TR.eval_loss(valid_set, params, config)
+        if vl < best["valid"]:
+            best.update(valid=vl, step=step, since=0,
+                        data={n: t.data.copy() for n, t, _ in rows})
+        else:
+            best["since"] += 1
+        return vl
+
+    step = epoch = cursor = 0
+    order = substream(tcfg.seed, "shuffle", epoch).permutation(len(train_set))
+    last_evaluated = -1
+    while step < tcfg.max_steps:
+        if cursor >= len(order):
+            epoch, cursor = epoch + 1, 0
+            order = substream(tcfg.seed, "shuffle", epoch).permutation(len(train_set))
+        batch_ids = sorted(int(i) for i in order[cursor:cursor + tcfg.batch_size])
+        cursor += tcfg.batch_size
+        step += 1
+        batch = [train_set[i] for i in batch_ids]
+        tape = T.Tape()
+        pred = M.forward_batch(
+            tape, batch, params, config, train_mode=True,
+            rngs=[substream(tcfg.seed, "dropout", step, i) for i in batch_ids])
+        total, _ = M.batch_loss(tape, pred.value, batch, params, config)
+        tape.backward(total)
+        grads = {}
+        for n, t, _ in rows:
+            grads[n] = np.zeros(t.shape) if t.grad is None else t.grad / len(batch)
+            t.grad = None
+        norm = TR._global_norm(grads)
+        if norm > tcfg.clip_norm:
+            clipped += 1
+            for g in grads.values():
+                g *= tcfg.clip_norm / norm
+        bc1 = 1.0 - tcfg.beta1 ** step
+        bc2 = 1.0 - tcfg.beta2 ** step
+        for n, t, _ in rows:
+            g = grads[n]
+            adam_m[n] = tcfg.beta1 * adam_m[n] + (1.0 - tcfg.beta1) * g
+            adam_v[n] = tcfg.beta2 * adam_v[n] + (1.0 - tcfg.beta2) * g * g
+            update = (tcfg.learning_rate * (adam_m[n] / bc1)
+                      / (np.sqrt(adam_v[n] / bc2) + tcfg.eps))
+            t.data[...] = (t.data.astype(np.float64) - update).astype(np.float32)
+        valid_loss = None
+        if step % tcfg.eval_every == 0:
+            valid_loss = evaluate(step)
+            last_evaluated = step
+        history.append((step, float(total.data[0]) / len(batch), valid_loss))
+        if valid_loss is not None and best["since"] >= tcfg.early_stop_patience:
+            break
+    if step > 0 and last_evaluated != step:
+        history[-1] = history[-1][:2] + (evaluate(step),)
+    if best["data"] is not None:
+        for n, t, _ in rows:
+            t.data[...] = best["data"][n]
+    return history, best["step"], clipped

@@ -221,6 +221,37 @@ def test_train_missing_corpus_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--l1", "nan"), ("--l2", "nan"), ("--clip-norm", "nan"),
+    ("--learning-rate", "nan"), ("--learning-rate", "inf")])
+def test_train_non_finite_option_is_usage_error(tmp_path, capsys, flag, value):
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), flag, value])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_synth_non_finite_sigma_is_usage_error(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path), "--sigma", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_train_non_finite_embedding_row_is_data_error(tmp_path, capsys):
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("%s 1 2 3 4 5 6\n%s 1 2 inf 4 5 6\n"
+                   % (vocab.tokens[2], vocab.tokens[3]))
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
+               "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+               "--embeddings", str(emb)])
+    assert rc == 2
+    assert "emb.txt:2:" in capsys.readouterr().err
+
+
 def test_train_requires_paths(capsys):
     assert main(["train"]) == 1
     err = capsys.readouterr().err

@@ -315,6 +315,12 @@ class TestSynthGenerate:
         with pytest.raises(D.DatasetError):
             D.SynthSpec(n_docs=(3, 2))
 
+    @pytest.mark.parametrize("field", ["sigma", "alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_spec_rejected(self, field, value):
+        with pytest.raises(D.DatasetError, match="finite"):
+            D.SynthSpec(**{field: value})
+
 
 class TestFileFormats:
     def test_corpus_round_trip(self, tmp_path):

@@ -42,6 +42,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             M.ModelConfig.from_dict({"variant": "msin", "bogus": 1})
 
+    @pytest.mark.parametrize("field", ["l1", "l2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(**{field: value})
+
     def test_round_trip_and_hash_stability(self):
         cfg = tiny_config(l1=0.01)
         again = M.ModelConfig.from_dict(cfg.to_dict())

@@ -136,13 +136,13 @@ class TestElementwise:
         x = np.array([-3.0, 0.0, 0.7], dtype=np.float32)
         np.testing.assert_allclose(T.tanh(None, T.constant(x)).data, np.tanh(x),
                                    rtol=0, atol=1e-7)
-        np.testing.assert_allclose(T.sigmoid(None, T.constant(x)).data,
+        np.testing.assert_allclose(chain.sigmoid(None, T.constant(x)).data,
                                    1.0 / (1.0 + np.exp(-x.astype(np.float64))),
                                    rtol=0, atol=1e-7)
 
     def test_sigmoid_stable_at_extremes(self):
         x = T.constant([-1000.0, 1000.0])
-        got = T.sigmoid(None, x).data
+        got = chain.sigmoid(None, x).data
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, [0.0, 1.0], rtol=0, atol=1e-12)
 
@@ -368,28 +368,36 @@ def _gates(rng, d, d_in, dtype, ctx=None):
     return leaves + [T.parameter(_rand(rng, 4 * d) * 0.5, "bias", dtype)]
 
 
-def _sweep_case(seed, n, L, dtype=np.float64, reverse=False):
+def _sweep_case(seed, n, L, dtype=np.float64, reverse=False, both=False):
     """Leaves of an lstm_sweep over ragged sequences, and fused and chain builds.
 
-    A sequence of length 0 carries its initial states through every position.
+    One direction runs positions forwards, or backwards with ``reverse``;
+    ``both`` runs the two directions together.  A sequence of length 0
+    carries its initial states through every position.
     """
     rng = np.random.default_rng(seed)
     d_in, d = 3, 2
+    D = 2 if both else 1
     lengths = rng.integers(0, L + 1, size=n)
     valid = lengths[:, None] > np.arange(L)[None, :]
     leaves = [T.parameter(_rand(rng, L * n, d_in), "x", dtype),
-              T.parameter(_rand(rng, n, d), "h0", dtype),
-              T.parameter(_rand(rng, n, d), "c0", dtype)] + _gates(rng, d, d_in, dtype)
+              T.parameter(_rand(rng, n, D * d), "h0", dtype),
+              T.parameter(_rand(rng, n, D * d), "c0", dtype)]
+    for _ in range(D):
+        leaves += _gates(rng, d, d_in, dtype)
 
     def args(ls):
-        x, h0, c0, wx, wh, b = ls
-        return x, h0, c0, SimpleNamespace(input_w=wx, state_w=wh, bias=b)
+        x, h0, c0, *w = ls
+        dirs = [SimpleNamespace(input_w=w[3 * k], state_w=w[3 * k + 1],
+                                bias=w[3 * k + 2]) for k in range(D)]
+        return (x, h0, c0) + (tuple(dirs) if both else
+                              (None, dirs[0]) if reverse else (dirs[0], None))
 
     def fused(tape, ls):
-        return [T.lstm_sweep(tape, *args(ls), valid, reverse)]
+        return [T.lstm_sweep(tape, *args(ls), valid)]
 
     def oracle(tape, ls):
-        return [chain.sweep(tape, *args(ls), valid, reverse)]
+        return [chain.sweep(tape, *args(ls), valid)]
 
     return leaves, fused, oracle
 
@@ -444,7 +452,7 @@ class TestFusedOps:
             pairs = [(ls[2 * k], ls[2 * k + 1]) for k in range(n_terms)]
             return [T.linear(tape, pairs, ls[-1])]
 
-        def chain(tape, ls):
+        def spelled(tape, ls):
             acc = None
             for k in range(n_terms):
                 w, x = ls[2 * k], ls[2 * k + 1]
@@ -452,7 +460,7 @@ class TestFusedOps:
                 acc = p if acc is None else T.add(tape, acc, p)
             return [T.add_bias(tape, acc, ls[-1])]
 
-        assert _leaf_grads(fused, leaves, 1) == _leaf_grads(chain, leaves, 1)
+        assert _leaf_grads(fused, leaves, 1) == _leaf_grads(spelled, leaves, 1)
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_lstm_gates_bitwise_matches_spelled_out_update(self, rows):
@@ -463,18 +471,18 @@ class TestFusedOps:
                   T.parameter(_rand(rng, *lead, d), "c_prev")]
 
         def fused(tape, ls):
-            return list(T.lstm_gates(tape, ls[0], ls[1]))
+            return list(chain.lstm_gates(tape, ls[0], ls[1]))
 
-        def chain(tape, ls):
+        def spelled(tape, ls):
             pre, c_prev = ls
             axis = pre.ndim - 1
             blocks = [T.narrow(tape, pre, axis, k * d, (k + 1) * d) for k in range(4)]
-            i, f, o = (T.sigmoid(tape, b) for b in blocks[:3])
+            i, f, o = (chain.sigmoid(tape, b) for b in blocks[:3])
             cand = T.tanh(tape, blocks[3])
             c = T.add(tape, T.hadamard(tape, f, c_prev), T.hadamard(tape, i, cand))
             return [T.hadamard(tape, o, T.tanh(tape, c)), c]
 
-        assert _leaf_grads(fused, leaves, 2) == _leaf_grads(chain, leaves, 2)
+        assert _leaf_grads(fused, leaves, 2) == _leaf_grads(spelled, leaves, 2)
 
     def test_weighted_sum_bitwise_matches_row_scale_sum_stack(self):
         rng = np.random.default_rng(60)
@@ -485,14 +493,14 @@ class TestFusedOps:
             grid = T.reshape(tape, T.concat(tape, ls[:-1], axis=1), (3, 4, 5))
             return [T.weighted_sum(tape, grid, ls[-1])]
 
-        def chain(tape, ls):
+        def spelled(tape, ls):
             beta = ls[-1]
             return [T.sum_stack(tape, [
                 T.row_scale(tape, h, T.reshape(tape, T.narrow(tape, beta, 1, j, j + 1),
                                                (3,)))
                 for j, h in enumerate(ls[:-1])])]
 
-        assert _leaf_grads(fused, leaves, 3) == _leaf_grads(chain, leaves, 3)
+        assert _leaf_grads(fused, leaves, 3) == _leaf_grads(spelled, leaves, 3)
 
     def test_weighted_sum_of_one_stacked_tensor_matches_parts(self):
         rng = np.random.default_rng(61)
@@ -519,14 +527,14 @@ class TestFusedOps:
         leaves = [T.parameter(_rand(rng, 3, 5), "new"), T.parameter(_rand(rng, 3, 5), "old")]
 
         def fused(tape, ls):
-            return [T.blend(tape, keep, ls[0], ls[1])]
+            return [chain.blend(tape, keep, ls[0], ls[1])]
 
-        def chain(tape, ls):
+        def spelled(tape, ls):
             return [T.add(tape, T.hadamard(tape, T.constant(keep), ls[0]),
                           T.hadamard(tape, T.constant(~keep), ls[1]))]
 
-        assert _leaf_grads(fused, leaves, 4) == _leaf_grads(chain, leaves, 4)
-        out = T.blend(None, keep, leaves[0], leaves[1]).data
+        assert _leaf_grads(fused, leaves, 4) == _leaf_grads(spelled, leaves, 4)
+        out = chain.blend(None, keep, leaves[0], leaves[1]).data
         np.testing.assert_array_equal(out, np.where(keep, leaves[0].data, leaves[1].data))
 
     def test_add_bias_rows_bitwise_matches_take_rows_add(self):
@@ -538,10 +546,10 @@ class TestFusedOps:
         def fused(tape, ls):
             return [T.add_bias(tape, ls[0], ls[1], rows)]
 
-        def chain(tape, ls):
+        def spelled(tape, ls):
             return [T.add(tape, ls[0], T.take_rows(tape, ls[1], rows))]
 
-        assert _leaf_grads(fused, leaves, 5) == _leaf_grads(chain, leaves, 5)
+        assert _leaf_grads(fused, leaves, 5) == _leaf_grads(spelled, leaves, 5)
 
     def test_shape_guards(self):
         w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
@@ -559,9 +567,9 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError):
             T.linear(None, [(w, T.constant(np.ones((1, 4))))], T.constant(np.ones(7)))
         with pytest.raises(T.ShapeError):
-            T.lstm_gates(None, T.constant(np.ones(10)), T.constant(np.ones(2)))
+            chain.lstm_gates(None, T.constant(np.ones(10)), T.constant(np.ones(2)))
         with pytest.raises(T.ShapeError):
-            T.lstm_gates(None, T.constant(np.ones(8)), T.constant(np.ones(3)))
+            chain.lstm_gates(None, T.constant(np.ones(8)), T.constant(np.ones(3)))
         with pytest.raises(T.ShapeError):
             T.weighted_sum(None, T.constant(np.ones((3, 2, 2))),
                            T.constant(np.ones((3, 3))))
@@ -569,7 +577,7 @@ class TestFusedOps:
             T.weighted_sum(None, T.constant(np.ones((3, 2))),
                            T.constant(np.ones((3, 2))))
         with pytest.raises(T.ShapeError):
-            T.blend(None, np.ones((3, 2)), T.constant(np.ones((3, 2))),
+            chain.blend(None, np.ones((3, 2)), T.constant(np.ones((3, 2))),
                     T.constant(np.ones((3, 3))))
 
     def test_linear_rejects_a_vector_input(self):
@@ -589,6 +597,87 @@ class TestFusedOps:
             assert got.data.dtype == want.data.dtype
             assert got.data.tobytes() == want.data.tobytes()
         assert _leaf_grads(fused, leaves, 7) == _leaf_grads(oracle, leaves, 7)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    def test_lstm_sweep_both_directions_bitwise_matches_the_chain(self, n, L):
+        """Both directions in one loop against one chain per direction: ragged
+        lengths, so at some steps one direction carries and the other not."""
+        for dtype in (np.float32, np.float64):
+            leaves, fused, oracle = _sweep_case(10 * n + L, n, L, dtype, both=True)
+            got, want = fused(None, leaves)[0], oracle(None, leaves)[0]
+            assert got.shape == (n, L, 4)
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
+        assert _leaf_grads(fused, leaves, 9) == _leaf_grads(oracle, leaves, 9)
+
+    @pytest.mark.parametrize("n,L", [(1, 1), (3, 2), (8, 5)])
+    def test_lstm_sweep_both_directions_match_two_sweeps(self, n, L):
+        """In float32, as the encoder runs it (rows gathered from a table, zero
+        initial states, documents of 1..L tokens), one two-direction sweep
+        gives the values and leaf gradients of one sweep per direction side
+        by side, bit for bit."""
+        rng = np.random.default_rng(50 + n + L)
+        d_in, d = 3, 2
+        lengths = rng.integers(1, L + 1, size=n)
+        valid = lengths[:, None] > np.arange(L)[None, :]
+        ids = rng.integers(0, 6, size=L * n)
+        leaves = ([T.parameter(_rand(rng, 6, d_in), "table")]
+                  + _gates(rng, d, d_in, np.float32) + _gates(rng, d, d_in, np.float32))
+
+        def directions(ls):
+            return [SimpleNamespace(input_w=ls[k], state_w=ls[k + 1], bias=ls[k + 2])
+                    for k in (1, 4)]
+
+        def one(tape, ls):
+            zeros = T.constant(np.zeros((n, 2 * d)))
+            return [T.lstm_sweep(tape, T.take_rows(tape, ls[0], ids), zeros, zeros,
+                                 *directions(ls), valid)]
+
+        def two(tape, ls):
+            x = T.take_rows(tape, ls[0], ids)
+            zeros = T.constant(np.zeros((n, d)))
+            fwd, bwd = directions(ls)
+            return [T.concat(tape, [
+                T.lstm_sweep(tape, x, zeros, zeros, fwd, None, valid),
+                T.lstm_sweep(tape, x, zeros, zeros, None, bwd, valid)], axis=2)]
+
+        assert _leaf_grads(one, leaves, 10) == _leaf_grads(two, leaves, 10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,L,d_in,d", [
+        (1, 1, 3, 2), (1, 2, 3, 2), (1, 5, 3, 2), (3, 1, 3, 2), (3, 2, 3, 2),
+        (3, 5, 3, 2), (8, 1, 3, 2), (8, 2, 3, 2), (8, 5, 3, 2),
+        (80, 8, 16, 8), (24, 5, 16, 8), (640, 1, 16, 8)])
+    def test_stacked_matmul_matches_per_slice_products(self, dtype, n, L, d_in, d):
+        """Every product lstm_sweep takes over operands stacked by direction
+        equals each direction's 2-D product bit for bit: the shapes of the
+        sweep tests above and of the encoder at the benchmark's widths."""
+        rng = np.random.default_rng(n * 100 + L)
+
+        def draw(*shape):  # values stored in dtype, widened as the sweep does
+            return _rand(rng, *shape).astype(dtype).astype(np.float64)
+
+        X, G = draw(2, L, n, d_in), draw(2, L, n, 4 * d)
+        H, Wx, Wh = draw(2, n, d), draw(2, 4 * d, d_in), draw(2, 4 * d, d)
+        WxT, WhT = Wx.transpose(0, 2, 1), Wh.transpose(0, 2, 1)
+        stacked = [
+            (np.matmul(X, WxT[:, None]), lambda k, l: X[k, l] @ Wx[k].T),
+            (np.matmul(G, Wx[:, None]), lambda k, l: G[k, l] @ Wx[k]),
+            (np.matmul(H, WhT), lambda k, l: H[k] @ Wh[k].T),
+            (np.matmul(G[:, -1], Wh), lambda k, l: G[k, -1] @ Wh[k]),
+            (np.matmul(X[:, -1].transpose(0, 2, 1), G[:, -1]),
+             lambda k, l: X[k, -1].T @ G[k, -1]),
+            (np.matmul(H.transpose(0, 2, 1), G[:, -1]),
+             lambda k, l: H[k].T @ G[k, -1]),
+        ]
+        for got, one in stacked:
+            for k in range(2):
+                if got.ndim == 4:
+                    for l in range(L):
+                        assert got[k, l].tobytes() == one(k, l).tobytes()
+                else:
+                    assert got[k].tobytes() == one(k, None).tobytes()
 
     @pytest.mark.parametrize("B", [1, 3, 8])
     @pytest.mark.parametrize("m", [1, 2, 7])
@@ -633,10 +722,14 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError):
             T.lstm_sweep(None, T.narrow(None, x, 0, 0, 5), h0, c0, gates)
         with pytest.raises(T.ShapeError):
-            T.lstm_sweep(None, x, h0, c0, gates, np.ones((3, 3), dtype=bool))
+            T.lstm_sweep(None, x, h0, c0, gates, valid=np.ones((3, 3), dtype=bool))
         with pytest.raises(T.ShapeError):
             T.lstm_sweep(None, x, h0, c0,
                          SimpleNamespace(input_w=wh, state_w=wh, bias=b))
+        with pytest.raises(T.ShapeError):  # no direction
+            T.lstm_sweep(None, x, h0, c0)
+        with pytest.raises(T.ShapeError):  # [n, d] states for two directions
+            T.lstm_sweep(None, x, h0, c0, gates, gates)
         h0, c0, proj, grid, qw, qb, score, wx, wh, wc, b = _msin_case(4, 3, 2)[0]
         attn = SimpleNamespace(state_w=qw, bias=qb, score=score)
         cell = SimpleNamespace(input_w=wx, state_w=wh, ctx_w=wc, bias=b)
@@ -744,7 +837,7 @@ class TestGradCheckPerOp:
         rng = np.random.default_rng(seed)
         w = T.constant(_rand(rng, n), dtype=np.float64)
         x0 = _rand_away(rng, n)
-        for op in (T.tanh, T.sigmoid, T.absolute):
+        for op in (T.tanh, chain.sigmoid, T.absolute):
             def loss(tape, leaves, op=op):
                 return T.sum_all(tape, T.hadamard(tape, op(tape, leaves[0]), w))
             assert H.grad_check(loss, [T.parameter(x0, "x")]) < 1e-6
@@ -841,8 +934,8 @@ class TestGradCheckPerOp:
         def loss(tape, leaves):
             wx, x, wh, h, b, c, beta = leaves
             pre = T.linear(tape, [(wx, x), (wh, h)], b)          # [2, 12]
-            h1, c1 = T.lstm_gates(tape, pre, c)                  # [2, 3] each
-            carried = T.blend(tape, keep, h1, c)                 # [2, 3]
+            h1, c1 = chain.lstm_gates(tape, pre, c)              # [2, 3] each
+            carried = chain.blend(tape, keep, h1, c)             # [2, 3]
             grid = T.reshape(tape, T.concat(tape, [carried, c1], axis=1), (2, 2, 3))
             mixed = T.weighted_sum(tape, grid, beta)             # [2, 3]
             one = T.linear(tape, [(wh, T.narrow(tape, h, 0, 0, 1))], b)  # [1, 12]
@@ -871,6 +964,12 @@ class TestGradCheckPerOp:
         for reverse in (False, True):
             leaves, fused = _sweep_case(720 + seed, 3, 4, reverse=reverse)[:2]
             self._check_recurrence(leaves, fused, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lstm_sweep_both_directions(self, seed):
+        """Ragged sequences, both directions in one sweep."""
+        leaves, fused = _sweep_case(740 + seed, 3, 4, both=True)[:2]
+        self._check_recurrence(leaves, fused, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_msin_sequence(self, seed):
@@ -923,10 +1022,10 @@ def _mutation_cases():
         "hadamard": ([r(2, 3), r(2, 3)], lambda c, L: c(T.hadamard, L[0], L[1])),
         "scale": ([r(2, 3)], lambda c, L: c(T.scale, L[0], 1.7)),
         "tanh": ([r(2, 3)], lambda c, L: c(T.tanh, L[0])),
-        "sigmoid": ([r(2, 3)], lambda c, L: c(T.sigmoid, L[0])),
+        "sigmoid": ([r(2, 3)], lambda c, L: c(chain.sigmoid, L[0])),
         "lstm_gates": ([r(2, 8), r(2, 2)],
-                       lambda c, L: c(T.lstm_gates, L[0], L[1])[0]),
-        "blend": ([r(2, 3), r(2, 3)], lambda c, L: c(T.blend, keep, L[0], L[1])),
+                       lambda c, L: c(chain.lstm_gates, L[0], L[1])[0]),
+        "blend": ([r(2, 3), r(2, 3)], lambda c, L: c(chain.blend, keep, L[0], L[1])),
         "absolute": ([_rand_away(rng, 2, 3)], lambda c, L: c(T.absolute, L[0])),
         "sum_all": ([r(2, 3)], lambda c, L: c(T.sum_all, L[0])),
         "concat": ([r(2, 3), r(2, 2)], lambda c, L: c(T.concat, L, 1)),
@@ -944,10 +1043,15 @@ def _mutation_cases():
             T.dropout, L[0], 0.4, [np.random.default_rng(s) for s in (123, 124)])),
         "bce_with_logit": ([r(3) * 2], lambda c, L: c(
             T.bce_with_logit, L[0], [1.0, 0.0, 1.0])),
-        # x [3*2, 2], h0, c0 [2, 2], input_w, state_w, bias
+        # x [3*2, 2], h0, c0 [2, 2], input_w, state_w, bias; run backwards
         "lstm_sweep": ([r(6, 2), r(2, 2), r(2, 2), r(8, 2), r(8, 2), r(8)],
-                       lambda c, L: c(T.lstm_sweep, *L[:3], gates(L[3:]), valid,
-                                      True)),
+                       lambda c, L: c(T.lstm_sweep, *L[:3], None, gates(L[3:]),
+                                      valid)),
+        # both directions: h0, c0 [2, 2*2], then each direction's weights
+        "lstm_sweep_both": ([r(6, 2), r(2, 4), r(2, 4), r(8, 2), r(8, 2), r(8),
+                             r(8, 2), r(8, 2), r(8)],
+                            lambda c, L: c(T.lstm_sweep, *L[:3], gates(L[3:6]),
+                                           gates(L[6:]), valid)),
         # h0, c0 [2, 2], doc_proj [2*3, 2], grid [2, 3, 3], query weight,
         # bias and score, input_w, state_w, ctx_w, bias; two steps
         "msin_sequence": ([r(2, 2), r(2, 2), r(6, 2), r(2, 3, 3), r(2, 2), r(2),
@@ -984,9 +1088,11 @@ class TestGradCheckMutation:
         assert self._check(name, skew=False) < 1e-6
         assert self._check(name, skew=True) > 1e-4
 
-    # lstm_sweep's inputs are x, h0, c0 and three weights; msin_sequence's
-    # start with the constant x, and list the grid once for each of 2 steps
+    # lstm_sweep's inputs are x, h0, c0 and three weights per direction;
+    # msin_sequence's start with the constant x, and list the grid once for
+    # each of 2 steps
     @pytest.mark.parametrize("name,blocks", [("lstm_sweep", range(6)),
+                                             ("lstm_sweep_both", range(9)),
                                              ("msin_sequence", range(1, 13))])
     def test_each_skewed_block_of_a_recurrence_fails(self, name, blocks):
         for block in blocks:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msin import data as D
 from msin import tensor as T
 from msin import text_encoder as TE
 from msin.rng import substream
@@ -348,3 +349,13 @@ class TestEmbeddingFileLoader:
         np.testing.assert_allclose(table.table.data[3], [0.5, 0.5, 0.5])
         np.testing.assert_allclose(table.table.data[4], before[4])  # kept random init
         np.testing.assert_allclose(table.table.data[TE.PAD_ID], np.zeros(3))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_row_names_its_line(self, tmp_path, value):
+        table = TE.init_embedding(5, 3, substream(1, "init"))
+        path = tmp_path / "vecs.txt"
+        path.write_text("alpha 1.0 2.0 3.0\n"
+                        "unknowntoken nan nan nan\n"  # skipped: not in vocab
+                        "beta 0.5 %s 0.5\n" % value)
+        with pytest.raises(D.DatasetError, match=r"vecs\.txt:3: .*'beta'"):
+            TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table)

@@ -10,6 +10,8 @@ from msin import model as M
 from msin import tensor as T
 from msin import training as TR
 
+import helpers as H
+
 
 def tiny_config(**kw):
     base = dict(variant="msin", d_s=3, d_h=2, d_w=3, vocab_size=32, m=2,
@@ -78,6 +80,41 @@ class TestAdamStep:
             got = t.data
             # params2 holds the best snapshot: step 1 (the only eval)
             np.testing.assert_array_equal(got, want, err_msg=n)
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    @pytest.mark.parametrize("clip_norm", [0.05, 1e6])
+    def test_flat_buffer_matches_per_tensor_reference(self, variant, clip_norm):
+        """train() updates every parameter through one flat buffer; history,
+        best step and parameter bytes equal a per-tensor Adam loop's."""
+        config = tiny_config(variant=variant, l1=0.01, l2=0.02, dropout_rate=0.2)
+        samples = tiny_samples(config, n_days=40)
+        tcfg = TR.TrainConfig(max_steps=9, eval_every=2, batch_size=3, seed=5,
+                              clip_norm=clip_norm, learning_rate=0.01,
+                              early_stop_patience=3)
+        params = M.init_model(config, seed=5)
+        result = TR.train(samples, params, config, tcfg)
+        reference = M.init_model(config, seed=5)
+        history, best_step, clipped = H.reference_train(samples, reference,
+                                                        config, tcfg)
+        assert (clipped == len(history)) if clip_norm < 1 else clipped == 0
+        assert [(r.step, r.train_loss, r.valid_loss)
+                for r in result.history] == history
+        assert result.best_step == best_step
+        for (n, got, _), (_, want, _) in zip(M.named_tensors(params),
+                                             M.named_tensors(reference)):
+            assert got.data.dtype == want.data.dtype == np.float32, n
+            assert got.data.tobytes() == want.data.tobytes(), n
+
+    def test_parameters_share_one_buffer_after_train(self):
+        config = tiny_config()
+        params = M.init_model(config, seed=2)
+        before = snapshot(params)
+        TR.train(tiny_samples(config), params, config, TR.TrainConfig(max_steps=0))
+        datas = [t.data for _, t, _ in M.named_tensors(params)]
+        base = datas[0].base
+        assert base is not None and all(d.base is base for d in datas)
+        for n, t, _ in M.named_tensors(params):
+            assert t.data.tobytes() == before[n].tobytes(), n
 
     def test_zero_learning_rate_never_moves(self):
         config = tiny_config(dropout_rate=0.1)
@@ -247,6 +284,14 @@ class TestTrainConfig:
             TR.TrainConfig(early_stop_patience=0)
         with pytest.raises(ValueError):
             TR.TrainConfig(clip_norm=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("eps", float("nan")), ("clip_norm", float("nan")),
+        ("clip_norm", float("inf"))])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            TR.TrainConfig(**{field: value})
 
     def test_round_trip(self):
         tcfg = TR.TrainConfig(max_steps=7, seed=5)
