@@ -389,8 +389,7 @@ def cmd_train(args) -> int:
 
     params = M.init_model(config, seed=tcfg.seed)
     if merged["embeddings"] is not None:
-        lookup = {tok: i for i, tok in enumerate(vocab.tokens)}
-        hits = load_embedding_file(merged["embeddings"], lookup,
+        hits = load_embedding_file(merged["embeddings"], vocab.ids,
                                    params.embedding)
         print("embeddings hit %d of %d vocabulary rows" % (hits, vocab.size))
 
@@ -521,7 +520,7 @@ def cmd_rank(args) -> int:
             break
     else:
         raise D.DatasetError("no eligible sample on %s" % (date or "any day"))
-    sample = D.to_sample(*got, stats)
+    sample = D.to_samples([got], stats)[0]
     pred = M.forward(None, sample, params, config)
     if pred.relevance is None:
         raise D.DatasetError("variant %r assigns no relevance mass"
@@ -598,7 +597,9 @@ def cmd_gradcheck(args) -> int:
 # entry point
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """Every subcommand; only ``command``'s gets its option table, or all do
+    when it is None."""
     parser = _Parser(prog="msin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     specs = [
@@ -611,14 +612,19 @@ def build_parser() -> _Parser:
     ]
     for name, func, table, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        _add_table(p, table())
+        if command is None or command == name:
+            _add_table(p, table())
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option values, so the first word that
+    # is not an option names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         if not hasattr(args, "func"):
             raise _UsageError("a subcommand is required (see --help)")
         return args.func(args)

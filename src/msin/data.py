@@ -1,9 +1,15 @@
 """Corpus and series ingestion, vocabulary, windowing, synthetic generator.
 
-The synthetic generator plants signal tokens into otherwise random documents
-and drives an AR(1) series off the daily plant counts, so relevance recovery
-can be measured against known ground truth. Relevance flags ride along in the
-corpus but are never consumed by training code, only by evaluation.
+Sample building does each day's work once: ``encode_day`` maps a day's
+tokens to ids with one dictionary lookup per token and fills the padded id
+matrix in one array assignment, and ``to_samples`` normalizes every window
+and target of a split in one array operation each (a sample's ``values_n``
+is a row of that array). ``rank`` calls the same two functions for its one
+day. The synthetic generator plants signal tokens into otherwise random
+documents and drives an AR(1) series off the daily plant counts, so
+relevance recovery can be measured against known ground truth. Relevance
+flags ride along in the corpus but are never consumed by training code, only
+by evaluation.
 """
 
 from __future__ import annotations
@@ -79,21 +85,19 @@ class Series:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token ids in frequency order; id 0 is padding, id 1 unknown."""
+    """Token ids in frequency order; id 0 is padding, id 1 unknown.
+    ``ids`` maps each token to its id."""
 
     tokens: tuple[str, ...]
 
     def __post_init__(self):
         if self.tokens[:2] != (PAD_TOKEN, UNK_TOKEN):
             raise DatasetError("vocabulary must start with pad and unk")
-        object.__setattr__(self, "_ids", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "ids", {t: i for i, t in enumerate(self.tokens)})
 
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    def lookup(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
 
 
 @dataclass(frozen=True)
@@ -209,22 +213,24 @@ def cap_daily_docs(docs: tuple[Document, ...], cap: int = 25) -> tuple[Document,
 
 def encode_day(docs: tuple[Document, ...], vocab: Vocabulary,
                max_tokens: int) -> DocumentBatch:
-    """Tokenize one day into padded id rows; drops docs with no usable tokens."""
-    rows, lengths, flags, src = [], [], [], []
+    """Tokenize one day into padded id rows; drops docs with no usable tokens.
+    Unknown tokens map to UNK_ID."""
+    toks, lengths, flags, src = [], [], [], []
     for i, doc in enumerate(docs):
-        toks = tokenize(doc.text, max_tokens)
-        if not toks:
-            continue
-        ids = [vocab.lookup(t) for t in toks]
-        rows.append(ids + [PAD_ID] * (max_tokens - len(ids)))
-        lengths.append(len(ids))
-        flags.append(doc.relevant)
-        src.append(i)
-    n = len(rows)
-    shape = (n, max_tokens)
+        doc_toks = tokenize(doc.text, max_tokens)
+        if doc_toks:
+            toks += doc_toks
+            lengths.append(len(doc_toks))
+            flags.append(doc.relevant)
+            src.append(i)
+    lengths = np.array(lengths, dtype=np.int64)
+    token_ids = np.zeros((lengths.size, max_tokens), dtype=np.int64)
+    id_of = vocab.ids.get
+    token_ids[np.arange(max_tokens) < lengths[:, None]] = \
+        [id_of(t, UNK_ID) for t in toks]
     return DocumentBatch(
-        token_ids=np.asarray(rows, dtype=np.int64).reshape(shape),
-        lengths=np.asarray(lengths, dtype=np.int64),
+        token_ids=token_ids,
+        lengths=lengths,
         relevance=tuple(flags),
         source_idx=np.asarray(src, dtype=np.int64))
 
@@ -260,12 +266,14 @@ def window_day(day: Day, series: Series, rows: dict[dt.date, int],
                         prev=float(series.values[i - 1, 0]), date=day.date), batch
 
 
-def to_sample(window: SeriesWindow, batch: DocumentBatch,
-              stats: SeriesStats) -> Sample:
-    """A window and its documents, normalized by a training run's stats."""
-    target_n = float(stats.normalize(np.asarray([[window.target]]))[0, 0])
-    return Sample(window=window, docs=batch,
-                  values_n=stats.normalize(window.values), target_n=target_n)
+def to_samples(pairs, stats: SeriesStats) -> tuple[Sample, ...]:
+    """(window, documents) pairs as samples, normalized by a training run's
+    stats: all windows in one array operation, all targets in another. Each
+    ``values_n`` is a row of one [len(pairs), m, D] array."""
+    values_n = stats.normalize([w.values for w, _ in pairs])
+    target_n = stats.normalize([w.target for w, _ in pairs]).tolist()
+    return tuple([Sample(window=w, docs=b, values_n=v, target_n=t)
+                  for (w, b), v, t in zip(pairs, values_n, target_n)])
 
 
 def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
@@ -318,13 +326,12 @@ def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
         train_raw = dict(bounds)["train"]
         if not train_raw:
             raise DatasetError("split produced no training samples")
-        pool = np.concatenate([w.values.reshape(-1) for w, _ in train_raw]
-                              + [np.asarray([w.target]) for w, _ in train_raw])
+        pool = np.concatenate([np.asarray([w.values for w, _ in train_raw]).ravel(),
+                               [w.target for w, _ in train_raw]])
         std = float(pool.std())
         stats = SeriesStats(mean=float(pool.mean()), std=std if std > 0 else 1.0)
 
-    out = {name: tuple(to_sample(w, b, stats) for w, b in items)
-           for name, items in bounds}
+    out = {name: to_samples(items, stats) for name, items in bounds}
     return SampleSet(train=out["train"], valid=out["valid"], test=out["test"],
                      stats=stats, skipped_no_docs=skipped["no-docs"],
                      skipped_no_series=skipped["no-series"],
@@ -486,6 +493,8 @@ def save_series(series: Series, path: str) -> None:
 
 
 def load_series(path: str) -> Series:
+    """A series CSV; a malformed row, a date out of order or a non-finite
+    value raises DatasetError naming its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -494,7 +503,7 @@ def load_series(path: str) -> Series:
             raise DatasetError("%s is empty" % path) from None
         if not header or header[0] != "date" or len(header) < 2:
             raise DatasetError("%s: header must be date,value[,...]" % path)
-        dates, rows = [], []
+        dates, values, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -502,10 +511,19 @@ def load_series(path: str) -> Series:
                 raise DatasetError("%s line %d: expected %d fields, got %d"
                                    % (path, lineno, len(header), len(row)))
             try:
-                dates.append(dt.date.fromisoformat(row[0]))
-                rows.append([float(v) for v in row[1:]])
+                date = dt.date.fromisoformat(row[0])
+                if dates and date <= dates[-1]:
+                    raise ValueError("dates not strictly increasing at %s" % date)
+                values += map(float, row[1:])
             except ValueError as exc:
                 raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
-    if not rows:
+            dates.append(date)
+            linenos.append(lineno)
+    if not dates:
         raise DatasetError("%s holds no observations" % path)
-    return Series(dates=tuple(dates), values=np.asarray(rows))
+    vals = np.array(values).reshape(len(dates), len(header) - 1)
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise DatasetError("%s line %d: non-finite value"
+                           % (path, linenos[int(np.argmin(finite))]))
+    return Series(dates=tuple(dates), values=vals)

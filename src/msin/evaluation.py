@@ -4,7 +4,10 @@ Ranking quality is judged per day: documents are ordered by attention mass
 (ties broken by ascending index) and compared against the day's ground-truth
 set. Days without any ground-truth document are excluded from precision and
 recall averages; asking for those metrics when no day qualifies is an error
-rather than a silent zero.
+rather than a silent zero. ``rank_report`` ranks each day once (the
+selection reuses ``DayRanking.ranked``), and ``precision_recall_curve``
+computes Pre@k/Rec@k for every k in one pass over the days;
+``precision_recall_at_k`` is its k-th point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class UndefinedMetricError(Exception):
 def rank_order(mass: np.ndarray) -> tuple[int, ...]:
     """Indices by descending mass; equal masses keep ascending index order."""
     mass = np.asarray(mass, dtype=np.float64)
-    return tuple(int(i) for i in np.argsort(-mass, kind="stable"))
+    return tuple(np.argsort(-mass, kind="stable").tolist())
 
 
 @dataclass(frozen=True)
@@ -56,25 +59,54 @@ class DayRanking:
         return self.mass.size
 
 
-def precision_recall_at_k(days, k: int) -> tuple[float, float]:
-    """Average Pre@k and Rec@k over days that have ground truth.
+@dataclass(frozen=True)
+class KPoint:
+    k: int
+    precision: float
+    recall: float
+
+
+def precision_recall_curve(days, k_max: int) -> tuple[KPoint, ...]:
+    """Average Pre@k and Rec@k for k = 1..k_max over days that have ground
+    truth, in one pass over the days.
 
     Per day the top list holds min(k, n) documents; recall divides by
     min(k, |gtn|) so a fully recovered small ground-truth set scores 1.
+    Each k's terms are added in day order.
     """
-    if k < 1:
+    if k_max < 1:
         raise ValueError("k must be at least 1")
     qualifying = [d for d in days if d.gtn]
     if not qualifying:
-        raise UndefinedMetricError(
-            "no day has ground-truth documents; Pre@%d/Rec@%d undefined" % (k, k))
-    pre = rec = 0.0
+        raise UndefinedMetricError("no day has ground-truth documents; "
+                                   "Pre@%d/Rec@%d undefined" % (k_max, k_max))
+    pre, rec = [0.0] * k_max, [0.0] * k_max
     for day in qualifying:
-        top = day.ranked[:min(k, day.n)]
-        tp = sum(1 for i in top if i in day.gtn)
-        pre += tp / len(top)
-        rec += tp / min(k, len(day.gtn))
-    return pre / len(qualifying), rec / len(qualifying)
+        n, ranked, gtn = day.n, day.ranked, day.gtn
+        tp = 0
+        for j in range(k_max):  # the point of k = j + 1
+            if j < n and ranked[j] in gtn:
+                tp += 1
+            pre[j] += tp / min(j + 1, n)
+            rec[j] += tp / min(j + 1, len(gtn))
+    q = len(qualifying)
+    return tuple(KPoint(j + 1, pre[j] / q, rec[j] / q) for j in range(k_max))
+
+
+def precision_recall_at_k(days, k: int) -> tuple[float, float]:
+    """Pre@k and Rec@k: the k-th point of ``precision_recall_curve``."""
+    point = precision_recall_curve(days, k)[-1]
+    return point.precision, point.recall
+
+
+def _mass_prefix(mass, order) -> tuple[int, ...]:
+    """The prefix of ``order`` that ``select_relevant`` picks from ``mass``."""
+    total = 0.0
+    for j, i in enumerate(order, 1):
+        total += mass[i]
+        if total >= SELECT_THRESHOLD:
+            return order[:j]
+    return order
 
 
 def select_relevant(mass: np.ndarray) -> tuple[int, ...]:
@@ -84,16 +116,8 @@ def select_relevant(mass: np.ndarray) -> tuple[int, ...]:
     (rounded report tables, for instance) still select sensibly. If the whole
     vector sums to less than the threshold, every index is returned.
     """
-    order = rank_order(mass)
-    mass = np.asarray(mass, dtype=np.float64)
-    total = 0.0
-    picked = []
-    for i in order:
-        picked.append(i)
-        total += mass[i]
-        if total >= SELECT_THRESHOLD:
-            break
-    return tuple(picked)
+    return _mass_prefix(np.asarray(mass, dtype=np.float64).tolist(),
+                        rank_order(mass))
 
 
 @dataclass(frozen=True)
@@ -142,13 +166,6 @@ def movement_metrics(preds, targets) -> MovementMetrics:
 
 
 @dataclass(frozen=True)
-class KPoint:
-    k: int
-    precision: float
-    recall: float
-
-
-@dataclass(frozen=True)
 class DayRecord:
     """Per-day dump row: mass vector, ground truth, selected set."""
 
@@ -188,24 +205,25 @@ def rank_report(params, config: M.ModelConfig, samples,
     if not samples:
         raise UndefinedMetricError("no samples to evaluate")
     rankings, records, preds, targets = [], [], [], []
+    gtd = 0
     for chunk, pred in TR.forward_chunks(samples, params, config):
-        for b, s in enumerate(chunk):
-            preds.append(M.predicted_movement(float(pred.value.data[b]), s, config))
+        for b, (s, value) in enumerate(zip(chunk, pred.value.data.tolist())):
+            preds.append(M.predicted_movement(value, s, config))
             targets.append(M.movement_label(s.window.target, s.window.prev))
+            gtn = gtn_of(s)
+            gtd += bool(gtn)
             if pred.relevance is None:
                 continue
-            day = DayRanking(date=s.window.date, mass=pred.mass(b), gtn=gtn_of(s))
+            day = DayRanking(date=s.window.date, mass=pred.mass(b), gtn=gtn)
+            mass = day.mass.tolist()
             rankings.append(day)
-            records.append(DayRecord(date=day.date,
-                                     mass=tuple(float(v) for v in day.mass),
-                                     gtn=tuple(sorted(day.gtn)),
-                                     selected=select_relevant(day.mass)))
+            records.append(DayRecord(date=day.date, mass=tuple(mass),
+                                     gtn=tuple(sorted(gtn)),
+                                     selected=_mass_prefix(mass, day.ranked)))
     movement = movement_metrics(preds, targets)
-    gtd = sum(1 for s in samples if gtn_of(s))
     available = bool(rankings)
     curve = available and any(r.gtn for r in rankings)
-    per_k = tuple(KPoint(k, *precision_recall_at_k(rankings, k))
-                  for k in range(1, k_max + 1)) if curve else ()
+    per_k = precision_recall_curve(rankings, k_max) if curve else ()
     report = MetricsReport(per_k=per_k, movement=movement, days=len(samples),
                            gtd=gtd, relevance_available=available)
     return RankResult(report=report, days=tuple(records))
@@ -256,13 +274,11 @@ def write_report(result: RankResult, config: M.ModelConfig, path: str) -> None:
 
 def write_day_dump(result: RankResult, path: str) -> None:
     """JSON line per day: {date, mass, gtn, selected}."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with write_atomically(path, "w", encoding="utf-8") as fh:
         for day in result.days:
-            fh.write(json.dumps({"date": day.date.isoformat(),
-                                 "mass": list(day.mass),
-                                 "gtn": list(day.gtn),
-                                 "selected": list(day.selected)},
-                                sort_keys=True) + "\n")
+            fh.write(encode({"date": day.date.isoformat(), "mass": day.mass,
+                             "gtn": day.gtn, "selected": day.selected}) + "\n")
 
 
 def write_curve_csv(result: RankResult, path: str) -> None:

@@ -12,7 +12,9 @@ tests) and permuting documents permutes the outputs bit-identically.  Both
 directions run in one ``tensor.lstm_sweep``, one loop over token positions
 whose step i takes the forward direction at position i and the backward one
 at position L-1-i; it returns the [n, L, 2*d_h] hidden states that the
-pooling reads.  The stacked-gate weights are defined here (``LSTMParams``),
+pooling reads.  The word attention of every document stays one [n, K]
+matrix; ``DocRepresentation.word_attention(j)`` slices a document's row
+only when read.  The stacked-gate weights are defined here (``LSTMParams``),
 and the series cells use them as well; ``uniform`` draws the initial weights
 of every layer.
 """
@@ -86,15 +88,22 @@ class TextEncoderParams:
 
 @dataclass
 class DocRepresentation:
-    """Documents encoded as rows, plus per-document word attention.
+    """Documents encoded as rows, plus their word attention.
 
     The rows of the days are stacked in day order; ``counts`` holds each
-    day's document count.
+    day's document count. ``attention`` is beta for every row, zero past the
+    row's length; ``word_attention(j)`` slices document j's valid tokens
+    from it when asked.
     """
 
     vectors: T.Tensor  # [n, 2*d_h]
-    word_attention: list[np.ndarray]  # beta over each document's valid tokens
     counts: tuple[int, ...]
+    attention: np.ndarray | None = None  # [n, K]
+    lengths: np.ndarray | None = None    # [n]
+
+    def word_attention(self, j: int) -> np.ndarray:
+        """Beta over document j's valid tokens (a view of ``attention``)."""
+        return self.attention[j, :self.lengths[j]]
 
 
 def uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -233,5 +242,5 @@ def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
     pooled = T.weighted_sum(tape, hid, beta)
     divisor = lengths if pool_divisor == "actual_len" else np.repeat(widths, counts)
     s = T.row_scale(tape, pooled, T.constant(1.0 / divisor.astype(np.float64)))
-    attention = [beta.data[j, :lengths[j]].copy() for j in range(n)]
-    return DocRepresentation(vectors=s, word_attention=attention, counts=counts)
+    return DocRepresentation(vectors=s, counts=counts, attention=beta.data,
+                             lengths=lengths)

@@ -35,7 +35,7 @@ def docs_of(rows) -> DocRepresentation:
     """One day's documents from their vectors (a tensor or an array)."""
     if not isinstance(rows, T.Tensor):
         rows = T.constant(np.asarray(rows, dtype=np.float32))
-    return DocRepresentation(vectors=rows, word_attention=[], counts=(rows.shape[0],))
+    return DocRepresentation(vectors=rows, counts=(rows.shape[0],))
 
 
 def one_day(tape, docs: DocRepresentation, mask=None) -> C.DocSlots:

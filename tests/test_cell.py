@@ -71,7 +71,7 @@ class TestInitStates:
     def test_empty_day_rejected(self):
         params = make_params()
         empty = DocRepresentation(vectors=T.constant(np.zeros((1, 4))),
-                                  word_attention=[], counts=(1,))
+                                  counts=(1,))
         empty.vectors.data = np.zeros((0, 4), dtype=np.float32)  # forced illegal state
         with pytest.raises(C.EmptyDayError):
             H.init_states(None, empty, params)

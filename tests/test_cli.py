@@ -82,6 +82,44 @@ def test_help_names_real_defaults_only(command, capsys):
         assert "--corpus V corpus JSONL path (required)" in text
 
 
+COMMANDS = ("synth", "train", "eval", "rank", "gradcheck")
+
+
+def test_parser_gets_only_the_named_table():
+    rank_only = cli.build_parser("rank")
+    assert rank_only.parse_args(["rank", "--date", "2020-01-02"]).date == \
+        "2020-01-02"
+    with pytest.raises(cli._UsageError):
+        rank_only.parse_args(["train", "--corpus", "c.jsonl"])
+    assert cli.build_parser().parse_args(["train", "--corpus", "c.jsonl"]).corpus \
+        == "c.jsonl"
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS)])
+def test_help_is_that_of_the_full_parser(argv, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_main_runs_the_command_the_module_names_now(monkeypatch):
+    """Subcommands are looked up when the parser is built, so a wrapper set
+    on the module (as a tracer does) is the one that runs."""
+    monkeypatch.setattr(cli, "cmd_gradcheck", lambda args: 42)
+    assert main(["gradcheck"]) == 42
+
+
+def test_usage_errors_are_those_of_the_full_parser(capsys):
+    for argv in (["frobnicate"], ["frobnicate", "--x"], ["--x", "rank"],
+                 ["rank", "--no-such-flag"], ["eval", "--k-max"]):
+        with pytest.raises(cli._UsageError) as want:
+            cli.build_parser().parse_args(argv)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "usage error: %s\n" % want.value
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -449,6 +487,28 @@ def test_rank_missing_date_is_data_error(tmp_path, capsys):
     rc = main(["rank", "--checkpoint", ckpt, "--corpus", corpus,
                "--series", series, "--date", "1999-01-01"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda date, _value: "%s,nan" % date, "line 7: non-finite value"),
+    (lambda _date, value: "2000-01-01,%s" % value,
+     "line 7: dates not strictly increasing at 2000-01-01"),
+])
+def test_bad_series_line_is_data_error(tmp_path, capsys, command, edit, message):
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    ckpt, _ = train_small(tmp_path, corpus, series, extra=("--max-steps", "0"))
+    with open(series, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[6] = edit(*lines[6].split(","))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out_dir = ["--out-dir", str(tmp_path / "out")] if command == "eval" else []
+    rc = main([command, "--checkpoint", ckpt, "--corpus", corpus,
+               "--series", str(bad), *out_dir])
+    assert rc == 2
+    assert "bad.csv %s" % message in capsys.readouterr().err
 
 
 def test_rank_needs_masses_or_model(capsys):

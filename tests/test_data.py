@@ -47,12 +47,13 @@ class TestVocabulary:
         corpus = mini_corpus([["x x", "x"]])
         vocab = D.build_vocab(corpus)
         assert vocab.tokens == ("<pad>", "<unk>", "x")
-        assert vocab.lookup("x") == 2
+        assert vocab.ids["x"] == 2
 
     def test_unknown_maps_to_one(self):
         vocab = D.build_vocab(mini_corpus([["x"]]))
-        assert vocab.lookup("zzz") == D.UNK_ID == 1
-        assert vocab.lookup("<pad>") == 0
+        batch = D.encode_day((D.Document("zzz x"),), vocab, max_tokens=2)
+        assert batch.token_ids.tolist() == [[D.UNK_ID, 2]] and D.UNK_ID == 1
+        assert vocab.ids["<pad>"] == 0
 
     def test_frequency_ranking_against_counter(self):
         """Id order must match an independent count-then-sort oracle."""
@@ -108,6 +109,103 @@ class TestEncodeDay:
         np.testing.assert_array_equal(batch.lengths, [4, 1])
         assert batch.relevance == (True, False)
         np.testing.assert_array_equal(batch.source_idx, [0, 2])
+
+
+def encode_day_per_token(docs, vocab, max_tokens):
+    """encode_day's fields built document by document, one token at a time."""
+    position = {t: i for i, t in enumerate(vocab.tokens)}
+    rows, lengths, flags, src = [], [], [], []
+    for i, doc in enumerate(docs):
+        toks = D.tokenize(doc.text, max_tokens)
+        if not toks:
+            continue
+        ids = [position[t] if t in position else D.UNK_ID for t in toks]
+        rows.append(ids + [D.PAD_ID] * (max_tokens - len(ids)))
+        lengths.append(len(ids))
+        flags.append(doc.relevant)
+        src.append(i)
+    return (np.asarray(rows, dtype=np.int64).reshape(len(rows), max_tokens),
+            np.asarray(lengths, dtype=np.int64), tuple(flags),
+            np.asarray(src, dtype=np.int64))
+
+
+class TestEncodeDayReference:
+    VOCAB = D.Vocabulary(tokens=("<pad>", "<unk>", "up", "down", "café", "株価",
+                                 "q3", "x"))
+    TEXTS = ("Up up DOWN and away again", "!!!", "", "café CAFÉ naïve 株価 上昇",
+             "q3_earnings x-x", "___", "x", "Ünïcode ÄÖÜ ß", "down, down. down!",
+             "١٢٣ digits ٤")
+
+    def assert_same(self, docs, max_tokens):
+        got = D.encode_day(docs, self.VOCAB, max_tokens)
+        ids, lengths, flags, src = encode_day_per_token(docs, self.VOCAB, max_tokens)
+        assert got.token_ids.dtype == ids.dtype and got.token_ids.shape == ids.shape
+        assert got.token_ids.tobytes() == ids.tobytes()
+        assert got.lengths.dtype == lengths.dtype
+        assert got.lengths.tobytes() == lengths.tobytes()
+        assert got.relevance == flags
+        assert got.source_idx.tobytes() == src.tobytes()
+
+    @pytest.mark.parametrize("max_tokens", [0, 1, 2, 4, 8])
+    def test_fixed_texts(self, max_tokens):
+        """Unknown tokens, truncation, documents left empty, non-ASCII."""
+        docs = tuple(D.Document(t, relevant=(i % 3 == 0) if i % 2 else None)
+                     for i, t in enumerate(self.TEXTS))
+        self.assert_same(docs, max_tokens)
+
+    def test_day_left_empty(self):
+        docs = (D.Document("!!!"), D.Document(""), D.Document("___"))
+        self.assert_same(docs, 4)
+        assert D.encode_day(docs, self.VOCAB, 4).token_ids.shape == (0, 4)
+
+    @given(st.lists(st.text(alphabet="upDOWNcaféx 株価_-!3", max_size=30),
+                    max_size=8), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_days(self, texts, max_tokens):
+        self.assert_same(tuple(D.Document(t) for t in texts), max_tokens)
+
+
+class TestBulkNormalization:
+    """Every sample's values_n and target_n equal per-sample normalization."""
+
+    def check(self, sset):
+        for s in sset.train + sset.valid + sset.test:
+            want = sset.stats.normalize(s.window.values)
+            assert s.values_n.dtype == np.float32
+            assert s.values_n.shape == want.shape
+            assert s.values_n.tobytes() == want.tobytes()
+            target = sset.stats.normalize(np.asarray([[s.window.target]]))[0, 0]
+            assert np.float32(s.target_n).tobytes() == target.tobytes()
+            assert s.target_n == float(target)
+
+    @pytest.mark.parametrize("series_dim", [1, 3])
+    def test_fitted_stats(self, series_dim):
+        corpus, series = D.synth_generate(D.SynthSpec(n_days=40, seed=4, sigma=0.7))
+        if series_dim > 1:
+            values = np.random.default_rng(1).normal(size=(40, series_dim)) * 1e3
+            series = D.Series(dates=series.dates, values=values)
+        config = cfg(m=3, series_dim=series_dim)
+        sset = D.make_samples(corpus, series, D.build_vocab(corpus), config,
+                              D.SplitSpec(fracs=(0.6, 0.2, 0.2)))
+        train = sset.train
+        pool = np.concatenate([s.window.values.reshape(-1) for s in train]
+                              + [np.asarray([s.window.target]) for s in train])
+        assert sset.stats.mean == float(pool.mean())
+        assert sset.stats.std == float(pool.std())
+        self.check(sset)
+
+    def test_given_stats_and_one_sample(self):
+        corpus, series = D.synth_generate(D.SynthSpec(n_days=30, seed=6))
+        stats = D.SeriesStats(mean=0.3, std=1.7)
+        sset = D.make_samples(corpus, series, D.build_vocab(corpus), cfg(m=4),
+                              D.SplitSpec(fracs=(0.0, 0.5, 0.5)), stats=stats)
+        assert sset.train == ()
+        self.check(sset)
+        s = sset.test[-1]
+        one, = D.to_samples([(s.window, s.docs)], stats)
+        assert one.values_n.tobytes() == s.values_n.tobytes()
+        assert one.target_n == s.target_n
+        assert D.to_samples([], stats) == ()
 
 
 class TestMakeSamples:
@@ -389,6 +487,37 @@ class TestFileFormats:
         bad_row.write_text("date,value\n2020-01-01,1.0\n2020-01-02,oops\n")
         with pytest.raises(D.DatasetError, match="line 3"):
             D.load_series(str(bad_row))
+
+    def test_series_non_finite_value_names_its_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("date,v1,v2\n2020-01-01,1.0,2.0\n\n"
+                        "2020-01-02,3.0,nan\n2020-01-03,inf,1.0\n")
+        with pytest.raises(D.DatasetError,
+                           match=r"s\.csv line 4: non-finite value"):
+            D.load_series(str(path))
+
+    def test_series_date_order_names_its_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("date,value\n2020-01-02,1.0\n2020-01-03,2.0\n"
+                        "2020-01-03,3.0\n")
+        with pytest.raises(D.DatasetError,
+                           match=r"s\.csv line 4: dates not strictly increasing "
+                                 r"at 2020-01-03"):
+            D.load_series(str(path))
+
+    def test_series_values_parse_as_python_floats(self, tmp_path):
+        """Each field is read by float(): spaces, exponents, signs, ints."""
+        path = tmp_path / "s.csv"
+        fields = [" 1", "-0.0", "1e-320", "3.141592653589793238", "+7", "0x0"]
+        rows = ["2020-01-%02d,%s,%s" % (i + 1, f, "2.5") for i, f in
+                enumerate(fields[:-1])]
+        path.write_text("date,a,b\n" + "\n".join(rows) + "\n")
+        got = D.load_series(str(path)).values
+        want = np.asarray([[float(f), 2.5] for f in fields[:-1]])
+        assert got.shape == (5, 2) and got.tobytes() == want.tobytes()
+        path.write_text("date,a\n2020-01-01,%s\n" % fields[-1])
+        with pytest.raises(D.DatasetError, match="line 2"):
+            D.load_series(str(path))
 
     def test_multicolumn_series(self, tmp_path):
         series = D.Series(dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),

@@ -145,6 +145,51 @@ class TestPrecisionRecallAtK:
                 E.precision_recall_at_k([d2], k)
 
 
+def per_k_pre_rec(days, k):
+    """Pre@k and Rec@k as one float pass over the days for this k alone."""
+    qualifying = [d for d in days if d.gtn]
+    pre = rec = 0.0
+    for d in qualifying:
+        top = E.rank_order(d.mass)[:min(k, d.n)]
+        tp = sum(1 for i in top if i in d.gtn)
+        pre += tp / len(top)
+        rec += tp / min(k, len(d.gtn))
+    return pre / len(qualifying), rec / len(qualifying)
+
+
+class TestPrecisionRecallCurve:
+    def random_days(self, rng):
+        days = []
+        for _ in range(rng.integers(1, 30)):
+            n = int(rng.integers(1, 9))
+            mass = rng.integers(0, 4, size=n) / 4.0  # ties in mass likely
+            gtn = {int(i) for i in rng.choice(n, size=rng.integers(0, n + 1),
+                                              replace=False)}
+            days.append(day(mass, gtn))
+        return days
+
+    def test_bitwise_equal_to_per_k_loop(self):
+        """Days with n < k, days without ground truth and ties in mass."""
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            days = self.random_days(rng)
+            if not any(d.gtn for d in days):
+                continue
+            k_max = int(rng.integers(1, 12))
+            curve = E.precision_recall_curve(days, k_max)
+            assert [p.k for p in curve] == list(range(1, k_max + 1))
+            for p in curve:
+                assert (p.precision, p.recall) == per_k_pre_rec(days, p.k)
+                assert (p.precision, p.recall) == \
+                    E.precision_recall_at_k(days, p.k)
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            E.precision_recall_curve([day([1.0], {0})], 0)
+        with pytest.raises(E.UndefinedMetricError):
+            E.precision_recall_curve([day([1.0], set())], 3)
+
+
 class TestSelectRelevant:
     def test_published_example_two_docs(self):
         # 0.40 then 0.21 reaches 0.61; rows 13 and 04 in 1-indexed terms
@@ -375,6 +420,19 @@ class TestAttentionEntropy:
 
 
 class TestEmission:
+    def test_day_dump_bytes_match_per_line_json_dumps(self, tmp_path):
+        config, params, samples = build_eval_samples(n_days=30)
+        result = E.rank_report(params, config, samples.train, k_max=2)
+        path = str(tmp_path / "days.jsonl")
+        E.write_day_dump(result, path)
+        want = "".join(json.dumps({"date": d.date.isoformat(),
+                                   "mass": list(d.mass), "gtn": list(d.gtn),
+                                   "selected": list(d.selected)},
+                                  sort_keys=True) + "\n" for d in result.days)
+        assert len(result.days) == len(samples.train)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+
     def test_files_written_and_deterministic(self, tmp_path):
         config, params, samples = build_eval_samples()
         result = E.rank_report(params, config, samples.test, k_max=4)

@@ -188,7 +188,7 @@ class TestEncodeDocuments:
             hid = oracle.bilstm_forward(None, embeds, int(lengths[j]), params)
             s, beta = oracle.attention_pool(None, hid, int(lengths[j]), params)
             np.testing.assert_allclose(got.vectors.data[j], s.data, rtol=0, atol=1e-6)
-            np.testing.assert_allclose(got.word_attention[j], beta.data,
+            np.testing.assert_allclose(got.word_attention(j), beta.data,
                                        rtol=0, atol=1e-6)
 
     def test_duplicated_document_identical_rows(self):
@@ -230,10 +230,37 @@ class TestEncodeDocuments:
         ids[np.arange(4)[None, :] >= lengths[:, None]] = TE.PAD_ID
         got = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         for j in range(n):
-            beta = got.word_attention[j]
+            beta = got.word_attention(j)
             assert beta.shape == (lengths[j],)
             assert np.all(beta >= 0)
             np.testing.assert_allclose(beta.sum(), 1.0, rtol=0, atol=1e-6)
+
+    def test_word_attention_on_demand_matches_eager_slices(self):
+        """Each document's word attention, read from the [n, K] matrix when
+        asked, equals the eager per-document slice and the attention of the
+        document encoded alone without padding, bit for bit."""
+        table, params = make_params(seed=16)
+        rng = np.random.default_rng(4)
+        days = []
+        for n, width in ((3, 6), (1, 2), (4, 5)):
+            lengths = rng.integers(1, width + 1, size=n)
+            ids = rng.integers(1, 7, size=(n, width))
+            ids[np.arange(width)[None, :] >= lengths[:, None]] = TE.PAD_ID
+            days.append(batch_of(ids, lengths))
+        got = TE.encode_documents(None, days, table, params)
+        lengths = np.concatenate([d.lengths for d in days])
+        ids = [row for d in days for row in d.token_ids]
+        assert got.attention.shape == (lengths.size, 6)
+        assert (lengths < 6).any()
+        eager = [got.attention[j, :lengths[j]].copy() for j in range(lengths.size)]
+        for j, length in enumerate(lengths):
+            beta = got.word_attention(j)
+            assert beta.shape == (length,)
+            assert beta.tobytes() == eager[j].tobytes()
+            assert not got.attention[j, length:].any()  # padded positions
+            alone = TE.encode_documents(
+                None, [batch_of(ids[j][None, :length], [length])], table, params)
+            assert beta.tobytes() == alone.word_attention(0).tobytes()
 
     @pytest.mark.parametrize("divisor", ["actual_len", "max_len"])
     def test_days_stack_as_rows_of_one_pass(self, divisor):
@@ -250,7 +277,8 @@ class TestEncodeDocuments:
             n = alone.vectors.shape[0]
             rows = got.vectors.data[lo:lo + n]
             np.testing.assert_allclose(rows, alone.vectors.data, rtol=1e-6, atol=1e-7)
-            for a, b in zip(got.word_attention[lo:lo + n], alone.word_attention):
+            for j in range(n):
+                a, b = got.word_attention(lo + j), alone.word_attention(j)
                 np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
             lo += n
         no_docs = batch_of(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -300,7 +328,7 @@ class TestEncodeDocuments:
             scores = np.tanh(hid @ params.pool_w.data.astype(np.float64).T
                              + params.pool_bias.data) @ params.pool_ctx.data
             widest = max(widest, float(np.abs(scores).max()))
-            beta = got.word_attention[j]
+            beta = got.word_attention(j)
             assert np.all(np.isfinite(beta)) and np.all(beta >= 0)
             np.testing.assert_allclose(beta.sum(), 1.0, rtol=0, atol=1e-6)
         assert widest > 50.0
