@@ -6,10 +6,11 @@ gate alongside the series input and previous hidden state.  A plain LSTM
 runner (no context injection) lives here too.  The cell runs a whole window
 as one ``tensor.msin_sequence`` entry and the plain runner as a
 one-direction ``tensor.lstm_sweep``, the op that runs the encoder's two
-directions as well.  Both
-share one gate arithmetic, so with zeroed context weights the two runners
-produce bit-identical states.  Each runner returns only what the model reads
-after the last step.
+directions as well.  Both share one gate arithmetic, so with zeroed context
+weights the two runners produce bit-identical states.  Each runner returns
+only what the model reads after the last step.  Outside the recurrences each
+weight-input product (the warm-start states, doc_w.s, and ``attend``'s
+query and scores) is one ``tensor.linear``.
 
 Every function runs a batch of samples as rows: states are [B, .] matrices
 and the documents a ``DocSlots`` layout, sample b's documents in slots
@@ -139,23 +140,23 @@ def init_states(tape: T.Tape | None, slots: DocSlots,
                 params: MsinParams) -> tuple[T.Tensor, T.Tensor]:
     """Warm-start (c, h) [B, d_s] from each sample's mean document."""
     s_bar = T.weighted_sum(tape, slots.grid, slots.mean_weights)
-    c0 = T.tanh(tape, T.linear(tape, [(params.init_c_w, s_bar)], params.init_c_b))
-    h0 = T.tanh(tape, T.linear(tape, [(params.init_h_w, s_bar)], params.init_h_b))
+    c0 = T.tanh(tape, T.linear(tape, params.init_c_w, s_bar, params.init_c_b))
+    h0 = T.tanh(tape, T.linear(tape, params.init_h_w, s_bar, params.init_h_b))
     return c0, h0
 
 
 def _doc_proj(tape, slots: DocSlots, params: AttentionParams) -> T.Tensor:
     """doc_w . s for every slot."""
-    return T.matmul(tape, slots.rows, params.doc_w, transpose_b=True)
+    return T.linear(tape, params.doc_w, slots.rows)
 
 
 def attend(tape: T.Tape | None, h_prev: T.Tensor, slots: DocSlots,
            params: AttentionParams) -> T.Tensor:
     """Attention mass [B, N] over each sample's documents given its hidden state."""
     doc_proj = _doc_proj(tape, slots, params)
-    query = T.linear(tape, [(params.state_w, h_prev)], params.bias)
+    query = T.linear(tape, params.state_w, h_prev, params.bias)
     proj = T.tanh(tape, T.add_bias(tape, doc_proj, query, slots.owner))
-    logits = T.matmul(tape, proj, params.score)
+    logits = T.linear(tape, params.score, proj)
     return T.masked_softmax(tape, T.reshape(tape, logits, slots.mask.shape),
                             slots.mask)
 

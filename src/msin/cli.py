@@ -24,7 +24,7 @@ from . import tensor as T
 from . import training as TR
 from .files import write_atomically
 from .rng import substream
-from .text_encoder import load_embedding_file
+from .text_encoder import embedding_fields, load_embedding_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,6 +39,8 @@ GRADCHECK_TOL = 1e-4
 GRADCHECK_WIDTHS = dict(d_s=4, d_h=3, d_a=4, d_w=5, vocab_size=20,
                         m=3, max_tokens=4, daily_doc_cap=3)
 GRADCHECK_SEED = 1
+DEFAULT_FRACS = (0.8, 0.1, 0.1)
+SPLITS = ("train", "valid", "test", "all")
 
 
 class _UsageError(Exception):
@@ -250,28 +252,34 @@ def _gradcheck_table() -> dict:
 # shared pieces
 
 
-def _split_spec(merged: dict, stored: dict | None = None) -> D.SplitSpec:
-    """Build a split from options, falling back to a checkpoint's record."""
+def _option_split(merged: dict) -> D.SplitSpec | None:
+    """The split the options give, or None when they give none."""
     dates = (merged["train_until"], merged["valid_until"])
     fracs = merged["split_fracs"]
     if any(d is not None for d in dates) and fracs is not None:
         raise _UsageError("give split dates or fractions, not both")
-    if any(d is not None for d in dates):
-        if None in dates:
-            raise _UsageError("date splits need both train-until and valid-until")
-        return D.SplitSpec(train_until=dates[0], valid_until=dates[1])
-    if fracs is not None:
-        return D.SplitSpec(fracs=fracs)
-    if stored is not None:
-        try:
-            if stored.get("fracs") is not None:
-                return D.SplitSpec(fracs=tuple(stored["fracs"]))
-            return D.SplitSpec(
-                train_until=dt.date.fromisoformat(stored["train_until"]),
-                valid_until=dt.date.fromisoformat(stored["valid_until"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TR.CheckpointError("checkpoint metadata 'split': %r" % exc) from exc
-    return D.SplitSpec(fracs=(0.8, 0.1, 0.1))
+    try:
+        if any(d is not None for d in dates):
+            if None in dates:
+                raise _UsageError("date splits need both train-until and valid-until")
+            return D.SplitSpec(train_until=dates[0], valid_until=dates[1])
+        return None if fracs is None else D.SplitSpec(fracs=fracs)
+    except D.DatasetError as e:
+        raise _UsageError(str(e)) from None
+
+
+def _stored_split(stored: dict | None) -> D.SplitSpec:
+    """A checkpoint's recorded split; the default one if it records none."""
+    if stored is None:
+        return D.SplitSpec(fracs=DEFAULT_FRACS)
+    try:
+        if stored.get("fracs") is not None:
+            return D.SplitSpec(fracs=tuple(stored["fracs"]))
+        return D.SplitSpec(
+            train_until=dt.date.fromisoformat(stored["train_until"]),
+            valid_until=dt.date.fromisoformat(stored["valid_until"]))
+    except (KeyError, TypeError, ValueError, D.DatasetError) as exc:
+        raise TR.CheckpointError("checkpoint metadata 'split': %r" % exc) from exc
 
 
 def _build_config(cls, merged: dict):
@@ -291,13 +299,8 @@ def _sha256(path: str) -> str:
 
 
 def _embedding_tokens(path: str) -> set[str]:
-    toks = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            head = line.split(" ", 1)[0]
-            if head:
-                toks.add(head)
-    return toks
+        return {embedding_fields(line)[0] for line in fh} - {""}
 
 
 def write_history(history, path: str) -> None:
@@ -369,7 +372,7 @@ def cmd_train(args) -> int:
     _require(merged)
     config = _build_config(M.ModelConfig, merged)
     tcfg = _build_config(TR.TrainConfig, merged)
-    split = _split_spec(merged)
+    split = _option_split(merged) or D.SplitSpec(fracs=DEFAULT_FRACS)
 
     corpus = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
@@ -419,25 +422,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _pick_split(sset: D.SampleSet, which: str):
-    groups = {"train": sset.train, "valid": sset.valid, "test": sset.test,
-              "all": sset.train + sset.valid + sset.test}
-    if which not in groups:
-        raise _UsageError("split must be train, valid, test, or all")
-    return groups[which]
-
-
 def cmd_eval(args) -> int:
     merged = _merge(args, _eval_table())
     _require(merged)
     if merged["k_max"] < 1:
         raise _UsageError("k_max must be at least 1")
+    if merged["split"] not in SPLITS:
+        raise _UsageError("split must be train, valid, test, or all")
+    split = _option_split(merged)
     params, config, meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
+    split = split or _stored_split(meta.get("split"))
     corpus = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
-    split = _split_spec(merged, stored=meta.get("split"))
     sset = D.make_samples(corpus, series, vocab, config, split, stats=stats)
-    samples = _pick_split(sset, merged["split"])
+    samples = (sset.train + sset.valid + sset.test if merged["split"] == "all"
+               else getattr(sset, merged["split"]))
     if not samples:
         raise D.DatasetError("split %r holds no samples" % merged["split"])
     result = E.rank_report(params, config, samples, k_max=merged["k_max"])

@@ -71,6 +71,8 @@ class ModelConfig:
             raise ValueError("l1/l2 must be nonnegative")
         if min(self.d_s, self.d_h, self.d_w, self.series_dim, self.max_tokens) < 1:
             raise ValueError("widths must be positive")
+        if self.d_a < 0:
+            raise ValueError("d_a must be >= 0 (0 means d_s)")
 
     @property
     def attention_width(self) -> int:
@@ -104,7 +106,7 @@ def config_hash(config: ModelConfig) -> str:
 
 @dataclass
 class ModelParams:
-    embedding: enc.EmbeddingTable
+    embedding: T.Tensor                   # [V, d_w]
     encoder: enc.TextEncoderParams
     msin: cell_mod.MsinParams | None      # msin variant only
     cell: enc.LSTMParams | None           # plain cell for the ablations
@@ -249,13 +251,13 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
         text = T.weighted_sum(tape, slots.grid, relevance)
     else:
         pooled = T.weighted_sum(tape, slots.grid, slots.mean_weights)
-        text = T.tanh(tape, T.linear(tape, [(params.text_w, pooled)], params.text_b))
+        text = T.tanh(tape, T.linear(tape, params.text_w, pooled, params.text_b))
     feature = T.concat(tape, [h_m, text], axis=1)
     if train_mode and config.dropout_rate > 0.0:
         if rngs is None:
             raise T.ContractError("dropout requires generators in train mode")
         feature = T.dropout(tape, feature, config.dropout_rate, rngs)
-    head = T.linear(tape, [(params.head_w, feature)], params.head_b)
+    head = T.linear(tape, params.head_w, feature, params.head_b)
     return BatchPrediction(value=T.reshape(tape, head, (B,)), relevance=relevance,
                            counts=docs.counts)
 

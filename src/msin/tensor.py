@@ -1,7 +1,7 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 Values are stored as float32 (float64 graphs are used for gradient checking).
-Every reduction (matmul, sums, softmax normalization) accumulates in float64
+Every reduction (products, sums, softmax normalization) accumulates in float64
 and rounds once to the storage dtype.  Rounding only at op boundaries keeps
 results bit-identical under reorderings of mathematically commutative work,
 e.g. permuting the rows of a matrix product permutes the output rows exactly.
@@ -10,16 +10,20 @@ permutation-equivariant and skipping the round trip keeps them cheap.
 
 Ops are free functions taking the tape as their first argument.  Passing
 ``tape=None`` runs forward-only, which is how finite differences are taken.
-Each op has one input form.  The batched ones (``linear``,
-``masked_softmax``, ``weighted_sum``, ``dropout``) take rows, one per
-document, sample or token position; a single item is a batch of one.
+Each op keeps only the input form the model runs.  The batched ones
+(``linear``, ``masked_softmax``, ``weighted_sum``, ``dropout``) take rows,
+one per document, sample or token position; a single item is a batch of
+one.  ``linear`` is the one weight-input product: every projection, score
+and head of the model is one call of it.
 
 Two ops run a whole recurrence as one tape entry with a hand-written
 backward: ``lstm_sweep`` (masked LSTMs over token positions or series steps,
 one or both directions in one loop) and ``msin_sequence`` (the MSIN cell
 over a window).  Their values and gradients are those of the per-step chain
-of ``linear``, the single-step gated update and the attention ops, bit for
-bit; the tests keep that chain (``tests/chain_oracle.py``).
+of weight-input products, the single-step gated update and the attention
+ops, bit for bit.  The tests keep that chain (``tests/chain_oracle.py``),
+with the reference ops that only it runs: ``matmul``, a sum of products,
+``add_bias`` of one bias row, ``sigmoid``, ``lstm_gates`` and ``blend``.
 """
 
 from __future__ import annotations
@@ -176,93 +180,35 @@ def _emit(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...],
 # linear algebra
 
 
-def matmul(tape: Tape | None, a: Tensor, b: Tensor,
-           transpose_b: bool = False) -> Tensor:
-    """Matrix product, optionally against the transpose of ``b``.
+def linear(tape: Tape | None, w: Tensor, x: Tensor,
+           bias: Tensor | None = None) -> Tensor:
+    """The engine's one weight-input product, plus an optional bias.
 
-    Supports [r,c]x[c,k] -> [r,k], [r,c]x[c] -> [r] and [c]x[c,k] -> [k];
-    with ``transpose_b``, [r,c]x[k,c]^T -> [r,k].  A rank-1 ``b`` cannot be
-    transposed.
+    ``x`` holds rows [r,c].  A [k,c] weight gives x.w^T [r,k]; a [c] weight
+    gives x.w [r], one score per row.  The product is taken in float64 and
+    rounded once; a [k] bias is then added in the storage dtype.  The tests'
+    ``chain_oracle`` spells it as ``matmul`` then ``add_bias``, bit for bit.
     """
-    if transpose_b and b.ndim != 2:
-        raise ShapeError("matmul cannot transpose a rank-1 operand")
-    A = a.data.astype(np.float64)
-    B = b.data.astype(np.float64)
-    if transpose_b:
-        B = B.T
-    if a.ndim == 2 and b.ndim == 2:
-        if A.shape[1] != B.shape[0]:
-            raise ShapeError("matmul inner dims differ: %r vs %r" % (A.shape, B.shape))
-
-        def back(g):
-            G = g.astype(np.float64)
-            gB = A.T @ G
-            return (G @ B.T, gB.T if transpose_b else gB)
-
-    elif a.ndim == 2 and b.ndim == 1:
-        if A.shape[1] != B.shape[0]:
-            raise ShapeError("matmul inner dims differ: %r vs %r" % (A.shape, B.shape))
-
-        def back(g):
-            G = g.astype(np.float64)
-            return (np.outer(G, B), A.T @ G)
-
-    elif a.ndim == 1 and b.ndim == 2:
-        if A.shape[0] != B.shape[0]:
-            raise ShapeError("matmul inner dims differ: %r vs %r" % (A.shape, B.shape))
-
-        def back(g):
-            G = g.astype(np.float64)
-            gB = np.outer(A, G)
-            return (B @ G, gB.T if transpose_b else gB)
-
-    else:
-        raise ShapeError("matmul needs at least one rank-2 operand")
-    data = np.asarray(A @ B, dtype=_promoted(a, b))
-    return _emit(tape, data, (a, b), back)
-
-
-def linear(tape: Tape | None, terms: Sequence[tuple[Tensor, Tensor]],
-           bias: Tensor) -> Tensor:
-    """Sum of weight-input products plus a bias, in one tape entry.
-
-    Each term is a pair (w [k,c], x [r,c]) contributing x.w^T, one row per
-    input row.  The arithmetic is that of ``matmul`` per term, then ``add``
-    of the terms in order, then ``add_bias`` of the [k] bias, bit for bit.
-    """
-    prods, acc = [], None
-    for w, x in terms:
-        W = w.data.astype(np.float64)
-        X = x.data.astype(np.float64)
-        if W.ndim != 2 or X.ndim != 2 or W.shape[1] != X.shape[1]:
-            raise ShapeError("linear term shapes %r and %r do not match"
-                             % (W.shape, X.shape))
-        p = np.asarray(X @ W.T, dtype=_promoted(w, x))
-        if acc is None:
-            acc = p
-        elif p.shape == acc.shape:
-            acc = acc + p
-        else:
-            raise ShapeError("linear terms differ in shape: %r vs %r"
-                             % (acc.shape, p.shape))
-        prods.append((w.data, x.data))  # widened again in back(), not kept
-    if acc is None:
-        raise ShapeError("linear needs at least one term")
-    if bias.shape != acc.shape[1:]:
-        raise ShapeError("linear bias %r does not match output %r"
-                         % (bias.shape, acc.shape))
+    if x.ndim != 2 or w.ndim not in (1, 2) or w.shape[-1] != x.shape[1]:
+        raise ShapeError("linear expects a [k,c] or [c] weight and [r,c] rows, "
+                         "got %r and %r" % (w.shape, x.shape))
+    w32, x32 = w.data, x.data  # widened again in back(), not kept
+    out = np.asarray(x32.astype(np.float64) @ w32.astype(np.float64).T,
+                     dtype=_promoted(w, x))
+    inputs = (w, x)
+    if bias is not None:
+        if bias.shape != out.shape[1:]:
+            raise ShapeError("linear bias %r does not match output %r"
+                             % (bias.shape, out.shape))
+        out, inputs = out + bias.data, (w, x, bias)
 
     def back(g):
         G = g.astype(np.float64)
-        grads = []
-        for w32, x32 in prods:
-            W, X = w32.astype(np.float64), x32.astype(np.float64)
-            grads += [(X.T @ G).T, G @ W]
-        grads.append(G.sum(axis=0))
-        return tuple(grads)
+        W, X = w32.astype(np.float64), x32.astype(np.float64)
+        grads = ((X.T @ G).T, G @ W if W.ndim == 2 else np.outer(G, W))
+        return grads if bias is None else grads + (G.sum(axis=0),)
 
-    inputs = tuple(t for term in terms for t in term) + (bias,)
-    return _emit(tape, acc + bias.data, inputs, back)
+    return _emit(tape, out, inputs, back)
 
 
 # ---------------------------------------------------------------------------
@@ -275,39 +221,27 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     return _emit(tape, a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def add_bias(tape: Tape | None, m: Tensor, v: Tensor,
-             rows: np.ndarray | None = None) -> Tensor:
-    """Add a bias row to every row of a matrix (the engine's only broadcast).
+def add_bias(tape: Tape | None, m: Tensor, v: Tensor, rows: np.ndarray) -> Tensor:
+    """Add to each row of a matrix the row of ``v`` [k,c] that ``rows`` names.
 
-    ``v`` is one [c] vector for every row, or a [k,c] matrix with ``rows``
-    naming the row of ``v`` that each row of ``m`` gets.  The second form is
-    ``add(m, take_rows(v, rows))`` bit for bit, in one tape entry.
+    The engine's only broadcast: ``add(m, take_rows(v, rows))`` bit for bit,
+    in one tape entry.
     """
-    if rows is None:
-        if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-            raise ShapeError("add_bias expects [r,c] and [c], got %r and %r"
-                             % (m.shape, v.shape))
-        bias = v.data
+    rows = np.array(rows)
+    if m.ndim != 2 or v.ndim != 2 or m.shape[1] != v.shape[1] \
+            or rows.shape != m.shape[:1] \
+            or not np.issubdtype(rows.dtype, np.integer):
+        raise ShapeError("add_bias expects [r,c], [k,c] and r row ids, got "
+                         "%r, %r and %r" % (m.shape, v.shape, rows.shape))
+    if rows.min() < 0 or rows.max() >= v.shape[0]:
+        raise ShapeError("add_bias row id out of range for %d rows" % v.shape[0])
 
-        def back(g):
-            return (g, g.astype(np.float64).sum(axis=0))
-    else:
-        rows = np.array(rows)
-        if m.ndim != 2 or v.ndim != 2 or m.shape[1] != v.shape[1] \
-                or rows.shape != m.shape[:1] \
-                or not np.issubdtype(rows.dtype, np.integer):
-            raise ShapeError("add_bias expects [r,c], [k,c] and r row ids, got "
-                             "%r, %r and %r" % (m.shape, v.shape, rows.shape))
-        if rows.min() < 0 or rows.max() >= v.shape[0]:
-            raise ShapeError("add_bias row id out of range for %d rows" % v.shape[0])
-        bias = v.data[rows]
+    def back(g):
+        gv = np.zeros(v.shape, dtype=np.float64)
+        np.add.at(gv, rows, g.astype(np.float64))  # same dtypes: numpy's fast path
+        return (g, gv)
 
-        def back(g):
-            gv = np.zeros(v.shape, dtype=np.float64)
-            np.add.at(gv, rows, g.astype(np.float64))  # same dtypes: numpy's fast path
-            return (g, gv)
-
-    return _emit(tape, m.data + bias, (m, v), back)
+    return _emit(tape, m.data + v.data[rows], (m, v), back)
 
 
 def hadamard(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -568,7 +502,7 @@ def bce_with_logit(tape: Tape | None, logit: Tensor, target) -> Tensor:
 #
 # Each op below runs every step of a recurrence in one tape entry.  The
 # forward is the arithmetic of the per-step chain of ops it replaces
-# (``linear``, the gated update, the attention ops), bit for bit:
+# (the products, the gated update, the attention ops), bit for bit:
 # every product is taken in float64 and rounded once, and sums keep the
 # chain's order.  The backward is hand-written BPTT that adds every
 # gradient in the order the tape would, so float64 and float32 gradients
@@ -611,13 +545,13 @@ def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     position's hidden states in one tape entry, [n, L, D*d], the directions
     side by side as in ``h0``.
 
-    Per position and direction this is a ``linear`` of (input_w, x),
-    (state_w, h) and the bias, the gated update and, where a sequence skips
-    the position, a blend that keeps its old states: the per-step chain in
-    the tests' ``chain_oracle``, bit for bit.  Each product is one
-    ``np.matmul`` over operands stacked by direction, which makes the BLAS
-    call of each direction's 2-D product; input_w.x for every position is one
-    such product before the loop.
+    Per position and direction this is input_w.x plus state_w.h, each
+    product rounded once, plus the bias, then the gated update and, where a
+    sequence skips the position, a blend that keeps its old states: the
+    per-step chain in the tests' ``chain_oracle``, bit for bit.  Each product
+    is one ``np.matmul`` over operands stacked by direction, which makes the
+    BLAS call of each direction's 2-D product; input_w.x for every position
+    is one such product before the loop.
     """
     dirs = [(g, flip) for g, flip in ((forward, False), (backward, True))
             if g is not None]
@@ -741,10 +675,10 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     [B, d + N]: the last hidden state next to the last step's masses.
 
     A step is the query ``linear`` of h, ``tanh`` of doc_proj plus each
-    slot's query (``add_bias`` by rows), the score ``matmul``,
+    slot's query (``add_bias`` by rows), the score ``linear``,
     ``masked_softmax`` over the slots, the context fade
     v = 0.5 * (``weighted_sum`` + v) from v = 0, and the gated update whose
-    ``linear`` adds ctx_w.v after input_w.x and state_w.h.  ``grid`` is
+    pre-activation adds ctx_w.v after input_w.x and state_w.h, then the bias.  ``grid`` is
     listed among the inputs once per step, so its step gradients add up in
     the chain's order after whatever later ops gave it.
     """

@@ -12,15 +12,18 @@ tests) and permuting documents permutes the outputs bit-identically.  Both
 directions run in one ``tensor.lstm_sweep``, one loop over token positions
 whose step i takes the forward direction at position i and the backward one
 at position L-1-i; it returns the [n, L, 2*d_h] hidden states that the
-pooling reads.  The word attention of every document stays one [n, K]
+pooling reads.  The pooling scores every position with two
+``tensor.linear`` calls: the [2*d_h, 2*d_h] projection with its bias, then
+the context vector.  The word attention of every document stays one [n, K]
 matrix; ``DocRepresentation.word_attention(j)`` slices a document's row
-only when read.  The stacked-gate weights are defined here (``LSTMParams``),
-and the series cells use them as well; ``uniform`` draws the initial weights
-of every layer.
+only when read.  The embedding table is a plain [V, d_w] tensor.  The
+stacked-gate weights are defined here (``LSTMParams``), and the series cells
+use them as well; ``uniform`` draws the initial weights of every layer.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,24 +38,6 @@ class VocabularyError(ValueError):
 
 class EmptyDocumentError(ValueError):
     """A document had no valid tokens."""
-
-
-@dataclass
-class EmbeddingTable:
-    """Word-embedding matrix, one row per vocabulary id.
-
-    Row 0 is the padding token and stays all-zero; row 1 is the unknown token.
-    """
-
-    table: T.Tensor  # [V, d_w]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
 
 
 @dataclass
@@ -113,12 +98,16 @@ def uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 def init_embedding(vocab_size: int, dim: int, rng: np.random.Generator,
-                   name: str = "embedding.table") -> EmbeddingTable:
+                   name: str = "embedding.table") -> T.Tensor:
+    """The [V, d_w] word-embedding table, one row per vocabulary id.
+
+    Row 0 is the padding token and stays all-zero; row 1 is the unknown token.
+    """
     if vocab_size < 2:
         raise VocabularyError("vocabulary needs at least pad and unk rows")
     data = uniform(rng, dim, (vocab_size, dim))
     data[PAD_ID] = 0.0
-    return EmbeddingTable(T.parameter(data, name))
+    return T.parameter(data, name)
 
 
 def lstm_params(prefix: str, input_w: np.ndarray, state_w: np.ndarray,
@@ -151,22 +140,29 @@ def init_encoder(d_w: int, d_h: int, rng: np.random.Generator,
         pool_ctx=T.parameter(uniform(rng, two, two), prefix + ".pool.context"))
 
 
-def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> int:
-    """Overwrite table rows from a text embedding file; returns rows hit.
+def embedding_fields(line: str) -> list[str]:
+    """A text embedding file's line split on runs of spaces and tabs."""
+    return re.split(r"[ \t]+", line.strip(" \t\r\n"))
 
-    File layout: one line per word, the token followed by ``dim`` decimal
-    floats, whitespace-separated.  Tokens absent from ``vocab`` are skipped;
-    vocabulary words absent from the file keep their random initialization.
-    Lines with the wrong column count are ignored rather than fatal, since
-    published embedding dumps contain a handful of tokens with spaces.  A row
-    that would be loaded but holds nan or inf raises DatasetError naming its
-    line.
+
+def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
+    """Overwrite rows of a [V, d_w] table from a text embedding file;
+    returns rows hit.
+
+    File layout: one line per word, the token followed by ``d_w`` decimal
+    floats, separated as ``embedding_fields`` splits them (the fastText
+    ``.vec`` layout, with its trailing space, included).  Tokens absent from
+    ``vocab`` are skipped; vocabulary words absent from the file keep their
+    random initialization.  Lines with the wrong column count are ignored
+    rather than fatal, since published embedding dumps contain a handful of
+    tokens with spaces.  A row that would be loaded but holds nan or inf
+    raises DatasetError naming its line.
     """
-    dim = table.dim
+    dim = table.shape[1]
     hits = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\n").split(" ")
+            parts = embedding_fields(line)
             if len(parts) != dim + 1:
                 continue
             row = vocab.get(parts[0])
@@ -179,7 +175,7 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
             if not np.isfinite(vec).all():
                 raise DatasetError("%s:%d: embedding of %r is not finite"
                                    % (path, lineno, parts[0]))
-            table.table.data[row] = vec
+            table.data[row] = vec
             hits += 1
     return hits
 
@@ -189,16 +185,16 @@ def load_embedding_file(path, vocab: dict[str, int], table: EmbeddingTable) -> i
 
 
 def embed_lookup(tape: T.Tape | None, token_ids: np.ndarray,
-                 table: EmbeddingTable) -> T.Tensor:
-    """Rows of the embedding table for a vector of token ids."""
+                 table: T.Tensor) -> T.Tensor:
+    """Rows of the [V, d_w] embedding table for a vector of token ids."""
     ids = np.asarray(token_ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise VocabularyError(
-            "token id outside vocabulary of size %d" % table.vocab_size)
-    return T.take_rows(tape, table.table, ids)
+            "token id outside vocabulary of size %d" % table.shape[0])
+    return T.take_rows(tape, table, ids)
 
 
-def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
+def encode_documents(tape: T.Tape | None, days, table: T.Tensor,
                      params: TextEncoderParams,
                      pool_divisor: str = "actual_len") -> DocRepresentation:
     """Encode the documents of a sequence of days to s vectors, one row each.
@@ -236,8 +232,8 @@ def encode_documents(tape: T.Tape | None, days, table: EmbeddingTable,
     zeros = T.constant(np.zeros((n, 2 * d_h)))
     hid = T.lstm_sweep(tape, all_rows, zeros, zeros, params.fwd, params.bwd, valid)
     flat = T.reshape(tape, hid, (n * k_eff, 2 * d_h))
-    proj = T.tanh(tape, T.linear(tape, [(params.pool_w, flat)], params.pool_bias))
-    scores = T.matmul(tape, proj, params.pool_ctx)
+    proj = T.tanh(tape, T.linear(tape, params.pool_w, flat, params.pool_bias))
+    scores = T.linear(tape, params.pool_ctx, proj)
     beta = T.masked_softmax(tape, T.reshape(tape, scores, (n, k_eff)), valid)
     pooled = T.weighted_sum(tape, hid, beta)
     divisor = lengths if pool_divisor == "actual_len" else np.repeat(widths, counts)

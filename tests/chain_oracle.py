@@ -1,17 +1,20 @@
 """Per-step chains: the reference the fused recurrences are tested against.
 
 ``lstm_step``, ``update_context`` and ``cell_step`` spell the recurrences out
-one engine op at a time: per position a ``linear`` and ``lstm_gates`` (and
+one engine op at a time: per position a ``linear_sum`` and ``lstm_gates`` (and
 ``blend`` where a sequence skips the position), per series step the
 attention, the context fade and the gated update.  ``sweep`` and
 ``msin_steps`` drive them with the arguments of ``tensor.lstm_sweep`` and
 ``tensor.msin_sequence`` and return what those return, so a test can compare
 values and gradients bit for bit.
 
-``sigmoid``, ``lstm_gates`` and ``blend`` are single-step ops that only this
-reference uses.  They record tape entries as the package's ops do; the gated
-update keeps its own backward, split into the c and h entries, apart from the
-fused one in ``msin.tensor``.
+``matmul``, ``linear_sum``, ``add_bias``, ``sigmoid``, ``lstm_gates`` and
+``blend`` are ops that only this reference uses; ``tensor.linear`` and the
+fused recurrences are tested against them.  They record tape entries as the
+package's ops do.  ``matmul`` multiplies a matrix or a vector on either
+side, ``linear_sum`` adds several products before the bias, and ``add_bias``
+adds one bias row to every row.  The gated update keeps its own backward, split
+into the c and h entries, apart from the fused one in ``msin.tensor``.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,102 @@ import numpy as np
 
 from msin import cell as C
 from msin import tensor as T
+
+
+def matmul(tape, a, b, transpose_b=False):
+    """Matrix product, optionally against the transpose of ``b``.
+
+    Supports [r,c]x[c,k] -> [r,k], [r,c]x[c] -> [r] and [c]x[c,k] -> [k];
+    with ``transpose_b``, [r,c]x[k,c]^T -> [r,k].  A rank-1 ``b`` cannot be
+    transposed.
+    """
+    if transpose_b and b.ndim != 2:
+        raise T.ShapeError("matmul cannot transpose a rank-1 operand")
+    A = a.data.astype(np.float64)
+    B = b.data.astype(np.float64)
+    if transpose_b:
+        B = B.T
+    if a.ndim == 2 and b.ndim == 2:
+        if A.shape[1] != B.shape[0]:
+            raise T.ShapeError("matmul inner dims differ: %r vs %r" % (A.shape, B.shape))
+
+        def back(g):
+            G = g.astype(np.float64)
+            gB = A.T @ G
+            return (G @ B.T, gB.T if transpose_b else gB)
+
+    elif a.ndim == 2 and b.ndim == 1:
+        if A.shape[1] != B.shape[0]:
+            raise T.ShapeError("matmul inner dims differ: %r vs %r" % (A.shape, B.shape))
+
+        def back(g):
+            G = g.astype(np.float64)
+            return (np.outer(G, B), A.T @ G)
+
+    elif a.ndim == 1 and b.ndim == 2:
+        if A.shape[0] != B.shape[0]:
+            raise T.ShapeError("matmul inner dims differ: %r vs %r" % (A.shape, B.shape))
+
+        def back(g):
+            G = g.astype(np.float64)
+            gB = np.outer(A, G)
+            return (B @ G, gB.T if transpose_b else gB)
+
+    else:
+        raise T.ShapeError("matmul needs at least one rank-2 operand")
+    data = np.asarray(A @ B, dtype=T._promoted(a, b))
+    return T._emit(tape, data, (a, b), back)
+
+
+def add_bias(tape, m, v):
+    """Add one [c] bias row to every row of an [r,c] matrix."""
+    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
+        raise T.ShapeError("add_bias expects [r,c] and [c], got %r and %r"
+                           % (m.shape, v.shape))
+    return T._emit(tape, m.data + v.data, (m, v),
+                   lambda g: (g, g.astype(np.float64).sum(axis=0)))
+
+
+def linear_sum(tape, terms, bias):
+    """Sum of weight-input products plus a bias, in one tape entry.
+
+    Each term is a pair (w [k,c], x [r,c]) contributing x.w^T, one row per
+    input row.  The arithmetic is that of ``matmul`` per term, then ``add``
+    of the terms in order, then ``add_bias`` of the [k] bias, bit for bit.
+    """
+    prods, acc = [], None
+    for w, x in terms:
+        W = w.data.astype(np.float64)
+        X = x.data.astype(np.float64)
+        if W.ndim != 2 or X.ndim != 2 or W.shape[1] != X.shape[1]:
+            raise T.ShapeError("linear term shapes %r and %r do not match"
+                               % (W.shape, X.shape))
+        p = np.asarray(X @ W.T, dtype=T._promoted(w, x))
+        if acc is None:
+            acc = p
+        elif p.shape == acc.shape:
+            acc = acc + p
+        else:
+            raise T.ShapeError("linear terms differ in shape: %r vs %r"
+                               % (acc.shape, p.shape))
+        prods.append((w.data, x.data))
+    if acc is None:
+        raise T.ShapeError("linear needs at least one term")
+    if bias.shape != acc.shape[1:]:
+        raise T.ShapeError("linear bias %r does not match output %r"
+                           % (bias.shape, acc.shape))
+
+    def back(g):
+        G = g.astype(np.float64)
+        grads = []
+        for w32, x32 in prods:
+            W, X = w32.astype(np.float64), x32.astype(np.float64)
+            grads += [(X.T @ G).T, G @ W]
+        grads.append(G.sum(axis=0))
+        return tuple(grads)
+
+    inputs = tuple(t for term in terms for t in term) + (bias,)
+    return T._emit(tape, acc + bias.data, inputs, back)
 
 
 def sigmoid(tape, x):
@@ -107,7 +206,7 @@ def lstm_step(tape, params, x, h, c, v=None):
     terms = [(params.input_w, x), (params.state_w, h)]
     if v is not None:
         terms.append((params.ctx_w, v))
-    return lstm_gates(tape, T.linear(tape, terms, params.bias), c)
+    return lstm_gates(tape, linear_sum(tape, terms, params.bias), c)
 
 
 def update_context(tape, p, slots, v_prev):
@@ -118,9 +217,9 @@ def update_context(tape, p, slots, v_prev):
 
 def attend(tape, h_prev, slots, params, doc_proj):
     """``cell.attend`` with doc_w.s taken once for every step."""
-    query = T.linear(tape, [(params.state_w, h_prev)], params.bias)
+    query = T.linear(tape, params.state_w, h_prev, params.bias)
     proj = T.tanh(tape, T.add_bias(tape, doc_proj, query, slots.owner))
-    logits = T.matmul(tape, proj, params.score)
+    logits = T.linear(tape, params.score, proj)
     return T.masked_softmax(tape, T.reshape(tape, logits, slots.mask.shape),
                             slots.mask)
 
@@ -128,7 +227,7 @@ def attend(tape, h_prev, slots, params, doc_proj):
 def cell_step(tape, x, state, slots, params, doc_proj=None):
     """One series step: attend, update context, then the gated state update."""
     if doc_proj is None:
-        doc_proj = T.matmul(tape, slots.rows, params.attn.doc_w, transpose_b=True)
+        doc_proj = T.linear(tape, params.attn.doc_w, slots.rows)
     p = attend(tape, state.h, slots, params.attn, doc_proj)
     v = update_context(tape, p, slots, state.v)
     h, c = lstm_step(tape, params.cell, x, state.h, state.c, v)

@@ -1,8 +1,8 @@
 """Per-document encoder: the reference the batched day encoder is tested against.
 
 ``bilstm_forward`` and ``attention_pool`` run one document at a time, as a
-batch of one row, through the per-step ``chain_oracle.lstm_step`` and the
-package's engine ops.  ``text_encoder.encode_documents`` must reproduce them
+batch of one row, through the per-step ``chain_oracle.lstm_step``, the
+package's engine ops and ``chain_oracle.matmul`` for the weighted sum.  ``text_encoder.encode_documents`` must reproduce them
 row by row.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 from msin import tensor as T
 from msin import text_encoder as TE
 
-from chain_oracle import lstm_step
+from chain_oracle import lstm_step, matmul
 
 
 def bilstm_forward(tape, embeds, length, params):
@@ -50,10 +50,10 @@ def attention_pool(tape, hiddens, length, params, divisor=None):
     if length < 1:
         raise TE.EmptyDocumentError("cannot pool zero tokens")
     valid = T.narrow(tape, hiddens, 0, 0, length)
-    proj = T.tanh(tape, T.linear(tape, [(params.pool_w, valid)], params.pool_bias))
-    logits = T.matmul(tape, proj, params.pool_ctx)
+    proj = T.tanh(tape, T.linear(tape, params.pool_w, valid, params.pool_bias))
+    logits = T.linear(tape, params.pool_ctx, proj)
     beta = T.masked_softmax(tape, T.reshape(tape, logits, (1, length)),
                             np.ones((1, length), dtype=bool))
     beta = T.reshape(tape, beta, (length,))
-    s = T.scale(tape, T.matmul(tape, beta, valid), 1.0 / (divisor or length))
+    s = T.scale(tape, matmul(tape, beta, valid), 1.0 / (divisor or length))
     return s, beta

@@ -214,9 +214,9 @@ class TestCellStep:
         p = H.attend(None, state.h, docs, np.ones(2, dtype=bool), params.attn)
         v = H.update_context(None, p, docs, state.v)
         cell = params.cell
-        pre = T.add(None, T.matmul(None, cell.input_w, T.constant([0.3])),
-                    T.matmul(None, cell.state_w, state.h))
-        pre = T.add(None, T.add(None, pre, T.matmul(None, cell.ctx_w, v)),
+        pre = T.add(None, chain.matmul(None, cell.input_w, T.constant([0.3])),
+                    chain.matmul(None, cell.state_w, state.h))
+        pre = T.add(None, T.add(None, pre, chain.matmul(None, cell.ctx_w, v)),
                     cell.bias)
         f = chain.sigmoid(None, T.narrow(None, pre, 0, 3, 6))
         decay = T.hadamard(None, f, state.c)

@@ -290,6 +290,22 @@ def test_train_non_finite_embedding_row_is_data_error(tmp_path, capsys):
     assert "emb.txt:2:" in capsys.readouterr().err
 
 
+def test_train_embeddings_split_on_tabs_and_trailing_spaces(tmp_path, capsys):
+    """Tabs and a trailing space separate fields, both for the vocabulary the
+    file allows and for the rows it loads."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("%s\t1\t2\t3\t4\t5\t6\n%s 1 2 3 4 5 6 \n"
+                   % (vocab.tokens[2], vocab.tokens[3]))
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
+               "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+               "--embeddings", str(emb)])
+    assert rc == 0
+    assert "embeddings hit 2 of 4 vocabulary rows" in capsys.readouterr().out
+
+
 def test_train_requires_paths(capsys):
     assert main(["train"]) == 1
     err = capsys.readouterr().err
@@ -322,6 +338,33 @@ def test_train_rejects_mixed_split_options(tmp_path):
                "--train-until", "2000-01-10", "--valid-until", "2000-01-15",
                "--split-fracs", "0.8,0.1,0.1"])
     assert rc == 1
+
+
+BAD_SPLITS = [("--split-fracs", "-0.5,1,0.5"), ("--split-fracs", "0.5,0.5,0.5"),
+              ("--split-fracs", "nan,0.5,0.5"), ("--split-fracs", "0.5,inf,0.5"),
+              ("--train-until", "2000-01-15", "--valid-until", "2000-01-15"),
+              ("--train-until", "2000-01-15", "--valid-until", "2000-01-10")]
+
+
+@pytest.mark.parametrize("split", BAD_SPLITS)
+def test_train_bad_split_is_usage_error(tmp_path, capsys, split):
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    capsys.readouterr()
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), *split])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("split", BAD_SPLITS + [("--split", "bogus")])
+def test_eval_checks_split_options_before_reading_files(tmp_path, capsys, split):
+    """No input file exists, so any file read would exit 2."""
+    missing = [str(tmp_path / name) for name in ("a.msn", "c.jsonl", "s.csv")]
+    rc = main(["eval", "--checkpoint", missing[0], "--corpus", missing[1],
+               "--series", missing[2], "--out-dir", str(tmp_path / "rep"), *split])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +475,18 @@ def test_checkpoint_malformed_split_is_data_error(tmp_path, capsys):
     _assert_metadata_rejected(tmp_path / "b", capsys,
                               lambda meta, config: meta["split"].clear(),
                               "'split'", commands=("eval",))
+
+
+@pytest.mark.parametrize("stored", [
+    {"fracs": [0.5, 0.5, 0.5]}, {"fracs": [float("nan"), 0.5, 0.5]},
+    {"train_until": "2000-01-15", "valid_until": "2000-01-10", "fracs": None}])
+def test_checkpoint_invalid_split_is_data_error(tmp_path, capsys, stored):
+    """A stored split that SplitSpec rejects is a broken checkpoint, not a
+    usage mistake."""
+    def replace(meta, config):
+        meta["split"] = stored
+    _assert_metadata_rejected(tmp_path, capsys, replace, "'split'",
+                              commands=("eval",))
 
 
 # ---------------------------------------------------------------------------

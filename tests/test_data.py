@@ -343,6 +343,14 @@ class TestSplitSpec:
         with pytest.raises(D.DatasetError):
             D.SplitSpec(fracs=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("fracs", [(float("nan"), 0.5, 0.5),
+                                       (0.5, float("inf"), 0.5),
+                                       (1.5, -0.25, -0.25), (0.5, 0.5)])
+    def test_rejects_fractions_that_are_not_a_partition(self, fracs):
+        """nan compares false against every bound, so it needs its own check."""
+        with pytest.raises(D.DatasetError, match="finite"):
+            D.SplitSpec(fracs=fracs)
+
 
 class TestSynthGenerate:
     def test_noise_free_series_is_exact_signal_count(self):

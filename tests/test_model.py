@@ -9,6 +9,7 @@ from msin import model as M
 from msin import tensor as T
 from msin import text_encoder as TE
 
+import chain_oracle as chain
 import helpers as H
 
 
@@ -58,6 +59,10 @@ class TestConfig:
     def test_attention_width_defaults_to_state_width(self):
         assert tiny_config(d_a=0).attention_width == 3
         assert tiny_config(d_a=7).attention_width == 7
+
+    def test_negative_attention_width_rejected(self):
+        with pytest.raises(ValueError, match="d_a"):
+            tiny_config(d_a=-7)
 
 
 class TestParamTree:
@@ -109,7 +114,7 @@ class TestForwardMsin:
                                    params.encoder)
         pred = M.forward(None, sample, params, config)
         np.testing.assert_allclose(pred.relevance.data, [1.0], rtol=0, atol=0)
-        u_txt = T.matmul(None, pred.relevance, docs.vectors)
+        u_txt = chain.matmul(None, pred.relevance, docs.vectors)
         np.testing.assert_allclose(u_txt.data, docs.vectors.data[0], rtol=0, atol=0)
 
     def test_matches_module_composition(self):
@@ -188,7 +193,7 @@ class TestForwardLstmWo:
         pm = M.init_model(cfg_m, seed=9)
         pw = M.init_model(cfg_w, seed=10)
         # share the text pipeline and series gates
-        pw.embedding.table.data[...] = pm.embedding.table.data
+        pw.embedding.data[...] = pm.embedding.data
         for attr in ("input_w", "state_w", "bias"):
             getattr(pw.encoder.fwd, attr).data[...] = getattr(pm.encoder.fwd, attr).data
             getattr(pw.encoder.bwd, attr).data[...] = getattr(pm.encoder.bwd, attr).data

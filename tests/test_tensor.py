@@ -1,5 +1,9 @@
 """Unit and property tests for the reverse-mode tensor engine."""
 
+import ast
+import inspect
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,20 +57,27 @@ class TestTensorBasics:
 
 
 class TestMatmul:
+    """The tests' reference product ``chain.matmul`` and the engine's one
+    product op ``linear``."""
+
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(0)
         a = _rand(rng, 4, 3).astype(np.float32)
         b = _rand(rng, 3, 5).astype(np.float32)
-        got = T.matmul(None, T.constant(a), T.constant(b))
         want = matmul_loops(a, b)
+        got = chain.matmul(None, T.constant(a), T.constant(b))
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-6)
+        got = T.linear(None, T.constant(b.T), T.constant(a))
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-6)
 
     def test_transpose_flags(self):
         rng = np.random.default_rng(1)
         a = _rand(rng, 4, 3).astype(np.float32)
         b = _rand(rng, 5, 3).astype(np.float32)
-        got = T.matmul(None, T.constant(a), T.constant(b), transpose_b=True)
         want = matmul_loops(a.astype(np.float64), b.T.astype(np.float64))
+        got = chain.matmul(None, T.constant(a), T.constant(b), transpose_b=True)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-6)
+        got = T.linear(None, T.constant(b), T.constant(a))
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-6)
 
     def test_matrix_vector_and_vector_matrix(self):
@@ -74,43 +85,55 @@ class TestMatmul:
         m = _rand(rng, 4, 3).astype(np.float32)
         v = _rand(rng, 3).astype(np.float32)
         u = _rand(rng, 4).astype(np.float32)
+        for got in (chain.matmul(None, T.constant(m), T.constant(v)),
+                    T.linear(None, T.constant(v), T.constant(m))):
+            np.testing.assert_allclose(got.data, m.astype(np.float64) @ v,
+                                       rtol=0, atol=1e-6)
         np.testing.assert_allclose(
-            T.matmul(None, T.constant(m), T.constant(v)).data,
-            m.astype(np.float64) @ v, rtol=0, atol=1e-6)
-        np.testing.assert_allclose(
-            T.matmul(None, T.constant(u), T.constant(m)).data,
+            chain.matmul(None, T.constant(u), T.constant(m)).data,
             u.astype(np.float64) @ m.astype(np.float64), rtol=0, atol=1e-6)
 
     def test_inner_dim_mismatch_raises(self):
         with pytest.raises(T.ShapeError):
-            T.matmul(None, T.constant(np.ones((2, 3))), T.constant(np.ones((4, 2))))
+            chain.matmul(None, T.constant(np.ones((2, 3))), T.constant(np.ones((4, 2))))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, T.constant(np.ones((2, 4))), T.constant(np.ones((2, 3))))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, T.constant(np.ones(4)), T.constant(np.ones((2, 3))))
 
     def test_cannot_transpose_vector(self):
         with pytest.raises(T.ShapeError):
-            T.matmul(None, T.constant(np.ones((2, 3))), T.constant(np.ones(3)),
-                     transpose_b=True)
+            chain.matmul(None, T.constant(np.ones((2, 3))), T.constant(np.ones(3)),
+                         transpose_b=True)
 
     def test_vector_vector_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.matmul(None, T.constant(np.ones(3)), T.constant(np.ones(3)))
+            chain.matmul(None, T.constant(np.ones(3)), T.constant(np.ones(3)))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, T.constant(np.ones(3)), T.constant(np.ones(3)))
 
     def test_row_permutation_is_bitwise_equivariant(self):
-        """Permuting left-operand rows permutes output rows bit-identically."""
+        """Permuting input rows permutes output rows bit-identically."""
         rng = np.random.default_rng(3)
         a = _rand(rng, 8, 6).astype(np.float32)
         b = _rand(rng, 6, 4).astype(np.float32)
-        base = T.matmul(None, T.constant(a), T.constant(b)).data
-        for seed in range(10):
-            perm = np.random.default_rng(seed).permutation(8)
-            permed = T.matmul(None, T.constant(a[perm]), T.constant(b)).data
-            assert permed.tobytes() == base[perm].tobytes()
+        ops = (lambda x: chain.matmul(None, T.constant(x), T.constant(b)).data,
+               lambda x: T.linear(None, T.constant(b.T), T.constant(x)).data,
+               lambda x: T.linear(None, T.constant(b[:, 0]), T.constant(x)).data)
+        for op in ops:
+            base = op(a)
+            for seed in range(10):
+                perm = np.random.default_rng(seed).permutation(8)
+                assert op(a[perm]).tobytes() == base[perm].tobytes()
 
     def test_accumulates_in_float64(self):
         # A float32 running sum would lose the +1 entirely.
-        v = T.constant(np.array([1e8, 1.0, -1e8], dtype=np.float32))
-        b = T.constant(np.ones((3, 1), dtype=np.float32))
-        got = T.matmul(None, v, b)
+        v = np.array([1e8, 1.0, -1e8], dtype=np.float32)
+        got = chain.matmul(None, T.constant(v), T.constant(np.ones((3, 1))))
         np.testing.assert_allclose(got.data, [1.0], rtol=0, atol=0)
+        for w in (np.ones((1, 3)), np.ones(3)):
+            got = T.linear(None, T.constant(w), T.constant(v[None]))
+            assert got.data.reshape(-1).tolist() == [1.0]
 
 
 class TestElementwise:
@@ -123,7 +146,7 @@ class TestElementwise:
     def test_add_bias_broadcasts_over_rows(self):
         m = T.constant(np.zeros((2, 3)))
         v = T.constant([1.0, 2.0, 3.0])
-        got = T.add_bias(None, m, v)
+        got = chain.add_bias(None, m, v)
         np.testing.assert_allclose(got.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_hadamard_scale_abs(self):
@@ -312,10 +335,10 @@ class TestBackward:
     def test_three_op_chain_matches_central_differences(self):
         rng = np.random.default_rng(7)
         w0 = _rand(rng, 3, 4)
-        x = T.constant(_rand(rng, 4), dtype=np.float64)
+        x = T.constant(_rand(rng, 1, 4), dtype=np.float64)
 
         def loss(tape, leaves):
-            return T.sum_all(tape, T.tanh(tape, T.matmul(tape, leaves[0], x)))
+            return T.sum_all(tape, T.tanh(tape, T.linear(tape, leaves[0], x)))
 
         assert H.grad_check(loss, [T.parameter(w0, "w")]) < 1e-7
 
@@ -441,6 +464,7 @@ class TestFusedOps:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
     def test_linear_bitwise_matches_matmul_add_chain(self, rows, n_terms):
+        """The oracle's sum of products, and with one term ``linear``."""
         rng = np.random.default_rng(40 + n_terms)
         leaves = []
         for k in range(n_terms):
@@ -450,17 +474,48 @@ class TestFusedOps:
 
         def fused(tape, ls):
             pairs = [(ls[2 * k], ls[2 * k + 1]) for k in range(n_terms)]
-            return [T.linear(tape, pairs, ls[-1])]
+            return [chain.linear_sum(tape, pairs, ls[-1])]
+
+        def engine(tape, ls):
+            return [T.linear(tape, *ls)]
 
         def spelled(tape, ls):
             acc = None
             for k in range(n_terms):
                 w, x = ls[2 * k], ls[2 * k + 1]
-                p = T.matmul(tape, x, w, transpose_b=True)
+                p = chain.matmul(tape, x, w, transpose_b=True)
                 acc = p if acc is None else T.add(tape, acc, p)
-            return [T.add_bias(tape, acc, ls[-1])]
+            return [chain.add_bias(tape, acc, ls[-1])]
 
-        assert _leaf_grads(fused, leaves, 1) == _leaf_grads(spelled, leaves, 1)
+        want = _leaf_grads(spelled, leaves, 1)
+        assert _leaf_grads(fused, leaves, 1) == want
+        if n_terms == 1:
+            assert _leaf_grads(engine, leaves, 1) == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("form", ["matrix", "vector", "matrix+bias"])
+    def test_linear_forms_bitwise_match_matmul(self, form, rows, dtype):
+        """Each form of ``linear`` is ``matmul`` (then ``add_bias``) of the
+        per-step chain, values and gradients bit for bit; the model runs all
+        three."""
+        rng = np.random.default_rng(45)
+        w_shape = (6,) if form == "vector" else (8, 6)
+        leaves = [T.parameter(_rand(rng, *w_shape), "w", dtype),
+                  T.parameter(_rand(rng, rows, 6), "x", dtype)]
+        if form == "matrix+bias":
+            leaves.append(T.parameter(_rand(rng, 8), "b", dtype))
+
+        def engine(tape, ls):
+            return [T.linear(tape, *ls)]
+
+        def spelled(tape, ls):
+            p = chain.matmul(tape, ls[1], ls[0], transpose_b=ls[0].ndim == 2)
+            return [p if len(ls) == 2 else chain.add_bias(tape, p, ls[2])]
+
+        got, want = engine(None, leaves)[0], spelled(None, leaves)[0]
+        assert got.data.dtype == want.data.dtype == dtype
+        assert _leaf_grads(engine, leaves, 2) == _leaf_grads(spelled, leaves, 2)
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_lstm_gates_bitwise_matches_spelled_out_update(self, rows):
@@ -558,14 +613,26 @@ class TestFusedOps:
             with pytest.raises(T.ShapeError):
                 T.add_bias(None, m, v, np.array(rows))
         with pytest.raises(T.ShapeError):
-            T.linear(None, [], b)
+            chain.linear_sum(None, [], b)
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones((1, 5))))], b)
+            chain.linear_sum(None, [(w, T.constant(np.ones((1, 5))))], b)
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones((1, 4)))),
-                            (w, T.constant(np.ones((2, 4))))], b)
+            chain.linear_sum(None, [(w, T.constant(np.ones((1, 4)))),
+                                    (w, T.constant(np.ones((2, 4))))], b)
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones((1, 4))))], T.constant(np.ones(7)))
+            chain.linear_sum(None, [(w, T.constant(np.ones((1, 4))))],
+                             T.constant(np.ones(7)))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, w, T.constant(np.ones((1, 5))), b)
+        with pytest.raises(T.ShapeError):
+            T.linear(None, w, T.constant(np.ones((1, 4))), T.constant(np.ones(7)))
+        with pytest.raises(T.ShapeError):
+            T.linear(None, T.constant(np.ones((2, 8, 4))), T.constant(np.ones((1, 4))))
+        with pytest.raises(T.ShapeError):  # a [c] weight's [r] output takes no bias
+            T.linear(None, T.constant(np.ones(4)), T.constant(np.ones((1, 4))),
+                     T.constant(np.ones(1)))
+        with pytest.raises(T.ShapeError):  # add_bias has only its rows form
+            T.add_bias(None, m, T.constant(np.ones(2)), np.array([0, 1, 0]))
         with pytest.raises(T.ShapeError):
             chain.lstm_gates(None, T.constant(np.ones(10)), T.constant(np.ones(2)))
         with pytest.raises(T.ShapeError):
@@ -584,7 +651,7 @@ class TestFusedOps:
         """Rows are the one input form; a single input is a batch of one."""
         w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
         with pytest.raises(T.ShapeError):
-            T.linear(None, [(w, T.constant(np.ones(4)))], b)
+            T.linear(None, w, T.constant(np.ones(4)), b)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     @pytest.mark.parametrize("L", [1, 2, 5])
@@ -825,10 +892,29 @@ class TestGradCheckPerOp:
         w = T.constant(_rand(rng, r, k), dtype=np.float64)
 
         def loss(tape, leaves):
-            prod = T.matmul(tape, leaves[0], leaves[1])
+            prod = chain.matmul(tape, leaves[0], leaves[1])
             return T.sum_all(tape, T.hadamard(tape, prod, w))
 
         params = [T.parameter(_rand(rng, r, c), "a"), T.parameter(_rand(rng, c, k), "b")]
+        assert H.grad_check(loss, params) < 1e-6
+
+    @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4),
+           c=st.integers(1, 4), k=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_linear(self, seed, r, c, k):
+        """Both weight forms; the [k,c] one with its bias."""
+        rng = np.random.default_rng(seed)
+        u = T.constant(_rand(rng, r, k), dtype=np.float64)
+        v = T.constant(_rand(rng, r), dtype=np.float64)
+
+        def loss(tape, leaves):
+            w, x, b, s = leaves
+            return T.sum_stack(tape, [
+                T.sum_all(tape, T.hadamard(tape, T.linear(tape, w, x, b), u)),
+                T.sum_all(tape, T.hadamard(tape, T.linear(tape, s, x), v))])
+
+        params = [T.parameter(_rand(rng, k, c), "w"), T.parameter(_rand(rng, r, c), "x"),
+                  T.parameter(_rand(rng, k), "b"), T.parameter(_rand(rng, c), "s")]
         assert H.grad_check(loss, params) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
@@ -850,7 +936,7 @@ class TestGradCheckPerOp:
         w = T.constant(_rand(rng, p, q), dtype=np.float64)
 
         def loss(tape, leaves):
-            out = T.add_bias(tape, leaves[0], leaves[1])
+            out = chain.add_bias(tape, leaves[0], leaves[1])
             return T.sum_all(tape, T.hadamard(tape, out, w))
 
         params = [T.parameter(_rand(rng, p, q), "m"), T.parameter(_rand(rng, q), "b")]
@@ -933,12 +1019,12 @@ class TestGradCheckPerOp:
 
         def loss(tape, leaves):
             wx, x, wh, h, b, c, beta = leaves
-            pre = T.linear(tape, [(wx, x), (wh, h)], b)          # [2, 12]
+            pre = chain.linear_sum(tape, [(wx, x), (wh, h)], b)  # [2, 12]
             h1, c1 = chain.lstm_gates(tape, pre, c)              # [2, 3] each
             carried = chain.blend(tape, keep, h1, c)             # [2, 3]
             grid = T.reshape(tape, T.concat(tape, [carried, c1], axis=1), (2, 2, 3))
             mixed = T.weighted_sum(tape, grid, beta)             # [2, 3]
-            one = T.linear(tape, [(wh, T.narrow(tape, h, 0, 0, 1))], b)  # [1, 12]
+            one = T.linear(tape, wh, T.narrow(tape, h, 0, 0, 1), b)  # [1, 12]
             return T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, mixed, v)),
                                       T.sum_all(tape, T.hadamard(tape, one, u))])
 
@@ -1012,11 +1098,15 @@ def _mutation_cases():
                                ctx_w=w[2] if ctx else None)
 
     return {
-        "matmul": ([r(3, 4), r(4, 2)], lambda c, L: c(T.matmul, L[0], L[1])),
+        "matmul": ([r(3, 4), r(4, 2)], lambda c, L: c(chain.matmul, L[0], L[1])),
         "linear": ([r(6, 4), r(3, 4), r(6)],
-                   lambda c, L: c(T.linear, [(L[0], L[1])], L[2])),
+                   lambda c, L: c(T.linear, L[0], L[1], L[2])),
+        "linear_vector": ([r(4), r(3, 4)], lambda c, L: c(T.linear, L[0], L[1])),
+        "linear_sum": ([r(6, 4), r(3, 4), r(6, 2), r(3, 2), r(6)],
+                       lambda c, L: c(chain.linear_sum, [(L[0], L[1]), (L[2], L[3])],
+                                      L[4])),
         "add": ([r(2, 3), r(2, 3)], lambda c, L: c(T.add, L[0], L[1])),
-        "add_bias": ([r(2, 3), r(3)], lambda c, L: c(T.add_bias, L[0], L[1])),
+        "add_bias": ([r(2, 3), r(3)], lambda c, L: c(chain.add_bias, L[0], L[1])),
         "add_bias_rows": ([r(3, 2), r(2, 2)], lambda c, L: c(
             T.add_bias, L[0], L[1], np.array([1, 0, 1]))),
         "hadamard": ([r(2, 3), r(2, 3)], lambda c, L: c(T.hadamard, L[0], L[1])),
@@ -1129,4 +1219,30 @@ class TestDtypePromotion:
     def test_float32_storage_by_default(self):
         a = T.constant(np.ones((2, 2)))
         b = T.constant(np.ones((2, 2)))
-        assert T.matmul(None, a, b).data.dtype == np.float32
+        assert T.linear(None, a, b).data.dtype == np.float32
+
+
+def _engine_ops() -> set[str]:
+    """Public functions of ``msin.tensor`` whose first parameter is the tape:
+    the rule ``bench/tracing.py``'s ``tensor_ops`` uses to find ops."""
+    return {name for name, fn in vars(T).items()
+            if not name.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == T.__name__
+            and list(inspect.signature(fn).parameters)[:1] == ["tape"]}
+
+
+def test_every_engine_op_is_called_from_the_package():
+    """No op lives in ``msin.tensor`` for the tests alone: each one is called
+    as ``T.<op>(...)`` from another module of the package."""
+    called = set()
+    for path in pathlib.Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "T"):
+                called.add(node.func.attr)
+    ops = _engine_ops()
+    assert {"linear", "lstm_sweep", "msin_sequence"} <= ops
+    assert sorted(ops - called) == []

@@ -12,6 +12,7 @@ from msin import tensor as T
 from msin import text_encoder as TE
 from msin.rng import substream
 
+import chain_oracle as chain
 import encoder_oracle as oracle
 import helpers as H
 
@@ -82,7 +83,7 @@ class TestEmbedLookup:
         rows = TE.embed_lookup(tape, np.array([3, 3]), table)
         assert rows.data[0].tobytes() == rows.data[1].tobytes()
         tape.backward(T.sum_all(tape, rows))
-        np.testing.assert_allclose(table.table.grad[3], 2.0 * np.ones(3),
+        np.testing.assert_allclose(table.grad[3], 2.0 * np.ones(3),
                                    rtol=0, atol=0)
 
     def test_out_of_range_id(self):
@@ -93,10 +94,10 @@ class TestEmbedLookup:
     def test_one_hot_matmul_oracle(self):
         """Row lookup equals multiplying a one-hot indicator into the table."""
         table, _ = make_params(seed=3)
-        for wid in range(table.vocab_size):
-            onehot = np.zeros(table.vocab_size, dtype=np.float32)
+        for wid in range(table.shape[0]):
+            onehot = np.zeros(table.shape[0], dtype=np.float32)
             onehot[wid] = 1.0
-            via_matmul = T.matmul(None, T.constant(onehot), table.table)
+            via_matmul = chain.matmul(None, T.constant(onehot), table)
             via_lookup = TE.embed_lookup(None, np.array([wid]), table)
             np.testing.assert_allclose(via_lookup.data[0], via_matmul.data,
                                        rtol=0, atol=1e-7)
@@ -296,19 +297,18 @@ class TestEncodeDocuments:
         table, params = make_params(d_w=3, d_h=2, seed=14)
         ids = np.array([[2, 3, 4], [5, 6, 0]])
         lengths = np.array([3, 2])
-        leaves = [table.table,
+        leaves = [table,
                   params.fwd.input_w, params.fwd.state_w, params.fwd.bias,
                   params.bwd.input_w, params.bwd.state_w, params.bwd.bias,
                   params.pool_w, params.pool_bias, params.pool_ctx]
         w = T.constant(np.random.default_rng(9).normal(size=(2, 4)), dtype=np.float64)
 
         def loss(tape, ts):
-            tb = TE.EmbeddingTable(ts[0])
             ps = TE.TextEncoderParams(
                 fwd=TE.LSTMParams(ts[1], ts[2], ts[3]),
                 bwd=TE.LSTMParams(ts[4], ts[5], ts[6]),
                 pool_w=ts[7], pool_bias=ts[8], pool_ctx=ts[9])
-            rep = TE.encode_documents(tape, [batch_of(ids, lengths)], tb, ps)
+            rep = TE.encode_documents(tape, [batch_of(ids, lengths)], ts[0], ps)
             return T.sum_all(tape, T.hadamard(tape, rep.vectors, w))
 
         assert H.grad_check(loss, leaves) < 1e-4
@@ -324,7 +324,7 @@ class TestEncodeDocuments:
         got = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         widest = 0.0
         for j, n in enumerate(lengths):
-            hid = np_bilstm(table.table.data[ids[j, :n]].astype(np.float64), params)
+            hid = np_bilstm(table.data[ids[j, :n]].astype(np.float64), params)
             scores = np.tanh(hid @ params.pool_w.data.astype(np.float64).T
                              + params.pool_bias.data) @ params.pool_ctx.data
             widest = max(widest, float(np.abs(scores).max()))
@@ -334,7 +334,7 @@ class TestEncodeDocuments:
         assert widest > 50.0
         assert np.all(np.isfinite(got.vectors.data))
 
-        leaves = [table.table, params.fwd.input_w, params.fwd.state_w,
+        leaves = [table, params.fwd.input_w, params.fwd.state_w,
                   params.fwd.bias, params.pool_w, params.pool_bias, params.pool_ctx]
         w = T.constant(np.random.default_rng(10).normal(size=(2, 4)), dtype=np.float64)
 
@@ -342,8 +342,7 @@ class TestEncodeDocuments:
             ps = TE.TextEncoderParams(fwd=TE.LSTMParams(ts[1], ts[2], ts[3]),
                                       bwd=params.bwd, pool_w=ts[4],
                                       pool_bias=ts[5], pool_ctx=ts[6])
-            rep = TE.encode_documents(tape, [batch_of(ids, lengths)],
-                                      TE.EmbeddingTable(ts[0]), ps)
+            rep = TE.encode_documents(tape, [batch_of(ids, lengths)], ts[0], ps)
             return T.sum_all(tape, T.hadamard(tape, rep.vectors, w))
 
         assert H.grad_check(loss, leaves) < 1e-4
@@ -352,9 +351,9 @@ class TestEncodeDocuments:
 class TestEmbeddingTableInit:
     def test_padding_row_zero(self):
         table = TE.init_embedding(6, 4, substream(0, "init"))
-        np.testing.assert_allclose(table.table.data[TE.PAD_ID], np.zeros(4),
+        np.testing.assert_allclose(table.data[TE.PAD_ID], np.zeros(4),
                                    rtol=0, atol=0)
-        assert table.table.requires_grad
+        assert table.requires_grad
 
     def test_vocab_floor(self):
         with pytest.raises(TE.VocabularyError):
@@ -364,7 +363,7 @@ class TestEmbeddingTableInit:
 class TestEmbeddingFileLoader:
     def test_hits_and_misses(self, tmp_path):
         table = TE.init_embedding(5, 3, substream(1, "init"))
-        before = table.table.data.copy()
+        before = table.data.copy()
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0 3.0\n"
                         "unknowntoken 9.0 9.0 9.0\n"
@@ -373,10 +372,24 @@ class TestEmbeddingFileLoader:
         vocab = {"alpha": 2, "beta": 3, "gamma": 4}
         hits = TE.load_embedding_file(path, vocab, table)
         assert hits == 2
-        np.testing.assert_allclose(table.table.data[2], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(table.table.data[3], [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(table.table.data[4], before[4])  # kept random init
-        np.testing.assert_allclose(table.table.data[TE.PAD_ID], np.zeros(3))
+        np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(table.data[4], before[4])  # kept random init
+        np.testing.assert_allclose(table.data[TE.PAD_ID], np.zeros(3))
+
+    @pytest.mark.parametrize("layout", ["{} {} {} {}\n", "{} {} {} {} \n",
+                                        "{}\t{}\t{}\t{}\n", "  {} \t {}  {}\t{}\t \r\n"])
+    def test_fields_split_on_runs_of_spaces_and_tabs(self, tmp_path, layout):
+        """A trailing space (the fastText .vec layout), tabs, or several
+        separators in a row load the same rows as single spaces."""
+        table = TE.init_embedding(5, 3, substream(1, "init"))
+        path = tmp_path / "vecs.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(layout.format("alpha", "1.0", "2.0", "3.0")
+                     + layout.format("beta", "0.5", "0.5", "0.5"))
+        assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
+        np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_row_names_its_line(self, tmp_path, value):
