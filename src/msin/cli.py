@@ -320,6 +320,13 @@ def _load_checkpoint(path: str):
     if not isinstance(meta["vocab"], list) or len(meta["vocab"]) > config.vocab_size:
         raise TR.CheckpointError("checkpoint metadata 'vocab' must list at most "
                                  "%d tokens" % config.vocab_size)
+    seen = set()
+    for i, token in enumerate(meta["vocab"]):
+        if not isinstance(token, str) or token in seen:
+            raise TR.CheckpointError(
+                "checkpoint metadata 'vocab' entry %d is %r; entries must be "
+                "distinct strings" % (i, token))
+        seen.add(token)
     for key in ("series_mean", "series_std"):
         x = meta.get(key)
         if not isinstance(x, (int, float)) or not np.isfinite(x) or \

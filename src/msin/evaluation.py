@@ -6,8 +6,7 @@ set. Days without any ground-truth document are excluded from precision and
 recall averages; asking for those metrics when no day qualifies is an error
 rather than a silent zero. ``rank_report`` ranks each day once (the
 selection reuses ``DayRanking.ranked``), and ``precision_recall_curve``
-computes Pre@k/Rec@k for every k in one pass over the days;
-``precision_recall_at_k`` is its k-th point.
+computes Pre@k/Rec@k for every k in one pass over the days.
 """
 
 from __future__ import annotations
@@ -91,12 +90,6 @@ def precision_recall_curve(days, k_max: int) -> tuple[KPoint, ...]:
             rec[j] += tp / min(j + 1, len(gtn))
     q = len(qualifying)
     return tuple(KPoint(j + 1, pre[j] / q, rec[j] / q) for j in range(k_max))
-
-
-def precision_recall_at_k(days, k: int) -> tuple[float, float]:
-    """Pre@k and Rec@k: the k-th point of ``precision_recall_curve``."""
-    point = precision_recall_curve(days, k)[-1]
-    return point.precision, point.recall
 
 
 def _mass_prefix(mass, order) -> tuple[int, ...]:
@@ -199,7 +192,8 @@ def rank_report(params, config: M.ModelConfig, samples,
                 k_max: int = 5) -> RankResult:
     """Forward every sample, rank its documents, and aggregate metrics.
 
-    Samples run in batches of ``training.EVAL_CHUNK``; by batch invariance
+    Samples run in the forward-only passes of ``training.forward_chunks``,
+    which hold more days when days hold fewer documents; by batch invariance
     the result equals that of one forward per day, bit for bit.
     """
     if not samples:
@@ -235,8 +229,8 @@ def attention_entropy(params, config: M.ModelConfig, samples) -> float:
     Low entropy means mass concentrated on few documents, high entropy
     means near-uniform spread. The statistic needs no relevance flags,
     which makes it usable for model selection on unlabeled data. Samples
-    run in batches of ``training.EVAL_CHUNK``, with the same result as one
-    forward per day, bit for bit.
+    run in the passes of ``training.forward_chunks``, with the same result
+    as one forward per day, bit for bit.
     """
     if not samples:
         raise UndefinedMetricError("no samples to evaluate")

@@ -36,9 +36,12 @@ from .rng import substream
 
 MAGIC = b"MSN1"
 FORMAT_VERSION = 2
-# Samples per forward pass of eval_loss, rank_report and attention_entropy.
-# Larger chunks save little time and raise the peak memory of a training run
-# above that of its training steps.
+# Full days per forward-only pass (forward_chunks). The pass's memory grows
+# with its padded document grid, not with its days, so a pass holds up to
+# EVAL_CHUNK * daily_doc_cap document slots: EVAL_CHUNK days at the cap, more
+# days when they hold fewer documents. The series cell runs every step of the
+# window once per pass whatever its width, so wider passes of sparse days cost
+# less per day.
 EVAL_CHUNK = 16
 
 
@@ -121,11 +124,31 @@ class TrainResult:
     steps_run: int
 
 
+def eval_passes(doc_counts, daily_doc_cap: int):
+    """(lo, hi) bounds of the forward-only passes over samples holding
+    ``doc_counts`` documents, in order.
+
+    A pass takes consecutive samples while its padded grid, its samples
+    times its largest document count, fits in ``EVAL_CHUNK * daily_doc_cap``
+    slots; it always holds at least one sample.
+    """
+    budget = EVAL_CHUNK * daily_doc_cap
+    lo = widest = 0
+    for i, n in enumerate(doc_counts):
+        widest = max(widest, n)
+        if i > lo and (i + 1 - lo) * widest > budget:
+            yield lo, i
+            lo, widest = i, n
+    if doc_counts:
+        yield lo, len(doc_counts)
+
+
 def forward_chunks(samples, params: M.ModelParams, config: M.ModelConfig):
-    """(chunk, BatchPrediction) for each forward-only batch of EVAL_CHUNK
-    samples; memory stays flat in the number of samples."""
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[lo:lo + EVAL_CHUNK]
+    """(chunk, BatchPrediction) for each forward-only pass of
+    ``eval_passes``; memory stays flat in the number of samples."""
+    counts = [s.docs.n for s in samples]
+    for lo, hi in eval_passes(counts, config.daily_doc_cap):
+        chunk = samples[lo:hi]
         yield chunk, M.forward_batch(None, chunk, params, config)
 
 

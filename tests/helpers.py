@@ -1,5 +1,6 @@
 """Test-side helpers: the one-number gradient check, one day as a batch of
-one, and a per-tensor Adam loop.
+one, a per-tensor Adam loop, the sizes of the forward-only passes, and
+Pre@k/Rec@k at one k.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -15,6 +16,7 @@ import dataclasses
 import numpy as np
 
 from msin import cell as C
+from msin import evaluation as E
 from msin import model as M
 from msin import tensor as T
 from msin import training as TR
@@ -179,3 +181,15 @@ def reference_train(samples, params, config, tcfg):
         for n, t, _ in rows:
             t.data[...] = best["data"][n]
     return history, best["step"], clipped
+
+
+def pass_sizes(samples, config) -> list[int]:
+    """Samples per forward-only pass of ``TR.forward_chunks``."""
+    return [hi - lo for lo, hi in TR.eval_passes(
+        [s.docs.n for s in samples], config.daily_doc_cap)]
+
+
+def precision_recall_at_k(days, k: int) -> tuple[float, float]:
+    """Pre@k and Rec@k: the k-th point of ``E.precision_recall_curve``."""
+    point = E.precision_recall_curve(days, k)[-1]
+    return point.precision, point.recall

@@ -101,7 +101,7 @@ def test_criterion_03_metric_oracle_equivalence():
         if not any(d.gtn for d in days):
             continue
         k = int(rng.integers(1, 9))
-        pre, rec = E.precision_recall_at_k(days, k)
+        pre, rec = H.precision_recall_at_k(days, k)
         bpre, brec = brute_pre_rec(days, k)
         worst = max(worst, abs(pre - bpre), abs(rec - brec))
         done += 1

@@ -467,6 +467,18 @@ def test_checkpoint_vocab_beyond_config_is_data_error(tmp_path, capsys):
     _assert_metadata_rejected(tmp_path, capsys, grow, "'vocab'")
 
 
+@pytest.mark.parametrize("entry, named", [
+    (["w"], "entry 2 is ['w']"), (7, "entry 2 is 7"),
+    ("<unk>", "entry 2 is '<unk>'")], ids=["list", "int", "duplicate"])
+def test_checkpoint_vocab_entry_not_distinct_string_is_data_error(
+        tmp_path, capsys, entry, named):
+    """A list entry used to die with an unhashable-type traceback; an int or
+    a repeated token used to pass and map tokens to the wrong ids."""
+    def put(meta, config):
+        meta["vocab"][2] = entry
+    _assert_metadata_rejected(tmp_path, capsys, put, named)
+
+
 def test_checkpoint_malformed_split_is_data_error(tmp_path, capsys):
     def as_list(meta, config):
         meta["split"] = [meta["split"]]

@@ -14,6 +14,8 @@ from msin import evaluation as E
 from msin import model as M
 from msin import training as TR
 
+import helpers as H
+
 DATE = dt.date(2013, 1, 22)
 
 # rounded attention masses from a published qualitative example: thirteen
@@ -64,32 +66,32 @@ class TestRankOrder:
 class TestPrecisionRecallAtK:
     def test_perfect_single_day(self):
         d = day([0.1, 0.2, 0.1, 0.6], {3})
-        assert E.precision_recall_at_k([d], 1) == (1.0, 1.0)
+        assert H.precision_recall_at_k([d], 1) == (1.0, 1.0)
 
     def test_partial_hit_formula(self):
         # |gtn|=2, k=5, exactly one ground-truth doc inside the top five
         mass = [0.30, 0.20, 0.15, 0.12, 0.10, 0.08, 0.05]
         d = day(mass, {0, 6})
-        pre, rec = E.precision_recall_at_k([d], 5)
+        pre, rec = H.precision_recall_at_k([d], 5)
         assert pre == pytest.approx(0.2)
         assert rec == pytest.approx(0.5)
 
     def test_short_day_uses_actual_doc_count(self):
         d = day([0.5, 0.3, 0.2], {1})
-        pre, rec = E.precision_recall_at_k([d], 5)
+        pre, rec = H.precision_recall_at_k([d], 5)
         assert pre == pytest.approx(1 / 3)
         assert rec == 1.0
 
     def test_days_without_ground_truth_are_excluded(self):
         with_gt = day([0.9, 0.1], {0})
         without = day([0.5, 0.5], set())
-        assert E.precision_recall_at_k([with_gt, without], 1) == (1.0, 1.0)
+        assert H.precision_recall_at_k([with_gt, without], 1) == (1.0, 1.0)
 
     def test_no_qualifying_day_is_an_error(self):
         with pytest.raises(E.UndefinedMetricError):
-            E.precision_recall_at_k([day([1.0], set())], 1)
+            H.precision_recall_at_k([day([1.0], set())], 1)
         with pytest.raises(ValueError):
-            E.precision_recall_at_k([day([1.0], {0})], 0)
+            H.precision_recall_at_k([day([1.0], {0})], 0)
 
     def test_matches_rational_brute_force(self):
         """200 random instances agree with a Fraction-based reference."""
@@ -105,7 +107,7 @@ class TestPrecisionRecallAtK:
             if not any(d.gtn for d in days):
                 continue
             k = int(rng.integers(1, 7))
-            got = E.precision_recall_at_k(days, k)
+            got = H.precision_recall_at_k(days, k)
             want = brute_force_pre_rec(days, k)
             assert abs(got[0] - want[0]) <= 1e-12
             assert abs(got[1] - want[1]) <= 1e-12
@@ -124,7 +126,7 @@ class TestPrecisionRecallAtK:
         gtn = {int(i) for i in rng.choice(n, size=rng.integers(1, n + 1),
                                           replace=False)}
         d = day(mass, gtn)
-        recalls = [E.precision_recall_at_k([d], k)[1]
+        recalls = [H.precision_recall_at_k([d], k)[1]
                    for k in range(len(gtn), n + 2)]
         assert all(a <= b + 1e-12 for a, b in zip(recalls, recalls[1:]))
 
@@ -132,8 +134,8 @@ class TestPrecisionRecallAtK:
         """Pin the behavior: a hit at rank 1 with |gtn|=3 gives Rec@1 = 1 but
         Rec@2 = 1/2 when rank 2 misses. The adaptive formula wants this."""
         d = day([0.5, 0.3, 0.1, 0.06, 0.04], {0, 3, 4})
-        assert E.precision_recall_at_k([d], 1)[1] == 1.0
-        assert E.precision_recall_at_k([d], 2)[1] == 0.5
+        assert H.precision_recall_at_k([d], 1)[1] == 1.0
+        assert H.precision_recall_at_k([d], 2)[1] == 0.5
 
     def test_invariant_to_order_preserving_rescale(self):
         rng = np.random.default_rng(5)
@@ -141,8 +143,8 @@ class TestPrecisionRecallAtK:
         d1 = day(mass, {1, 4})
         d2 = day(mass * 7.5, {1, 4})
         for k in range(1, 6):
-            assert E.precision_recall_at_k([d1], k) == \
-                E.precision_recall_at_k([d2], k)
+            assert H.precision_recall_at_k([d1], k) == \
+                H.precision_recall_at_k([d2], k)
 
 
 def per_k_pre_rec(days, k):
@@ -181,7 +183,7 @@ class TestPrecisionRecallCurve:
             for p in curve:
                 assert (p.precision, p.recall) == per_k_pre_rec(days, p.k)
                 assert (p.precision, p.recall) == \
-                    E.precision_recall_at_k(days, p.k)
+                    H.precision_recall_at_k(days, p.k)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -289,7 +291,7 @@ class TestRankReport:
                                        rtol=0, atol=1e-6)
         for p in result.report.per_k:
             assert (p.precision, p.recall) == \
-                E.precision_recall_at_k(rankings, p.k)
+                H.precision_recall_at_k(rankings, p.k)
         assert result.report.days == len(samples.test)
         assert result.report.gtd == len(samples.test)  # one plant per day
         assert len(result.days) == len(samples.test)
@@ -301,7 +303,7 @@ class TestRankReport:
         pred = M.forward(None, one[0], params, config)
         d = E.DayRanking(date=one[0].window.date, mass=pred.relevance.data,
                          gtn=E.gtn_of(one[0]))
-        assert result.report.per_k[0] == E.KPoint(1, *E.precision_recall_at_k([d], 1))
+        assert result.report.per_k[0] == E.KPoint(1, *H.precision_recall_at_k([d], 1))
 
     def test_lstm_par_marks_relevance_unavailable(self):
         config, params, samples = build_eval_samples(variant="lstm_par")
@@ -321,7 +323,7 @@ class TestRankReport:
             for i in gtn:
                 mass[i] = 1.0 / len(gtn)
             days.append(E.DayRanking(date=s.window.date, mass=mass, gtn=gtn))
-        _, rec1 = E.precision_recall_at_k(days, 1)
+        _, rec1 = H.precision_recall_at_k(days, 1)
         assert rec1 == 1.0
 
     def test_empty_sample_list_rejected(self):
@@ -361,7 +363,7 @@ def one_day_rank_report(params, config, samples, k_max):
                                    mass=tuple(float(v) for v in mass),
                                    gtn=tuple(sorted(E.gtn_of(s))),
                                    selected=E.select_relevant(mass)))
-    per_k = tuple(E.KPoint(k, *E.precision_recall_at_k(rankings, k))
+    per_k = tuple(E.KPoint(k, *H.precision_recall_at_k(rankings, k))
                   for k in range(1, k_max + 1)) if rankings else ()
     return records, per_k, E.movement_metrics(preds, targets)
 
@@ -383,6 +385,7 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(TR, "EVAL_CHUNK", 3)
         config, params, samples = ragged_eval_samples(variant)
         assert len(samples) % 3 != 0
+        assert len(set(H.pass_sizes(samples, config))) >= 2
         records, per_k, movement = one_day_rank_report(params, config, samples, 5)
         got = E.rank_report(params, config, samples, k_max=5)
         assert got.days == tuple(records)
@@ -395,6 +398,7 @@ class TestBatchedEvaluation:
     def test_entropy_matches_one_day_forwards(self, variant, monkeypatch):
         monkeypatch.setattr(TR, "EVAL_CHUNK", 3)
         config, params, samples = ragged_eval_samples(variant)
+        assert len(set(H.pass_sizes(samples, config))) >= 2
         assert E.attention_entropy(params, config, samples) == \
             one_day_entropy(params, config, samples)
 

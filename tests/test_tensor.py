@@ -1246,3 +1246,30 @@ def test_every_engine_op_is_called_from_the_package():
     ops = _engine_ops()
     assert {"linear", "lstm_sweep", "msin_sequence"} <= ops
     assert sorted(ops - called) == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """Nothing public in ``msin`` lives there for the tests alone: each
+    top-level function and class of ``src/msin`` is referenced, as a name or
+    an attribute, from the package, ``scripts/`` or ``bench/`` (its tests
+    aside), outside its own definition."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "msin").glob("*.py"))
+    users = package + sorted((root / "scripts").glob("*.py")) + [
+        p for p in sorted((root / "bench").glob("*.py"))
+        if not p.name.startswith("test_")]
+    defined, used = set(), set()
+    for path in users:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if path in package and isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined.add(own)
+            refs = {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(stmt)
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+            used |= refs - {own}
+    assert {"forward_batch", "eval_passes", "Vocabulary"} <= defined
+    assert sorted(defined - used) == []

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from msin import data as D
 from msin import model as M
@@ -204,6 +206,7 @@ class TestTrainLoop:
                                    params, config).data[0]) for s in samples.train]
         monkeypatch.setattr(TR, "EVAL_CHUNK", 4)
         assert len(samples.train) % 4 != 0
+        assert len(set(H.pass_sizes(samples.train, config))) >= 2
         assert TR.eval_loss(samples.train, params, config) == \
             pytest.approx(np.mean(individual), rel=1e-6)
 
@@ -272,6 +275,47 @@ class TestTrainLoop:
         empty = dataclasses.replace(samples, valid=())
         with pytest.raises(TR.TrainingError):
             TR.train(empty, M.init_model(config, 0), config, TR.TrainConfig())
+
+
+class TestEvalPasses:
+    """``eval_passes`` fills each forward-only pass up to EVAL_CHUNK full
+    days' document slots."""
+
+    @given(cap=st.integers(1, 12),
+           counts=st.lists(st.integers(1, 14), max_size=60))
+    def test_passes_cover_samples_in_order_within_budget(self, cap, counts):
+        bounds = list(TR.eval_passes(counts, cap))
+        assert [i for lo, hi in bounds for i in range(lo, hi)] == \
+            list(range(len(counts)))
+        budget = TR.EVAL_CHUNK * cap
+        for lo, hi in bounds:
+            assert hi > lo
+            if hi - lo > 1:
+                assert sum(counts[lo:hi]) <= budget
+                assert (hi - lo) * max(counts[lo:hi]) <= budget
+            # a pass stops only where the next sample would overflow its grid
+            if hi < len(counts):
+                assert (hi + 1 - lo) * max(counts[lo:hi + 1]) > budget
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 47, 200])
+    def test_days_at_the_cap_take_fixed_slices(self, n):
+        assert TR.EVAL_CHUNK == 16
+        assert list(TR.eval_passes([10] * n, 10)) == \
+            [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+
+    def test_sparse_days_share_wider_passes(self):
+        counts = [2, 3] * 30
+        bounds = list(TR.eval_passes(counts, 10))
+        # 53 days of at most 3 documents fill 159 of the 160 slots
+        assert bounds == [(0, 53), (53, 60)]
+        assert list(TR.eval_passes([1] * 200, 10)) == [(0, 160), (160, 200)]
+        # one day at the cap pads its pass's grid to the cap
+        assert list(TR.eval_passes([10] + [1] * 40, 10)) == \
+            [(0, 16), (16, 41)]
+
+    def test_day_over_budget_runs_alone(self):
+        assert list(TR.eval_passes([2, 50, 2, 2], 1)) == \
+            [(0, 1), (1, 2), (2, 4)]
 
 
 class TestTrainConfig:
