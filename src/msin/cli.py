@@ -107,7 +107,7 @@ def read_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments are ignored."""
     out: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise _UsageError("cannot read config file: %s" % e) from None
@@ -299,7 +299,7 @@ def _sha256(path: str) -> str:
 
 
 def _embedding_tokens(path: str) -> set[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return {embedding_fields(line)[0] for line in fh} - {""}
 
 

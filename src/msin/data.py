@@ -441,7 +441,7 @@ def read_corpus(path: str):
     each an object with a string text and a relevant of true, false, null or
     absent; dates strictly increasing; at least one day."""
     prev = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -497,7 +497,7 @@ def save_series(series: Series, path: str) -> None:
 def load_series(path: str) -> Series:
     """A series CSV; a malformed row, a date out of order or a non-finite
     value raises DatasetError naming its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

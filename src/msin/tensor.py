@@ -507,7 +507,9 @@ def bce_with_logit(tape: Tape | None, logit: Tensor, target) -> Tensor:
 # chain's order.  The backward is hand-written BPTT that adds every
 # gradient in the order the tape would, so float64 and float32 gradients
 # match the chain's too.  Weights are widened to float64 once per call, and
-# per-step values are kept only while a tape records the op.
+# per-step values are kept only while a tape records the op.  Each step takes
+# its own input product inside the loop: hoisted, the products of every
+# position would be one float64 array, most of a forward-only pass's memory.
 
 
 def _rounded(product: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -550,8 +552,10 @@ def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     sequence skips the position, a blend that keeps its old states: the
     per-step chain in the tests' ``chain_oracle``, bit for bit.  Each product
     is one ``np.matmul`` over operands stacked by direction, which makes the
-    BLAS call of each direction's 2-D product; input_w.x for every position
-    is one such product before the loop.
+    BLAS call of each direction's 2-D product.  The sweep streams by
+    position: step i widens only the rows of the positions it runs, takes
+    their input_w.x there and writes each direction's new h straight into
+    the output, so a forward-only call holds no per-position array but it.
     """
     dirs = [(g, flip) for g, flip in ((forward, False), (backward, True))
             if g is not None]
@@ -584,24 +588,28 @@ def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     w_state = np.stack([g.state_w.data for g, _ in dirs])  # [D, 4d, d]
     bias = np.stack([g.bias.data for g, _ in dirs])[:, None, :]
     Wx, Wh = w_in.astype(np.float64), w_state.astype(np.float64)
-    X = x.data.astype(np.float64).reshape(L, n, -1)[pos]  # [D, L, n, d_in] by step
-    xw = _rounded(np.matmul(X, Wx.transpose(0, 2, 1)[:, None]), w_in, x.data)
-    WhT = Wh.transpose(0, 2, 1)
+    WxT, WhT = Wx.transpose(0, 2, 1), Wh.transpose(0, 2, 1)
+    rows = x.data.reshape(L, n, -1)
     h = h0.data.reshape(n, D, d).transpose(1, 0, 2)  # [D, n, d]
     c = c0.data.reshape(n, D, d).transpose(1, 0, 2)
-    hs, steps = [], []
-    for i in range(L):
+    out = np.empty((n, L, width), dtype=np.result_type(*(t.data for t in inputs)))
+    by_dir = out.reshape(n, L, D, d)  # a view of out, direction by direction
+    steps = []
+    for i, at in enumerate(pos.T.tolist()):  # at[k]: the position of direction k
+        X = np.array([rows[p] for p in at], dtype=np.float64)  # [D, n, d_in]
         H = h.astype(np.float64)
-        z = xw[:, i] + _rounded(np.matmul(H, WhT), w_state, h) + bias
+        z = (_rounded(np.matmul(X, WxT), w_in, x.data)
+             + _rounded(np.matmul(H, WhT), w_state, h) + bias)
         h_new, c_new, saved = _gate_forward(z, c)
         for k in carries[i]:
             kk = keep[:, pos[k, i], None]
             h_new[k] = kk * h_new[k] + (1.0 - kk) * h[k]
             c_new[k] = kk * c_new[k] + (1.0 - kk) * c[k]
         if record:
-            steps.append((H, saved, h.dtype))
+            steps.append((X, H, saved, h.dtype))
         h, c = h_new, c_new
-        hs.append(h)
+        for k, p in enumerate(at):
+            by_dir[:, p, k] = h[k]
 
     def by_position(a):
         """[D, L, ...] by step -> [D, L, ...] by position (pos is an involution)."""
@@ -620,7 +628,7 @@ def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
         into_h = into_c = None
         blend_h, blend_c = {}, {}
         for i in range(L - 1, -1, -1):
-            H, saved, h_dtype = steps[i]
+            X, H, saved, h_dtype = steps[i]
             gh, gc = gs[:, i], into_c
             if into_h is not None:
                 for k, part in blend_h.items():
@@ -638,7 +646,7 @@ def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
                 gh[k] = gh[k] * kk
             Gi = G[:, i]
             into_c = _gate_backward(saved, gh, gc, Gi)
-            gWx = _plus(gWx, np.matmul(X[:, i].transpose(0, 2, 1), Gi))
+            gWx = _plus(gWx, np.matmul(X.transpose(0, 2, 1), Gi))
             gWh = _plus(gWh, np.matmul(H.transpose(0, 2, 1), Gi))
             gb = _plus(gb, Gi.sum(axis=1))
             into_h = np.asarray(np.matmul(Gi, Wh), dtype=h_dtype)
@@ -657,7 +665,6 @@ def lstm_sweep(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
             grads += [gWx[k].T, gWh[k].T, gb[k]]
         return tuple(grads)
 
-    out = by_position(np.stack(hs, axis=1)).transpose(2, 1, 0, 3).reshape(n, L, width)
     return _emit(tape if record else None, out, inputs, back)
 
 

@@ -15,8 +15,8 @@ at position L-1-i; it returns the [n, L, 2*d_h] hidden states that the
 pooling reads.  The pooling scores every position with two
 ``tensor.linear`` calls: the [2*d_h, 2*d_h] projection with its bias, then
 the context vector.  The word attention of every document stays one [n, K]
-matrix; ``DocRepresentation.word_attention(j)`` slices a document's row
-only when read.  The embedding table is a plain [V, d_w] tensor.  The
+matrix, ``DocRepresentation.attention``, zero past each row's length.  The
+embedding table is a plain [V, d_w] tensor.  The
 stacked-gate weights are defined here (``LSTMParams``), and the series cells
 use them as well; ``uniform`` draws the initial weights of every layer.
 """
@@ -77,18 +77,13 @@ class DocRepresentation:
 
     The rows of the days are stacked in day order; ``counts`` holds each
     day's document count. ``attention`` is beta for every row, zero past the
-    row's length; ``word_attention(j)`` slices document j's valid tokens
-    from it when asked.
+    row's length in ``lengths``.
     """
 
     vectors: T.Tensor  # [n, 2*d_h]
     counts: tuple[int, ...]
     attention: np.ndarray | None = None  # [n, K]
     lengths: np.ndarray | None = None    # [n]
-
-    def word_attention(self, j: int) -> np.ndarray:
-        """Beta over document j's valid tokens (a view of ``attention``)."""
-        return self.attention[j, :self.lengths[j]]
 
 
 def uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -160,7 +155,7 @@ def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
     """
     dim = table.shape[1]
     hits = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = embedding_fields(line)
             if len(parts) != dim + 1:

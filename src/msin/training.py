@@ -41,8 +41,12 @@ FORMAT_VERSION = 2
 # EVAL_CHUNK * daily_doc_cap document slots: EVAL_CHUNK days at the cap, more
 # days when they hold fewer documents. The series cell runs every step of the
 # window once per pass whatever its width, so wider passes of sparse days cost
-# less per day.
-EVAL_CHUNK = 16
+# less per day. Memory bounds the width, most of it the encoder's per-step
+# arrays. At the recovery config (10 documents x 8 tokens a day, d_w=16,
+# d_h=8), one 37-day pass peaks at 1.43 MB under tracemalloc: the widest pass
+# within the 1.45 MB of a 16-day pass when lstm_sweep still took the input
+# products of every position before its loop.
+EVAL_CHUNK = 37
 
 
 class TrainingError(Exception):

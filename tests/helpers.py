@@ -1,6 +1,6 @@
 """Test-side helpers: the one-number gradient check, one day as a batch of
-one, a per-tensor Adam loop, the sizes of the forward-only passes, and
-Pre@k/Rec@k at one k.
+one, a per-tensor Adam loop, the sizes of the forward-only passes,
+Pre@k/Rec@k at one k, and one document's word attention.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -193,3 +193,8 @@ def precision_recall_at_k(days, k: int) -> tuple[float, float]:
     """Pre@k and Rec@k: the k-th point of ``E.precision_recall_curve``."""
     point = E.precision_recall_curve(days, k)[-1]
     return point.precision, point.recall
+
+
+def word_attention(docs: DocRepresentation, j: int) -> np.ndarray:
+    """Beta over document j's valid tokens (a view of ``docs.attention``)."""
+    return docs.attention[j, :docs.lengths[j]]

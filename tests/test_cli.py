@@ -179,6 +179,13 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert "days=4" in capsys.readouterr().out
 
 
+def test_config_file_byte_order_mark_is_skipped(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("\ufeffdays = 7\n", encoding="utf-8")
+    assert main(["synth", "--out-dir", str(tmp_path), "--config", str(cfg)]) == 0
+    assert "days=7" in capsys.readouterr().out
+
+
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("days = 7\nlearning_rate = 0.1\n")
@@ -298,6 +305,22 @@ def test_train_embeddings_split_on_tabs_and_trailing_spaces(tmp_path, capsys):
     emb = tmp_path / "emb.txt"
     emb.write_text("%s\t1\t2\t3\t4\t5\t6\n%s 1 2 3 4 5 6 \n"
                    % (vocab.tokens[2], vocab.tokens[3]))
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
+               "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+               "--embeddings", str(emb)])
+    assert rc == 0
+    assert "embeddings hit 2 of 4 vocabulary rows" in capsys.readouterr().out
+
+
+def test_train_embeddings_byte_order_mark_is_skipped(tmp_path, capsys):
+    """The file's first token is a word like the others, both for the
+    vocabulary the file allows and for the rows it loads."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("\ufeff%s 1 2 3 4 5 6\n%s 1 2 3 4 5 6\n"
+                   % (vocab.tokens[2], vocab.tokens[3]), encoding="utf-8")
     rc = main(["train", "--corpus", corpus, "--series", series,
                "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
                "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",

@@ -449,6 +449,14 @@ class TestFileFormats:
         with pytest.raises(D.DatasetError, match="line 2"):
             D.load_corpus(str(path))
 
+    def test_corpus_byte_order_mark_is_skipped(self, tmp_path):
+        """A UTF-8 byte-order mark, as Excel and PowerShell write it, is not
+        part of the first line."""
+        path = tmp_path / "c.jsonl"
+        path.write_text('\ufeff{"date":"2020-01-01","headlines":[{"text":"a"}]}\n',
+                        encoding="utf-8")
+        assert D.load_corpus(str(path)).days[0].docs == (D.Document("a", None),)
+
     def test_corpus_date_order_enforced(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"date":"2020-01-02","headlines":[]}\n'
@@ -495,6 +503,13 @@ class TestFileFormats:
         bad_row.write_text("date,value\n2020-01-01,1.0\n2020-01-02,oops\n")
         with pytest.raises(D.DatasetError, match="line 3"):
             D.load_series(str(bad_row))
+
+    def test_series_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\ufeffdate,value\n2020-01-01,1.5\n", encoding="utf-8")
+        series = D.load_series(str(path))
+        assert series.dates == (dt.date(2020, 1, 1),)
+        assert series.values.tolist() == [[1.5]]
 
     def test_series_non_finite_value_names_its_line(self, tmp_path):
         path = tmp_path / "s.csv"

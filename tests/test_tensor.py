@@ -3,6 +3,7 @@
 import ast
 import inspect
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -715,11 +716,14 @@ class TestFusedOps:
     @pytest.mark.parametrize("n,L,d_in,d", [
         (1, 1, 3, 2), (1, 2, 3, 2), (1, 5, 3, 2), (3, 1, 3, 2), (3, 2, 3, 2),
         (3, 5, 3, 2), (8, 1, 3, 2), (8, 2, 3, 2), (8, 5, 3, 2),
-        (80, 8, 16, 8), (24, 5, 16, 8), (640, 1, 16, 8)])
+        (80, 8, 16, 8), (24, 5, 16, 8), (640, 1, 16, 8),
+        (10, 8, 16, 8), (320, 8, 16, 8), (370, 8, 16, 8)])
     def test_stacked_matmul_matches_per_slice_products(self, dtype, n, L, d_in, d):
         """Every product lstm_sweep takes over operands stacked by direction
         equals each direction's 2-D product bit for bit: the shapes of the
-        sweep tests above and of the encoder at the benchmark's widths."""
+        sweep tests above, of the encoder's training batches and of its
+        forward-only passes (one ranked day of 10 documents; 32 and 37 days
+        of them)."""
         rng = np.random.default_rng(n * 100 + L)
 
         def draw(*shape):  # values stored in dtype, widened as the sweep does
@@ -728,23 +732,65 @@ class TestFusedOps:
         X, G = draw(2, L, n, d_in), draw(2, L, n, 4 * d)
         H, Wx, Wh = draw(2, n, d), draw(2, 4 * d, d_in), draw(2, 4 * d, d)
         WxT, WhT = Wx.transpose(0, 2, 1), Wh.transpose(0, 2, 1)
-        stacked = [
-            (np.matmul(X, WxT[:, None]), lambda k, l: X[k, l] @ Wx[k].T),
-            (np.matmul(G, Wx[:, None]), lambda k, l: G[k, l] @ Wx[k]),
-            (np.matmul(H, WhT), lambda k, l: H[k] @ Wh[k].T),
-            (np.matmul(G[:, -1], Wh), lambda k, l: G[k, -1] @ Wh[k]),
-            (np.matmul(X[:, -1].transpose(0, 2, 1), G[:, -1]),
-             lambda k, l: X[k, -1].T @ G[k, -1]),
-            (np.matmul(H.transpose(0, 2, 1), G[:, -1]),
-             lambda k, l: H[k].T @ G[k, -1]),
-        ]
-        for got, one in stacked:
+
+        def same(got, one):
             for k in range(2):
-                if got.ndim == 4:
-                    for l in range(L):
-                        assert got[k, l].tobytes() == one(k, l).tobytes()
-                else:
-                    assert got[k].tobytes() == one(k, None).tobytes()
+                assert got[k].tobytes() == one(k).tobytes()
+
+        gx = np.matmul(G, Wx[:, None])  # the backward's x gradient, all steps
+        same(np.matmul(H, WhT), lambda k: H[k] @ Wh[k].T)
+        for l in range(L):
+            Xl, Gl = X[:, l].copy(), G[:, l]  # a step's rows, widened: [D, n, d_in]
+            same(np.matmul(Xl, WxT), lambda k: X[k, l] @ Wx[k].T)
+            same(gx[:, l], lambda k: G[k, l] @ Wx[k])
+            same(np.matmul(Gl, Wh), lambda k: G[k, l] @ Wh[k])
+            same(np.matmul(Xl.transpose(0, 2, 1), Gl), lambda k: X[k, l].T @ G[k, l])
+            same(np.matmul(H.transpose(0, 2, 1), Gl), lambda k: H[k].T @ G[k, l])
+
+    @staticmethod
+    def _encoder_sweep(n, L, seed, d_in=16, d=8):
+        """Inputs of a forward-only two-direction sweep as the encoder runs
+        it: float32 rows, zero states, documents of 1..L tokens."""
+        rng = np.random.default_rng(seed)
+        x = T.constant(_rand(rng, L * n, d_in))
+        zeros = T.constant(np.zeros((n, 2 * d)))
+        dirs = [SimpleNamespace(input_w=wx, state_w=wh, bias=b) for wx, wh, b in
+                (_gates(rng, d, d_in, np.float32) for _ in range(2))]
+        valid = rng.integers(1, L + 1, size=n)[:, None] > np.arange(L)[None, :]
+        return x, zeros, dirs, valid
+
+    def test_forward_only_sweep_memory_grows_with_its_output(self):
+        """A forward-only sweep holds no per-position array but its output:
+        from 8 to 32 positions its tracemalloc peak grows by at most twice
+        what the output grows."""
+        peaks, outs = [], []
+        for L in (8, 32):
+            x, zeros, dirs, valid = self._encoder_sweep(160, L, L)
+            T.lstm_sweep(None, x, zeros, zeros, *dirs, valid)  # warm up
+            tracemalloc.start()
+            try:
+                out = T.lstm_sweep(None, x, zeros, zeros, *dirs, valid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            outs.append(out.data.nbytes)
+        assert peaks[1] - peaks[0] <= 2 * (outs[1] - outs[0])
+
+    def test_wide_sweep_equals_narrow_sweeps(self):
+        """In float32, one sweep over 320 documents gives each 10-document
+        group the values of its own sweep, bit for bit: a 32-day eval pass
+        and 32 ranked days agree."""
+        L, n, width = 8, 320, 10
+        x, zeros, dirs, valid = self._encoder_sweep(n, L, 3)
+        wide = T.lstm_sweep(None, x, zeros, zeros, *dirs, valid).data
+        assert wide.dtype == np.float32
+        rows = x.data.reshape(L, n, -1)
+        part_zeros = T.constant(np.zeros((width, zeros.shape[1])))
+        for lo in range(0, n, width):
+            part = T.constant(rows[:, lo:lo + width].reshape(L * width, -1))
+            narrow = T.lstm_sweep(None, part, part_zeros, part_zeros, *dirs,
+                                  valid[lo:lo + width]).data
+            assert narrow.tobytes() == wide[lo:lo + width].tobytes()
 
     @pytest.mark.parametrize("B", [1, 3, 8])
     @pytest.mark.parametrize("m", [1, 2, 7])
@@ -1250,26 +1296,35 @@ def test_every_engine_op_is_called_from_the_package():
 
 def test_every_public_name_is_used_outside_the_tests():
     """Nothing public in ``msin`` lives there for the tests alone: each
-    top-level function and class of ``src/msin`` is referenced, as a name or
-    an attribute, from the package, ``scripts/`` or ``bench/`` (its tests
+    top-level function and class of ``src/msin``, and each public method and
+    property of its public classes, is referenced, as a name or an
+    attribute, from the package, ``scripts/`` or ``bench/`` (its tests
     aside), outside its own definition."""
     root = pathlib.Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "msin").glob("*.py"))
     users = package + sorted((root / "scripts").glob("*.py")) + [
         p for p in sorted((root / "bench").glob("*.py"))
         if not p.name.startswith("test_")]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, used = set(), set()
     for path in users:
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = None
-            if path in package and isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = stmt.name
-                if not own.startswith("_"):
-                    defined.add(own)
-            refs = {node.id if isinstance(node, ast.Name) else node.attr
-                    for node in ast.walk(stmt)
-                    if isinstance(node, (ast.Name, ast.Attribute))}
-            used |= refs - {own}
-    assert {"forward_batch", "eval_passes", "Vocabulary"} <= defined
+            own = stmt.name if path in package and isinstance(stmt, defs) else None
+            parts = [(stmt, own)]
+            if own is not None and not own.startswith("_"):
+                defined.add(own)
+                if isinstance(stmt, ast.ClassDef):  # each member on its own
+                    parts = [(node, own) for node in
+                             stmt.bases + stmt.keywords + stmt.decorator_list]
+                    for node in stmt.body:
+                        name = getattr(node, "name", None)
+                        if isinstance(node, defs) and not name.startswith("_"):
+                            defined.add(name)
+                        parts.append((node, name))
+            for node, name in parts:
+                used |= {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node)
+                         if isinstance(n, (ast.Name, ast.Attribute))} - {own, name}
+    assert {"forward_batch", "eval_passes", "Vocabulary", "backward",
+            "hidden_size"} <= defined
     assert sorted(defined - used) == []

@@ -189,7 +189,7 @@ class TestEncodeDocuments:
             hid = oracle.bilstm_forward(None, embeds, int(lengths[j]), params)
             s, beta = oracle.attention_pool(None, hid, int(lengths[j]), params)
             np.testing.assert_allclose(got.vectors.data[j], s.data, rtol=0, atol=1e-6)
-            np.testing.assert_allclose(got.word_attention(j), beta.data,
+            np.testing.assert_allclose(H.word_attention(got, j), beta.data,
                                        rtol=0, atol=1e-6)
 
     def test_duplicated_document_identical_rows(self):
@@ -231,7 +231,7 @@ class TestEncodeDocuments:
         ids[np.arange(4)[None, :] >= lengths[:, None]] = TE.PAD_ID
         got = TE.encode_documents(None, [batch_of(ids, lengths)], table, params)
         for j in range(n):
-            beta = got.word_attention(j)
+            beta = H.word_attention(got, j)
             assert beta.shape == (lengths[j],)
             assert np.all(beta >= 0)
             np.testing.assert_allclose(beta.sum(), 1.0, rtol=0, atol=1e-6)
@@ -255,13 +255,13 @@ class TestEncodeDocuments:
         assert (lengths < 6).any()
         eager = [got.attention[j, :lengths[j]].copy() for j in range(lengths.size)]
         for j, length in enumerate(lengths):
-            beta = got.word_attention(j)
+            beta = H.word_attention(got, j)
             assert beta.shape == (length,)
             assert beta.tobytes() == eager[j].tobytes()
             assert not got.attention[j, length:].any()  # padded positions
             alone = TE.encode_documents(
                 None, [batch_of(ids[j][None, :length], [length])], table, params)
-            assert beta.tobytes() == alone.word_attention(0).tobytes()
+            assert beta.tobytes() == H.word_attention(alone, 0).tobytes()
 
     @pytest.mark.parametrize("divisor", ["actual_len", "max_len"])
     def test_days_stack_as_rows_of_one_pass(self, divisor):
@@ -279,7 +279,7 @@ class TestEncodeDocuments:
             rows = got.vectors.data[lo:lo + n]
             np.testing.assert_allclose(rows, alone.vectors.data, rtol=1e-6, atol=1e-7)
             for j in range(n):
-                a, b = got.word_attention(lo + j), alone.word_attention(j)
+                a, b = H.word_attention(got, lo + j), H.word_attention(alone, j)
                 np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
             lo += n
         no_docs = batch_of(np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -328,7 +328,7 @@ class TestEncodeDocuments:
             scores = np.tanh(hid @ params.pool_w.data.astype(np.float64).T
                              + params.pool_bias.data) @ params.pool_ctx.data
             widest = max(widest, float(np.abs(scores).max()))
-            beta = got.word_attention(j)
+            beta = H.word_attention(got, j)
             assert np.all(np.isfinite(beta)) and np.all(beta >= 0)
             np.testing.assert_allclose(beta.sum(), 1.0, rtol=0, atol=1e-6)
         assert widest > 50.0
@@ -387,6 +387,17 @@ class TestEmbeddingFileLoader:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(layout.format("alpha", "1.0", "2.0", "3.0")
                      + layout.format("beta", "0.5", "0.5", "0.5"))
+        assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
+        np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """The first row loads when the file starts with a UTF-8 byte-order
+        mark."""
+        table = TE.init_embedding(5, 3, substream(1, "init"))
+        path = tmp_path / "vecs.txt"
+        path.write_text("\ufeffalpha 1.0 2.0 3.0\nbeta 0.5 0.5 0.5\n",
+                        encoding="utf-8")
         assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
         np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
         np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])

@@ -297,21 +297,25 @@ class TestEvalPasses:
             if hi < len(counts):
                 assert (hi + 1 - lo) * max(counts[lo:hi + 1]) > budget
 
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 47, 200])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 36, 37, 38, 47, 200])
     def test_days_at_the_cap_take_fixed_slices(self, n):
-        assert TR.EVAL_CHUNK == 16
+        chunk = TR.EVAL_CHUNK
         assert list(TR.eval_passes([10] * n, 10)) == \
-            [(lo, min(lo + 16, n)) for lo in range(0, n, 16)]
+            [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
     def test_sparse_days_share_wider_passes(self):
-        counts = [2, 3] * 30
-        bounds = list(TR.eval_passes(counts, 10))
-        # 53 days of at most 3 documents fill 159 of the 160 slots
-        assert bounds == [(0, 53), (53, 60)]
-        assert list(TR.eval_passes([1] * 200, 10)) == [(0, 160), (160, 200)]
+        chunk = TR.EVAL_CHUNK
+        budget = chunk * 10
+        k = budget // 3
+        assert k > chunk
+        bounds = list(TR.eval_passes([2, 3] * k, 10))
+        # k days of at most 3 documents fill 3k of the budget's slots
+        assert bounds == [(0, k), (k, 2 * k)]
+        assert list(TR.eval_passes([1] * (budget + 40), 10)) == \
+            [(0, budget), (budget, budget + 40)]
         # one day at the cap pads its pass's grid to the cap
-        assert list(TR.eval_passes([10] + [1] * 40, 10)) == \
-            [(0, 16), (16, 41)]
+        assert list(TR.eval_passes([10] + [1] * (chunk + 24), 10)) == \
+            [(0, chunk), (chunk, chunk + 25)]
 
     def test_day_over_budget_runs_alone(self):
         assert list(TR.eval_passes([2, 50, 2, 2], 1)) == \
