@@ -439,9 +439,9 @@ def cmd_eval(args) -> int:
     split = _option_split(merged)
     params, config, meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
     split = split or _stored_split(meta.get("split"))
-    corpus = D.load_corpus(merged["corpus"])
+    days = D.read_days(merged["corpus"], config.daily_doc_cap)
     series = D.load_series(merged["series"])
-    sset = D.make_samples(corpus, series, vocab, config, split, stats=stats)
+    sset = D.window_samples(days, series, vocab, config, split, stats=stats)
     samples = (sset.train + sset.valid + sset.test if merged["split"] == "all"
                else getattr(sset, merged["split"]))
     if not samples:
@@ -532,10 +532,10 @@ def cmd_rank(args) -> int:
         raise D.DatasetError("variant %r assigns no relevance mass"
                              % config.variant)
 
+    mass = E.checked_masses(pred.relevance.data[None, :], [day.date])[0]
     capped = D.cap_daily_docs(day.docs, config.daily_doc_cap)
     texts = [capped[i].text for i in sample.docs.source_idx]
-    _print_ranking(day.date.isoformat(),
-                   pred.relevance.data.astype(np.float64), texts)
+    _print_ranking(day.date.isoformat(), mass, texts)
     return EXIT_OK
 
 

@@ -1,26 +1,35 @@
 """Corpus and series ingestion, vocabulary, windowing, synthetic generator.
 
-Sample building does each day's work once: ``encode_day`` maps a day's
-tokens to ids with one dictionary lookup per token and fills the padded id
-matrix in one array assignment, and ``to_samples`` normalizes every window
+Each headline is tokenized once per command. ``tokenize_days`` turns days of
+headlines into indices of a first-seen token table, stored as one integer
+array: ``msin eval`` feeds it straight from ``read_corpus``'s lines
+(``read_days``), so it builds no ``Document`` or ``Day`` and holds no text,
+and ``msin train``'s ``build_vocab`` and ``make_samples`` share the one
+tokenization cached on the ``Corpus`` (``Corpus.tokens``).
+``TokenizedDays.batches`` caps, truncates and maps the ids of every day at
+once: each day's ``DocumentBatch`` is a slice of one corpus-wide
+[documents, max_tokens] array. ``encode_day`` is the one-day case, which
+``rank`` calls for the day it ranks. ``to_samples`` normalizes every window
 and target of a split in one array operation each (a sample's ``values_n``
-is a row of that array). ``rank`` calls the same two functions for its one
-day. The synthetic generator plants signal tokens into otherwise random
-documents and drives an AR(1) series off the daily plant counts, so
-relevance recovery can be measured against known ground truth. Relevance
-flags ride along in the corpus but are never consumed by training code, only
-by evaluation.
+is a row of that array). The synthetic generator plants signal tokens into
+otherwise random documents and drives an AR(1) series off the daily plant
+counts, so relevance recovery can be measured against known ground truth.
+Relevance flags ride along in the corpus but are never consumed by training
+code, only by evaluation.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +43,11 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# A byte translation for ASCII text: letters lowercased, digits kept, the
+# newline turned into the "|" document-end marker, every other byte blanked.
+_ASCII_FOLD = bytes(ord(ch.lower()) if ch.isascii() and ch.isalnum()
+                    else ord("|") if ch == "\n" else ord(" ")
+                    for ch in map(chr, range(256)))
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 
 
@@ -61,6 +75,12 @@ class Day:
 @dataclass(frozen=True)
 class Corpus:
     days: tuple[Day, ...]  # dates strictly increasing
+
+    @functools.cached_property
+    def tokens(self) -> TokenizedDays:
+        """Every headline tokenized once; ``build_vocab`` and
+        ``make_samples`` share it."""
+        return tokenize_days((day.date, day.docs) for day in self.days)
 
 
 @dataclass(frozen=True)
@@ -100,7 +120,7 @@ class Vocabulary:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocumentBatch:
     """One day's documents as padded id rows plus per-doc metadata."""
 
@@ -114,7 +134,7 @@ class DocumentBatch:
         return self.token_ids.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesWindow:
     values: np.ndarray  # [m, D] float64, raw scale
     target: float
@@ -122,7 +142,7 @@ class SeriesWindow:
     date: dt.date
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     window: SeriesWindow
     docs: DocumentBatch
@@ -184,22 +204,113 @@ def tokenize(text: str, max_tokens: int | None = None) -> list[str]:
     return toks[:max_tokens] if max_tokens is not None else toks
 
 
+@dataclass(frozen=True)
+class TokenizedDays:
+    """Days of documents with every headline tokenized once.
+
+    ``ids`` holds every document's tokens, each document followed by 0, as
+    indices into ``table``: its entry 0 stands for that document end, the
+    rest are the distinct tokens in first-seen order. ``lengths`` counts
+    each document's tokens, ``day_sizes`` each day's documents, and
+    ``flags`` holds each document's relevance flag.
+    """
+
+    dates: tuple
+    table: tuple[str, ...]
+    ids: np.ndarray        # [tokens + documents], the narrowest unsigned type
+    lengths: np.ndarray    # [documents] int64
+    day_sizes: np.ndarray  # [days] int64
+    flags: list
+
+    def batches(self, vocab: Vocabulary, max_tokens: int,
+                cap: int) -> list[DocumentBatch]:
+        """Each day's last ``cap`` documents as padded id rows, a slice of one
+        [documents, max_tokens] array: tokens past ``max_tokens`` are cut,
+        documents left without tokens dropped, and unknown tokens map to
+        UNK_ID. ``source_idx`` counts from the first of the day's last
+        ``cap`` documents."""
+        sizes = self.day_sizes
+        day = np.repeat(np.arange(sizes.size), sizes)
+        src = (np.arange(day.size) - (np.cumsum(sizes) - sizes)[day]
+               - np.maximum(sizes - cap, 0)[day])
+        lengths = np.minimum(self.lengths, max_tokens)
+        keep = (src >= 0) & (lengths > 0)
+        starts = (np.cumsum(self.lengths + 1) - self.lengths - 1)[keep]
+        lengths, src = lengths[keep], src[keep]
+        lut = np.array([vocab.ids.get(t, UNK_ID) for t in self.table],
+                       dtype=np.int64)
+        last = self.ids.size - 1
+        # column by column, so that no temporary is larger than a column
+        token_ids = np.empty((lengths.size, max_tokens), dtype=np.int64)
+        for j in range(max_tokens):
+            token_ids[:, j] = np.where(
+                j < lengths, lut[self.ids[np.minimum(starts + j, last)]], PAD_ID)
+        flags = list(compress(self.flags, keep.tolist()))
+        out, lo = [], 0
+        for hi in np.cumsum(np.bincount(day[keep], minlength=sizes.size)).tolist():
+            out.append(DocumentBatch(token_ids=token_ids[lo:hi],
+                                     lengths=lengths[lo:hi],
+                                     relevance=tuple(flags[lo:hi]),
+                                     source_idx=src[lo:hi]))
+            lo = hi
+        return out
+
+
+def tokenize_days(days) -> TokenizedDays:
+    """(date, documents) pairs, each document a (text, relevant) pair, with
+    every text tokenized once as ``tokenize`` splits it.
+
+    Tokens are keyed by their UTF-8 bytes while the days are read. A day
+    whose texts are ASCII and hold no newline is split in one pass: its texts
+    are joined by newlines, which mark document ends, and one byte
+    translation lowercases them and blanks every byte that is not a letter
+    or a digit. On ASCII text that is exactly what ``_TOKEN_RE`` splits on;
+    the texts of other days go through ``tokenize`` one by one.
+    """
+    index = {b"|": 0}  # the document-end marker, then each token by first sight
+    # ids grow in the narrowest unsigned type that holds every id so far
+    ids, flags, dates, sizes = array("B"), [], [], []
+    for date, docs in days:
+        dates.append(date)
+        sizes.append(len(docs))
+        texts = [d[0] for d in docs]
+        flags += [d[1] for d in docs]
+        joined = " \n ".join(texts) + " \n"
+        if joined.isascii() and joined.count("\n") == len(texts):
+            toks = joined.encode().translate(_ASCII_FOLD).split()
+        else:
+            toks = [t.encode() for text in texts for t in tokenize(text) + ["|"]]
+        try:
+            row = list(map(index.__getitem__, toks))
+        except KeyError:
+            for t in toks:
+                index.setdefault(t, len(index))
+            if len(index) > 1 << 8 * ids.itemsize:
+                ids = array("H" if len(index) <= 1 << 16 else "I", ids)
+            row = list(map(index.__getitem__, toks))
+        ids.fromlist(row)
+    ids = np.frombuffer(ids, dtype=ids.typecode)
+    return TokenizedDays(
+        dates=tuple(dates), table=tuple([t.decode() for t in index]),
+        ids=ids, lengths=np.diff(np.flatnonzero(ids == 0), prepend=-1) - 1,
+        day_sizes=np.array(sizes, dtype=np.int64), flags=flags)
+
+
 def build_vocab(corpus: Corpus, max_size: int = 5000,
                 allowed: set[str] | None = None) -> Vocabulary:
     """Most frequent tokens, ties broken lexicographically, capped at max_size.
 
     `allowed` restricts candidates to a given token set (used when an external
     embedding file defines which words exist); counting still sees every token.
+    The counts come from the corpus's one tokenization, ``Corpus.tokens``.
     """
     if not corpus.days:
         raise DatasetError("cannot build a vocabulary from an empty corpus")
     if max_size < 2:
         raise DatasetError("max_size must leave room for pad and unk")
-    counts = Counter()
-    for day in corpus.days:
-        for doc in day.docs:
-            counts.update(tokenize(doc.text))
-    items = [(t, c) for t, c in counts.items()
+    days = corpus.tokens
+    counts = np.bincount(days.ids, minlength=len(days.table)).tolist()
+    items = [(t, c) for t, c in zip(days.table[1:], counts[1:])
              if allowed is None or t in allowed]
     items.sort(key=lambda tc: (-tc[1], tc[0]))
     kept = [t for t, _ in items[:max_size - 2]]
@@ -216,25 +327,9 @@ def cap_daily_docs(docs: tuple[Document, ...], cap: int = 25) -> tuple[Document,
 def encode_day(docs: tuple[Document, ...], vocab: Vocabulary,
                max_tokens: int) -> DocumentBatch:
     """Tokenize one day into padded id rows; drops docs with no usable tokens.
-    Unknown tokens map to UNK_ID."""
-    toks, lengths, flags, src = [], [], [], []
-    for i, doc in enumerate(docs):
-        doc_toks = tokenize(doc.text, max_tokens)
-        if doc_toks:
-            toks += doc_toks
-            lengths.append(len(doc_toks))
-            flags.append(doc.relevant)
-            src.append(i)
-    lengths = np.array(lengths, dtype=np.int64)
-    token_ids = np.zeros((lengths.size, max_tokens), dtype=np.int64)
-    id_of = vocab.ids.get
-    token_ids[np.arange(max_tokens) < lengths[:, None]] = \
-        [id_of(t, UNK_ID) for t in toks]
-    return DocumentBatch(
-        token_ids=token_ids,
-        lengths=lengths,
-        relevance=tuple(flags),
-        source_idx=np.asarray(src, dtype=np.int64))
+    Unknown tokens map to UNK_ID. The one-day case of ``tokenize_days``."""
+    return tokenize_days([(None, docs)]).batches(vocab, max_tokens,
+                                                 len(docs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +344,31 @@ def series_rows(series: Series, config) -> dict[dt.date, int]:
     return {d: i for i, d in enumerate(series.dates)}
 
 
-def window_day(day: Day, series: Series, rows: dict[dt.date, int],
-               vocab: Vocabulary, config) -> tuple[SeriesWindow, DocumentBatch] | str:
-    """A day's m-day window and documents, or why it yields no sample:
-    "no-docs" (none survives tokenization), "no-series" (no series row) or
+def _window(date: dt.date, n_docs: int, series: Series,
+            rows: dict[dt.date, int], config) -> SeriesWindow | str:
+    """A day's m-day window, or why the day yields no sample: "no-docs" (no
+    document survives tokenization), "no-series" (no series row) or
     "short-history" (fewer than m rows before it), checked in that order."""
-    batch = encode_day(cap_daily_docs(day.docs, config.daily_doc_cap),
-                       vocab, config.max_tokens)
-    if batch.n == 0:
+    if n_docs == 0:
         return "no-docs"
-    i = rows.get(day.date)
+    i = rows.get(date)
     if i is None:
         return "no-series"
     if i < config.m:
         return "short-history"
     return SeriesWindow(values=series.values[i - config.m:i].copy(),
                         target=float(series.values[i, 0]),
-                        prev=float(series.values[i - 1, 0]), date=day.date), batch
+                        prev=float(series.values[i - 1, 0]), date=date)
+
+
+def window_day(day: Day, series: Series, rows: dict[dt.date, int],
+               vocab: Vocabulary, config) -> tuple[SeriesWindow, DocumentBatch] | str:
+    """A day's m-day window and documents, or why it yields no sample (see
+    ``_window``)."""
+    batch = encode_day(cap_daily_docs(day.docs, config.daily_doc_cap),
+                       vocab, config.max_tokens)
+    got = _window(day.date, batch.n, series, rows, config)
+    return got if isinstance(got, str) else (got, batch)
 
 
 def to_samples(pairs, stats: SeriesStats) -> tuple[Sample, ...]:
@@ -281,9 +384,16 @@ def to_samples(pairs, stats: SeriesStats) -> tuple[Sample, ...]:
 def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
                  config, split: SplitSpec,
                  stats: SeriesStats | None = None) -> SampleSet:
+    """``window_samples`` over the corpus's one tokenization."""
+    return window_samples(corpus.tokens, series, vocab, config, split, stats)
+
+
+def window_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
+                   config, split: SplitSpec,
+                   stats: SeriesStats | None = None) -> SampleSet:
     """Pair each documented day with its m-day window and assign splits.
 
-    Days that ``window_day`` refuses are skipped and counted by reason.
+    Days that ``_window`` refuses are skipped and counted by reason.
     Normalization stats come from the train split alone, unless ``stats``
     carries the values a trained model was fitted with, in which case those
     are reused and the train split may be empty.
@@ -294,12 +404,13 @@ def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
 
     raw = []
     skipped = Counter()
-    for day in corpus.days:
-        got = window_day(day, series, rows, vocab, config)
+    batches = days.batches(vocab, config.max_tokens, config.daily_doc_cap)
+    for date, batch in zip(days.dates, batches):
+        got = _window(date, batch.n, series, rows, config)
         if isinstance(got, str):
             skipped[got] += 1
         else:
-            raw.append(got)
+            raw.append((got, batch))
     if not raw:
         raise DatasetError("no eligible samples (skipped: %d no-docs, %d no-series, "
                            "%d short-history)" % (skipped["no-docs"],
@@ -480,6 +591,15 @@ def line_day(date: dt.date, line: str) -> Day:
 def load_corpus(path: str) -> Corpus:
     return Corpus(days=tuple([corpus_day(date, heads)
                               for date, heads, _line in read_corpus(path)]))
+
+
+def read_days(path: str, cap: int) -> TokenizedDays:
+    """A corpus file's days, each with its last ``cap`` headlines tokenized
+    as ``read_corpus`` yields its line: no Document or Day is built, and no
+    text outlives its line."""
+    return tokenize_days((date, [(h["text"], h.get("relevant"))
+                                 for h in heads[-cap:]])
+                         for date, heads, _line in read_corpus(path))
 
 
 def save_series(series: Series, path: str) -> None:

@@ -4,9 +4,10 @@ Ranking quality is judged per day: documents are ordered by attention mass
 (ties broken by ascending index) and compared against the day's ground-truth
 set. Days without any ground-truth document are excluded from precision and
 recall averages; asking for those metrics when no day qualifies is an error
-rather than a silent zero. ``rank_report`` ranks each day once (the
-selection reuses ``DayRanking.ranked``), and ``precision_recall_curve``
-computes Pre@k/Rec@k for every k in one pass over the days.
+rather than a silent zero. ``rank_report`` works a forward pass at a time:
+it checks, ranks and cuts the pass's [B, N] masses as arrays, and
+``precision_recall_curve`` computes Pre@k/Rec@k for every k from the top-k
+hits of all days at once.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
+from . import tensor as T
 from . import training as TR
 from .files import write_atomically
 
@@ -36,70 +38,41 @@ def rank_order(mass: np.ndarray) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class DayRanking:
-    date: dt.date
-    mass: np.ndarray            # [n] float64, non-negative
-    gtn: frozenset[int]
-    ranked: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.ndim != 1 or mass.size == 0:
-            raise ValueError("mass must be a non-empty vector")
-        if not np.isfinite(mass).all() or (mass < 0).any():
-            raise ValueError("mass entries must be finite and non-negative")
-        if not all(0 <= i < mass.size for i in self.gtn):
-            raise ValueError("ground-truth index out of range")
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "ranked", rank_order(mass))
-
-    @property
-    def n(self) -> int:
-        return self.mass.size
-
-
-@dataclass(frozen=True)
 class KPoint:
     k: int
     precision: float
     recall: float
 
 
-def precision_recall_curve(days, k_max: int) -> tuple[KPoint, ...]:
-    """Average Pre@k and Rec@k for k = 1..k_max over days that have ground
-    truth, in one pass over the days.
+def precision_recall_curve(hits, counts, gt_sizes) -> tuple[KPoint, ...]:
+    """Average Pre@k and Rec@k for k = 1..K over the days that have ground
+    truth, as array operations over the days.
 
-    Per day the top list holds min(k, n) documents; recall divides by
-    min(k, |gtn|) so a fully recovered small ground-truth set scores 1.
-    Each k's terms are added in day order.
+    Row d of the [days, K] ``hits`` marks which of day d's K top-ranked
+    documents are ground truth (False past its ``counts[d]`` documents), and
+    ``gt_sizes[d]`` counts its ground-truth documents. Per day the top list
+    holds min(k, n) documents; recall divides by min(k, |gtn|) so a fully
+    recovered small ground-truth set scores 1. Each k's terms are added in
+    day order.
     """
+    hits = np.asarray(hits, dtype=bool)
+    k_max = hits.shape[1]
     if k_max < 1:
         raise ValueError("k must be at least 1")
-    qualifying = [d for d in days if d.gtn]
-    if not qualifying:
+    sizes = np.asarray(gt_sizes)
+    qualifying = sizes > 0
+    if not qualifying.any():
         raise UndefinedMetricError("no day has ground-truth documents; "
                                    "Pre@%d/Rec@%d undefined" % (k_max, k_max))
-    pre, rec = [0.0] * k_max, [0.0] * k_max
-    for day in qualifying:
-        n, ranked, gtn = day.n, day.ranked, day.gtn
-        tp = 0
-        for j in range(k_max):  # the point of k = j + 1
-            if j < n and ranked[j] in gtn:
-                tp += 1
-            pre[j] += tp / min(j + 1, n)
-            rec[j] += tp / min(j + 1, len(gtn))
-    q = len(qualifying)
-    return tuple(KPoint(j + 1, pre[j] / q, rec[j] / q) for j in range(k_max))
-
-
-def _mass_prefix(mass, order) -> tuple[int, ...]:
-    """The prefix of ``order`` that ``select_relevant`` picks from ``mass``."""
-    total = 0.0
-    for j, i in enumerate(order, 1):
-        total += mass[i]
-        if total >= SELECT_THRESHOLD:
-            return order[:j]
-    return order
+    k = np.arange(1, k_max + 1)
+    tp = np.cumsum(hits[qualifying], axis=1)
+    q = int(qualifying.sum())
+    # cumsum adds the days in order, as a running float sum would
+    pre = np.cumsum(tp / np.minimum(k, np.asarray(counts)[qualifying, None]),
+                    axis=0)[-1] / q
+    rec = np.cumsum(tp / np.minimum(k, sizes[qualifying, None]), axis=0)[-1] / q
+    return tuple(KPoint(j, p, r)
+                 for j, p, r in zip(k.tolist(), pre.tolist(), rec.tolist()))
 
 
 def select_relevant(mass: np.ndarray) -> tuple[int, ...]:
@@ -109,8 +82,14 @@ def select_relevant(mass: np.ndarray) -> tuple[int, ...]:
     (rounded report tables, for instance) still select sensibly. If the whole
     vector sums to less than the threshold, every index is returned.
     """
-    return _mass_prefix(np.asarray(mass, dtype=np.float64).tolist(),
-                        rank_order(mass))
+    values = np.asarray(mass, dtype=np.float64).tolist()
+    order = rank_order(mass)
+    total = 0.0
+    for j, i in enumerate(order, 1):
+        total += values[i]
+        if total >= SELECT_THRESHOLD:
+            return order[:j]
+    return order
 
 
 @dataclass(frozen=True)
@@ -183,9 +162,23 @@ class RankResult:
     days: tuple[DayRecord, ...]  # empty when relevance is unavailable
 
 
-def gtn_of(sample) -> frozenset[int]:
-    return frozenset(i for i, flag in enumerate(sample.docs.relevance)
-                     if flag is True)
+def gtn_of(sample) -> tuple[int, ...]:
+    """The indices of a sample's ground-truth documents, ascending."""
+    return tuple([i for i, flag in enumerate(sample.docs.relevance)
+                  if flag is True])
+
+
+def checked_masses(mass, dates) -> np.ndarray:
+    """[B, N] attention masses as float64, once every entry is finite and
+    non-negative; otherwise ``T.EngineError`` names the first bad row's
+    day, ``dates[b]``."""
+    mass = np.asarray(mass, dtype=np.float64)
+    ok = np.isfinite(mass) & (mass >= 0)
+    if not ok.all():
+        b = int(np.flatnonzero(~ok.all(axis=1))[0])
+        raise T.EngineError("attention mass of %s is not finite and "
+                            "non-negative" % (dates[b],))
+    return mass
 
 
 def rank_report(params, config: M.ModelConfig, samples,
@@ -194,32 +187,55 @@ def rank_report(params, config: M.ModelConfig, samples,
 
     Samples run in the forward-only passes of ``training.forward_chunks``,
     which hold more days when days hold fewer documents; by batch invariance
-    the result equals that of one forward per day, bit for bit.
+    the result equals that of one forward per day, bit for bit. Each pass's
+    [B, N] masses are checked once, every day's ranking comes from one
+    stable sort, each selection from one cumulative sum and the movement
+    labels from one comparison. Padded slots sort last, so the first n
+    entries of row b are day b's documents in ``rank_order``'s order.
     """
     if not samples:
         raise UndefinedMetricError("no samples to evaluate")
-    rankings, records, preds, targets = [], [], [], []
-    gtd = 0
+    if k_max < 1:
+        raise ValueError("k must be at least 1")
+    records, hits, counts, gt_sizes, preds, targets = [], [], [], [], [], []
     for chunk, pred in TR.forward_chunks(samples, params, config):
-        for b, (s, value) in enumerate(zip(chunk, pred.value.data.tolist())):
-            preds.append(M.predicted_movement(value, s, config))
-            targets.append(M.movement_label(s.window.target, s.window.prev))
-            gtn = gtn_of(s)
-            gtd += bool(gtn)
-            if pred.relevance is None:
-                continue
-            day = DayRanking(date=s.window.date, mass=pred.mass(b), gtn=gtn)
-            mass = day.mass.tolist()
-            rankings.append(day)
-            records.append(DayRecord(date=day.date, mass=tuple(mass),
-                                     gtn=tuple(sorted(gtn)),
-                                     selected=_mass_prefix(mass, day.ranked)))
+        preds += M.predicted_movement(pred.value.data, chunk, config)
+        targets += [M.movement_label(s.window.target, s.window.prev)
+                    for s in chunk]
+        gtns = [gtn_of(s) for s in chunk]
+        sizes = [len(g) for g in gtns]
+        gt_sizes += sizes
+        if pred.relevance is None:
+            continue
+        dates = [s.window.date for s in chunk]
+        mass = checked_masses(pred.relevance.data, dates)
+        n = np.asarray(pred.counts)
+        B, N = mass.shape
+        valid = np.arange(N) < n[:, None]
+        order = np.argsort(np.where(valid, -mass, np.inf), axis=1, kind="stable")
+        reached = valid & (np.cumsum(np.take_along_axis(mass, order, 1), axis=1)
+                           >= SELECT_THRESHOLD)
+        cut = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, n)
+        gt = np.zeros((B, N), dtype=bool)
+        gt[np.repeat(np.arange(B), sizes), [i for g in gtns for i in g]] = True
+        top = np.zeros((B, k_max), dtype=bool)
+        w = min(N, k_max)
+        top[:, :w] = (valid & np.take_along_axis(gt, order, 1))[:, :w]
+        hits.append(top)
+        counts.append(n)
+        for date, m, o, c, k, g in zip(dates, mass.tolist(), order.tolist(),
+                                       n.tolist(), cut.tolist(), gtns):
+            records.append(DayRecord(date=date, mass=tuple(m[:c]), gtn=g,
+                                     selected=tuple(o[:k])))
     movement = movement_metrics(preds, targets)
-    available = bool(rankings)
-    curve = available and any(r.gtn for r in rankings)
-    per_k = precision_recall_curve(rankings, k_max) if curve else ()
+    available = bool(records)
+    per_k = ()
+    if available and any(gt_sizes):
+        per_k = precision_recall_curve(np.concatenate(hits),
+                                       np.concatenate(counts), gt_sizes)
     report = MetricsReport(per_k=per_k, movement=movement, days=len(samples),
-                           gtd=gtd, relevance_available=available)
+                           gtd=sum(g > 0 for g in gt_sizes),
+                           relevance_available=available)
     return RankResult(report=report, days=tuple(records))
 
 
@@ -267,12 +283,16 @@ def write_report(result: RankResult, config: M.ModelConfig, path: str) -> None:
 
 
 def write_day_dump(result: RankResult, path: str) -> None:
-    """JSON line per day: {date, mass, gtn, selected}."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    """JSON line per day: {date, gtn, mass, selected}, formatted directly
+    with the bytes ``json.JSONEncoder(sort_keys=True)`` writes for finite
+    masses."""
     with write_atomically(path, "w", encoding="utf-8") as fh:
-        for day in result.days:
-            fh.write(encode({"date": day.date.isoformat(), "mass": day.mass,
-                             "gtn": day.gtn, "selected": day.selected}) + "\n")
+        fh.write("".join('{"date": "%s", "gtn": [%s], "mass": [%s], '
+                         '"selected": [%s]}\n'
+                         % (d.date.isoformat(), ", ".join(map(str, d.gtn)),
+                            ", ".join(map(float.__repr__, d.mass)),
+                            ", ".join(map(str, d.selected)))
+                         for d in result.days))
 
 
 def write_curve_csv(result: RankResult, path: str) -> None:

@@ -278,12 +278,15 @@ def movement_label(target_raw: float, prev_raw: float) -> str:
     return "up" if target_raw >= prev_raw else "down"
 
 
-def predicted_movement(value: float, sample, config: ModelConfig) -> str:
-    """Direction implied by a predicted value under the configured objective."""
+def predicted_movement(values, samples, config: ModelConfig) -> list[str]:
+    """Direction implied by each predicted value (values[b] for samples[b])
+    under the configured objective."""
+    values = np.asarray(values)
     if config.objective == "movement":
-        return "up" if value >= 0.0 else "down"
-    prev_n = float(np.asarray(sample.values_n)[-1, 0])
-    return "up" if value >= prev_n else "down"
+        up = values >= 0.0
+    else:
+        up = values >= np.array([np.asarray(s.values_n)[-1, 0] for s in samples])
+    return ["up" if u else "down" for u in up.tolist()]
 
 
 def sample_losses(tape, value: T.Tensor, samples, config: ModelConfig) -> T.Tensor:

@@ -323,7 +323,8 @@ class _Reader:
 
 
 def checkpoint_load(path: str, expected: M.ModelConfig | None = None):
-    """Read a checkpoint; returns (params, ModelConfig, TrainConfig, metadata)."""
+    """Read a checkpoint; returns (params, ModelConfig, TrainConfig, metadata).
+    A tensor holding a nan or inf raises CheckpointError naming it."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(4, "magic") != MAGIC:
@@ -360,8 +361,10 @@ def checkpoint_load(path: str, expected: M.ModelConfig | None = None):
             raise CheckpointError("tensor '%s' has shape %r, expected %r"
                                   % (name, shape, wanted[name].shape))
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = r.take(4 * count, "data of '%s'" % name)
-        wanted[name].data[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        raw = np.frombuffer(r.take(4 * count, "data of '%s'" % name), dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise CheckpointError("tensor '%s' holds non-finite values" % name)
+        wanted[name].data[...] = raw.reshape(shape)
     missing = set(wanted) - seen
     if missing:
         raise CheckpointError("missing tensors: %s" % sorted(missing))

@@ -1,6 +1,7 @@
 """Test-side helpers: the one-number gradient check, one day as a batch of
-one, a per-tensor Adam loop, the sizes of the forward-only passes,
-Pre@k/Rec@k at one k, and one document's word attention.
+one, a per-tensor Adam loop, the sizes of the forward-only passes, one
+day's checked ranking, Pre@k/Rec@k over such days, and one document's word
+attention.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -12,6 +13,8 @@ reference for its flat-buffer update.
 """
 
 import dataclasses
+import datetime as dt
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,9 +192,42 @@ def pass_sizes(samples, config) -> list[int]:
         [s.docs.n for s in samples], config.daily_doc_cap)]
 
 
+@dataclass(frozen=True)
+class DayRanking:
+    date: dt.date
+    mass: np.ndarray            # [n] float64, non-negative
+    gtn: frozenset[int]
+    ranked: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        mass = np.asarray(self.mass, dtype=np.float64)
+        if mass.ndim != 1 or mass.size == 0:
+            raise ValueError("mass must be a non-empty vector")
+        if not np.isfinite(mass).all() or (mass < 0).any():
+            raise ValueError("mass entries must be finite and non-negative")
+        if not all(0 <= i < mass.size for i in self.gtn):
+            raise ValueError("ground-truth index out of range")
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "ranked", E.rank_order(mass))
+
+    @property
+    def n(self) -> int:
+        return self.mass.size
+
+
+def precision_recall_curve(days, k_max: int):
+    """``E.precision_recall_curve`` over ``DayRanking`` days: each day's top
+    ``k_max`` hits read from its ``ranked``."""
+    hits = [[j < d.n and d.ranked[j] in d.gtn for j in range(k_max)]
+            for d in days]
+    return E.precision_recall_curve(
+        np.array(hits, dtype=bool).reshape(len(days), k_max),
+        [d.n for d in days], [len(d.gtn) for d in days])
+
+
 def precision_recall_at_k(days, k: int) -> tuple[float, float]:
-    """Pre@k and Rec@k: the k-th point of ``E.precision_recall_curve``."""
-    point = E.precision_recall_curve(days, k)[-1]
+    """Pre@k and Rec@k: the k-th point of ``precision_recall_curve``."""
+    point = precision_recall_curve(days, k)[-1]
     return point.precision, point.recall
 
 

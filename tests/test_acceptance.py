@@ -96,7 +96,7 @@ def test_criterion_03_metric_oracle_equivalence():
             if rng.random() < 0.3:
                 mass = np.round(mass, 1)  # provoke tied masses
             gtn = frozenset(int(i) for i in np.flatnonzero(rng.random(n) < 0.4))
-            days.append(E.DayRanking(date=dt.date(2020, 1, 1), mass=mass,
+            days.append(H.DayRanking(date=dt.date(2020, 1, 1), mass=mass,
                                      gtn=gtn))
         if not any(d.gtn for d in days):
             continue

@@ -6,6 +6,7 @@ tables the selection rule was calibrated against.
 """
 
 import dataclasses
+import datetime as dt
 import json
 import os
 
@@ -831,3 +832,97 @@ def test_rank_agrees_with_eval_on_every_day(ranked_run, capsys):
                                         for r in rows]
         chosen = sorted(d - 1 for d in selected_docs(text))
         assert chosen == sorted(day["selected"])
+
+
+# ---------------------------------------------------------------------------
+# non-finite weights and masses
+
+
+def test_non_finite_checkpoint_tensor_is_data_error(ranked_run, capsys):
+    """A nan weight used to make eval die with a ValueError traceback (exit
+    1) and rank print "mass nan" rows (exit 0)."""
+    root, ckpt, corpus, series = ranked_run
+    params, config, tcfg, meta = TR.checkpoint_load(ckpt)
+    tensors = {n: t for n, t, _ in M.named_tensors(params)}
+    tensors["cell.attn.score"].data[0] = np.nan
+    bad = str(root / "nan.msn")
+    TR.checkpoint_save(params, config, tcfg, meta, bad)
+    with pytest.raises(TR.CheckpointError, match="'cell.attn.score'"):
+        TR.checkpoint_load(bad)
+    for argv in (["eval", "--checkpoint", bad, "--corpus", corpus,
+                  "--series", series, "--out-dir", str(root / "nan_eval")],
+                 rank_argv(bad, corpus, series, "--date", "2000-01-20")):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "'cell.attn.score'" in err
+
+
+def poisoned(forward, value, day):
+    """``forward`` with ``value`` in the first mass of the sample dated
+    ``day``."""
+    def wrapped(tape, samples, *args, **kwargs):
+        pred = forward(tape, samples, *args, **kwargs)
+        for b, s in enumerate(samples):
+            if s.window.date == day:
+                pred.relevance.data[b, 0] = value
+        return pred
+    return wrapped
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
+def test_non_finite_mass_from_finite_weights_is_numeric_failure(
+        ranked_run, capsys, monkeypatch, value):
+    """eval and rank check the masses the forward returns: exit 3."""
+    root, ckpt, corpus, series = ranked_run
+    day = dt.date(2000, 1, 20)
+    monkeypatch.setattr(M, "forward_batch",
+                        poisoned(M.forward_batch, value, day))
+    for argv in (["eval", "--checkpoint", ckpt, "--corpus", corpus,
+                  "--series", series, "--out-dir", str(root / "bad_mass"),
+                  "--split", "all"],
+                 rank_argv(ckpt, corpus, series, "--date", day.isoformat())):
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: attention mass of %s is not finite and "
+            "non-negative\n" % day)
+
+
+def test_eval_builds_no_per_headline_objects(ranked_run, capsys, monkeypatch):
+    """eval encodes each corpus line as it is read: no Day and no Document,
+    and its reports equal those of a whole-corpus build."""
+    root, ckpt, corpus, series = ranked_run
+    sset = full_build(ckpt, corpus, series)
+    params, config, _tcfg, _meta = TR.checkpoint_load(ckpt)
+    want = E.rank_report(params, config, sset.train + sset.valid + sset.test)
+    E.write_day_dump(want, str(root / "want_days.jsonl"))
+    built = count_days_built(monkeypatch)
+    docs = []
+    real_document = D.Document
+    monkeypatch.setattr(D, "Document",
+                        lambda *a, **kw: docs.append(a) or real_document(*a, **kw))
+    out_dir = root / "no_objects"
+    assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus,
+                 "--series", series, "--out-dir", str(out_dir),
+                 "--split", "all"]) == 0
+    assert built == [] and docs == []
+    assert (out_dir / "days.jsonl").read_bytes() == \
+        (root / "want_days.jsonl").read_bytes()
+
+
+def test_day_dump_bytes_equal_the_json_encoder(tmp_path):
+    masses = (0.0, 5e-324, 1e-300, 1 / 3, 0.1, 1.0)
+    days = (E.DayRecord(date=dt.date(2020, 1, 2), mass=masses,
+                        gtn=(0, 5), selected=(5, 4, 3)),
+            E.DayRecord(date=dt.date(2020, 1, 3), mass=(1.0,), gtn=(),
+                        selected=(0,)))
+    result = E.RankResult(report=None, days=days)
+    path = str(tmp_path / "days.jsonl")
+    E.write_day_dump(result, path)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    want = "".join(encode({"date": d.date.isoformat(), "mass": d.mass,
+                           "gtn": d.gtn, "selected": d.selected}) + "\n"
+                   for d in days)
+    with open(path, "rb") as fh:
+        assert fh.read() == want.encode("utf-8")

@@ -1,11 +1,13 @@
 """Tests for ingestion, vocabulary, windowing, and the synthetic generator."""
 
 import datetime as dt
+import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from msin import data as D
@@ -550,3 +552,109 @@ class TestFileFormats:
         with open(path) as fh:
             assert fh.readline().strip() == "date,v1,v2"
         np.testing.assert_array_equal(D.load_series(path).values, series.values)
+
+
+# Words that cover both tokenizer paths: ASCII, non-ASCII letters (a capital
+# sigma lowercases by its context), underscores, digits, punctuation alone,
+# a newline inside a headline and non-Latin digits.
+_WORDS = ("Up", "up", "DOWN", "café", "ΣΑΣ", "ς", "株価", "q3", "x_y", "___",
+          "!!!", "...", "١٢٣", "İstanbul", "a\nb", "x", "w1", "-")
+_FLAGS = (True, False, None, "absent")
+
+
+def write_corpus(path, days, bom):
+    """days: per day a list of (text, flag) pairs, "absent" for no flag."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\ufeff" if bom else "")
+        for i, docs in enumerate(days):
+            heads = [{"text": t} if f == "absent" else {"text": t, "relevant": f}
+                     for t, f in docs]
+            rec = {"date": (dt.date(2020, 1, 1) + dt.timedelta(days=i)).isoformat(),
+                   "headlines": heads}
+            fh.write(json.dumps(rec, ensure_ascii=i % 2 == 0) + "\n")
+
+
+def assert_same_sets(got, want):
+    assert (got.skipped_no_docs, got.skipped_no_series,
+            got.skipped_short_history) == (want.skipped_no_docs,
+                                           want.skipped_no_series,
+                                           want.skipped_short_history)
+    assert got.stats == want.stats
+    for part in ("train", "valid", "test"):
+        for g, w in zip(getattr(got, part), getattr(want, part), strict=True):
+            assert g.window.date == w.window.date
+            assert g.window.values.tobytes() == w.window.values.tobytes()
+            assert (g.window.target, g.window.prev) == (w.window.target,
+                                                        w.window.prev)
+            assert g.values_n.tobytes() == w.values_n.tobytes()
+            assert g.target_n == w.target_n
+            for field in ("token_ids", "lengths", "source_idx"):
+                a, b = getattr(g.docs, field), getattr(w.docs, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert g.docs.relevance == w.docs.relevance
+
+
+class TestStreamedBuild:
+    """eval's samples, built from corpus lines as they are read, equal
+    make_samples over load_corpus and the per-token reference; build_vocab
+    equals a count of ``tokenize``'s tokens."""
+
+    @given(days=st.lists(st.lists(st.tuples(
+               st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join),
+               st.sampled_from(_FLAGS)), max_size=5), min_size=1, max_size=7),
+           bom=st.booleans(), gaps=st.sets(st.integers(0, 6)))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_lines_equal_whole_corpus(self, tmp_path, days, bom, gaps):
+        path = str(tmp_path / "corpus.jsonl")
+        write_corpus(path, days, bom)
+        corpus = D.load_corpus(path)
+        counts = Counter(t for day in corpus.days for d in day.docs
+                         for t in D.tokenize(d.text))
+        ranked = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
+        vocab = D.build_vocab(corpus, max_size=6)
+        assert vocab.tokens[2:] == tuple(t for t, _ in ranked[:4])
+
+        config = cfg(m=1, max_tokens=3, daily_doc_cap=3)
+        dates = tuple(d.date for i, d in enumerate(corpus.days) if i not in gaps)
+        series = D.Series(dates=dates, values=np.arange(len(dates),
+                                                        dtype=float)[:, None])
+        split = D.SplitSpec(fracs=(0.5, 0.25, 0.25))
+        stats = D.SeriesStats(mean=0.5, std=2.0)
+        streamed = D.read_days(path, config.daily_doc_cap)
+        try:
+            want = D.make_samples(corpus, series, vocab, config, split, stats)
+        except D.DatasetError as exc:
+            with pytest.raises(D.DatasetError, match=re.escape(str(exc))):
+                D.window_samples(streamed, series, vocab, config, split, stats)
+            return
+        got = D.window_samples(streamed, series, vocab, config, split, stats)
+        assert_same_sets(got, want)
+        by_date = {d.date: d for d in corpus.days}
+        for s in got.train + got.valid + got.test:
+            docs = D.cap_daily_docs(by_date[s.window.date].docs,
+                                    config.daily_doc_cap)
+            ids, lengths, flags, src = encode_day_per_token(docs, vocab,
+                                                            config.max_tokens)
+            assert s.docs.token_ids.tobytes() == ids.tobytes()
+            assert s.docs.lengths.tobytes() == lengths.tobytes()
+            assert s.docs.relevance == flags
+            assert s.docs.source_idx.tobytes() == src.tobytes()
+
+
+@pytest.mark.parametrize("distinct, dtype", [(200, np.uint8), (300, np.uint16),
+                                             (70000, np.uint32)])
+def test_token_ids_widen_with_the_table(distinct, dtype):
+    """Ids are stored in the narrowest unsigned type, widened as the table
+    grows; every document reads back as its tokens."""
+    docs = [(" ".join("t%d" % (i * 7 + j) for j in range(7)), None)
+            for i in range(distinct // 7 + 1)] + [("T0 t1 !!", True)]
+    days = D.tokenize_days([(dt.date(2020, 1, 1), docs[:3]),
+                            (dt.date(2020, 1, 2), docs[3:])])
+    assert days.ids.dtype == dtype
+    words = [days.table[i] for i in days.ids.tolist()]
+    want = [t for text, _ in docs for t in D.tokenize(text) + ["|"]]
+    assert words == want
+    assert days.lengths.tolist() == [len(D.tokenize(t)) for t, _ in docs]
+    assert days.day_sizes.tolist() == [3, len(docs) - 3]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from msin import data as D
 from msin import evaluation as E
 from msin import model as M
+from msin import tensor as T
 from msin import training as TR
 
 import helpers as H
@@ -30,7 +31,7 @@ MASSES_JAN09 = [0.00, 0.87, 0.00, 0.00]
 
 
 def day(mass, gtn, date=DATE):
-    return E.DayRanking(date=date, mass=np.asarray(mass, float),
+    return H.DayRanking(date=date, mass=np.asarray(mass, float),
                         gtn=frozenset(gtn))
 
 
@@ -178,7 +179,7 @@ class TestPrecisionRecallCurve:
             if not any(d.gtn for d in days):
                 continue
             k_max = int(rng.integers(1, 12))
-            curve = E.precision_recall_curve(days, k_max)
+            curve = H.precision_recall_curve(days, k_max)
             assert [p.k for p in curve] == list(range(1, k_max + 1))
             for p in curve:
                 assert (p.precision, p.recall) == per_k_pre_rec(days, p.k)
@@ -187,9 +188,9 @@ class TestPrecisionRecallCurve:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            E.precision_recall_curve([day([1.0], {0})], 0)
+            H.precision_recall_curve([day([1.0], {0})], 0)
         with pytest.raises(E.UndefinedMetricError):
-            E.precision_recall_curve([day([1.0], set())], 3)
+            H.precision_recall_curve([day([1.0], set())], 3)
 
 
 class TestSelectRelevant:
@@ -284,7 +285,7 @@ class TestRankReport:
         rankings = []
         for s in samples.test:
             pred = M.forward(None, s, params, config)
-            rankings.append(E.DayRanking(date=s.window.date,
+            rankings.append(H.DayRanking(date=s.window.date,
                                          mass=pred.relevance.data,
                                          gtn=E.gtn_of(s)))
             np.testing.assert_allclose(pred.relevance.data.sum(), 1.0,
@@ -301,7 +302,7 @@ class TestRankReport:
         one = samples.test[:1]
         result = E.rank_report(params, config, one)
         pred = M.forward(None, one[0], params, config)
-        d = E.DayRanking(date=one[0].window.date, mass=pred.relevance.data,
+        d = H.DayRanking(date=one[0].window.date, mass=pred.relevance.data,
                          gtn=E.gtn_of(one[0]))
         assert result.report.per_k[0] == E.KPoint(1, *H.precision_recall_at_k([d], 1))
 
@@ -322,7 +323,7 @@ class TestRankReport:
             mass = np.zeros(s.docs.n)
             for i in gtn:
                 mass[i] = 1.0 / len(gtn)
-            days.append(E.DayRanking(date=s.window.date, mass=mass, gtn=gtn))
+            days.append(H.DayRanking(date=s.window.date, mass=mass, gtn=gtn))
         _, rec1 = H.precision_recall_at_k(days, 1)
         assert rec1 == 1.0
 
@@ -352,12 +353,13 @@ def one_day_rank_report(params, config, samples, k_max):
     rankings, records, preds, targets = [], [], [], []
     for s in samples:
         pred = M.forward(None, s, params, config)
-        preds.append(M.predicted_movement(float(pred.value.data[0]), s, config))
+        preds.append(M.predicted_movement([float(pred.value.data[0])], [s],
+                                           config)[0])
         targets.append(M.movement_label(s.window.target, s.window.prev))
         if pred.relevance is None:
             continue
         mass = pred.relevance.data.astype(np.float64)
-        rankings.append(E.DayRanking(date=s.window.date, mass=mass,
+        rankings.append(H.DayRanking(date=s.window.date, mass=mass,
                                      gtn=E.gtn_of(s)))
         records.append(E.DayRecord(date=s.window.date,
                                    mass=tuple(float(v) for v in mass),
@@ -465,3 +467,32 @@ class TestEmission:
         rpt2 = str(tmp_path / "report2.json")
         E.write_report(result2, config, rpt2)
         assert open(rpt1, "rb").read() == open(rpt2, "rb").read()
+
+
+class TestPassChecks:
+    """rank_report checks each pass's masses as an array and rejects what a
+    per-day check rejects: a NaN or a negative mass on any day of a pass."""
+
+    @pytest.mark.parametrize("value", [np.nan, -1e-3])
+    def test_bad_mass_on_a_middle_day_is_rejected(self, value, monkeypatch):
+        monkeypatch.setattr(TR, "EVAL_CHUNK", 3)
+        config, params, samples = ragged_eval_samples("msin")
+        sizes = H.pass_sizes(samples, config)
+        assert len(sizes) >= 3 and sizes[1] >= 3
+        middle = samples[sizes[0] + 1]
+        real = M.forward_batch
+
+        def forward(tape, chunk, *args, **kwargs):
+            pred = real(tape, chunk, *args, **kwargs)
+            for b, s in enumerate(chunk):
+                if s is middle:
+                    pred.relevance.data[b, s.docs.n - 1] = value
+            return pred
+
+        monkeypatch.setattr(M, "forward_batch", forward)
+        with pytest.raises(T.EngineError, match="attention mass of %s is not "
+                           "finite" % middle.window.date):
+            E.rank_report(params, config, samples)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            H.DayRanking(date=middle.window.date,
+                         mass=[0.5, value], gtn=frozenset())

@@ -326,13 +326,13 @@ class TestMovementRules:
         for s in samples:
             pred = M.forward(None, s, params, config)
             value = float(pred.value.data[0])
-            before.append(M.predicted_movement(value, s, config))
+            before.append(M.predicted_movement([value], [s], config)[0])
         params.head_w.data[...] *= 3.0
         params.head_b.data[...] *= 3.0
         for s, want in zip(samples, before):
             pred = M.forward(None, s, params, config)
             value = float(pred.value.data[0])
-            assert M.predicted_movement(value, s, config) == want
+            assert M.predicted_movement([value], [s], config)[0] == want
 
 
 class TestFullModelGradients:
