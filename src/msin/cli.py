@@ -439,7 +439,7 @@ def cmd_eval(args) -> int:
     split = _option_split(merged)
     params, config, meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
     split = split or _stored_split(meta.get("split"))
-    days = D.read_days(merged["corpus"], config.daily_doc_cap)
+    days = D.read_days(merged["corpus"])
     series = D.load_series(merged["series"])
     sset = D.window_samples(days, series, vocab, config, split, stats=stats)
     samples = (sset.train + sset.valid + sset.test if merged["split"] == "all"

@@ -6,8 +6,9 @@ array: ``msin eval`` feeds it straight from ``read_corpus``'s lines
 (``read_days``), so it builds no ``Document`` or ``Day`` and holds no text,
 and ``msin train``'s ``build_vocab`` and ``make_samples`` share the one
 tokenization cached on the ``Corpus`` (``Corpus.tokens``).
-``TokenizedDays.batches`` caps, truncates and maps the ids of every day at
-once: each day's ``DocumentBatch`` is a slice of one corpus-wide
+``TokenizedDays.batches`` caps (``capped_start``, the rule
+``cap_daily_docs`` also applies), truncates and maps the ids of every day
+at once: each day's ``DocumentBatch`` is a slice of one corpus-wide
 [documents, max_tokens] array. ``encode_day`` is the one-day case, which
 ``rank`` calls for the day it ranks. ``to_samples`` normalizes every window
 and target of a split in one array operation each (a sample's ``values_n``
@@ -43,11 +44,6 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
-# A byte translation for ASCII text: letters lowercased, digits kept, the
-# newline turned into the "|" document-end marker, every other byte blanked.
-_ASCII_FOLD = bytes(ord(ch.lower()) if ch.isascii() and ch.isalnum()
-                    else ord("|") if ch == "\n" else ord(" ")
-                    for ch in map(chr, range(256)))
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 
 
@@ -232,7 +228,7 @@ class TokenizedDays:
         sizes = self.day_sizes
         day = np.repeat(np.arange(sizes.size), sizes)
         src = (np.arange(day.size) - (np.cumsum(sizes) - sizes)[day]
-               - np.maximum(sizes - cap, 0)[day])
+               - capped_start(sizes, cap)[day])
         lengths = np.minimum(self.lengths, max_tokens)
         keep = (src >= 0) & (lengths > 0)
         starts = (np.cumsum(self.lengths + 1) - self.lengths - 1)[keep]
@@ -258,28 +254,19 @@ class TokenizedDays:
 
 def tokenize_days(days) -> TokenizedDays:
     """(date, documents) pairs, each document a (text, relevant) pair, with
-    every text tokenized once as ``tokenize`` splits it.
-
-    Tokens are keyed by their UTF-8 bytes while the days are read. A day
-    whose texts are ASCII and hold no newline is split in one pass: its texts
-    are joined by newlines, which mark document ends, and one byte
-    translation lowercases them and blanks every byte that is not a letter
-    or a digit. On ASCII text that is exactly what ``_TOKEN_RE`` splits on;
-    the texts of other days go through ``tokenize`` one by one.
-    """
-    index = {b"|": 0}  # the document-end marker, then each token by first sight
+    every text split by ``tokenize`` once. "|", which no token can be, marks
+    each document's end."""
+    index = {"|": 0}  # the document-end marker, then each token by first sight
     # ids grow in the narrowest unsigned type that holds every id so far
     ids, flags, dates, sizes = array("B"), [], [], []
     for date, docs in days:
         dates.append(date)
         sizes.append(len(docs))
-        texts = [d[0] for d in docs]
-        flags += [d[1] for d in docs]
-        joined = " \n ".join(texts) + " \n"
-        if joined.isascii() and joined.count("\n") == len(texts):
-            toks = joined.encode().translate(_ASCII_FOLD).split()
-        else:
-            toks = [t.encode() for text in texts for t in tokenize(text) + ["|"]]
+        toks = []
+        for text, flag in docs:
+            toks += tokenize(text)
+            toks.append("|")
+            flags.append(flag)
         try:
             row = list(map(index.__getitem__, toks))
         except KeyError:
@@ -291,8 +278,8 @@ def tokenize_days(days) -> TokenizedDays:
         ids.fromlist(row)
     ids = np.frombuffer(ids, dtype=ids.typecode)
     return TokenizedDays(
-        dates=tuple(dates), table=tuple([t.decode() for t in index]),
-        ids=ids, lengths=np.diff(np.flatnonzero(ids == 0), prepend=-1) - 1,
+        dates=tuple(dates), table=tuple(index), ids=ids,
+        lengths=np.diff(np.flatnonzero(ids == 0), prepend=-1) - 1,
         day_sizes=np.array(sizes, dtype=np.int64), flags=flags)
 
 
@@ -317,11 +304,18 @@ def build_vocab(corpus: Corpus, max_size: int = 5000,
     return Vocabulary(tokens=(PAD_TOKEN, UNK_TOKEN, *kept))
 
 
+def capped_start(n, cap: int):
+    """The first document a day of ``n`` keeps under the daily cap, which
+    keeps the last ``cap`` (latest by release order); ``n`` may be an array
+    of day sizes."""
+    return np.maximum(n - cap, 0)
+
+
 def cap_daily_docs(docs: tuple[Document, ...], cap: int = 25) -> tuple[Document, ...]:
     """Keep the last `cap` documents of a day (latest by release order)."""
     if cap < 1:
         raise DatasetError("cap must be at least 1")
-    return docs if len(docs) <= cap else docs[-cap:]
+    return docs[int(capped_start(len(docs), cap)):]
 
 
 def encode_day(docs: tuple[Document, ...], vocab: Vocabulary,
@@ -593,12 +587,10 @@ def load_corpus(path: str) -> Corpus:
                               for date, heads, _line in read_corpus(path)]))
 
 
-def read_days(path: str, cap: int) -> TokenizedDays:
-    """A corpus file's days, each with its last ``cap`` headlines tokenized
-    as ``read_corpus`` yields its line: no Document or Day is built, and no
-    text outlives its line."""
-    return tokenize_days((date, [(h["text"], h.get("relevant"))
-                                 for h in heads[-cap:]])
+def read_days(path: str) -> TokenizedDays:
+    """A corpus file's days, each tokenized as ``read_corpus`` yields its
+    line: no Document or Day is built, and no text outlives its line."""
+    return tokenize_days((date, [(h["text"], h.get("relevant")) for h in heads])
                          for date, heads, _line in read_corpus(path))
 
 

@@ -5,9 +5,10 @@ Ranking quality is judged per day: documents are ordered by attention mass
 set. Days without any ground-truth document are excluded from precision and
 recall averages; asking for those metrics when no day qualifies is an error
 rather than a silent zero. ``rank_report`` works a forward pass at a time:
-it checks, ranks and cuts the pass's [B, N] masses as arrays, and
-``precision_recall_curve`` computes Pre@k/Rec@k for every k from the top-k
-hits of all days at once.
+it checks the pass's [B, N] masses as an array and ranks and cuts every row
+with ``rank_pass``, the one rule that ``rank_order`` and ``select_relevant``
+apply to a single vector, and ``precision_recall_curve`` computes Pre@k/Rec@k
+for every k from the top-k hits of all days at once.
 """
 
 from __future__ import annotations
@@ -31,10 +32,31 @@ class UndefinedMetricError(Exception):
     """Raised when a requested average has no qualifying observations."""
 
 
+def rank_pass(mass, n) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ranking and selection cut, for [B, N] masses whose row b
+    holds ``n[b]`` documents followed by padding.
+
+    ``order[b]`` lists row b's indices by descending mass, equal masses in
+    ascending index order and padded slots last. ``cut[b]`` is the length of
+    the smallest prefix of that order whose cumulative mass reaches
+    SELECT_THRESHOLD, or ``n[b]`` if none does. The threshold is absolute,
+    so vectors that do not sum exactly to one (rounded report tables, for
+    instance) still select sensibly.
+    """
+    mass = np.asarray(mass, dtype=np.float64)
+    n = np.asarray(n)
+    valid = np.arange(mass.shape[1]) < n[:, None]
+    order = np.argsort(np.where(valid, -mass, np.inf), axis=1, kind="stable")
+    reached = valid & (np.cumsum(np.take_along_axis(mass, order, 1), axis=1)
+                       >= SELECT_THRESHOLD)
+    cut = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, n)
+    return order, cut
+
+
 def rank_order(mass: np.ndarray) -> tuple[int, ...]:
     """Indices by descending mass; equal masses keep ascending index order."""
-    mass = np.asarray(mass, dtype=np.float64)
-    return tuple(np.argsort(-mass, kind="stable").tolist())
+    order, _ = rank_pass(np.atleast_2d(mass), [len(mass)])
+    return tuple(order[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -76,20 +98,10 @@ def precision_recall_curve(hits, counts, gt_sizes) -> tuple[KPoint, ...]:
 
 
 def select_relevant(mass: np.ndarray) -> tuple[int, ...]:
-    """Smallest descending-mass prefix whose cumulative mass reaches 50%.
-
-    The threshold is absolute, so vectors that do not sum exactly to one
-    (rounded report tables, for instance) still select sensibly. If the whole
-    vector sums to less than the threshold, every index is returned.
-    """
-    values = np.asarray(mass, dtype=np.float64).tolist()
-    order = rank_order(mass)
-    total = 0.0
-    for j, i in enumerate(order, 1):
-        total += values[i]
-        if total >= SELECT_THRESHOLD:
-            return order[:j]
-    return order
+    """Smallest descending-mass prefix whose cumulative mass reaches 50%
+    (``rank_pass``'s cut); every index if the whole vector sums to less."""
+    order, cut = rank_pass(np.atleast_2d(mass), [len(mass)])
+    return tuple(order[0, :cut[0]].tolist())
 
 
 @dataclass(frozen=True)
@@ -188,10 +200,8 @@ def rank_report(params, config: M.ModelConfig, samples,
     Samples run in the forward-only passes of ``training.forward_chunks``,
     which hold more days when days hold fewer documents; by batch invariance
     the result equals that of one forward per day, bit for bit. Each pass's
-    [B, N] masses are checked once, every day's ranking comes from one
-    stable sort, each selection from one cumulative sum and the movement
-    labels from one comparison. Padded slots sort last, so the first n
-    entries of row b are day b's documents in ``rank_order``'s order.
+    [B, N] masses are checked once and ranked and cut by one ``rank_pass``,
+    and its movement labels come from one comparison.
     """
     if not samples:
         raise UndefinedMetricError("no samples to evaluate")
@@ -210,17 +220,14 @@ def rank_report(params, config: M.ModelConfig, samples,
         dates = [s.window.date for s in chunk]
         mass = checked_masses(pred.relevance.data, dates)
         n = np.asarray(pred.counts)
+        order, cut = rank_pass(mass, n)
         B, N = mass.shape
-        valid = np.arange(N) < n[:, None]
-        order = np.argsort(np.where(valid, -mass, np.inf), axis=1, kind="stable")
-        reached = valid & (np.cumsum(np.take_along_axis(mass, order, 1), axis=1)
-                           >= SELECT_THRESHOLD)
-        cut = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, n)
+        # padded slots are never ground truth, so they never count as hits
         gt = np.zeros((B, N), dtype=bool)
         gt[np.repeat(np.arange(B), sizes), [i for g in gtns for i in g]] = True
         top = np.zeros((B, k_max), dtype=bool)
         w = min(N, k_max)
-        top[:, :w] = (valid & np.take_along_axis(gt, order, 1))[:, :w]
+        top[:, :w] = np.take_along_axis(gt, order, 1)[:, :w]
         hits.append(top)
         counts.append(n)
         for date, m, o, c, k, g in zip(dates, mass.tolist(), order.tolist(),

@@ -554,7 +554,7 @@ class TestFileFormats:
         np.testing.assert_array_equal(D.load_series(path).values, series.values)
 
 
-# Words that cover both tokenizer paths: ASCII, non-ASCII letters (a capital
+# Words that cover the tokenizer's cases: ASCII, non-ASCII letters (a capital
 # sigma lowercases by its context), underscores, digits, punctuation alone,
 # a newline inside a headline and non-Latin digits.
 _WORDS = ("Up", "up", "DOWN", "café", "ΣΑΣ", "ς", "株価", "q3", "x_y", "___",
@@ -622,7 +622,7 @@ class TestStreamedBuild:
                                                         dtype=float)[:, None])
         split = D.SplitSpec(fracs=(0.5, 0.25, 0.25))
         stats = D.SeriesStats(mean=0.5, std=2.0)
-        streamed = D.read_days(path, config.daily_doc_cap)
+        streamed = D.read_days(path)
         try:
             want = D.make_samples(corpus, series, vocab, config, split, stats)
         except D.DatasetError as exc:

@@ -225,6 +225,40 @@ class TestSelectRelevant:
             assert len(picked) == len(mass)
 
 
+def select_by_running_sum(mass):
+    """The cumulative-mass rule one document at a time: the stable
+    descending order, cut where a running float sum first reaches 0.5."""
+    order = sorted(range(len(mass)), key=lambda i: -mass[i])
+    total = 0.0
+    for j, i in enumerate(order, 1):
+        total += mass[i]
+        if total >= E.SELECT_THRESHOLD:
+            return order, j
+    return order, len(order)
+
+
+class TestRankPass:
+    @given(st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=6),
+                    min_size=1, max_size=5),
+           st.sampled_from([0.0, 0.3, np.inf]))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_one_vector_at_a_time(self, rows, pad):
+        """Every row of a padded pass ranks and cuts as its own vector does,
+        whatever its padding holds."""
+        width = max(map(len, rows))
+        mass = np.full((len(rows), width), pad)
+        for b, raw in enumerate(rows):
+            mass[b, :len(raw)] = np.asarray(raw, float) / 10.0
+        order, cut = E.rank_pass(mass, [len(r) for r in rows])
+        for b, raw in enumerate(rows):
+            vec = (np.asarray(raw, float) / 10.0).tolist()
+            want_order, want_cut = select_by_running_sum(vec)
+            assert order[b, :len(raw)].tolist() == want_order
+            assert int(cut[b]) == want_cut
+            assert E.rank_order(vec) == tuple(want_order)
+            assert E.select_relevant(vec) == tuple(want_order[:want_cut])
+
+
 class TestMovementMetrics:
     def test_all_correct(self):
         got = E.movement_metrics(["up", "down"], ["up", "down"])
