@@ -9,8 +9,11 @@ input data or checkpoint, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import datetime as dt
+import functools
+import glob
 import hashlib
 import os
 import sys
@@ -478,23 +481,20 @@ def _print_ranking(date_label: str, mass: np.ndarray,
     Documents are numbered 1-based in day order so the printout matches how
     people refer to them; machine outputs elsewhere stay 0-based.
     """
-    order = E.rank_order(mass)
-    chosen = set(E.select_relevant(mass))
+    (order,), (cut,) = E.rank_pass(mass[None, :], [len(mass)])
+    order = order.tolist()
     print("ranking for %s (%d documents)" % (date_label, len(mass)))
-    shown = 0
     for rank, idx in enumerate(order, 1):
         tail = ""
         if texts is not None:
             text = texts[idx]
             tail = "  " + (text if len(text) <= 60 else text[:57] + "...")
         print("rank %2d  doc %02d  mass %.4f%s" % (rank, idx + 1, mass[idx], tail))
-        shown += 1
-        if shown == len(chosen):
+        if rank == cut:
             print("---- cumulative mass %.4f reached %.2f ----"
-                  % (float(np.sort(mass)[::-1][:shown].sum()),
-                     E.SELECT_THRESHOLD))
+                  % (float(mass[order[:cut]].sum()), E.SELECT_THRESHOLD))
     print("selected: %s" % ", ".join("doc %02d" % (i + 1)
-                                     for i in sorted(chosen)))
+                                     for i in sorted(order[:cut])))
 
 
 def cmd_rank(args) -> int:
@@ -624,8 +624,32 @@ def build_parser(command: str | None = None) -> _Parser:
     return parser
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas, 64-bit integers), or None
+    where numpy links another BLAS or the library lacks the thread call."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # One BLAS thread, the count the benchmark measures: on two cores a second
+    # thread bought no measured speed and can stall a cold process's first
+    # products. OPENBLAS_NUM_THREADS, read when numpy loaded, wins.
+    blas = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas()
+    if blas is not None:
+        blas.scipy_openblas_set_num_threads64_(1)
     # the top-level parser takes no option values, so the first word that
     # is not an option names the subcommand
     command = next((a for a in argv if not a.startswith("-")), None)

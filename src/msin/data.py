@@ -15,8 +15,12 @@ and target of a split in one array operation each (a sample's ``values_n``
 is a row of that array). The synthetic generator plants signal tokens into
 otherwise random documents and drives an AR(1) series off the daily plant
 counts, so relevance recovery can be measured against known ground truth.
-Relevance flags ride along in the corpus but are never consumed by training
-code, only by evaluation.
+Its bounded draws (each day's document count and planted index, each
+document's length, the signal's position and lexicon word) skip the
+generator when their range holds one value, whose draw would return that
+value without advancing the stream, so corpora match earlier versions byte
+for byte. Relevance flags ride along in the corpus but are never consumed
+by training code, only by evaluation.
 """
 
 from __future__ import annotations
@@ -493,6 +497,13 @@ class SynthSpec:
                 raise DatasetError("ranges must satisfy 1 <= lo <= hi")
 
 
+def _bounded(rng: np.random.Generator, lo: int, hi: int) -> int:
+    """An integer drawn from [lo, hi). A range of one value returns lo
+    without calling the generator, which would return lo without advancing
+    its stream, so the stream and every corpus stay the same."""
+    return lo if hi - lo == 1 else int(rng.integers(lo, hi))
+
+
 def synth_generate(spec: SynthSpec) -> tuple[Corpus, Series]:
     """Deterministic corpus and AR(1) series driven by planted signal counts."""
     rng = substream(spec.seed, "synth")
@@ -500,21 +511,21 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, Series]:
     days, dates, values = [], [], []
     x = 0.0
     for t in range(spec.n_days):
-        n_docs = int(rng.integers(spec.n_docs[0], spec.n_docs[1] + 1))
-        planted_at = int(rng.integers(n_docs)) if spec.plant_per_day else -1
+        n_docs = _bounded(rng, spec.n_docs[0], spec.n_docs[1] + 1)
+        planted_at = _bounded(rng, 0, n_docs) if spec.plant_per_day else -1
         docs, z = [], 0
         for j in range(n_docs):
-            length = int(rng.integers(spec.doc_len[0], spec.doc_len[1] + 1))
-            toks = [background[k] for k in rng.integers(spec.vocab_size,
-                                                        size=length)]
+            length = _bounded(rng, spec.doc_len[0], spec.doc_len[1] + 1)
+            toks = [background[k] for k in
+                    rng.integers(spec.vocab_size, size=length).tolist()]
             plant = (j == planted_at) if spec.plant_per_day \
                 else (rng.random() < spec.plant_prob)
             if plant:
                 positive = rng.random() < 0.5
                 lex = spec.s_plus if positive else spec.s_minus
-                toks[int(rng.integers(length))] = lex[int(rng.integers(len(lex)))]
+                toks[_bounded(rng, 0, length)] = lex[_bounded(rng, 0, len(lex))]
                 z += 1 if positive else -1
-            docs.append(Document(text=" ".join(toks), relevant=plant))
+            docs.append(Document(" ".join(toks), plant))
         x = spec.phi * x + spec.alpha * z
         if spec.sigma > 0:
             x += spec.sigma * float(rng.standard_normal())

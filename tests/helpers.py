@@ -1,7 +1,7 @@
 """Test-side helpers: the one-number gradient check, one day as a batch of
 one, a per-tensor Adam loop, the sizes of the forward-only passes, one
-day's checked ranking, Pre@k/Rec@k over such days, and one document's word
-attention.
+day's checked ranking, Pre@k/Rec@k over such days, one document's word
+attention, and the synthetic generator as it first drew its stream.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from msin import cell as C
+from msin import data as D
 from msin import evaluation as E
 from msin import model as M
 from msin import tensor as T
@@ -234,3 +235,38 @@ def precision_recall_at_k(days, k: int) -> tuple[float, float]:
 def word_attention(docs: DocRepresentation, j: int) -> np.ndarray:
     """Beta over document j's valid tokens (a view of ``docs.attention``)."""
     return docs.attention[j, :docs.lengths[j]]
+
+
+def reference_synth_generate(spec):
+    """``D.synth_generate`` as it was written before one-value ranges
+    skipped the generator: every bounded draw calls ``rng.integers``. The
+    loop is kept verbatim as the reference for the generator's stream."""
+    rng = substream(spec.seed, "synth")
+    background = ["w%04d" % i for i in range(spec.vocab_size)]
+    days, dates, values = [], [], []
+    x = 0.0
+    for t in range(spec.n_days):
+        n_docs = int(rng.integers(spec.n_docs[0], spec.n_docs[1] + 1))
+        planted_at = int(rng.integers(n_docs)) if spec.plant_per_day else -1
+        docs, z = [], 0
+        for j in range(n_docs):
+            length = int(rng.integers(spec.doc_len[0], spec.doc_len[1] + 1))
+            toks = [background[k] for k in rng.integers(spec.vocab_size,
+                                                        size=length)]
+            plant = (j == planted_at) if spec.plant_per_day \
+                else (rng.random() < spec.plant_prob)
+            if plant:
+                positive = rng.random() < 0.5
+                lex = spec.s_plus if positive else spec.s_minus
+                toks[int(rng.integers(length))] = lex[int(rng.integers(len(lex)))]
+                z += 1 if positive else -1
+            docs.append(D.Document(text=" ".join(toks), relevant=plant))
+        x = spec.phi * x + spec.alpha * z
+        if spec.sigma > 0:
+            x += spec.sigma * float(rng.standard_normal())
+        days.append(D.Day(date=spec.start + dt.timedelta(days=t),
+                          docs=tuple(docs)))
+        dates.append(days[-1].date)
+        values.append([x])
+    return (D.Corpus(days=tuple(days)),
+            D.Series(dates=tuple(dates), values=np.asarray(values)))

@@ -5,6 +5,7 @@ and the files left behind. Fixture mass vectors mirror the published ranking
 tables the selection rule was calibrated against.
 """
 
+import ctypes
 import dataclasses
 import datetime as dt
 import json
@@ -554,6 +555,37 @@ def test_rank_debug_masses_tie_break_is_stable(capsys):
     assert ranked == ["02", "01", "03", "04"]
 
 
+def print_ranking_with_three_rules(date_label, mass):
+    """The rank printout as it was built from ``rank_order``,
+    ``select_relevant`` and a separate descending sort."""
+    order = E.rank_order(mass)
+    chosen = set(E.select_relevant(mass))
+    print("ranking for %s (%d documents)" % (date_label, len(mass)))
+    for shown, idx in enumerate(order, 1):
+        print("rank %2d  doc %02d  mass %.4f" % (shown, idx + 1, mass[idx]))
+        if shown == len(chosen):
+            print("---- cumulative mass %.4f reached %.2f ----"
+                  % (float(np.sort(mass)[::-1][:shown].sum()),
+                     E.SELECT_THRESHOLD))
+    print("selected: %s" % ", ".join("doc %02d" % (i + 1)
+                                     for i in sorted(chosen)))
+
+
+@pytest.mark.parametrize("masses", [
+    JAN22, AUG14, JAN09, "0.2,0.4,0.2,0.2", "0.1,0.1,0.1", "0,0,0",
+    "-0,0,-0", "0.25,0.25,0.25,0.25", "0.5", "1e-300,0.3,0.3,0.3",
+    ",".join(["0.0123456789"] * 57)])
+def test_rank_printout_ranks_once_as_the_three_rules_did(capsys, masses):
+    """The order, the cut and the cumulative mass come from one ``rank_pass``:
+    ties, sums short of the threshold, signed zeros and long days print
+    what the separate rules printed."""
+    assert main(["rank", "--debug-masses=" + masses]) == 0
+    got = capsys.readouterr().out
+    print_ranking_with_three_rules(
+        "debug input", np.array([float(p) for p in masses.split(",")]))
+    assert got == capsys.readouterr().out
+
+
 def test_rank_debug_masses_bad_vector(capsys):
     assert main(["rank", "--debug-masses", "0.5,banana"]) == 1
     assert main(["rank", "--debug-masses", "-0.5,0.5"]) == 1
@@ -614,6 +646,46 @@ def test_rank_variant_without_mass_is_data_error(tmp_path, capsys):
                "--series", series])
     assert rc == 2
     assert "relevance" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@pytest.fixture
+def openblas():
+    """numpy's bundled OpenBLAS, its thread count restored afterwards."""
+    lib = cli._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("this numpy does not bundle scipy-openblas")
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_main_runs_blas_on_one_thread(openblas, monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    openblas.scipy_openblas_set_num_threads64_(2)
+    assert main(["rank", "--debug-masses", JAN09]) == 0
+    assert openblas.scipy_openblas_get_num_threads64_() == 1
+
+
+def test_main_keeps_the_thread_count_the_environment_chose(
+        openblas, monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    openblas.scipy_openblas_set_num_threads64_(2)
+    chosen = openblas.scipy_openblas_get_num_threads64_()
+    assert main(["rank", "--debug-masses", JAN09]) == 0
+    assert openblas.scipy_openblas_get_num_threads64_() == chosen
+
+
+def test_main_runs_where_numpy_links_another_blas(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(cli, "_openblas", lambda: None)
+    assert main(["rank", "--debug-masses", JAN09]) == 0
+    assert selected_docs(capsys.readouterr().out) == {2}
 
 
 # ---------------------------------------------------------------------------

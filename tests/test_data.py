@@ -1,6 +1,7 @@
 """Tests for ingestion, vocabulary, windowing, and the synthetic generator."""
 
 import datetime as dt
+import hashlib
 import json
 import re
 from collections import Counter
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from msin import data as D
 from msin.model import ModelConfig
+
+import helpers as H
 
 
 def cfg(**kw):
@@ -354,7 +357,63 @@ class TestSplitSpec:
             D.SplitSpec(fracs=fracs)
 
 
+# sha256 of the save_corpus and save_series bytes of 60-day corpora, recorded
+# when every bounded draw still called the generator: the recovery shape, the
+# default spec (ranged counts, plant_prob 0.3), and days whose every bounded
+# draw has one value
+STREAM_PINS = {
+    "recovery": (dict(n_docs=(10, 10), doc_len=(8, 8), plant_per_day=True),
+                 "340f115d11fe49d93ab3d83b6112325e0fc7d829e7675f0c46023d0fbb39fef6",
+                 "5b9f1f9c1e60fa755e9774e276723b832a2a4f0512b812b712800f1d2995c7db"),
+    "default": ({},
+                "e5914743957299b18fbbcc0d336e79691d34644b3be074ebafe30cf0b126a9af",
+                "d4c3ee0eadf9aa2cbba361479b7c23e451ed70a1c597b4041780f801523e41f8"),
+    "one_value": (dict(n_docs=(1, 1), doc_len=(1, 1), s_plus=("up",),
+                       s_minus=("down",), plant_per_day=True),
+                  "b267ad727a347ac9734171e757ea174c3cd0f18275416f84ec80172480155b71",
+                  "8b5ddf3a2f6bc7e4c8acad8bfa3d9092944acbf0598d21a33c415485a3d7d592"),
+}
+
+
+@st.composite
+def synth_specs(draw):
+    """Specs whose count ranges hold one value or several, in both plant
+    modes, with lexicons of 1-3 words and sigma zero or positive."""
+    def count_range():
+        lo = draw(st.integers(1, 4))
+        return lo, lo if draw(st.booleans()) else draw(st.integers(lo + 1, 6))
+
+    return D.SynthSpec(
+        n_days=draw(st.integers(1, 12)), n_docs=count_range(),
+        doc_len=count_range(), vocab_size=draw(st.integers(1, 20)),
+        s_plus=("surge", "gain", "rally")[:draw(st.integers(1, 3))],
+        s_minus=("slump", "drop", "tumble")[:draw(st.integers(1, 3))],
+        sigma=draw(st.sampled_from([0.0, 0.1, 0.7])),
+        plant_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        plant_per_day=draw(st.booleans()), seed=draw(st.integers(0, 2**32)))
+
+
 class TestSynthGenerate:
+    @pytest.mark.parametrize("name", sorted(STREAM_PINS))
+    def test_stream_is_pinned(self, tmp_path, name):
+        kw, corpus_sha, series_sha = STREAM_PINS[name]
+        corpus, series = D.synth_generate(D.SynthSpec(n_days=60, **kw))
+        D.save_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+        D.save_series(series, str(tmp_path / "series.csv"))
+        assert hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()) \
+            .hexdigest() == corpus_sha
+        assert hashlib.sha256((tmp_path / "series.csv").read_bytes()) \
+            .hexdigest() == series_sha
+
+    @given(synth_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_reference_generator(self, spec):
+        corpus, series = D.synth_generate(spec)
+        ref_corpus, ref_series = H.reference_synth_generate(spec)
+        assert corpus == ref_corpus
+        assert series.dates == ref_series.dates
+        assert series.values.tobytes() == ref_series.values.tobytes()
+
     def test_noise_free_series_is_exact_signal_count(self):
         spec = D.SynthSpec(n_days=25, seed=11, phi=0.0, alpha=1.0, sigma=0.0,
                            plant_prob=0.6)
