@@ -15,6 +15,7 @@ import datetime as dt
 import functools
 import glob
 import hashlib
+import json
 import os
 import sys
 
@@ -384,7 +385,7 @@ def cmd_train(args) -> int:
     tcfg = _build_config(TR.TrainConfig, merged)
     split = _option_split(merged) or D.SplitSpec(fracs=DEFAULT_FRACS)
 
-    corpus = D.load_corpus(merged["corpus"])
+    days = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
     allowed = None
     if merged["embeddings"] is not None:
@@ -392,8 +393,8 @@ def cmd_train(args) -> int:
             allowed = _embedding_tokens(merged["embeddings"])
         except OSError as e:
             raise D.DatasetError("cannot read embeddings: %s" % e) from None
-    vocab = D.build_vocab(corpus, max_size=config.vocab_size, allowed=allowed)
-    sset = D.make_samples(corpus, series, vocab, config, split)
+    vocab = D.count_vocab(days, max_size=config.vocab_size, allowed=allowed)
+    sset = D.window_samples(days, series, vocab, config, split)
     print("samples train=%d valid=%d test=%d (skipped %d no-docs, "
           "%d no-series, %d short-history)"
           % (len(sset.train), len(sset.valid), len(sset.test),
@@ -442,7 +443,7 @@ def cmd_eval(args) -> int:
     split = _option_split(merged)
     params, config, meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
     split = split or _stored_split(meta.get("split"))
-    days = D.read_days(merged["corpus"])
+    days = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
     sset = D.window_samples(days, series, vocab, config, split, stats=stats)
     samples = (sset.train + sset.valid + sset.test if merged["split"] == "all"
@@ -520,22 +521,24 @@ def cmd_rank(args) -> int:
     series = D.load_series(merged["series"])
     rows = D.series_rows(series, config)
     for d, line in reversed(lines):
-        day = D.line_day(d, line)
-        got = D.window_day(day, series, rows, vocab, config)
-        if not isinstance(got, str):
+        heads = json.loads(line)["headlines"]
+        batch = D.encode_day([(h["text"], h.get("relevant")) for h in heads],
+                             vocab, config.max_tokens, config.daily_doc_cap)
+        window = D.series_window(d, batch.n, series, rows, config)
+        if not isinstance(window, str):
             break
     else:
         raise D.DatasetError("no eligible sample on %s" % (date or "any day"))
-    sample = D.to_samples([got], stats)[0]
-    pred = M.forward(None, sample, params, config)
+    sample = D.to_samples([(window, batch)], stats)[0]
+    pred = M.forward_batch(None, [sample], params, config)
     if pred.relevance is None:
         raise D.DatasetError("variant %r assigns no relevance mass"
                              % config.variant)
 
-    mass = E.checked_masses(pred.relevance.data[None, :], [day.date])[0]
-    capped = D.cap_daily_docs(day.docs, config.daily_doc_cap)
-    texts = [capped[i].text for i in sample.docs.source_idx]
-    _print_ranking(day.date.isoformat(), mass, texts)
+    mass = E.checked_masses(pred.relevance.data, [d])[0]
+    start = int(D.capped_start(len(heads), config.daily_doc_cap))
+    texts = [heads[start + i]["text"] for i in batch.source_idx]
+    _print_ranking(d.isoformat(), mass, texts)
     return EXIT_OK
 
 
@@ -548,8 +551,8 @@ def _gradcheck_sample(config: M.ModelConfig, rng) -> D.Sample:
     docs = []
     for length in (4, 3, 2):
         toks = [words[int(k)] for k in rng.integers(len(words), size=length)]
-        docs.append(D.Document(text=" ".join(toks)))
-    batch = D.encode_day(tuple(docs), vocab, config.max_tokens)
+        docs.append((" ".join(toks), None))
+    batch = D.encode_day(docs, vocab, config.max_tokens, config.daily_doc_cap)
     values = rng.standard_normal((config.m, config.series_dim))
     target = float(rng.standard_normal())
     window = D.SeriesWindow(values=values, target=target,
@@ -577,8 +580,8 @@ def cmd_gradcheck(args) -> int:
 
         def build(tape, new_leaves):
             bound = M.bind_tensors(params, new_leaves)
-            pred = M.forward(tape, sample, bound, config)
-            return M.loss(tape, pred, sample, bound, config)
+            pred = M.forward_batch(tape, [sample], bound, config)
+            return M.batch_loss(tape, pred.value, [sample], bound, config)[0]
 
         table = T.grad_check_table(build, leaves)
         print("variant %s" % variant)

@@ -1,16 +1,18 @@
 """Corpus and series ingestion, vocabulary, windowing, synthetic generator.
 
-Each headline is tokenized once per command. ``tokenize_days`` turns days of
-headlines into indices of a first-seen token table, stored as one integer
-array: ``msin eval`` feeds it straight from ``read_corpus``'s lines
-(``read_days``), so it builds no ``Document`` or ``Day`` and holds no text,
-and ``msin train``'s ``build_vocab`` and ``make_samples`` share the one
-tokenization cached on the ``Corpus`` (``Corpus.tokens``).
-``TokenizedDays.batches`` caps (``capped_start``, the rule
-``cap_daily_docs`` also applies), truncates and maps the ids of every day
+Each headline is tokenized once per command, and every command reads a
+corpus file the same way: ``load_corpus`` feeds ``read_corpus``'s lines
+straight into ``tokenize_days``, which turns days of headlines into indices
+of a first-seen token table, stored as one integer array, so no
+``Document`` or ``Day`` is built and no text is held. ``count_vocab`` and
+``window_samples`` work on that ``TokenizedDays``; ``build_vocab`` and
+``make_samples`` are their forms for an in-memory ``Corpus``, whose one
+tokenization is cached (``Corpus.tokens``).
+``TokenizedDays.batches`` caps (keeping each day's last ``daily_doc_cap``
+documents from ``capped_start``), truncates and maps the ids of every day
 at once: each day's ``DocumentBatch`` is a slice of one corpus-wide
 [documents, max_tokens] array. ``encode_day`` is the one-day case, which
-``rank`` calls for the day it ranks. ``to_samples`` normalizes every window
+``rank`` calls for each day it tries. ``to_samples`` normalizes every window
 and target of a split in one array operation each (a sample's ``values_n``
 is a row of that array). The synthetic generator plants signal tokens into
 otherwise random documents and drives an AR(1) series off the daily plant
@@ -289,17 +291,21 @@ def tokenize_days(days) -> TokenizedDays:
 
 def build_vocab(corpus: Corpus, max_size: int = 5000,
                 allowed: set[str] | None = None) -> Vocabulary:
+    """``count_vocab`` over the corpus's one tokenization."""
+    return count_vocab(corpus.tokens, max_size, allowed)
+
+
+def count_vocab(days: TokenizedDays, max_size: int = 5000,
+                allowed: set[str] | None = None) -> Vocabulary:
     """Most frequent tokens, ties broken lexicographically, capped at max_size.
 
     `allowed` restricts candidates to a given token set (used when an external
     embedding file defines which words exist); counting still sees every token.
-    The counts come from the corpus's one tokenization, ``Corpus.tokens``.
     """
-    if not corpus.days:
+    if not days.dates:
         raise DatasetError("cannot build a vocabulary from an empty corpus")
     if max_size < 2:
         raise DatasetError("max_size must leave room for pad and unk")
-    days = corpus.tokens
     counts = np.bincount(days.ids, minlength=len(days.table)).tolist()
     items = [(t, c) for t, c in zip(days.table[1:], counts[1:])
              if allowed is None or t in allowed]
@@ -315,19 +321,12 @@ def capped_start(n, cap: int):
     return np.maximum(n - cap, 0)
 
 
-def cap_daily_docs(docs: tuple[Document, ...], cap: int = 25) -> tuple[Document, ...]:
-    """Keep the last `cap` documents of a day (latest by release order)."""
-    if cap < 1:
-        raise DatasetError("cap must be at least 1")
-    return docs[int(capped_start(len(docs), cap)):]
-
-
-def encode_day(docs: tuple[Document, ...], vocab: Vocabulary,
-               max_tokens: int) -> DocumentBatch:
-    """Tokenize one day into padded id rows; drops docs with no usable tokens.
-    Unknown tokens map to UNK_ID. The one-day case of ``tokenize_days``."""
-    return tokenize_days([(None, docs)]).batches(vocab, max_tokens,
-                                                 len(docs))[0]
+def encode_day(docs, vocab: Vocabulary, max_tokens: int,
+               cap: int) -> DocumentBatch:
+    """One day's (text, relevant) documents as ``TokenizedDays.batches``
+    encodes a day: its last ``cap`` documents as padded id rows, those
+    without usable tokens dropped, unknown tokens mapped to UNK_ID."""
+    return tokenize_days([(None, docs)]).batches(vocab, max_tokens, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +341,8 @@ def series_rows(series: Series, config) -> dict[dt.date, int]:
     return {d: i for i, d in enumerate(series.dates)}
 
 
-def _window(date: dt.date, n_docs: int, series: Series,
-            rows: dict[dt.date, int], config) -> SeriesWindow | str:
+def series_window(date: dt.date, n_docs: int, series: Series,
+                  rows: dict[dt.date, int], config) -> SeriesWindow | str:
     """A day's m-day window, or why the day yields no sample: "no-docs" (no
     document survives tokenization), "no-series" (no series row) or
     "short-history" (fewer than m rows before it), checked in that order."""
@@ -357,16 +356,6 @@ def _window(date: dt.date, n_docs: int, series: Series,
     return SeriesWindow(values=series.values[i - config.m:i].copy(),
                         target=float(series.values[i, 0]),
                         prev=float(series.values[i - 1, 0]), date=date)
-
-
-def window_day(day: Day, series: Series, rows: dict[dt.date, int],
-               vocab: Vocabulary, config) -> tuple[SeriesWindow, DocumentBatch] | str:
-    """A day's m-day window and documents, or why it yields no sample (see
-    ``_window``)."""
-    batch = encode_day(cap_daily_docs(day.docs, config.daily_doc_cap),
-                       vocab, config.max_tokens)
-    got = _window(day.date, batch.n, series, rows, config)
-    return got if isinstance(got, str) else (got, batch)
 
 
 def to_samples(pairs, stats: SeriesStats) -> tuple[Sample, ...]:
@@ -391,7 +380,7 @@ def window_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
                    stats: SeriesStats | None = None) -> SampleSet:
     """Pair each documented day with its m-day window and assign splits.
 
-    Days that ``_window`` refuses are skipped and counted by reason.
+    Days that ``series_window`` refuses are skipped and counted by reason.
     Normalization stats come from the train split alone, unless ``stats``
     carries the values a trained model was fitted with, in which case those
     are reused and the train split may be empty.
@@ -404,7 +393,7 @@ def window_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
     skipped = Counter()
     batches = days.batches(vocab, config.max_tokens, config.daily_doc_cap)
     for date, batch in zip(days.dates, batches):
-        got = _window(date, batch.n, series, rows, config)
+        got = series_window(date, batch.n, series, rows, config)
         if isinstance(got, str):
             skipped[got] += 1
         else:
@@ -582,23 +571,7 @@ def read_corpus(path: str):
         raise DatasetError("%s holds no days" % path)
 
 
-def corpus_day(date: dt.date, headlines: list) -> Day:
-    """A day from headline objects that ``read_corpus`` has checked."""
-    return Day(date=date, docs=tuple([Document(h["text"], h.get("relevant"))
-                                      for h in headlines]))
-
-
-def line_day(date: dt.date, line: str) -> Day:
-    """The day of a corpus line that ``read_corpus`` has passed."""
-    return corpus_day(date, json.loads(line)["headlines"])
-
-
-def load_corpus(path: str) -> Corpus:
-    return Corpus(days=tuple([corpus_day(date, heads)
-                              for date, heads, _line in read_corpus(path)]))
-
-
-def read_days(path: str) -> TokenizedDays:
+def load_corpus(path: str) -> TokenizedDays:
     """A corpus file's days, each tokenized as ``read_corpus`` yields its
     line: no Document or Day is built, and no text outlives its line."""
     return tokenize_days((date, [(h["text"], h.get("relevant")) for h in heads])

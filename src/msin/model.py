@@ -4,7 +4,8 @@ All three share the document encoder and the dense output head.  ``msin``
 injects an attended document context into every gate; ``lstm_wo`` runs a plain
 LSTM and aligns documents once against the final hidden state; ``lstm_par``
 keeps the modalities independent until the head.  ``forward_batch`` builds
-one graph for a list of samples; ``forward`` is its batch of one.
+one graph for a list of samples and ``batch_loss`` scores it; every command
+runs these two, a single sample as a batch of one.
 Parameters live in one named-tensor tree so checkpointing and gradient
 checking can enumerate them uniformly.
 """
@@ -198,6 +199,7 @@ def bind_tensors(params: ModelParams, replacements: list[T.Tensor]) -> ModelPara
     return rebuild(params)
 
 
+# Kept only because the benchmark (bench/) names it; no command uses it.
 @dataclass
 class Prediction:
     """One sample's outputs."""
@@ -262,6 +264,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
                            counts=docs.counts)
 
 
+# Kept only because the benchmark (bench/) names it; no command calls it.
 def forward(tape, sample, params: ModelParams, config: ModelConfig,
             train_mode: bool = False, rng=None) -> Prediction:
     """One sample: ``forward_batch`` on a batch of one."""
@@ -333,6 +336,7 @@ def batch_loss(tape, value: T.Tensor, samples, params: ModelParams,
     return (terms[0] if len(terms) == 1 else T.sum_stack(tape, terms)), errors
 
 
+# Kept only because the benchmark (bench/) names it; no command calls it.
 def loss(tape, pred: Prediction, sample, params: ModelParams,
          config: ModelConfig) -> T.Tensor:
     """One sample's objective: its prediction error plus the penalties."""

@@ -6,7 +6,7 @@ loss and one backward on one tape. The objective is the mean of the
 per-sample prediction errors plus the penalties; the tape differentiates its
 sum over the batch and the float64 leaf gradients are divided by the batch
 size. Sample b's dropout mask comes from its own stream, keyed by step and
-sample index.
+sample index; at a dropout rate of 0 no stream is built.
 
 ``train`` pays the optimizer's fixed costs once per step, not once per
 tensor: at its start every parameter's ``data`` becomes a view into one
@@ -230,9 +230,10 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
 
         batch = [train_set[i] for i in batch_ids]
         tape = T.Tape()
-        pred = M.forward_batch(
-            tape, batch, params, config, train_mode=True,
-            rngs=[substream(tcfg.seed, "dropout", step, i) for i in batch_ids])
+        rngs = None if config.dropout_rate == 0.0 else \
+            [substream(tcfg.seed, "dropout", step, i) for i in batch_ids]
+        pred = M.forward_batch(tape, batch, params, config, train_mode=True,
+                               rngs=rngs)
         total, errors = M.batch_loss(tape, pred.value, batch, params, config)
         train_loss = float(total.data[0]) / len(batch)
         if not np.isfinite(train_loss):

@@ -1,7 +1,9 @@
 """Test-side helpers: the one-number gradient check, one day as a batch of
 one, a per-tensor Adam loop, the sizes of the forward-only passes, one
 day's checked ranking, Pre@k/Rec@k over such days, one document's word
-attention, and the synthetic generator as it first drew its stream.
+attention, the synthetic generator as it first drew its stream, and a
+corpus file read into ``Day`` and ``Document`` objects and capped per day
+as the program did before it streamed.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -270,3 +272,17 @@ def reference_synth_generate(spec):
         values.append([x])
     return (D.Corpus(days=tuple(days)),
             D.Series(dates=tuple(dates), values=np.asarray(values)))
+
+
+def load_corpus(path: str) -> D.Corpus:
+    """A corpus file as an in-memory ``Corpus``, each line checked by
+    ``D.read_corpus``."""
+    return D.Corpus(days=tuple(
+        D.Day(date=date, docs=tuple(D.Document(h["text"], h.get("relevant"))
+                                    for h in heads))
+        for date, heads, _line in D.read_corpus(path)))
+
+
+def cap_daily_docs(docs, cap: int):
+    """The last ``cap`` documents of a day (latest by release order)."""
+    return docs[max(len(docs) - cap, 0):]

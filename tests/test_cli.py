@@ -21,6 +21,8 @@ import msin.model as M
 import msin.training as TR
 from msin.cli import main
 
+import helpers as H
+
 JAN22 = "0.00,0.15,0.03,0.21,0.09,0.03,0.04,0.02,0.03,0.01,0.00,0.01,0.40"
 AUG14 = "0.00,0.00,0.00,0.00,0.00,0.03,0.00,0.02,0.01,0.76,0.17"
 JAN09 = "0.00,0.87,0.00,0.00"
@@ -133,7 +135,7 @@ def test_synth_writes_parseable_dataset(tmp_path, capsys):
     assert out.count("sha256=") == 2
     corpus = D.load_corpus(corpus_path)
     series = D.load_series(series_path)
-    assert len(corpus.days) == 12
+    assert len(corpus.dates) == 12
     assert series.values.shape == (12, 1)
 
 
@@ -169,7 +171,7 @@ def test_config_file_supplies_values(tmp_path, capsys):
     rc = main(["synth", "--out-dir", str(tmp_path), "--config", str(cfg)])
     assert rc == 0
     assert "days=7" in capsys.readouterr().out
-    assert len(D.load_corpus(str(tmp_path / "corpus.jsonl")).days) == 7
+    assert len(D.load_corpus(str(tmp_path / "corpus.jsonl")).dates) == 7
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):
@@ -287,7 +289,7 @@ def test_synth_non_finite_sigma_is_usage_error(tmp_path, capsys):
 
 def test_train_non_finite_embedding_row_is_data_error(tmp_path, capsys):
     corpus, series = make_dataset(tmp_path / "data", days=20)
-    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    vocab = D.count_vocab(D.load_corpus(corpus), max_size=60)
     emb = tmp_path / "emb.txt"
     emb.write_text("%s 1 2 3 4 5 6\n%s 1 2 inf 4 5 6\n"
                    % (vocab.tokens[2], vocab.tokens[3]))
@@ -303,7 +305,7 @@ def test_train_embeddings_split_on_tabs_and_trailing_spaces(tmp_path, capsys):
     """Tabs and a trailing space separate fields, both for the vocabulary the
     file allows and for the rows it loads."""
     corpus, series = make_dataset(tmp_path / "data", days=20)
-    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    vocab = D.count_vocab(D.load_corpus(corpus), max_size=60)
     emb = tmp_path / "emb.txt"
     emb.write_text("%s\t1\t2\t3\t4\t5\t6\n%s 1 2 3 4 5 6 \n"
                    % (vocab.tokens[2], vocab.tokens[3]))
@@ -319,7 +321,7 @@ def test_train_embeddings_byte_order_mark_is_skipped(tmp_path, capsys):
     """The file's first token is a word like the others, both for the
     vocabulary the file allows and for the rows it loads."""
     corpus, series = make_dataset(tmp_path / "data", days=20)
-    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    vocab = D.count_vocab(D.load_corpus(corpus), max_size=60)
     emb = tmp_path / "emb.txt"
     emb.write_text("\ufeff%s 1 2 3 4 5 6\n%s 1 2 3 4 5 6\n"
                    % (vocab.tokens[2], vocab.tokens[3]), encoding="utf-8")
@@ -721,8 +723,8 @@ def ranked_run(tmp_path_factory):
 def full_build_ranking(ckpt, corpus_path, series_path, sample, capsys):
     """What rank prints for a sample taken from a whole-corpus build."""
     params, config, _tcfg, _meta = TR.checkpoint_load(ckpt)
-    day = {d.date: d for d in D.load_corpus(corpus_path).days}[sample.window.date]
-    capped = D.cap_daily_docs(day.docs, config.daily_doc_cap)
+    day = {d.date: d for d in H.load_corpus(corpus_path).days}[sample.window.date]
+    capped = H.cap_daily_docs(day.docs, config.daily_doc_cap)
     pred = M.forward(None, sample, params, config)
     capsys.readouterr()
     cli._print_ranking(sample.window.date.isoformat(),
@@ -733,7 +735,7 @@ def full_build_ranking(ckpt, corpus_path, series_path, sample, capsys):
 
 def full_build(ckpt, corpus_path, series_path):
     _params, config, _tcfg, meta = TR.checkpoint_load(ckpt)
-    return D.make_samples(
+    return D.window_samples(
         D.load_corpus(corpus_path), D.load_series(series_path),
         D.Vocabulary(tokens=tuple(meta["vocab"])), config,
         D.SplitSpec(fracs=tuple(meta["split"]["fracs"])),
@@ -745,12 +747,36 @@ def rank_argv(ckpt, corpus, series, *extra):
             "--series", series, *extra]
 
 
-def count_days_built(monkeypatch) -> list:
-    """Patch ``D.Day`` to record the date of every day built from here on."""
+def count_days_built(monkeypatch, corpus_path) -> list:
+    """Patch ``D.tokenize_days`` to record the date of every day tokenized
+    from here on, found by its headlines in the corpus file."""
+    dates = {}
+    with open(corpus_path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            texts = tuple(h["text"] for h in rec["headlines"])
+            dates[texts] = dt.date.fromisoformat(rec["date"])
     built = []
-    real_day = D.Day
-    monkeypatch.setattr(D, "Day",
-                        lambda **kw: built.append(kw["date"]) or real_day(**kw))
+    real_tokenize_days = D.tokenize_days
+
+    def seen(days):
+        for day in days:
+            built.append(dates[tuple(text for text, _flag in day[1])])
+            yield day
+
+    monkeypatch.setattr(D, "tokenize_days",
+                        lambda days: real_tokenize_days(seen(days)))
+    return built
+
+
+def count_objects_built(monkeypatch) -> list:
+    """Patch ``D.Day`` and ``D.Document`` to record every one built from
+    here on."""
+    built = []
+    for name in ("Day", "Document"):
+        real = getattr(D, name)
+        monkeypatch.setattr(D, name, lambda *a, real=real, **kw:
+                            built.append((a, kw)) or real(*a, **kw))
     return built
 
 
@@ -767,7 +793,7 @@ def test_rank_encodes_one_day_and_matches_full_build(ranked_run, capsys,
     monkeypatch.setattr(D, "make_samples", None)
     monkeypatch.setattr(D, "encode_day",
                         lambda *a: encoded.append(a) or real_encode(*a))
-    built = count_days_built(monkeypatch)
+    built = count_days_built(monkeypatch, corpus)
     for sample, want in zip(samples, wants):
         encoded.clear()
         built.clear()
@@ -782,7 +808,7 @@ def test_rank_encodes_one_day_and_matches_full_build(ranked_run, capsys,
 def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys,
                                                           monkeypatch):
     root, ckpt, corpus_path, series = ranked_run
-    corpus = D.load_corpus(corpus_path)
+    corpus = H.load_corpus(corpus_path)
     last = corpus.days[-1]
     blank = D.Day(date=last.date, docs=(D.Document("!!! ..."), D.Document("--")))
     edited = str(root / "blank_last.jsonl")
@@ -791,7 +817,7 @@ def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys,
     latest = max(sset.train + sset.valid + sset.test, key=lambda s: s.window.date)
     assert latest.window.date == corpus.days[-2].date
     want = full_build_ranking(ckpt, edited, series, latest, capsys)
-    built = count_days_built(monkeypatch)
+    built = count_days_built(monkeypatch, edited)
     assert main(rank_argv(ckpt, edited, series)) == 0
     assert capsys.readouterr().out == want
     assert built == [last.date, corpus.days[-2].date]
@@ -906,6 +932,54 @@ def test_rank_agrees_with_eval_on_every_day(ranked_run, capsys):
         assert chosen == sorted(day["selected"])
 
 
+@pytest.fixture(scope="module")
+def capped_run(tmp_path_factory):
+    """A corpus of 4-9 headlines a day and a checkpoint that keeps 5."""
+    root = tmp_path_factory.mktemp("capped")
+    corpus, series = make_dataset(root / "data", days=40,
+                                  extra=("--docs-min", "4", "--docs-max", "9"))
+    ckpt, _ = train_small(root, corpus, series,
+                          extra=("--max-steps", "3", "--daily-doc-cap", "5"))
+    return root, ckpt, corpus, series
+
+
+def test_rank_of_a_capped_day_agrees_with_eval(capped_run, capsys):
+    """On days with more headlines than the cap, rank prints eval's order,
+    masses and selection, and document NN's text is the NNth of the day's
+    last five headlines."""
+    root, ckpt, corpus, series = capped_run
+    out_dir = root / "eval_all"
+    assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus,
+                 "--series", series, "--out-dir", str(out_dir),
+                 "--split", "all"]) == 0
+    days = {d["date"]: d for d in map(json.loads, open(out_dir / "days.jsonl"))}
+    heads = {}
+    with open(corpus, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            heads[rec["date"]] = [h["text"] for h in rec["headlines"]]
+    capped = [d for d in days if len(heads[d]) > 5]
+    assert len(capped) >= 20
+    latest = max(days)
+    for date in capped[::4] + [None]:
+        capsys.readouterr()
+        extra = () if date is None else ("--date", date)
+        assert main(rank_argv(ckpt, corpus, series, *extra)) == 0
+        text = capsys.readouterr().out
+        date = date or latest
+        assert text.startswith("ranking for %s (5 documents)" % date)
+        mass = np.asarray(days[date]["mass"])
+        rows = [line.split(None, 6) for line in text.splitlines()
+                if line.startswith("rank ")]
+        assert [int(r[3]) - 1 for r in rows] == list(E.rank_order(mass))
+        assert [r[5] for r in rows] == ["%.4f" % mass[int(r[3]) - 1]
+                                        for r in rows]
+        chosen = sorted(d - 1 for d in selected_docs(text))
+        assert chosen == sorted(days[date]["selected"])
+        assert {int(r[3]): r[6] for r in rows} == dict(
+            enumerate(heads[date][-5:], start=1))
+
+
 # ---------------------------------------------------------------------------
 # non-finite weights and masses
 
@@ -963,24 +1037,28 @@ def test_non_finite_mass_from_finite_weights_is_numeric_failure(
 
 def test_eval_builds_no_per_headline_objects(ranked_run, capsys, monkeypatch):
     """eval encodes each corpus line as it is read: no Day and no Document,
-    and its reports equal those of a whole-corpus build."""
+    and its reports equal those of a whole-corpus build. train, rank and
+    gradcheck build none either."""
     root, ckpt, corpus, series = ranked_run
     sset = full_build(ckpt, corpus, series)
     params, config, _tcfg, _meta = TR.checkpoint_load(ckpt)
     want = E.rank_report(params, config, sset.train + sset.valid + sset.test)
     E.write_day_dump(want, str(root / "want_days.jsonl"))
-    built = count_days_built(monkeypatch)
-    docs = []
-    real_document = D.Document
-    monkeypatch.setattr(D, "Document",
-                        lambda *a, **kw: docs.append(a) or real_document(*a, **kw))
+    built = count_objects_built(monkeypatch)
     out_dir = root / "no_objects"
     assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus,
                  "--series", series, "--out-dir", str(out_dir),
                  "--split", "all"]) == 0
-    assert built == [] and docs == []
+    assert built == []
     assert (out_dir / "days.jsonl").read_bytes() == \
         (root / "want_days.jsonl").read_bytes()
+    train_small(root / "no_objects_train", corpus, series,
+                extra=("--max-steps", "2"))
+    for argv in (rank_argv(ckpt, corpus, series),
+                 rank_argv(ckpt, corpus, series, "--date", "2000-01-20"),
+                 ["gradcheck", "--variant", "msin"]):
+        assert main(argv) == 0
+    assert built == []
 
 
 def test_day_dump_bytes_equal_the_json_encoder(tmp_path):

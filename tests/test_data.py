@@ -17,6 +17,9 @@ from msin.model import ModelConfig
 import helpers as H
 
 
+UNCAPPED = 100  # a daily cap above any day's document count here
+
+
 def cfg(**kw):
     base = dict(variant="msin", d_s=3, d_h=2, d_w=3, vocab_size=16, m=2,
                 series_dim=1, max_tokens=4, daily_doc_cap=3)
@@ -56,7 +59,8 @@ class TestVocabulary:
 
     def test_unknown_maps_to_one(self):
         vocab = D.build_vocab(mini_corpus([["x"]]))
-        batch = D.encode_day((D.Document("zzz x"),), vocab, max_tokens=2)
+        batch = D.encode_day((D.Document("zzz x"),), vocab, max_tokens=2,
+                             cap=UNCAPPED)
         assert batch.token_ids.tolist() == [[D.UNK_ID, 2]] and D.UNK_ID == 1
         assert vocab.ids["<pad>"] == 0
 
@@ -81,22 +85,31 @@ class TestVocabulary:
             D.build_vocab(D.Corpus(days=()))
 
 
+def kept_by_encode_day(docs, cap):
+    """The documents ``encode_day`` keeps of a day under ``cap``, each read
+    back from its one token."""
+    vocab = D.Vocabulary(tokens=(D.PAD_TOKEN, D.UNK_TOKEN)
+                         + tuple(d.text for d in docs))
+    batch = D.encode_day(docs, vocab, max_tokens=1, cap=cap)
+    return tuple(docs[i - 2] for i in batch.token_ids[:, 0].tolist())
+
+
 class TestCapDailyDocs:
     def test_keeps_last_suffix(self):
         docs = tuple(D.Document(text="d%d" % i) for i in range(30))
-        kept = D.cap_daily_docs(docs, cap=25)
+        kept = kept_by_encode_day(docs, cap=25)
         assert kept == docs[5:]
 
     def test_boundary_and_small(self):
         docs = tuple(D.Document(text="d%d" % i) for i in range(25))
-        assert D.cap_daily_docs(docs, cap=25) == docs
-        assert D.cap_daily_docs(docs[:1], cap=25) == docs[:1]
+        assert kept_by_encode_day(docs, cap=25) == docs
+        assert kept_by_encode_day(docs[:1], cap=25) == docs[:1]
 
     @given(st.integers(0, 60), st.integers(1, 30))
     @settings(max_examples=30, deadline=None)
     def test_suffix_property(self, count, cap):
         docs = tuple(D.Document(text=str(i)) for i in range(count))
-        kept = D.cap_daily_docs(docs, cap=cap)
+        kept = kept_by_encode_day(docs, cap=cap)
         assert len(kept) == min(count, cap)
         assert kept == docs[len(docs) - len(kept):]
 
@@ -107,7 +120,7 @@ class TestEncodeDay:
         docs = (D.Document(text="Up up and away", relevant=True),
                 D.Document(text="!!!"),
                 D.Document(text="down", relevant=False))
-        batch = D.encode_day(docs, vocab, max_tokens=4)
+        batch = D.encode_day(docs, vocab, max_tokens=4, cap=UNCAPPED)
         assert batch.n == 2
         np.testing.assert_array_equal(batch.token_ids,
                                       [[2, 2, 1, 1], [3, 0, 0, 0]])
@@ -142,7 +155,7 @@ class TestEncodeDayReference:
              "١٢٣ digits ٤")
 
     def assert_same(self, docs, max_tokens):
-        got = D.encode_day(docs, self.VOCAB, max_tokens)
+        got = D.encode_day(docs, self.VOCAB, max_tokens, UNCAPPED)
         ids, lengths, flags, src = encode_day_per_token(docs, self.VOCAB, max_tokens)
         assert got.token_ids.dtype == ids.dtype and got.token_ids.shape == ids.shape
         assert got.token_ids.tobytes() == ids.tobytes()
@@ -161,7 +174,8 @@ class TestEncodeDayReference:
     def test_day_left_empty(self):
         docs = (D.Document("!!!"), D.Document(""), D.Document("___"))
         self.assert_same(docs, 4)
-        assert D.encode_day(docs, self.VOCAB, 4).token_ids.shape == (0, 4)
+        assert D.encode_day(docs, self.VOCAB, 4, UNCAPPED).token_ids.shape \
+            == (0, 4)
 
     @given(st.lists(st.text(alphabet="upDOWNcaféx 株価_-!3", max_size=30),
                     max_size=8), st.integers(0, 6))
@@ -255,7 +269,7 @@ class TestMakeSamples:
         row = {d: i for i, d in enumerate(series.dates)}
         want = 0
         for day in corpus.days:
-            docs = D.cap_daily_docs(day.docs, config.daily_doc_cap)
+            docs = H.cap_daily_docs(day.docs, config.daily_doc_cap)
             usable = sum(1 for d in docs if D.tokenize(d.text, config.max_tokens))
             if usable and day.date in row and row[day.date] >= config.m:
                 want += 1
@@ -494,13 +508,13 @@ class TestFileFormats:
         corpus, _ = D.synth_generate(D.SynthSpec(n_days=12, seed=8))
         path = str(tmp_path / "corpus.jsonl")
         D.save_corpus(corpus, path)
-        assert D.load_corpus(path) == corpus
+        assert H.load_corpus(path) == corpus
 
     def test_corpus_null_flags_survive(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"date":"2020-01-01","headlines":'
                         '[{"text":"hello","relevant":null}]}\n')
-        corpus = D.load_corpus(str(path))
+        corpus = H.load_corpus(str(path))
         assert corpus.days[0].docs[0].relevant is None
 
     def test_corpus_malformed_line_names_position(self, tmp_path):
@@ -516,7 +530,7 @@ class TestFileFormats:
         path = tmp_path / "c.jsonl"
         path.write_text('\ufeff{"date":"2020-01-01","headlines":[{"text":"a"}]}\n',
                         encoding="utf-8")
-        assert D.load_corpus(str(path)).days[0].docs == (D.Document("a", None),)
+        assert H.load_corpus(str(path)).days[0].docs == (D.Document("a", None),)
 
     def test_corpus_date_order_enforced(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -543,7 +557,7 @@ class TestFileFormats:
         path.write_text('{"date":"2020-01-01","headlines":[{"text":"a",'
                         '"relevant":true},{"text":"b","relevant":false},'
                         '{"text":"c"}]}\n')
-        docs = D.load_corpus(str(path)).days[0].docs
+        docs = H.load_corpus(str(path)).days[0].docs
         assert docs == (D.Document("a", True), D.Document("b", False),
                         D.Document("c", None))
 
@@ -655,9 +669,9 @@ def assert_same_sets(got, want):
 
 
 class TestStreamedBuild:
-    """eval's samples, built from corpus lines as they are read, equal
-    make_samples over load_corpus and the per-token reference; build_vocab
-    equals a count of ``tokenize``'s tokens."""
+    """The samples of train and eval, built from corpus lines as they are
+    read, equal make_samples over an in-memory corpus and the per-token
+    reference; build_vocab equals a count of ``tokenize``'s tokens."""
 
     @given(days=st.lists(st.lists(st.tuples(
                st.lists(st.sampled_from(_WORDS), max_size=7).map(" ".join),
@@ -668,7 +682,7 @@ class TestStreamedBuild:
     def test_lines_equal_whole_corpus(self, tmp_path, days, bom, gaps):
         path = str(tmp_path / "corpus.jsonl")
         write_corpus(path, days, bom)
-        corpus = D.load_corpus(path)
+        corpus = H.load_corpus(path)
         counts = Counter(t for day in corpus.days for d in day.docs
                          for t in D.tokenize(d.text))
         ranked = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
@@ -681,7 +695,8 @@ class TestStreamedBuild:
                                                         dtype=float)[:, None])
         split = D.SplitSpec(fracs=(0.5, 0.25, 0.25))
         stats = D.SeriesStats(mean=0.5, std=2.0)
-        streamed = D.read_days(path)
+        streamed = D.load_corpus(path)
+        assert D.count_vocab(streamed, max_size=6) == vocab
         try:
             want = D.make_samples(corpus, series, vocab, config, split, stats)
         except D.DatasetError as exc:
@@ -692,7 +707,7 @@ class TestStreamedBuild:
         assert_same_sets(got, want)
         by_date = {d.date: d for d in corpus.days}
         for s in got.train + got.valid + got.test:
-            docs = D.cap_daily_docs(by_date[s.window.date].docs,
+            docs = H.cap_daily_docs(by_date[s.window.date].docs,
                                     config.daily_doc_cap)
             ids, lengths, flags, src = encode_day_per_token(docs, vocab,
                                                             config.max_tokens)
