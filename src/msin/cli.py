@@ -361,11 +361,11 @@ def cmd_synth(args) -> int:
             seed=merged["seed"], start=merged["start"])
     except D.DatasetError as e:
         raise _UsageError(str(e)) from None
-    corpus, series = D.synth_generate(spec)
+    days, series = D.synth_generate(spec)
     os.makedirs(merged["out_dir"], exist_ok=True)
     corpus_path = os.path.join(merged["out_dir"], "corpus.jsonl")
     series_path = os.path.join(merged["out_dir"], "series.csv")
-    D.save_corpus(corpus, corpus_path)
+    D.save_corpus(days, corpus_path)
     D.save_series(series, series_path)
     print("synth days=%d docs=%d..%d len=%d..%d vocab=%d phi=%g alpha=%g "
           "sigma=%g plant_prob=%g plant_per_day=%s seed=%d start=%s"
@@ -393,8 +393,8 @@ def cmd_train(args) -> int:
             allowed = _embedding_tokens(merged["embeddings"])
         except OSError as e:
             raise D.DatasetError("cannot read embeddings: %s" % e) from None
-    vocab = D.count_vocab(days, max_size=config.vocab_size, allowed=allowed)
-    sset = D.window_samples(days, series, vocab, config, split)
+    vocab = D.build_vocab(days, max_size=config.vocab_size, allowed=allowed)
+    sset = D.make_samples(days, series, vocab, config, split)
     print("samples train=%d valid=%d test=%d (skipped %d no-docs, "
           "%d no-series, %d short-history)"
           % (len(sset.train), len(sset.valid), len(sset.test),
@@ -445,7 +445,7 @@ def cmd_eval(args) -> int:
     split = split or _stored_split(meta.get("split"))
     days = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
-    sset = D.window_samples(days, series, vocab, config, split, stats=stats)
+    sset = D.make_samples(days, series, vocab, config, split, stats=stats)
     samples = (sset.train + sset.valid + sset.test if merged["split"] == "all"
                else getattr(sset, merged["split"]))
     if not samples:

@@ -1,13 +1,13 @@
 """Corpus and series ingestion, vocabulary, windowing, synthetic generator.
 
-Each headline is tokenized once per command, and every command reads a
+A corpus has one form, ``TokenizedDays``: every document's tokens as
+indices of a table of distinct tokens, stored as one integer array, so no
+per-headline object is built and no text is held. Every command reads a
 corpus file the same way: ``load_corpus`` feeds ``read_corpus``'s lines
-straight into ``tokenize_days``, which turns days of headlines into indices
-of a first-seen token table, stored as one integer array, so no
-``Document`` or ``Day`` is built and no text is held. ``count_vocab`` and
-``window_samples`` work on that ``TokenizedDays``; ``build_vocab`` and
-``make_samples`` are their forms for an in-memory ``Corpus``, whose one
-tokenization is cached (``Corpus.tokens``).
+straight into ``tokenize_days``, which tokenizes each headline once.
+``synth_generate`` builds the same form straight from its draws, and
+``save_corpus`` writes it back as text, each document's tokens joined by
+one space. ``build_vocab`` and ``make_samples`` work on that form.
 ``TokenizedDays.batches`` caps (keeping each day's last ``daily_doc_cap``
 documents from ``capped_start``), truncates and maps the ids of every day
 at once: each day's ``DocumentBatch`` is a slice of one corpus-wide
@@ -29,15 +29,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import functools
 import json
 import math
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
-from typing import NamedTuple
+from itertools import compress, islice
 
 import numpy as np
 
@@ -59,30 +57,6 @@ class DatasetError(Exception):
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-class Document(NamedTuple):
-    """One headline; a tuple, so a corpus of them loads quickly."""
-
-    text: str
-    relevant: bool | None = None
-
-
-@dataclass(frozen=True)
-class Day:
-    date: dt.date
-    docs: tuple[Document, ...]
-
-
-@dataclass(frozen=True)
-class Corpus:
-    days: tuple[Day, ...]  # dates strictly increasing
-
-    @functools.cached_property
-    def tokens(self) -> TokenizedDays:
-        """Every headline tokenized once; ``build_vocab`` and
-        ``make_samples`` share it."""
-        return tokenize_days((day.date, day.docs) for day in self.days)
 
 
 @dataclass(frozen=True)
@@ -200,10 +174,9 @@ class SampleSet:
 # tokenization and vocabulary
 
 
-def tokenize(text: str, max_tokens: int | None = None) -> list[str]:
-    """Lowercase, split on non-alphanumeric runs, truncate to max_tokens."""
-    toks = _TOKEN_RE.findall(text.lower())
-    return toks[:max_tokens] if max_tokens is not None else toks
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumeric runs."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -212,9 +185,10 @@ class TokenizedDays:
 
     ``ids`` holds every document's tokens, each document followed by 0, as
     indices into ``table``: its entry 0 stands for that document end, the
-    rest are the distinct tokens in first-seen order. ``lengths`` counts
-    each document's tokens, ``day_sizes`` each day's documents, and
-    ``flags`` holds each document's relevance flag.
+    rest are distinct tokens, in an order that carries no meaning.
+    ``lengths`` counts each document's tokens, ``day_sizes`` each day's
+    documents, and ``flags`` holds each document's relevance flag.
+    ``_tokenized`` builds every instance.
     """
 
     dates: tuple
@@ -258,6 +232,19 @@ class TokenizedDays:
         return out
 
 
+def _tokenized(dates, table, ids, day_sizes, flags) -> TokenizedDays:
+    """Days in the ``TokenizedDays`` layout, which only this function
+    knows: ``ids``, the ``table`` indices of every document's tokens each
+    followed by the end marker 0, is stored in the narrowest unsigned type
+    that holds every index, and each document's length is read off the
+    markers."""
+    ids = np.asarray(ids, dtype=np.min_scalar_type(len(table) - 1))
+    return TokenizedDays(
+        dates=tuple(dates), table=tuple(table), ids=ids,
+        lengths=np.diff(np.flatnonzero(ids == 0), prepend=-1) - 1,
+        day_sizes=np.array(day_sizes, dtype=np.int64), flags=flags)
+
+
 def tokenize_days(days) -> TokenizedDays:
     """(date, documents) pairs, each document a (text, relevant) pair, with
     every text split by ``tokenize`` once. "|", which no token can be, marks
@@ -279,28 +266,19 @@ def tokenize_days(days) -> TokenizedDays:
             for t in toks:
                 index.setdefault(t, len(index))
             if len(index) > 1 << 8 * ids.itemsize:
-                ids = array("H" if len(index) <= 1 << 16 else "I", ids)
+                ids = array(np.min_scalar_type(len(index) - 1).char, ids)
             row = list(map(index.__getitem__, toks))
         ids.fromlist(row)
-    ids = np.frombuffer(ids, dtype=ids.typecode)
-    return TokenizedDays(
-        dates=tuple(dates), table=tuple(index), ids=ids,
-        lengths=np.diff(np.flatnonzero(ids == 0), prepend=-1) - 1,
-        day_sizes=np.array(sizes, dtype=np.int64), flags=flags)
+    return _tokenized(dates, index, ids, sizes, flags)
 
 
-def build_vocab(corpus: Corpus, max_size: int = 5000,
-                allowed: set[str] | None = None) -> Vocabulary:
-    """``count_vocab`` over the corpus's one tokenization."""
-    return count_vocab(corpus.tokens, max_size, allowed)
-
-
-def count_vocab(days: TokenizedDays, max_size: int = 5000,
+def build_vocab(days: TokenizedDays, max_size: int = 5000,
                 allowed: set[str] | None = None) -> Vocabulary:
     """Most frequent tokens, ties broken lexicographically, capped at max_size.
 
-    `allowed` restricts candidates to a given token set (used when an external
-    embedding file defines which words exist); counting still sees every token.
+    Only tokens that occur are counted. `allowed` restricts candidates to a
+    given token set (used when an external embedding file defines which
+    words exist); counting still sees every token.
     """
     if not days.dates:
         raise DatasetError("cannot build a vocabulary from an empty corpus")
@@ -308,7 +286,7 @@ def count_vocab(days: TokenizedDays, max_size: int = 5000,
         raise DatasetError("max_size must leave room for pad and unk")
     counts = np.bincount(days.ids, minlength=len(days.table)).tolist()
     items = [(t, c) for t, c in zip(days.table[1:], counts[1:])
-             if allowed is None or t in allowed]
+             if c and (allowed is None or t in allowed)]
     items.sort(key=lambda tc: (-tc[1], tc[0]))
     kept = [t for t, _ in items[:max_size - 2]]
     return Vocabulary(tokens=(PAD_TOKEN, UNK_TOKEN, *kept))
@@ -368,16 +346,9 @@ def to_samples(pairs, stats: SeriesStats) -> tuple[Sample, ...]:
                   for (w, b), v, t in zip(pairs, values_n, target_n)])
 
 
-def make_samples(corpus: Corpus, series: Series, vocab: Vocabulary,
+def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
                  config, split: SplitSpec,
                  stats: SeriesStats | None = None) -> SampleSet:
-    """``window_samples`` over the corpus's one tokenization."""
-    return window_samples(corpus.tokens, series, vocab, config, split, stats)
-
-
-def window_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
-                   config, split: SplitSpec,
-                   stats: SeriesStats | None = None) -> SampleSet:
     """Pair each documented day with its m-day window and assign splits.
 
     Days that ``series_window`` refuses are skipped and counted by reason.
@@ -447,7 +418,9 @@ class SynthSpec:
     """Planted-association generator settings.
 
     Each document is doc_len background tokens; a planted document carries one
-    signal token and a ground-truth flag. The series follows
+    signal token and a ground-truth flag. A lexicon word must read back from
+    ``tokenize`` as itself, so a saved corpus tokenizes as generated; one
+    equal to a background word is that word. The series follows
     x_t = phi*x_{t-1} + alpha*z_t + noise, x_0 = 0, with z_t the count of
     positive plants minus negative plants on day t.
     """
@@ -471,6 +444,10 @@ class SynthSpec:
             raise DatasetError("signal lexicons must be disjoint")
         if not self.s_plus or not self.s_minus:
             raise DatasetError("signal lexicons must be non-empty")
+        for word in self.s_plus + self.s_minus:
+            if tokenize(word) != [word]:
+                raise DatasetError("lexicon word %r is not one lowercase token"
+                                   % (word,))
         if not 0.0 <= self.phi < 1.0:
             raise DatasetError("phi must lie in [0, 1)")
         if not (math.isfinite(self.alpha) and math.isfinite(self.sigma)):
@@ -493,36 +470,42 @@ def _bounded(rng: np.random.Generator, lo: int, hi: int) -> int:
     return lo if hi - lo == 1 else int(rng.integers(lo, hi))
 
 
-def synth_generate(spec: SynthSpec) -> tuple[Corpus, Series]:
-    """Deterministic corpus and AR(1) series driven by planted signal counts."""
+def synth_generate(spec: SynthSpec) -> tuple[TokenizedDays, Series]:
+    """Deterministic corpus and AR(1) series driven by planted signal counts.
+    The corpus is built as token ids straight from the draws."""
     rng = substream(spec.seed, "synth")
-    background = ["w%04d" % i for i in range(spec.vocab_size)]
-    days, dates, values = [], [], []
+    index = {"|": 0}  # the document-end marker, background words, lexicons
+    for word in ["w%04d" % i for i in range(spec.vocab_size)] \
+            + list(spec.s_plus + spec.s_minus):
+        index.setdefault(word, len(index))
+    plus = [index[w] for w in spec.s_plus]
+    minus = [index[w] for w in spec.s_minus]
+    ids, flags, sizes, values = [], [], [], []
     x = 0.0
-    for t in range(spec.n_days):
+    for _ in range(spec.n_days):
         n_docs = _bounded(rng, spec.n_docs[0], spec.n_docs[1] + 1)
         planted_at = _bounded(rng, 0, n_docs) if spec.plant_per_day else -1
-        docs, z = [], 0
+        z = 0
         for j in range(n_docs):
             length = _bounded(rng, spec.doc_len[0], spec.doc_len[1] + 1)
-            toks = [background[k] for k in
-                    rng.integers(spec.vocab_size, size=length).tolist()]
+            row = (rng.integers(spec.vocab_size, size=length) + 1).tolist()
             plant = (j == planted_at) if spec.plant_per_day \
                 else (rng.random() < spec.plant_prob)
             if plant:
                 positive = rng.random() < 0.5
-                lex = spec.s_plus if positive else spec.s_minus
-                toks[_bounded(rng, 0, length)] = lex[_bounded(rng, 0, len(lex))]
+                lex = plus if positive else minus
+                row[_bounded(rng, 0, length)] = lex[_bounded(rng, 0, len(lex))]
                 z += 1 if positive else -1
-            docs.append(Document(" ".join(toks), plant))
+            ids += row
+            ids.append(0)
+            flags.append(plant)
         x = spec.phi * x + spec.alpha * z
         if spec.sigma > 0:
             x += spec.sigma * float(rng.standard_normal())
-        days.append(Day(date=spec.start + dt.timedelta(days=t),
-                        docs=tuple(docs)))
-        dates.append(days[-1].date)
+        sizes.append(n_docs)
         values.append([x])
-    return (Corpus(days=tuple(days)),
+    dates = [spec.start + dt.timedelta(days=t) for t in range(spec.n_days)]
+    return (_tokenized(dates, index, ids, sizes, flags),
             Series(dates=tuple(dates), values=np.asarray(values)))
 
 
@@ -530,14 +513,24 @@ def synth_generate(spec: SynthSpec) -> tuple[Corpus, Series]:
 # file formats
 
 
-def save_corpus(corpus: Corpus, path: str) -> None:
-    """One JSON line per day: {"date": ..., "headlines": [{text, relevant}]}."""
+def save_corpus(days: TokenizedDays, path: str) -> None:
+    """One JSON line per day: {"date": ..., "headlines": [{text, relevant}]},
+    each text its document's tokens joined by one space."""
+    # each token as " token" and the end marker as "\n": a day's ids then
+    # join into its documents' texts, each behind one space, one per line
+    words = ["\n"] + [" " + t for t in days.table[1:]]
+    ends = np.cumsum(np.append(0, days.lengths + 1))[np.cumsum(days.day_sizes)]
+    flags, lo = iter(days.flags), 0
     with write_atomically(path, "w", encoding="utf-8") as fh:
-        for day in corpus.days:
-            rec = {"date": day.date.isoformat(),
-                   "headlines": [{"text": d.text, "relevant": d.relevant}
-                                 for d in day.docs]}
+        for date, n, hi in zip(days.dates, days.day_sizes.tolist(),
+                               ends.tolist()):
+            texts = "".join(map(words.__getitem__,
+                                days.ids[lo:hi].tolist())).split("\n")
+            rec = {"date": date.isoformat(),
+                   "headlines": [{"text": text[1:], "relevant": flag}
+                                 for flag, text in zip(islice(flags, n), texts)]}
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+            lo = hi
 
 
 def read_corpus(path: str):

@@ -2,8 +2,9 @@
 one, a per-tensor Adam loop, the sizes of the forward-only passes, one
 day's checked ranking, Pre@k/Rec@k over such days, one document's word
 attention, the synthetic generator as it first drew its stream, and a
-corpus file read into ``Day`` and ``Document`` objects and capped per day
-as the program did before it streamed.
+corpus file or a ``TokenizedDays`` read into test-local ``Day`` and
+``Document`` objects and capped per day as the program did before it
+streamed.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -17,6 +18,8 @@ reference for its flat-buffer update.
 import dataclasses
 import datetime as dt
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,10 +242,25 @@ def word_attention(docs: DocRepresentation, j: int) -> np.ndarray:
     return docs.attention[j, :docs.lengths[j]]
 
 
+class Document(NamedTuple):
+    """One headline, as the reference generator and reader give it."""
+
+    text: str
+    relevant: bool | None = None
+
+
+@dataclass(frozen=True)
+class Day:
+    date: dt.date
+    docs: tuple[Document, ...]
+
+
 def reference_synth_generate(spec):
     """``D.synth_generate`` as it was written before one-value ranges
-    skipped the generator: every bounded draw calls ``rng.integers``. The
-    loop is kept verbatim as the reference for the generator's stream."""
+    skipped the generator and before it built token ids: every bounded draw
+    calls ``rng.integers``, and every document is its text. The loop is
+    kept verbatim as the reference for the generator's stream; it returns
+    a tuple of ``Day`` and the series."""
     rng = substream(spec.seed, "synth")
     background = ["w%04d" % i for i in range(spec.vocab_size)]
     days, dates, values = [], [], []
@@ -262,25 +280,40 @@ def reference_synth_generate(spec):
                 lex = spec.s_plus if positive else spec.s_minus
                 toks[int(rng.integers(length))] = lex[int(rng.integers(len(lex)))]
                 z += 1 if positive else -1
-            docs.append(D.Document(text=" ".join(toks), relevant=plant))
+            docs.append(Document(text=" ".join(toks), relevant=plant))
         x = spec.phi * x + spec.alpha * z
         if spec.sigma > 0:
             x += spec.sigma * float(rng.standard_normal())
-        days.append(D.Day(date=spec.start + dt.timedelta(days=t),
-                          docs=tuple(docs)))
+        days.append(Day(date=spec.start + dt.timedelta(days=t),
+                        docs=tuple(docs)))
         dates.append(days[-1].date)
         values.append([x])
-    return (D.Corpus(days=tuple(days)),
+    return (tuple(days),
             D.Series(dates=tuple(dates), values=np.asarray(values)))
 
 
-def load_corpus(path: str) -> D.Corpus:
-    """A corpus file as an in-memory ``Corpus``, each line checked by
+def load_corpus(path: str) -> tuple[Day, ...]:
+    """A corpus file as ``Day`` objects, each line checked by
     ``D.read_corpus``."""
-    return D.Corpus(days=tuple(
-        D.Day(date=date, docs=tuple(D.Document(h["text"], h.get("relevant"))
-                                    for h in heads))
-        for date, heads, _line in D.read_corpus(path)))
+    return tuple(
+        Day(date=date, docs=tuple(Document(h["text"], h.get("relevant"))
+                                  for h in heads))
+        for date, heads, _line in D.read_corpus(path))
+
+
+def corpus_days(days: D.TokenizedDays) -> tuple[Day, ...]:
+    """A ``TokenizedDays`` as ``Day`` objects, read id by id: each
+    document's text is its tokens joined by one space."""
+    docs, words, flags = [], [], iter(days.flags)
+    for i in days.ids.tolist():
+        if i:
+            words.append(days.table[i])
+        else:
+            docs.append(Document(" ".join(words), next(flags)))
+            words = []
+    docs = iter(docs)
+    return tuple(Day(date=date, docs=tuple(islice(docs, n)))
+                 for date, n in zip(days.dates, days.day_sizes.tolist()))
 
 
 def cap_daily_docs(docs, cap: int):

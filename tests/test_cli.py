@@ -289,7 +289,7 @@ def test_synth_non_finite_sigma_is_usage_error(tmp_path, capsys):
 
 def test_train_non_finite_embedding_row_is_data_error(tmp_path, capsys):
     corpus, series = make_dataset(tmp_path / "data", days=20)
-    vocab = D.count_vocab(D.load_corpus(corpus), max_size=60)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
     emb = tmp_path / "emb.txt"
     emb.write_text("%s 1 2 3 4 5 6\n%s 1 2 inf 4 5 6\n"
                    % (vocab.tokens[2], vocab.tokens[3]))
@@ -305,7 +305,7 @@ def test_train_embeddings_split_on_tabs_and_trailing_spaces(tmp_path, capsys):
     """Tabs and a trailing space separate fields, both for the vocabulary the
     file allows and for the rows it loads."""
     corpus, series = make_dataset(tmp_path / "data", days=20)
-    vocab = D.count_vocab(D.load_corpus(corpus), max_size=60)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
     emb = tmp_path / "emb.txt"
     emb.write_text("%s\t1\t2\t3\t4\t5\t6\n%s 1 2 3 4 5 6 \n"
                    % (vocab.tokens[2], vocab.tokens[3]))
@@ -321,7 +321,7 @@ def test_train_embeddings_byte_order_mark_is_skipped(tmp_path, capsys):
     """The file's first token is a word like the others, both for the
     vocabulary the file allows and for the rows it loads."""
     corpus, series = make_dataset(tmp_path / "data", days=20)
-    vocab = D.count_vocab(D.load_corpus(corpus), max_size=60)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
     emb = tmp_path / "emb.txt"
     emb.write_text("\ufeff%s 1 2 3 4 5 6\n%s 1 2 3 4 5 6\n"
                    % (vocab.tokens[2], vocab.tokens[3]), encoding="utf-8")
@@ -723,7 +723,7 @@ def ranked_run(tmp_path_factory):
 def full_build_ranking(ckpt, corpus_path, series_path, sample, capsys):
     """What rank prints for a sample taken from a whole-corpus build."""
     params, config, _tcfg, _meta = TR.checkpoint_load(ckpt)
-    day = {d.date: d for d in H.load_corpus(corpus_path).days}[sample.window.date]
+    day = {d.date: d for d in H.load_corpus(corpus_path)}[sample.window.date]
     capped = H.cap_daily_docs(day.docs, config.daily_doc_cap)
     pred = M.forward(None, sample, params, config)
     capsys.readouterr()
@@ -735,7 +735,7 @@ def full_build_ranking(ckpt, corpus_path, series_path, sample, capsys):
 
 def full_build(ckpt, corpus_path, series_path):
     _params, config, _tcfg, meta = TR.checkpoint_load(ckpt)
-    return D.window_samples(
+    return D.make_samples(
         D.load_corpus(corpus_path), D.load_series(series_path),
         D.Vocabulary(tokens=tuple(meta["vocab"])), config,
         D.SplitSpec(fracs=tuple(meta["split"]["fracs"])),
@@ -769,17 +769,6 @@ def count_days_built(monkeypatch, corpus_path) -> list:
     return built
 
 
-def count_objects_built(monkeypatch) -> list:
-    """Patch ``D.Day`` and ``D.Document`` to record every one built from
-    here on."""
-    built = []
-    for name in ("Day", "Document"):
-        real = getattr(D, name)
-        monkeypatch.setattr(D, name, lambda *a, real=real, **kw:
-                            built.append((a, kw)) or real(*a, **kw))
-    return built
-
-
 def test_rank_encodes_one_day_and_matches_full_build(ranked_run, capsys,
                                                      monkeypatch):
     _root, ckpt, corpus, series = ranked_run
@@ -809,18 +798,20 @@ def test_rank_default_day_skips_a_last_day_without_tokens(ranked_run, capsys,
                                                           monkeypatch):
     root, ckpt, corpus_path, series = ranked_run
     corpus = H.load_corpus(corpus_path)
-    last = corpus.days[-1]
-    blank = D.Day(date=last.date, docs=(D.Document("!!! ..."), D.Document("--")))
-    edited = str(root / "blank_last.jsonl")
-    D.save_corpus(D.Corpus(days=corpus.days[:-1] + (blank,)), edited)
+    last = corpus[-1]
+    blank = {"date": last.date.isoformat(),
+             "headlines": [{"text": "!!! ...", "relevant": None},
+                           {"text": "--", "relevant": None}]}
+    edited = edited_corpus(corpus_path, root / "blank_last.jsonl",
+                           len(corpus), lambda _rec, _lines: blank)
     sset = full_build(ckpt, edited, series)
     latest = max(sset.train + sset.valid + sset.test, key=lambda s: s.window.date)
-    assert latest.window.date == corpus.days[-2].date
+    assert latest.window.date == corpus[-2].date
     want = full_build_ranking(ckpt, edited, series, latest, capsys)
     built = count_days_built(monkeypatch, edited)
     assert main(rank_argv(ckpt, edited, series)) == 0
     assert capsys.readouterr().out == want
-    assert built == [last.date, corpus.days[-2].date]
+    assert built == [last.date, corpus[-2].date]
 
 
 def edited_corpus(src, dst, lineno, edit) -> str:
@@ -1036,29 +1027,29 @@ def test_non_finite_mass_from_finite_weights_is_numeric_failure(
 
 
 def test_eval_builds_no_per_headline_objects(ranked_run, capsys, monkeypatch):
-    """eval encodes each corpus line as it is read: no Day and no Document,
-    and its reports equal those of a whole-corpus build. train, rank and
-    gradcheck build none either."""
+    """eval's reports equal those of a whole-corpus build; train and
+    gradcheck run, and rank tokenizes only the days it tries."""
     root, ckpt, corpus, series = ranked_run
     sset = full_build(ckpt, corpus, series)
     params, config, _tcfg, _meta = TR.checkpoint_load(ckpt)
     want = E.rank_report(params, config, sset.train + sset.valid + sset.test)
     E.write_day_dump(want, str(root / "want_days.jsonl"))
-    built = count_objects_built(monkeypatch)
     out_dir = root / "no_objects"
     assert main(["eval", "--checkpoint", ckpt, "--corpus", corpus,
                  "--series", series, "--out-dir", str(out_dir),
                  "--split", "all"]) == 0
-    assert built == []
     assert (out_dir / "days.jsonl").read_bytes() == \
         (root / "want_days.jsonl").read_bytes()
     train_small(root / "no_objects_train", corpus, series,
                 extra=("--max-steps", "2"))
-    for argv in (rank_argv(ckpt, corpus, series),
-                 rank_argv(ckpt, corpus, series, "--date", "2000-01-20"),
-                 ["gradcheck", "--variant", "msin"]):
-        assert main(argv) == 0
-    assert built == []
+    assert main(["gradcheck", "--variant", "msin"]) == 0
+    latest = H.load_corpus(corpus)[-1].date
+    built = count_days_built(monkeypatch, corpus)
+    for extra, dates in (((), [latest]),
+                         (("--date", "2000-01-20"), [dt.date(2000, 1, 20)])):
+        built.clear()
+        assert main(rank_argv(ckpt, corpus, series, *extra)) == 0
+        assert built == dates
 
 
 def test_day_dump_bytes_equal_the_json_encoder(tmp_path):

@@ -28,11 +28,9 @@ def cfg(**kw):
 
 
 def mini_corpus(texts_by_day, start=dt.date(2020, 1, 1)):
-    days = []
-    for t, texts in enumerate(texts_by_day):
-        docs = tuple(D.Document(text=s) for s in texts)
-        days.append(D.Day(date=start + dt.timedelta(days=t), docs=docs))
-    return D.Corpus(days=tuple(days))
+    return D.tokenize_days((start + dt.timedelta(days=t),
+                            [(s, None) for s in texts])
+                           for t, texts in enumerate(texts_by_day))
 
 
 class TestTokenize:
@@ -46,7 +44,7 @@ class TestTokenize:
         assert D.tokenize("A-B  c") == ["a", "b", "c"]
 
     def test_truncation_and_digits(self):
-        assert D.tokenize("one two three four", max_tokens=2) == ["one", "two"]
+        assert D.tokenize("one two three four")[:2] == ["one", "two"]
         assert D.tokenize("q3 earnings_call") == ["q3", "earnings", "call"]
 
 
@@ -59,7 +57,7 @@ class TestVocabulary:
 
     def test_unknown_maps_to_one(self):
         vocab = D.build_vocab(mini_corpus([["x"]]))
-        batch = D.encode_day((D.Document("zzz x"),), vocab, max_tokens=2,
+        batch = D.encode_day((("zzz x", None),), vocab, max_tokens=2,
                              cap=UNCAPPED)
         assert batch.token_ids.tolist() == [[D.UNK_ID, 2]] and D.UNK_ID == 1
         assert vocab.ids["<pad>"] == 0
@@ -82,33 +80,33 @@ class TestVocabulary:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(D.DatasetError):
-            D.build_vocab(D.Corpus(days=()))
+            D.build_vocab(D.tokenize_days([]))
 
 
 def kept_by_encode_day(docs, cap):
     """The documents ``encode_day`` keeps of a day under ``cap``, each read
     back from its one token."""
     vocab = D.Vocabulary(tokens=(D.PAD_TOKEN, D.UNK_TOKEN)
-                         + tuple(d.text for d in docs))
+                         + tuple(text for text, _ in docs))
     batch = D.encode_day(docs, vocab, max_tokens=1, cap=cap)
     return tuple(docs[i - 2] for i in batch.token_ids[:, 0].tolist())
 
 
 class TestCapDailyDocs:
     def test_keeps_last_suffix(self):
-        docs = tuple(D.Document(text="d%d" % i) for i in range(30))
+        docs = tuple(("d%d" % i, None) for i in range(30))
         kept = kept_by_encode_day(docs, cap=25)
         assert kept == docs[5:]
 
     def test_boundary_and_small(self):
-        docs = tuple(D.Document(text="d%d" % i) for i in range(25))
+        docs = tuple(("d%d" % i, None) for i in range(25))
         assert kept_by_encode_day(docs, cap=25) == docs
         assert kept_by_encode_day(docs[:1], cap=25) == docs[:1]
 
     @given(st.integers(0, 60), st.integers(1, 30))
     @settings(max_examples=30, deadline=None)
     def test_suffix_property(self, count, cap):
-        docs = tuple(D.Document(text=str(i)) for i in range(count))
+        docs = tuple((str(i), None) for i in range(count))
         kept = kept_by_encode_day(docs, cap=cap)
         assert len(kept) == min(count, cap)
         assert kept == docs[len(docs) - len(kept):]
@@ -117,9 +115,7 @@ class TestCapDailyDocs:
 class TestEncodeDay:
     def test_padding_and_unknowns(self):
         vocab = D.Vocabulary(tokens=("<pad>", "<unk>", "up", "down"))
-        docs = (D.Document(text="Up up and away", relevant=True),
-                D.Document(text="!!!"),
-                D.Document(text="down", relevant=False))
+        docs = (("Up up and away", True), ("!!!", None), ("down", False))
         batch = D.encode_day(docs, vocab, max_tokens=4, cap=UNCAPPED)
         assert batch.n == 2
         np.testing.assert_array_equal(batch.token_ids,
@@ -133,14 +129,14 @@ def encode_day_per_token(docs, vocab, max_tokens):
     """encode_day's fields built document by document, one token at a time."""
     position = {t: i for i, t in enumerate(vocab.tokens)}
     rows, lengths, flags, src = [], [], [], []
-    for i, doc in enumerate(docs):
-        toks = D.tokenize(doc.text, max_tokens)
+    for i, (text, relevant) in enumerate(docs):
+        toks = D.tokenize(text)[:max_tokens]
         if not toks:
             continue
         ids = [position[t] if t in position else D.UNK_ID for t in toks]
         rows.append(ids + [D.PAD_ID] * (max_tokens - len(ids)))
         lengths.append(len(ids))
-        flags.append(doc.relevant)
+        flags.append(relevant)
         src.append(i)
     return (np.asarray(rows, dtype=np.int64).reshape(len(rows), max_tokens),
             np.asarray(lengths, dtype=np.int64), tuple(flags),
@@ -167,12 +163,12 @@ class TestEncodeDayReference:
     @pytest.mark.parametrize("max_tokens", [0, 1, 2, 4, 8])
     def test_fixed_texts(self, max_tokens):
         """Unknown tokens, truncation, documents left empty, non-ASCII."""
-        docs = tuple(D.Document(t, relevant=(i % 3 == 0) if i % 2 else None)
+        docs = tuple((t, (i % 3 == 0) if i % 2 else None)
                      for i, t in enumerate(self.TEXTS))
         self.assert_same(docs, max_tokens)
 
     def test_day_left_empty(self):
-        docs = (D.Document("!!!"), D.Document(""), D.Document("___"))
+        docs = (("!!!", None), ("", None), ("___", None))
         self.assert_same(docs, 4)
         assert D.encode_day(docs, self.VOCAB, 4, UNCAPPED).token_ids.shape \
             == (0, 4)
@@ -181,7 +177,7 @@ class TestEncodeDayReference:
                     max_size=8), st.integers(0, 6))
     @settings(max_examples=60, deadline=None)
     def test_random_days(self, texts, max_tokens):
-        self.assert_same(tuple(D.Document(t) for t in texts), max_tokens)
+        self.assert_same(tuple((t, None) for t in texts), max_tokens)
 
 
 class TestBulkNormalization:
@@ -235,7 +231,7 @@ class TestMakeSamples:
         config = cfg(m=2)
         corpus = mini_corpus([[], [], ["some news today"]])
         vocab = D.build_vocab(corpus)
-        dates = corpus.days[0].date, corpus.days[1].date, corpus.days[2].date
+        dates = corpus.dates
         series = D.Series(dates=dates, values=np.array([[1.], [2.], [3.]]))
         got = D.make_samples(corpus, series, vocab, config,
                              D.SplitSpec(fracs=(1.0, 0.0, 0.0)))
@@ -248,7 +244,7 @@ class TestMakeSamples:
     def test_skip_counting(self):
         config = cfg(m=1)
         corpus = mini_corpus([["day zero"], [], ["day two"], ["day three"]])
-        dates = tuple(d.date for d in corpus.days)
+        dates = corpus.dates
         series = D.Series(dates=dates[:3], values=np.arange(3.)[:, None])
         vocab = D.build_vocab(corpus)
         got = D.make_samples(corpus, series, vocab, config,
@@ -268,9 +264,9 @@ class TestMakeSamples:
         got = D.make_samples(corpus, series, vocab, config, self.frac_split())
         row = {d: i for i, d in enumerate(series.dates)}
         want = 0
-        for day in corpus.days:
+        for day in H.corpus_days(corpus):
             docs = H.cap_daily_docs(day.docs, config.daily_doc_cap)
-            usable = sum(1 for d in docs if D.tokenize(d.text, config.max_tokens))
+            usable = sum(1 for d in docs if D.tokenize(d.text)[:config.max_tokens])
             if usable and day.date in row and row[day.date] >= config.m:
                 want += 1
         assert len(got.train) + len(got.valid) + len(got.test) == want
@@ -291,8 +287,8 @@ class TestMakeSamples:
         spec = D.SynthSpec(n_days=30, seed=2)
         corpus, series = D.synth_generate(spec)
         config = cfg(m=2)
-        train_until = corpus.days[14].date
-        valid_until = corpus.days[19].date
+        train_until = corpus.dates[14]
+        valid_until = corpus.dates[19]
         got = D.make_samples(corpus, series, vocab=D.build_vocab(corpus),
                              config=config,
                              split=D.SplitSpec(train_until=train_until,
@@ -304,7 +300,7 @@ class TestMakeSamples:
     def test_normalization_uses_train_stats_only(self):
         config = cfg(m=1)
         corpus = mini_corpus([["a"], ["b"], ["c"], ["d"]])
-        dates = tuple(d.date for d in corpus.days)
+        dates = corpus.dates
         series = D.Series(dates=dates, values=np.array([[0.], [2.], [4.], [100.]]))
         got = D.make_samples(corpus, series, vocab=D.build_vocab(corpus),
                              config=config,
@@ -325,7 +321,7 @@ class TestMakeSamples:
     def test_constant_series_std_fallback(self):
         config = cfg(m=1)
         corpus = mini_corpus([["a"], ["b"]])
-        dates = tuple(d.date for d in corpus.days)
+        dates = corpus.dates
         series = D.Series(dates=dates, values=np.ones((2, 1)))
         got = D.make_samples(corpus, series, vocab=D.build_vocab(corpus),
                              config=config, split=D.SplitSpec(fracs=(1., 0., 0.)))
@@ -335,7 +331,7 @@ class TestMakeSamples:
     def test_empty_result_is_an_error(self):
         config = cfg(m=5)
         corpus = mini_corpus([["just one day"]])
-        series = D.Series(dates=(corpus.days[0].date,), values=np.zeros((1, 1)))
+        series = D.Series(dates=corpus.dates, values=np.zeros((1, 1)))
         with pytest.raises(D.DatasetError):
             D.make_samples(corpus, series, vocab=D.build_vocab(corpus),
                            config=config, split=self.frac_split())
@@ -420,11 +416,16 @@ class TestSynthGenerate:
             .hexdigest() == series_sha
 
     @given(synth_specs())
-    @settings(max_examples=80, deadline=None)
-    def test_equals_the_reference_generator(self, spec):
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_the_reference_generator(self, tmp_path, spec):
+        """The texts, flags and dates save_corpus writes, and the series,
+        equal the reference's."""
         corpus, series = D.synth_generate(spec)
-        ref_corpus, ref_series = H.reference_synth_generate(spec)
-        assert corpus == ref_corpus
+        ref_days, ref_series = H.reference_synth_generate(spec)
+        path = str(tmp_path / "corpus.jsonl")
+        D.save_corpus(corpus, path)
+        assert H.load_corpus(path) == ref_days
         assert series.dates == ref_series.dates
         assert series.values.tobytes() == ref_series.values.tobytes()
 
@@ -433,7 +434,7 @@ class TestSynthGenerate:
                            plant_prob=0.6)
         corpus, series = D.synth_generate(spec)
         plus, minus = set(spec.s_plus), set(spec.s_minus)
-        for day, value in zip(corpus.days, series.values[:, 0]):
+        for day, value in zip(H.corpus_days(corpus), series.values[:, 0]):
             z = 0
             for doc in day.docs:
                 toks = set(doc.text.split())
@@ -450,17 +451,17 @@ class TestSynthGenerate:
         spec = D.SynthSpec(n_days=30, seed=123)
         c1, s1 = D.synth_generate(spec)
         c2, s2 = D.synth_generate(spec)
-        assert c1 == c2
+        assert H.corpus_days(c1) == H.corpus_days(c2)
         assert s1.values.tobytes() == s2.values.tobytes()
         c3, _ = D.synth_generate(D.SynthSpec(n_days=30, seed=124))
-        assert c3 != c1
+        assert H.corpus_days(c3) != H.corpus_days(c1)
 
     def test_flags_mark_exactly_signal_docs(self):
         spec = D.SynthSpec(n_days=40, seed=5, plant_prob=0.5)
         corpus, _ = D.synth_generate(spec)
         signal = set(spec.s_plus) | set(spec.s_minus)
         flagged = some_signal = 0
-        for day in corpus.days:
+        for day in H.corpus_days(corpus):
             for doc in day.docs:
                 has_signal = bool(set(doc.text.split()) & signal)
                 assert doc.relevant == has_signal
@@ -471,11 +472,12 @@ class TestSynthGenerate:
     def test_ranges_and_dates(self):
         spec = D.SynthSpec(n_days=20, seed=6, n_docs=(2, 4), doc_len=(3, 5))
         corpus, series = D.synth_generate(spec)
-        assert len(corpus.days) == 20
-        assert corpus.days[0].date == dt.date(2000, 1, 1)
-        for a, b in zip(corpus.days, corpus.days[1:]):
+        days = H.corpus_days(corpus)
+        assert len(days) == 20
+        assert days[0].date == dt.date(2000, 1, 1)
+        for a, b in zip(days, days[1:]):
             assert (b.date - a.date).days == 1
-        for day in corpus.days:
+        for day in days:
             assert 2 <= len(day.docs) <= 4
             for doc in day.docs:
                 assert 3 <= len(doc.text.split()) <= 5
@@ -483,7 +485,7 @@ class TestSynthGenerate:
     def test_plant_per_day_exactly_one(self):
         spec = D.SynthSpec(n_days=15, seed=7, plant_per_day=True)
         corpus, _ = D.synth_generate(spec)
-        for day in corpus.days:
+        for day in H.corpus_days(corpus):
             assert sum(bool(d.relevant) for d in day.docs) == 1
 
     def test_spec_validation(self):
@@ -495,6 +497,30 @@ class TestSynthGenerate:
             D.SynthSpec(sigma=-0.1)
         with pytest.raises(D.DatasetError):
             D.SynthSpec(n_docs=(3, 2))
+
+    @pytest.mark.parametrize("word", ["Rally", "big rally", "up!", "", "x_y",
+                                      "|"])
+    def test_lexicon_word_must_be_one_token(self, word):
+        """A lexicon word that ``tokenize`` does not read back as itself
+        would tokenize differently once saved."""
+        with pytest.raises(D.DatasetError, match="lexicon word"):
+            D.SynthSpec(s_plus=("surge", word))
+        with pytest.raises(D.DatasetError, match="lexicon word"):
+            D.SynthSpec(s_minus=(word,))
+
+    def test_lexicon_word_may_be_a_background_word(self, tmp_path):
+        """A lexicon word equal to a background word shares its table
+        entry, so the table and the vocabulary hold distinct tokens."""
+        spec = D.SynthSpec(n_days=30, seed=5, vocab_size=5,
+                           s_plus=("w0001", "café"), s_minus=("w0003",),
+                           plant_per_day=True)
+        corpus, _ = D.synth_generate(spec)
+        assert len(set(corpus.table)) == len(corpus.table) == 1 + 5 + 1
+        vocab = D.build_vocab(corpus)
+        assert len(set(vocab.tokens)) == len(vocab.tokens)
+        path = str(tmp_path / "c.jsonl")
+        D.save_corpus(corpus, path)
+        assert D.build_vocab(D.load_corpus(path)) == vocab
 
     @pytest.mark.parametrize("field", ["sigma", "alpha"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -508,14 +534,14 @@ class TestFileFormats:
         corpus, _ = D.synth_generate(D.SynthSpec(n_days=12, seed=8))
         path = str(tmp_path / "corpus.jsonl")
         D.save_corpus(corpus, path)
-        assert H.load_corpus(path) == corpus
+        assert H.load_corpus(path) == H.corpus_days(corpus)
 
     def test_corpus_null_flags_survive(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"date":"2020-01-01","headlines":'
                         '[{"text":"hello","relevant":null}]}\n')
         corpus = H.load_corpus(str(path))
-        assert corpus.days[0].docs[0].relevant is None
+        assert corpus[0].docs[0].relevant is None
 
     def test_corpus_malformed_line_names_position(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -530,7 +556,7 @@ class TestFileFormats:
         path = tmp_path / "c.jsonl"
         path.write_text('\ufeff{"date":"2020-01-01","headlines":[{"text":"a"}]}\n',
                         encoding="utf-8")
-        assert H.load_corpus(str(path)).days[0].docs == (D.Document("a", None),)
+        assert H.load_corpus(str(path))[0].docs == (H.Document("a", None),)
 
     def test_corpus_date_order_enforced(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -557,9 +583,9 @@ class TestFileFormats:
         path.write_text('{"date":"2020-01-01","headlines":[{"text":"a",'
                         '"relevant":true},{"text":"b","relevant":false},'
                         '{"text":"c"}]}\n')
-        docs = H.load_corpus(str(path)).days[0].docs
-        assert docs == (D.Document("a", True), D.Document("b", False),
-                        D.Document("c", None))
+        docs = H.load_corpus(str(path))[0].docs
+        assert docs == (H.Document("a", True), H.Document("b", False),
+                        H.Document("c", None))
 
     def test_series_round_trip_bitwise(self, tmp_path):
         _, series = D.synth_generate(D.SynthSpec(n_days=9, seed=9))
@@ -683,29 +709,30 @@ class TestStreamedBuild:
         path = str(tmp_path / "corpus.jsonl")
         write_corpus(path, days, bom)
         corpus = H.load_corpus(path)
-        counts = Counter(t for day in corpus.days for d in day.docs
+        in_memory = D.tokenize_days((day.date, day.docs) for day in corpus)
+        counts = Counter(t for day in corpus for d in day.docs
                          for t in D.tokenize(d.text))
         ranked = sorted(counts.items(), key=lambda tc: (-tc[1], tc[0]))
-        vocab = D.build_vocab(corpus, max_size=6)
+        vocab = D.build_vocab(in_memory, max_size=6)
         assert vocab.tokens[2:] == tuple(t for t, _ in ranked[:4])
 
         config = cfg(m=1, max_tokens=3, daily_doc_cap=3)
-        dates = tuple(d.date for i, d in enumerate(corpus.days) if i not in gaps)
+        dates = tuple(d.date for i, d in enumerate(corpus) if i not in gaps)
         series = D.Series(dates=dates, values=np.arange(len(dates),
                                                         dtype=float)[:, None])
         split = D.SplitSpec(fracs=(0.5, 0.25, 0.25))
         stats = D.SeriesStats(mean=0.5, std=2.0)
         streamed = D.load_corpus(path)
-        assert D.count_vocab(streamed, max_size=6) == vocab
+        assert D.build_vocab(streamed, max_size=6) == vocab
         try:
-            want = D.make_samples(corpus, series, vocab, config, split, stats)
+            want = D.make_samples(in_memory, series, vocab, config, split, stats)
         except D.DatasetError as exc:
             with pytest.raises(D.DatasetError, match=re.escape(str(exc))):
-                D.window_samples(streamed, series, vocab, config, split, stats)
+                D.make_samples(streamed, series, vocab, config, split, stats)
             return
-        got = D.window_samples(streamed, series, vocab, config, split, stats)
+        got = D.make_samples(streamed, series, vocab, config, split, stats)
         assert_same_sets(got, want)
-        by_date = {d.date: d for d in corpus.days}
+        by_date = {d.date: d for d in corpus}
         for s in got.train + got.valid + got.test:
             docs = H.cap_daily_docs(by_date[s.window.date].docs,
                                     config.daily_doc_cap)
@@ -715,6 +742,60 @@ class TestStreamedBuild:
             assert s.docs.lengths.tobytes() == lengths.tobytes()
             assert s.docs.relevance == flags
             assert s.docs.source_idx.tobytes() == src.tobytes()
+
+
+# Generator specs whose saved corpus must read back as the one in memory:
+# words of the spec's table that no document draws, both plant modes,
+# ragged days, and more than 255 table entries (uint16 ids).
+SAVED_SPECS = {
+    "unseen_words": D.SynthSpec(n_days=3, seed=0),
+    "plant_per_day": D.SynthSpec(n_days=40, seed=1, plant_per_day=True),
+    "plant_prob": D.SynthSpec(n_days=40, seed=2, plant_prob=0.6),
+    "ragged": D.SynthSpec(n_days=40, seed=3, n_docs=(1, 9), doc_len=(1, 6)),
+    "wide_table": D.SynthSpec(n_days=40, seed=4, vocab_size=400),
+}
+
+
+class TestSavedCorpus:
+    """A corpus built in memory and the same corpus saved by save_corpus and
+    read back by load_corpus give equal vocabularies and samples."""
+
+    def assert_same_build(self, in_memory, path):
+        D.save_corpus(in_memory, path)
+        loaded = D.load_corpus(path)
+        vocab = D.build_vocab(in_memory, max_size=5000)
+        assert D.build_vocab(loaded, max_size=5000) == vocab
+        config = cfg(m=1, max_tokens=6, daily_doc_cap=5)
+        series = D.Series(dates=in_memory.dates, values=np.arange(
+            len(in_memory.dates), dtype=float)[:, None])
+        split = D.SplitSpec(fracs=(0.5, 0.25, 0.25))
+        stats = D.SeriesStats(mean=0.5, std=2.0)
+        assert_same_sets(
+            D.make_samples(loaded, series, vocab, config, split, stats),
+            D.make_samples(in_memory, series, vocab, config, split, stats))
+        return loaded
+
+    @pytest.mark.parametrize("name", sorted(SAVED_SPECS))
+    def test_generated_corpus(self, tmp_path, name):
+        in_memory, _ = D.synth_generate(SAVED_SPECS[name])
+        loaded = self.assert_same_build(in_memory, str(tmp_path / "c.jsonl"))
+        assert H.corpus_days(loaded) == H.corpus_days(in_memory)
+        if name == "wide_table":
+            assert in_memory.ids.dtype == loaded.ids.dtype == np.uint16
+
+    def test_document_without_tokens(self, tmp_path):
+        """A document with no tokens writes as "" and reads back as a
+        document with no tokens."""
+        in_memory = D.tokenize_days([
+            (dt.date(2020, 1, 1), [("Up, up!", True), ("!!!", None)]),
+            (dt.date(2020, 1, 2), [("...", False), ("down", None)])])
+        path = str(tmp_path / "c.jsonl")
+        loaded = self.assert_same_build(in_memory, path)
+        texts = [[h["text"] for h in json.loads(line)["headlines"]]
+                 for line in open(path, encoding="utf-8")]
+        assert texts == [["up up", ""], ["", "down"]]
+        assert loaded.lengths.tolist() == [2, 0, 0, 1]
+        assert loaded.flags == [True, None, False, None]
 
 
 @pytest.mark.parametrize("distinct, dtype", [(200, np.uint8), (300, np.uint16),

@@ -378,13 +378,6 @@ class TestCheckpoint:
         with open(path, "rb") as a, open(path2, "rb") as b:
             assert a.read() == b.read()
 
-    def test_expected_config_guard(self, tmp_path):
-        config, _, _, _, path = self.roundtrip_setup(tmp_path)
-        TR.checkpoint_load(path, expected=config)
-        other = tiny_config(d_s=5)
-        with pytest.raises(TR.CheckpointError, match="does not match"):
-            TR.checkpoint_load(path, expected=other)
-
     def test_corrupt_magic_rejected(self, tmp_path):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
         blob = bytearray(open(path, "rb").read())
