@@ -581,7 +581,7 @@ def cmd_gradcheck(args) -> int:
         def build(tape, new_leaves):
             bound = M.bind_tensors(params, new_leaves)
             pred = M.forward_batch(tape, [sample], bound, config)
-            return M.batch_loss(tape, pred.value, [sample], bound, config)[0]
+            return M.batch_loss(tape, pred.value, [sample], config)[0]
 
         table = T.grad_check_table(build, leaves)
         print("variant %s" % variant)

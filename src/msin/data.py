@@ -179,7 +179,7 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenizedDays:
     """Days of documents with every headline tokenized once.
 
@@ -188,7 +188,8 @@ class TokenizedDays:
     rest are distinct tokens, in an order that carries no meaning.
     ``lengths`` counts each document's tokens, ``day_sizes`` each day's
     documents, and ``flags`` holds each document's relevance flag.
-    ``_tokenized`` builds every instance.
+    ``_tokenized`` builds every instance.  ``==`` is identity: the fields
+    are arrays, which have no single truth value.
     """
 
     dates: tuple

@@ -4,8 +4,8 @@ All three share the document encoder and the dense output head.  ``msin``
 injects an attended document context into every gate; ``lstm_wo`` runs a plain
 LSTM and aligns documents once against the final hidden state; ``lstm_par``
 keeps the modalities independent until the head.  ``forward_batch`` builds
-one graph for a list of samples and ``batch_loss`` scores it; every command
-runs these two, a single sample as a batch of one.
+one graph for a list of samples and ``batch_loss`` sums its prediction
+errors; every command runs these two, a single sample as a batch of one.
 Parameters live in one named-tensor tree so checkpointing and gradient
 checking can enumerate them uniformly.
 """
@@ -222,7 +222,7 @@ class BatchPrediction:
 
 
 def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
-                  train_mode: bool = False, rngs=None) -> BatchPrediction:
+                  rngs=None) -> BatchPrediction:
     """One graph for a list of samples.
 
     The documents of every day are encoded as rows of one encoder pass, and
@@ -230,9 +230,9 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     ``cell.DocSlots``).  ``msin`` injects an attended document context into
     every gate; ``lstm_wo`` runs a plain LSTM and aligns documents once
     against the final hidden state; ``lstm_par`` fuses the plain LSTM's state
-    with a projection of the mean document only at the head.  In train mode
-    with dropout, ``rngs`` holds one generator per sample, and row b's mask
-    is the one sample b would draw alone.
+    with a projection of the mean document only at the head.  Given
+    ``rngs``, one generator per sample, dropout runs at a positive rate;
+    row b's mask is the one sample b would draw alone.
     """
     samples = list(samples)
     B = len(samples)
@@ -255,9 +255,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
         pooled = T.weighted_sum(tape, slots.grid, slots.mean_weights)
         text = T.tanh(tape, T.linear(tape, params.text_w, pooled, params.text_b))
     feature = T.concat(tape, [h_m, text], axis=1)
-    if train_mode and config.dropout_rate > 0.0:
-        if rngs is None:
-            raise T.ContractError("dropout requires generators in train mode")
+    if rngs is not None and config.dropout_rate > 0.0:
         feature = T.dropout(tape, feature, config.dropout_rate, rngs)
     head = T.linear(tape, params.head_w, feature, params.head_b)
     return BatchPrediction(value=T.reshape(tape, head, (B,)), relevance=relevance,
@@ -266,9 +264,9 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
 
 # Kept only because the benchmark (bench/) names it; no command calls it.
 def forward(tape, sample, params: ModelParams, config: ModelConfig,
-            train_mode: bool = False, rng=None) -> Prediction:
+            rng=None) -> Prediction:
     """One sample: ``forward_batch`` on a batch of one."""
-    batch = forward_batch(tape, [sample], params, config, train_mode,
+    batch = forward_batch(tape, [sample], params, config,
                           None if rng is None else [rng])
     relevance = batch.relevance
     if relevance is not None:
@@ -302,42 +300,22 @@ def sample_losses(tape, value: T.Tensor, samples, config: ModelConfig) -> T.Tens
     return T.bce_with_logit(tape, value, labels)
 
 
-def penalties(tape, params: ModelParams, config: ModelConfig,
-              times: int = 1) -> list[T.Tensor]:
-    """``times`` the L1 and L2 penalty terms on decayed tensors, if weighted."""
-    terms = []
-    if config.l1 <= 0.0 and config.l2 <= 0.0:
-        return terms
-    decayed = [t for _, t, d in named_tensors(params) if d]
-    if config.l1 > 0.0:
-        terms.append(T.scale(
-            tape, T.sum_stack(tape, [T.sum_all(tape, T.absolute(tape, t))
-                                     for t in decayed]), times * config.l1))
-    if config.l2 > 0.0:
-        terms.append(T.scale(
-            tape, T.sum_stack(tape, [T.sum_all(tape, T.hadamard(tape, t, t))
-                                     for t in decayed]), times * config.l2))
-    return terms
-
-
-def batch_loss(tape, value: T.Tensor, samples, params: ModelParams,
+def batch_loss(tape, value: T.Tensor, samples,
                config: ModelConfig) -> tuple[T.Tensor, T.Tensor]:
-    """The batch's summed objective and its per-sample prediction errors [B].
+    """The sum of the batch's prediction errors, and the errors [B].
 
-    The objective is every sample's prediction error plus the penalties once
-    per sample, so dividing it (or its gradient) by B gives the mean
-    objective.  Differentiating the sum seeds each sample's rows with exactly
-    the gradient its one-sample objective would, and the leaf gradients add
-    the samples up in float64.
+    Dividing the sum (or its gradient) by B gives the mean error.
+    Differentiating the sum seeds each sample's rows with exactly the
+    gradient its one-sample error would, and the leaf gradients add the
+    samples up in float64.  The L1/L2 penalties are not part of it:
+    ``training.train`` applies them to its parameter buffer.
     """
     errors = sample_losses(tape, value, samples, config)
-    terms = [T.sum_all(tape, errors)] + penalties(tape, params, config,
-                                                 times=len(samples))
-    return (terms[0] if len(terms) == 1 else T.sum_stack(tape, terms)), errors
+    return T.sum_all(tape, errors), errors
 
 
 # Kept only because the benchmark (bench/) names it; no command calls it.
 def loss(tape, pred: Prediction, sample, params: ModelParams,
          config: ModelConfig) -> T.Tensor:
-    """One sample's objective: its prediction error plus the penalties."""
-    return batch_loss(tape, pred.value, [sample], params, config)[0]
+    """One sample's prediction error, without the penalties."""
+    return batch_loss(tape, pred.value, [sample], config)[0]

@@ -22,8 +22,10 @@ one or both directions in one loop) and ``msin_sequence`` (the MSIN cell
 over a window).  Their values and gradients are those of the per-step chain
 of weight-input products, the single-step gated update and the attention
 ops, bit for bit.  The tests keep that chain (``tests/chain_oracle.py``),
-with the reference ops that only it runs: ``matmul``, a sum of products,
-``add_bias`` of one bias row, ``sigmoid``, ``lstm_gates`` and ``blend``.
+with the reference ops that only the tests run: ``matmul``, a sum of
+products, ``add_bias`` of one bias row, ``scale``, ``sum_stack``,
+``sigmoid``, ``lstm_gates`` and ``blend``.  The L1/L2 weight penalties are
+not ops: ``training.train`` applies them to its parameter buffer.
 """
 
 from __future__ import annotations
@@ -251,11 +253,6 @@ def hadamard(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g * b.data, g * a.data))
 
 
-def scale(tape: Tape | None, a: Tensor, alpha: float) -> Tensor:
-    alpha = float(alpha)
-    return _emit(tape, a.data * alpha, (a,), lambda g: (g * alpha,))
-
-
 def tanh(tape: Tape | None, x: Tensor) -> Tensor:
     out = np.tanh(x.data)
     return _emit(tape, out, (x,), lambda g: (g * (1.0 - out * out),))
@@ -290,10 +287,6 @@ def _gate_backward(saved, gh: np.ndarray, gc: np.ndarray | None,
     gz[..., 2 * d:3 * d] = gh * tc * o * (1.0 - o)
     gz[..., 3 * d:] = gc * i * (1.0 - cand * cand)
     return gc * f
-
-
-def absolute(tape: Tape | None, x: Tensor) -> Tensor:
-    return _emit(tape, np.abs(x.data), (x,), lambda g: (g * np.sign(x.data),))
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +362,13 @@ def row_scale(tape: Tape | None, m: Tensor, v: Tensor) -> Tensor:
     return _emit(tape, m.data * col, (m, v), back)
 
 
-def sum_stack(tape: Tape | None, parts: Sequence[Tensor]) -> Tensor:
-    """Elementwise sum of same-shape tensors, accumulated in float64."""
-    if not parts:
-        raise ShapeError("sum_stack of zero tensors")
-    shape = parts[0].shape
-    if any(p.shape != shape for p in parts):
-        raise ShapeError("sum_stack shapes differ")
-    total = parts[0].data.astype(np.float64)
-    for p in parts[1:]:
-        total = total + p.data
-    data = np.asarray(total, dtype=_promoted(*parts))
-    return _emit(tape, data, tuple(parts), lambda g: (g,) * len(parts))
-
-
 def weighted_sum(tape: Tape | None, parts: Tensor, weights: Tensor) -> Tensor:
     """Row-wise weighted sum: out[i] = sum_j weights[i, j] * parts[i, j].
 
     ``parts`` is [n,K,c] and ``weights`` [n,K].  The arithmetic is that of
     ``row_scale`` of each [n,c] slice parts[:, j] by weight column j followed
-    by ``sum_stack``, bit for bit, in one tape entry: the products are
-    rounded to the storage dtype and added in float64 in slice order.
+    by the tests' ``sum_stack``, bit for bit, in one tape entry: the products
+    are rounded to the storage dtype and added in float64 in slice order.
     """
     grid = parts.data
     if grid.ndim != 3 or weights.shape != grid.shape[:2]:

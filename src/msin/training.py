@@ -3,10 +3,14 @@
 Batches are formed from a seeded shuffle each epoch. A training step runs the
 whole batch as rows of one graph (``model.forward_batch``): one forward, one
 loss and one backward on one tape. The objective is the mean of the
-per-sample prediction errors plus the penalties; the tape differentiates its
-sum over the batch and the float64 leaf gradients are divided by the batch
-size. Sample b's dropout mask comes from its own stream, keyed by step and
-sample index; at a dropout rate of 0 no stream is built.
+per-sample prediction errors plus the L1/L2 penalties. The tape
+differentiates the sum of the errors over the batch, and the float64 leaf
+gradients are divided by the batch size. The penalties never enter the tape:
+on the decayed entries of the parameter buffer (``model.named_tensors``),
+their float64 value is added to the step's loss and their gradient to the
+mean gradient before clipping; at zero weights neither is computed. Sample
+b's dropout mask comes from its own stream, keyed by step and sample index;
+at a dropout rate of 0 no stream is built.
 
 ``train`` pays the optimizer's fixed costs once per step, not once per
 tensor: at its start every parameter's ``data`` becomes a view into one
@@ -171,6 +175,12 @@ def _global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
+def _penalty(w: np.ndarray, l1: float, l2: float) -> tuple[float, np.ndarray]:
+    """l1*sum|w| + l2*sum(w^2) over float64 weights, and its gradient."""
+    return (l1 * float(np.abs(w).sum()) + l2 * float((w * w).sum()),
+            l1 * np.sign(w) + 2.0 * l2 * w)
+
+
 def train(samples, params: M.ModelParams, config: M.ModelConfig,
           tcfg: TrainConfig) -> TrainResult:
     """Run Adam with clipping and early stopping; return best-validation params.
@@ -195,6 +205,9 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
         t.data = flat[lo:lo + size].reshape(t.shape)
         grads[n] = grad[lo:lo + size].reshape(t.shape)
         lo += size
+    decayed = np.repeat([d for _, _, d in rows], sizes)
+    penalized = config.l1 > 0.0 or config.l2 > 0.0
+    penalty = 0.0
     adam_m = np.zeros(flat.size)
     adam_v = np.zeros(flat.size)
     history: list[HistoryRow] = []
@@ -232,12 +245,14 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
         tape = T.Tape()
         rngs = None if config.dropout_rate == 0.0 else \
             [substream(tcfg.seed, "dropout", step, i) for i in batch_ids]
-        pred = M.forward_batch(tape, batch, params, config, train_mode=True,
-                               rngs=rngs)
-        total, errors = M.batch_loss(tape, pred.value, batch, params, config)
+        pred = M.forward_batch(tape, batch, params, config, rngs)
+        total, errors = M.batch_loss(tape, pred.value, batch, config)
         train_loss = float(total.data[0]) / len(batch)
+        if penalized:
+            penalty, penalty_grad = _penalty(flat[decayed].astype(np.float64),
+                                             config.l1, config.l2)
+            train_loss += penalty
         if not np.isfinite(train_loss):
-            penalty = sum(float(t.data[0]) for t in M.penalties(None, params, config))
             raise TrainingAbort(step, batch_ids,
                                 errors.data.astype(np.float64) + penalty)
         tape.backward(total)
@@ -245,6 +260,8 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
             grads[n][...] = 0.0 if t.grad is None else t.grad
             t.grad = None
         grad /= len(batch)
+        if penalized:
+            grad[decayed] += penalty_grad
 
         norm = _global_norm(grads)
         if norm > tcfg.clip_norm:

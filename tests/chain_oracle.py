@@ -8,12 +8,14 @@ attention, the context fade and the gated update.  ``sweep`` and
 ``tensor.msin_sequence`` and return what those return, so a test can compare
 values and gradients bit for bit.
 
-``matmul``, ``linear_sum``, ``add_bias``, ``sigmoid``, ``lstm_gates`` and
-``blend`` are ops that only this reference uses; ``tensor.linear`` and the
-fused recurrences are tested against them.  They record tape entries as the
-package's ops do.  ``matmul`` multiplies a matrix or a vector on either
-side, ``linear_sum`` adds several products before the bias, and ``add_bias``
-adds one bias row to every row.  The gated update keeps its own backward, split
+``matmul``, ``linear_sum``, ``add_bias``, ``scale``, ``sum_stack``,
+``sigmoid``, ``lstm_gates`` and ``blend`` are ops that only the tests use;
+``tensor.linear``, ``tensor.weighted_sum`` and the fused recurrences are
+tested against them.  They record tape entries as the package's ops do.
+``matmul`` multiplies a matrix or a vector on either side, ``linear_sum``
+adds several products before the bias, ``add_bias`` adds one bias row to
+every row, ``scale`` multiplies by a constant and ``sum_stack`` adds
+same-shape tensors in float64.  The gated update keeps its own backward, split
 into the c and h entries, apart from the fused one in ``msin.tensor``.
 """
 
@@ -121,6 +123,25 @@ def linear_sum(tape, terms, bias):
     return T._emit(tape, acc + bias.data, inputs, back)
 
 
+def scale(tape, a, alpha):
+    alpha = float(alpha)
+    return T._emit(tape, a.data * alpha, (a,), lambda g: (g * alpha,))
+
+
+def sum_stack(tape, parts):
+    """Elementwise sum of same-shape tensors, accumulated in float64."""
+    if not parts:
+        raise T.ShapeError("sum_stack of zero tensors")
+    shape = parts[0].shape
+    if any(p.shape != shape for p in parts):
+        raise T.ShapeError("sum_stack shapes differ")
+    total = parts[0].data.astype(np.float64)
+    for p in parts[1:]:
+        total = total + p.data
+    data = np.asarray(total, dtype=T._promoted(*parts))
+    return T._emit(tape, data, tuple(parts), lambda g: (g,) * len(parts))
+
+
 def sigmoid(tape, x):
     # 0.5*(1+tanh(x/2)) is the logistic function without overflow at either tail.
     out = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
@@ -212,7 +233,7 @@ def lstm_step(tape, params, x, h, c, v=None):
 def update_context(tape, p, slots, v_prev):
     """Fold the attention-weighted document summary into the running context."""
     summary = T.weighted_sum(tape, slots.grid, p)
-    return T.scale(tape, T.add(tape, summary, v_prev), 0.5)
+    return scale(tape, T.add(tape, summary, v_prev), 0.5)
 
 
 def attend(tape, h_prev, slots, params, doc_proj):

@@ -11,7 +11,7 @@ import numpy as np
 from msin import tensor as T
 from msin import text_encoder as TE
 
-from chain_oracle import lstm_step, matmul
+from chain_oracle import lstm_step, matmul, scale
 
 
 def bilstm_forward(tape, embeds, length, params):
@@ -55,5 +55,5 @@ def attention_pool(tape, hiddens, length, params, divisor=None):
     beta = T.masked_softmax(tape, T.reshape(tape, logits, (1, length)),
                             np.ones((1, length), dtype=bool))
     beta = T.reshape(tape, beta, (length,))
-    s = T.scale(tape, matmul(tape, beta, valid), 1.0 / (divisor or length))
+    s = scale(tape, matmul(tape, beta, valid), 1.0 / (divisor or length))
     return s, beta

@@ -120,14 +120,18 @@ def run_plain_sequence(tape, window, cell, init_c, init_h) -> T.Tensor:
 def reference_train(samples, params, config, tcfg):
     """``training.train`` one parameter tensor at a time.
 
-    Same batches, dropout streams, clipping, Adam arithmetic, validation and
-    early stopping, with per-tensor gradients and moments in dictionaries.
+    Same batches, dropout streams, penalties, clipping, Adam arithmetic,
+    validation and early stopping, with per-tensor gradients and moments in
+    dictionaries.  The penalty's value is reduced over the decayed weights
+    concatenated in ``named_tensors`` order, and its gradient is added to
+    each decayed tensor's mean gradient.
     Returns the history as (step, train_loss, valid_loss) tuples, the best
     step and the number of steps whose gradient was clipped; ``params`` ends
     at the best-validation snapshot.
     """
     train_set, valid_set = tuple(samples.train), tuple(samples.valid)
     rows = M.named_tensors(params)
+    penalized = config.l1 > 0.0 or config.l2 > 0.0
     adam_m = {n: np.zeros(t.shape) for n, t, _ in rows}
     adam_v = {n: np.zeros(t.shape) for n, t, _ in rows}
     history, clipped = [], 0
@@ -155,14 +159,23 @@ def reference_train(samples, params, config, tcfg):
         batch = [train_set[i] for i in batch_ids]
         tape = T.Tape()
         pred = M.forward_batch(
-            tape, batch, params, config, train_mode=True,
+            tape, batch, params, config,
             rngs=[substream(tcfg.seed, "dropout", step, i) for i in batch_ids])
-        total, _ = M.batch_loss(tape, pred.value, batch, params, config)
+        total, _ = M.batch_loss(tape, pred.value, batch, config)
+        train_loss = float(total.data[0]) / len(batch)
+        if penalized:
+            w = np.concatenate([t.data.reshape(-1) for _, t, d in rows if d])
+            w = w.astype(np.float64)
+            train_loss += (config.l1 * float(np.abs(w).sum())
+                           + config.l2 * float((w * w).sum()))
         tape.backward(total)
         grads = {}
-        for n, t, _ in rows:
+        for n, t, decayed in rows:
             grads[n] = np.zeros(t.shape) if t.grad is None else t.grad / len(batch)
             t.grad = None
+            if penalized and decayed:
+                w = t.data.astype(np.float64)
+                grads[n] += config.l1 * np.sign(w) + 2.0 * config.l2 * w
         norm = TR._global_norm(grads)
         if norm > tcfg.clip_norm:
             clipped += 1
@@ -181,7 +194,7 @@ def reference_train(samples, params, config, tcfg):
         if step % tcfg.eval_every == 0:
             valid_loss = evaluate(step)
             last_evaluated = step
-        history.append((step, float(total.data[0]) / len(batch), valid_loss))
+        history.append((step, train_loss, valid_loss))
         if valid_loss is not None and best["since"] >= tcfg.early_stop_patience:
             break
     if step > 0 and last_evaluated != step:

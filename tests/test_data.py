@@ -456,6 +456,13 @@ class TestSynthGenerate:
         c3, _ = D.synth_generate(D.SynthSpec(n_days=30, seed=124))
         assert H.corpus_days(c3) != H.corpus_days(c1)
 
+    def test_comparing_two_corpora_answers(self):
+        """``==`` on two corpora is identity and answers instead of raising."""
+        a, _ = D.synth_generate(D.SynthSpec(n_days=3))
+        b, _ = D.synth_generate(D.SynthSpec(n_days=3))
+        assert (a == a) is True
+        assert (a == b) is False and (a != b) is True
+
     def test_flags_mark_exactly_signal_docs(self):
         spec = D.SynthSpec(n_days=40, seed=5, plant_prob=0.5)
         corpus, _ = D.synth_generate(spec)

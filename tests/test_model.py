@@ -8,6 +8,7 @@ import pytest
 from msin import model as M
 from msin import tensor as T
 from msin import text_encoder as TE
+from msin import training as TR
 
 import chain_oracle as chain
 import helpers as H
@@ -140,20 +141,16 @@ class TestForwardMsin:
         config = tiny_config(dropout_rate=0.4)
         params = M.init_model(config, seed=5)
         sample = make_sample(4)
-        a = M.forward(None, sample, params, config, train_mode=False)
-        b = M.forward(None, sample, params, config, train_mode=False)
+        a = M.forward(None, sample, params, config)
+        b = M.forward(None, sample, params, config)
         assert a.value.data.tobytes() == b.value.data.tobytes()
 
     def test_train_mode_dropout_uses_generator(self):
         config = tiny_config(dropout_rate=0.5)
         params = M.init_model(config, seed=6)
         sample = make_sample(5)
-        with pytest.raises(T.ContractError):
-            M.forward(None, sample, params, config, train_mode=True)
-        a = M.forward(None, sample, params, config, train_mode=True,
-                      rng=np.random.default_rng(0))
-        b = M.forward(None, sample, params, config, train_mode=True,
-                      rng=np.random.default_rng(0))
+        a = M.forward(None, sample, params, config, rng=np.random.default_rng(0))
+        b = M.forward(None, sample, params, config, rng=np.random.default_rng(0))
         assert a.value.data.tobytes() == b.value.data.tobytes()
 
 
@@ -289,16 +286,25 @@ class TestLoss:
         np.testing.assert_allclose(got.data, [1.0], rtol=0, atol=0)
 
     def test_matches_independent_recomputation_with_reg(self):
+        """train()'s first loss is the mean error plus both penalties at
+        the initial weights."""
         config = tiny_config(l1=0.01, l2=0.05)
         params = M.init_model(config, seed=17)
-        sample = make_sample(15)
-        pred = M.forward(None, sample, params, config)
-        got = float(M.loss(None, pred, sample, params, config).data[0])
-        want = (float(pred.value.data[0]) - sample.target_n) ** 2
+        samples = [make_sample(15 + i) for i in range(4)]
+        for s in samples:
+            s.docs.n = len(s.docs.lengths)
+        want = 0.0
+        for s in samples:
+            pred = M.forward(None, s, params, config)
+            want += (float(pred.value.data[0]) - s.target_n) ** 2 / len(samples)
         for name, t, decayed in M.named_tensors(params):
             if decayed:
                 w = t.data.astype(np.float64)
                 want += 0.01 * np.abs(w).sum() + 0.05 * (w * w).sum()
+        split = SimpleNamespace(train=samples, valid=samples[3:])
+        result = TR.train(split, params, config,
+                          TR.TrainConfig(batch_size=4, max_steps=1))
+        got = result.history[0].train_loss
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
     def test_movement_objective_bce(self):
@@ -343,7 +349,7 @@ class TestFullModelGradients:
         # and would fail the check for the wrong reason.
         config = M.ModelConfig(variant=variant, d_s=2, d_h=1, d_w=2, vocab_size=6,
                                m=2, series_dim=1, max_tokens=3, daily_doc_cap=4,
-                               d_a=2, l1=0.004, l2=0.01)
+                               d_a=2)
         params = M.init_model(config, seed=6)
         sample = make_sample(5, n=2, K=3, m=2, vocab=6)
         rows = M.named_tensors(params)
@@ -386,13 +392,13 @@ class TestBatchedForward:
         config = tiny_config(variant, daily_doc_cap=4, dropout_rate=0.3)
         params = M.init_model(config, seed=21)
         samples = ragged_batch(1)
-        batch = M.forward_batch(None, samples, params, config, train_mode=True,
+        batch = M.forward_batch(None, samples, params, config,
                                 rngs=fresh_rngs(len(samples)))
-        total, errors = M.batch_loss(None, batch.value, samples, params, config)
+        total, errors = M.batch_loss(None, batch.value, samples, config)
         assert batch.counts == tuple(len(s.docs.lengths) for s in samples)
         losses = []
         for b, (s, rng) in enumerate(zip(samples, fresh_rngs(len(samples)))):
-            one = M.forward(None, s, params, config, train_mode=True, rng=rng)
+            one = M.forward(None, s, params, config, rng=rng)
             np.testing.assert_allclose(batch.value.data[b], one.value.data[0], **self.F32)
             losses.append(float(M.loss(None, one, s, params, config).data[0]))
             np.testing.assert_allclose(errors.data[b], losses[-1], **self.F32)
@@ -416,33 +422,32 @@ class TestBatchedForward:
         want = {n: np.zeros(t.shape) for n, t, _ in M.named_tensors(params)}
         for s, rng in zip(samples, fresh_rngs(len(samples))):
             tape = T.Tape()
-            one = M.forward(tape, s, params, config, train_mode=True, rng=rng)
+            one = M.forward(tape, s, params, config, rng=rng)
             tape.backward(M.loss(tape, one, s, params, config))
             for n, g in leaf_grads(params).items():
                 want[n] += g / len(samples)
         tape = T.Tape()
-        batch = M.forward_batch(tape, samples, params, config, train_mode=True,
+        batch = M.forward_batch(tape, samples, params, config,
                                 rngs=fresh_rngs(len(samples)))
-        tape.backward(M.batch_loss(tape, batch.value, samples, params, config)[0])
+        tape.backward(M.batch_loss(tape, batch.value, samples, config)[0])
         got = leaf_grads(params)
         for n in want:
-            # the penalties' float32 scale by B is the one rounding apart
-            atol = 1e-7 * np.abs(want[n]).max() if penalty else 0.0
+            # the penalty weights change nothing here: train() applies them
             np.testing.assert_allclose(got[n] / len(samples), want[n], rtol=1e-5,
-                                       atol=atol, err_msg=n)
+                                       atol=0.0, err_msg=n)
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     def test_permuting_the_batch_permutes_the_outputs(self, variant):
         config = tiny_config(variant, daily_doc_cap=4, dropout_rate=0.3)
         params = M.init_model(config, seed=23)
         samples = ragged_batch(3)
-        base = M.forward_batch(None, samples, params, config, train_mode=True,
+        base = M.forward_batch(None, samples, params, config,
                                rngs=fresh_rngs(len(samples)))
         for seed in range(3):
             perm = np.random.default_rng(seed).permutation(len(samples))
             rngs = fresh_rngs(len(samples))
             got = M.forward_batch(None, [samples[i] for i in perm], params, config,
-                                  train_mode=True, rngs=[rngs[i] for i in perm])
+                                  rngs=[rngs[i] for i in perm])
             np.testing.assert_allclose(got.value.data, base.value.data[perm],
                                        **self.F32)
             if base.relevance is not None:

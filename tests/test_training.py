@@ -1,6 +1,9 @@
 """Tests for the training loop and checkpoint files."""
 
 import dataclasses
+import hashlib
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ from msin import tensor as T
 from msin import training as TR
 
 import helpers as H
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# sha256 of test_recovery_training_bytes_are_pinned's history rows and
+# parameter bytes
+RECOVERY_TRAINING_SHA256 = (
+    "466f11897276345b2f90b72ba85a81d6443190fb4d9075a722d2fab860a0aacf")
 
 
 def tiny_config(**kw):
@@ -53,7 +62,7 @@ class TestAdamStep:
                  for n, t, _ in M.named_tensors(params)}
         for idx, s in enumerate(samples.train):
             tape = T.Tape()
-            pred = M.forward(tape, s, params, config, train_mode=True,
+            pred = M.forward(tape, s, params, config,
                              rng=TR.substream(3, "dropout", 1, idx))
             tape.backward(M.loss(tape, pred, s, params, config))
             for n, t, _ in M.named_tensors(params):
@@ -275,6 +284,54 @@ class TestTrainLoop:
         empty = dataclasses.replace(samples, valid=())
         with pytest.raises(TR.TrainingError):
             TR.train(empty, M.init_model(config, 0), config, TR.TrainConfig())
+
+    def test_recovery_training_bytes_are_pinned(self):
+        """40 steps of the recovery script's msin config (dropout 0.4, no
+        penalties) at batch 8 on a small planted corpus give the history
+        rows and parameter bytes pinned here, so a change to training's
+        arithmetic fails in about a second rather than in criterion 04."""
+        spec = importlib.util.spec_from_file_location(
+            "association_recovery", ROOT / "scripts" / "association_recovery.py")
+        recovery = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(recovery)
+        config = recovery.model_config("msin")
+        corpus, series = D.synth_generate(D.SynthSpec(
+            n_days=120, n_docs=(10, 10), doc_len=(8, 8), plant_per_day=True,
+            phi=0.5, alpha=1.0, sigma=0.1, seed=42))
+        vocab = D.build_vocab(corpus, max_size=config.vocab_size)
+        samples = D.make_samples(corpus, series, vocab, config,
+                                 D.SplitSpec(fracs=(0.8, 0.1, 0.1)))
+        params = M.init_model(config, seed=0)
+        result = TR.train(samples, params, config, TR.TrainConfig(
+            learning_rate=recovery.LEARNING_RATE, batch_size=8, max_steps=40,
+            eval_every=20, seed=0))
+        digest = hashlib.sha256()
+        for row in result.history:
+            digest.update(repr((row.step, row.train_loss, row.valid_loss)).encode())
+        for _, t, _ in M.named_tensors(params):
+            digest.update(t.data.tobytes())
+        assert len(result.history) == 40
+        assert digest.hexdigest() == RECOVERY_TRAINING_SHA256
+
+
+class TestPenalty:
+    @pytest.mark.parametrize("l1,l2", [(0.3, 0.0), (0.0, 0.7), (0.3, 0.7)])
+    def test_gradient_matches_central_differences(self, l1, l2):
+        """The penalty's gradient against float64 central differences of its
+        value, with every entry at least 0.05 from the kink of |w|."""
+        rng = np.random.default_rng(12)
+        w = rng.uniform(0.05, 1.0, 40) * rng.choice([-1.0, 1.0], 40)
+        _, grad = TR._penalty(w, l1, l2)
+        h = 1e-6
+        numeric = np.empty_like(w)
+        for i in range(w.size):
+            up, down = w.copy(), w.copy()
+            up[i] += h
+            down[i] -= h
+            numeric[i] = (TR._penalty(up, l1, l2)[0]
+                          - TR._penalty(down, l1, l2)[0]) / (2 * h)
+        err = np.abs(grad - numeric) / np.maximum(np.abs(grad), 1.0)
+        assert err.max() < 1e-6
 
 
 class TestEvalPasses:
