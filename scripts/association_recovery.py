@@ -16,6 +16,12 @@ seeds and keeps the candidate whose validation attention mass has the
 lowest mean entropy. The selector never reads relevance flags, so model
 choice stays blind to ground truth.
 
+Each seed's line also reports its test rec@1 and rec@3 and its top-1
+rate on the days of each plant sign ("+" and "-"); a seed with a top-1
+rate of at least FULL on both signs counts as a full solution. These
+read the relevance flags, so they are printed after training and never
+enter the selection.
+
 Exit status is 0 when both recall gates pass, 1 otherwise.
 """
 
@@ -37,6 +43,7 @@ POOL = (0, 1, 2)
 STEPS = 1500
 LEARNING_RATE = 3e-3
 BATCH_SIZE = 8
+FULL = 0.9  # top-1 rate on both plant signs that makes a full solution
 
 
 def build_dataset():
@@ -46,19 +53,50 @@ def build_dataset():
     corpus, series = D.synth_generate(spec)
     split = D.SplitSpec(train_until=spec.start + dt.timedelta(days=1999),
                         valid_until=spec.start + dt.timedelta(days=2099))
-    return corpus, series, split
+    return spec, corpus, series, split
+
+
+def plant_signs(samples, vocab, spec) -> list[str]:
+    """Each sample's plant sign, "+" or "-": the lexicon group of its
+    planted headline."""
+    plus = {vocab.ids[w] for w in spec.s_plus if w in vocab.ids}
+    return ["+" if plus & set(s.docs.token_ids[E.gtn_of(s)[0]].tolist())
+            else "-" for s in samples]
 
 
 def model_config(variant: str) -> M.ModelConfig:
-    # Dropout on the fused feature is what forces the attention sharp:
-    # without it the diffuse half solution predicts just as well.
+    # Dropout on the fused feature regularizes the head. It does not by
+    # itself force the attention sharp: over seeds 0-11 most runs stop in
+    # the half solution at this rate, and dropout 0 solved a seed that
+    # 0.4 did not.
     return M.ModelConfig(variant=variant, d_s=16, d_h=8, d_w=16,
                          dropout_rate=0.4, vocab_size=64, m=5,
                          max_tokens=8, daily_doc_cap=10)
 
 
-def train_pool(samples, variant, seeds, steps):
-    """One model per seed; returns (entropy, seed, params) per candidate."""
+def recall_at(result: E.RankResult, k: int) -> float:
+    for point in result.report.per_k:
+        if point.k == k:
+            return point.recall
+    raise KeyError(k)
+
+
+def seed_row(seed, valid_mse, entropy, ranked: E.RankResult, signs) -> dict:
+    """One seed's report: test recall and top-1 rate by plant sign."""
+    top1 = {"+": [], "-": []}
+    for sign, day in zip(signs, ranked.days):
+        top1[sign].append(day.selected[0] in day.gtn)
+    rates = {sign: sum(hits) / len(hits) if hits else float("nan")
+             for sign, hits in top1.items()}
+    return {"seed": seed, "valid_mse": valid_mse, "entropy": entropy,
+            "rec1": recall_at(ranked, 1), "rec3": recall_at(ranked, 3),
+            "top1_plus": rates["+"], "top1_minus": rates["-"],
+            "full": rates["+"] >= FULL and rates["-"] >= FULL}
+
+
+def train_pool(samples, variant, seeds, steps, signs, k_max):
+    """One model per seed; returns (entropy, seed, params, test ranking,
+    report row) per candidate."""
     config = model_config(variant)
     out = []
     for seed in seeds:
@@ -72,44 +110,41 @@ def train_pool(samples, variant, seeds, steps):
                               eval_every=steps, seed=seed)
         result = TR.train(samples, params, config, tcfg)
         ent = E.attention_entropy(params, config, samples.valid)
-        print("  %s seed %d: valid mse %.4f  attention entropy %.3f  (%.0f s)"
-              % (variant, seed, result.best_valid, ent, time.time() - t0),
-              flush=True)
-        out.append((ent, seed, params))
+        ranked = E.rank_report(params, config, samples.test, k_max=k_max)
+        row = seed_row(seed, result.best_valid, ent, ranked, signs)
+        print("  %s seed %d: valid mse %.4f  attention entropy %.3f  "
+              "rec@1 %.2f  rec@3 %.2f  top-1 + %.2f  - %.2f  (%.0f s)"
+              % (variant, seed, row["valid_mse"], ent, row["rec1"],
+                 row["rec3"], row["top1_plus"], row["top1_minus"],
+                 time.time() - t0), flush=True)
+        out.append((ent, seed, params, ranked, row))
+    print("  %s full solutions: %d of %d (top-1 rate >= %.2f on both signs)"
+          % (variant, sum(c[4]["full"] for c in out), len(out), FULL))
     return out
-
-
-def recall_at(result: E.RankResult, k: int) -> float:
-    for point in result.report.per_k:
-        if point.k == k:
-            return point.recall
-    raise KeyError(k)
 
 
 def run(seeds, steps, out_path) -> int:
     t_start = time.time()
     print("generating corpus: 2200 days, 10 headlines/day, one planted each")
-    corpus, series, split = build_dataset()
+    spec, corpus, series, split = build_dataset()
     config = model_config("msin")
     vocab = D.build_vocab(corpus, max_size=config.vocab_size)
     samples = D.make_samples(corpus, series, vocab, config, split)
+    signs = plant_signs(samples.test, vocab, spec)
     print("samples: train %d  valid %d  test %d"
           % (len(samples.train), len(samples.valid), len(samples.test)))
 
     k_max = max(k for k, _ in GATES)
     print("training attention model, %d seed(s) x %d steps"
           % (len(seeds), steps))
-    pool = train_pool(samples, "msin", seeds, steps)
-    ent, seed, params = min(pool, key=lambda c: (c[0], c[1]))
+    pool = train_pool(samples, "msin", seeds, steps, signs, k_max)
+    ent, seed, _, picked, _ = min(pool, key=lambda c: (c[0], c[1]))
     print("selected seed %d (lowest validation attention entropy)" % seed)
-    picked = E.rank_report(params, config, samples.test, k_max=k_max)
 
     print("training align-once ablation under the same budget")
-    base_pool = train_pool(samples, "lstm_wo", seeds, steps)
-    bent, bseed, bparams = min(base_pool, key=lambda c: (c[0], c[1]))
+    base_pool = train_pool(samples, "lstm_wo", seeds, steps, signs, k_max)
+    bent, bseed, _, baseline, _ = min(base_pool, key=lambda c: (c[0], c[1]))
     print("selected baseline seed %d" % bseed)
-    baseline = E.rank_report(bparams, model_config("lstm_wo"), samples.test,
-                             k_max=k_max)
 
     print()
     print("test ranking over %d days:" % picked.report.days)
@@ -143,6 +178,10 @@ def run(seeds, steps, out_path) -> int:
                 "rec3": recall_at(baseline, 3),
                 "movement_accuracy": baseline.report.movement.accuracy},
             "gates": gate_rows, "passed": passed,
+            "seeds": {"msin": [c[4] for c in pool],
+                      "lstm_wo": [c[4] for c in base_pool]},
+            "full_solutions": {"msin": sum(c[4]["full"] for c in pool),
+                               "lstm_wo": sum(c[4]["full"] for c in base_pool)},
             "runtime_s": round(runtime, 1),
         }
         with open(out_path, "w", encoding="utf-8") as fh:

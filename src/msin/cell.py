@@ -9,8 +9,9 @@ one-direction ``tensor.lstm_sweep``, the op that runs the encoder's two
 directions as well.  Both share one gate arithmetic, so with zeroed context
 weights the two runners produce bit-identical states.  Each runner returns
 only what the model reads after the last step.  Outside the recurrences each
-weight-input product (the warm-start states, doc_w.s, and ``attend``'s
-query and scores) is one ``tensor.linear``.
+weight-input product (the warm-start states, doc_w.s and ``attend``'s
+query) is one ``tensor.linear``, and ``attend`` aligns once with
+``tensor.attention``, the attention ``msin_sequence`` runs at every step.
 
 Every function runs a batch of samples as rows: states are [B, .] matrices
 and the documents a ``DocSlots`` layout, sample b's documents in slots
@@ -41,10 +42,9 @@ class DocSlots:
     finite document vector; ``mask`` marks the real ones.
     """
 
-    rows: T.Tensor     # [B*N, c]; sample b's slots are rows b*N..b*N+N-1
-    grid: T.Tensor     # the same rows as [B, N, c]
-    owner: np.ndarray  # [B*N] the sample each row belongs to
-    mask: np.ndarray   # [B, N] True on real documents
+    rows: T.Tensor    # [B*N, c]; sample b's slots are rows b*N..b*N+N-1
+    grid: T.Tensor    # the same rows as [B, N, c]
+    mask: np.ndarray  # [B, N] True on real documents
 
     @property
     def mean_weights(self) -> T.Tensor:
@@ -121,7 +121,7 @@ def doc_slots(tape: T.Tape | None, docs: DocRepresentation) -> DocSlots:
     rows = docs.vectors if mask.all() else \
         T.take_rows(tape, docs.vectors, ids.reshape(-1))
     return DocSlots(rows=rows, grid=T.reshape(tape, rows, (B, N, rows.shape[1])),
-                    owner=np.repeat(np.arange(B), N), mask=mask)
+                    mask=mask)
 
 
 def _windows(window_values) -> np.ndarray:
@@ -145,20 +145,12 @@ def init_states(tape: T.Tape | None, slots: DocSlots,
     return c0, h0
 
 
-def _doc_proj(tape, slots: DocSlots, params: AttentionParams) -> T.Tensor:
-    """doc_w . s for every slot."""
-    return T.linear(tape, params.doc_w, slots.rows)
-
-
 def attend(tape: T.Tape | None, h_prev: T.Tensor, slots: DocSlots,
            params: AttentionParams) -> T.Tensor:
     """Attention mass [B, N] over each sample's documents given its hidden state."""
-    doc_proj = _doc_proj(tape, slots, params)
+    keys = T.linear(tape, params.doc_w, slots.rows)
     query = T.linear(tape, params.state_w, h_prev, params.bias)
-    proj = T.tanh(tape, T.add_bias(tape, doc_proj, query, slots.owner))
-    logits = T.linear(tape, params.score, proj)
-    return T.masked_softmax(tape, T.reshape(tape, logits, slots.mask.shape),
-                            slots.mask)
+    return T.attention(tape, keys, query, params.score, slots.mask)
 
 
 def _steps(windows: np.ndarray) -> T.Tensor:
@@ -177,8 +169,8 @@ def run_sequence(tape: T.Tape | None, window_values, slots: DocSlots,
     """
     windows = _windows(window_values)
     c0, h0 = init_states(tape, slots, params)
-    out = T.msin_sequence(tape, _steps(windows), h0, c0,
-                          _doc_proj(tape, slots, params.attn), slots.grid,
+    doc_proj = T.linear(tape, params.attn.doc_w, slots.rows)
+    out = T.msin_sequence(tape, _steps(windows), h0, c0, doc_proj, slots.grid,
                           slots.mask, params.attn, params.cell)
     d_s = h0.shape[1]
     return (T.narrow(tape, out, 1, 0, d_s),

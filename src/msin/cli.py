@@ -28,7 +28,7 @@ from . import tensor as T
 from . import training as TR
 from .files import write_atomically
 from .rng import substream
-from .text_encoder import embedding_fields, load_embedding_file
+from .text_encoder import embedding_rows, load_embedding_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -302,11 +302,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _embedding_tokens(path: str) -> set[str]:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return {embedding_fields(line)[0] for line in fh} - {""}
-
-
 def write_history(history, path: str) -> None:
     """step,train_loss,valid_loss rows; validation blank off-schedule."""
     with write_atomically(path, "w", newline="", encoding="utf-8") as fh:
@@ -390,9 +385,13 @@ def cmd_train(args) -> int:
     allowed = None
     if merged["embeddings"] is not None:
         try:
-            allowed = _embedding_tokens(merged["embeddings"])
+            allowed = {token for _, token, _ in
+                       embedding_rows(merged["embeddings"], config.d_w)}
         except OSError as e:
             raise D.DatasetError("cannot read embeddings: %s" % e) from None
+        if not allowed:
+            raise D.DatasetError("%s: no line holds a token and d_w = %d numbers"
+                                 % (merged["embeddings"], config.d_w))
     vocab = D.build_vocab(days, max_size=config.vocab_size, allowed=allowed)
     sset = D.make_samples(days, series, vocab, config, split)
     print("samples train=%d valid=%d test=%d (skipped %d no-docs, "

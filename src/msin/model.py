@@ -88,20 +88,9 @@ class ModelConfig:
         # lstm_par fuses the series state with a d_s-wide text projection
         return self.d_s + (self.d_s if self.variant == "lstm_par" else self.doc_dim)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError("unknown model config keys: %s" % sorted(extra))
-        return cls(**d)
-
 
 def config_hash(config: ModelConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True).encode("utf-8")
+    blob = json.dumps(dataclasses.asdict(config), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -11,10 +11,12 @@ permutation-equivariant and skipping the round trip keeps them cheap.
 Ops are free functions taking the tape as their first argument.  Passing
 ``tape=None`` runs forward-only, which is how finite differences are taken.
 Each op keeps only the input form the model runs.  The batched ones
-(``linear``, ``masked_softmax``, ``weighted_sum``, ``dropout``) take rows,
-one per document, sample or token position; a single item is a batch of
-one.  ``linear`` is the one weight-input product: every projection, score
-and head of the model is one call of it.
+(``linear``, ``attention``, ``weighted_sum``, ``dropout``) take rows, one
+per document, sample or token position; a single item is a batch of one.
+``linear`` is the one weight-input product: every projection and head of
+the model is one call of it.  ``attention`` is the one additive attention:
+the encoder's word pooling and the series cells' document attention call
+it, and ``msin_sequence`` runs its arithmetic at every step.
 
 Two ops run a whole recurrence as one tape entry with a hand-written
 backward: ``lstm_sweep`` (masked LSTMs over token positions or series steps,
@@ -23,9 +25,10 @@ over a window).  Their values and gradients are those of the per-step chain
 of weight-input products, the single-step gated update and the attention
 ops, bit for bit.  The tests keep that chain (``tests/chain_oracle.py``),
 with the reference ops that only the tests run: ``matmul``, a sum of
-products, ``add_bias`` of one bias row, ``scale``, ``sum_stack``,
-``sigmoid``, ``lstm_gates`` and ``blend``.  The L1/L2 weight penalties are
-not ops: ``training.train`` applies them to its parameter buffer.
+products, ``add_bias`` of one bias row or by rows, ``masked_softmax``,
+``scale``, ``sum_stack``, ``sigmoid``, ``lstm_gates`` and ``blend``.  The
+L1/L2 weight penalties are not ops: ``training.train`` applies them to its
+parameter buffer.
 """
 
 from __future__ import annotations
@@ -178,6 +181,12 @@ def _emit(tape: Tape | None, data: np.ndarray, inputs: tuple[Tensor, ...],
     return out
 
 
+def _rounded(product: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A float64 product of ``a`` and ``b`` rounded to their storage dtype."""
+    wide = a.dtype == np.float64 or b.dtype == np.float64
+    return np.asarray(product, dtype=np.float64 if wide else np.float32)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -221,29 +230,6 @@ def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError("add shapes differ: %r vs %r" % (a.shape, b.shape))
     return _emit(tape, a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def add_bias(tape: Tape | None, m: Tensor, v: Tensor, rows: np.ndarray) -> Tensor:
-    """Add to each row of a matrix the row of ``v`` [k,c] that ``rows`` names.
-
-    The engine's only broadcast: ``add(m, take_rows(v, rows))`` bit for bit,
-    in one tape entry.
-    """
-    rows = np.array(rows)
-    if m.ndim != 2 or v.ndim != 2 or m.shape[1] != v.shape[1] \
-            or rows.shape != m.shape[:1] \
-            or not np.issubdtype(rows.dtype, np.integer):
-        raise ShapeError("add_bias expects [r,c], [k,c] and r row ids, got "
-                         "%r, %r and %r" % (m.shape, v.shape, rows.shape))
-    if rows.min() < 0 or rows.max() >= v.shape[0]:
-        raise ShapeError("add_bias row id out of range for %d rows" % v.shape[0])
-
-    def back(g):
-        gv = np.zeros(v.shape, dtype=np.float64)
-        np.add.at(gv, rows, g.astype(np.float64))  # same dtypes: numpy's fast path
-        return (g, gv)
-
-    return _emit(tape, m.data + v.data[rows], (m, v), back)
 
 
 def hadamard(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -404,35 +390,80 @@ def take_rows(tape: Tape | None, x: Tensor, ids: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization, regularization helpers, losses
+# attention
 
 
-def masked_softmax(tape: Tape | None, logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the valid entries of each row of [r,c] logits.
-
-    Invalid entries come out exactly zero.  A row with no valid entry raises
-    DegenerateMaskError.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if logits.ndim != 2:
-        raise ShapeError("masked_softmax expects [r,c] logits, got %r" % (logits.shape,))
-    if mask.shape != logits.shape:
-        raise ShapeError("mask shape %r does not match logits %r"
-                         % (mask.shape, logits.shape))
+def _valid_rows(mask: np.ndarray) -> None:
     rows_ok = mask.any(axis=1)
     if not rows_ok.all():
         raise DegenerateMaskError(
             "softmax row %d has no valid entries" % int(np.flatnonzero(~rows_ok)[0]))
-    shifted = np.where(mask, logits.data.astype(np.float64), -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+
+
+def _attend(keys: np.ndarray, query: np.ndarray | None, score: np.ndarray,
+            mask: np.ndarray):
+    """``attention``'s forward on arrays: (masses [n, K], saved for the backward)."""
+    n, K = mask.shape
+    A = np.tanh(keys if query is None else keys + np.repeat(query, K, axis=0))
+    A64 = A.astype(np.float64)
+    logits = _rounded(A64 @ score.astype(np.float64), A, score)
+    shifted = np.where(mask, logits.reshape(n, K).astype(np.float64), -np.inf)
+    e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
+    P64 = e / e.sum(axis=1, keepdims=True)
+    saved = (A, A64, P64, logits.dtype, query is not None)
+    return np.asarray(P64, dtype=logits.dtype), saved
+
+
+def _attend_back(saved, g: np.ndarray, score: np.ndarray):
+    """``attention``'s backward: the gradients of keys, query (float64, not
+    yet rounded to the query's dtype; None without one) and score."""
+    A, A64, P64, s_dtype, has_query = saved
+    G = g.astype(np.float64)
+    Gs = np.asarray(P64 * (G - (G * P64).sum(axis=1, keepdims=True)),
+                    dtype=s_dtype).reshape(-1).astype(np.float64)
+    gA = np.asarray(np.outer(Gs, score.astype(np.float64)), dtype=A.dtype)
+    gZ = gA * (1.0 - A * A)
+    gq = gZ.reshape(P64.shape + (-1,)).astype(np.float64).sum(
+        axis=1, initial=0.0) if has_query else None
+    return gZ, gq, A64.T @ Gs
+
+
+def attention(tape: Tape | None, keys: Tensor, query: Tensor | None,
+              score: Tensor, mask: np.ndarray) -> Tensor:
+    """Additive attention: masses [n, K] over the valid slots of each row.
+
+    ``keys`` [n*K, a] holds row i's slots in rows i*K..i*K+K-1, ``query``
+    [n, a] (or None) is added to each slot of its row and ``mask`` [n, K]
+    marks the valid slots.  A slot scores tanh(keys + query) . ``score``
+    ([a]), and the masses are a float64 softmax over the valid slots; an
+    invalid slot gets zero mass and zero gradient, and a row with none
+    raises DegenerateMaskError.  The tests' ``chain_oracle.attention``
+    spells it out as ``add_bias_rows``, ``tanh``, the score ``linear``,
+    ``reshape`` and ``masked_softmax``, bit for bit.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    n, K = mask.shape if mask.ndim == 2 else (0, 0)
+    a = score.shape[0]
+    if (score.ndim != 1 or keys.shape != (n * K, a)
+            or (query is not None and query.shape != (n, a))):
+        raise ShapeError("attention expects [n*K, a] keys, [n, a] query, [a] "
+                         "score and [n, K] mask, got %r, %r, %r and %r"
+                         % (keys.shape, None if query is None else query.shape,
+                            score.shape, mask.shape))
+    _valid_rows(mask)
+    p, saved = _attend(keys.data, None if query is None else query.data,
+                       score.data, mask)
 
     def back(g):
-        G = g.astype(np.float64)
-        return (p * (G - (G * p).sum(axis=1, keepdims=True)),)
+        g_keys, g_query, g_score = _attend_back(saved, g, score.data)
+        return (g_keys, g_score) if query is None else (g_keys, g_query, g_score)
 
-    return _emit(tape, np.asarray(p, dtype=_promoted(logits)), (logits,), back)
+    inputs = (keys, score) if query is None else (keys, query, score)
+    return _emit(tape, p, inputs, back)
+
+
+# ---------------------------------------------------------------------------
+# regularization and losses
 
 
 def dropout(tape: Tape | None, x: Tensor, rate: float,
@@ -481,7 +512,7 @@ def bce_with_logit(tape: Tape | None, logit: Tensor, target) -> Tensor:
 #
 # Each op below runs every step of a recurrence in one tape entry.  The
 # forward is the arithmetic of the per-step chain of ops it replaces
-# (the products, the gated update, the attention ops), bit for bit:
+# (the products, the gated update, ``attention``), bit for bit:
 # every product is taken in float64 and rounded once, and sums keep the
 # chain's order.  The backward is hand-written BPTT that adds every
 # gradient in the order the tape would, so float64 and float32 gradients
@@ -489,12 +520,6 @@ def bce_with_logit(tape: Tape | None, logit: Tensor, target) -> Tensor:
 # per-step values are kept only while a tape records the op.  Each step takes
 # its own input product inside the loop: hoisted, the products of every
 # position would be one float64 array, most of a forward-only pass's memory.
-
-
-def _rounded(product: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A float64 product of ``a`` and ``b`` rounded to their storage dtype."""
-    wide = a.dtype == np.float64 or b.dtype == np.float64
-    return np.asarray(product, dtype=np.float64 if wide else np.float32)
 
 
 def _plus(total: np.ndarray | None, g: np.ndarray) -> np.ndarray:
@@ -660,13 +685,12 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     ``gates`` the stacked LSTM weights with ``ctx_w`` [4d, c].  Returns
     [B, d + N]: the last hidden state next to the last step's masses.
 
-    A step is the query ``linear`` of h, ``tanh`` of doc_proj plus each
-    slot's query (``add_bias`` by rows), the score ``linear``,
-    ``masked_softmax`` over the slots, the context fade
-    v = 0.5 * (``weighted_sum`` + v) from v = 0, and the gated update whose
-    pre-activation adds ctx_w.v after input_w.x and state_w.h, then the bias.  ``grid`` is
-    listed among the inputs once per step, so its step gradients add up in
-    the chain's order after whatever later ops gave it.
+    A step is the query ``linear`` of h, ``attention`` of that query over
+    doc_proj, the context fade v = 0.5 * (``weighted_sum`` + v) from v = 0,
+    and the gated update whose pre-activation adds ctx_w.v after input_w.x
+    and state_w.h, then the bias.  ``grid`` is listed among the inputs once
+    per step, so its step gradients add up in the chain's order after
+    whatever later ops gave it.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or grid.ndim != 3 or grid.shape[:2] != mask.shape:
@@ -686,35 +710,24 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
         raise ShapeError("msin_sequence attention or context weights do not fit "
                          "width %d and %d slots of %d" % (d, B * N, c))
     _check_gates(gates, d, x.shape[1], "msin_sequence")
-    rows_ok = mask.any(axis=1)
-    if not rows_ok.all():
-        raise DegenerateMaskError(
-            "softmax row %d has no valid entries" % int(np.flatnonzero(~rows_ok)[0]))
+    _valid_rows(mask)
     m = x.shape[0] // B
     inputs = (x, h0, c0, doc_proj) + (grid,) * m + (
         attn.state_w, attn.bias, attn.score,
         gates.input_w, gates.state_w, gates.ctx_w, gates.bias)
     record = tape is not None and any(t.requires_grad for t in inputs)
     Wq = attn.state_w.data.astype(np.float64)
-    S = attn.score.data.astype(np.float64)
     Wx = gates.input_w.data.astype(np.float64)
     Wh = gates.state_w.data.astype(np.float64)
     Wc = gates.ctx_w.data.astype(np.float64)
     X = x.data.astype(np.float64).reshape(m, B, -1)
-    owner = np.repeat(np.arange(B), N)
     docs = grid.data
     steps = []
     h, cell, v = h0.data, c0.data, np.zeros((B, c), dtype=np.float32)
     for t in range(m):
         H = h.astype(np.float64)
         q = _rounded(H @ Wq.T, attn.state_w.data, h) + attn.bias.data
-        A = np.tanh(doc_proj.data + q[owner])
-        A64 = A.astype(np.float64)
-        logits = _rounded(A64 @ S, A, attn.score.data)
-        shifted = np.where(mask, logits.reshape(B, N).astype(np.float64), -np.inf)
-        e = np.exp(shifted - shifted.max(axis=1, keepdims=True))
-        P64 = e / e.sum(axis=1, keepdims=True)
-        p = np.asarray(P64, dtype=logits.dtype)
+        p, att = _attend(doc_proj.data, q, attn.score.data, mask)
         summary = _rounded((docs * p[:, :, None]).astype(np.float64).sum(axis=1),
                            docs, p)
         v = (summary + v) * 0.5
@@ -725,17 +738,17 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
              + _rounded(H @ Wh.T, gates.state_w.data, h)
              + _rounded(V @ Wc.T, gates.ctx_w.data, v)) + gates.bias.data
         if record:
-            dtypes = (h.dtype, v.dtype, q.dtype, logits.dtype)
+            dtypes = (h.dtype, v.dtype, q.dtype)
         h, cell, saved = _gate_forward(z, cell)
         if record:
-            steps.append((H, A, A64, V, p, P64, saved, dtypes))
+            steps.append((H, V, p, att, saved, dtypes))
 
     def back(g):
         gh, gc, gv, gp = g[:, :d], None, None, g[:, d:]
         gWq = gbq = g_score = gWx = gWh = gWc = gb = g_proj = None
         g_docs, gx = [], []
         for t in range(m - 1, -1, -1):
-            H, A, A64, V, p, P64, saved, (h_dt, v_dt, q_dt, s_dt) = steps[t]
+            H, V, p, att, saved, (h_dt, v_dt, q_dt) = steps[t]
             G = np.empty(saved[0])  # the gated update's pre-activation gradient
             gc = _gate_backward(saved, gh, gc, G)
             gWx = _plus(gWx, X[t].T @ G)
@@ -751,15 +764,10 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
             gw = np.asarray((gv.astype(np.float64)[:, None, :] * docs).sum(axis=2),
                             dtype=p.dtype)
             gp = gp + gw if t == m - 1 else gw
-            Gp = gp.astype(np.float64)  # the softmax, then the score
-            Gs = np.asarray(P64 * (Gp - (Gp * P64).sum(axis=1, keepdims=True)),
-                            dtype=s_dt).reshape(-1).astype(np.float64)
-            g_score = _plus(g_score, A64.T @ Gs)
-            gZ = np.asarray(Gs[:, None] * S, dtype=A.dtype) * (1.0 - A * A)  # outer
+            gZ, Gq, gs = _attend_back(att, gp, attn.score.data)
             g_proj = _plus(g_proj, gZ)
-            Gq = np.asarray(  # each sample's slots, as add_bias scatters them
-                gZ.reshape(B, N, a).astype(np.float64).sum(axis=1, initial=0.0),
-                dtype=q_dt).astype(np.float64)
+            g_score = _plus(g_score, gs)
+            Gq = np.asarray(Gq, dtype=q_dt).astype(np.float64)
             gWq = _plus(gWq, H.T @ Gq)
             gbq = _plus(gbq, Gq.sum(axis=0))
             gh = gh + np.asarray(Gq @ Wq, dtype=h_dt)

@@ -2,7 +2,7 @@
 
 Each document becomes one representative vector s = (1/L) sum_l beta_l h_l,
 where h_l are bidirectional hidden states over the tokens and beta is a
-softmax of unclamped scores over valid positions (``tensor.masked_softmax``
+softmax of unclamped scores over valid positions (``tensor.attention``
 subtracts each row's maximum, so any score is safe).  ``encode_documents``
 runs the documents of a list of days (every day of a batch, or one day) as
 rows of shared matrix ops with per-row validity masks.  Every reduction in
@@ -12,11 +12,12 @@ tests) and permuting documents permutes the outputs bit-identically.  Both
 directions run in one ``tensor.lstm_sweep``, one loop over token positions
 whose step i takes the forward direction at position i and the backward one
 at position L-1-i; it returns the [n, L, 2*d_h] hidden states that the
-pooling reads.  The pooling scores every position with two
-``tensor.linear`` calls: the [2*d_h, 2*d_h] projection with its bias, then
-the context vector.  The word attention of every document stays one [n, K]
-matrix, ``DocRepresentation.attention``, zero past each row's length.  The
-embedding table is a plain [V, d_w] tensor.  The
+pooling reads.  The pooling projects every position with one
+``tensor.linear`` (the [2*d_h, 2*d_h] weight and its bias) and scores the
+projections against the context vector with ``tensor.attention``, the
+attention the series cells run.  The word attention of every document
+stays one [n, K] matrix, ``DocRepresentation.attention``, zero past each
+row's length.  The embedding table is a plain [V, d_w] tensor.  The
 stacked-gate weights are defined here (``LSTMParams``), and the series cells
 use them as well; ``uniform`` draws the initial weights of every layer.
 """
@@ -135,43 +136,44 @@ def init_encoder(d_w: int, d_h: int, rng: np.random.Generator,
         pool_ctx=T.parameter(uniform(rng, two, two), prefix + ".pool.context"))
 
 
-def embedding_fields(line: str) -> list[str]:
-    """A text embedding file's line split on runs of spaces and tabs."""
-    return re.split(r"[ \t]+", line.strip(" \t\r\n"))
+def embedding_rows(path, dim: int):
+    """Yield (line number, token, float32 vector) for each line of a text
+    embedding file that holds a token and ``dim`` decimal floats, split on
+    runs of spaces and tabs (the fastText ``.vec`` layout included).
 
-
-def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
-    """Overwrite rows of a [V, d_w] table from a text embedding file;
-    returns rows hit.
-
-    File layout: one line per word, the token followed by ``d_w`` decimal
-    floats, separated as ``embedding_fields`` splits them (the fastText
-    ``.vec`` layout, with its trailing space, included).  Tokens absent from
-    ``vocab`` are skipped; vocabulary words absent from the file keep their
-    random initialization.  Lines with the wrong column count are ignored
-    rather than fatal, since published embedding dumps contain a handful of
-    tokens with spaces.  A row that would be loaded but holds nan or inf
-    raises DatasetError naming its line.
+    Other lines, such as a ``.vec`` header (``2000000 300``) or a token
+    with spaces, are passed over rather than fatal.
     """
-    dim = table.shape[1]
-    hits = 0
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
-            parts = embedding_fields(line)
+            parts = re.split(r"[ \t]+", line.strip(" \t\r\n"))
             if len(parts) != dim + 1:
-                continue
-            row = vocab.get(parts[0])
-            if row is None or row == PAD_ID:
                 continue
             try:
                 vec = np.asarray([float(p) for p in parts[1:]], dtype=np.float32)
             except ValueError:
                 continue
-            if not np.isfinite(vec).all():
-                raise DatasetError("%s:%d: embedding of %r is not finite"
-                                   % (path, lineno, parts[0]))
-            table.data[row] = vec
-            hits += 1
+            yield lineno, parts[0], vec
+
+
+def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
+    """Overwrite rows of a [V, d_w] table from the ``embedding_rows`` of a
+    file; returns rows hit.
+
+    Tokens absent from ``vocab`` are skipped; vocabulary words absent from
+    the file keep their random initialization.  A row that would be loaded
+    but holds nan or inf raises DatasetError naming its line.
+    """
+    hits = 0
+    for lineno, token, vec in embedding_rows(path, table.shape[1]):
+        row = vocab.get(token)
+        if row is None or row == PAD_ID:
+            continue
+        if not np.isfinite(vec).all():
+            raise DatasetError("%s:%d: embedding of %r is not finite"
+                               % (path, lineno, token))
+        table.data[row] = vec
+        hits += 1
     return hits
 
 
@@ -227,9 +229,8 @@ def encode_documents(tape: T.Tape | None, days, table: T.Tensor,
     zeros = T.constant(np.zeros((n, 2 * d_h)))
     hid = T.lstm_sweep(tape, all_rows, zeros, zeros, params.fwd, params.bwd, valid)
     flat = T.reshape(tape, hid, (n * k_eff, 2 * d_h))
-    proj = T.tanh(tape, T.linear(tape, params.pool_w, flat, params.pool_bias))
-    scores = T.linear(tape, params.pool_ctx, proj)
-    beta = T.masked_softmax(tape, T.reshape(tape, scores, (n, k_eff)), valid)
+    keys = T.linear(tape, params.pool_w, flat, params.pool_bias)
+    beta = T.attention(tape, keys, None, params.pool_ctx, valid)
     pooled = T.weighted_sum(tape, hid, beta)
     divisor = lengths if pool_divisor == "actual_len" else np.repeat(widths, counts)
     s = T.row_scale(tape, pooled, T.constant(1.0 / divisor.astype(np.float64)))

@@ -104,17 +104,6 @@ class TrainConfig:
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError("unknown TrainConfig keys: %s" % sorted(extra))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class HistoryRow:
@@ -307,7 +296,8 @@ def checkpoint_save(params: M.ModelParams, config: M.ModelConfig,
     The file is replaced whole: a failed write leaves the previous one.
     """
     rows = M.named_tensors(params)
-    blob = json.dumps({"model": config.to_dict(), "train": tcfg.to_dict(),
+    blob = json.dumps({"model": dataclasses.asdict(config),
+                       "train": dataclasses.asdict(tcfg),
                        "metadata": metadata},
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
     out = [MAGIC, struct.pack("<I", FORMAT_VERSION),
@@ -353,8 +343,8 @@ def checkpoint_load(path: str):
     blob = r.take(r.u32("config length"), "config JSON")
     try:
         meta = json.loads(blob.decode("utf-8"))
-        config = M.ModelConfig.from_dict(meta["model"])
-        tcfg = TrainConfig.from_dict(meta["train"])
+        config = M.ModelConfig(**meta["model"])
+        tcfg = TrainConfig(**meta["train"])
         metadata = meta["metadata"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError("bad config JSON: %s" % exc) from exc

@@ -5,18 +5,22 @@ one engine op at a time: per position a ``linear_sum`` and ``lstm_gates`` (and
 ``blend`` where a sequence skips the position), per series step the
 attention, the context fade and the gated update.  ``sweep`` and
 ``msin_steps`` drive them with the arguments of ``tensor.lstm_sweep`` and
-``tensor.msin_sequence`` and return what those return, so a test can compare
-values and gradients bit for bit.
+``tensor.msin_sequence`` and return what those return, and ``attention``
+takes the arguments of ``tensor.attention``, so a test can compare values
+and gradients bit for bit.
 
-``matmul``, ``linear_sum``, ``add_bias``, ``scale``, ``sum_stack``,
-``sigmoid``, ``lstm_gates`` and ``blend`` are ops that only the tests use;
-``tensor.linear``, ``tensor.weighted_sum`` and the fused recurrences are
+``matmul``, ``linear_sum``, ``add_bias``, ``add_bias_rows``,
+``masked_softmax``, ``scale``, ``sum_stack``, ``sigmoid``, ``lstm_gates`` and
+``blend`` are ops that only the tests use; ``tensor.linear``,
+``tensor.weighted_sum``, ``tensor.attention`` and the fused recurrences are
 tested against them.  They record tape entries as the package's ops do.
 ``matmul`` multiplies a matrix or a vector on either side, ``linear_sum``
 adds several products before the bias, ``add_bias`` adds one bias row to
-every row, ``scale`` multiplies by a constant and ``sum_stack`` adds
-same-shape tensors in float64.  The gated update keeps its own backward, split
-into the c and h entries, apart from the fused one in ``msin.tensor``.
+every row and ``add_bias_rows`` a chosen row of a matrix to each,
+``masked_softmax`` normalizes each row over its valid entries in float64,
+``scale`` multiplies by a constant and ``sum_stack`` adds same-shape tensors
+in float64.  The gated update keeps its own backward, split into the c and h
+entries, apart from the fused one in ``msin.tensor``.
 """
 
 from dataclasses import dataclass
@@ -79,6 +83,70 @@ def add_bias(tape, m, v):
                            % (m.shape, v.shape))
     return T._emit(tape, m.data + v.data, (m, v),
                    lambda g: (g, g.astype(np.float64).sum(axis=0)))
+
+
+def add_bias_rows(tape, m, v, rows):
+    """Add to each row of a matrix the row of ``v`` [k,c] that ``rows`` names.
+
+    ``add(m, take_rows(v, rows))`` bit for bit, in one tape entry.
+    """
+    rows = np.array(rows)
+    if m.ndim != 2 or v.ndim != 2 or m.shape[1] != v.shape[1] \
+            or rows.shape != m.shape[:1] \
+            or not np.issubdtype(rows.dtype, np.integer):
+        raise T.ShapeError("add_bias_rows expects [r,c], [k,c] and r row ids, "
+                           "got %r, %r and %r" % (m.shape, v.shape, rows.shape))
+    if rows.min() < 0 or rows.max() >= v.shape[0]:
+        raise T.ShapeError("add_bias_rows row id out of range for %d rows"
+                           % v.shape[0])
+
+    def back(g):
+        gv = np.zeros(v.shape, dtype=np.float64)
+        np.add.at(gv, rows, g.astype(np.float64))  # same dtypes: numpy's fast path
+        return (g, gv)
+
+    return T._emit(tape, m.data + v.data[rows], (m, v), back)
+
+
+def masked_softmax(tape, logits, mask):
+    """Softmax over the valid entries of each row of [r,c] logits.
+
+    Invalid entries come out exactly zero.  A row with no valid entry raises
+    DegenerateMaskError.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if logits.ndim != 2:
+        raise T.ShapeError("masked_softmax expects [r,c] logits, got %r"
+                           % (logits.shape,))
+    if mask.shape != logits.shape:
+        raise T.ShapeError("mask shape %r does not match logits %r"
+                           % (mask.shape, logits.shape))
+    rows_ok = mask.any(axis=1)
+    if not rows_ok.all():
+        raise T.DegenerateMaskError(
+            "softmax row %d has no valid entries" % int(np.flatnonzero(~rows_ok)[0]))
+    shifted = np.where(mask, logits.data.astype(np.float64), -np.inf)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def back(g):
+        G = g.astype(np.float64)
+        return (p * (G - (G * p).sum(axis=1, keepdims=True)),)
+
+    return T._emit(tape, np.asarray(p, dtype=T._promoted(logits)), (logits,), back)
+
+
+def attention(tape, keys, query, score, mask):
+    """``tensor.attention`` spelled out: tanh of the keys (plus each row's
+    query), the score ``linear``, then the softmax over each row's valid
+    slots."""
+    mask = np.asarray(mask, dtype=bool)
+    n, K = mask.shape
+    if query is not None:
+        keys = add_bias_rows(tape, keys, query, np.repeat(np.arange(n), K))
+    logits = T.linear(tape, score, T.tanh(tape, keys))
+    return masked_softmax(tape, T.reshape(tape, logits, (n, K)), mask)
 
 
 def linear_sum(tape, terms, bias):
@@ -239,10 +307,7 @@ def update_context(tape, p, slots, v_prev):
 def attend(tape, h_prev, slots, params, doc_proj):
     """``cell.attend`` with doc_w.s taken once for every step."""
     query = T.linear(tape, params.state_w, h_prev, params.bias)
-    proj = T.tanh(tape, T.add_bias(tape, doc_proj, query, slots.owner))
-    logits = T.linear(tape, params.score, proj)
-    return T.masked_softmax(tape, T.reshape(tape, logits, slots.mask.shape),
-                            slots.mask)
+    return attention(tape, doc_proj, query, params.score, slots.mask)
 
 
 def cell_step(tape, x, state, slots, params, doc_proj=None):
@@ -302,8 +367,7 @@ def msin_steps(tape, x, h0, c0, doc_proj, grid, mask, attn, gates):
     """``tensor.msin_sequence``, one ``cell_step`` per series step."""
     mask = np.asarray(mask, dtype=bool)
     B, N = mask.shape
-    slots = C.DocSlots(rows=None, grid=grid, owner=np.repeat(np.arange(B), N),
-                       mask=mask)
+    slots = C.DocSlots(rows=None, grid=grid, mask=mask)
     params = C.MsinParams(None, None, None, None, attn=attn, cell=gates)
     state = MsinState(c=c0, h=h0, v=T.constant(np.zeros((B, grid.shape[2]))), p=None)
     for t in range(x.shape[0] // B):

@@ -2,8 +2,9 @@
 
 ``bilstm_forward`` and ``attention_pool`` run one document at a time, as a
 batch of one row, through the per-step ``chain_oracle.lstm_step``, the
-package's engine ops and ``chain_oracle.matmul`` for the weighted sum.  ``text_encoder.encode_documents`` must reproduce them
-row by row.
+package's engine ops, ``chain_oracle.masked_softmax`` and
+``chain_oracle.matmul`` for the weighted sum.
+``text_encoder.encode_documents`` must reproduce them row by row.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from msin import tensor as T
 from msin import text_encoder as TE
 
-from chain_oracle import lstm_step, matmul, scale
+from chain_oracle import lstm_step, masked_softmax, matmul, scale
 
 
 def bilstm_forward(tape, embeds, length, params):
@@ -52,8 +53,8 @@ def attention_pool(tape, hiddens, length, params, divisor=None):
     valid = T.narrow(tape, hiddens, 0, 0, length)
     proj = T.tanh(tape, T.linear(tape, params.pool_w, valid, params.pool_bias))
     logits = T.linear(tape, params.pool_ctx, proj)
-    beta = T.masked_softmax(tape, T.reshape(tape, logits, (1, length)),
-                            np.ones((1, length), dtype=bool))
+    beta = masked_softmax(tape, T.reshape(tape, logits, (1, length)),
+                          np.ones((1, length), dtype=bool))
     beta = T.reshape(tape, beta, (length,))
     s = scale(tape, matmul(tape, beta, valid), 1.0 / (divisor or length))
     return s, beta

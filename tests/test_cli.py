@@ -333,6 +333,43 @@ def test_train_embeddings_byte_order_mark_is_skipped(tmp_path, capsys):
     assert "embeddings hit 2 of 4 vocabulary rows" in capsys.readouterr().out
 
 
+def test_train_embeddings_header_token_stays_out_of_the_vocabulary(tmp_path, capsys):
+    """A ``.vec`` header line ("2000000 2") is no row, so its first field
+    does not admit a corpus token of the same spelling."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    days = [json.loads(line) for line in open(corpus)]
+    for day in days:
+        day["headlines"][0]["text"] = "2000000 barrels oil"
+    with open(corpus, "w") as fh:
+        fh.writelines(json.dumps(day) + "\n" for day in days)
+    emb = tmp_path / "emb.vec"
+    emb.write_text("2000000 2\nbarrels 0.5 0.25\noil 1 2\n")
+    run = tmp_path / "run"
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(run), "--d-s", "4", "--d-h", "3", "--d-w", "2",
+               "--vocab-size", "60", "--max-steps", "2", "--embeddings", str(emb)])
+    assert rc == 0
+    assert "embeddings hit 2 of 4 vocabulary rows" in capsys.readouterr().out
+    meta = TR.checkpoint_load(str(run / "checkpoint.msn"))[3]
+    assert meta["vocab"] == ["<pad>", "<unk>", "barrels", "oil"]
+
+
+def test_train_embeddings_of_another_width_are_data_error(tmp_path, capsys):
+    """A file none of whose lines holds d_w numbers would leave the
+    vocabulary with no word at all."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("%s 1 2 3\n%s 1 2 3\n" % (vocab.tokens[2], vocab.tokens[3]))
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
+               "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+               "--embeddings", str(emb)])
+    assert rc == 2
+    assert "d_w = 6" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_requires_paths(capsys):
     assert main(["train"]) == 1
     err = capsys.readouterr().err

@@ -212,7 +212,7 @@ class TestReductionsAndRearrangement:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scatter_adds_match_a_sequential_loop(self, dtype):
-        """take_rows' and add_bias(rows=)'s backwards add each row's gradient
+        """take_rows' and add_bias_rows' backwards add each row's gradient
         in float64, one after another in row order, bit for bit."""
         rng = np.random.default_rng(30)
         for _ in range(40):
@@ -225,9 +225,8 @@ class TestReductionsAndRearrangement:
             for i, r in enumerate(ids):
                 want[r] += g[i].astype(np.float64)
             for op in (lambda tape, t: T.take_rows(tape, t, ids),
-                       lambda tape, t: T.add_bias(tape, T.constant(np.zeros(g.shape),
-                                                                   dtype=dtype),
-                                                  t, ids)):
+                       lambda tape, t: chain.add_bias_rows(
+                           tape, T.constant(np.zeros(g.shape), dtype=dtype), t, ids)):
                 table = T.parameter(np.zeros((k, c)), "table", dtype)
                 tape = T.Tape()
                 out = op(tape, table)
@@ -252,41 +251,45 @@ class TestReductionsAndRearrangement:
 
 
 class TestMaskedSoftmax:
+    """The reference softmax ``tensor.attention`` is tested against."""
+
     def test_known_values(self):
         """exp(ln 2) = 2 against two exp(0) = 1 gives probabilities 1/2, 1/4, 1/4."""
         logits = T.constant([[np.log(2.0), 0.0, 0.0]])
-        p = T.masked_softmax(None, logits, np.array([[True, True, True]]))
+        p = chain.masked_softmax(None, logits, np.array([[True, True, True]]))
         np.testing.assert_allclose(p.data, [[0.5, 0.25, 0.25]], rtol=0, atol=1e-7)
 
     def test_masked_entries_exactly_zero(self):
         logits = T.constant([[5.0, 1.0, -2.0, 0.3]])
         mask = np.array([[True, False, True, False]])
-        p = T.masked_softmax(None, logits, mask).data[0]
+        p = chain.masked_softmax(None, logits, mask).data[0]
         assert p[1] == 0.0 and p[3] == 0.0
         np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
 
     def test_degenerate_mask_raises(self):
         with pytest.raises(T.DegenerateMaskError):
-            T.masked_softmax(None, T.constant([[1.0, 2.0]]), np.array([[False, False]]))
+            chain.masked_softmax(None, T.constant([[1.0, 2.0]]),
+                                 np.array([[False, False]]))
 
     def test_rank_one_logits_rejected(self):
         """Rows are the one input form; a single row is a batch of one."""
         with pytest.raises(T.ShapeError):
-            T.masked_softmax(None, T.constant([1.0, 2.0]), np.array([True, True]))
+            chain.masked_softmax(None, T.constant([1.0, 2.0]),
+                                 np.array([True, True]))
 
     def test_rowwise_normalization(self):
         logits = T.constant(np.zeros((2, 3), dtype=np.float32))
         mask = np.array([[True, True, False], [True, True, True]])
-        p = T.masked_softmax(None, logits, mask).data
+        p = chain.masked_softmax(None, logits, mask).data
         np.testing.assert_allclose(p[0], [0.5, 0.5, 0.0], rtol=0, atol=1e-7)
         np.testing.assert_allclose(p[1], [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-7)
         mask[1] = False
         with pytest.raises(T.DegenerateMaskError):
-            T.masked_softmax(None, logits, mask)
+            chain.masked_softmax(None, logits, mask)
 
     def test_large_logits_do_not_overflow(self):
-        p = T.masked_softmax(None, T.constant([[800.0, 799.0, -800.0]]),
-                             np.ones((1, 3), dtype=bool)).data
+        p = chain.masked_softmax(None, T.constant([[800.0, 799.0, -800.0]]),
+                                 np.ones((1, 3), dtype=bool)).data
         assert np.all(np.isfinite(p))
         np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
 
@@ -298,7 +301,8 @@ class TestMaskedSoftmax:
         logits = T.constant(_rand(rng, n) * 10)
         mask = rng.random(n) < 0.6
         mask[rng.integers(n)] = True
-        p = T.masked_softmax(None, T.reshape(None, logits, (1, n)), mask[None]).data[0]
+        p = chain.masked_softmax(None, T.reshape(None, logits, (1, n)),
+                                 mask[None]).data[0]
         assert np.all(p[~mask] == 0.0)
         assert np.all(p >= 0.0)
         np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-6)
@@ -308,11 +312,12 @@ class TestMaskedSoftmax:
         logits = _rand(rng, 9).astype(np.float32)
         mask = np.ones(9, dtype=bool)
         mask[3] = False
-        base = T.masked_softmax(None, T.constant(logits[None]), mask[None]).data[0]
+        base = chain.masked_softmax(None, T.constant(logits[None]),
+                                    mask[None]).data[0]
         for seed in range(10):
             perm = np.random.default_rng(seed).permutation(9)
-            permed = T.masked_softmax(None, T.constant(logits[None, perm]),
-                                      mask[None, perm]).data[0]
+            permed = chain.masked_softmax(None, T.constant(logits[None, perm]),
+                                          mask[None, perm]).data[0]
             assert permed.tobytes() == base[perm].tobytes()
 
 
@@ -425,6 +430,31 @@ def _sweep_case(seed, n, L, dtype=np.float64, reverse=False, both=False):
     return leaves, fused, oracle
 
 
+def _attention_case(seed, n, K, dtype=np.float64, query=True):
+    """Leaves of an attention over rows of 1..K valid slots, one row with a
+    single slot, and the op and chain builds."""
+    rng = np.random.default_rng(seed)
+    a = 3
+    lengths = rng.integers(1, K + 1, size=n)
+    lengths[0] = 1
+    mask = np.arange(K)[None, :] < lengths[:, None]
+    leaves = [T.parameter(_rand(rng, n * K, a), "keys", dtype)]
+    if query:
+        leaves.append(T.parameter(_rand(rng, n, a), "query", dtype))
+    leaves.append(T.parameter(_rand(rng, a) * 2, "score", dtype))
+
+    def args(ls):
+        return (ls[0], ls[1] if query else None, ls[-1], mask)
+
+    def op(tape, ls):
+        return [T.attention(tape, *args(ls))]
+
+    def oracle(tape, ls):
+        return [chain.attention(tape, *args(ls))]
+
+    return leaves, op, oracle, mask
+
+
 def _msin_case(seed, B, m, dtype=np.float64):
     """Leaves of an msin_sequence over 1-5 documents a sample, padded to N slots."""
     rng = np.random.default_rng(seed)
@@ -458,8 +488,9 @@ def _msin_case(seed, B, m, dtype=np.float64):
 
 
 class TestFusedOps:
-    """linear, lstm_gates, weighted_sum, blend and add_bias by rows, and the
-    recurrences lstm_sweep and msin_sequence, against the ops they fuse."""
+    """linear, lstm_gates, weighted_sum, blend, add_bias by rows and
+    attention, and the recurrences lstm_sweep and msin_sequence, against the
+    ops they fuse."""
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n_terms", [1, 2, 3])
@@ -599,19 +630,45 @@ class TestFusedOps:
                   T.parameter(_rand(rng, 3, 4), "v")]
 
         def fused(tape, ls):
-            return [T.add_bias(tape, ls[0], ls[1], rows)]
+            return [chain.add_bias_rows(tape, ls[0], ls[1], rows)]
 
         def spelled(tape, ls):
             return [T.add(tape, ls[0], T.take_rows(tape, ls[1], rows))]
 
         assert _leaf_grads(fused, leaves, 5) == _leaf_grads(spelled, leaves, 5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("query", [True, False])
+    @pytest.mark.parametrize("n,K", [(1, 1), (1, 4), (3, 1), (5, 4), (8, 7)])
+    def test_attention_bitwise_matches_the_chain(self, n, K, query, dtype):
+        """Values and every leaf gradient: ``add_bias_rows`` (with a query),
+        ``tanh``, the score ``linear``, ``reshape`` and ``masked_softmax``."""
+        leaves, op, oracle, mask = _attention_case(10 * n + K, n, K, dtype, query)
+        got, want = op(None, leaves)[0], oracle(None, leaves)[0]
+        assert got.shape == (n, K) and got.data.dtype == want.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.all(got.data[~mask] == 0.0) and np.all(got.data[:1, :1] == 1.0)
+        assert _leaf_grads(op, leaves, 11) == _leaf_grads(oracle, leaves, 11)
+        assert np.all(leaves[0].grad[~mask.reshape(-1)] == 0.0)
+
+    def test_attention_degenerate_mask_raises(self):
+        leaves, op, _, mask = _attention_case(12, 3, 4)
+        mask[1] = False
+        with pytest.raises(T.DegenerateMaskError):
+            op(None, leaves)
+
     def test_shape_guards(self):
         w, b = T.constant(np.ones((8, 4))), T.constant(np.ones(8))
-        m, v = T.constant(np.ones((3, 2))), T.constant(np.ones((2, 2)))
-        for rows in ([0, 1], [0, 1, 2], [0.0, 1.0, 1.0]):
+        keys, query = T.constant(np.ones((6, 2))), T.constant(np.ones((2, 2)))
+        score, mask = T.constant(np.ones(2)), np.ones((2, 3), dtype=bool)
+        for args in ((T.constant(np.ones((5, 2))), query, score, mask),
+                     (keys, T.constant(np.ones((3, 2))), score, mask),
+                     (keys, query, T.constant(np.ones(3)), mask),
+                     (keys, query, T.constant(np.ones((2, 1))), mask),
+                     (keys, None, score, np.ones(6, dtype=bool)),
+                     (keys, None, score, np.ones((3, 2), dtype=bool).T[None])):
             with pytest.raises(T.ShapeError):
-                T.add_bias(None, m, v, np.array(rows))
+                T.attention(None, *args)
         with pytest.raises(T.ShapeError):
             chain.linear_sum(None, [], b)
         with pytest.raises(T.ShapeError):
@@ -631,8 +688,6 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError):  # a [c] weight's [r] output takes no bias
             T.linear(None, T.constant(np.ones(4)), T.constant(np.ones((1, 4))),
                      T.constant(np.ones(1)))
-        with pytest.raises(T.ShapeError):  # add_bias has only its rows form
-            T.add_bias(None, m, T.constant(np.ones(2)), np.array([0, 1, 0]))
         with pytest.raises(T.ShapeError):
             chain.lstm_gates(None, T.constant(np.ones(10)), T.constant(np.ones(2)))
         with pytest.raises(T.ShapeError):
@@ -996,10 +1051,23 @@ class TestGradCheckPerOp:
         w = T.constant(_rand(rng, n), dtype=np.float64)
 
         def loss(tape, leaves):
-            p = T.masked_softmax(tape, T.reshape(tape, leaves[0], (1, n)), mask[None])
+            p = chain.masked_softmax(tape, T.reshape(tape, leaves[0], (1, n)),
+                                     mask[None])
             return T.sum_all(tape, T.hadamard(tape, T.reshape(tape, p, (n,)), w))
 
         assert H.grad_check(loss, [T.parameter(_rand(rng, n) * 3, "z")]) < 1e-6
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           K=st.integers(1, 4), query=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_attention(self, seed, n, K, query):
+        leaves, op = _attention_case(seed, n, K, query=query)[:2]
+        w = T.constant(_rand(np.random.default_rng(seed), n, K), dtype=np.float64)
+
+        def loss(tape, ls):
+            return T.sum_all(tape, T.hadamard(tape, op(tape, ls)[0], w))
+
+        assert H.grad_check(loss, leaves) < 1e-6
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -1153,7 +1221,7 @@ def _mutation_cases():
         "add": ([r(2, 3), r(2, 3)], lambda c, L: c(T.add, L[0], L[1])),
         "add_bias": ([r(2, 3), r(3)], lambda c, L: c(chain.add_bias, L[0], L[1])),
         "add_bias_rows": ([r(3, 2), r(2, 2)], lambda c, L: c(
-            T.add_bias, L[0], L[1], np.array([1, 0, 1]))),
+            chain.add_bias_rows, L[0], L[1], np.array([1, 0, 1]))),
         "hadamard": ([r(2, 3), r(2, 3)], lambda c, L: c(T.hadamard, L[0], L[1])),
         "scale": ([r(2, 3)], lambda c, L: c(chain.scale, L[0], 1.7)),
         "tanh": ([r(2, 3)], lambda c, L: c(T.tanh, L[0])),
@@ -1172,7 +1240,12 @@ def _mutation_cases():
         "take_rows": ([r(3, 2)], lambda c, L: c(
             T.take_rows, L[0], np.array([2, 0, 2]))),
         "masked_softmax": ([r(2, 4) * 3], lambda c, L: c(
-            T.masked_softmax, L[0], mask)),
+            chain.masked_softmax, L[0], mask)),
+        # keys [2*4, 3], query [2, 3], score [3]; and the query-free form
+        "attention": ([r(8, 3), r(2, 3), r(3) * 2], lambda c, L: c(
+            T.attention, L[0], L[1], L[2], mask)),
+        "attention_no_query": ([r(8, 3), r(3) * 2], lambda c, L: c(
+            T.attention, L[0], None, L[1], mask)),
         "dropout": ([r(2, 3)], lambda c, L: c(
             T.dropout, L[0], 0.4, [np.random.default_rng(s) for s in (123, 124)])),
         "bce_with_logit": ([r(3) * 2], lambda c, L: c(
@@ -1224,10 +1297,11 @@ class TestGradCheckMutation:
 
     # lstm_sweep's inputs are x, h0, c0 and three weights per direction;
     # msin_sequence's start with the constant x, and list the grid once for
-    # each of 2 steps
+    # each of 2 steps; attention's are keys, query and score
     @pytest.mark.parametrize("name,blocks", [("lstm_sweep", range(6)),
                                              ("lstm_sweep_both", range(9)),
-                                             ("msin_sequence", range(1, 13))])
+                                             ("msin_sequence", range(1, 13)),
+                                             ("attention", range(3))])
     def test_each_skewed_block_of_a_recurrence_fails(self, name, blocks):
         for block in blocks:
             assert self._check(name, skew=True, block=block) > 1e-4, block

@@ -313,6 +313,15 @@ class TestEncodeDocuments:
 
         assert H.grad_check(loss, leaves) < 1e-4
 
+    def test_one_call_records_seven_tape_entries(self):
+        """The gather, the two-direction sweep, its reshape, the pooling
+        projection, the attention, the weighted sum and the divisor."""
+        table, params = make_params(d_w=3, d_h=2, seed=14)
+        days = [batch_of(np.array([[2, 3, 4], [5, 6, 0]]), np.array([3, 2])),
+                batch_of(np.array([[6, 0]]), np.array([1]))]
+        tape = T.Tape()
+        TE.encode_documents(tape, days, table, params)
+        assert len(tape) == 7
 
     def test_scores_beyond_fifty_stay_a_distribution(self):
         """Unclamped pooling scores far past +-50 give finite word attention

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -400,9 +401,7 @@ class TestTrainConfig:
 
     def test_round_trip(self):
         tcfg = TR.TrainConfig(max_steps=7, seed=5)
-        assert TR.TrainConfig.from_dict(tcfg.to_dict()) == tcfg
-        with pytest.raises(ValueError):
-            TR.TrainConfig.from_dict({"bogus": 1})
+        assert TR.TrainConfig(**dataclasses.asdict(tcfg)) == tcfg
 
 
 class TestCheckpoint:
@@ -434,6 +433,20 @@ class TestCheckpoint:
         TR.checkpoint_save(loaded, config2, tcfg2, metadata2, path2)
         with open(path, "rb") as a, open(path2, "rb") as b:
             assert a.read() == b.read()
+
+    @pytest.mark.parametrize("section", ["model", "train"])
+    def test_unknown_config_key_rejected(self, tmp_path, section):
+        _, _, _, _, path = self.roundtrip_setup(tmp_path)
+        blob = open(path, "rb").read()
+        size = int.from_bytes(blob[8:12], "little")
+        meta = json.loads(blob[12:12 + size])
+        meta[section]["bogus"] = 1
+        text = json.dumps(meta).encode("utf-8")
+        bad = tmp_path / "extra.ckpt"
+        bad.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text
+                        + blob[12 + size:])
+        with pytest.raises(TR.CheckpointError, match="bogus"):
+            TR.checkpoint_load(str(bad))
 
     def test_corrupt_magic_rejected(self, tmp_path):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
