@@ -115,6 +115,9 @@ def read_config_file(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as e:
         raise _UsageError("cannot read config file: %s" % e) from None
+    except UnicodeDecodeError as e:
+        raise _UsageError("config file %s is not UTF-8 text (%s)"
+                          % (path, e.reason)) from None
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -487,7 +490,9 @@ def _print_ranking(date_label: str, mass: np.ndarray,
     for rank, idx in enumerate(order, 1):
         tail = ""
         if texts is not None:
-            text = texts[idx]
+            # each line boundary becomes a space, so that a row stays one
+            # line; the "." keeps a trailing boundary from being dropped
+            text = " ".join((texts[idx] + ".").splitlines())[:-1]
             tail = "  " + (text if len(text) <= 60 else text[:57] + "...")
         print("rank %2d  doc %02d  mass %.4f%s" % (rank, idx + 1, mass[idx], tail))
         if rank == cut:

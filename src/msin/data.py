@@ -4,10 +4,13 @@ A corpus has one form, ``TokenizedDays``: every document's tokens as
 indices of a table of distinct tokens, stored as one integer array, so no
 per-headline object is built and no text is held. Every command reads a
 corpus file the same way: ``load_corpus`` feeds ``read_corpus``'s lines
-straight into ``tokenize_days``, which tokenizes each headline once.
-``synth_generate`` builds the same form straight from its draws, and
-``save_corpus`` writes it back as text, each document's tokens joined by
-one space. ``build_vocab`` and ``make_samples`` work on that form.
+straight into ``tokenize_days``, which tokenizes each headline once: a
+day of ASCII headlines in one ``bytes.translate`` and one ``split`` over
+its joined texts, any other day headline by headline with ``tokenize``'s
+regular expression, which defines a token. ``synth_generate`` builds the
+same form straight from its draws, and ``save_corpus`` writes it back as
+text, each document's tokens joined by one space. ``build_vocab`` and
+``make_samples`` work on that form.
 ``TokenizedDays.batches`` caps (keeping each day's last ``daily_doc_cap``
 documents from ``capped_start``), truncates and maps the ids of every day
 at once: each day's ``DocumentBatch`` is a slice of one corpus-wide
@@ -36,6 +39,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -48,6 +52,10 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# What ``tokenize`` makes of an ASCII byte: a letter lowercased, a digit kept,
+# anything else a space; "\n" is kept to mark a document's end (tokenize_days)
+_ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
+                           else 32 for b in range(256)).lower()
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 
 
@@ -248,19 +256,36 @@ def _tokenized(dates, table, ids, day_sizes, flags) -> TokenizedDays:
 
 def tokenize_days(days) -> TokenizedDays:
     """(date, documents) pairs, each document a (text, relevant) pair, with
-    every text split by ``tokenize`` once. "|", which no token can be, marks
-    each document's end."""
+    every text split as ``tokenize`` splits it. "|", which no token can be,
+    marks each document's end.
+
+    A day whose texts are ASCII, none holding "\\n", is tokenized in one
+    pass: its texts, joined by "\\n", go through one ``bytes.translate``
+    that lowercases letters and turns every byte but a letter, a digit or
+    "\\n" into a space; each "\\n" then becomes the " | " marker, and one
+    ``split`` yields the tokens that ``tokenize`` finds in each text, to
+    which the last text's marker is added. Any other day is split text by
+    text by ``tokenize``, and pays only that ``join`` and ``isascii`` on
+    top."""
     index = {"|": 0}  # the document-end marker, then each token by first sight
     # ids grow in the narrowest unsigned type that holds every id so far
     ids, flags, dates, sizes = array("B"), [], [], []
     for date, docs in days:
         dates.append(date)
         sizes.append(len(docs))
-        toks = []
-        for text, flag in docs:
-            toks += tokenize(text)
+        joined = "\n".join(map(itemgetter(0), docs))
+        # an empty day joins to "", which fails the count and takes the loop
+        if joined.isascii() and joined.count("\n") == len(docs) - 1:
+            toks = joined.encode().translate(_ASCII_TOKEN_BYTES) \
+                .replace(b"\n", b" | ").decode().split()
             toks.append("|")
-            flags.append(flag)
+            flags += map(itemgetter(1), docs)
+        else:
+            toks = []
+            for text, flag in docs:
+                toks += tokenize(text)
+                toks.append("|")
+                flags.append(flag)
         try:
             row = list(map(index.__getitem__, toks))
         except KeyError:
@@ -540,27 +565,31 @@ def read_corpus(path: str):
     each an object with a string text and a relevant of true, false, null or
     absent; dates strictly increasing; at least one day."""
     prev = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                date = dt.date.fromisoformat(rec["date"])
-                heads = rec["headlines"]
-                if type(heads) is not list:
-                    raise TypeError("headlines must be a list")
-                for h in heads:
-                    if type(h["text"]) is not str or \
-                            type(h.get("relevant")) not in _FLAG_TYPES:
-                        raise TypeError("headline %r needs a string text and a "
-                                        "relevant of true, false or null" % (h,))
-                if prev is not None and date <= prev:
-                    raise ValueError("dates not strictly increasing at %s" % date)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
-            prev = date
-            yield date, heads, line
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    date = dt.date.fromisoformat(rec["date"])
+                    heads = rec["headlines"]
+                    if type(heads) is not list:
+                        raise TypeError("headlines must be a list")
+                    for h in heads:
+                        if type(h["text"]) is not str or \
+                                type(h.get("relevant")) not in _FLAG_TYPES:
+                            raise TypeError("headline %r needs a string text and a "
+                                            "relevant of true, false or null" % (h,))
+                    if prev is not None and date <= prev:
+                        raise ValueError("dates not strictly increasing at %s" % date)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
+                prev = date
+                yield date, heads, line
+    except UnicodeDecodeError as exc:
+        raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
+            from None
     if prev is None:
         raise DatasetError("%s holds no days" % path)
 
@@ -587,30 +616,34 @@ def save_series(series: Series, path: str) -> None:
 def load_series(path: str) -> Series:
     """A series CSV; a malformed row, a date out of order or a non-finite
     value raises DatasetError naming its line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("%s is empty" % path) from None
-        if not header or header[0] != "date" or len(header) < 2:
-            raise DatasetError("%s: header must be date,value[,...]" % path)
-        dates, values, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError("%s line %d: expected %d fields, got %d"
-                                   % (path, lineno, len(header), len(row)))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                date = dt.date.fromisoformat(row[0])
-                if dates and date <= dates[-1]:
-                    raise ValueError("dates not strictly increasing at %s" % date)
-                values += map(float, row[1:])
-            except ValueError as exc:
-                raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
-            dates.append(date)
-            linenos.append(lineno)
+                header = next(reader)
+            except StopIteration:
+                raise DatasetError("%s is empty" % path) from None
+            if not header or header[0] != "date" or len(header) < 2:
+                raise DatasetError("%s: header must be date,value[,...]" % path)
+            dates, values, linenos = [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DatasetError("%s line %d: expected %d fields, got %d"
+                                       % (path, lineno, len(header), len(row)))
+                try:
+                    date = dt.date.fromisoformat(row[0])
+                    if dates and date <= dates[-1]:
+                        raise ValueError("dates not strictly increasing at %s" % date)
+                    values += map(float, row[1:])
+                except ValueError as exc:
+                    raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
+                dates.append(date)
+                linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
+            from None
     if not dates:
         raise DatasetError("%s holds no observations" % path)
     vals = np.array(values).reshape(len(dates), len(header) - 1)

@@ -144,16 +144,21 @@ def embedding_rows(path, dim: int):
     Other lines, such as a ``.vec`` header (``2000000 300``) or a token
     with spaces, are passed over rather than fatal.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = re.split(r"[ \t]+", line.strip(" \t\r\n"))
-            if len(parts) != dim + 1:
-                continue
-            try:
-                vec = np.asarray([float(p) for p in parts[1:]], dtype=np.float32)
-            except ValueError:
-                continue
-            yield lineno, parts[0], vec
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, 1):
+                parts = re.split(r"[ \t]+", line.strip(" \t\r\n"))
+                if len(parts) != dim + 1:
+                    continue
+                try:
+                    vec = np.asarray([float(p) for p in parts[1:]],
+                                     dtype=np.float32)
+                except ValueError:
+                    continue
+                yield lineno, parts[0], vec
+    except UnicodeDecodeError as exc:
+        raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
+            from None
 
 
 def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:

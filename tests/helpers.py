@@ -1,10 +1,10 @@
 """Test-side helpers: the one-number gradient check, one day as a batch of
 one, a per-tensor Adam loop, the sizes of the forward-only passes, one
 day's checked ranking, Pre@k/Rec@k over such days, one document's word
-attention, the synthetic generator as it first drew its stream, and a
+attention, the synthetic generator as it first drew its stream, a
 corpus file or a ``TokenizedDays`` read into test-local ``Day`` and
 ``Document`` objects and capped per day as the program did before it
-streamed.
+streamed, and days tokenized headline by headline.
 
 The cell functions take a ``cell.DocSlots`` batch and [B, .] states, the one
 form the program runs.  The wrappers below hand them one day's document rows,
@@ -327,6 +327,36 @@ def corpus_days(days: D.TokenizedDays) -> tuple[Day, ...]:
     docs = iter(docs)
     return tuple(Day(date=date, docs=tuple(islice(docs, n)))
                  for date, n in zip(days.dates, days.day_sizes.tolist()))
+
+
+def reference_tokenize_days(days) -> D.TokenizedDays:
+    """``D.tokenize_days`` as it was before its one-pass ASCII path: every
+    text split by ``D.tokenize`` on its own, each followed by the "|" end
+    marker, and every token numbered by first sight."""
+    index, ids, flags, dates, sizes = {"|": 0}, [], [], [], []
+    for date, docs in days:
+        dates.append(date)
+        sizes.append(len(docs))
+        for text, flag in docs:
+            ids += [index.setdefault(t, len(index))
+                    for t in D.tokenize(text) + ["|"]]
+            flags.append(flag)
+    return D._tokenized(dates, index, ids, sizes, flags)
+
+
+def assert_same_tokenized(got: D.TokenizedDays, want: D.TokenizedDays):
+    """Equal days, whatever the order of the two tables: the same table
+    entries, every id read back as the same word, and equal lengths, day
+    sizes, flags, dates and id type."""
+    assert set(got.table) == set(want.table)
+    assert [got.table[i] for i in got.ids.tolist()] == \
+        [want.table[i] for i in want.ids.tolist()]
+    assert got.ids.dtype == want.ids.dtype
+    for field in ("lengths", "day_sizes"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert got.flags == want.flags
+    assert got.dates == want.dates
 
 
 def cap_daily_docs(docs, cap: int):

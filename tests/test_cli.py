@@ -1104,3 +1104,146 @@ def test_day_dump_bytes_equal_the_json_encoder(tmp_path):
                    for d in days)
     with open(path, "rb") as fh:
         assert fh.read() == want.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# text that is not UTF-8, non-ASCII and multi-line headlines
+
+BAD_BYTES_LINE = (b'{"date": "2030-01-01", "headlines": [{"text": "caf\xe9 bad", '
+                  b'"relevant": null}]}\n')
+
+
+def not_utf8_copy(src, dst, keep, tail) -> str:
+    """The first ``keep`` lines of file src followed by raw bytes ``tail``."""
+    with open(src, "rb") as fh:
+        head = fh.readlines()[:keep]
+    dst.write_bytes(b"".join(head) + tail)
+    return str(dst)
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_corpus_not_utf8_is_data_error(ranked_run, capsys, command):
+    root, ckpt, corpus, series = ranked_run
+    bad = not_utf8_copy(corpus, root / "latin1.jsonl", 20, BAD_BYTES_LINE)
+    out_dir = ["--out-dir", str(root / "latin1_out")] if command == "eval" else []
+    capsys.readouterr()
+    assert main([command, "--checkpoint", ckpt, "--corpus", bad,
+                 "--series", series, *out_dir]) == 2
+    assert capsys.readouterr().err == \
+        "data error: %s is not UTF-8 text (invalid continuation byte)\n" % bad
+
+
+def test_series_not_utf8_is_data_error(ranked_run, capsys):
+    root, ckpt, corpus, series = ranked_run
+    bad = not_utf8_copy(series, root / "latin1.csv", 20, b"2030-01-01,caf\xe9\n")
+    with pytest.raises(D.DatasetError, match="latin1.csv is not UTF-8 text"):
+        D.load_series(bad)
+    capsys.readouterr()
+    assert main(rank_argv(ckpt, corpus, bad)) == 2
+    assert capsys.readouterr().err == \
+        "data error: %s is not UTF-8 text (invalid continuation byte)\n" % bad
+
+
+def test_embeddings_not_utf8_are_data_error(tmp_path, capsys):
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    emb = tmp_path / "emb.txt"
+    emb.write_bytes(b"w0001 1 2 3 4 5 6\ncaf\xe9 1 2 3 4 5 6\n")
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
+               "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+               "--embeddings", str(emb)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "data error: %s is not UTF-8 text (invalid continuation byte)\n" % emb
+
+
+def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_bytes(b"days = 7\n# caf\xe9\n")
+    assert main(["synth", "--out-dir", str(tmp_path),
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: config file %s is not UTF-8 text (invalid continuation "
+        "byte)\n" % cfg)
+
+
+def test_rank_row_of_a_multi_line_headline_stays_one_line(capsys):
+    """Each line boundary of a text, "\\r\\n" counted once, prints as one
+    space before the 60-character cut; a tab stays a tab."""
+    texts = ["w0001 w0002\nsecond line\tw0003", "up\r\ndown\r\n",
+             "a b", "plain text", "x\n" * 40]
+    cli._print_ranking("2000-01-11", np.array([0.4, 0.3, 0.2, 0.06, 0.04]),
+                       texts)
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert rows == [
+        "rank  1  doc 01  mass 0.4000  w0001 w0002 second line\tw0003",
+        "rank  2  doc 02  mass 0.3000  up down ",
+        "---- cumulative mass 0.7000 reached 0.50 ----",
+        "rank  3  doc 03  mass 0.2000  a b",
+        "rank  4  doc 04  mass 0.0600  plain text",
+        "rank  5  doc 05  mass 0.0400  " + "x " * 28 + "x...",
+    ]
+
+
+NON_ASCII_TEXTS = ("Café crème w0003 ÉLAN", "株価 急騰 w0004", "w0001 w0002\n"
+                   "second line\tw0003", "ΣΑΣ İstanbul q3_x", "w0005   ١٢٣")
+
+
+@pytest.fixture(scope="module")
+def non_ascii_corpus(ranked_run):
+    """ranked_run's corpus with each day's first headline replaced by an
+    accented, CJK, multi-line or otherwise non-ASCII text, odd days written
+    as escaped JSON and even ones as raw UTF-8."""
+    root, _ckpt, corpus, _series = ranked_run
+    path = root / "non_ascii.jsonl"
+    with open(corpus, encoding="utf-8") as fh:
+        recs = [json.loads(line) for line in fh]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, rec in enumerate(recs):
+            rec["headlines"][0]["text"] = NON_ASCII_TEXTS[i % len(NON_ASCII_TEXTS)]
+            fh.write(json.dumps(rec, ensure_ascii=i % 2 == 1) + "\n")
+    return str(path)
+
+
+def test_non_ascii_and_multi_line_headlines_read_as_before(
+        ranked_run, non_ascii_corpus, capsys):
+    """load_corpus equals the per-headline reference, and eval writes the
+    reports of a whole-corpus build through that reference."""
+    root, ckpt, _corpus, series = ranked_run
+    days = [(day.date, day.docs) for day in H.load_corpus(non_ascii_corpus)]
+    reference = H.reference_tokenize_days(days)
+    H.assert_same_tokenized(D.load_corpus(non_ascii_corpus), reference)
+    assert {"café", "株価", "second", "σας", "q3", "x", "١٢٣"} <= \
+        set(reference.table)
+
+    params, config, _tcfg, meta = TR.checkpoint_load(ckpt)
+    sset = D.make_samples(
+        reference, D.load_series(series), D.Vocabulary(tokens=tuple(meta["vocab"])),
+        config, D.SplitSpec(fracs=tuple(meta["split"]["fracs"])),
+        stats=D.SeriesStats(mean=meta["series_mean"], std=meta["series_std"]))
+    want = E.rank_report(params, config, sset.train + sset.valid + sset.test)
+    E.write_day_dump(want, str(root / "non_ascii_days.jsonl"))
+    E.write_report(want, config, str(root / "non_ascii_report.json"))
+    out_dir = root / "non_ascii_eval"
+    assert main(["eval", "--checkpoint", ckpt, "--corpus", non_ascii_corpus,
+                 "--series", series, "--out-dir", str(out_dir),
+                 "--split", "all"]) == 0
+    for got, want_path in (("days.jsonl", "non_ascii_days.jsonl"),
+                           ("report.json", "non_ascii_report.json")):
+        assert (out_dir / got).read_bytes() == (root / want_path).read_bytes()
+
+
+def test_rank_prints_a_multi_line_headline_on_one_row(ranked_run,
+                                                      non_ascii_corpus, capsys):
+    """2000-01-13's first headline holds a line break; rank prints one row
+    per document all the same."""
+    _root, ckpt, _corpus, series = ranked_run
+    day = H.load_corpus(non_ascii_corpus)[12]
+    assert day.date == dt.date(2000, 1, 13) and "\n" in day.docs[0].text
+    capsys.readouterr()
+    assert main(rank_argv(ckpt, non_ascii_corpus, series,
+                          "--date", "2000-01-13")) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = [line for line in out if not line.startswith("----")][1:-1]
+    assert len(rows) == len(day.docs) and all(r.startswith("rank ") for r in rows)
+    assert any(r.endswith("  w0001 w0002 second line\tw0003") for r in rows)

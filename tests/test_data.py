@@ -820,3 +820,53 @@ def test_token_ids_widen_with_the_table(distinct, dtype):
     assert words == want
     assert days.lengths.tolist() == [len(D.tokenize(t)) for t, _ in docs]
     assert days.day_sizes.tolist() == [3, len(docs) - 3]
+
+
+# ASCII texts, empty ones included, over letters of both cases, digits, the
+# separators "_", "|", "-" and "!", and whitespace and control characters,
+# some of which ``str.split`` splits on and ``bytes.split`` does not. A day
+# may carry one non-ASCII letter, digit, space or line break in one of its
+# headlines.
+_ASCII_TEXTS = st.text(alphabet="aBzQ09_|-! \t\r\n\x0b\x0c\x1c", max_size=14)
+_NON_ASCII = ("é", "Σ", "株", "١", "İ", "\xa0", "\u2028", "\x85")
+
+
+@st.composite
+def tokenizer_days(draw):
+    days = draw(st.lists(st.lists(st.tuples(_ASCII_TEXTS,
+                                            st.sampled_from(_FLAGS[:3])),
+                                  max_size=5), max_size=5))
+    for docs in days:
+        if docs and draw(st.booleans()):
+            j = draw(st.integers(0, len(docs) - 1))
+            text, flag = docs[j]
+            at = draw(st.integers(0, len(text)))
+            docs[j] = (text[:at] + draw(st.sampled_from(_NON_ASCII)) + text[at:],
+                       flag)
+    start = dt.date(2020, 1, 1)
+    return [(start + dt.timedelta(days=i), docs) for i, docs in enumerate(days)]
+
+
+class TestOnePassDays:
+    """``tokenize_days``' one pass over an ASCII day gives the tokens and
+    markers that ``tokenize`` gives headline by headline."""
+
+    @given(days=tokenizer_days())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_headline_reference(self, days):
+        H.assert_same_tokenized(D.tokenize_days(days),
+                                H.reference_tokenize_days(days))
+
+    @pytest.mark.parametrize("docs", [
+        [],
+        [("!!! ...", True), ("-_-|", None), ("", False)],
+        [("Up\nDOWN", True), ("x", None)],
+        [("Up DOWN", None), ("q3_x", False), ("Café", True)],
+    ], ids=["empty-day", "only-punctuation", "newline-in-headline",
+            "last-headline-non-ascii"])
+    def test_fixed_days(self, docs):
+        days = [(dt.date(2020, 1, 1), docs), (dt.date(2020, 1, 2),
+                                              [("Up, up!", None)])]
+        got = D.tokenize_days(days)
+        H.assert_same_tokenized(got, H.reference_tokenize_days(days))
+        assert got.day_sizes.tolist() == [len(docs), 1]
