@@ -174,78 +174,67 @@ def _require(merged: dict) -> None:
 # per-command option tables
 
 
-def _synth_table() -> dict:
-    s = D.SynthSpec()
-    return {
-        "out_dir": (_c_str, ".", "directory for corpus.jsonl and series.csv"),
-        "days": (_c_int, s.n_days, "number of generated days"),
-        "docs_min": (_c_int, s.n_docs[0], "fewest documents per day"),
-        "docs_max": (_c_int, s.n_docs[1], "most documents per day"),
-        "len_min": (_c_int, s.doc_len[0], "shortest document in tokens"),
-        "len_max": (_c_int, s.doc_len[1], "longest document in tokens"),
-        "vocab_size": (_c_int, s.vocab_size, "background vocabulary size"),
-        "phi": (_c_float, s.phi, "autoregressive coefficient"),
-        "alpha": (_c_float, s.alpha, "signal coefficient"),
-        "sigma": (_c_float, s.sigma, "observation noise scale"),
-        "plant_prob": (_c_float, s.plant_prob,
-                       "per-document probability of carrying signal"),
-        "plant_per_day": (_c_bool, s.plant_per_day,
-                          "plant exactly one signal document per day"),
-        "seed": (_c_int, s.seed, "generator seed"),
-        "start": (_c_date, s.start, "date of the first day"),
-    }
+# a field's converter by its declared type; a (low, high) pair's is that of
+# each end
+_FIELD_CONVERTERS = {"int": _c_int, "float": _c_float, "str": _c_str,
+                     "bool": _c_bool, "dt.date": _c_date, "dt.date | None": _c_date,
+                     "tuple[int, int]": _c_int,
+                     "tuple[float, float, float] | None": _c_fracs}
 
 
-_FIELD_CONVERTERS = {"int": _c_int, "float": _c_float, "str": _c_str}
+def _exposed(cls) -> list:
+    """(field, its option keys) for each field of a config dataclass that
+    carries help text: one key, or the (low, high) keys of a pair."""
+    return [(f, f.metadata["flags"] or (f.name,))
+            for f in dataclasses.fields(cls) if "help" in f.metadata]
 
 
 def _config_entries(cls) -> dict:
-    """An option for each field of a config dataclass that carries help text."""
-    return {f.name: (_FIELD_CONVERTERS[f.type], f.default, f.metadata["help"])
-            for f in dataclasses.fields(cls) if "help" in f.metadata}
-
-
-def _train_table() -> dict:
-    table = {
-        "corpus": (_c_str, REQUIRED, "corpus JSONL path"),
-        "series": (_c_str, REQUIRED, "series CSV path"),
-        "embeddings": (_c_str, None, "optional pretrained embedding file"),
-        "out_dir": (_c_str, ".", "directory for checkpoint and history"),
-    }
-    table.update(_config_entries(M.ModelConfig))
-    table.update(_config_entries(TR.TrainConfig))
-    table.update({
-        "train_until": (_c_date, None, "last training date (inclusive)"),
-        "valid_until": (_c_date, None, "last validation date (inclusive)"),
-        "split_fracs": (_c_fracs, None,
-                        "train,valid,test fractions; default 0.8,0.1,0.1"),
-    })
+    """An option for each exposed field of a config dataclass, one for each
+    end of a pair."""
+    table = {}
+    for f, keys in _exposed(cls):
+        conv, help_text = _FIELD_CONVERTERS[f.type], f.metadata["help"]
+        if len(keys) == 2:
+            for key, end, default in zip(keys, ("low", "high"), f.default):
+                table[key] = (conv, default, "%s, %s end" % (help_text, end))
+        else:
+            table[keys[0]] = (conv, f.default, help_text)
     return table
 
 
+_DATA_INPUTS = {"corpus": (_c_str, REQUIRED, "corpus JSONL path"),
+                "series": (_c_str, REQUIRED, "series CSV path")}
+_MODEL_INPUTS = {"checkpoint": (_c_str, REQUIRED, "trained checkpoint path"),
+                 **_DATA_INPUTS}
+
+
+def _synth_table() -> dict:
+    return {"out_dir": (_c_str, ".", "directory for corpus.jsonl and series.csv"),
+            **_config_entries(D.SynthSpec)}
+
+
+def _train_table() -> dict:
+    return {**_DATA_INPUTS,
+            "embeddings": (_c_str, None, "optional pretrained embedding file"),
+            "out_dir": (_c_str, ".", "directory for checkpoint and history"),
+            **_config_entries(M.ModelConfig), **_config_entries(TR.TrainConfig),
+            **_config_entries(D.SplitSpec)}
+
+
 def _eval_table() -> dict:
-    return {
-        "checkpoint": (_c_str, REQUIRED, "trained checkpoint path"),
-        "corpus": (_c_str, REQUIRED, "corpus JSONL path"),
-        "series": (_c_str, REQUIRED, "series CSV path"),
-        "out_dir": (_c_str, ".", "directory for report files"),
-        "split": (_c_str, "test", "train, valid, test, or all"),
-        "k_max": (_c_int, 5, "largest ranking depth reported"),
-        "train_until": (_c_date, None, "override stored split: last train date"),
-        "valid_until": (_c_date, None, "override stored split: last valid date"),
-        "split_fracs": (_c_fracs, None, "override stored split fractions"),
-    }
+    return {**_MODEL_INPUTS,
+            "out_dir": (_c_str, ".", "directory for report files"),
+            "split": (_c_str, "test", "train, valid, test, or all"),
+            "k_max": (_c_int, 5, "largest ranking depth reported"),
+            **_config_entries(D.SplitSpec)}
 
 
 def _rank_table() -> dict:
-    return {
-        "checkpoint": (_c_str, REQUIRED, "trained checkpoint path"),
-        "corpus": (_c_str, REQUIRED, "corpus JSONL path"),
-        "series": (_c_str, REQUIRED, "series CSV path"),
-        "date": (_c_date, None, "day to rank; default latest eligible"),
-        "debug_masses": (_c_str, None, "comma-separated masses to rank "
-                         "instead of a model; no other option is then needed"),
-    }
+    return {**_MODEL_INPUTS,
+            "date": (_c_date, None, "day to rank; default latest eligible"),
+            "debug_masses": (_c_str, None, "comma-separated masses to rank "
+                             "instead of a model; no other option is then needed")}
 
 
 def _gradcheck_table() -> dict:
@@ -261,18 +250,9 @@ def _gradcheck_table() -> dict:
 
 def _option_split(merged: dict) -> D.SplitSpec | None:
     """The split the options give, or None when they give none."""
-    dates = (merged["train_until"], merged["valid_until"])
-    fracs = merged["split_fracs"]
-    if any(d is not None for d in dates) and fracs is not None:
-        raise _UsageError("give split dates or fractions, not both")
-    try:
-        if any(d is not None for d in dates):
-            if None in dates:
-                raise _UsageError("date splits need both train-until and valid-until")
-            return D.SplitSpec(train_until=dates[0], valid_until=dates[1])
-        return None if fracs is None else D.SplitSpec(fracs=fracs)
-    except D.DatasetError as e:
-        raise _UsageError(str(e)) from None
+    if all(merged[k] is None for k in _config_entries(D.SplitSpec)):
+        return None
+    return _build_config(D.SplitSpec, merged)
 
 
 def _stored_split(stored: dict | None) -> D.SplitSpec:
@@ -290,10 +270,13 @@ def _stored_split(stored: dict | None) -> D.SplitSpec:
 
 
 def _build_config(cls, merged: dict):
-    """A config dataclass from the merged values of its exposed fields."""
+    """A config dataclass from the merged values of its exposed fields, the
+    two ends of a pair joined back into the pair."""
+    values = {f.name: tuple(merged[k] for k in keys) if len(keys) == 2
+              else merged[keys[0]] for f, keys in _exposed(cls)}
     try:
-        return cls(**{k: merged[k] for k in _config_entries(cls)})
-    except ValueError as e:
+        return cls(**values)
+    except (ValueError, D.DatasetError) as e:
         raise _UsageError(str(e)) from None
 
 
@@ -347,30 +330,14 @@ def _load_checkpoint(path: str):
 
 def cmd_synth(args) -> int:
     merged = _merge(args, _synth_table())
-    try:
-        spec = D.SynthSpec(
-            n_days=merged["days"],
-            n_docs=(merged["docs_min"], merged["docs_max"]),
-            doc_len=(merged["len_min"], merged["len_max"]),
-            vocab_size=merged["vocab_size"],
-            phi=merged["phi"], alpha=merged["alpha"], sigma=merged["sigma"],
-            plant_prob=merged["plant_prob"],
-            plant_per_day=merged["plant_per_day"],
-            seed=merged["seed"], start=merged["start"])
-    except D.DatasetError as e:
-        raise _UsageError(str(e)) from None
+    spec = _build_config(D.SynthSpec, merged)
     days, series = D.synth_generate(spec)
     os.makedirs(merged["out_dir"], exist_ok=True)
     corpus_path = os.path.join(merged["out_dir"], "corpus.jsonl")
     series_path = os.path.join(merged["out_dir"], "series.csv")
     D.save_corpus(days, corpus_path)
     D.save_series(series, series_path)
-    print("synth days=%d docs=%d..%d len=%d..%d vocab=%d phi=%g alpha=%g "
-          "sigma=%g plant_prob=%g plant_per_day=%s seed=%d start=%s"
-          % (spec.n_days, spec.n_docs[0], spec.n_docs[1],
-             spec.doc_len[0], spec.doc_len[1], spec.vocab_size, spec.phi,
-             spec.alpha, spec.sigma, spec.plant_prob, spec.plant_per_day,
-             spec.seed, spec.start.isoformat()))
+    print("synth " + " ".join("%s=%s" % kv for kv in merged.items()))
     for path in (corpus_path, series_path):
         print("wrote %s sha256=%s" % (path, _sha256(path)))
     return EXIT_OK
@@ -416,11 +383,8 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(merged["out_dir"], "checkpoint.msn")
     write_history(result.history, history_path)
     best_valid = result.best_valid if np.isfinite(result.best_valid) else None
-    stored_split = {"train_until": split.train_until.isoformat()
-                    if split.train_until else None,
-                    "valid_until": split.valid_until.isoformat()
-                    if split.valid_until else None,
-                    "fracs": list(split.fracs) if split.fracs else None}
+    stored_split = {k: v.isoformat() if isinstance(v, dt.date) else v
+                    for k, v in dataclasses.asdict(split).items()}
     metadata = {"step": result.best_step, "seed": tcfg.seed,
                 "valid_loss": best_valid,
                 "vocab": list(vocab.tokens),
@@ -573,6 +537,8 @@ def cmd_gradcheck(args) -> int:
         if v not in M.VARIANTS:
             raise _UsageError("variant must be one of %s or all"
                               % ", ".join(M.VARIANTS))
+    if merged["seed"] < 0:
+        raise _UsageError("seed must be non-negative, got %d" % merged["seed"])
 
     worst_overall = 0.0
     for variant in variants:

@@ -37,7 +37,7 @@ import math
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
 
@@ -57,6 +57,13 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
                            else 32 for b in range(256)).lower()
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
+
+
+def option(default, help_text: str, flags: tuple[str, ...] = ()):
+    """A config field that the command line exposes with this help. Its flag
+    is its own name unless ``flags`` names it, or names the (low, high) flags
+    of a pair."""
+    return field(default=default, metadata={"help": help_text, "flags": flags})
 
 
 class DatasetError(Exception):
@@ -148,16 +155,20 @@ class SeriesStats:
 class SplitSpec:
     """Date-range split (train_until/valid_until) or ordered fractions."""
 
-    train_until: dt.date | None = None
-    valid_until: dt.date | None = None
-    fracs: tuple[float, float, float] | None = None
+    train_until: dt.date | None = option(None, "last training date (inclusive)")
+    valid_until: dt.date | None = option(None,
+                                         "last validation date (inclusive)")
+    fracs: tuple[float, float, float] | None = option(
+        None, "train,valid,test fractions; train's default 0.8,0.1,0.1, "
+        "eval's the stored split", flags=("split_fracs",))
 
     def __post_init__(self):
-        by_date = self.train_until is not None and self.valid_until is not None
+        dates = (self.train_until, self.valid_until)
         by_frac = self.fracs is not None
-        if by_date == by_frac:
-            raise DatasetError("give either both split dates or fractions")
-        if by_date and self.valid_until <= self.train_until:
+        if dates.count(None) != (2 if by_frac else 0):
+            raise DatasetError("give both split dates (train_until and "
+                               "valid_until) or fractions, not both")
+        if not by_frac and self.valid_until <= self.train_until:
             raise DatasetError("valid_until must come after train_until")
         if by_frac:
             f = self.fracs
@@ -451,19 +462,22 @@ class SynthSpec:
     positive plants minus negative plants on day t.
     """
 
-    n_days: int = 100
-    n_docs: tuple[int, int] = (2, 5)
-    doc_len: tuple[int, int] = (4, 8)
-    vocab_size: int = 50
+    n_days: int = option(100, "number of generated days", flags=("days",))
+    n_docs: tuple[int, int] = option((2, 5), "documents per day",
+                                     flags=("docs_min", "docs_max"))
+    doc_len: tuple[int, int] = option((4, 8), "document length in tokens",
+                                      flags=("len_min", "len_max"))
+    vocab_size: int = option(50, "background vocabulary size")
     s_plus: tuple[str, ...] = ("surge", "gain", "rally")
     s_minus: tuple[str, ...] = ("slump", "drop", "tumble")
-    phi: float = 0.5
-    alpha: float = 1.0
-    sigma: float = 0.1
-    plant_prob: float = 0.3
-    plant_per_day: bool = False  # exactly one planted doc per day instead
-    seed: int = 0
-    start: dt.date = dt.date(2000, 1, 1)
+    phi: float = option(0.5, "autoregressive coefficient")
+    alpha: float = option(1.0, "signal coefficient")
+    sigma: float = option(0.1, "observation noise scale")
+    plant_prob: float = option(0.3, "per-document probability of carrying signal")
+    plant_per_day: bool = option(False,
+                                 "plant exactly one signal document per day")
+    seed: int = option(0, "generator seed")
+    start: dt.date = option(dt.date(2000, 1, 1), "date of the first day")
 
     def __post_init__(self):
         if set(self.s_plus) & set(self.s_minus):
@@ -484,6 +498,11 @@ class SynthSpec:
             raise DatasetError("plant_prob must lie in [0, 1]")
         if self.n_days < 1 or self.vocab_size < 1:
             raise DatasetError("n_days and vocab_size must be positive")
+        if self.start.toordinal() + self.n_days - 1 > dt.date.max.toordinal():
+            raise DatasetError("the last day (start + n_days - 1) falls after %s"
+                               % dt.date.max)
+        if self.seed < 0:
+            raise DatasetError("seed must be non-negative, got %d" % self.seed)
         for lo, hi in (self.n_docs, self.doc_len):
             if not 1 <= lo <= hi:
                 raise DatasetError("ranges must satisfy 1 <= lo <= hi")

@@ -16,22 +16,18 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cell as cell_mod
 from . import tensor as T
 from . import text_encoder as enc
+from .data import option
 from .rng import substream
 
 VARIANTS = ("msin", "lstm_wo", "lstm_par")
 OBJECTIVES = ("next_value", "movement")
-
-
-def option(default, help_text: str):
-    """A config field that ``msin train`` exposes as a flag with this help."""
-    return field(default=default, metadata={"help": help_text})
 
 
 @dataclass

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import model as M
 from . import tensor as T
+from .data import option
 from .files import write_atomically
 from .rng import substream
 
@@ -75,17 +76,17 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = M.option(1e-3, "Adam step size")
+    learning_rate: float = option(1e-3, "Adam step size")
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    batch_size: int = M.option(8, "samples per update")
-    max_steps: int = M.option(200, "update budget")
-    clip_norm: float = M.option(5.0, "global gradient norm cap")
-    early_stop_patience: int = M.option(
+    batch_size: int = option(8, "samples per update")
+    max_steps: int = option(200, "update budget")
+    clip_norm: float = option(5.0, "global gradient norm cap")
+    early_stop_patience: int = option(
         10, "evaluations without improvement before stopping")
-    eval_every: int = M.option(10, "steps between validations")
-    seed: int = M.option(0, "run seed: init, shuffling, and dropout")
+    eval_every: int = option(10, "steps between validations")
+    seed: int = option(0, "run seed: init, shuffling, and dropout")
 
     def __post_init__(self):
         for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
@@ -103,6 +104,8 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be at least 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative, got %d" % self.seed)
 
 
 @dataclass(frozen=True)
@@ -330,6 +333,24 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+# the JSON values a config field of each declared type may hold
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _stored_config(cls, stored: dict):
+    """A config dataclass from a checkpoint's JSON object; a value of another
+    type than its field declares raises CheckpointError naming the field."""
+    if not isinstance(stored, dict):
+        raise CheckpointError("stored %s is not a JSON object" % cls.__name__)
+    for f in dataclasses.fields(cls):
+        value = stored.get(f.name)
+        if f.name in stored and (isinstance(value, bool) or
+                                 not isinstance(value, _JSON_TYPES[f.type])):
+            raise CheckpointError("config field '%s' is %r, not of type %s"
+                                  % (f.name, value, f.type))
+    return cls(**stored)
+
+
 def checkpoint_load(path: str):
     """Read a checkpoint; returns (params, ModelConfig, TrainConfig, metadata).
     A tensor holding a nan or inf raises CheckpointError naming it."""
@@ -343,8 +364,8 @@ def checkpoint_load(path: str):
     blob = r.take(r.u32("config length"), "config JSON")
     try:
         meta = json.loads(blob.decode("utf-8"))
-        config = M.ModelConfig(**meta["model"])
-        tcfg = TrainConfig(**meta["train"])
+        config = _stored_config(M.ModelConfig, meta["model"])
+        tcfg = _stored_config(TrainConfig, meta["train"])
         metadata = meta["metadata"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError("bad config JSON: %s" % exc) from exc
@@ -352,9 +373,13 @@ def checkpoint_load(path: str):
     params = M.init_model(config, seed=0)
     wanted = {n: t for n, t, _ in M.named_tensors(params)}
     seen = set()
-    for _ in range(r.u32("tensor count")):
-        name = r.take(struct.unpack("<H", r.take(2, "name length"))[0],
-                      "tensor name").decode("utf-8")
+    for i in range(r.u32("tensor count")):
+        try:
+            name = r.take(struct.unpack("<H", r.take(2, "name length"))[0],
+                          "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("the name of tensor %d is not UTF-8" % i) \
+                from None
         if name not in wanted:
             raise CheckpointError("unknown tensor '%s'" % name)
         if name in seen:

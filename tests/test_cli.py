@@ -5,11 +5,13 @@ and the files left behind. Fixture mass vectors mirror the published ranking
 tables the selection rule was calibrated against.
 """
 
+import argparse
 import ctypes
 import dataclasses
 import datetime as dt
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +161,48 @@ def test_synth_invalid_range_is_usage_error(tmp_path, capsys):
     rc = main(["synth", "--out-dir", str(tmp_path),
                "--docs-min", "5", "--docs-max", "2"])
     assert rc == 1
+
+
+def test_synth_summary_line_lists_the_options(tmp_path, capsys):
+    """The summary line is the merged option table, in table order, keyed
+    as a config file is."""
+    out_dir = str(tmp_path / "d")
+    assert main(["synth", "--out-dir", out_dir, "--days", "3",
+                 "--docs-max", "4", "--plant-per-day", "yes"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "synth out_dir=%s days=3 docs_min=2 docs_max=4 len_min=4 len_max=8 "
+        "vocab_size=50 phi=0.5 alpha=1.0 sigma=0.1 plant_prob=0.3 "
+        "plant_per_day=True seed=0 start=2000-01-01" % out_dir)
+
+
+def test_synth_range_past_the_last_date_is_usage_error(tmp_path, capsys):
+    """The list of dates used to raise OverflowError out of main."""
+    out_dir = tmp_path / "d"
+    assert main(["synth", "--out-dir", str(out_dir), "--days", "3",
+                 "--start", "9999-12-30"]) == 1
+    assert capsys.readouterr().err == ("usage error: the last day (start + "
+                                       "n_days - 1) falls after 9999-12-31\n")
+    assert not out_dir.exists()
+    assert main(["synth", "--out-dir", str(out_dir), "--days", "2",
+                 "--start", "9999-12-30"]) == 0
+    assert D.load_corpus(str(out_dir / "corpus.jsonl")).dates[-1] == dt.date.max
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    """numpy's SeedSequence used to raise ValueError out of main."""
+    out_dir = tmp_path / "out"
+    argv = {"synth": ["synth", "--out-dir", str(out_dir)],
+            "gradcheck": ["gradcheck", "--variant", "msin"]}.get(command)
+    if argv is None:
+        corpus, series = make_dataset(tmp_path / "data", days=60)
+        argv = ["train", "--corpus", corpus, "--series", series,
+                "--out-dir", str(out_dir), "--max-steps", "1"]
+    capsys.readouterr()
+    assert main([*argv, "--seed", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "usage error: seed must be non-negative, got -1\n"
+    assert out == "" and not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +438,109 @@ def test_train_flags_are_the_config_fields():
             assert cli._merge(args, table)[f.name] == f.default, f.name
     assert cli._build_config(M.ModelConfig, merged) == M.ModelConfig()
     assert cli._build_config(TR.TrainConfig, merged) == TR.TrainConfig()
+
+
+NOT_EXPOSED = {"beta1", "beta2", "eps", "s_plus", "s_minus"}
+# a value other than the default for each exposed field; a split takes dates
+# or fractions, so SplitSpec's fields are given in two runs
+NON_DEFAULT = [
+    (M.ModelConfig, "train", dict(
+        variant="lstm_par", d_s=7, d_h=6, d_w=9, vocab_size=70, m=4,
+        series_dim=2, max_tokens=11, daily_doc_cap=12, d_a=5,
+        dropout_rate=0.25, l1=0.5, l2=0.125, objective="movement",
+        pool_divisor="max_len")),
+    (TR.TrainConfig, "train", dict(
+        learning_rate=0.5, batch_size=3, max_steps=9, clip_norm=2.5,
+        early_stop_patience=4, eval_every=6, seed=13)),
+    (D.SynthSpec, "synth", dict(
+        n_days=12, n_docs=(3, 7), doc_len=(2, 9), vocab_size=40, phi=0.25,
+        alpha=2.0, sigma=0.5, plant_prob=0.75, plant_per_day=True, seed=8,
+        start=dt.date(2011, 3, 4))),
+    *((D.SplitSpec, command, given) for command in ("train", "eval")
+      for given in (dict(train_until=dt.date(2001, 2, 3),
+                         valid_until=dt.date(2001, 4, 5)),
+                    dict(fracs=(0.5, 0.25, 0.25))))]
+
+
+def flag_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("cls, command, given", NON_DEFAULT,
+                         ids=lambda x: getattr(x, "__name__", None))
+def test_config_fields_and_flags_stay_in_step(cls, command, given):
+    """Every field of a config dataclass but NOT_EXPOSED reaches a flag of
+    ``command`` whose default is the field's (a pair, two flags), and
+    non-default flag values build a config holding those values."""
+    parser = cli.build_parser()
+    table = getattr(cli, "_%s_table" % command)()
+    defaults = cli._merge(parser.parse_args([command]), table)
+    argv = [command]
+    fields = [f for f in dataclasses.fields(cls) if f.name not in NOT_EXPOSED]
+    for f in fields:
+        keys = f.metadata.get("flags") or (f.name,)
+        pair = len(keys) == 2
+        for key, default in zip(keys, f.default if pair else (f.default,)):
+            assert key in defaults and defaults[key] == default, key
+        if f.name in given:
+            assert given[f.name] != f.default, f.name
+            values = given[f.name] if pair else (given[f.name],)
+            for key, value in zip(keys, values):
+                argv += ["--" + key.replace("_", "-"), flag_text(value)]
+    if cls is not D.SplitSpec:
+        assert set(given) == {f.name for f in fields}
+    built = cli._build_config(cls, cli._merge(parser.parse_args(argv), table))
+    for name, value in given.items():
+        assert getattr(built, name) == value, name
+
+
+REQ = cli.REQUIRED
+INPUTS = {"--corpus": REQ, "--series": REQ}
+SPLIT_FLAGS = {"--train-until": None, "--valid-until": None, "--split-fracs": None}
+# every subcommand's flags in help order, each with the default it resolves to
+SUBCOMMAND_FLAGS = {
+    "synth": {"--config": None, "--out-dir": ".", "--days": 100,
+              "--docs-min": 2, "--docs-max": 5, "--len-min": 4, "--len-max": 8,
+              "--vocab-size": 50, "--phi": 0.5, "--alpha": 1.0, "--sigma": 0.1,
+              "--plant-prob": 0.3, "--plant-per-day": False, "--seed": 0,
+              "--start": dt.date(2000, 1, 1)},
+    "train": {"--config": None, **INPUTS, "--embeddings": None, "--out-dir": ".",
+              "--variant": "msin", "--d-s": 64, "--d-h": 32, "--d-w": 50,
+              "--vocab-size": 5000, "--m": 5, "--series-dim": 1,
+              "--max-tokens": 16, "--daily-doc-cap": 25, "--d-a": 0,
+              "--dropout-rate": 0.0, "--l1": 0.0, "--l2": 0.0,
+              "--objective": "next_value", "--pool-divisor": "actual_len",
+              "--learning-rate": 1e-3, "--batch-size": 8, "--max-steps": 200,
+              "--clip-norm": 5.0, "--early-stop-patience": 10,
+              "--eval-every": 10, "--seed": 0, **SPLIT_FLAGS},
+    "eval": {"--config": None, "--checkpoint": REQ, **INPUTS, "--out-dir": ".",
+             "--split": "test", "--k-max": 5, **SPLIT_FLAGS},
+    "rank": {"--config": None, "--checkpoint": REQ, **INPUTS, "--date": None,
+             "--debug-masses": None},
+    "gradcheck": {"--config": None, "--variant": "all", "--seed": 1},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_keeps_its_flags_and_defaults(command):
+    """Each subcommand's flags, in order, and their defaults and types. The
+    bench's serve_rank set-up runs synth with flags of these names."""
+    parser = cli.build_parser(command)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    merged = cli._merge(parser.parse_args([command]),
+                        getattr(cli, "_%s_table" % command)())
+    got = [(a.option_strings[0], merged.get(a.dest)) for a in sub._actions
+           if a.dest != "help"]
+    want = SUBCOMMAND_FLAGS[command]
+    assert got == list(want.items())
+    assert [type(v) for _k, v in got] == [type(v) for v in want.values()]
 
 
 def test_train_rejects_mixed_split_options(tmp_path):
@@ -1247,3 +1394,63 @@ def test_rank_prints_a_multi_line_headline_on_one_row(ranked_run,
     rows = [line for line in out if not line.startswith("----")][1:-1]
     assert len(rows) == len(day.docs) and all(r.startswith("rank ") for r in rows)
     assert any(r.endswith("  w0001 w0002 second line\tw0003") for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint config types and tensor names
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+@pytest.mark.parametrize("field, value", [
+    ("d_h", 3.0), ("max_tokens", 4.0), ("m", 2.5), ("daily_doc_cap", 3.5),
+    ("batch_size", True)])
+def test_checkpoint_config_value_of_another_type_is_data_error(
+        ranked_run, capsys, command, field, value):
+    """A float in an integer field used to raise TypeError out of main (or,
+    for daily_doc_cap, let eval run under a fractional cap)."""
+    root, ckpt, corpus, series = ranked_run
+    params, config, tcfg, meta = TR.checkpoint_load(ckpt)
+    if hasattr(config, field):
+        config = dataclasses.replace(config, **{field: value})
+    else:
+        tcfg = dataclasses.replace(tcfg, **{field: value})
+    bad = str(root / ("typed_%s.msn" % field))
+    TR.checkpoint_save(params, config, tcfg, meta, bad)
+    out_dir = root / ("typed_%s_eval" % field)
+    extra = ["--out-dir", str(out_dir)] if command == "eval" else []
+    capsys.readouterr()
+    assert main([command, "--checkpoint", bad, "--corpus", corpus,
+                 "--series", series, *extra]) == 2
+    assert capsys.readouterr().err == (
+        "data error: config field '%s' is %r, not of type int\n" % (field, value))
+    assert not out_dir.exists()
+
+
+def test_checkpoint_float_field_may_hold_an_integer(ranked_run):
+    root, ckpt, _corpus, _series = ranked_run
+    params, config, tcfg, meta = TR.checkpoint_load(ckpt)
+    path = str(root / "int_rate.msn")
+    TR.checkpoint_save(params, dataclasses.replace(config, l2=0),
+                       dataclasses.replace(tcfg, learning_rate=1), meta, path)
+    _params, got, got_tcfg, _meta = TR.checkpoint_load(path)
+    assert (got.l2, got_tcfg.learning_rate) == (0, 1)
+
+
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_checkpoint_tensor_name_not_utf8_is_data_error(ranked_run, capsys,
+                                                       command):
+    """The name's decode used to raise UnicodeDecodeError out of main."""
+    root, ckpt, corpus, series = ranked_run
+    blob = bytearray(open(ckpt, "rb").read())
+    # magic, version, config length and config; tensor count; name length
+    first_name = 12 + struct.unpack_from("<I", blob, 8)[0] + 4 + 2
+    assert blob[first_name:first_name + 9] == b"embedding"
+    blob[first_name] = 0xE9
+    bad = root / "latin1_name.msn"
+    bad.write_bytes(bytes(blob))
+    extra = ["--out-dir", str(root / "latin1_name")] if command == "eval" else []
+    capsys.readouterr()
+    assert main([command, "--checkpoint", str(bad), "--corpus", corpus,
+                 "--series", series, *extra]) == 2
+    assert capsys.readouterr().err == \
+        "data error: the name of tensor 0 is not UTF-8\n"

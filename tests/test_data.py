@@ -358,6 +358,14 @@ class TestSplitSpec:
         with pytest.raises(D.DatasetError):
             D.SplitSpec(fracs=(0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("fracs", [None, (0.8, 0.1, 0.1)])
+    @pytest.mark.parametrize("date", ["train_until", "valid_until"])
+    def test_one_date_is_no_split(self, date, fracs):
+        """One date alone is no split; beside fractions it used to be
+        ignored."""
+        with pytest.raises(D.DatasetError, match="not both"):
+            D.SplitSpec(fracs=fracs, **{date: dt.date(2020, 1, 5)})
+
     @pytest.mark.parametrize("fracs", [(float("nan"), 0.5, 0.5),
                                        (0.5, float("inf"), 0.5),
                                        (1.5, -0.25, -0.25), (0.5, 0.5)])
@@ -504,6 +512,11 @@ class TestSynthGenerate:
             D.SynthSpec(sigma=-0.1)
         with pytest.raises(D.DatasetError):
             D.SynthSpec(n_docs=(3, 2))
+        with pytest.raises(D.DatasetError, match="seed"):
+            D.SynthSpec(seed=-1)
+        with pytest.raises(D.DatasetError, match="9999-12-31"):
+            D.SynthSpec(n_days=2, start=dt.date.max)
+        assert D.SynthSpec(n_days=1, start=dt.date.max).start == dt.date.max
 
     @pytest.mark.parametrize("word", ["Rally", "big rally", "up!", "", "x_y",
                                       "|"])
