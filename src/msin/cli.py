@@ -314,8 +314,8 @@ def _load_checkpoint(path: str):
         seen.add(token)
     for key in ("series_mean", "series_std"):
         x = meta.get(key)
-        if not isinstance(x, (int, float)) or not np.isfinite(x) or \
-                (key == "series_std" and x <= 0):
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or \
+                not np.isfinite(x) or (key == "series_std" and x <= 0):
             raise TR.CheckpointError("checkpoint metadata '%s' is %r" % (key, x))
     if not isinstance(meta.get("split", {}), dict):
         raise TR.CheckpointError("checkpoint metadata 'split' must be an object")
@@ -546,14 +546,12 @@ def cmd_gradcheck(args) -> int:
         params = M.init_model(config, seed=merged["seed"])
         sample = _gradcheck_sample(config, substream(merged["seed"], "probe"))
         rows = M.named_tensors(params)
-        leaves = [t for _n, t, _d in rows]
 
-        def build(tape, new_leaves):
-            bound = M.bind_tensors(params, new_leaves)
-            pred = M.forward_batch(tape, [sample], bound, config)
+        def build(tape, _leaves):  # the leaves are params' own tensors
+            pred = M.forward_batch(tape, [sample], params, config)
             return M.batch_loss(tape, pred.value, [sample], config)[0]
 
-        table = T.grad_check_table(build, leaves)
+        table = T.grad_check_table(build, [t for _n, t, _d in rows])
         print("variant %s" % variant)
         for name, _t, _d in rows:
             err = table[name]

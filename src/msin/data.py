@@ -172,7 +172,8 @@ class SplitSpec:
             raise DatasetError("valid_until must come after train_until")
         if by_frac:
             f = self.fracs
-            if (len(f) != 3 or not all(math.isfinite(x) and x >= 0 for x in f)
+            if (len(f) != 3 or any(isinstance(x, bool) for x in f)
+                    or not all(math.isfinite(x) and x >= 0 for x in f)
                     or abs(sum(f) - 1.0) > 1e-9):
                 raise DatasetError("split fractions must be 3 finite non-negatives "
                                    "summing to 1")

@@ -139,9 +139,6 @@ def _walk_tensors(obj):
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
             yield from _walk_tensors(getattr(obj, f.name))
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _walk_tensors(item)
 
 
 def named_tensors(params: ModelParams) -> list[tuple[str, T.Tensor, bool]]:
@@ -160,28 +157,6 @@ def named_tensors(params: ModelParams) -> list[tuple[str, T.Tensor, bool]]:
         decayed = not (t.name.endswith(".bias") or t.name == "embedding.table")
         out.append((t.name, t, decayed))
     return out
-
-
-def bind_tensors(params: ModelParams, replacements: list[T.Tensor]) -> ModelParams:
-    """Clone the parameter tree with tensors swapped in enumeration order."""
-    order = [t for _, t, _ in named_tensors(params)]
-    if len(order) != len(replacements):
-        raise T.ContractError("expected %d tensors, got %d"
-                              % (len(order), len(replacements)))
-    table = {id(old): new for old, new in zip(order, replacements)}
-
-    def rebuild(obj):
-        if isinstance(obj, T.Tensor):
-            return table[id(obj)]
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            kwargs = {f.name: rebuild(getattr(obj, f.name))
-                      for f in dataclasses.fields(obj)}
-            return type(obj)(**kwargs)
-        if isinstance(obj, list):
-            return [rebuild(x) for x in obj]
-        return obj
-
-    return rebuild(params)
 
 
 # Kept only because the benchmark (bench/) names it; no command uses it.

@@ -690,8 +690,12 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     and the gated update whose pre-activation adds ctx_w.v after input_w.x
     and state_w.h, then the bias.  ``grid`` is listed among the inputs once
     per step, so its step gradients add up in the chain's order after
-    whatever later ops gave it.
+    whatever later ops gave it.  ``x`` is the series window, a constant:
+    no gradient is taken for it, so one that requires one raises
+    ContractError.
     """
+    if x.requires_grad:
+        raise ContractError("msin_sequence takes no gradient for x")
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2 or grid.ndim != 3 or grid.shape[:2] != mask.shape:
         raise ShapeError("msin_sequence expects a [B, N, c] grid and [B, N] mask, "
@@ -746,7 +750,7 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
     def back(g):
         gh, gc, gv, gp = g[:, :d], None, None, g[:, d:]
         gWq = gbq = g_score = gWx = gWh = gWc = gb = g_proj = None
-        g_docs, gx = [], []
+        g_docs = []
         for t in range(m - 1, -1, -1):
             H, V, p, att, saved, (h_dt, v_dt, q_dt) = steps[t]
             G = np.empty(saved[0])  # the gated update's pre-activation gradient
@@ -755,8 +759,6 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
             gWh = _plus(gWh, H.T @ G)
             gWc = _plus(gWc, V.T @ G)
             gb = _plus(gb, G.sum(axis=0))
-            if x.requires_grad:
-                gx.append(G @ Wx)
             gh = np.asarray(G @ Wh, dtype=h_dt)
             gv = _plus(gv, np.asarray(G @ Wc, dtype=v_dt)) * 0.5  # the fade
             if grid.requires_grad:  # the weighted summary
@@ -771,8 +773,7 @@ def msin_sequence(tape: Tape | None, x: Tensor, h0: Tensor, c0: Tensor,
             gWq = _plus(gWq, H.T @ Gq)
             gbq = _plus(gbq, Gq.sum(axis=0))
             gh = gh + np.asarray(Gq @ Wq, dtype=h_dt)
-        gx = np.concatenate(gx[::-1]) if gx else None
-        return (gx, gh, gc, g_proj, *(g_docs or [None] * m), gWq.T, gbq, g_score,
+        return (None, gh, gc, g_proj, *(g_docs or [None] * m), gWq.T, gbq, g_score,
                 gWx.T, gWh.T, gWc.T, gb)
 
     out = np.concatenate([h, p], axis=1)
@@ -796,10 +797,13 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
     """Worst noise-adjusted relative error between tape and finite differences.
 
     ``build_loss(tape, leaves)`` must rebuild the full forward pass from the
-    given leaves and return a scalar.  Leaves are copied to float64 so the
-    finite-difference oracle is taken in 64-bit arithmetic.  The function is
-    evaluated twice up front; any bitwise disagreement means it is not a pure
-    function of the leaves and gradient checking would be meaningless.
+    leaves and return a scalar; ``leaves`` is ``params`` itself.  Each tensor
+    of ``params`` is widened to float64 in place, so the finite-difference
+    oracle is taken in 64-bit arithmetic, and its entries are perturbed in
+    place and restored.  The tensors stay in float64 afterwards, each holding
+    its tape gradient.  The function is evaluated twice up front; any bitwise
+    disagreement means it is not a pure function of the leaves and gradient
+    checking would be meaningless.
 
     Per entry the error is max(0, |tape - fd| - NOISE_FACTOR * fd_error)
     divided by max(|tape|, |fd|, 1e-8), where fd is the central difference at
@@ -807,9 +811,10 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
     below rtol thus means |tape - fd| <= rtol * scale + NOISE_FACTOR * fd_error
     for every entry of that leaf.
     """
-    leaves = [Tensor(t.data.astype(np.float64), name=t.name, requires_grad=True)
-              for t in params]
-    names = [t.name or ("param%d" % i) for i, t in enumerate(params)]
+    leaves = list(params)
+    for t in leaves:
+        t.data, t.grad = t.data.astype(np.float64), None
+    names = [t.name or ("param%d" % i) for i, t in enumerate(leaves)]
 
     first = build_loss(None, leaves)
     second = build_loss(None, leaves)

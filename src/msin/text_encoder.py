@@ -163,13 +163,14 @@ def embedding_rows(path, dim: int):
 
 def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
     """Overwrite rows of a [V, d_w] table from the ``embedding_rows`` of a
-    file; returns rows hit.
+    file; returns the number of distinct rows written.
 
     Tokens absent from ``vocab`` are skipped; vocabulary words absent from
-    the file keep their random initialization.  A row that would be loaded
-    but holds nan or inf raises DatasetError naming its line.
+    the file keep their random initialization, and of a token listed twice
+    the last line wins.  A row that would be loaded but holds nan or inf
+    raises DatasetError naming its line.
     """
-    hits = 0
+    hits = set()
     for lineno, token, vec in embedding_rows(path, table.shape[1]):
         row = vocab.get(token)
         if row is None or row == PAD_ID:
@@ -178,8 +179,8 @@ def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
             raise DatasetError("%s:%d: embedding of %r is not finite"
                                % (path, lineno, token))
         table.data[row] = vec
-        hits += 1
-    return hits
+        hits.add(row)
+    return len(hits)
 
 
 # ---------------------------------------------------------------------------

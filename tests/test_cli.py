@@ -20,6 +20,7 @@ import msin.cli as cli
 import msin.data as D
 import msin.evaluation as E
 import msin.model as M
+import msin.tensor as T
 import msin.training as TR
 from msin.cli import main
 
@@ -353,6 +354,21 @@ def test_train_embeddings_split_on_tabs_and_trailing_spaces(tmp_path, capsys):
     emb = tmp_path / "emb.txt"
     emb.write_text("%s\t1\t2\t3\t4\t5\t6\n%s 1 2 3 4 5 6 \n"
                    % (vocab.tokens[2], vocab.tokens[3]))
+    rc = main(["train", "--corpus", corpus, "--series", series,
+               "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
+               "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+               "--embeddings", str(emb)])
+    assert rc == 0
+    assert "embeddings hit 2 of 4 vocabulary rows" in capsys.readouterr().out
+
+
+def test_train_embeddings_hit_count_counts_rows_not_lines(tmp_path, capsys):
+    """A token listed three times is one row hit, not three."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join("%s %d 2 3 4 5 6\n" % (token, i) for i, token in
+                           enumerate([vocab.tokens[2]] * 3 + [vocab.tokens[3]])))
     rc = main(["train", "--corpus", corpus, "--series", series,
                "--out-dir", str(tmp_path / "run"), "--d-s", "4", "--d-h", "3",
                "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
@@ -700,12 +716,24 @@ def test_checkpoint_malformed_split_is_data_error(tmp_path, capsys):
                               "'split'", commands=("eval",))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("series_mean", True), ("series_std", True), ("series_std", False)])
+def test_checkpoint_series_stat_boolean_is_data_error(tmp_path, capsys, key, value):
+    """JSON true is no number: it used to pass as 1, so rank normalized the
+    series by a std of 1."""
+    def put(meta, config):
+        meta[key] = value
+    _assert_metadata_rejected(tmp_path, capsys, put, "'%s'" % key)
+
+
 @pytest.mark.parametrize("stored", [
     {"fracs": [0.5, 0.5, 0.5]}, {"fracs": [float("nan"), 0.5, 0.5]},
-    {"train_until": "2000-01-15", "valid_until": "2000-01-10", "fracs": None}])
+    {"train_until": "2000-01-15", "valid_until": "2000-01-10", "fracs": None},
+    {"fracs": [True, False, False]}])
 def test_checkpoint_invalid_split_is_data_error(tmp_path, capsys, stored):
     """A stored split that SplitSpec rejects is a broken checkpoint, not a
-    usage mistake."""
+    usage mistake.  Booleans are no fractions: true, false, false used to
+    put every day in the training split."""
     def replace(meta, config):
         meta["split"] = stored
     _assert_metadata_rejected(tmp_path, capsys, replace, "'split'",
@@ -885,6 +913,32 @@ def test_gradcheck_single_variant_passes(capsys):
     assert "variant msin" in out
     assert "head.bias" in out
     assert "gradcheck pass" in out
+
+
+def test_gradcheck_wrong_backward_fails_with_exit_3(monkeypatch, capsys):
+    """A hadamard whose backward is 1% off, the op with which
+    ``sample_losses`` squares the error, fails every tensor's check."""
+    hadamard = T.hadamard
+
+    def skewed(tape, a, b):
+        if tape is None:
+            return hadamard(None, a, b)
+        record = tape.record
+        tape.record = lambda out, inputs, backward: record(
+            out, inputs, lambda g: tuple(1.01 * x for x in backward(g)))
+        try:
+            return hadamard(tape, a, b)
+        finally:
+            del tape.record
+
+    monkeypatch.setattr(T, "hadamard", skewed)
+    rc = main(["gradcheck", "--variant", "msin"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    rows = lines[1:-2]
+    assert rows and all(row.endswith("  FAIL") for row in rows)
+    assert lines[-2].endswith("(fail)")
+    assert lines[-1].startswith("gradcheck FAIL: worst relative error ")
 
 
 def test_gradcheck_unknown_variant_is_usage_error():

@@ -368,9 +368,11 @@ class TestSplitSpec:
 
     @pytest.mark.parametrize("fracs", [(float("nan"), 0.5, 0.5),
                                        (0.5, float("inf"), 0.5),
-                                       (1.5, -0.25, -0.25), (0.5, 0.5)])
+                                       (1.5, -0.25, -0.25), (0.5, 0.5),
+                                       (True, False, False)])
     def test_rejects_fractions_that_are_not_a_partition(self, fracs):
-        """nan compares false against every bound, so it needs its own check."""
+        """nan compares false against every bound, so it needs its own check;
+        a bool would pass as 1 or 0."""
         with pytest.raises(D.DatasetError, match="finite"):
             D.SplitSpec(fracs=fracs)
 

@@ -910,6 +910,9 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError):
             T.msin_sequence(None, x, h0, c0, proj, grid, mask, attn,
                             SimpleNamespace(input_w=wx, state_w=wh, ctx_w=wh, bias=b))
+        with pytest.raises(T.ContractError, match="no gradient for x"):
+            T.msin_sequence(None, T.parameter(np.ones((6, 2)), "x"), h0, c0, proj,
+                            grid, mask, attn, cell)
 
 
 class TestDropout:
@@ -1326,6 +1329,24 @@ class TestGradCheckHarness:
             loss, [T.parameter(np.ones(2), "a"), T.parameter(np.ones(2), "b")])
         assert set(table) == {"a", "b"}
         assert all(v < 1e-9 for v in table.values())
+
+    def test_checks_the_given_tensors_in_place(self):
+        """The loss may read the tensors themselves: they are the leaves,
+        widened to float64, and keep the tape's gradients afterwards."""
+        a = T.parameter(np.array([1.0, 2.0]), "a")
+        b = T.parameter(np.array([3.0, -1.0]), "b")
+        b.grad = np.ones(2)  # a stale gradient is dropped, not added to
+
+        def loss(tape, leaves):
+            assert leaves[0] is a and leaves[1] is b
+            return T.sum_all(tape, T.hadamard(tape, a, b))
+
+        table = T.grad_check_table(loss, [a, b])
+        assert all(v < 1e-9 for v in table.values())
+        for t, want in ((a, [1.0, 2.0]), (b, [3.0, -1.0])):
+            assert t.data.dtype == np.float64 and t.grad.dtype == np.float64
+            assert t.data.tolist() == want  # every perturbation undone
+        assert a.grad.tolist() == [3.0, -1.0] and b.grad.tolist() == [1.0, 2.0]
 
 
 class TestDtypePromotion:

@@ -411,6 +411,19 @@ class TestEmbeddingFileLoader:
         np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
         np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
 
+    def test_repeated_token_counts_one_row_and_its_last_line_wins(self, tmp_path):
+        """The count is of rows written, not of lines that matched."""
+        table = TE.init_embedding(5, 3, substream(1, "init"))
+        path = tmp_path / "vecs.txt"
+        path.write_text("alpha 1.0 2.0 3.0\nalpha 4.0 5.0 6.0\n"
+                        "beta 0.5 0.5 0.5\nalpha 7.0 8.0 9.0\n")
+        assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
+        np.testing.assert_allclose(table.data[2], [7.0, 8.0, 9.0])
+        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
+        path.write_text("alpha 1.0 2.0 3.0\nalpha 1.0 nan 3.0\n")
+        with pytest.raises(D.DatasetError, match=r"vecs\.txt:2: .*'alpha'"):
+            TE.load_embedding_file(path, {"alpha": 2}, table)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_row_names_its_line(self, tmp_path, value):
         table = TE.init_embedding(5, 3, substream(1, "init"))
