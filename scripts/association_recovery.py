@@ -53,13 +53,13 @@ def build_dataset():
     corpus, series = D.synth_generate(spec)
     split = D.SplitSpec(train_until=spec.start + dt.timedelta(days=1999),
                         valid_until=spec.start + dt.timedelta(days=2099))
-    return spec, corpus, series, split
+    return corpus, series, split
 
 
-def plant_signs(samples, vocab, spec) -> list[str]:
+def plant_signs(samples, vocab) -> list[str]:
     """Each sample's plant sign, "+" or "-": the lexicon group of its
     planted headline."""
-    plus = {vocab.ids[w] for w in spec.s_plus if w in vocab.ids}
+    plus = {vocab.ids[w] for w in D.S_PLUS if w in vocab.ids}
     return ["+" if plus & set(s.docs.token_ids[E.gtn_of(s)[0]].tolist())
             else "-" for s in samples]
 
@@ -126,11 +126,11 @@ def train_pool(samples, variant, seeds, steps, signs, k_max):
 def run(seeds, steps, out_path) -> int:
     t_start = time.time()
     print("generating corpus: 2200 days, 10 headlines/day, one planted each")
-    spec, corpus, series, split = build_dataset()
+    corpus, series, split = build_dataset()
     config = model_config("msin")
     vocab = D.build_vocab(corpus, max_size=config.vocab_size)
     samples = D.make_samples(corpus, series, vocab, config, split)
-    signs = plant_signs(samples.test, vocab, spec)
+    signs = plant_signs(samples.test, vocab)
     print("samples: train %d  valid %d  test %d"
           % (len(samples.train), len(samples.valid), len(samples.test)))
 

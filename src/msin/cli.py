@@ -183,15 +183,15 @@ _FIELD_CONVERTERS = {"int": _c_int, "float": _c_float, "str": _c_str,
 
 
 def _exposed(cls) -> list:
-    """(field, its option keys) for each field of a config dataclass that
-    carries help text: one key, or the (low, high) keys of a pair."""
-    return [(f, f.metadata["flags"] or (f.name,))
-            for f in dataclasses.fields(cls) if "help" in f.metadata]
+    """(field, its option keys) for each field of a config dataclass: one
+    key, or the (low, high) keys of a pair. A field declared without
+    ``data.option`` raises KeyError."""
+    return [(f, f.metadata["flags"] or (f.name,)) for f in dataclasses.fields(cls)]
 
 
 def _config_entries(cls) -> dict:
-    """An option for each exposed field of a config dataclass, one for each
-    end of a pair."""
+    """An option for each field of a config dataclass, one for each end of a
+    pair."""
     table = {}
     for f, keys in _exposed(cls):
         conv, help_text = _FIELD_CONVERTERS[f.type], f.metadata["help"]
@@ -270,7 +270,7 @@ def _stored_split(stored: dict | None) -> D.SplitSpec:
 
 
 def _build_config(cls, merged: dict):
-    """A config dataclass from the merged values of its exposed fields, the
+    """A config dataclass from the merged values of its fields, the
     two ends of a pair joined back into the pair."""
     values = {f.name: tuple(merged[k] for k in keys) if len(keys) == 2
               else merged[keys[0]] for f, keys in _exposed(cls)}
@@ -460,7 +460,11 @@ def _print_ranking(date_label: str, mass: np.ndarray,
             tail = "  " + (text if len(text) <= 60 else text[:57] + "...")
         print("rank %2d  doc %02d  mass %.4f%s" % (rank, idx + 1, mass[idx], tail))
         if rank == cut:
-            print("---- cumulative mass %.4f reached %.2f ----"
+            # the day's whole mass, summed as rank_pass sums it, reaches the
+            # threshold when some prefix does; else rank_pass selects all
+            reached = np.cumsum(mass[order])[-1] >= E.SELECT_THRESHOLD
+            rule = "reached %.2f" if reached else "below %.2f: all selected"
+            print(("---- cumulative mass %.4f " + rule + " ----")
                   % (float(mass[order[:cut]].sum()), E.SELECT_THRESHOLD))
     print("selected: %s" % ", ".join("doc %02d" % (i + 1)
                                      for i in sorted(order[:cut])))

@@ -30,6 +30,7 @@ by training code, only by evaluation.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import json
@@ -57,12 +58,16 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
                            else 32 for b in range(256)).lower()
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
+# the synthetic generator's signal words, each one token that no background
+# word equals
+S_PLUS = ("surge", "gain", "rally")
+S_MINUS = ("slump", "drop", "tumble")
 
 
 def option(default, help_text: str, flags: tuple[str, ...] = ()):
-    """A config field that the command line exposes with this help. Its flag
-    is its own name unless ``flags`` names it, or names the (low, high) flags
-    of a pair."""
+    """A config field, which the command line exposes with this help; every
+    field of a config dataclass is declared with it. Its flag is its own name
+    unless ``flags`` names it, or names the (low, high) flags of a pair."""
     return field(default=default, metadata={"help": help_text, "flags": flags})
 
 
@@ -390,6 +395,8 @@ def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
     """Pair each documented day with its m-day window and assign splits.
 
     Days that ``series_window`` refuses are skipped and counted by reason.
+    ``days`` come in date order, as the corpus reader and the generator give
+    them, so each split is a run of the samples, cut at two indices.
     Normalization stats come from the train split alone, unless ``stats``
     carries the values a trained model was fitted with, in which case those
     are reused and the train split may be empty.
@@ -414,25 +421,17 @@ def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
                                                   skipped["short-history"]))
 
     if split.fracs is not None:
-        n = len(raw)
-        n_train = int(n * split.fracs[0])
-        n_valid = int(n * (split.fracs[0] + split.fracs[1])) - n_train
-        bounds = [("train", raw[:n_train]),
-                  ("valid", raw[n_train:n_train + n_valid]),
-                  ("test", raw[n_train + n_valid:])]
+        cuts = (int(len(raw) * split.fracs[0]),
+                int(len(raw) * (split.fracs[0] + split.fracs[1])))
     else:
-        groups = {"train": [], "valid": [], "test": []}
-        for w, b in raw:
-            if w.date <= split.train_until:
-                groups["train"].append((w, b))
-            elif w.date <= split.valid_until:
-                groups["valid"].append((w, b))
-            else:
-                groups["test"].append((w, b))
-        bounds = list(groups.items())
+        dates = [w.date for w, _ in raw]
+        cuts = (bisect.bisect_right(dates, split.train_until),
+                bisect.bisect_right(dates, split.valid_until))
+    bounds = {"train": raw[:cuts[0]], "valid": raw[cuts[0]:cuts[1]],
+              "test": raw[cuts[1]:]}
 
     if stats is None:
-        train_raw = dict(bounds)["train"]
+        train_raw = bounds["train"]
         if not train_raw:
             raise DatasetError("split produced no training samples")
         pool = np.concatenate([np.asarray([w.values for w, _ in train_raw]).ravel(),
@@ -440,8 +439,8 @@ def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
         std = float(pool.std())
         stats = SeriesStats(mean=float(pool.mean()), std=std if std > 0 else 1.0)
 
-    out = {name: to_samples(items, stats) for name, items in bounds}
-    return SampleSet(train=out["train"], valid=out["valid"], test=out["test"],
+    return SampleSet(**{name: to_samples(items, stats)
+                        for name, items in bounds.items()},
                      stats=stats, skipped_no_docs=skipped["no-docs"],
                      skipped_no_series=skipped["no-series"],
                      skipped_short_history=skipped["short-history"])
@@ -456,9 +455,8 @@ class SynthSpec:
     """Planted-association generator settings.
 
     Each document is doc_len background tokens; a planted document carries one
-    signal token and a ground-truth flag. A lexicon word must read back from
-    ``tokenize`` as itself, so a saved corpus tokenizes as generated; one
-    equal to a background word is that word. The series follows
+    signal token, a word of ``S_PLUS`` or ``S_MINUS``, and a ground-truth
+    flag. The series follows
     x_t = phi*x_{t-1} + alpha*z_t + noise, x_0 = 0, with z_t the count of
     positive plants minus negative plants on day t.
     """
@@ -469,8 +467,6 @@ class SynthSpec:
     doc_len: tuple[int, int] = option((4, 8), "document length in tokens",
                                       flags=("len_min", "len_max"))
     vocab_size: int = option(50, "background vocabulary size")
-    s_plus: tuple[str, ...] = ("surge", "gain", "rally")
-    s_minus: tuple[str, ...] = ("slump", "drop", "tumble")
     phi: float = option(0.5, "autoregressive coefficient")
     alpha: float = option(1.0, "signal coefficient")
     sigma: float = option(0.1, "observation noise scale")
@@ -481,14 +477,6 @@ class SynthSpec:
     start: dt.date = option(dt.date(2000, 1, 1), "date of the first day")
 
     def __post_init__(self):
-        if set(self.s_plus) & set(self.s_minus):
-            raise DatasetError("signal lexicons must be disjoint")
-        if not self.s_plus or not self.s_minus:
-            raise DatasetError("signal lexicons must be non-empty")
-        for word in self.s_plus + self.s_minus:
-            if tokenize(word) != [word]:
-                raise DatasetError("lexicon word %r is not one lowercase token"
-                                   % (word,))
         if not 0.0 <= self.phi < 1.0:
             raise DatasetError("phi must lie in [0, 1)")
         if not (math.isfinite(self.alpha) and math.isfinite(self.sigma)):
@@ -520,12 +508,11 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenizedDays, Series]:
     """Deterministic corpus and AR(1) series driven by planted signal counts.
     The corpus is built as token ids straight from the draws."""
     rng = substream(spec.seed, "synth")
-    index = {"|": 0}  # the document-end marker, background words, lexicons
-    for word in ["w%04d" % i for i in range(spec.vocab_size)] \
-            + list(spec.s_plus + spec.s_minus):
-        index.setdefault(word, len(index))
-    plus = [index[w] for w in spec.s_plus]
-    minus = [index[w] for w in spec.s_minus]
+    background = ["w%04d" % i for i in range(spec.vocab_size)]
+    # the document-end marker, the background words, then the lexicons
+    index = {w: i for i, w in enumerate(["|", *background, *S_PLUS, *S_MINUS])}
+    plus = [index[w] for w in S_PLUS]
+    minus = [index[w] for w in S_MINUS]
     ids, flags, sizes, values = [], [], [], []
     x = 0.0
     for _ in range(spec.n_days):

@@ -46,16 +46,12 @@ class ModelConfig:
     l1: float = option(0.0, "L1 penalty weight")
     l2: float = option(0.0, "L2 penalty weight")
     objective: str = option("next_value", "next_value or movement")
-    pool_divisor: str = option("actual_len",
-                               "document pooling divisor: actual_len or max_len")
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError("unknown variant %r" % self.variant)
         if self.objective not in OBJECTIVES:
             raise ValueError("unknown objective %r" % self.objective)
-        if self.pool_divisor not in ("actual_len", "max_len"):
-            raise ValueError("unknown pool_divisor %r" % self.pool_divisor)
         if self.m < 1 or self.daily_doc_cap < 1:
             raise ValueError("m and daily_doc_cap must be >= 1")
         if self.vocab_size < 2:
@@ -197,7 +193,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     samples = list(samples)
     B = len(samples)
     docs = enc.encode_documents(tape, [s.docs for s in samples], params.embedding,
-                                params.encoder, pool_divisor=config.pool_divisor)
+                                params.encoder)
     slots = cell_mod.doc_slots(tape, docs)
     windows = np.stack([np.asarray(s.values_n, dtype=np.float32) for s in samples])
     relevance = None

@@ -198,15 +198,14 @@ def embed_lookup(tape: T.Tape | None, token_ids: np.ndarray,
 
 
 def encode_documents(tape: T.Tape | None, days, table: T.Tensor,
-                     params: TextEncoderParams,
-                     pool_divisor: str = "actual_len") -> DocRepresentation:
+                     params: TextEncoderParams) -> DocRepresentation:
     """Encode the documents of a sequence of days to s vectors, one row each.
 
     Each day needs ``token_ids`` int[n, K] (0-padded) and ``lengths`` int[n]
     with n >= 1 and every length >= 1.  The days' rows are stacked in order,
     each padded to the widest K; positions are processed batch-wide with
-    validity masks, so each row equals encoding its document alone.  The
-    "max_len" pooling divisor is the width K of the document's own day.
+    validity masks, so each row equals encoding its document alone.  Each
+    pooled sum is divided by its own document's length.
     """
     counts = tuple(int(np.shape(d.token_ids)[0]) for d in days)
     if not counts or min(counts) < 1:
@@ -221,8 +220,6 @@ def encode_documents(tape: T.Tape | None, days, table: T.Tensor,
     if lengths.min() < 1:
         raise EmptyDocumentError(
             "document %d has no tokens" % int(np.flatnonzero(lengths < 1)[0]))
-    if pool_divisor not in ("actual_len", "max_len"):
-        raise T.ContractError("unknown pool_divisor %r" % pool_divisor)
     n = token_ids.shape[0]
     d_h = params.hidden_size
     k_eff = int(lengths.max())
@@ -238,7 +235,6 @@ def encode_documents(tape: T.Tape | None, days, table: T.Tensor,
     keys = T.linear(tape, params.pool_w, flat, params.pool_bias)
     beta = T.attention(tape, keys, None, params.pool_ctx, valid)
     pooled = T.weighted_sum(tape, hid, beta)
-    divisor = lengths if pool_divisor == "actual_len" else np.repeat(widths, counts)
-    s = T.row_scale(tape, pooled, T.constant(1.0 / divisor.astype(np.float64)))
+    s = T.row_scale(tape, pooled, T.constant(1.0 / lengths.astype(np.float64)))
     return DocRepresentation(vectors=s, counts=counts, attention=beta.data,
                              lengths=lengths)

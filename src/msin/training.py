@@ -52,6 +52,10 @@ FORMAT_VERSION = 2
 # within the 1.45 MB of a 16-day pass when lstm_sweep still took the input
 # products of every position before its loop.
 EVAL_CHUNK = 37
+# Adam's moment decay rates and denominator term, the published defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingError(Exception):
@@ -77,9 +81,6 @@ class CheckpointError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = option(1e-3, "Adam step size")
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = option(8, "samples per update")
     max_steps: int = option(200, "update budget")
     clip_norm: float = option(5.0, "global gradient norm cap")
@@ -89,15 +90,13 @@ class TrainConfig:
     seed: int = option(0, "run seed: init, shuffling, and dropout")
 
     def __post_init__(self):
-        for name in ("learning_rate", "beta1", "beta2", "eps", "clip_norm"):
+        for name in ("learning_rate", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("%s must be finite" % name)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.eps <= 0 or self.clip_norm <= 0:
-            raise ValueError("eps and clip_norm must be positive")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
         if self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("batch_size and eval_every must be positive")
         if self.early_stop_patience < 1:
@@ -259,12 +258,12 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
         if norm > tcfg.clip_norm:
             grad *= tcfg.clip_norm / norm
 
-        adam_m *= tcfg.beta1
-        adam_m += (1.0 - tcfg.beta1) * grad
-        adam_v *= tcfg.beta2
-        adam_v += (1.0 - tcfg.beta2) * grad * grad
-        update = (tcfg.learning_rate * (adam_m / (1.0 - tcfg.beta1 ** step))
-                  / (np.sqrt(adam_v / (1.0 - tcfg.beta2 ** step)) + tcfg.eps))
+        adam_m *= ADAM_BETA1
+        adam_m += (1.0 - ADAM_BETA1) * grad
+        adam_v *= ADAM_BETA2
+        adam_v += (1.0 - ADAM_BETA2) * grad * grad
+        update = (tcfg.learning_rate * (adam_m / (1.0 - ADAM_BETA1 ** step))
+                  / (np.sqrt(adam_v / (1.0 - ADAM_BETA2 ** step)) + ADAM_EPS))
         flat[...] = flat.astype(np.float64) - update
 
         valid_loss = None
@@ -335,13 +334,26 @@ class _Reader:
 
 # the JSON values a config field of each declared type may hold
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+# config fields that older checkpoints record, each with the one value the
+# program now fixes
+_RETIRED = {M.ModelConfig: {"pool_divisor": "actual_len"},
+            TrainConfig: {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
+                          "eps": ADAM_EPS}}
 
 
 def _stored_config(cls, stored: dict):
     """A config dataclass from a checkpoint's JSON object; a value of another
-    type than its field declares raises CheckpointError naming the field."""
+    type than its field declares raises CheckpointError naming the field. A
+    retired field is dropped when it holds the value now fixed, and raises
+    CheckpointError naming it otherwise."""
     if not isinstance(stored, dict):
         raise CheckpointError("stored %s is not a JSON object" % cls.__name__)
+    stored = dict(stored)
+    for name, fixed in _RETIRED[cls].items():
+        value = stored.pop(name, fixed)
+        if value != fixed:
+            raise CheckpointError("config field '%s' is %r; the program fixes "
+                                  "it at %r" % (name, value, fixed))
     for f in dataclasses.fields(cls):
         value = stored.get(f.name)
         if f.name in stored and (isinstance(value, bool) or

@@ -181,14 +181,15 @@ def reference_train(samples, params, config, tcfg):
             clipped += 1
             for g in grads.values():
                 g *= tcfg.clip_norm / norm
-        bc1 = 1.0 - tcfg.beta1 ** step
-        bc2 = 1.0 - tcfg.beta2 ** step
+        beta1, beta2 = TR.ADAM_BETA1, TR.ADAM_BETA2
+        bc1 = 1.0 - beta1 ** step
+        bc2 = 1.0 - beta2 ** step
         for n, t, _ in rows:
             g = grads[n]
-            adam_m[n] = tcfg.beta1 * adam_m[n] + (1.0 - tcfg.beta1) * g
-            adam_v[n] = tcfg.beta2 * adam_v[n] + (1.0 - tcfg.beta2) * g * g
+            adam_m[n] = beta1 * adam_m[n] + (1.0 - beta1) * g
+            adam_v[n] = beta2 * adam_v[n] + (1.0 - beta2) * g * g
             update = (tcfg.learning_rate * (adam_m[n] / bc1)
-                      / (np.sqrt(adam_v[n] / bc2) + tcfg.eps))
+                      / (np.sqrt(adam_v[n] / bc2) + TR.ADAM_EPS))
             t.data[...] = (t.data.astype(np.float64) - update).astype(np.float32)
         valid_loss = None
         if step % tcfg.eval_every == 0:
@@ -290,7 +291,7 @@ def reference_synth_generate(spec):
                 else (rng.random() < spec.plant_prob)
             if plant:
                 positive = rng.random() < 0.5
-                lex = spec.s_plus if positive else spec.s_minus
+                lex = D.S_PLUS if positive else D.S_MINUS
                 toks[int(rng.integers(length))] = lex[int(rng.integers(len(lex)))]
                 z += 1 if positive else -1
             docs.append(Document(text=" ".join(toks), relevant=plant))

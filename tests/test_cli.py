@@ -437,17 +437,13 @@ def test_train_requires_paths(capsys):
 
 
 def test_train_flags_are_the_config_fields():
-    """Every ModelConfig field and every TrainConfig field but the Adam
-    constants is a train flag, defaulting to the dataclass default."""
+    """Every ModelConfig field and every TrainConfig field is a train flag,
+    defaulting to the dataclass default."""
     parser = cli.build_parser()
     table = cli._train_table()
     merged = cli._merge(parser.parse_args(["train"]), table)
-    hidden = {"beta1", "beta2", "eps"}
     for cls in (M.ModelConfig, TR.TrainConfig):
         for f in dataclasses.fields(cls):
-            if f.name in hidden:
-                assert f.name not in merged
-                continue
             assert merged[f.name] == f.default, f.name
             flag = "--" + f.name.replace("_", "-")
             args = parser.parse_args(["train", flag, str(f.default)])
@@ -456,15 +452,13 @@ def test_train_flags_are_the_config_fields():
     assert cli._build_config(TR.TrainConfig, merged) == TR.TrainConfig()
 
 
-NOT_EXPOSED = {"beta1", "beta2", "eps", "s_plus", "s_minus"}
-# a value other than the default for each exposed field; a split takes dates
-# or fractions, so SplitSpec's fields are given in two runs
+# a value other than the default for each field; a split takes dates or
+# fractions, so SplitSpec's fields are given in two runs
 NON_DEFAULT = [
     (M.ModelConfig, "train", dict(
         variant="lstm_par", d_s=7, d_h=6, d_w=9, vocab_size=70, m=4,
         series_dim=2, max_tokens=11, daily_doc_cap=12, d_a=5,
-        dropout_rate=0.25, l1=0.5, l2=0.125, objective="movement",
-        pool_divisor="max_len")),
+        dropout_rate=0.25, l1=0.5, l2=0.125, objective="movement")),
     (TR.TrainConfig, "train", dict(
         learning_rate=0.5, batch_size=3, max_steps=9, clip_norm=2.5,
         early_stop_patience=4, eval_every=6, seed=13)),
@@ -491,14 +485,14 @@ def flag_text(value) -> str:
 @pytest.mark.parametrize("cls, command, given", NON_DEFAULT,
                          ids=lambda x: getattr(x, "__name__", None))
 def test_config_fields_and_flags_stay_in_step(cls, command, given):
-    """Every field of a config dataclass but NOT_EXPOSED reaches a flag of
-    ``command`` whose default is the field's (a pair, two flags), and
-    non-default flag values build a config holding those values."""
+    """Every field of a config dataclass reaches a flag of ``command`` whose
+    default is the field's (a pair, two flags), and non-default flag values
+    build a config holding those values."""
     parser = cli.build_parser()
     table = getattr(cli, "_%s_table" % command)()
     defaults = cli._merge(parser.parse_args([command]), table)
     argv = [command]
-    fields = [f for f in dataclasses.fields(cls) if f.name not in NOT_EXPOSED]
+    fields = dataclasses.fields(cls)
     for f in fields:
         keys = f.metadata.get("flags") or (f.name,)
         pair = len(keys) == 2
@@ -516,6 +510,18 @@ def test_config_fields_and_flags_stay_in_step(cls, command, given):
         assert getattr(built, name) == value, name
 
 
+def test_config_field_without_an_option_fails_the_table():
+    """A config field declared without ``data.option`` cannot stay off the
+    command line unnoticed: building its option table fails."""
+    @dataclasses.dataclass
+    class Config:  # the types as the config modules' annotations read
+        width: "int" = D.option(3, "a width")
+        hidden: "float" = 0.5
+
+    with pytest.raises(KeyError, match="flags"):
+        cli._config_entries(Config)
+
+
 REQ = cli.REQUIRED
 INPUTS = {"--corpus": REQ, "--series": REQ}
 SPLIT_FLAGS = {"--train-until": None, "--valid-until": None, "--split-fracs": None}
@@ -531,7 +537,7 @@ SUBCOMMAND_FLAGS = {
               "--vocab-size": 5000, "--m": 5, "--series-dim": 1,
               "--max-tokens": 16, "--daily-doc-cap": 25, "--d-a": 0,
               "--dropout-rate": 0.0, "--l1": 0.0, "--l2": 0.0,
-              "--objective": "next_value", "--pool-divisor": "actual_len",
+              "--objective": "next_value",
               "--learning-rate": 1e-3, "--batch-size": 8, "--max-steps": 200,
               "--clip-norm": 5.0, "--early-stop-patience": 10,
               "--eval-every": 10, "--seed": 0, **SPLIT_FLAGS},
@@ -771,16 +777,19 @@ def test_rank_debug_masses_tie_break_is_stable(capsys):
 
 def print_ranking_with_three_rules(date_label, mass):
     """The rank printout as it was built from ``rank_order``,
-    ``select_relevant`` and a separate descending sort."""
+    ``select_relevant`` and a separate descending sort, with a day whose
+    whole mass falls short of the threshold marked as such."""
     order = E.rank_order(mass)
     chosen = set(E.select_relevant(mass))
     print("ranking for %s (%d documents)" % (date_label, len(mass)))
     for shown, idx in enumerate(order, 1):
         print("rank %2d  doc %02d  mass %.4f" % (shown, idx + 1, mass[idx]))
         if shown == len(chosen):
-            print("---- cumulative mass %.4f reached %.2f ----"
-                  % (float(np.sort(mass)[::-1][:shown].sum()),
-                     E.SELECT_THRESHOLD))
+            total = float(np.sort(mass)[::-1][:shown].sum())
+            rule = "reached %.2f" if total >= E.SELECT_THRESHOLD \
+                else "below %.2f: all selected"
+            print(("---- cumulative mass %.4f " + rule + " ----")
+                  % (total, E.SELECT_THRESHOLD))
     print("selected: %s" % ", ".join("doc %02d" % (i + 1)
                                      for i in sorted(chosen)))
 
@@ -1488,6 +1497,77 @@ def test_checkpoint_float_field_may_hold_an_integer(ranked_run):
                        dataclasses.replace(tcfg, learning_rate=1), meta, path)
     _params, got, got_tcfg, _meta = TR.checkpoint_load(path)
     assert (got.l2, got_tcfg.learning_rate) == (0, 1)
+
+
+def with_config_json(ckpt, path, edit):
+    """A copy of checkpoint ``ckpt`` at ``path`` whose config JSON ``edit``
+    has changed, written as ``checkpoint_save`` writes it."""
+    blob = open(ckpt, "rb").read()
+    size = struct.unpack_from("<I", blob, 8)[0]
+    meta = json.loads(blob[12:12 + size])
+    edit(meta)
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + size:])
+    return path
+
+
+def stored_as_config_fields(meta):
+    """The config JSON as written while the pooling divisor and Adam's
+    constants were config fields, each holding the value now fixed."""
+    meta["model"]["pool_divisor"] = "actual_len"
+    meta["train"].update(beta1=0.9, beta2=0.999, eps=1e-8)
+
+
+def test_checkpoint_with_retired_fields_loads_as_the_same_model(ranked_run,
+                                                                capsys):
+    """A checkpoint that stores the retired fields at their fixed values
+    gives the eval files and the rank printout of the same tensors saved
+    without them, and saves back to those bytes."""
+    root, ckpt, corpus, series = ranked_run
+    old = with_config_json(ckpt, str(root / "retired.msn"),
+                           stored_as_config_fields)
+    assert b'"pool_divisor":"actual_len"' in open(old, "rb").read()
+    assert b"pool_divisor" not in open(ckpt, "rb").read()
+    outputs = []
+    for i, path in enumerate((ckpt, old)):
+        out_dir = root / ("retired_%d" % i)
+        inputs = ["--checkpoint", path, "--corpus", corpus, "--series", series]
+        assert main(["eval", *inputs, "--split", "all",
+                     "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["rank", *inputs]) == 0
+        outputs.append([capsys.readouterr().out] + [
+            (out_dir / name).read_bytes()
+            for name in ("days.jsonl", "curve.csv", "report.json")])
+    assert outputs[1] == outputs[0]
+    again = str(root / "retired_again.msn")
+    TR.checkpoint_save(*TR.checkpoint_load(old), again)
+    assert open(again, "rb").read() == open(ckpt, "rb").read()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("model", "pool_divisor", "max_len"), ("train", "beta1", 0.5),
+    ("train", "beta2", 0.99), ("train", "eps", 1e-6), ("train", "eps", True)])
+@pytest.mark.parametrize("command", ["eval", "rank"])
+def test_checkpoint_retired_field_of_another_value_is_data_error(
+        ranked_run, capsys, command, section, field, value):
+    """No command wrote a retired field at another value than the one now
+    fixed, so such a checkpoint is refused, naming the field."""
+    root, ckpt, corpus, series = ranked_run
+
+    def edit(meta):
+        stored_as_config_fields(meta)
+        meta[section][field] = value
+    bad = with_config_json(ckpt, str(root / ("retired_%s.msn" % field)), edit)
+    out_dir = root / ("retired_%s_eval" % field)
+    extra = ["--out-dir", str(out_dir)] if command == "eval" else []
+    capsys.readouterr()
+    assert main([command, "--checkpoint", bad, "--corpus", corpus,
+                 "--series", series, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: config field '%s' is %r" % (field, value))
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "rank"])

@@ -377,10 +377,11 @@ class TestSplitSpec:
             D.SplitSpec(fracs=fracs)
 
 
-# sha256 of the save_corpus and save_series bytes of 60-day corpora, recorded
-# when every bounded draw still called the generator: the recovery shape, the
-# default spec (ranged counts, plant_prob 0.3), and days whose every bounded
-# draw has one value
+# sha256 of the save_corpus and save_series bytes of 60-day corpora: the
+# recovery shape and the default spec (ranged counts, plant_prob 0.3), recorded
+# when every bounded draw still called the generator, and days whose every
+# bounded draw but the lexicon word's has one value, recorded while the
+# lexicons were still spec fields
 STREAM_PINS = {
     "recovery": (dict(n_docs=(10, 10), doc_len=(8, 8), plant_per_day=True),
                  "340f115d11fe49d93ab3d83b6112325e0fc7d829e7675f0c46023d0fbb39fef6",
@@ -388,17 +389,16 @@ STREAM_PINS = {
     "default": ({},
                 "e5914743957299b18fbbcc0d336e79691d34644b3be074ebafe30cf0b126a9af",
                 "d4c3ee0eadf9aa2cbba361479b7c23e451ed70a1c597b4041780f801523e41f8"),
-    "one_value": (dict(n_docs=(1, 1), doc_len=(1, 1), s_plus=("up",),
-                       s_minus=("down",), plant_per_day=True),
-                  "b267ad727a347ac9734171e757ea174c3cd0f18275416f84ec80172480155b71",
-                  "8b5ddf3a2f6bc7e4c8acad8bfa3d9092944acbf0598d21a33c415485a3d7d592"),
+    "one_value": (dict(n_docs=(1, 1), doc_len=(1, 1), plant_per_day=True),
+                  "037a2051a6f172146eb616a7c288c87093c66caeacfc6d5db7fc14326e68adcf",
+                  "056b3a2aeb990e43bfd104b79327ecc9b8c92748235f12db52749e767a17c447"),
 }
 
 
 @st.composite
 def synth_specs(draw):
     """Specs whose count ranges hold one value or several, in both plant
-    modes, with lexicons of 1-3 words and sigma zero or positive."""
+    modes, with sigma zero or positive."""
     def count_range():
         lo = draw(st.integers(1, 4))
         return lo, lo if draw(st.booleans()) else draw(st.integers(lo + 1, 6))
@@ -406,8 +406,6 @@ def synth_specs(draw):
     return D.SynthSpec(
         n_days=draw(st.integers(1, 12)), n_docs=count_range(),
         doc_len=count_range(), vocab_size=draw(st.integers(1, 20)),
-        s_plus=("surge", "gain", "rally")[:draw(st.integers(1, 3))],
-        s_minus=("slump", "drop", "tumble")[:draw(st.integers(1, 3))],
         sigma=draw(st.sampled_from([0.0, 0.1, 0.7])),
         plant_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
         plant_per_day=draw(st.booleans()), seed=draw(st.integers(0, 2**32)))
@@ -443,7 +441,7 @@ class TestSynthGenerate:
         spec = D.SynthSpec(n_days=25, seed=11, phi=0.0, alpha=1.0, sigma=0.0,
                            plant_prob=0.6)
         corpus, series = D.synth_generate(spec)
-        plus, minus = set(spec.s_plus), set(spec.s_minus)
+        plus, minus = set(D.S_PLUS), set(D.S_MINUS)
         for day, value in zip(H.corpus_days(corpus), series.values[:, 0]):
             z = 0
             for doc in day.docs:
@@ -476,7 +474,7 @@ class TestSynthGenerate:
     def test_flags_mark_exactly_signal_docs(self):
         spec = D.SynthSpec(n_days=40, seed=5, plant_prob=0.5)
         corpus, _ = D.synth_generate(spec)
-        signal = set(spec.s_plus) | set(spec.s_minus)
+        signal = set(D.S_PLUS) | set(D.S_MINUS)
         flagged = some_signal = 0
         for day in H.corpus_days(corpus):
             for doc in day.docs:
@@ -507,8 +505,6 @@ class TestSynthGenerate:
 
     def test_spec_validation(self):
         with pytest.raises(D.DatasetError):
-            D.SynthSpec(s_plus=("up",), s_minus=("up",))
-        with pytest.raises(D.DatasetError):
             D.SynthSpec(phi=1.0)
         with pytest.raises(D.DatasetError):
             D.SynthSpec(sigma=-0.1)
@@ -519,30 +515,6 @@ class TestSynthGenerate:
         with pytest.raises(D.DatasetError, match="9999-12-31"):
             D.SynthSpec(n_days=2, start=dt.date.max)
         assert D.SynthSpec(n_days=1, start=dt.date.max).start == dt.date.max
-
-    @pytest.mark.parametrize("word", ["Rally", "big rally", "up!", "", "x_y",
-                                      "|"])
-    def test_lexicon_word_must_be_one_token(self, word):
-        """A lexicon word that ``tokenize`` does not read back as itself
-        would tokenize differently once saved."""
-        with pytest.raises(D.DatasetError, match="lexicon word"):
-            D.SynthSpec(s_plus=("surge", word))
-        with pytest.raises(D.DatasetError, match="lexicon word"):
-            D.SynthSpec(s_minus=(word,))
-
-    def test_lexicon_word_may_be_a_background_word(self, tmp_path):
-        """A lexicon word equal to a background word shares its table
-        entry, so the table and the vocabulary hold distinct tokens."""
-        spec = D.SynthSpec(n_days=30, seed=5, vocab_size=5,
-                           s_plus=("w0001", "café"), s_minus=("w0003",),
-                           plant_per_day=True)
-        corpus, _ = D.synth_generate(spec)
-        assert len(set(corpus.table)) == len(corpus.table) == 1 + 5 + 1
-        vocab = D.build_vocab(corpus)
-        assert len(set(vocab.tokens)) == len(vocab.tokens)
-        path = str(tmp_path / "c.jsonl")
-        D.save_corpus(corpus, path)
-        assert D.build_vocab(D.load_corpus(path)) == vocab
 
     @pytest.mark.parametrize("field", ["sigma", "alpha"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -263,18 +263,17 @@ class TestEncodeDocuments:
                 None, [batch_of(ids[j][None, :length], [length])], table, params)
             assert beta.tobytes() == H.word_attention(alone, 0).tobytes()
 
-    @pytest.mark.parametrize("divisor", ["actual_len", "max_len"])
-    def test_days_stack_as_rows_of_one_pass(self, divisor):
+    def test_days_stack_as_rows_of_one_pass(self):
         """A list of days of different widths encodes each day as if alone."""
         table, params = make_params(seed=15)
         days = [batch_of([[2, 3, 0], [4, 0, 0]], [2, 1]),
                 batch_of([[5, 6, 2, 3, 4]], [5]),
                 batch_of([[3, 3, 0, 0], [6, 5, 4, 0], [2, 0, 0, 0]], [2, 3, 1])]
-        got = TE.encode_documents(None, days, table, params, pool_divisor=divisor)
+        got = TE.encode_documents(None, days, table, params)
         assert got.counts == (2, 1, 3)
         lo = 0
         for day in days:
-            alone = TE.encode_documents(None, [day], table, params, pool_divisor=divisor)
+            alone = TE.encode_documents(None, [day], table, params)
             n = alone.vectors.shape[0]
             rows = got.vectors.data[lo:lo + n]
             np.testing.assert_allclose(rows, alone.vectors.data, rtol=1e-6, atol=1e-7)
