@@ -28,7 +28,7 @@ from . import tensor as T
 from . import training as TR
 from .files import write_atomically
 from .rng import substream
-from .text_encoder import embedding_rows, load_embedding_file
+from .text_encoder import read_embeddings
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -352,17 +352,10 @@ def cmd_train(args) -> int:
 
     days = D.load_corpus(merged["corpus"])
     series = D.load_series(merged["series"])
-    allowed = None
-    if merged["embeddings"] is not None:
-        try:
-            allowed = {token for _, token, _ in
-                       embedding_rows(merged["embeddings"], config.d_w)}
-        except OSError as e:
-            raise D.DatasetError("cannot read embeddings: %s" % e) from None
-        if not allowed:
-            raise D.DatasetError("%s: no line holds a token and d_w = %d numbers"
-                                 % (merged["embeddings"], config.d_w))
-    vocab = D.build_vocab(days, max_size=config.vocab_size, allowed=allowed)
+    # <pad> is no corpus token, so its row stays zero
+    rows = None if merged["embeddings"] is None else read_embeddings(
+        merged["embeddings"], config.d_w, {D.UNK_TOKEN, *days.table[1:]})
+    vocab = D.build_vocab(days, max_size=config.vocab_size, allowed=rows)
     sset = D.make_samples(days, series, vocab, config, split)
     print("samples train=%d valid=%d test=%d (skipped %d no-docs, "
           "%d no-series, %d short-history)"
@@ -371,10 +364,14 @@ def cmd_train(args) -> int:
              sset.skipped_short_history))
 
     params = M.init_model(config, seed=tcfg.seed)
-    if merged["embeddings"] is not None:
-        hits = load_embedding_file(merged["embeddings"], vocab.ids,
-                                   params.embedding)
-        print("embeddings hit %d of %d vocabulary rows" % (hits, vocab.size))
+    if rows is not None:
+        hits = [(i, t, *rows[t]) for i, t in enumerate(vocab.tokens) if t in rows]
+        for i, token, lineno, vec in hits:
+            if not np.isfinite(vec).all():
+                raise D.DatasetError("%s:%d: embedding of %r is not finite"
+                                     % (merged["embeddings"], lineno, token))
+            params.embedding.data[i] = vec
+        print("embeddings hit %d of %d vocabulary rows" % (len(hits), vocab.size))
 
     result = TR.train(sset, params, config, tcfg)
 
@@ -549,18 +546,19 @@ def cmd_gradcheck(args) -> int:
         config = M.ModelConfig(variant=variant, **GRADCHECK_WIDTHS)
         params = M.init_model(config, seed=merged["seed"])
         sample = _gradcheck_sample(config, substream(merged["seed"], "probe"))
-        rows = M.named_tensors(params)
 
         def build(tape, _leaves):  # the leaves are params' own tensors
             pred = M.forward_batch(tape, [sample], params, config)
             return M.batch_loss(tape, pred.value, [sample], config)[0]
 
-        table = T.grad_check_table(build, [t for _n, t, _d in rows])
+        margins = {}
+        table = T.grad_check_table(
+            build, [t for _n, t, _d in M.named_tensors(params)], margins=margins)
         print("variant %s" % variant)
-        for name, _t, _d in rows:
-            err = table[name]
+        for name, err in table.items():
             flag = "ok" if err < GRADCHECK_TOL else "FAIL"
-            print("  %-28s %10.3e  %s" % (name, err, flag))
+            print("  %-28s %10.3e  |tape-fd| %.3e  allowance %.3e  %s"
+                  % (name, err, *margins[name], flag))
         worst = max(table.values())
         worst_overall = max(worst_overall, worst)
         print("  worst %.3e (%s)" % (worst, "pass" if worst < GRADCHECK_TOL

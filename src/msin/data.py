@@ -6,11 +6,11 @@ per-headline object is built and no text is held. Every command reads a
 corpus file the same way: ``load_corpus`` feeds ``read_corpus``'s lines
 straight into ``tokenize_days``, which tokenizes each headline once: a
 day of ASCII headlines in one ``bytes.translate`` and one ``split`` over
-its joined texts, any other day headline by headline with ``tokenize``'s
-regular expression, which defines a token. ``synth_generate`` builds the
-same form straight from its draws, and ``save_corpus`` writes it back as
-text, each document's tokens joined by one space. ``build_vocab`` and
-``make_samples`` work on that form.
+its joined texts, any other day headline by headline with ``tokenize``,
+whose NFC normalization and regular expression define a token.
+``synth_generate`` builds the same form straight from its draws, and
+``save_corpus`` writes it back as text, each document's tokens joined by
+one space. ``build_vocab`` and ``make_samples`` work on that form.
 ``TokenizedDays.batches`` caps (keeping each day's last ``daily_doc_cap``
 documents from ``capped_start``), truncates and maps the ids of every day
 at once: each day's ``DocumentBatch`` is a slice of one corpus-wide
@@ -36,6 +36,7 @@ import datetime as dt
 import json
 import math
 import re
+import unicodedata
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -200,8 +201,8 @@ class SampleSet:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs."""
-    return _TOKEN_RE.findall(text.lower())
+    """Normalize to NFC, lowercase and split on non-alphanumeric runs."""
+    return _TOKEN_RE.findall(unicodedata.normalize("NFC", text).lower())
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,14 +277,14 @@ def tokenize_days(days) -> TokenizedDays:
     every text split as ``tokenize`` splits it. "|", which no token can be,
     marks each document's end.
 
-    A day whose texts are ASCII, none holding "\\n", is tokenized in one
-    pass: its texts, joined by "\\n", go through one ``bytes.translate``
-    that lowercases letters and turns every byte but a letter, a digit or
-    "\\n" into a space; each "\\n" then becomes the " | " marker, and one
-    ``split`` yields the tokens that ``tokenize`` finds in each text, to
-    which the last text's marker is added. Any other day is split text by
-    text by ``tokenize``, and pays only that ``join`` and ``isascii`` on
-    top."""
+    A day whose texts are ASCII (so NFC already), none holding "\\n", is
+    tokenized in one pass: its texts, joined by "\\n", go through one
+    ``bytes.translate`` that lowercases letters and turns every byte but a
+    letter, a digit or "\\n" into a space; each "\\n" then becomes the " | "
+    marker, and one ``split`` yields the tokens that ``tokenize`` finds in
+    each text, to which the last text's marker is added. Any other day is
+    split text by text by ``tokenize``, and pays only that ``join`` and
+    ``isascii`` on top."""
     index = {"|": 0}  # the document-end marker, then each token by first sight
     # ids grow in the narrowest unsigned type that holds every id so far
     ids, flags, dates, sizes = array("B"), [], [], []
@@ -316,12 +317,12 @@ def tokenize_days(days) -> TokenizedDays:
 
 
 def build_vocab(days: TokenizedDays, max_size: int = 5000,
-                allowed: set[str] | None = None) -> Vocabulary:
+                allowed: dict | set | None = None) -> Vocabulary:
     """Most frequent tokens, ties broken lexicographically, capped at max_size.
 
-    Only tokens that occur are counted. `allowed` restricts candidates to a
-    given token set (used when an external embedding file defines which
-    words exist); counting still sees every token.
+    Only tokens that occur are counted. `allowed` restricts candidates to
+    the tokens it contains (the rows an external embedding file holds);
+    counting still sees every token.
     """
     if not days.dates:
         raise DatasetError("cannot build a vocabulary from an empty corpus")

@@ -187,8 +187,8 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
     every gate; ``lstm_wo`` runs a plain LSTM and aligns documents once
     against the final hidden state; ``lstm_par`` fuses the plain LSTM's state
     with a projection of the mean document only at the head.  Given
-    ``rngs``, one generator per sample, dropout runs at a positive rate;
-    row b's mask is the one sample b would draw alone.
+    ``rngs``, one generator per sample, the features go through
+    ``tensor.dropout``; row b's mask is the one sample b would draw alone.
     """
     samples = list(samples)
     B = len(samples)
@@ -211,7 +211,7 @@ def forward_batch(tape, samples, params: ModelParams, config: ModelConfig,
         pooled = T.weighted_sum(tape, slots.grid, slots.mean_weights)
         text = T.tanh(tape, T.linear(tape, params.text_w, pooled, params.text_b))
     feature = T.concat(tape, [h_m, text], axis=1)
-    if rngs is not None and config.dropout_rate > 0.0:
+    if rngs is not None:
         feature = T.dropout(tape, feature, config.dropout_rate, rngs)
     head = T.linear(tape, params.head_w, feature, params.head_b)
     return BatchPrediction(value=T.reshape(tape, head, (B,)), relevance=relevance,

@@ -793,7 +793,8 @@ NOISE_FACTOR = 4.0
 
 
 def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
-                     params: Sequence[Tensor], h: float = 1e-5) -> dict[str, float]:
+                     params: Sequence[Tensor], h: float = 1e-5,
+                     margins: dict | None = None) -> dict[str, float]:
     """Worst noise-adjusted relative error between tape and finite differences.
 
     ``build_loss(tape, leaves)`` must rebuild the full forward pass from the
@@ -809,9 +810,11 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
     divided by max(|tape|, |fd|, 1e-8), where fd is the central difference at
     h and fd_error its estimated error (see NOISE_FACTOR).  A table value
     below rtol thus means |tape - fd| <= rtol * scale + NOISE_FACTOR * fd_error
-    for every entry of that leaf.
+    for every entry of that leaf.  A ``margins`` dict, if given, receives each
+    leaf's largest |tape - fd| and the NOISE_FACTOR * fd_error it was allowed.
     """
     leaves = list(params)
+    margins = {} if margins is None else margins
     for t in leaves:
         t.data, t.grad = t.data.astype(np.float64), None
     names = [t.name or ("param%d" % i) for i, t in enumerate(leaves)]
@@ -849,10 +852,11 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
         for i in range(flat.size):
             fd = central(flat, i, h)
             gt = float(gflat[i])
-            excess = abs(gt - fd) - NOISE_FACTOR * rounding
-            if excess > 0.0:  # the rounding bound alone does not cover it
+            diff, allowance = abs(gt - fd), NOISE_FACTOR * rounding
+            if diff > allowance:  # the rounding bound alone does not cover it
                 fd_error = max(abs(fd - central(flat, i, 0.5 * h)), rounding)
-                excess = abs(gt - fd) - NOISE_FACTOR * fd_error
-            err = max(err, excess / max(abs(gt), abs(fd), 1e-8))
+                allowance = NOISE_FACTOR * fd_error
+            err = max(err, (diff - allowance) / max(abs(gt), abs(fd), 1e-8))
+            margins[name] = max(margins.get(name, (0.0, 0.0)), (diff, allowance))
         worst[name] = err
     return worst

@@ -136,51 +136,46 @@ def init_encoder(d_w: int, d_h: int, rng: np.random.Generator,
         pool_ctx=T.parameter(uniform(rng, two, two), prefix + ".pool.context"))
 
 
-def embedding_rows(path, dim: int):
-    """Yield (line number, token, float32 vector) for each line of a text
-    embedding file that holds a token and ``dim`` decimal floats, split on
-    runs of spaces and tabs (the fastText ``.vec`` layout included).
+_FIELD_SEP = re.compile(r"[ \t]+")
 
-    Other lines, such as a ``.vec`` header (``2000000 300``) or a token
-    with spaces, are passed over rather than fatal.
+
+def read_embeddings(path, dim: int, tokens) -> dict[str, tuple[int, np.ndarray]]:
+    """The rows of a text embedding file for ``tokens``, read in one pass:
+    each token's (line number, float32 vector) from its last row.
+
+    A row is a line that holds a token and ``dim`` decimal floats, split on
+    runs of spaces and tabs (the fastText ``.vec`` layout included); other
+    lines, such as a ``.vec`` header (``2000000 300``) or a token with
+    spaces, are passed over.  A line's numbers are converted only when its
+    token is one of ``tokens`` or no row has been seen yet, and a file
+    without any row (one of another width, say) raises DatasetError.
     """
+    rows, seen = {}, False
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
-                parts = re.split(r"[ \t]+", line.strip(" \t\r\n"))
+                text = line.strip(" \t\r\n")
+                if seen and _FIELD_SEP.split(text, 1)[0] not in tokens:
+                    continue
+                parts = _FIELD_SEP.split(text)
                 if len(parts) != dim + 1:
                     continue
                 try:
-                    vec = np.asarray([float(p) for p in parts[1:]],
-                                     dtype=np.float32)
+                    vec = np.array(list(map(float, parts[1:])), dtype=np.float32)
                 except ValueError:
                     continue
-                yield lineno, parts[0], vec
+                seen = True
+                if parts[0] in tokens:
+                    rows[parts[0]] = lineno, vec
     except UnicodeDecodeError as exc:
         raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
             from None
-
-
-def load_embedding_file(path, vocab: dict[str, int], table: T.Tensor) -> int:
-    """Overwrite rows of a [V, d_w] table from the ``embedding_rows`` of a
-    file; returns the number of distinct rows written.
-
-    Tokens absent from ``vocab`` are skipped; vocabulary words absent from
-    the file keep their random initialization, and of a token listed twice
-    the last line wins.  A row that would be loaded but holds nan or inf
-    raises DatasetError naming its line.
-    """
-    hits = set()
-    for lineno, token, vec in embedding_rows(path, table.shape[1]):
-        row = vocab.get(token)
-        if row is None or row == PAD_ID:
-            continue
-        if not np.isfinite(vec).all():
-            raise DatasetError("%s:%d: embedding of %r is not finite"
-                               % (path, lineno, token))
-        table.data[row] = vec
-        hits.add(row)
-    return len(hits)
+    except OSError as e:
+        raise DatasetError("cannot read embeddings: %s" % e) from None
+    if not seen:
+        raise DatasetError("%s: no line holds a token and d_w = %d numbers"
+                           % (path, dim))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,9 @@ def bilstm_forward(tape, embeds, length, params):
     return T.concat(tape, rows, axis=0)
 
 
-def attention_pool(tape, hiddens, length, params, divisor=None):
-    """Pool one document's hidden states into (s, beta).
-
-    ``divisor`` defaults to the valid token count; passing the padded width
-    reproduces the fixed-denominator pooling variant.
-    """
+def attention_pool(tape, hiddens, length, params):
+    """Pool one document's hidden states into (s, beta), dividing the
+    weighted sum by the valid token count."""
     if length < 1:
         raise TE.EmptyDocumentError("cannot pool zero tokens")
     valid = T.narrow(tape, hiddens, 0, 0, length)
@@ -56,5 +53,5 @@ def attention_pool(tape, hiddens, length, params, divisor=None):
     beta = masked_softmax(tape, T.reshape(tape, logits, (1, length)),
                           np.ones((1, length), dtype=bool))
     beta = T.reshape(tape, beta, (length,))
-    s = scale(tape, matmul(tape, beta, valid), 1.0 / (divisor or length))
+    s = scale(tape, matmul(tape, beta, valid), 1.0 / length)
     return s, beta

@@ -12,6 +12,7 @@ import datetime as dt
 import json
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ import msin.data as D
 import msin.evaluation as E
 import msin.model as M
 import msin.tensor as T
+import msin.text_encoder as TE
 import msin.training as TR
 from msin.cli import main
+from msin.rng import substream
 
 import helpers as H
 
@@ -428,6 +431,93 @@ def test_train_embeddings_of_another_width_are_data_error(tmp_path, capsys):
     assert rc == 2
     assert "d_w = 6" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def train_with_embeddings(tmp_path, corpus, series, emb, run="run"):
+    return main(["train", "--corpus", corpus, "--series", series,
+                 "--out-dir", str(tmp_path / run), "--d-s", "4", "--d-h", "3",
+                 "--d-w", "6", "--vocab-size", "60", "--max-steps", "2",
+                 "--seed", "7", "--embeddings", str(emb)])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_non_finite_embedding_row_names_its_line(tmp_path, capsys, value):
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    words = D.build_vocab(D.load_corpus(corpus), max_size=60).tokens[2:4]
+    emb = tmp_path / "emb.txt"
+    emb.write_text("%s 1 2 3 4 5 6\n"
+                   "unknowntoken nan nan nan nan nan nan\n"  # no corpus word
+                   "%s 1 2 %s 4 5 6\n" % (words[0], words[1], value))
+    assert train_with_embeddings(tmp_path, corpus, series, emb) == 2
+    assert "emb.txt:3: embedding of %r is not finite" % words[1] \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_embeddings_fill_the_vocabulary_rows(tmp_path, capsys, monkeypatch):
+    """The table training starts from holds each vocabulary word's last row:
+    a ``<pad>`` line leaves row 0 zero, an ``<unk>`` line fills row 1, a word
+    whose earlier line holds nan loads its finite last line, and the rows
+    past the vocabulary keep their random init."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    words = D.build_vocab(D.load_corpus(corpus), max_size=60).tokens[2:4]
+    emb = tmp_path / "emb.txt"
+    emb.write_text("<pad> 9 9 9 9 9 9\n<unk> 1 1 1 1 1 1\n"
+                   "%s 1 nan 3 4 5 6\n%s 2 2 2 2 2 2\n%s 1 2 3 4 5 6\n"
+                   % (words[0], words[1], words[0]))
+    tables, train = [], TR.train
+
+    def spy(sset, params, *rest):
+        tables.append(params.embedding.data.copy())
+        return train(sset, params, *rest)
+
+    monkeypatch.setattr(TR, "train", spy)
+    assert train_with_embeddings(tmp_path, corpus, series, emb) == 0
+    assert "embeddings hit 3 of 4 vocabulary rows" in capsys.readouterr().out
+    vocab = TR.checkpoint_load(str(tmp_path / "run" / "checkpoint.msn"))[3]["vocab"]
+    assert sorted(vocab[2:]) == sorted(words)
+    table = tables[0]
+    assert table[0].tolist() == [0.0] * 6
+    assert table[1].tolist() == [1.0] * 6
+    assert table[vocab.index(words[0])].tolist() == [1, 2, 3, 4, 5, 6]
+    assert table[vocab.index(words[1])].tolist() == [2.0] * 6
+    init = TE.init_embedding(60, 6, substream(7, "init")).data
+    assert table[4:].tobytes() == init[4:].tobytes()
+
+
+def test_train_embeddings_read_once_from_a_pipe(tmp_path, capsys):
+    """A one-shot stream, as ``--embeddings <(zcat vec.gz)`` gives, is read
+    once: it loads the same rows, and trains the same checkpoint, as a file
+    holding its text."""
+    corpus, series = make_dataset(tmp_path / "data", days=20)
+    vocab = D.build_vocab(D.load_corpus(corpus), max_size=60)
+    text = "".join("%s %d 2 3 4 5 6\n" % (token, i)
+                   for i, token in enumerate(vocab.tokens[1:6]))
+    emb = tmp_path / "emb.txt"
+    emb.write_text(text)
+
+    def run(name, path):
+        assert train_with_embeddings(tmp_path, corpus, series, path, name) == 0
+        hit = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("embeddings hit")]
+        return hit, (tmp_path / name / "checkpoint.msn").read_bytes()
+
+    want = run("file", emb)
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = run("pipe", "/dev/fd/%d" % read_end)
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert want[0] == ["embeddings hit 5 of 6 vocabulary rows"]
+    assert got == want
 
 
 def test_train_requires_paths(capsys):

@@ -4,6 +4,7 @@ import datetime as dt
 import hashlib
 import json
 import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -46,6 +47,22 @@ class TestTokenize:
     def test_truncation_and_digits(self):
         assert D.tokenize("one two three four")[:2] == ["one", "two"]
         assert D.tokenize("q3 earnings_call") == ["q3", "earnings", "call"]
+
+    @pytest.mark.parametrize("word", ["naïve", "café", "NAÏVE", "CAFÉ"])
+    def test_nfd_and_nfc_spellings_give_one_token(self, word):
+        """A combining mark joins its letter: both spellings read as the
+        lowercased NFC word."""
+        want = [unicodedata.normalize("NFC", word).lower()]
+        for form in ("NFC", "NFD"):
+            spelled = unicodedata.normalize(form, word)
+            assert D.tokenize(spelled) == want
+            days = D.tokenize_days([(dt.date(2020, 1, 1), [(spelled, None)])])
+            assert [days.table[i] for i in days.ids.tolist()] == want + ["|"]
+
+    def test_dotted_capital_i_still_splits(self):
+        """"İ" lowercases to "i" and a combining dot (U+0307), which has no
+        precomposed form, so the word splits at the dot."""
+        assert D.tokenize("İstanbul") == ["i", "stanbul"]
 
 
 class TestVocabulary:

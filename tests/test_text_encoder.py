@@ -167,14 +167,6 @@ class TestAttentionPool:
         np.testing.assert_allclose(beta.data, want_beta, rtol=0, atol=1e-6)
         np.testing.assert_allclose(s.data, want_s, rtol=0, atol=1e-6)
 
-    def test_fixed_divisor_variant(self):
-        _, params = make_params(seed=8)
-        H = np.random.default_rng(7).normal(size=(5, 4)).astype(np.float32)
-        s_len, _ = oracle.attention_pool(None, T.constant(H), 2, params)
-        s_max, _ = oracle.attention_pool(None, T.constant(H), 2, params, divisor=5)
-        np.testing.assert_allclose(s_max.data, s_len.data * (2.0 / 5.0),
-                                   rtol=1e-6, atol=1e-7)
-
 
 class TestEncodeDocuments:
     def test_matches_per_document_pipeline(self):
@@ -369,66 +361,83 @@ class TestEmbeddingTableInit:
 
 
 class TestEmbeddingFileLoader:
+    """``read_embeddings`` keeps the last row of each asked-for token with its
+    line number; ``train`` writes the vocabulary's rows from them (see
+    test_cli)."""
+
     def test_hits_and_misses(self, tmp_path):
-        table = TE.init_embedding(5, 3, substream(1, "init"))
-        before = table.data.copy()
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0 3.0\n"
                         "unknowntoken 9.0 9.0 9.0\n"
                         "badline 1.0\n"
                         "beta 0.5 0.5 0.5\n")
-        vocab = {"alpha": 2, "beta": 3, "gamma": 4}
-        hits = TE.load_embedding_file(path, vocab, table)
-        assert hits == 2
-        np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(table.data[4], before[4])  # kept random init
-        np.testing.assert_allclose(table.data[TE.PAD_ID], np.zeros(3))
+        rows = TE.read_embeddings(path, 3, {"alpha", "beta", "gamma", "badline"})
+        assert {t: line for t, (line, _) in rows.items()} == {"alpha": 1, "beta": 4}
+        np.testing.assert_allclose(rows["alpha"][1], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(rows["beta"][1], [0.5, 0.5, 0.5])
+        assert rows["alpha"][1].dtype == np.float32
 
     @pytest.mark.parametrize("layout", ["{} {} {} {}\n", "{} {} {} {} \n",
                                         "{}\t{}\t{}\t{}\n", "  {} \t {}  {}\t{}\t \r\n"])
     def test_fields_split_on_runs_of_spaces_and_tabs(self, tmp_path, layout):
         """A trailing space (the fastText .vec layout), tabs, or several
         separators in a row load the same rows as single spaces."""
-        table = TE.init_embedding(5, 3, substream(1, "init"))
         path = tmp_path / "vecs.txt"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(layout.format("alpha", "1.0", "2.0", "3.0")
                      + layout.format("beta", "0.5", "0.5", "0.5"))
-        assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
-        np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
+        rows = TE.read_embeddings(path, 3, {"alpha", "beta"})
+        assert len(rows) == 2
+        np.testing.assert_allclose(rows["alpha"][1], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(rows["beta"][1], [0.5, 0.5, 0.5])
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         """The first row loads when the file starts with a UTF-8 byte-order
         mark."""
-        table = TE.init_embedding(5, 3, substream(1, "init"))
         path = tmp_path / "vecs.txt"
         path.write_text("\ufeffalpha 1.0 2.0 3.0\nbeta 0.5 0.5 0.5\n",
                         encoding="utf-8")
-        assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
-        np.testing.assert_allclose(table.data[2], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
+        rows = TE.read_embeddings(path, 3, {"alpha", "beta"})
+        assert len(rows) == 2
+        np.testing.assert_allclose(rows["alpha"][1], [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(rows["beta"][1], [0.5, 0.5, 0.5])
 
     def test_repeated_token_counts_one_row_and_its_last_line_wins(self, tmp_path):
-        """The count is of rows written, not of lines that matched."""
-        table = TE.init_embedding(5, 3, substream(1, "init"))
+        """A token listed on several lines is one row, its last line's; that
+        line is kept even when it holds nan, for ``train`` to name."""
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0 3.0\nalpha 4.0 5.0 6.0\n"
                         "beta 0.5 0.5 0.5\nalpha 7.0 8.0 9.0\n")
-        assert TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table) == 2
-        np.testing.assert_allclose(table.data[2], [7.0, 8.0, 9.0])
-        np.testing.assert_allclose(table.data[3], [0.5, 0.5, 0.5])
+        rows = TE.read_embeddings(path, 3, {"alpha", "beta"})
+        assert len(rows) == 2
+        assert rows["alpha"][0] == 4
+        np.testing.assert_allclose(rows["alpha"][1], [7.0, 8.0, 9.0])
+        np.testing.assert_allclose(rows["beta"][1], [0.5, 0.5, 0.5])
         path.write_text("alpha 1.0 2.0 3.0\nalpha 1.0 nan 3.0\n")
-        with pytest.raises(D.DatasetError, match=r"vecs\.txt:2: .*'alpha'"):
-            TE.load_embedding_file(path, {"alpha": 2}, table)
+        line, vec = TE.read_embeddings(path, 3, {"alpha"})["alpha"]
+        assert line == 2 and np.isnan(vec[1])
+        path.write_text("alpha 1.0 nan 3.0\nalpha 1.0 2.0 3.0\n")
+        line, vec = TE.read_embeddings(path, 3, {"alpha"})["alpha"]
+        assert line == 2 and vec.tolist() == [1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_row_names_its_line(self, tmp_path, value):
-        table = TE.init_embedding(5, 3, substream(1, "init"))
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0 3.0\n"
-                        "unknowntoken nan nan nan\n"  # skipped: not in vocab
+                        "unknowntoken nan nan nan\n"  # skipped: not asked for
                         "beta 0.5 %s 0.5\n" % value)
-        with pytest.raises(D.DatasetError, match=r"vecs\.txt:3: .*'beta'"):
-            TE.load_embedding_file(path, {"alpha": 2, "beta": 3}, table)
+        rows = TE.read_embeddings(path, 3, {"alpha", "beta"})
+        assert set(rows) == {"alpha", "beta"}
+        line, vec = rows["beta"]
+        assert line == 3 and not np.isfinite(vec[1])
+
+    def test_a_file_without_a_row_is_a_data_error(self, tmp_path):
+        """Rows of tokens not asked for still count as rows; a file with
+        none (one of another width) is refused, naming ``d_w``."""
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\nunknowntoken 1.0 2.0 3.0\n")
+        assert TE.read_embeddings(path, 3, {"alpha"}) == {}
+        with pytest.raises(D.DatasetError, match=r"vecs\.txt: .*d_w = 2"):
+            TE.read_embeddings(path, 2, {"alpha"})
+        with pytest.raises(D.DatasetError, match="cannot read embeddings"):
+            TE.read_embeddings(tmp_path / "missing.txt", 3, {"alpha"})
