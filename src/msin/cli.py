@@ -3,7 +3,8 @@
 Every option can also be given in a flat key=value config file (``#`` starts
 a comment); command line flags win over file values, file values over
 defaults. Exit codes: 0 success, 1 usage or configuration mistake, 2 broken
-input data or checkpoint, 3 numeric failure.
+input data or checkpoint, 3 numeric failure, 141 stdout closed by its
+reader (as a writer killed by SIGPIPE reports).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import datetime as dt
 import functools
 import glob
 import hashlib
-import json
 import os
 import sys
 
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a writer killed by SIGPIPE reports
 
 GRADCHECK_TOL = 1e-4
 # Fixed widths for the gradient check harness; small enough that central
@@ -485,14 +486,13 @@ def cmd_rank(args) -> int:
     _require(merged)
     params, config, _meta, vocab, stats = _load_checkpoint(merged["checkpoint"])
     date = merged["date"]
-    lines = [(d, line) for d, _heads, line in D.read_corpus(merged["corpus"])
+    lines = [(d, line, plain) for d, line, plain in D.read_corpus(merged["corpus"])
              if date is None or d == date]
     series = D.load_series(merged["series"])
     rows = D.series_rows(series, config)
-    for d, line in reversed(lines):
-        heads = json.loads(line)["headlines"]
-        batch = D.encode_day([(h["text"], h.get("relevant")) for h in heads],
-                             vocab, config.max_tokens, config.daily_doc_cap)
+    for d, line, plain in reversed(lines):
+        docs = D.headlines(line, plain)
+        batch = D.encode_day(docs, vocab, config.max_tokens, config.daily_doc_cap)
         window = D.series_window(d, batch.n, series, rows, config)
         if not isinstance(window, str):
             break
@@ -505,8 +505,8 @@ def cmd_rank(args) -> int:
                              % config.variant)
 
     mass = E.checked_masses(pred.relevance.data, [d])[0]
-    start = int(D.capped_start(len(heads), config.daily_doc_cap))
-    texts = [heads[start + i]["text"] for i in batch.source_idx]
+    start = int(D.capped_start(len(docs), config.daily_doc_cap))
+    texts = [docs[start + i][0] for i in batch.source_idx]
     _print_ranking(d.isoformat(), mass, texts)
     return EXIT_OK
 
@@ -640,6 +640,10 @@ def main(argv=None) -> int:
     except (TR.TrainingAbort, T.EngineError) as e:
         print("numeric failure: %s" % e, file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # stdout's reader has gone: the rest goes to devnull, so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (D.DatasetError, TR.CheckpointError, TR.TrainingError, OSError) as e:
         print("data error: %s" % e, file=sys.stderr)
         return EXIT_DATA

@@ -3,11 +3,13 @@
 A corpus has one form, ``TokenizedDays``: every document's tokens as
 indices of a table of distinct tokens, stored as one integer array, so no
 per-headline object is built and no text is held. Every command reads a
-corpus file the same way: ``load_corpus`` feeds ``read_corpus``'s lines
-straight into ``tokenize_days``, which tokenizes each headline once: a
-day of ASCII headlines in one ``bytes.translate`` and one ``split`` over
-its joined texts, any other day headline by headline with ``tokenize``,
-whose NFC normalization and regular expression define a token.
+corpus file the same way: ``read_corpus`` checks every line (one in the
+layout ``save_corpus`` writes by a regular expression, without decoding
+it), and ``load_corpus`` feeds each line's ``headlines`` straight into
+``tokenize_days``, which tokenizes each headline once: a day of ASCII
+headlines in one ``bytes.translate`` and one ``split`` over its joined
+texts, any other day headline by headline with ``tokenize``, whose NFC
+normalization and regular expression define a token.
 ``synth_generate`` builds the same form straight from its draws, and
 ``save_corpus`` writes it back as text, each document's tokens joined by
 one space. ``build_vocab`` and ``make_samples`` work on that form.
@@ -59,6 +61,16 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
                            else 32 for b in range(256)).lower()
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
+# A line as save_corpus writes it, its strings free of backslashes and control
+# characters so that each reads as written: JSON that read_corpus's checks pass
+_STRING = r'[^"\\\x00-\x1f]*+'
+_HEAD = r'\{"text": "(%s)", "relevant": (true|false|null)\}'
+_PLAIN_LINE = re.compile(
+    r'\{"date": "(%s)", "headlines": \[(?:%s(?:, %s)*+)?\]\}[ \t\n\r]*+'
+    % (_STRING, _HEAD % _STRING, _HEAD % _STRING))
+# run only on lines _PLAIN_LINE matched, whose strings hold no '"'
+_HEADLINE = re.compile(_HEAD % '[^"]*+')
+_FLAGS = {"true": True, "false": False, "null": None}
 # the synthetic generator's signal words, each one token that no background
 # word equals
 S_PLUS = ("surge", "gain", "rally")
@@ -567,34 +579,44 @@ def save_corpus(days: TokenizedDays, path: str) -> None:
             lo = hi
 
 
+def _decoded_date(line: str) -> dt.date:
+    """A decoded corpus line's date, once read_corpus's checks pass."""
+    rec = json.loads(line)
+    date = dt.date.fromisoformat(rec["date"])
+    heads = rec["headlines"]
+    if type(heads) is not list:
+        raise TypeError("headlines must be a list")
+    for h in heads:
+        if type(h["text"]) is not str or \
+                type(h.get("relevant")) not in _FLAG_TYPES:
+            raise TypeError("headline %r needs a string text and a "
+                            "relevant of true, false or null" % (h,))
+    return date
+
+
 def read_corpus(path: str):
-    """Each non-blank corpus line as (date, headline objects, line). The one
-    place corpus lines are checked: JSON with a date and a list of headlines,
-    each an object with a string text and a relevant of true, false, null or
-    absent; dates strictly increasing; at least one day."""
+    """Each non-blank corpus line as (date, line, plain). The one place
+    corpus lines are checked: JSON with a date and a list of headlines, each
+    an object with a string text and a relevant of true, false, null or
+    absent; dates strictly increasing; at least one day. A line ``plain``
+    in ``_PLAIN_LINE``'s layout is checked by it and its date alone; any
+    other line is decoded and checked field by field, by the same rules."""
     prev = None
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                plain = _PLAIN_LINE.fullmatch(line)
                 try:
-                    rec = json.loads(line)
-                    date = dt.date.fromisoformat(rec["date"])
-                    heads = rec["headlines"]
-                    if type(heads) is not list:
-                        raise TypeError("headlines must be a list")
-                    for h in heads:
-                        if type(h["text"]) is not str or \
-                                type(h.get("relevant")) not in _FLAG_TYPES:
-                            raise TypeError("headline %r needs a string text and a "
-                                            "relevant of true, false or null" % (h,))
+                    date = dt.date.fromisoformat(plain[1]) if plain \
+                        else _decoded_date(line)
                     if prev is not None and date <= prev:
                         raise ValueError("dates not strictly increasing at %s" % date)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
                 prev = date
-                yield date, heads, line
+                yield date, line, plain is not None
     except UnicodeDecodeError as exc:
         raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
             from None
@@ -602,11 +624,18 @@ def read_corpus(path: str):
         raise DatasetError("%s holds no days" % path)
 
 
+def headlines(line: str, plain: bool) -> list[tuple[str, bool | None]]:
+    """The (text, relevant) pairs of a line ``read_corpus`` yielded."""
+    if plain:
+        return [(text, _FLAGS[flag]) for text, flag in _HEADLINE.findall(line)]
+    return [(h["text"], h.get("relevant")) for h in json.loads(line)["headlines"]]
+
+
 def load_corpus(path: str) -> TokenizedDays:
     """A corpus file's days, each tokenized as ``read_corpus`` yields its
     line: no Document or Day is built, and no text outlives its line."""
-    return tokenize_days((date, [(h["text"], h.get("relevant")) for h in heads])
-                         for date, heads, _line in read_corpus(path))
+    return tokenize_days((date, headlines(line, plain))
+                         for date, line, plain in read_corpus(path))
 
 
 def save_series(series: Series, path: str) -> None:

@@ -810,8 +810,10 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
     divided by max(|tape|, |fd|, 1e-8), where fd is the central difference at
     h and fd_error its estimated error (see NOISE_FACTOR).  A table value
     below rtol thus means |tape - fd| <= rtol * scale + NOISE_FACTOR * fd_error
-    for every entry of that leaf.  A ``margins`` dict, if given, receives each
-    leaf's largest |tape - fd| and the NOISE_FACTOR * fd_error it was allowed.
+    for every entry of that leaf; a leaf with a non-finite tape or
+    finite-difference entry reads inf.  A ``margins`` dict, if given,
+    receives each leaf's largest |tape - fd| and the NOISE_FACTOR * fd_error
+    it was allowed.
     """
     leaves = list(params)
     margins = {} if margins is None else margins
@@ -853,7 +855,9 @@ def grad_check_table(build_loss: Callable[[Tape | None, list[Tensor]], Tensor],
             fd = central(flat, i, h)
             gt = float(gflat[i])
             diff, allowance = abs(gt - fd), NOISE_FACTOR * rounding
-            if diff > allowance:  # the rounding bound alone does not cover it
+            if not math.isfinite(diff):  # a nan or inf entry fails its leaf
+                diff = err = math.inf
+            elif diff > allowance:  # the rounding bound alone does not cover it
                 fd_error = max(abs(fd - central(flat, i, 0.5 * h)), rounding)
                 allowance = NOISE_FACTOR * fd_error
             err = max(err, (diff - allowance) / max(abs(gt), abs(fd), 1e-8))

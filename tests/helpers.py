@@ -310,9 +310,9 @@ def load_corpus(path: str) -> tuple[Day, ...]:
     """A corpus file as ``Day`` objects, each line checked by
     ``D.read_corpus``."""
     return tuple(
-        Day(date=date, docs=tuple(Document(h["text"], h.get("relevant"))
-                                  for h in heads))
-        for date, heads, _line in D.read_corpus(path))
+        Day(date=date, docs=tuple(Document(text, flag)
+                                  for text, flag in D.headlines(line, plain)))
+        for date, line, plain in D.read_corpus(path))
 
 
 def corpus_days(days: D.TokenizedDays) -> tuple[Day, ...]:

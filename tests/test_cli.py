@@ -311,6 +311,43 @@ def test_train_same_seed_identical_outputs(tmp_path):
         (b / "checkpoint.msn").read_bytes()
 
 
+class ClosedAfterOneLine:
+    """A stdout whose reader, like ``head -1``, has gone after one line: any
+    later write raises BrokenPipeError. Its descriptor is a file's."""
+
+    def __init__(self, fd):
+        self.fd, self.lines = fd, 0
+
+    def write(self, text):
+        if self.lines:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path, capsys, monkeypatch):
+    """``msin train ... | head -1``: the closed pipe is no data error. main
+    prints nothing more, returns 141 as a writer killed by SIGPIPE does, and
+    both files are written."""
+    corpus, series = make_dataset(tmp_path / "data")
+    capsys.readouterr()
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedAfterOneLine(fh.fileno()))
+        rc = main(["train", "--corpus", corpus, "--series", series,
+                   "--out-dir", str(tmp_path), "--max-steps", "2"])
+        monkeypatch.undo()
+    assert rc == 141
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "history.csv").exists()
+    assert (tmp_path / "checkpoint.msn").exists()
+
+
 def test_train_missing_corpus_is_data_error(tmp_path, capsys):
     rc = main(["train", "--corpus", str(tmp_path / "nope.jsonl"),
                "--series", str(tmp_path / "nope.csv")])
@@ -1038,6 +1075,33 @@ def test_gradcheck_wrong_backward_fails_with_exit_3(monkeypatch, capsys):
     assert rows and all(row.endswith("  FAIL") for row in rows)
     assert lines[-2].endswith("(fail)")
     assert lines[-1].startswith("gradcheck FAIL: worst relative error ")
+
+
+def test_gradcheck_nan_backward_fails_with_exit_3(monkeypatch, capsys):
+    """A sum_all whose backward gives nan, the loss's last op, fails every
+    tensor's check: a nan entry is no pass, however its error compares."""
+    sum_all = T.sum_all
+
+    def skewed(tape, x):
+        if tape is None:
+            return sum_all(None, x)
+        record = tape.record
+        tape.record = lambda out, inputs, backward: record(
+            out, inputs, lambda g: tuple(np.nan * v for v in backward(g)))
+        try:
+            return sum_all(tape, x)
+        finally:
+            del tape.record
+
+    monkeypatch.setattr(T, "sum_all", skewed)
+    rc = main(["gradcheck", "--variant", "msin"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 3
+    rows = lines[1:-2]
+    assert rows and all(row.endswith("  FAIL") for row in rows)
+    assert all(row.split()[1] == "inf" for row in rows)
+    assert lines[-1] == "gradcheck FAIL: worst relative error inf >= %g" \
+        % cli.GRADCHECK_TOL
 
 
 def test_gradcheck_unknown_variant_is_usage_error():

@@ -874,3 +874,177 @@ class TestOnePassDays:
         got = D.tokenize_days(days)
         H.assert_same_tokenized(got, H.reference_tokenize_days(days))
         assert got.day_sizes.tolist() == [len(docs), 1]
+
+
+# ---------------------------------------------------------------------------
+# corpus lines checked by pattern
+
+
+class Obj(tuple):
+    """A JSON object as its (key, value) pairs, in order, duplicates kept."""
+
+
+def render(value, raw, item=", ", key=": "):
+    """``value`` as JSON text, with the given separators; ``raw`` writes each
+    string between quotes as it stands, unescaped."""
+    if isinstance(value, Obj):
+        return "{%s}" % item.join(render(k, raw, item, key) + key
+                                  + render(v, raw, item, key) for k, v in value)
+    if isinstance(value, list):
+        return "[%s]" % item.join(render(v, raw, item, key) for v in value)
+    if raw and isinstance(value, str):
+        return '"%s"' % value
+    return json.dumps(value, ensure_ascii=False)
+
+
+# Pieces of a headline text. Those a written line holds as they stand:
+# letters, digits, spaces, DEL, U+2028, no-break space, non-ASCII letters and
+# JSON's own punctuation. Those that json.dumps escapes: a quote, a backslash,
+# control characters (a line break among them).
+_PLAIN_PIECES = ("a", "Q", "7", " ", "\x7f", "\u2028", "\xa0", "ï", "株", "{",
+                 "}", ",", ":", "[", "n")
+_ESCAPED_PIECES = ('"', "\\", "\\n", "\t", "\n", "\r", "\x01", "\x1f")
+_ABSENT = object()
+
+
+def rare(draw, strategy, common):
+    """A draw of ``strategy`` one time in eight, else ``common``."""
+    return draw(strategy) if draw(st.integers(0, 7)) == 7 else common
+
+
+@st.composite
+def line_text(draw):
+    text = "".join(draw(st.lists(st.sampled_from(_PLAIN_PIECES), max_size=6)))
+    at = draw(st.integers(0, len(text)))
+    escaped = draw(st.sampled_from(_ESCAPED_PIECES)) if draw(st.booleans()) else ""
+    return text[:at] + escaped + text[at:]
+
+
+@st.composite
+def corpus_line(draw, date):
+    """One corpus line for ``date``: a record written with json.dumps, or
+    with its strings as they stand, now and then mutated: a bad date or
+    value, keys swapped, duplicated or dropped, other spacing, a CRLF or CR
+    ending, trailing text."""
+    heads = []
+    for _ in range(draw(st.integers(0, 3))):
+        head = [("text", rare(draw, st.just(5), draw(line_text())))]
+        flag = draw(st.sampled_from([True, False, None]))
+        flag = rare(draw, st.sampled_from([_ABSENT, 1, "no"]), flag)
+        if flag is not _ABSENT:
+            head.append(("relevant", flag))
+        if rare(draw, st.booleans(), False):
+            head.reverse()
+        if rare(draw, st.booleans(), False):
+            head.insert(draw(st.integers(0, len(head))),
+                        draw(st.sampled_from(head)))
+        heads.append(Obj(head))
+    date = rare(draw, st.sampled_from(["2000-02-30", "20000103", "2000-W01-1",
+                                       "x", "", "2000-01-01"]), date)
+    rec = [("date", date), ("headlines", heads)]
+    mutation = rare(draw, st.sampled_from(["swap", "dup-date", "not-list"]), "")
+    if mutation == "swap":
+        rec.reverse()
+    elif mutation == "dup-date":
+        rec.insert(0, ("date", "1999-01-01"))
+    elif mutation == "not-list":
+        rec[1] = ("headlines", Obj([("text", "a")]))
+    item, key = rare(draw, st.sampled_from([(",", ":"), (" , ", " : ")]),
+                     (", ", ": "))
+    line = render(Obj(rec), draw(st.booleans()), item, key)
+    return (rare(draw, st.just(" "), "") + line
+            + rare(draw, st.sampled_from([" \t", "x", "\x0b", "\u2028"]), "")
+            + rare(draw, st.sampled_from(["\r\n", "\r", ""]), "\n"))
+
+
+@st.composite
+def corpus_lines(draw):
+    days = draw(st.integers(1, 3))
+    return [draw(corpus_line((dt.date(2000, 1, 1)
+                              + dt.timedelta(days=2 * i)).isoformat()))
+            for i in range(days)]
+
+
+def read_lines(path):
+    """read_corpus's verdict on a file: each day's (date, plain, headlines),
+    or the message it stops with."""
+    try:
+        return [(date, plain, D.headlines(line, plain))
+                for date, line, plain in D.read_corpus(path)]
+    except D.DatasetError as exc:
+        return str(exc)
+
+
+def decoding_every_line(read, path):
+    """``read(path)`` with the pattern matching no line, so that every line
+    is decoded by json.loads and checked field by field."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_PLAIN_LINE", re.compile(r"(?!)"))
+        return read(path)
+
+
+def same_tokenized(a, b):
+    return (a.dates, a.table, a.ids.dtype, a.ids.tobytes(), a.flags,
+            a.day_sizes.tolist()) == (b.dates, b.table, b.ids.dtype,
+                                      b.ids.tobytes(), b.flags,
+                                      b.day_sizes.tolist())
+
+
+class TestPlainLines:
+    """A line that ``_PLAIN_LINE`` matches is one that json.loads and the
+    field checks accept, with the same date and headlines; every other line
+    takes that path, so accept, reject and message are those of decoding."""
+
+    @given(lines=corpus_lines())
+    @settings(max_examples=1500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pattern_path_equals_decoding(self, tmp_path, lines):
+        path = str(tmp_path / "c.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        got, want = read_lines(path), decoding_every_line(read_lines, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert [(d, h) for d, _p, h in got] == [(d, h) for d, _p, h in want]
+
+    @pytest.mark.parametrize("line", [
+        '{"date": "2000-01-01", "headlines": [{"text": "a\x01", "relevant": true}]}',
+        '{"date": "2000-01-01", "headlines": [{"text": "a\\", "relevant": true}]}',
+        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": true}]}x',
+        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": true}]}\x0b',
+        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": true},]}',
+        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": True}]}',
+    ], ids=["control-character", "backslash", "trailing-text",
+            "vertical-tab", "trailing-comma", "python-flag"])
+    def test_lines_json_refuses_match_no_pattern(self, line):
+        assert D._PLAIN_LINE.fullmatch(line + "\n") is None
+        with pytest.raises(ValueError):
+            json.loads(line)
+
+    def test_written_lines_take_the_pattern_path(self, tmp_path):
+        """Every line save_corpus writes is plain, so a change to its layout
+        cannot turn the pattern path off unnoticed."""
+        corpus, _ = D.synth_generate(D.SynthSpec(n_days=40, seed=5,
+                                                 plant_prob=0.5))
+        path = str(tmp_path / "c.jsonl")
+        D.save_corpus(corpus, path)
+        assert [plain for _d, _l, plain in D.read_corpus(path)] == [True] * 40
+        assert same_tokenized(D.load_corpus(path),
+                              decoding_every_line(D.load_corpus, path))
+
+    def test_escaped_and_non_ascii_lines_read_as_before(self, tmp_path):
+        days = [(dt.date(2020, 1, 1), [('say "up"', True), ("a\\b", None)]),
+                (dt.date(2020, 1, 2), [("naïve\u2028rally\x7f", False), ("x", None)]),
+                (dt.date(2020, 1, 3), [("Up\tDown", True)])]
+        path = str(tmp_path / "c.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for date, docs in days:
+                fh.write(json.dumps({"date": date.isoformat(), "headlines": [
+                    {"text": t, "relevant": f} for t, f in docs]},
+                    ensure_ascii=False) + "\n")
+        assert [plain for _d, _l, plain in D.read_corpus(path)] == \
+            [False, True, False]
+        decoded = decoding_every_line(D.load_corpus, path)
+        assert same_tokenized(D.load_corpus(path), decoded)
+        assert same_tokenized(decoded, H.reference_tokenize_days(days))
