@@ -63,13 +63,13 @@ _ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 # A line as save_corpus writes it, its strings free of backslashes and control
 # characters so that each reads as written: JSON that read_corpus's checks pass
-_STRING = r'[^"\\\x00-\x1f]*+'
+_STRING = r'[^"\\\x00-\x1f]*'
 _HEAD = r'\{"text": "(%s)", "relevant": (true|false|null)\}'
 _PLAIN_LINE = re.compile(
-    r'\{"date": "(%s)", "headlines": \[(?:%s(?:, %s)*+)?\]\}[ \t\n\r]*+'
+    r'\{"date": "(%s)", "headlines": \[(?:%s(?:, %s)*)?\]\}[ \t\n\r]*'
     % (_STRING, _HEAD % _STRING, _HEAD % _STRING))
 # run only on lines _PLAIN_LINE matched, whose strings hold no '"'
-_HEADLINE = re.compile(_HEAD % '[^"]*+')
+_HEADLINE = re.compile(_HEAD % '[^"]*')
 _FLAGS = {"true": True, "false": False, "null": None}
 # the synthetic generator's signal words, each one token that no background
 # word equals
@@ -579,8 +579,8 @@ def save_corpus(days: TokenizedDays, path: str) -> None:
             lo = hi
 
 
-def _decoded_date(line: str) -> dt.date:
-    """A decoded corpus line's date, once read_corpus's checks pass."""
+def _decoded(line: str):
+    """A corpus line's date and headline objects, decoded and checked."""
     rec = json.loads(line)
     date = dt.date.fromisoformat(rec["date"])
     heads = rec["headlines"]
@@ -591,32 +591,33 @@ def _decoded_date(line: str) -> dt.date:
                 type(h.get("relevant")) not in _FLAG_TYPES:
             raise TypeError("headline %r needs a string text and a "
                             "relevant of true, false or null" % (h,))
-    return date
+    return date, heads
 
 
 def read_corpus(path: str):
-    """Each non-blank corpus line as (date, line, plain). The one place
+    """Each non-blank corpus line as (date, line, heads). The one place
     corpus lines are checked: JSON with a date and a list of headlines, each
     an object with a string text and a relevant of true, false, null or
-    absent; dates strictly increasing; at least one day. A line ``plain``
-    in ``_PLAIN_LINE``'s layout is checked by it and its date alone; any
-    other line is decoded and checked field by field, by the same rules."""
+    absent; dates strictly increasing; at least one day. A line in
+    ``_PLAIN_LINE``'s layout is checked by it (``heads`` None); any other is
+    decoded into its headline objects and checked field by field."""
     prev = None
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                plain = _PLAIN_LINE.fullmatch(line)
+                # an escape's backslash fails the pattern, and "in" finds it sooner
+                plain = "\\" not in line and _PLAIN_LINE.fullmatch(line)
                 try:
-                    date = dt.date.fromisoformat(plain[1]) if plain \
-                        else _decoded_date(line)
+                    date, heads = (dt.date.fromisoformat(plain[1]), None) \
+                        if plain else _decoded(line)
                     if prev is not None and date <= prev:
                         raise ValueError("dates not strictly increasing at %s" % date)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
                 prev = date
-                yield date, line, plain is not None
+                yield date, line, heads
     except UnicodeDecodeError as exc:
         raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
             from None
@@ -624,18 +625,18 @@ def read_corpus(path: str):
         raise DatasetError("%s holds no days" % path)
 
 
-def headlines(line: str, plain: bool) -> list[tuple[str, bool | None]]:
+def headlines(line: str, heads) -> list[tuple[str, bool | None]]:
     """The (text, relevant) pairs of a line ``read_corpus`` yielded."""
-    if plain:
+    if heads is None:
         return [(text, _FLAGS[flag]) for text, flag in _HEADLINE.findall(line)]
-    return [(h["text"], h.get("relevant")) for h in json.loads(line)["headlines"]]
+    return [(h["text"], h.get("relevant")) for h in heads]
 
 
 def load_corpus(path: str) -> TokenizedDays:
     """A corpus file's days, each tokenized as ``read_corpus`` yields its
     line: no Document or Day is built, and no text outlives its line."""
-    return tokenize_days((date, headlines(line, plain))
-                         for date, line, plain in read_corpus(path))
+    return tokenize_days((date, headlines(line, heads))
+                         for date, line, heads in read_corpus(path))
 
 
 def save_series(series: Series, path: str) -> None:

@@ -311,8 +311,8 @@ def load_corpus(path: str) -> tuple[Day, ...]:
     ``D.read_corpus``."""
     return tuple(
         Day(date=date, docs=tuple(Document(text, flag)
-                                  for text, flag in D.headlines(line, plain)))
-        for date, line, plain in D.read_corpus(path))
+                                  for text, flag in D.headlines(line, heads)))
+        for date, line, heads in D.read_corpus(path))
 
 
 def corpus_days(days: D.TokenizedDays) -> tuple[Day, ...]:

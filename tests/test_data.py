@@ -924,8 +924,8 @@ def line_text(draw):
 def corpus_line(draw, date):
     """One corpus line for ``date``: a record written with json.dumps, or
     with its strings as they stand, now and then mutated: a bad date or
-    value, keys swapped, duplicated or dropped, other spacing, a CRLF or CR
-    ending, trailing text."""
+    value, keys swapped, duplicated or dropped, a trailing comma, other
+    spacing, a CRLF or CR ending, trailing text."""
     heads = []
     for _ in range(draw(st.integers(0, 3))):
         head = [("text", rare(draw, st.just(5), draw(line_text())))]
@@ -942,7 +942,8 @@ def corpus_line(draw, date):
     date = rare(draw, st.sampled_from(["2000-02-30", "20000103", "2000-W01-1",
                                        "x", "", "2000-01-01"]), date)
     rec = [("date", date), ("headlines", heads)]
-    mutation = rare(draw, st.sampled_from(["swap", "dup-date", "not-list"]), "")
+    mutation = rare(draw, st.sampled_from(["swap", "dup-date", "not-list",
+                                           "trailing-comma"]), "")
     if mutation == "swap":
         rec.reverse()
     elif mutation == "dup-date":
@@ -952,6 +953,9 @@ def corpus_line(draw, date):
     item, key = rare(draw, st.sampled_from([(",", ":"), (" , ", " : ")]),
                      (", ", ": "))
     line = render(Obj(rec), draw(st.booleans()), item, key)
+    if mutation == "trailing-comma":
+        # no date or text holds "]", so the first one closes the headlines
+        line = line.replace("]", ",]", 1)
     return (rare(draw, st.just(" "), "") + line
             + rare(draw, st.sampled_from([" \t", "x", "\x0b", "\u2028"]), "")
             + rare(draw, st.sampled_from(["\r\n", "\r", ""]), "\n"))
@@ -966,11 +970,11 @@ def corpus_lines(draw):
 
 
 def read_lines(path):
-    """read_corpus's verdict on a file: each day's (date, plain, headlines),
-    or the message it stops with."""
+    """read_corpus's verdict on a file: each day's (date, headlines), or the
+    message it stops with."""
     try:
-        return [(date, plain, D.headlines(line, plain))
-                for date, line, plain in D.read_corpus(path)]
+        return [(date, D.headlines(line, heads))
+                for date, line, heads in D.read_corpus(path)]
     except D.DatasetError as exc:
         return str(exc)
 
@@ -981,13 +985,6 @@ def decoding_every_line(read, path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(D, "_PLAIN_LINE", re.compile(r"(?!)"))
         return read(path)
-
-
-def same_tokenized(a, b):
-    return (a.dates, a.table, a.ids.dtype, a.ids.tobytes(), a.flags,
-            a.day_sizes.tolist()) == (b.dates, b.table, b.ids.dtype,
-                                      b.ids.tobytes(), b.flags,
-                                      b.day_sizes.tolist())
 
 
 class TestPlainLines:
@@ -1002,25 +999,7 @@ class TestPlainLines:
         path = str(tmp_path / "c.jsonl")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("".join(lines))
-        got, want = read_lines(path), decoding_every_line(read_lines, path)
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert [(d, h) for d, _p, h in got] == [(d, h) for d, _p, h in want]
-
-    @pytest.mark.parametrize("line", [
-        '{"date": "2000-01-01", "headlines": [{"text": "a\x01", "relevant": true}]}',
-        '{"date": "2000-01-01", "headlines": [{"text": "a\\", "relevant": true}]}',
-        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": true}]}x',
-        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": true}]}\x0b',
-        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": true},]}',
-        '{"date": "2000-01-01", "headlines": [{"text": "a", "relevant": True}]}',
-    ], ids=["control-character", "backslash", "trailing-text",
-            "vertical-tab", "trailing-comma", "python-flag"])
-    def test_lines_json_refuses_match_no_pattern(self, line):
-        assert D._PLAIN_LINE.fullmatch(line + "\n") is None
-        with pytest.raises(ValueError):
-            json.loads(line)
+        assert read_lines(path) == decoding_every_line(read_lines, path)
 
     def test_written_lines_take_the_pattern_path(self, tmp_path):
         """Every line save_corpus writes is plain, so a change to its layout
@@ -1029,9 +1008,11 @@ class TestPlainLines:
                                                  plant_prob=0.5))
         path = str(tmp_path / "c.jsonl")
         D.save_corpus(corpus, path)
-        assert [plain for _d, _l, plain in D.read_corpus(path)] == [True] * 40
-        assert same_tokenized(D.load_corpus(path),
-                              decoding_every_line(D.load_corpus, path))
+        assert [heads is None for _d, _l, heads in D.read_corpus(path)] == \
+            [True] * 40
+        got, want = D.load_corpus(path), decoding_every_line(D.load_corpus, path)
+        H.assert_same_tokenized(got, want)
+        assert got.table == want.table
 
     def test_escaped_and_non_ascii_lines_read_as_before(self, tmp_path):
         days = [(dt.date(2020, 1, 1), [('say "up"', True), ("a\\b", None)]),
@@ -1043,8 +1024,9 @@ class TestPlainLines:
                 fh.write(json.dumps({"date": date.isoformat(), "headlines": [
                     {"text": t, "relevant": f} for t, f in docs]},
                     ensure_ascii=False) + "\n")
-        assert [plain for _d, _l, plain in D.read_corpus(path)] == \
+        assert [heads is None for _d, _l, heads in D.read_corpus(path)] == \
             [False, True, False]
-        decoded = decoding_every_line(D.load_corpus, path)
-        assert same_tokenized(D.load_corpus(path), decoded)
-        assert same_tokenized(decoded, H.reference_tokenize_days(days))
+        got, decoded = D.load_corpus(path), decoding_every_line(D.load_corpus, path)
+        H.assert_same_tokenized(got, decoded)
+        assert got.table == decoded.table
+        H.assert_same_tokenized(decoded, H.reference_tokenize_days(days))
