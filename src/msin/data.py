@@ -62,8 +62,12 @@ _ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
                            else 32 for b in range(256)).lower()
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 # A line as save_corpus writes it, its strings free of backslashes and control
-# characters so that each reads as written: JSON that read_corpus's checks pass
-_STRING = r'[^"\\\x00-\x1f]*'
+# characters so that each reads as written: JSON that read_corpus's checks pass.
+# _STRING is every code point from U+0020 up but '"' and '\', the set of
+# [^"\\\x00-\x1f]; Python's re scans these ranges faster than that negated
+# class (fullmatch over serve_rank's 2200 lines: 5.6 against 9.0 ms), and the
+# strings are most of what read_corpus scans
+_STRING = r'[ !#-\[\]-\U0010ffff]*'
 _HEAD = r'\{"text": "(%s)", "relevant": (true|false|null)\}'
 _PLAIN_LINE = re.compile(
     r'\{"date": "(%s)", "headlines": \[(?:%s(?:, %s)*)?\]\}[ \t\n\r]*'
@@ -579,7 +583,7 @@ def save_corpus(days: TokenizedDays, path: str) -> None:
             lo = hi
 
 
-def _decoded(line: str):
+def decode_line(line: str):
     """A corpus line's date and headline objects, decoded and checked."""
     rec = json.loads(line)
     date = dt.date.fromisoformat(rec["date"])
@@ -611,7 +615,7 @@ def read_corpus(path: str):
                 plain = "\\" not in line and _PLAIN_LINE.fullmatch(line)
                 try:
                     date, heads = (dt.date.fromisoformat(plain[1]), None) \
-                        if plain else _decoded(line)
+                        if plain else decode_line(line)
                     if prev is not None and date <= prev:
                         raise ValueError("dates not strictly increasing at %s" % date)
                 except (KeyError, TypeError, ValueError) as exc:

@@ -2,7 +2,9 @@
 
 import datetime as dt
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import unicodedata
 from collections import Counter
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import msin
 from msin import data as D
 from msin.model import ModelConfig
 
@@ -1030,3 +1033,74 @@ class TestPlainLines:
         H.assert_same_tokenized(got, decoded)
         assert got.table == decoded.table
         H.assert_same_tokenized(decoded, H.reference_tokenize_days(days))
+
+    def test_non_ascii_written_lines_take_the_pattern_path(self, tmp_path):
+        """Text save_corpus writes raw (non-ASCII letters, no-break space,
+        U+2028, DEL) leaves a line in the written form, so it is read by
+        pattern, not decoded, and tokenizes as before."""
+        days = [(dt.date(2020, 1, 1), [("café 株価 rally", True),
+                                       ("a\u00a0b x\u2028y", None)]),
+                (dt.date(2020, 1, 2), [("del\x7f naïve", False)])]
+        index, ids = {"|": 0}, []
+        for _date, docs in days:
+            for text, _flag in docs:
+                ids += [index.setdefault(w, len(index)) for w in text.split(" ")]
+                ids.append(0)
+        path = str(tmp_path / "c.jsonl")
+        D.save_corpus(D._tokenized([d for d, _ in days], index, ids,
+                                   [len(docs) for _, docs in days],
+                                   [f for _, docs in days for _, f in docs]), path)
+        assert [(d, heads, D.headlines(line, heads))
+                for d, line, heads in D.read_corpus(path)] == \
+            [(d, None, docs) for d, docs in days]
+        H.assert_same_tokenized(D.load_corpus(path),
+                                H.reference_tokenize_days(days))
+
+    def test_string_class_is_every_code_point_but_quote_backslash_controls(self):
+        r"""``_STRING`` is spelt as ranges for speed; it must hold exactly the
+        code points of [^"\\\x00-\x1f], lone surrogates included."""
+        string = re.compile(D._STRING)
+        excluded = [chr(c) for c in range(0x20)] + ['"', "\\"]
+        allowed = "".join(chr(c) for c in range(0x20, 0x110000)
+                          if chr(c) not in excluded)
+        assert len(excluded) == 34 and len(allowed) == 0x110000 - 34
+        assert string.fullmatch(allowed)
+        middle = len(allowed) // 2
+        for ch in excluded:
+            assert not string.fullmatch(ch)
+            assert not string.fullmatch(allowed[:middle] + ch + allowed[middle:])
+
+
+# A pattern's syntax, scanned token by token: an escape, a character class,
+# syntax that Python's re accepts only from 3.11 (a possessive quantifier, an
+# atomic group), or any other character
+_PATTERN_TOKEN = re.compile(
+    r"\\.|\[\^?\]?(?:\\.|[^\]\\])*\]"
+    r"|(?P<new>(?:[*+?]|\{(?:\d+,?\d*|,\d+)\})\+|\(\?>)|.", re.S)
+
+
+def syntax_after_3_10(pattern: str) -> list[str]:
+    return [m["new"] for m in _PATTERN_TOKEN.finditer(pattern) if m["new"]]
+
+
+@pytest.mark.parametrize("pattern, found", [
+    ('[^"]*+', ["*+"]), ("a++b", ["++"]), ("a?+", ["?+"]), ("a{2,3}+", ["{2,3}+"]),
+    ("(?>ab)c", ["(?>"]), (r"\*+[*+]a+?\(?>\{2}+", []), ("[]*+]x", []),
+    ("a{}+", [])])
+def test_syntax_after_3_10_finds_only_new_syntax(pattern, found):
+    assert syntax_after_3_10(pattern) == found
+
+
+def test_patterns_compile_on_python_3_10():
+    """``pyproject.toml`` supports Python 3.10, whose re refuses possessive
+    quantifiers and atomic groups: no module-level pattern of the package
+    may use them."""
+    patterns = {}
+    for info in pkgutil.iter_modules(msin.__path__):
+        module = importlib.import_module("msin." + info.name)
+        patterns.update({"%s.%s" % (info.name, name): value.pattern
+                         for name, value in vars(module).items()
+                         if isinstance(value, re.Pattern)})
+    assert "data._PLAIN_LINE" in patterns
+    assert {name: syntax_after_3_10(p) for name, p in patterns.items()
+            if syntax_after_3_10(p)} == {}
