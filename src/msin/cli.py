@@ -580,8 +580,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """Every subcommand; only ``command``'s gets its option table, or all do
-    when it is None."""
+    """The subcommand ``command`` names, with its option table; every
+    subcommand when it names none, so that help and usage errors list them
+    all."""
     parser = _Parser(prog="msin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     specs = [
@@ -592,10 +593,10 @@ def build_parser(command: str | None = None) -> _Parser:
         ("gradcheck", cmd_gradcheck, _gradcheck_table,
          "compare tape gradients against finite differences"),
     ]
-    for name, func, table, help_text in specs:
+    for name, func, table, help_text in \
+            [s for s in specs if s[0] == command] or specs:
         p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            _add_table(p, table())
+        _add_table(p, table())
         p.set_defaults(func=func)
     return parser
 
@@ -626,11 +627,10 @@ def main(argv=None) -> int:
     blas = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas()
     if blas is not None:
         blas.scipy_openblas_set_num_threads64_(1)
-    # the top-level parser takes no option values, so the first word that
-    # is not an option names the subcommand
-    command = next((a for a in argv if not a.startswith("-")), None)
+    # the top-level parser takes only --help, so a call that is not for help
+    # names its subcommand first
     try:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if not hasattr(args, "func"):
             raise _UsageError("a subcommand is required (see --help)")
         return args.func(args)

@@ -42,7 +42,7 @@ import unicodedata
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -609,10 +609,11 @@ def read_corpus(path: str):
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                # an escape's backslash fails the pattern, and "in" finds it sooner
+                # an escape's backslash fails the pattern, and "in" finds it
+                # sooner; a line the pattern matches is not blank
                 plain = "\\" not in line and _PLAIN_LINE.fullmatch(line)
+                if not plain and not line.strip():
+                    continue
                 try:
                     date, heads = (dt.date.fromisoformat(plain[1]), None) \
                         if plain else decode_line(line)
@@ -655,9 +656,42 @@ def save_series(series: Series, path: str) -> None:
             w.writerow([date.isoformat()] + ["%.17g" % v for v in row])
 
 
-def load_series(path: str) -> Series:
-    """A series CSV; a malformed row, a date out of order or a non-finite
-    value raises DatasetError naming its line."""
+def _series_in_one_pass(text: str) -> Series | None:
+    """The series of a file's text, read in universal-newline mode, when it
+    holds no quote and every line after its date,... header holds the
+    header's commas: one ``split`` yields every field, which go through
+    ``fromisoformat`` and ``float`` as the ``csv`` loop takes them, and
+    ``Series`` checks date order and finiteness. None when any of that
+    fails, a line could hold a field longer than ``csv`` reads, or the file
+    is empty or holds a blank line: the ``csv`` loop then reads the file and
+    names the line at fault."""
+    if '"' in text:
+        return None
+    head, _, body = text.partition("\n")
+    lines = body.split("\n")
+    if lines[-1] == "":  # the final newline
+        lines.pop()
+    try:
+        # csv reads the header as the csv loop does, so that its field size
+        # limit, and before Python 3.11 its refusal of a NUL, hold there too
+        header = next(csv.reader([head]), [])
+        k = len(header)
+        if (header[:1] != ["date"] or k < 2
+                or set(map(str.count, lines, repeat(","))) != {k - 1}
+                or max(map(len, lines)) > csv.field_size_limit()):
+            return None
+        fields = ",".join(lines).split(",")
+        dates = tuple(map(dt.date.fromisoformat, fields[::k]))
+        del fields[::k]
+        values = np.array(list(map(float, fields))).reshape(len(dates), k - 1)
+        return Series(dates=dates, values=values)
+    except (ValueError, DatasetError, csv.Error):
+        return None
+
+
+def _series_by_rows(path: str) -> Series:
+    """A series CSV read row by row by ``csv``; a malformed row, a date out
+    of order or a non-finite value raises DatasetError naming its line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -668,7 +702,9 @@ def load_series(path: str) -> Series:
             if not header or header[0] != "date" or len(header) < 2:
                 raise DatasetError("%s: header must be date,value[,...]" % path)
             dates, values, linenos = [], [], []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                # the file line a row ends on: a quoted field may span lines
+                lineno = reader.line_num
                 if not row:
                     continue
                 if len(row) != len(header):
@@ -694,3 +730,16 @@ def load_series(path: str) -> Series:
         raise DatasetError("%s line %d: non-finite value"
                            % (path, linenos[int(np.argmin(finite))]))
     return Series(dates=tuple(dates), values=vals)
+
+
+def load_series(path: str) -> Series:
+    """A series CSV; a malformed row, a date out of order or a non-finite
+    value raises DatasetError naming its line. The file's text is read once
+    and parsed in one pass when it can be (``_series_in_one_pass``); any
+    other file, one not UTF-8 among them, is read row by row by ``csv``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            series = _series_in_one_pass(fh.read())
+        except UnicodeDecodeError:
+            series = None
+    return _series_by_rows(path) if series is None else series

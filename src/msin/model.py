@@ -99,9 +99,11 @@ class ModelParams:
     head_b: T.Tensor                      # [1]
 
 
-def init_model(config: ModelConfig, seed: int) -> ModelParams:
-    """Fresh parameters; the draw order below is part of run reproducibility."""
-    rng = substream(seed, "init")
+def init_model(config: ModelConfig, seed: int | None) -> ModelParams:
+    """Fresh parameters; the draw order below is part of run reproducibility.
+    A seed of None draws nothing: every weight is zero, for a checkpoint to
+    fill."""
+    rng = None if seed is None else substream(seed, "init")
     embedding = enc.init_embedding(config.vocab_size, config.d_w, rng)
     encoder = enc.init_encoder(config.d_w, config.d_h, rng)
     msin = None

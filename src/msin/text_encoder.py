@@ -87,8 +87,11 @@ class DocRepresentation:
     lengths: np.ndarray | None = None    # [n]
 
 
-def uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    """Weights drawn uniformly from +-1/sqrt(fan_in), for every weight tensor."""
+def uniform(rng: np.random.Generator | None, fan_in: int, shape) -> np.ndarray:
+    """Weights drawn uniformly from +-1/sqrt(fan_in), for every weight tensor;
+    zeros without a draw when ``rng`` is None, for a checkpoint to fill."""
+    if rng is None:
+        return np.zeros(shape)
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 

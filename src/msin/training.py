@@ -382,7 +382,7 @@ def checkpoint_load(path: str):
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError("bad config JSON: %s" % exc) from exc
 
-    params = M.init_model(config, seed=0)
+    params = M.init_model(config, seed=None)
     wanted = {n: t for n, t, _ in M.named_tensors(params)}
     seen = set()
     for i in range(r.u32("tensor count")):

@@ -130,6 +130,28 @@ def test_usage_errors_are_those_of_the_full_parser(capsys):
         assert capsys.readouterr().err == "usage error: %s\n" % want.value
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--help", "rank"], ["-h", "train"], ["rank", "--help"],
+    ["bogus"], ["rank", "--bogus"], ["-x", "rank"], ["rank"], ["eval"],
+    ["train", "--k"]])
+def test_one_subcommand_parser_answers_as_the_full_one(argv, capsys,
+                                                       monkeypatch):
+    """main builds only the subcommand its first word names; exit code,
+    help and errors are those of the parser of every subcommand."""
+    got = main(argv), capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: full())
+    assert got == (main(argv), capsys.readouterr())
+
+
+def test_a_named_subcommand_is_built_alone():
+    def subcommands(parser):
+        return list(next(a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)).choices)
+    assert subcommands(cli.build_parser("rank")) == ["rank"]
+    assert subcommands(cli.build_parser("bogus")) == list(COMMANDS)
+
+
 # ---------------------------------------------------------------------------
 # synth
 

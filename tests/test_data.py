@@ -1,5 +1,6 @@
 """Tests for ingestion, vocabulary, windowing, and the synthetic generator."""
 
+import csv
 import datetime as dt
 import hashlib
 import importlib
@@ -11,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import msin
@@ -643,6 +644,20 @@ class TestFileFormats:
                                  r"at 2020-01-03"):
             D.load_series(str(path))
 
+    @pytest.mark.parametrize("line5, message", [
+        ("2000-01-0x,3.0", "line 5: Invalid isoformat string: '2000-01-0x'"),
+        ("2000-01-03,nan", "line 5: non-finite value")])
+    def test_series_errors_name_the_file_line_after_a_multi_line_field(
+            self, tmp_path, line5, message):
+        """A quoted field that spans two lines is one row over two file
+        lines: the rows after it are named by the line they sit on."""
+        path = tmp_path / "s.csv"
+        path.write_text('date,value\n2000-01-01,1.0\n2000-01-02,"2.0\n"\n%s\n'
+                        % line5)
+        with pytest.raises(D.DatasetError) as err:
+            D.load_series(str(path))
+        assert str(err.value) == "%s %s" % (path, message)
+
     def test_series_values_parse_as_python_floats(self, tmp_path):
         """Each field is read by float(): spaces, exponents, signs, ints."""
         path = tmp_path / "s.csv"
@@ -1104,3 +1119,118 @@ def test_patterns_compile_on_python_3_10():
     assert "data._PLAIN_LINE" in patterns
     assert {name: syntax_after_3_10(p) for name, p in patterns.items()
             if syntax_after_3_10(p)} == {}
+
+
+# ---------------------------------------------------------------------------
+# series files read in one pass
+
+
+# Series fields beside the numbers save_series writes: what float() reads
+# (spaces, \x0b, an underscore), what it refuses (NUL, hex, an empty field),
+# the non-finite, quoted fields (a comma or a line break inside), and one
+# longer than csv reads; dates and headers of the same kinds
+_ODD_VALUES = ("nan", "-inf", "1e400", " 1.5", "2.5 ", "1\x0b", "1_0", "7",
+               "1\x00", "\x00", "0x0", "", "x", '"1.5"', '"2.5\n"', '"1,5"',
+               '"1.\r\n5"', " " * 131072 + "1")
+_ODD_DATES = ("2000-01-0x", "2000-02-30", "", "1999-12-31", " 2000-01-01",
+              "2000-01-01\x00", '"2000-01-03"', '"2000-01-03\n"')
+_ODD_HEADERS = ("date", "Date,value", '"date",value', "date,value,",
+                "date,v1,v2,v3", "\ufeffdate,value", "date,v\x001",
+                "date," + "v" * 131073)
+
+
+@st.composite
+def series_text(draw):
+    """A series file as text: date,value rows as save_series writes them,
+    or with k-1 columns, now and then mutated: a header, date or value
+    above, a field dropped, added or moved to the next row (so that two
+    rows' comma counts compensate), a blank line, CR or CRLF line ends, no
+    final newline, a byte-order mark."""
+    k = draw(st.integers(2, 3))
+    header = rare(draw, st.sampled_from(_ODD_HEADERS),
+                  ",".join(["date"] + ["v%d" % i for i in range(1, k)]))
+    rows = []
+    for i in range(draw(st.integers(0, 4))):
+        date = (dt.date(2000, 1, 1) + dt.timedelta(days=2 * i)).isoformat()
+        row = [rare(draw, st.sampled_from(_ODD_DATES), date)]
+        for _ in range(k - 1):
+            value = "%.17g" % draw(st.floats(-1e6, 1e6))
+            row.append(rare(draw, st.sampled_from(_ODD_VALUES), value))
+        mutation = rare(draw, st.sampled_from(["drop", "add", "move"]), "")
+        if mutation == "drop":
+            row.pop()
+        elif mutation == "add":
+            row.append("0.5")
+        elif mutation == "move" and rows:
+            rows[-1].append(row.pop())
+        rows.append(row)
+    lines = [header] + [",".join(row) for row in rows]
+    if rare(draw, st.booleans(), False):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    text = "".join(line + rare(draw, st.sampled_from(["\r\n", "\r"]), "\n")
+                   for line in lines)
+    if rare(draw, st.booleans(), False):
+        text = text.rstrip("\r\n")
+    return rare(draw, st.just("\ufeff"), "") + text
+
+
+def read_series(path):
+    """load_series' verdict on a file: its dates and value bytes, or the
+    message it stops with."""
+    try:
+        s = D.load_series(path)
+    except (D.DatasetError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    assert s.values.dtype == np.float64 and s.values.flags.c_contiguous
+    return s.dates, s.values.shape, s.values.tobytes()
+
+
+class TestOnePassSeries:
+    """A file the one-pass parse reads gives the Series the csv loop gives;
+    every other file is the csv loop's, so accept, reject and message are
+    those of reading row by row."""
+
+    @given(text=series_text())
+    # dates out of order; a header of one field; rows whose comma counts
+    # compensate, so that fields shift into dates and values fromisoformat
+    # (3.11 on) and float both read; a header field longer than csv reads;
+    # a NUL, which csv refuses before Python 3.11
+    @example(text="date,value\n2000-01-03,1.0\n2000-01-01,2.0\n")
+    @example(text="date\n2000-01-01\n")
+    @example(text="date,value\n2000-01-01,1.0,20000105\n20000107\n")
+    @example(text="date," + "v" * 131073 + "\n2000-01-01,1.0\n")
+    @example(text="date,v\x001\n2000-01-01,1.0\n")
+    @settings(max_examples=1500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_pass_equals_the_csv_loop(self, tmp_path, text):
+        path = str(tmp_path / "s.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = read_series(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_series_in_one_pass", lambda text: None)
+            assert got == read_series(path)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("newline, bom", [("\r\n", ""), ("\n", ""),
+                                              ("\r", ""), ("\r\n", "\ufeff")])
+    def test_saved_series_take_the_one_pass_path(self, tmp_path, dim, newline,
+                                                 bom):
+        """Every file save_series writes is read in one pass, also with its
+        line ends rewritten or a byte-order mark before it, so a change to
+        its layout or to how the file is opened cannot turn that path off
+        unnoticed."""
+        rng = np.random.default_rng(dim)
+        series = D.Series(dates=tuple(dt.date(2000, 1, 1) + dt.timedelta(days=i)
+                                      for i in range(50)),
+                          values=rng.standard_normal((50, dim)) * 10.0 ** 3)
+        path = tmp_path / "s.csv"
+        D.save_series(series, str(path))
+        path.write_bytes(bom.encode() + path.read_bytes().replace(
+            b"\r\n", newline.encode()))
+        path = str(path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_series_by_rows", None)
+            back = D.load_series(path)
+        assert back.dates == series.dates
+        assert back.values.tobytes() == series.values.tobytes()

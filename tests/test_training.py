@@ -424,6 +424,18 @@ class TestCheckpoint:
             assert n1 == n2
             assert t1.data.tobytes() == t2.data.tobytes()
 
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    def test_load_draws_no_initial_weights(self, tmp_path, variant, monkeypatch):
+        """Every tensor is filled from the file, so loading makes no
+        generator and draws nothing."""
+        _, params, _, _, path = self.roundtrip_setup(tmp_path, variant)
+        monkeypatch.setattr(M, "substream", None)
+        loaded = TR.checkpoint_load(path)[0]
+        assert [(n, t.data.dtype, t.data.tobytes())
+                for n, t, _ in M.named_tensors(loaded)] == \
+            [(n, t.data.dtype, t.data.tobytes())
+             for n, t, _ in M.named_tensors(params)]
+
     def test_save_load_save_byte_identical(self, tmp_path):
         config, params, tcfg, metadata, path = self.roundtrip_setup(tmp_path)
         loaded, config2, tcfg2, metadata2 = TR.checkpoint_load(path)
