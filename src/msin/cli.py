@@ -489,14 +489,13 @@ def cmd_rank(args) -> int:
     # a decoded line's objects take about four times its text's memory, so
     # only whether it was decoded is kept, and a line tried is decoded again
     lines = [(d, line, heads is None)
-             for d, line, heads in D.read_corpus(merged["corpus"])
-             if date is None or d == date]
+             for d, line, heads in D.read_corpus(merged["corpus"], date)]
     series = D.load_series(merged["series"])
-    rows = D.series_rows(series, config)
+    D.check_series_columns(series, config)
     for d, line, plain in reversed(lines):
         docs = D.headlines(line, None if plain else D.decode_line(line)[1])
         batch = D.encode_day(docs, vocab, config.max_tokens, config.daily_doc_cap)
-        window = D.series_window(d, batch.n, series, rows, config)
+        window = D.series_window(d, batch.n, series, config)
         if not isinstance(window, str):
             break
     else:

@@ -3,9 +3,10 @@
 A corpus has one form, ``TokenizedDays``: every document's tokens as
 indices of a table of distinct tokens, stored as one integer array, so no
 per-headline object is built and no text is held. Every command reads a
-corpus file the same way: ``read_corpus`` checks every line (one in the
-layout ``save_corpus`` writes by a regular expression, without decoding
-it), and ``load_corpus`` feeds each line's ``headlines`` straight into
+corpus file the same way: ``read_corpus`` checks every line (a block of
+lines in the layout ``save_corpus`` writes at once, by a regular
+expression and not as JSON; any other line alone), and
+``load_corpus`` feeds each line's ``headlines`` straight into
 ``tokenize_days``, which tokenizes each headline once: a day of ASCII
 headlines in one ``bytes.translate`` and one ``split`` over its joined
 texts, any other day headline by headline with ``tokenize``, whose NFC
@@ -33,17 +34,20 @@ by training code, only by evaluation.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
 import datetime as dt
 import json
 import math
+import os
 import re
+import stat
 import unicodedata
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
-from operator import itemgetter
+from operator import itemgetter, lt
 
 import numpy as np
 
@@ -68,12 +72,22 @@ _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
 # class (fullmatch over serve_rank's 2200 lines: 5.6 against 9.0 ms), and the
 # strings are most of what read_corpus scans
 _STRING = r'[ !#-\[\]-\U0010ffff]*'
-_HEAD = r'\{"text": "(%s)", "relevant": (true|false|null)\}'
+_HEAD = r'\{"text": "%s", "relevant": %s\}'
 _PLAIN_LINE = re.compile(
     r'\{"date": "(%s)", "headlines": \[(?:%s(?:, %s)*)?\]\}[ \t\n\r]*'
-    % (_STRING, _HEAD % _STRING, _HEAD % _STRING))
+    % ((_STRING,) + 2 * (_HEAD % ("(%s)" % _STRING, "(true|false|null)"),)))
 # run only on lines _PLAIN_LINE matched, whose strings hold no '"'
-_HEADLINE = re.compile(_HEAD % '[^"]*')
+_HEADLINE = re.compile(_HEAD % ('([^"]*)', "(true|false|null)"))
+# Lines as save_corpus writes them, each ending in "\n", with no group to
+# capture (groups cost a tenth more) and '"'-free strings, which Python's re
+# scans at about 2.5 times the speed of _STRING: _written_block runs it only
+# on a block that holds no backslash and no control character but "\n", and
+# checks that no string spans a line, since [^"] matches "\n" too
+_WRITTEN_LINES = re.compile(
+    r'(?:\{"date": "[0-9]{4}-[0-9]{2}-[0-9]{2}", "headlines": '
+    r'\[(?:%s(?:, %s)*)?\]\}\n)+'
+    % (2 * (_HEAD % ('[^"]*', "(?:true|false|null)"),)))
+_BLOCK_BYTES = 1 << 16  # read_corpus checks about this much of a file at once
 _FLAGS = {"true": True, "false": False, "null": None}
 # the synthetic generator's signal words, each one token that no background
 # word equals
@@ -371,23 +385,23 @@ def encode_day(docs, vocab: Vocabulary, max_tokens: int,
 # sample construction
 
 
-def series_rows(series: Series, config) -> dict[dt.date, int]:
-    """Each series date's row, once the column count matches the config."""
+def check_series_columns(series: Series, config) -> None:
+    """Raise DatasetError unless the series has the config's column count."""
     if series.values.shape[1] != config.series_dim:
         raise DatasetError("series has %d columns, config expects %d"
                            % (series.values.shape[1], config.series_dim))
-    return {d: i for i, d in enumerate(series.dates)}
 
 
 def series_window(date: dt.date, n_docs: int, series: Series,
-                  rows: dict[dt.date, int], config) -> SeriesWindow | str:
+                  config) -> SeriesWindow | str:
     """A day's m-day window, or why the day yields no sample: "no-docs" (no
     document survives tokenization), "no-series" (no series row) or
-    "short-history" (fewer than m rows before it), checked in that order."""
+    "short-history" (fewer than m rows before it), checked in that order.
+    The row is found by bisection of the series' dates."""
     if n_docs == 0:
         return "no-docs"
-    i = rows.get(date)
-    if i is None:
+    i = bisect.bisect_left(series.dates, date)
+    if i == len(series.dates) or series.dates[i] != date:
         return "no-series"
     if i < config.m:
         return "short-history"
@@ -420,13 +434,13 @@ def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
     """
     if config.m < 1:
         raise DatasetError("window length m must be >= 1")
-    rows = series_rows(series, config)
+    check_series_columns(series, config)
 
     raw = []
     skipped = Counter()
     batches = days.batches(vocab, config.max_tokens, config.daily_doc_cap)
     for date, batch in zip(days.dates, batches):
-        got = series_window(date, batch.n, series, rows, config)
+        got = series_window(date, batch.n, series, config)
         if isinstance(got, str):
             skipped[got] += 1
         else:
@@ -598,34 +612,112 @@ def decode_line(line: str):
     return date, heads
 
 
-def read_corpus(path: str):
-    """Each non-blank corpus line as (date, line, heads). The one place
-    corpus lines are checked: JSON with a date and a list of headlines, each
-    an object with a string text and a relevant of true, false, null or
-    absent; dates strictly increasing; at least one day. A line in
-    ``_PLAIN_LINE``'s layout is checked by it (``heads`` None); any other is
-    decoded into its headline objects and checked field by field."""
-    prev = None
+def _written_block(block: bytes, prev):
+    """A block of whole lines as (dates, lines), each line without its "\\n",
+    when every line is in the form save_corpus writes and the dates strictly
+    increase from ``prev``; else None. Whole-block checks, in order: no
+    backslash, UTF-8, no control character but the "\\n" ending each line,
+    ``_WRITTEN_LINES``, every line starting as a record does, and each
+    line's date parsed and compared. A "\\n" inside a string would start a
+    line there, with the rest of a string that holds no '"' and then '", ',
+    so no such line starts as a record does."""
+    if b"\\" in block:
+        return None
+    try:
+        text = block.decode()
+    except UnicodeDecodeError:
+        return None
+    lines = text.split("\n")
+    lines.pop()  # what follows the last "\n": "", or a line the pattern refuses
+    if len(lines) != np.count_nonzero(np.frombuffer(block, np.uint8) < 32) \
+            or not _WRITTEN_LINES.fullmatch(text) \
+            or not all(map(str.startswith, lines, repeat('{"date": "'))):
+        return None
+    try:
+        dates = list(map(dt.date.fromisoformat, [line[10:20] for line in lines]))
+    except ValueError:
+        return None
+    ordered = dates if prev is None else [prev, *dates]
+    return (dates, lines) if all(map(lt, ordered, ordered[1:])) else None
+
+
+def _written_lines(path: str, date):
+    """read_corpus's lines (those of ``date`` alone, if given) from the
+    file's leading blocks that ``_written_block`` passes. Each block is read
+    in binary, ``_BLOCK_BYTES`` and the rest of its last line, and a leading
+    byte-order mark is dropped as "utf-8-sig" drops it. Returns the count of
+    lines read, the last date and whether the file ended. A file that is
+    not a regular one, a pipe say, is left whole to the line-by-line loop,
+    since it cannot be read again."""
+    done, prev = 0, None
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return done, prev, False
+    with open(path, "rb") as fh:
+        if fh.read(3) != codecs.BOM_UTF8:
+            fh.seek(0)
+        while block := fh.read(_BLOCK_BYTES):
+            got = _written_block(block + fh.readline(), prev)
+            if got is None:
+                return done, prev, False
+            dates, lines = got
+            if date is None:
+                yield from zip(dates, map(str.__add__, lines, repeat("\n")),
+                               repeat(None))
+            else:
+                i = bisect.bisect_left(dates, date)
+                if i < len(dates) and dates[i] == date:
+                    yield date, lines[i] + "\n", None
+            done, prev = done + len(lines), dates[-1]
+    return done, prev, True
+
+
+def _lines_one_by_one(path: str, date, skip: int, prev):
+    """read_corpus's lines (those of ``date`` alone, if given) after the
+    first ``skip``, read in text mode and checked one by one, the first
+    against ``prev``: a line in ``_PLAIN_LINE``'s layout by it (``heads``
+    None), any other decoded into its headline objects and checked field by
+    field. Returns the last date."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in enumerate(islice(fh, skip, None), start=skip + 1):
                 # an escape's backslash fails the pattern, and "in" finds it
                 # sooner; a line the pattern matches is not blank
                 plain = "\\" not in line and _PLAIN_LINE.fullmatch(line)
                 if not plain and not line.strip():
                     continue
                 try:
-                    date, heads = (dt.date.fromisoformat(plain[1]), None) \
+                    day, heads = (dt.date.fromisoformat(plain[1]), None) \
                         if plain else decode_line(line)
-                    if prev is not None and date <= prev:
-                        raise ValueError("dates not strictly increasing at %s" % date)
+                    if prev is not None and day <= prev:
+                        raise ValueError("dates not strictly increasing at %s" % day)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
-                prev = date
-                yield date, line, heads
+                prev = day
+                if date is None or day == date:
+                    yield day, line, heads
     except UnicodeDecodeError as exc:
         raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
             from None
+    return prev
+
+
+def read_corpus(path: str, date: dt.date | None = None):
+    """Each non-blank corpus line as (date, line, heads), or with ``date``
+    only that day's line; every line is checked either way. The one place
+    corpus lines are checked: JSON with a date and a list of headlines, each
+    an object with a string text and a relevant of true, false, null or
+    absent; dates strictly increasing; at least one day.
+
+    The file is read a block of whole lines at a time, and a block whose
+    every line is in the form save_corpus writes is checked whole
+    (``_written_lines``). From the first block that is not, the file is read
+    again in text mode, the lines already read skipped, and each line is
+    checked alone (``_lines_one_by_one``). Only that loop raises, so every
+    message, and where a byte that is not UTF-8 stops the read, are those of
+    reading line by line."""
+    skip, prev, ended = yield from _written_lines(path, date)
+    if not ended:
+        prev = yield from _lines_one_by_one(path, date, skip, prev)
     if prev is None:
         raise DatasetError("%s holds no days" % path)
 
@@ -691,7 +783,8 @@ def _series_in_one_pass(text: str) -> Series | None:
 
 def _series_by_rows(path: str) -> Series:
     """A series CSV read row by row by ``csv``; a malformed row, a date out
-    of order or a non-finite value raises DatasetError naming its line."""
+    of order, a non-finite value or a line ``csv`` refuses (a field longer
+    than its limit, say) raises DatasetError naming its line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -721,6 +814,9 @@ def _series_by_rows(path: str) -> Series:
                 linenos.append(lineno)
     except UnicodeDecodeError as exc:
         raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
+            from None
+    except csv.Error as exc:
+        raise DatasetError("%s line %d: %s" % (path, reader.line_num, exc)) \
             from None
     if not dates:
         raise DatasetError("%s holds no observations" % path)

@@ -6,6 +6,7 @@ tables the selection rule was calibrated against.
 """
 
 import argparse
+import csv
 import ctypes
 import dataclasses
 import datetime as dt
@@ -1528,6 +1529,20 @@ def test_series_not_utf8_is_data_error(ranked_run, capsys):
     assert main(rank_argv(ckpt, corpus, bad)) == 2
     assert capsys.readouterr().err == \
         "data error: %s is not UTF-8 text (invalid continuation byte)\n" % bad
+
+
+def test_series_field_longer_than_csv_reads_is_data_error(ranked_run, capsys):
+    """A value longer than csv's field size limit stops rank with exit code
+    2, naming the line, and no traceback. Python 3.10's csv refuses a NUL
+    the same way, and takes the same route."""
+    root, ckpt, corpus, _series = ranked_run
+    bad = root / "long.csv"
+    bad.write_text("date,value\n2000-01-01,%s1\n" % (" " * csv.field_size_limit()))
+    capsys.readouterr()
+    assert main(rank_argv(ckpt, corpus, str(bad))) == 2
+    assert capsys.readouterr().err == \
+        "data error: %s line 2: field larger than field limit (%d)\n" \
+        % (bad, csv.field_size_limit())
 
 
 def test_embeddings_not_utf8_are_data_error(tmp_path, capsys):

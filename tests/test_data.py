@@ -1,10 +1,12 @@
 """Tests for ingestion, vocabulary, windowing, and the synthetic generator."""
 
+import codecs
 import csv
 import datetime as dt
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import unicodedata
@@ -987,22 +989,49 @@ def corpus_lines(draw):
             for i in range(days)]
 
 
-def read_lines(path):
-    """read_corpus's verdict on a file: each day's (date, headlines), or the
-    message it stops with."""
+def read_lines(path, date=None):
+    """read_corpus's verdict on a file: each day's (date, line, headlines),
+    or the message it stops with."""
     try:
-        return [(date, D.headlines(line, heads))
-                for date, line, heads in D.read_corpus(path)]
+        return [(day, line, D.headlines(line, heads))
+                for day, line, heads in D.read_corpus(path, date)]
     except D.DatasetError as exc:
         return str(exc)
 
 
+def line_by_line(read, *args):
+    """``read(*args)`` with no block of the file checked whole, so that
+    every line is checked alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_written_block", lambda block, prev: None)
+        return read(*args)
+
+
 def decoding_every_line(read, path):
-    """``read(path)`` with the pattern matching no line, so that every line
-    is decoded by json.loads and checked field by field."""
+    """``read(path)`` with no block checked whole and the pattern matching
+    no line, so that every line is decoded by json.loads and checked field
+    by field."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(D, "_PLAIN_LINE", re.compile(r"(?!)"))
-        return read(path)
+        return line_by_line(read, path)
+
+
+def save_non_ascii_days(path):
+    """Two days whose texts save_corpus writes raw (non-ASCII letters, a
+    no-break space, U+2028, DEL), saved by it to ``path``; returns them as
+    (date, documents) pairs."""
+    days = [(dt.date(2020, 1, 1), [("café 株価 rally", True),
+                                   ("a\u00a0b x\u2028y", None)]),
+            (dt.date(2020, 1, 2), [("del\x7f naïve", False)])]
+    index, ids = {"|": 0}, []
+    for _date, docs in days:
+        for text, _flag in docs:
+            ids += [index.setdefault(w, len(index)) for w in text.split(" ")]
+            ids.append(0)
+    D.save_corpus(D._tokenized([d for d, _ in days], index, ids,
+                               [len(docs) for _, docs in days],
+                               [f for _, docs in days for _, f in docs]), path)
+    return days
 
 
 class TestPlainLines:
@@ -1053,18 +1082,8 @@ class TestPlainLines:
         """Text save_corpus writes raw (non-ASCII letters, no-break space,
         U+2028, DEL) leaves a line in the written form, so it is read by
         pattern, not decoded, and tokenizes as before."""
-        days = [(dt.date(2020, 1, 1), [("café 株価 rally", True),
-                                       ("a\u00a0b x\u2028y", None)]),
-                (dt.date(2020, 1, 2), [("del\x7f naïve", False)])]
-        index, ids = {"|": 0}, []
-        for _date, docs in days:
-            for text, _flag in docs:
-                ids += [index.setdefault(w, len(index)) for w in text.split(" ")]
-                ids.append(0)
         path = str(tmp_path / "c.jsonl")
-        D.save_corpus(D._tokenized([d for d, _ in days], index, ids,
-                                   [len(docs) for _, docs in days],
-                                   [f for _, docs in days for _, f in docs]), path)
+        days = save_non_ascii_days(path)
         assert [(d, heads, D.headlines(line, heads))
                 for d, line, heads in D.read_corpus(path)] == \
             [(d, None, docs) for d, docs in days]
@@ -1084,6 +1103,154 @@ class TestPlainLines:
         for ch in excluded:
             assert not string.fullmatch(ch)
             assert not string.fullmatch(allowed[:middle] + ch + allowed[middle:])
+
+
+# Text pieces of a written line: _PLAIN_PIECES and NEL, which str.splitlines
+# splits at but a text-mode file does not
+_BLOCK_PIECES = _PLAIN_PIECES + ("\x85",)
+_BLOCK_DATES = (dt.date(2000, 1, 1), dt.date(2000, 1, 5))  # days asked for
+
+
+def written_line(day: int, text: str) -> str:
+    return json.dumps({"date": (dt.date(2000, 1, 1) + dt.timedelta(days=day))
+                       .isoformat(), "headlines": [
+                           {"text": text, "relevant": True},
+                           {"text": "x", "relevant": None}]},
+                      ensure_ascii=False) + "\n"
+
+
+@st.composite
+def written_corpus(draw):
+    """A corpus file's bytes: one to six days, two days apart, each line as
+    save_corpus writes it, now and then mutated: an escaped text, a date
+    written "20000101" or before the one above, trailing spaces or a tab, a
+    CR, CRLF or CR-only end, lines swapped, a blank line, no final newline,
+    a byte-order mark, a byte that is not UTF-8, now and then after a bad
+    line."""
+    lines = []
+    for day in range(draw(st.integers(1, 6))):
+        text = "".join(draw(st.lists(st.sampled_from(_BLOCK_PIECES),
+                                     max_size=5)))
+        line = written_line(day, text + rare(
+            draw, st.sampled_from(_ESCAPED_PIECES), ""))
+        date = line[10:20]
+        line = line.replace(date, rare(draw, st.sampled_from(
+            ["20000101", "1999-12-31", "2000-02-30"]), date), 1)
+        end = rare(draw, st.sampled_from(["\r\n", "\r", " \n", "\t\n"]), "\n")
+        lines.append(line[:-1] + end)
+    if rare(draw, st.booleans(), False) and len(lines) > 1:
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at - 1], lines[at] = lines[at], lines[at - 1]
+    if rare(draw, st.booleans(), False):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["\n", " \n", "\r\n"])))
+    raw = [line.encode() for line in lines]
+    if rare(draw, st.booleans(), False):
+        at = 0
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(raw) - 1))
+            raw.insert(at, b"x\n")
+        # the byte goes into the bad line or a text after it, where a
+        # replacement character would match the pattern
+        at = draw(st.integers(at, len(raw) - 1))
+        raw[at] = b"x\xff\n" if raw[at] == b"x\n" else \
+            raw[at].replace(b'"x"', b'"x\xff"', 1)
+    text = b"".join(raw)
+    if rare(draw, st.booleans(), False):
+        text = text.rstrip(b"\n")
+    return rare(draw, st.just(codecs.BOM_UTF8), b"") + text
+
+
+# a bad first line, then a byte that is not UTF-8 in a later 8 KB chunk of
+# the text-mode read: line by line, the bad line stops the read first
+_BAD_LINE_THEN_LATE_BYTE = (b"x\n" + "".join(
+    written_line(day, "w%04d " % day * 12) for day in range(120)).encode()
+    + b"\xff\n")
+
+
+class TestWrittenBlocks:
+    """A block of lines read_corpus checks whole gives the days that
+    checking its lines one by one gives; any other block, and the rest of
+    the file after it, is read line by line, so accept, reject and message
+    are those of reading line by line."""
+
+    @given(raw=written_corpus(), block=st.integers(1, 200),
+           date=st.sampled_from(_BLOCK_DATES))
+    # a string holding a line break: its second line, read on its own, has
+    # a date at [10:20] that is later than the first line's
+    @example(raw='{"date": "2000-01-01", "headlines": [{"text": "ab\n'
+             'abcdefghij2000-01-02 x", "relevant": true}]}\n'.encode(),
+             block=1 << 16, date=_BLOCK_DATES[0])
+    @example(raw=_BAD_LINE_THEN_LATE_BYTE, block=1 << 16, date=_BLOCK_DATES[0])
+    @example(raw=b"x\n\xff\n", block=1 << 16, date=_BLOCK_DATES[0])
+    @settings(max_examples=1500, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_block_path_equals_line_by_line(self, tmp_path, raw, block, date):
+        path = str(tmp_path / "c.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_BLOCK_BYTES", block)
+            got, got_day = read_lines(path), read_lines(path, date)
+        assert got == line_by_line(read_lines, path)
+        assert got_day == line_by_line(read_lines, path, date)
+        if isinstance(got, list):
+            assert got_day == [day for day in got if day[0] == date]
+        else:
+            assert got_day == got
+
+    def test_two_line_string_is_refused(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"date": "2000-01-01", "headlines": [{"text": "ab\n'
+                         b'abcdefghij2000-01-02 x", "relevant": true}]}\n')
+        assert read_lines(str(path)) == "%s line 1: Invalid control character " \
+            "at: line 1 column 50 (char 49)" % path
+
+    def test_a_pipe_is_read_once_line_by_line(self, tmp_path):
+        """A corpus that is not a regular file, such as ``<(zcat c.gz)``
+        gives, is read once, line by line, as a file holding its bytes is
+        read in blocks: with an escaped last line, that file is read again
+        from its start."""
+        raw = "".join(written_line(day, "w%04d" % day) for day in range(40)) \
+            + json.dumps({"date": "2001-01-01", "headlines": [
+                {"text": 'a "b"', "relevant": None}]}) + "\n"
+        path = tmp_path / "c.jsonl"
+        path.write_text(raw, encoding="utf-8")
+        want = read_lines(str(path))
+        assert isinstance(want, list) and len(want) == 41
+        read_end, write_end = os.pipe()
+        with open(write_end, "w", encoding="utf-8") as fh:
+            fh.write(raw)  # a pipe buffers 64 KB, and raw is smaller
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(D, "_BLOCK_BYTES", 1)
+                assert read_lines("/dev/fd/%d" % read_end) == want
+        finally:
+            os.close(read_end)
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["", "bom"])
+    @pytest.mark.parametrize("corpus", ["synth", "non-ascii"])
+    def test_written_corpus_takes_the_block_path(self, tmp_path, corpus, bom,
+                                                 block):
+        """Every file save_corpus writes is checked a block at a time, with
+        no line checked alone, also with a byte-order mark before it, so a
+        change to its layout cannot turn the block path off unnoticed."""
+        path = tmp_path / "c.jsonl"
+        if corpus == "synth":
+            D.save_corpus(D.synth_generate(D.SynthSpec(
+                n_days=40, seed=5, plant_prob=0.5))[0], str(path))
+        else:
+            save_non_ascii_days(str(path))
+        path.write_bytes(bom + path.read_bytes())
+        path = str(path)
+        want = decoding_every_line(read_lines, path)
+        assert isinstance(want, list) and len(want) == (40 if corpus == "synth"
+                                                        else 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_BLOCK_BYTES", block)
+            mp.setattr(D, "_lines_one_by_one", None)
+            assert read_lines(path) == want
 
 
 # A pattern's syntax, scanned token by token: an escape, a character class,
