@@ -92,7 +92,7 @@ def _c_str(key: str, s: str) -> str:
 
 def _c_date(key: str, s: str):
     try:
-        return dt.date.fromisoformat(s)
+        return D.parse_date(s)
     except ValueError:
         raise _UsageError("%s expects YYYY-MM-DD, got %r" % (key, s)) from None
 
@@ -264,8 +264,8 @@ def _stored_split(stored: dict | None) -> D.SplitSpec:
         if stored.get("fracs") is not None:
             return D.SplitSpec(fracs=tuple(stored["fracs"]))
         return D.SplitSpec(
-            train_until=dt.date.fromisoformat(stored["train_until"]),
-            valid_until=dt.date.fromisoformat(stored["valid_until"]))
+            train_until=D.parse_date(stored["train_until"]),
+            valid_until=D.parse_date(stored["valid_until"]))
     except (KeyError, TypeError, ValueError, D.DatasetError) as exc:
         raise TR.CheckpointError("checkpoint metadata 'split': %r" % exc) from exc
 

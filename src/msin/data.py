@@ -34,14 +34,11 @@ by training code, only by evaluation.
 from __future__ import annotations
 
 import bisect
-import codecs
 import csv
 import datetime as dt
 import json
 import math
-import os
 import re
-import stat
 import unicodedata
 from array import array
 from collections import Counter
@@ -65,29 +62,19 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 _ASCII_TOKEN_BYTES = bytes(b if b == 10 or (b < 128 and chr(b).isalnum())
                            else 32 for b in range(256)).lower()
 _FLAG_TYPES = (bool, type(None))  # what a headline's "relevant" may be
-# A line as save_corpus writes it, its strings free of backslashes and control
-# characters so that each reads as written: JSON that read_corpus's checks pass.
-# _STRING is every code point from U+0020 up but '"' and '\', the set of
-# [^"\\\x00-\x1f]; Python's re scans these ranges faster than that negated
-# class (fullmatch over serve_rank's 2200 lines: 5.6 against 9.0 ms), and the
-# strings are most of what read_corpus scans
-_STRING = r'[ !#-\[\]-\U0010ffff]*'
 _HEAD = r'\{"text": "%s", "relevant": %s\}'
-_PLAIN_LINE = re.compile(
-    r'\{"date": "(%s)", "headlines": \[(?:%s(?:, %s)*)?\]\}[ \t\n\r]*'
-    % ((_STRING,) + 2 * (_HEAD % ("(%s)" % _STRING, "(true|false|null)"),)))
-# run only on lines _PLAIN_LINE matched, whose strings hold no '"'
+# run only on lines _written_block passed, whose strings hold no '"'
 _HEADLINE = re.compile(_HEAD % ('([^"]*)', "(true|false|null)"))
 # Lines as save_corpus writes them, each ending in "\n", with no group to
 # capture (groups cost a tenth more) and '"'-free strings, which Python's re
-# scans at about 2.5 times the speed of _STRING: _written_block runs it only
-# on a block that holds no backslash and no control character but "\n", and
-# checks that no string spans a line, since [^"] matches "\n" too
+# scans faster than a class that also leaves out backslashes and controls:
+# _written_block checks those apart, and that no string spans a line, since
+# [^"] matches "\n" too
 _WRITTEN_LINES = re.compile(
     r'(?:\{"date": "[0-9]{4}-[0-9]{2}-[0-9]{2}", "headlines": '
     r'\[(?:%s(?:, %s)*)?\]\}\n)+'
     % (2 * (_HEAD % ('[^"]*', "(?:true|false|null)"),)))
-_BLOCK_BYTES = 1 << 16  # read_corpus checks about this much of a file at once
+_BLOCK_BYTES = 1 << 16  # read_corpus checks about this many characters at once
 _FLAGS = {"true": True, "false": False, "null": None}
 # the synthetic generator's signal words, each one token that no background
 # word equals
@@ -597,10 +584,18 @@ def save_corpus(days: TokenizedDays, path: str) -> None:
             lo = hi
 
 
+def parse_date(text: str) -> dt.date:
+    """A date spelt YYYY-MM-DD. Other spellings that Python 3.11's
+    ``date.fromisoformat`` reads (20000103, 2000-W01-1) raise 3.10's error."""
+    if isinstance(text, str) and (len(text) != 10 or text[4] + text[7] != "--"):
+        raise ValueError("Invalid isoformat string: %r" % text)
+    return dt.date.fromisoformat(text)
+
+
 def decode_line(line: str):
     """A corpus line's date and headline objects, decoded and checked."""
     rec = json.loads(line)
-    date = dt.date.fromisoformat(rec["date"])
+    date = parse_date(rec["date"])
     heads = rec["headlines"]
     if type(heads) is not list:
         raise TypeError("headlines must be a list")
@@ -612,25 +607,16 @@ def decode_line(line: str):
     return date, heads
 
 
-def _written_block(block: bytes, prev):
-    """A block of whole lines as (dates, lines), each line without its "\\n",
-    when every line is in the form save_corpus writes and the dates strictly
-    increase from ``prev``; else None. Whole-block checks, in order: no
-    backslash, UTF-8, no control character but the "\\n" ending each line,
-    ``_WRITTEN_LINES``, every line starting as a record does, and each
-    line's date parsed and compared. A "\\n" inside a string would start a
-    line there, with the rest of a string that holds no '"' and then '", ',
-    so no such line starts as a record does."""
-    if b"\\" in block:
-        return None
-    try:
-        text = block.decode()
-    except UnicodeDecodeError:
-        return None
-    lines = text.split("\n")
-    lines.pop()  # what follows the last "\n": "", or a line the pattern refuses
-    if len(lines) != np.count_nonzero(np.frombuffer(block, np.uint8) < 32) \
-            or not _WRITTEN_LINES.fullmatch(text) \
+def _written_block(lines: list[str], prev):
+    """The dates of a block of lines, each in the form save_corpus writes,
+    or None. Checks: no backslash, ``_WRITTEN_LINES``, no control character
+    but each line's ending "\\n", every line starting as a record does (a
+    string spanning two lines leaves one starting with the rest of it and
+    '", '), and the dates strictly increasing from ``prev``."""
+    text = "".join(lines)
+    if "\\" in text or not _WRITTEN_LINES.fullmatch(text) \
+            or len(lines) != np.count_nonzero(
+                np.frombuffer(text.encode(), np.uint8) < 32) \
             or not all(map(str.startswith, lines, repeat('{"date": "'))):
         return None
     try:
@@ -638,67 +624,38 @@ def _written_block(block: bytes, prev):
     except ValueError:
         return None
     ordered = dates if prev is None else [prev, *dates]
-    return (dates, lines) if all(map(lt, ordered, ordered[1:])) else None
+    return dates if all(map(lt, ordered, ordered[1:])) else None
 
 
-def _written_lines(path: str, date):
-    """read_corpus's lines (those of ``date`` alone, if given) from the
-    file's leading blocks that ``_written_block`` passes. Each block is read
-    in binary, ``_BLOCK_BYTES`` and the rest of its last line, and a leading
-    byte-order mark is dropped as "utf-8-sig" drops it. Returns the count of
-    lines read, the last date and whether the file ended. A file that is
-    not a regular one, a pipe say, is left whole to the line-by-line loop,
-    since it cannot be read again."""
-    done, prev = 0, None
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return done, prev, False
-    with open(path, "rb") as fh:
-        if fh.read(3) != codecs.BOM_UTF8:
-            fh.seek(0)
-        while block := fh.read(_BLOCK_BYTES):
-            got = _written_block(block + fh.readline(), prev)
-            if got is None:
-                return done, prev, False
-            dates, lines = got
-            if date is None:
-                yield from zip(dates, map(str.__add__, lines, repeat("\n")),
-                               repeat(None))
-            else:
-                i = bisect.bisect_left(dates, date)
-                if i < len(dates) and dates[i] == date:
-                    yield date, lines[i] + "\n", None
-            done, prev = done + len(lines), dates[-1]
-    return done, prev, True
+def _line_alone(line: str, prev):
+    """A line of a refused block as (date, heads), checked alone against
+    ``prev``: by ``_written_block`` without its trailing blanks (``heads``
+    None), any other decoded and checked field by field."""
+    if dates := _written_block([line.rstrip(" \t\r\n") + "\n"], prev):
+        return dates[0], None
+    day, heads = decode_line(line)
+    if prev is not None and day <= prev:
+        raise ValueError("dates not strictly increasing at %s" % day)
+    return day, heads
 
 
-def _lines_one_by_one(path: str, date, skip: int, prev):
-    """read_corpus's lines (those of ``date`` alone, if given) after the
-    first ``skip``, read in text mode and checked one by one, the first
-    against ``prev``: a line in ``_PLAIN_LINE``'s layout by it (``heads``
-    None), any other decoded into its headline objects and checked field by
-    field. Returns the last date."""
+def _blocks(path: str):
+    """A corpus file's lines, read once in text mode, in blocks of about
+    ``_BLOCK_BYTES`` characters. A byte that is not UTF-8 ends its block,
+    yielded before DatasetError is raised: the reader decodes 8 KB at a
+    time, so it holds the lines a line-by-line read gets before the error."""
+    block, size = [], 0
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(islice(fh, skip, None), start=skip + 1):
-                # an escape's backslash fails the pattern, and "in" finds it
-                # sooner; a line the pattern matches is not blank
-                plain = "\\" not in line and _PLAIN_LINE.fullmatch(line)
-                if not plain and not line.strip():
-                    continue
-                try:
-                    day, heads = (dt.date.fromisoformat(plain[1]), None) \
-                        if plain else decode_line(line)
-                    if prev is not None and day <= prev:
-                        raise ValueError("dates not strictly increasing at %s" % day)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DatasetError("%s line %d: %s" % (path, lineno, exc)) from exc
-                prev = day
-                if date is None or day == date:
-                    yield day, line, heads
+            for line in fh:
+                block.append(line)
+                if (size := size + len(line)) >= _BLOCK_BYTES:
+                    yield block
+                    block, size = [], 0
     except UnicodeDecodeError as exc:
-        raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) \
-            from None
-    return prev
+        yield block
+        raise DatasetError("%s is not UTF-8 text (%s)" % (path, exc.reason)) from None
+    yield block
 
 
 def read_corpus(path: str, date: dt.date | None = None):
@@ -708,16 +665,29 @@ def read_corpus(path: str, date: dt.date | None = None):
     an object with a string text and a relevant of true, false, null or
     absent; dates strictly increasing; at least one day.
 
-    The file is read a block of whole lines at a time, and a block whose
-    every line is in the form save_corpus writes is checked whole
-    (``_written_lines``). From the first block that is not, the file is read
-    again in text mode, the lines already read skipped, and each line is
-    checked alone (``_lines_one_by_one``). Only that loop raises, so every
-    message, and where a byte that is not UTF-8 stops the read, are those of
-    reading line by line."""
-    skip, prev, ended = yield from _written_lines(path, date)
-    if not ended:
-        prev = yield from _lines_one_by_one(path, date, skip, prev)
+    The file is read once, in text mode, a block of lines at a time
+    (``_blocks``): a block in the form save_corpus writes is checked whole
+    (``_written_block``), the lines of any other one by one (``_line_alone``),
+    with every message of reading line by line."""
+    prev, lineno = None, 0
+    for block in _blocks(path):
+        dates = _written_block(block, prev)
+        if dates is not None:
+            lo, hi = (0, len(dates)) if date is None else (
+                bisect.bisect_left(dates, date), bisect.bisect_right(dates, date))
+            yield from zip(dates[lo:hi], block[lo:hi], repeat(None))
+            prev = dates[-1]
+        else:
+            for n, line in enumerate(block, lineno + 1):
+                if line.isspace():
+                    continue
+                try:
+                    prev, heads = _line_alone(line, prev)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise DatasetError("%s line %d: %s" % (path, n, exc)) from exc
+                if date is None or prev == date:
+                    yield prev, line, heads
+        lineno += len(block)
     if prev is None:
         raise DatasetError("%s holds no days" % path)
 
@@ -751,8 +721,8 @@ def save_series(series: Series, path: str) -> None:
 def _series_in_one_pass(text: str) -> Series | None:
     """The series of a file's text, read in universal-newline mode, when it
     holds no quote and every line after its date,... header holds the
-    header's commas: one ``split`` yields every field, which go through
-    ``fromisoformat`` and ``float`` as the ``csv`` loop takes them, and
+    header's commas: one ``split`` yields every field, which are read as
+    ``parse_date`` and ``float`` read them in the ``csv`` loop, and
     ``Series`` checks date order and finiteness. None when any of that
     fails, a line could hold a field longer than ``csv`` reads, or the file
     is empty or holds a blank line: the ``csv`` loop then reads the file and
@@ -774,6 +744,10 @@ def _series_in_one_pass(text: str) -> Series | None:
             return None
         fields = ",".join(lines).split(",")
         dates = tuple(map(dt.date.fromisoformat, fields[::k]))
+        # YYYY-MM-DD alone (parse_date): no spelling fromisoformat reads is longer
+        column = "".join(fields[::k])
+        if len(column) != 10 * len(dates) or (column[4::10] + column[7::10]).strip("-"):
+            return None
         del fields[::k]
         values = np.array(list(map(float, fields))).reshape(len(dates), k - 1)
         return Series(dates=dates, values=values)
@@ -804,7 +778,7 @@ def _series_by_rows(path: str) -> Series:
                     raise DatasetError("%s line %d: expected %d fields, got %d"
                                        % (path, lineno, len(header), len(row)))
                 try:
-                    date = dt.date.fromisoformat(row[0])
+                    date = parse_date(row[0])
                     if dates and date <= dates[-1]:
                         raise ValueError("dates not strictly increasing at %s" % date)
                     values += map(float, row[1:])

@@ -202,6 +202,17 @@ def test_synth_summary_line_lists_the_options(tmp_path, capsys):
         "plant_per_day=True seed=0 start=2000-01-01" % out_dir)
 
 
+@pytest.mark.parametrize("spelling", ["20000103", "2000-W01-1"])
+def test_a_date_option_is_spelt_yyyy_mm_dd(tmp_path, capsys, spelling):
+    """Python 3.11's date.fromisoformat reads these as 2000-01-03; 3.10's
+    refuses them, and so does every option on every Python."""
+    out_dir = tmp_path / "d"
+    assert main(["synth", "--out-dir", str(out_dir), "--start", spelling]) == 1
+    assert capsys.readouterr().err == \
+        "usage error: start expects YYYY-MM-DD, got %r\n" % spelling
+    assert not out_dir.exists()
+
+
 def test_synth_range_past_the_last_date_is_usage_error(tmp_path, capsys):
     """The list of dates used to raise OverflowError out of main."""
     out_dir = tmp_path / "d"
@@ -885,7 +896,8 @@ def test_checkpoint_series_stat_boolean_is_data_error(tmp_path, capsys, key, val
 @pytest.mark.parametrize("stored", [
     {"fracs": [0.5, 0.5, 0.5]}, {"fracs": [float("nan"), 0.5, 0.5]},
     {"train_until": "2000-01-15", "valid_until": "2000-01-10", "fracs": None},
-    {"fracs": [True, False, False]}])
+    {"fracs": [True, False, False]},
+    {"train_until": "20000115", "valid_until": "2000-01-20", "fracs": None}])
 def test_checkpoint_invalid_split_is_data_error(tmp_path, capsys, stored):
     """A stored split that SplitSpec rejects is a broken checkpoint, not a
     usage mistake.  Booleans are no fractions: true, false, false used to

@@ -9,6 +9,7 @@ import json
 import os
 import pkgutil
 import re
+import tempfile
 import unicodedata
 from collections import Counter
 
@@ -1000,20 +1001,18 @@ def read_lines(path, date=None):
 
 
 def line_by_line(read, *args):
-    """``read(*args)`` with no block of the file checked whole, so that
-    every line is checked alone."""
+    """``read(*args)`` with ``_written_block`` passing no block and no
+    line, so that every line is checked alone and decoded."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(D, "_written_block", lambda block, prev: None)
         return read(*args)
 
 
 def decoding_every_line(read, path):
-    """``read(path)`` with no block checked whole and the pattern matching
-    no line, so that every line is decoded by json.loads and checked field
+    """``read(path)`` with no block checked whole and no line passed as
+    written, so that every line is decoded by json.loads and checked field
     by field."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_PLAIN_LINE", re.compile(r"(?!)"))
-        return line_by_line(read, path)
+    return line_by_line(read, path)
 
 
 def save_non_ascii_days(path):
@@ -1034,10 +1033,33 @@ def save_non_ascii_days(path):
     return days
 
 
+def save_synth_days(path):
+    """A 40-day synthetic corpus, saved by save_corpus to ``path``; returns
+    read_lines' verdict on it."""
+    D.save_corpus(D.synth_generate(D.SynthSpec(n_days=40, seed=5,
+                                               plant_prob=0.5))[0], path)
+    got = read_lines(path)
+    assert isinstance(got, list) and len(got) == 40
+    return got
+
+
+def lines_alone(read, *args):
+    """``read(*args)`` and the lines it checked alone."""
+    seen, check = [], D._line_alone
+
+    def spy(line, prev):
+        seen.append(line)
+        return check(line, prev)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "_line_alone", spy)
+        return read(*args), seen
+
+
 class TestPlainLines:
-    """A line that ``_PLAIN_LINE`` matches is one that json.loads and the
-    field checks accept, with the same date and headlines; every other line
-    takes that path, so accept, reject and message are those of decoding."""
+    """A line that ``_written_block`` passes, checked in a block or alone,
+    is one that json.loads and the field checks accept, with the same date
+    and headlines; every other line takes that path, so accept, reject and
+    message are those of decoding."""
 
     @given(lines=corpus_lines())
     @settings(max_examples=1500, deadline=None,
@@ -1089,20 +1111,6 @@ class TestPlainLines:
             [(d, None, docs) for d, docs in days]
         H.assert_same_tokenized(D.load_corpus(path),
                                 H.reference_tokenize_days(days))
-
-    def test_string_class_is_every_code_point_but_quote_backslash_controls(self):
-        r"""``_STRING`` is spelt as ranges for speed; it must hold exactly the
-        code points of [^"\\\x00-\x1f], lone surrogates included."""
-        string = re.compile(D._STRING)
-        excluded = [chr(c) for c in range(0x20)] + ['"', "\\"]
-        allowed = "".join(chr(c) for c in range(0x20, 0x110000)
-                          if chr(c) not in excluded)
-        assert len(excluded) == 34 and len(allowed) == 0x110000 - 34
-        assert string.fullmatch(allowed)
-        middle = len(allowed) // 2
-        for ch in excluded:
-            assert not string.fullmatch(ch)
-            assert not string.fullmatch(allowed[:middle] + ch + allowed[middle:])
 
 
 # Text pieces of a written line: _PLAIN_PIECES and NEL, which str.splitlines
@@ -1208,9 +1216,9 @@ class TestWrittenBlocks:
 
     def test_a_pipe_is_read_once_line_by_line(self, tmp_path):
         """A corpus that is not a regular file, such as ``<(zcat c.gz)``
-        gives, is read once, line by line, as a file holding its bytes is
-        read in blocks: with an escaped last line, that file is read again
-        from its start."""
+        gives, is read as a file holding its bytes is: once, in text mode, a
+        block at a time, here a line at a time, with the escaped last line
+        checked alone."""
         raw = "".join(written_line(day, "w%04d" % day) for day in range(40)) \
             + json.dumps({"date": "2001-01-01", "headlines": [
                 {"text": 'a "b"', "relevant": None}]}) + "\n"
@@ -1227,6 +1235,39 @@ class TestWrittenBlocks:
                 assert read_lines("/dev/fd/%d" % read_end) == want
         finally:
             os.close(read_end)
+
+    def test_crlf_file_checks_no_line_alone(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        want = save_synth_days(str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert lines_alone(read_lines, str(path)) == (want, [])
+
+    def test_a_pipe_checks_no_line_alone(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        want = save_synth_days(str(path))
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as fh:
+            fh.write(path.read_bytes())  # a pipe buffers 64 KB, and this less
+        try:
+            assert lines_alone(read_lines, "/dev/fd/%d" % read_end) == (want, [])
+        finally:
+            os.close(read_end)
+
+    def test_only_the_block_of_an_escaped_line_is_checked_alone(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        want = save_synth_days(str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace('"text": "w', '"text": "\\u0077', 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        block = 1000
+        first = next(n for n in range(1, len(lines))
+                     if len("".join(lines[:n])) >= block)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_BLOCK_BYTES", block)
+            got, alone = lines_alone(read_lines, str(path))
+        assert [(d, docs) for d, _l, docs in got] == \
+            [(d, docs) for d, _l, docs in want]
+        assert 1 < first < len(lines) - 1 and alone == lines[:first]
 
     @pytest.mark.parametrize("block", [1, 1 << 16])
     @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["", "bom"])
@@ -1249,8 +1290,185 @@ class TestWrittenBlocks:
                                                         else 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(D, "_BLOCK_BYTES", block)
-            mp.setattr(D, "_lines_one_by_one", None)
+            mp.setattr(D, "_line_alone", None)
             assert read_lines(path) == want
+
+
+# ---------------------------------------------------------------------------
+# malformed corpora
+
+
+def _sub(old: bytes, new: bytes):
+    """An edit of line ``i``: its first ``old`` becomes ``new``."""
+    def edit(lines, i):
+        assert old in lines[i]
+        lines[i] = lines[i].replace(old, new, 1)
+    return edit
+
+
+def _ends(end: bytes):
+    """An edit that ends every line up to line ``i`` with ``end``."""
+    def edit(lines, i):
+        lines[:i + 1] = [line[:-1] + end for line in lines[:i + 1]]
+    return edit
+
+
+def _bad_line_then_byte(lines_on: int):
+    """An edit that makes line ``i`` "x" and puts a byte that is not UTF-8
+    into a text ``lines_on`` lines after it."""
+    def edit(lines, i):
+        lines[i] = b"x\n"
+        _sub(b'"text": "w', b'"text": "w\xe9')(lines, i + lines_on)
+    return edit
+
+
+def _blank_after(lines, i):
+    lines.insert(i + 1, b"\n")
+
+
+def _bom_before(lines, i):
+    lines[i] = codecs.BOM_UTF8 + lines[i]
+
+
+def _date_of_two_lines_up(lines, i):
+    lines[i] = lines[i][:10] + lines[i - 2][10:20] + lines[i][20:]
+
+
+def _quote_first_text(days, i):
+    """``days`` with the first text of day ``i`` behind a '"'."""
+    date, docs = days[i]
+    return days[:i] + [(date, [('"' + docs[0][0], docs[0][1]), *docs[1:]])] \
+        + days[i + 1:]
+
+
+_NOT_UTF8 = "{path} is not UTF-8 text (invalid continuation byte)"
+# (edit of line i, what read_corpus gives): None for the days of the file as
+# written, a function of those days and i, or the message with the line's
+# number
+_LINE_EDITS = {
+    "escaped line": (_sub(b'"text": "w', b'"text": "\\u0077'), None),
+    "escaped quote": (_sub(b'"text": "', b'"text": "\\"'), _quote_first_text),
+    "CR before the newline": (_sub(b"}\n", b"}\r\n"), None),
+    "CR-only ends": (_ends(b"\r"), None),
+    "CRLF ends": (_ends(b"\r\n"), None),
+    "trailing tab": (_sub(b"}\n", b"}\t\n"), None),
+    "blank line after": (_blank_after, None),
+    "BOM before the line": (_bom_before, "{path} line {n}: Unexpected UTF-8 "
+                            "BOM (decode using utf-8-sig): line 1 column 1 "
+                            "(char 0)"),
+    "date 2000-02-30": (lambda lines, i: _sub(lines[i][10:20], b"2000-02-30")(
+        lines, i), "{path} line {n}: day is out of range for month"),
+    "dates out of order": (_date_of_two_lines_up, "{path} line {n}: dates not "
+                           "strictly increasing at {two_up}"),
+    "string spanning two lines": (_sub(b" w", b"\nw"), "{path} line {n}: "
+                                  "Invalid control character at: line 1 "
+                                  "column 53 (char 52)"),
+    "non-UTF-8 byte": (_sub(b'"text": "w', b'"text": "w\xe9'), _NOT_UTF8),
+    "bad line, bad byte one line on": (_bad_line_then_byte(1), _NOT_UTF8),
+    "bad line, bad byte 16 KB on": (_bad_line_then_byte(25), "{path} line "
+                                    "{n}: Expecting value: line 1 column 1 "
+                                    "(char 0)"),
+}
+# (raw bytes from the written ones, what read_corpus gives), as above
+_FILE_EDITS = {
+    "BOM": (lambda raw: codecs.BOM_UTF8 + raw, None),
+    "no final newline": (lambda raw: raw[:-1], None),
+    "empty file": (lambda raw: b"", "{path} holds no days"),
+    "BOM only": (lambda raw: codecs.BOM_UTF8, "{path} holds no days"),
+}
+
+
+@pytest.fixture(scope="module")
+def three_blocks():
+    """The lines, as bytes, of a file save_corpus writes that spans three
+    blocks of ``_BLOCK_BYTES``, and its days as (date, documents)."""
+    corpus = D.synth_generate(D.SynthSpec(n_days=200, n_docs=(10, 10),
+                                          doc_len=(8, 8), seed=1))[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        D.save_corpus(corpus, path)
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        days = [(day, D.headlines(line, heads))
+                for day, line, heads in D.read_corpus(path)]
+    assert 2 * D._BLOCK_BYTES < sum(map(len, lines)) < 3 * D._BLOCK_BYTES
+    return lines, days
+
+
+def read_days(path, date=None):
+    """read_corpus's verdict on a file as (date, documents) pairs, or the
+    message it stops with."""
+    got = read_lines(path, date)
+    return got if isinstance(got, str) else [(d, docs) for d, _l, docs in got]
+
+
+# line 30 in the first block, line 170 in the third
+@pytest.mark.parametrize("i", [29, 169], ids=["first-block", "later-block"])
+@pytest.mark.parametrize("name", list(_LINE_EDITS))
+def test_malformed_corpus_line(tmp_path, three_blocks, name, i):
+    lines, days = three_blocks
+    lines = list(lines)
+    edit, want = _LINE_EDITS[name]
+    edit(lines, i)
+    raw = b"".join(lines)
+    if name == "bad line, bad byte one line on":  # one 8 KB decoding chunk
+        assert sum(map(len, lines[:i])) // 8192 == raw.index(b"\xe9") // 8192
+    if name == "bad line, bad byte 16 KB on":
+        assert raw.index(b"\xe9") - sum(map(len, lines[:i])) > 16384
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(raw)
+    if want is None or callable(want):
+        want = days if want is None else want(days, i)
+        assert read_days(str(path)) == want
+        assert read_days(str(path), want[i][0]) == [want[i]]
+    else:
+        want = want.format(path=path, n=i + 1, two_up=days[i - 2][0])
+        assert read_days(str(path)) == want
+        assert read_days(str(path), days[i][0]) == want
+
+
+@pytest.mark.parametrize("name", list(_FILE_EDITS))
+def test_malformed_corpus_file(tmp_path, three_blocks, name):
+    lines, days = three_blocks
+    edit, want = _FILE_EDITS[name]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(edit(b"".join(lines)))
+    want = days if want is None else want.format(path=path)
+    assert read_days(str(path)) == want
+    assert read_days(str(path), days[-1][0]) == \
+        (want if isinstance(want, str) else want[-1:])
+
+
+# Spellings of 2000-01-01 and 2000-01-03 that Python 3.11's fromisoformat
+# reads and 3.10's refuses
+_OTHER_SPELLINGS = ("20000101", "20000103", "2000-W01-1")
+
+
+@pytest.mark.parametrize("i", [29, 169], ids=["first-block", "later-block"])
+@pytest.mark.parametrize("spelling", _OTHER_SPELLINGS)
+def test_a_corpus_date_is_spelt_yyyy_mm_dd(tmp_path, three_blocks, spelling,
+                                           i):
+    lines = list(three_blocks[0])
+    lines[i] = lines[i][:10] + spelling.encode() + lines[i][20:]
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"".join(lines))
+    assert read_days(str(path)) == "%s line %d: Invalid isoformat string: " \
+        "%r" % (path, i + 1, spelling)
+
+
+@pytest.mark.parametrize("spelling", _OTHER_SPELLINGS[1:])
+def test_a_series_date_is_spelt_yyyy_mm_dd(tmp_path, spelling):
+    path = tmp_path / "s.csv"
+    D.save_series(D.Series(dates=(dt.date(2000, 1, 1), dt.date(2000, 1, 2),
+                                  dt.date(2000, 1, 3)),
+                           values=np.ones((3, 1))), str(path))
+    text = path.read_text().replace("2000-01-03", spelling)
+    path.write_text(text)
+    assert D._series_in_one_pass(text) is None
+    with pytest.raises(D.DatasetError) as exc:
+        D.load_series(str(path))
+    assert str(exc.value) == "%s line 4: Invalid isoformat string: %r" \
+        % (path, spelling)
 
 
 # A pattern's syntax, scanned token by token: an escape, a character class,
@@ -1283,7 +1501,7 @@ def test_patterns_compile_on_python_3_10():
         patterns.update({"%s.%s" % (info.name, name): value.pattern
                          for name, value in vars(module).items()
                          if isinstance(value, re.Pattern)})
-    assert "data._PLAIN_LINE" in patterns
+    assert "data._WRITTEN_LINES" in patterns
     assert {name: syntax_after_3_10(p) for name, p in patterns.items()
             if syntax_after_3_10(p)} == {}
 
