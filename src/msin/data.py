@@ -3,9 +3,9 @@
 A corpus has one form, ``TokenizedDays``: every document's tokens as
 indices of a table of distinct tokens, stored as one integer array, so no
 per-headline object is built and no text is held. Every command reads a
-corpus file the same way: ``read_corpus`` checks every line (a block of
-lines in the layout ``save_corpus`` writes at once, by a regular
-expression and not as JSON; any other line alone), and
+corpus file the same way: ``read_corpus`` reads it once and checks every
+line (a block of lines in the layout ``save_corpus`` writes at once, by a
+regular expression and not as JSON; the lines of any other block alone), and
 ``load_corpus`` feeds each line's ``headlines`` straight into
 ``tokenize_days``, which tokenizes each headline once: a day of ASCII
 headlines in one ``bytes.translate`` and one ``split`` over its joined
@@ -628,9 +628,8 @@ def _written_block(lines: list[str], prev):
 
 
 def _line_alone(line: str, prev):
-    """A line of a refused block as (date, heads), checked alone against
-    ``prev``: by ``_written_block`` without its trailing blanks (``heads``
-    None), any other decoded and checked field by field."""
+    """A line of a refused block as (date, heads), checked alone: by
+    ``_written_block`` without its trailing blanks (``heads`` None), or decoded."""
     if dates := _written_block([line.rstrip(" \t\r\n") + "\n"], prev):
         return dates[0], None
     day, heads = decode_line(line)
@@ -743,10 +742,11 @@ def _series_in_one_pass(text: str) -> Series | None:
                 or max(map(len, lines)) > csv.field_size_limit()):
             return None
         fields = ",".join(lines).split(",")
-        dates = tuple(map(dt.date.fromisoformat, fields[::k]))
-        # YYYY-MM-DD alone (parse_date): no spelling fromisoformat reads is longer
-        column = "".join(fields[::k])
-        if len(column) != 10 * len(dates) or (column[4::10] + column[7::10]).strip("-"):
+        column = fields[::k]
+        dates = tuple(map(dt.date.fromisoformat, column))
+        # YYYY-MM-DD alone: fromisoformat reads none longer, and YYYY-Www-D as long
+        column = "".join(column)
+        if len(column) != 10 * len(dates) or "W" in column:
             return None
         del fields[::k]
         values = np.array(list(map(float, fields))).reshape(len(dates), k - 1)
