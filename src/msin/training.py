@@ -26,6 +26,8 @@ a temporary file that replaces the target only once complete.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 import struct
@@ -40,7 +42,11 @@ from .files import write_atomically
 from .rng import substream
 
 MAGIC = b"MSN1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# magic, version and header length come before the header JSON; the
+# SHA-256 of every byte before it ends the file
+HEADER_AT = 12
+DIGEST_BYTES = 32
 # Full days per forward-only pass (forward_chunks). The pass's memory grows
 # with its padded document grid, not with its days, so a pass holds up to
 # EVAL_CHUNK * daily_doc_cap document slots: EVAL_CHUNK days at the cap, more
@@ -293,67 +299,35 @@ def train(samples, params: M.ModelParams, config: M.ModelConfig,
 
 def checkpoint_save(params: M.ModelParams, config: M.ModelConfig,
                     tcfg: TrainConfig, metadata: dict, path: str) -> None:
-    """Write magic, version, config JSON, then raw named tensors.
+    """Write magic, version, the header JSON, every tensor's float32 values
+    in ``model.named_tensors`` order, and the SHA-256 of all bytes before it.
 
-    The file is replaced whole: a failed write leaves the previous one.
+    The header records the configs, the metadata and each tensor's name and
+    shape. The file is replaced whole: a failed write leaves the previous one.
     """
     rows = M.named_tensors(params)
-    blob = json.dumps({"model": dataclasses.asdict(config),
-                       "train": dataclasses.asdict(tcfg),
-                       "metadata": metadata},
-                      sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = [MAGIC, struct.pack("<I", FORMAT_VERSION),
-           struct.pack("<I", len(blob)), blob,
-           struct.pack("<I", len(rows))]
-    for name, t, _ in rows:
-        enc = name.encode("utf-8")
-        out.append(struct.pack("<H", len(enc)))
-        out.append(enc)
-        out.append(struct.pack("<B", t.ndim))
-        out.append(struct.pack("<%dI" % t.ndim, *t.shape))
-        out.append(t.data.astype("<f4", copy=False).tobytes())
+    header = json.dumps({"model": dataclasses.asdict(config),
+                         "train": dataclasses.asdict(tcfg),
+                         "metadata": metadata,
+                         "tensors": [[n, list(t.shape)] for n, t, _ in rows]},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join([MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)),
+                     header] + [t.data.astype("<f4", copy=False).tobytes()
+                                for _, t, _ in rows])
     with write_atomically(path, "wb") as fh:
-        fh.write(b"".join(out))
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError("truncated while reading %s" % what)
-        piece = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return piece
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+        fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
 # the JSON values a config field of each declared type may hold
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-# config fields that older checkpoints record, each with the one value the
-# program now fixes
-_RETIRED = {M.ModelConfig: {"pool_divisor": "actual_len"},
-            TrainConfig: {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2,
-                          "eps": ADAM_EPS}}
 
 
 def _stored_config(cls, stored: dict):
     """A config dataclass from a checkpoint's JSON object; a value of another
-    type than its field declares raises CheckpointError naming the field. A
-    retired field is dropped when it holds the value now fixed, and raises
-    CheckpointError naming it otherwise."""
+    type than its field declares raises CheckpointError naming the field."""
     if not isinstance(stored, dict):
         raise CheckpointError("stored %s is not a JSON object" % cls.__name__)
-    stored = dict(stored)
-    for name, fixed in _RETIRED[cls].items():
-        value = stored.pop(name, fixed)
-        if value != fixed:
-            raise CheckpointError("config field '%s' is %r; the program fixes "
-                                  "it at %r" % (name, value, fixed))
     for f in dataclasses.fields(cls):
         value = stored.get(f.name)
         if f.name in stored and (isinstance(value, bool) or
@@ -365,53 +339,47 @@ def _stored_config(cls, stored: dict):
 
 def checkpoint_load(path: str):
     """Read a checkpoint; returns (params, ModelConfig, TrainConfig, metadata).
-    A tensor holding a nan or inf raises CheckpointError naming it."""
+
+    The digest is checked before anything else is parsed. A stored tensor
+    list other than the one the config gives raises CheckpointError naming
+    the first tensor that differs, and a tensor holding a nan or inf raises
+    CheckpointError naming it."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(4, "magic") != MAGIC:
+        blob = fh.read()
+    if blob[:4] != MAGIC:
         raise CheckpointError("bad magic, not a checkpoint file")
-    version = r.u32("version")
+    version = int.from_bytes(blob[4:8], "little")
     if version != FORMAT_VERSION:
         raise CheckpointError("unsupported format version %d" % version)
-    blob = r.take(r.u32("config length"), "config JSON")
+    body = memoryview(blob)[:-DIGEST_BYTES]
+    if len(blob) < HEADER_AT + DIGEST_BYTES or \
+            hashlib.sha256(body).digest() != blob[-DIGEST_BYTES:]:
+        raise CheckpointError("%s is damaged or truncated, or has trailing "
+                              "bytes: its SHA-256 does not match" % path)
+    data_at = HEADER_AT + int.from_bytes(blob[8:HEADER_AT], "little")
     try:
-        meta = json.loads(blob.decode("utf-8"))
+        meta = json.loads(blob[HEADER_AT:data_at].decode("utf-8"))
         config = _stored_config(M.ModelConfig, meta["model"])
         tcfg = _stored_config(TrainConfig, meta["train"])
         metadata = meta["metadata"]
+        stored = list(meta["tensors"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError("bad config JSON: %s" % exc) from exc
 
     params = M.init_model(config, seed=None)
-    wanted = {n: t for n, t, _ in M.named_tensors(params)}
-    seen = set()
-    for i in range(r.u32("tensor count")):
-        try:
-            name = r.take(struct.unpack("<H", r.take(2, "name length"))[0],
-                          "tensor name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError("the name of tensor %d is not UTF-8" % i) \
-                from None
-        if name not in wanted:
-            raise CheckpointError("unknown tensor '%s'" % name)
-        if name in seen:
-            raise CheckpointError("duplicate tensor '%s'" % name)
-        seen.add(name)
-        rank = struct.unpack("<B", r.take(1, "rank of '%s'" % name))[0]
-        shape = struct.unpack("<%dI" % rank,
-                              r.take(4 * rank, "dims of '%s'" % name))
-        if shape != wanted[name].shape:
-            raise CheckpointError("tensor '%s' has shape %r, expected %r"
-                                  % (name, shape, wanted[name].shape))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = np.frombuffer(r.take(4 * count, "data of '%s'" % name), dtype="<f4")
+    rows = M.named_tensors(params)
+    layout = [[n, list(t.shape)] for n, t, _ in rows]
+    for i, (got, want) in enumerate(itertools.zip_longest(stored, layout)):
+        if got != want:
+            raise CheckpointError("tensor %d is stored as %r; the config "
+                                  "gives %r" % (i, got, want))
+    sizes = [t.size for _, t, _ in rows]
+    if len(body) - data_at != 4 * sum(sizes):
+        raise CheckpointError("tensor data holds %d bytes; the config's tensors "
+                              "take %d" % (len(body) - data_at, 4 * sum(sizes)))
+    values = np.frombuffer(body, dtype="<f4", offset=data_at)
+    for (name, t, _), raw in zip(rows, np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(raw).all():
             raise CheckpointError("tensor '%s' holds non-finite values" % name)
-        wanted[name].data[...] = raw.reshape(shape)
-    missing = set(wanted) - seen
-    if missing:
-        raise CheckpointError("missing tensors: %s" % sorted(missing))
-    if r.pos != len(r.buf):
-        raise CheckpointError("%d trailing bytes after tensor data"
-                              % (len(r.buf) - r.pos))
+        t.data[...] = raw.reshape(t.shape)
     return params, config, tcfg, metadata

@@ -402,6 +402,22 @@ class TestTrainConfig:
         assert TR.TrainConfig(**dataclasses.asdict(tcfg)) == tcfg
 
 
+def sealed(body: bytes) -> bytes:
+    """``body`` followed by its SHA-256, as ``checkpoint_save`` ends a file."""
+    return body + hashlib.sha256(body).digest()
+
+
+def edited_header(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes ``blob`` with the header JSON changed in place by
+    ``edit`` and the digest taken again."""
+    size = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + size])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    return sealed(blob[:8] + len(text).to_bytes(4, "little") + text
+                  + blob[12 + size:-TR.DIGEST_BYTES])
+
+
 class TestCheckpoint:
     def roundtrip_setup(self, tmp_path, variant="msin"):
         config = tiny_config(variant=variant, l1=0.005)
@@ -447,14 +463,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("section", ["model", "train"])
     def test_unknown_config_key_rejected(self, tmp_path, section):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
-        blob = open(path, "rb").read()
-        size = int.from_bytes(blob[8:12], "little")
-        meta = json.loads(blob[12:12 + size])
-        meta[section]["bogus"] = 1
-        text = json.dumps(meta).encode("utf-8")
         bad = tmp_path / "extra.ckpt"
-        bad.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text
-                        + blob[12 + size:])
+        bad.write_bytes(edited_header(open(path, "rb").read(),
+                                      lambda h: h[section].update(bogus=1)))
         with pytest.raises(TR.CheckpointError, match="bogus"):
             TR.checkpoint_load(str(bad))
 
@@ -467,29 +478,70 @@ class TestCheckpoint:
         with pytest.raises(TR.CheckpointError, match="magic"):
             TR.checkpoint_load(str(bad))
 
-    def test_truncation_names_the_tensor(self, tmp_path):
+    def test_truncation_is_refused(self, tmp_path):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
         blob = open(path, "rb").read()
         bad = tmp_path / "short.ckpt"
         bad.write_bytes(blob[:-3])
-        with pytest.raises(TR.CheckpointError, match="truncated.*head.bias"):
+        with pytest.raises(TR.CheckpointError,
+                           match="short.ckpt is damaged or truncated"):
             TR.checkpoint_load(str(bad))
 
+    def test_every_flipped_byte_is_refused(self, tmp_path):
+        """Criterion 08's checkpoint with any one byte changed: the digest,
+        or for the magic and version the check before it, refuses it."""
+        config = M.ModelConfig(variant="msin", d_s=4, d_h=3, d_w=5,
+                               vocab_size=20, m=3, max_tokens=4,
+                               daily_doc_cap=3)
+        path = str(tmp_path / "a.msn")
+        TR.checkpoint_save(M.init_model(config, seed=9), config,
+                           TR.TrainConfig(seed=9),
+                           {"step": 0, "seed": 9, "valid_loss": None}, path)
+        blob = open(path, "rb").read()
+        bad = tmp_path / "flipped.msn"
+        for i in range(len(blob)):
+            bad.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+            with pytest.raises(TR.CheckpointError):
+                TR.checkpoint_load(str(bad))
+
     def test_unknown_tensor_named(self, tmp_path):
-        import struct as st
-        config, params, tcfg, metadata, path = self.roundtrip_setup(tmp_path)
+        _, _, _, _, path = self.roundtrip_setup(tmp_path)
         blob = bytearray(open(path, "rb").read())
-        # rename the first tensor record: embedding.table -> embedding.tXble
+        # rename the first tensor in the header: embedding.table -> embedding.tXble
         idx = blob.find(b"embedding.table")
         blob[idx:idx + 15] = b"embedding.tXble"
         bad = tmp_path / "odd.ckpt"
-        bad.write_bytes(bytes(blob))
+        bad.write_bytes(sealed(bytes(blob[:-TR.DIGEST_BYTES])))
         with pytest.raises(TR.CheckpointError, match="tXble"):
+            TR.checkpoint_load(str(bad))
+
+    @pytest.mark.parametrize("edit, first", [
+        (lambda rows: rows[-1][1].append(1), "head.bias"),
+        (lambda rows: rows.pop(), "head.bias"),
+        (lambda rows: rows.append(["extra", [1]]), "extra"),
+        (lambda rows: rows.insert(0, rows.pop(1)), "embedding.table")])
+    def test_stored_tensor_list_must_be_the_configs(self, tmp_path, edit, first):
+        """A header whose tensor list differs from the one the stored config
+        gives is refused, naming the first tensor that differs."""
+        _, _, _, _, path = self.roundtrip_setup(tmp_path)
+        bad = tmp_path / "layout.ckpt"
+        bad.write_bytes(edited_header(open(path, "rb").read(),
+                                      lambda h: edit(h["tensors"])))
+        with pytest.raises(TR.CheckpointError, match="'%s'" % first):
+            TR.checkpoint_load(str(bad))
+
+    @pytest.mark.parametrize("cut, extra", [(4, b""), (0, b"\0" * 4), (1, b"")])
+    def test_wrong_data_length_refused(self, tmp_path, cut, extra):
+        _, _, _, _, path = self.roundtrip_setup(tmp_path)
+        body = open(path, "rb").read()[:-TR.DIGEST_BYTES]
+        bad = tmp_path / "length.ckpt"
+        bad.write_bytes(sealed(body[:len(body) - cut] + extra))
+        with pytest.raises(TR.CheckpointError, match="tensor data holds"):
             TR.checkpoint_load(str(bad))
 
     def test_version_guard(self, tmp_path):
         _, _, _, _, path = self.roundtrip_setup(tmp_path)
-        for version in (1, 99):
+        for version in (1, 2, 99):
             blob = bytearray(open(path, "rb").read())
             blob[4:8] = version.to_bytes(4, "little")
             bad = tmp_path / ("v%d.ckpt" % version)
