@@ -26,9 +26,12 @@ counts, so relevance recovery can be measured against known ground truth.
 Its bounded draws (each day's document count and planted index, each
 document's length, the signal's position and lexicon word) skip the
 generator when their range holds one value, whose draw would return that
-value without advancing the stream, so corpora match earlier versions byte
-for byte. Relevance flags ride along in the corpus but are never consumed
-by training code, only by evaluation.
+value without advancing the stream. Its word draws merge: the words of a
+run of documents with no other draw between them are drawn in one call,
+made just before the next draw of any other kind, and numpy gives a run of
+bounded 32-bit draws the same values in one call as in many. Corpora thus
+match earlier versions byte for byte. Relevance flags ride along in the
+corpus but are never consumed by training code, only by evaluation.
 """
 
 from __future__ import annotations
@@ -379,16 +382,20 @@ def check_series_columns(series: Series, config) -> None:
                            % (series.values.shape[1], config.series_dim))
 
 
-def series_window(date: dt.date, n_docs: int, series: Series,
-                  config) -> SeriesWindow | str:
+def series_window(date: dt.date, n_docs: int, series: Series, config,
+                  rows: dict | None = None) -> SeriesWindow | str:
     """A day's m-day window, or why the day yields no sample: "no-docs" (no
     document survives tokenization), "no-series" (no series row) or
     "short-history" (fewer than m rows before it), checked in that order.
-    The row is found by bisection of the series' dates."""
+    The row is looked up in ``rows``, a map of each series date to its row,
+    or without it found by bisection of the series' dates."""
     if n_docs == 0:
         return "no-docs"
-    i = bisect.bisect_left(series.dates, date)
-    if i == len(series.dates) or series.dates[i] != date:
+    if rows is None:
+        i = bisect.bisect_left(series.dates, date)
+        rows = {series.dates[i]: i} if i < len(series.dates) else {}
+    i = rows.get(date)
+    if i is None:
         return "no-series"
     if i < config.m:
         return "short-history"
@@ -426,8 +433,9 @@ def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
     raw = []
     skipped = Counter()
     batches = days.batches(vocab, config.max_tokens, config.daily_doc_cap)
+    rows = {d: i for i, d in enumerate(series.dates)}
     for date, batch in zip(days.dates, batches):
-        got = series_window(date, batch.n, series, config)
+        got = series_window(date, batch.n, series, config, rows)
         if isinstance(got, str):
             skipped[got] += 1
         else:
@@ -515,46 +523,79 @@ class SynthSpec:
                 raise DatasetError("ranges must satisfy 1 <= lo <= hi")
 
 
-def _bounded(rng: np.random.Generator, lo: int, hi: int) -> int:
-    """An integer drawn from [lo, hi). A range of one value returns lo
-    without calling the generator, which would return lo without advancing
-    its stream, so the stream and every corpus stay the same."""
-    return lo if hi - lo == 1 else int(rng.integers(lo, hi))
-
-
 def synth_generate(spec: SynthSpec) -> tuple[TokenizedDays, Series]:
     """Deterministic corpus and AR(1) series driven by planted signal counts.
-    The corpus is built as token ids straight from the draws."""
+    The corpus is built as token ids straight from the draws.
+
+    Words are drawn late. A document's words are owed until the next draw
+    of any other kind (a ranged count, length, planted index, position or
+    lexicon word, a ``random`` or the day's ``standard_normal``) or the end,
+    and every owed document's words are then drawn in one ``integers`` call.
+    numpy takes a bounded draw of a range below 2**32 as 32-bit values from
+    the bit generator's own buffer, so a run of such draws gives the same
+    values in one call as in one call per document, and every corpus is the
+    one drawing each document's words in turn gives. A draw whose range
+    holds one value returns it without calling the generator, which would
+    return it without advancing its stream; it owes nothing."""
     rng = substream(spec.seed, "synth")
     background = ["w%04d" % i for i in range(spec.vocab_size)]
     # the document-end marker, the background words, then the lexicons
     index = {w: i for i, w in enumerate(["|", *background, *S_PLUS, *S_MINUS])}
     plus = [index[w] for w in S_PLUS]
     minus = [index[w] for w in S_MINUS]
-    ids, flags, sizes, values = [], [], [], []
+    ids = array(np.min_scalar_type(len(index) - 1).char)
+    owed = []  # the lengths of the documents whose words are not drawn yet
+    flags, sizes, values = [], [], []
+
+    def settle():
+        """Draws every owed document's words in one call onto ``ids``,
+        each document's followed by the end marker 0."""
+        if owed:
+            # background word k has id k + 1: low=1 adds 1 to each value
+            # and leaves the draws as they are
+            words = rng.integers(1, spec.vocab_size + 1, size=sum(owed)).tolist()
+            lo = 0
+            for n in owed:
+                ids.fromlist(words[lo:lo + n])
+                ids.append(0)
+                lo += n
+            owed.clear()
+
+    def bounded(lo: int, hi: int) -> int:
+        """An integer drawn from [lo, hi)."""
+        if hi - lo == 1:
+            return lo
+        settle()
+        return int(rng.integers(lo, hi))
+
+    def random() -> float:
+        settle()
+        return rng.random()
+
     x = 0.0
     for _ in range(spec.n_days):
-        n_docs = _bounded(rng, spec.n_docs[0], spec.n_docs[1] + 1)
-        planted_at = _bounded(rng, 0, n_docs) if spec.plant_per_day else -1
+        n_docs = bounded(spec.n_docs[0], spec.n_docs[1] + 1)
+        planted_at = bounded(0, n_docs) if spec.plant_per_day else -1
         z = 0
         for j in range(n_docs):
-            length = _bounded(rng, spec.doc_len[0], spec.doc_len[1] + 1)
-            row = (rng.integers(spec.vocab_size, size=length) + 1).tolist()
+            length = bounded(spec.doc_len[0], spec.doc_len[1] + 1)
+            owed.append(length)
             plant = (j == planted_at) if spec.plant_per_day \
-                else (rng.random() < spec.plant_prob)
+                else (random() < spec.plant_prob)
             if plant:
-                positive = rng.random() < 0.5
+                positive = random() < 0.5  # settled, so this document ends ids
                 lex = plus if positive else minus
-                row[_bounded(rng, 0, length)] = lex[_bounded(rng, 0, len(lex))]
+                word = lex[bounded(0, len(lex))]  # drawn before the position
+                ids[len(ids) - 1 - length + bounded(0, length)] = word
                 z += 1 if positive else -1
-            ids += row
-            ids.append(0)
             flags.append(plant)
         x = spec.phi * x + spec.alpha * z
         if spec.sigma > 0:
+            settle()
             x += spec.sigma * float(rng.standard_normal())
         sizes.append(n_docs)
         values.append([x])
+    settle()
     dates = [spec.start + dt.timedelta(days=t) for t in range(spec.n_days)]
     return (_tokenized(dates, index, ids, sizes, flags),
             Series(dates=tuple(dates), values=np.asarray(values)))
@@ -666,11 +707,19 @@ def read_corpus(path: str, date: dt.date | None = None):
 
     The file is read once, in text mode, a block of lines at a time
     (``_blocks``): a block in the form save_corpus writes is checked whole
-    (``_written_block``), the lines of any other one by one (``_line_alone``),
-    with every message of reading line by line."""
+    (``_written_block``), then, if refused, once more with every line's
+    trailing blanks stripped, as ``_line_alone`` strips them; the lines of
+    any other block are checked one by one (``_line_alone``), with every
+    message of reading line by line. Either way the lines yielded are the
+    file's own."""
     prev, lineno = None, 0
     for block in _blocks(path):
         dates = _written_block(block, prev)
+        if dates is None:
+            # what _line_alone checks first: each line without its blanks
+            stripped = [line.rstrip(" \t\r\n") + "\n" for line in block]
+            if stripped != block:
+                dates = _written_block(stripped, prev)
         if dates is not None:
             lo, hi = (0, len(dates)) if date is None else (
                 bisect.bisect_left(dates, date), bisect.bisect_right(dates, date))

@@ -265,6 +265,21 @@ class TestMakeSamples:
         np.testing.assert_array_equal(s.window.values, [[1.0], [2.0]])
         assert s.window.target == 3.0 and s.window.prev == 2.0
 
+    def test_a_date_map_finds_the_rows_bisection_finds(self):
+        """make_samples' map of dates to rows and rank's bisection give the
+        same window or reason on every day, between, before and after the
+        series' dates."""
+        config = cfg(m=2)
+        start = dt.date(2020, 1, 1)
+        dates = tuple(start + dt.timedelta(days=t) for t in (0, 1, 3, 4, 7))
+        series = D.Series(dates=dates, values=np.arange(10.).reshape(5, 2))
+        rows = {d: i for i, d in enumerate(dates)}
+        for t in range(-1, 10):
+            date = start + dt.timedelta(days=t)
+            for n in (0, 3):
+                assert repr(D.series_window(date, n, series, config, rows)) \
+                    == repr(D.series_window(date, n, series, config))
+
     def test_skip_counting(self):
         config = cfg(m=1)
         corpus = mini_corpus([["day zero"], [], ["day two"], ["day three"]])
@@ -403,9 +418,11 @@ class TestSplitSpec:
 
 # sha256 of the save_corpus and save_series bytes of 60-day corpora: the
 # recovery shape and the default spec (ranged counts, plant_prob 0.3), recorded
-# when every bounded draw still called the generator, and days whose every
+# when every bounded draw still called the generator; days whose every
 # bounded draw but the lexicon word's has one value, recorded while the
-# lexicons were still spec fields
+# lexicons were still spec fields; and train_long_window's shape (ranged
+# counts and lengths, a plant every day) and fixed lengths with plant_prob,
+# recorded while each document's words still had a call of their own
 STREAM_PINS = {
     "recovery": (dict(n_docs=(10, 10), doc_len=(8, 8), plant_per_day=True),
                  "340f115d11fe49d93ab3d83b6112325e0fc7d829e7675f0c46023d0fbb39fef6",
@@ -416,7 +433,36 @@ STREAM_PINS = {
     "one_value": (dict(n_docs=(1, 1), doc_len=(1, 1), plant_per_day=True),
                   "037a2051a6f172146eb616a7c288c87093c66caeacfc6d5db7fc14326e68adcf",
                   "056b3a2aeb990e43bfd104b79327ecc9b8c92748235f12db52749e767a17c447"),
+    "long_window": (dict(n_docs=(2, 3), doc_len=(3, 5), plant_per_day=True),
+                    "1c03b71d1e3ad160713603dfcb7fd714b88c000247fea1512920f6c9396f74f2",
+                    "4543a8637dd0cbca5fd1ad996e4a83bad91f590c4341bfcc309fe91504043f25"),
+    "fixed_len_prob": (dict(n_docs=(10, 10), doc_len=(8, 8)),
+                       "f64a326933ba73d598283bb7efd48c52e279c04eb2ff1fbf34b71de597d039aa",
+                       "6df507f097b5ada9683f9c35b07a7bdfb594c893e007bfb1583005ebe77c2dcf"),
 }
+
+
+def word_draws(monkeypatch, spec):
+    """The sizes of the ``integers`` calls that draw ``spec``'s words, in
+    the order the generator makes them."""
+    sizes, make = [], D.substream
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def integers(self, *args, size=None):
+            if size is not None:
+                sizes.append(size)
+            return self.rng.integers(*args, size=size)
+
+    monkeypatch.setattr(D, "substream", lambda *key: Counted(make(*key)))
+    corpus, _ = D.synth_generate(spec)
+    assert sum(sizes) == int(corpus.lengths.sum())
+    return sizes
 
 
 @st.composite
@@ -460,6 +506,22 @@ class TestSynthGenerate:
         assert H.load_corpus(path) == ref_days
         assert series.dates == ref_series.dates
         assert series.values.tobytes() == ref_series.values.tobytes()
+
+    def test_a_recovery_day_draws_its_words_in_two_calls(self, monkeypatch):
+        """The words before the planted document's coin are drawn in one
+        call, the rest before the day's noise in another."""
+        for sigma in (0.1, 0.0):
+            spec = D.SynthSpec(n_days=7, sigma=sigma, **STREAM_PINS["recovery"][0])
+            assert len(word_draws(monkeypatch, spec)) <= 2 * spec.n_days
+
+    @pytest.mark.parametrize("name", ["default", "long_window", "fixed_len_prob"])
+    def test_a_drawn_length_or_coin_keeps_one_call_a_document(self, monkeypatch,
+                                                             name):
+        """A document whose length or plant is drawn after its words settles
+        them: one call a document, as when every document had its own."""
+        spec = D.SynthSpec(n_days=7, **STREAM_PINS[name][0])
+        corpus, _ = D.synth_generate(spec)
+        assert len(word_draws(monkeypatch, spec)) == corpus.lengths.size
 
     def test_noise_free_series_is_exact_signal_count(self):
         spec = D.SynthSpec(n_days=25, seed=11, phi=0.0, alpha=1.0, sigma=0.0,
@@ -1241,6 +1303,25 @@ class TestWrittenBlocks:
         want = save_synth_days(str(path))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert lines_alone(read_lines, str(path)) == (want, [])
+
+    @pytest.mark.parametrize("block", [1000, 1 << 16])
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.replace(b"\n", b" \n"),
+        lambda raw: raw.replace(b"\n", b"\t \r\n"),
+        lambda raw: raw[:-1]], ids=["space", "tab-crlf", "no-final-newline"])
+    def test_lines_ending_in_blanks_check_no_line_alone(self, tmp_path, edit,
+                                                        block):
+        """A block refused only for its lines' trailing blanks passes whole
+        once they are stripped, and yields the lines as the file holds
+        them, as reading line by line does."""
+        path = tmp_path / "c.jsonl"
+        save_synth_days(str(path))
+        path.write_bytes(edit(path.read_bytes()))
+        want = line_by_line(read_lines, str(path))
+        assert isinstance(want, list) and len(want) == 40
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(D, "_BLOCK_BYTES", block)
+            assert lines_alone(read_lines, str(path)) == (want, [])
 
     def test_a_pipe_checks_no_line_alone(self, tmp_path):
         path = tmp_path / "c.jsonl"
