@@ -527,16 +527,14 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenizedDays, Series]:
     """Deterministic corpus and AR(1) series driven by planted signal counts.
     The corpus is built as token ids straight from the draws.
 
-    Words are drawn late. A document's words are owed until the next draw
-    of any other kind (a ranged count, length, planted index, position or
-    lexicon word, a ``random`` or the day's ``standard_normal``) or the end,
-    and every owed document's words are then drawn in one ``integers`` call.
-    numpy takes a bounded draw of a range below 2**32 as 32-bit values from
-    the bit generator's own buffer, so a run of such draws gives the same
-    values in one call as in one call per document, and every corpus is the
-    one drawing each document's words in turn gives. A draw whose range
-    holds one value returns it without calling the generator, which would
-    return it without advancing its stream; it owes nothing."""
+    Words are drawn late: a document's words are owed until the next draw
+    of any other kind (a ranged count, length, index, position or lexicon
+    word, a ``random`` or the day's ``standard_normal``) or the end, and all
+    owed words are then drawn in one ``integers`` call. numpy draws a range
+    below 2**32 as 32-bit values from the bit generator's own buffer, so
+    the run gets the values one call per document would. A range of one
+    value makes no draw, and so settles nothing: numpy would return its
+    value without advancing the stream."""
     rng = substream(spec.seed, "synth")
     background = ["w%04d" % i for i in range(spec.vocab_size)]
     # the document-end marker, the background words, then the lexicons
@@ -551,8 +549,7 @@ def synth_generate(spec: SynthSpec) -> tuple[TokenizedDays, Series]:
         """Draws every owed document's words in one call onto ``ids``,
         each document's followed by the end marker 0."""
         if owed:
-            # background word k has id k + 1: low=1 adds 1 to each value
-            # and leaves the draws as they are
+            # background word k has id k + 1; low=1 adds it to the same draws
             words = rng.integers(1, spec.vocab_size + 1, size=sum(owed)).tolist()
             lo = 0
             for n in owed:

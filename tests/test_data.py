@@ -442,9 +442,9 @@ STREAM_PINS = {
 }
 
 
-def word_draws(monkeypatch, spec):
+def word_draws(spec):
     """The sizes of the ``integers`` calls that draw ``spec``'s words, in
-    the order the generator makes them."""
+    the order the generator makes them, and the corpus."""
     sizes, make = [], D.substream
 
     class Counted:
@@ -459,10 +459,11 @@ def word_draws(monkeypatch, spec):
                 sizes.append(size)
             return self.rng.integers(*args, size=size)
 
-    monkeypatch.setattr(D, "substream", lambda *key: Counted(make(*key)))
-    corpus, _ = D.synth_generate(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "substream", lambda *key: Counted(make(*key)))
+        corpus, _ = D.synth_generate(spec)
     assert sum(sizes) == int(corpus.lengths.sum())
-    return sizes
+    return sizes, corpus
 
 
 @st.composite
@@ -507,21 +508,21 @@ class TestSynthGenerate:
         assert series.dates == ref_series.dates
         assert series.values.tobytes() == ref_series.values.tobytes()
 
-    def test_a_recovery_day_draws_its_words_in_two_calls(self, monkeypatch):
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_a_recovery_day_draws_its_words_in_two_calls(self, sigma):
         """The words before the planted document's coin are drawn in one
-        call, the rest before the day's noise in another."""
-        for sigma in (0.1, 0.0):
-            spec = D.SynthSpec(n_days=7, sigma=sigma, **STREAM_PINS["recovery"][0])
-            assert len(word_draws(monkeypatch, spec)) <= 2 * spec.n_days
+        call, the rest before the day's noise (or the next day's) in
+        another."""
+        spec = D.SynthSpec(n_days=7, sigma=sigma, **STREAM_PINS["recovery"][0])
+        sizes, _ = word_draws(spec)
+        assert len(sizes) <= 2 * spec.n_days
 
     @pytest.mark.parametrize("name", ["default", "long_window", "fixed_len_prob"])
-    def test_a_drawn_length_or_coin_keeps_one_call_a_document(self, monkeypatch,
-                                                             name):
+    def test_a_drawn_length_or_coin_keeps_one_call_a_document(self, name):
         """A document whose length or plant is drawn after its words settles
         them: one call a document, as when every document had its own."""
-        spec = D.SynthSpec(n_days=7, **STREAM_PINS[name][0])
-        corpus, _ = D.synth_generate(spec)
-        assert len(word_draws(monkeypatch, spec)) == corpus.lengths.size
+        sizes, corpus = word_draws(D.SynthSpec(n_days=7, **STREAM_PINS[name][0]))
+        assert len(sizes) == corpus.lengths.size
 
     def test_noise_free_series_is_exact_signal_count(self):
         spec = D.SynthSpec(n_days=25, seed=11, phi=0.0, alpha=1.0, sigma=0.0,
