@@ -382,20 +382,16 @@ def check_series_columns(series: Series, config) -> None:
                            % (series.values.shape[1], config.series_dim))
 
 
-def series_window(date: dt.date, n_docs: int, series: Series, config,
-                  rows: dict | None = None) -> SeriesWindow | str:
+def series_window(date: dt.date, n_docs: int, series: Series,
+                  config) -> SeriesWindow | str:
     """A day's m-day window, or why the day yields no sample: "no-docs" (no
     document survives tokenization), "no-series" (no series row) or
     "short-history" (fewer than m rows before it), checked in that order.
-    The row is looked up in ``rows``, a map of each series date to its row,
-    or without it found by bisection of the series' dates."""
+    The row is found by bisection of the series' dates."""
     if n_docs == 0:
         return "no-docs"
-    if rows is None:
-        i = bisect.bisect_left(series.dates, date)
-        rows = {series.dates[i]: i} if i < len(series.dates) else {}
-    i = rows.get(date)
-    if i is None:
+    i = bisect.bisect_left(series.dates, date)
+    if i == len(series.dates) or series.dates[i] != date:
         return "no-series"
     if i < config.m:
         return "short-history"
@@ -433,9 +429,8 @@ def make_samples(days: TokenizedDays, series: Series, vocab: Vocabulary,
     raw = []
     skipped = Counter()
     batches = days.batches(vocab, config.max_tokens, config.daily_doc_cap)
-    rows = {d: i for i, d in enumerate(series.dates)}
     for date, batch in zip(days.dates, batches):
-        got = series_window(date, batch.n, series, config, rows)
+        got = series_window(date, batch.n, series, config)
         if isinstance(got, str):
             skipped[got] += 1
         else:
@@ -704,19 +699,11 @@ def read_corpus(path: str, date: dt.date | None = None):
 
     The file is read once, in text mode, a block of lines at a time
     (``_blocks``): a block in the form save_corpus writes is checked whole
-    (``_written_block``), then, if refused, once more with every line's
-    trailing blanks stripped, as ``_line_alone`` strips them; the lines of
-    any other block are checked one by one (``_line_alone``), with every
-    message of reading line by line. Either way the lines yielded are the
-    file's own."""
+    (``_written_block``), the lines of any other one by one (``_line_alone``),
+    with every message of reading line by line."""
     prev, lineno = None, 0
     for block in _blocks(path):
         dates = _written_block(block, prev)
-        if dates is None:
-            # what _line_alone checks first: each line without its blanks
-            stripped = [line.rstrip(" \t\r\n") + "\n" for line in block]
-            if stripped != block:
-                dates = _written_block(stripped, prev)
         if dates is not None:
             lo, hi = (0, len(dates)) if date is None else (
                 bisect.bisect_left(dates, date), bisect.bisect_right(dates, date))

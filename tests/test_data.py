@@ -265,21 +265,6 @@ class TestMakeSamples:
         np.testing.assert_array_equal(s.window.values, [[1.0], [2.0]])
         assert s.window.target == 3.0 and s.window.prev == 2.0
 
-    def test_a_date_map_finds_the_rows_bisection_finds(self):
-        """make_samples' map of dates to rows and rank's bisection give the
-        same window or reason on every day, between, before and after the
-        series' dates."""
-        config = cfg(m=2)
-        start = dt.date(2020, 1, 1)
-        dates = tuple(start + dt.timedelta(days=t) for t in (0, 1, 3, 4, 7))
-        series = D.Series(dates=dates, values=np.arange(10.).reshape(5, 2))
-        rows = {d: i for i, d in enumerate(dates)}
-        for t in range(-1, 10):
-            date = start + dt.timedelta(days=t)
-            for n in (0, 3):
-                assert repr(D.series_window(date, n, series, config, rows)) \
-                    == repr(D.series_window(date, n, series, config))
-
     def test_skip_counting(self):
         config = cfg(m=1)
         corpus = mini_corpus([["day zero"], [], ["day two"], ["day three"]])
@@ -1304,25 +1289,6 @@ class TestWrittenBlocks:
         want = save_synth_days(str(path))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert lines_alone(read_lines, str(path)) == (want, [])
-
-    @pytest.mark.parametrize("block", [1000, 1 << 16])
-    @pytest.mark.parametrize("edit", [
-        lambda raw: raw.replace(b"\n", b" \n"),
-        lambda raw: raw.replace(b"\n", b"\t \r\n"),
-        lambda raw: raw[:-1]], ids=["space", "tab-crlf", "no-final-newline"])
-    def test_lines_ending_in_blanks_check_no_line_alone(self, tmp_path, edit,
-                                                        block):
-        """A block refused only for its lines' trailing blanks passes whole
-        once they are stripped, and yields the lines as the file holds
-        them, as reading line by line does."""
-        path = tmp_path / "c.jsonl"
-        save_synth_days(str(path))
-        path.write_bytes(edit(path.read_bytes()))
-        want = line_by_line(read_lines, str(path))
-        assert isinstance(want, list) and len(want) == 40
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(D, "_BLOCK_BYTES", block)
-            assert lines_alone(read_lines, str(path)) == (want, [])
 
     def test_a_pipe_checks_no_line_alone(self, tmp_path):
         path = tmp_path / "c.jsonl"
